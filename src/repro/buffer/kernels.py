@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import heapq
 from collections import OrderedDict, deque
+from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING, Callable, ClassVar
 
 import numpy as np
@@ -66,6 +67,13 @@ TX_STRIDE_SHIFT = 4
 #: Headroom added whenever the dense page-id -> slot table must grow to
 #: cover newly written growing-relation pages.
 _SLOT_TABLE_GROWTH = 4096
+
+#: The vectorized LRU pass classifies at most this many references at a
+#: time: ``_LRU_SLICE_CAPACITIES`` buffer capacities, and never fewer
+#: than ``_LRU_SLICE_FLOOR`` (measured optimum: 8-16 capacities; a
+#: 1 024-page buffer costs 230 ns/ref on one 48 k batch, 110 in three).
+_LRU_SLICE_CAPACITIES = 16
+_LRU_SLICE_FLOOR = 8192
 
 #: Key offset that ranks pages with fewer than K references below every
 #: fully referenced page (mirrors ``LruKPolicy._kth_recent``).
@@ -261,7 +269,8 @@ class LruArrayKernel(ArrayKernel):
       ``(last_touch, page)`` entries, exactly like ``LfuPolicy``'s
       heap but keyed on recency: stale entries are skipped when the
       recorded timestamp no longer matches.
-    * The batch path (:meth:`process_batch`) is loop-free.  It leans
+    * The batch path (:meth:`process_batch`) has no per-reference
+      loop (a long batch is cut into a few slices).  It leans
       on the LRU *inclusion property*: with exact LRU the resident set
       after any prefix of the trace is simply the ``capacity`` most
       recently touched distinct pages, so hit/miss outcomes and the
@@ -407,6 +416,42 @@ class LruArrayKernel(ArrayKernel):
             return
         self.ensure_page_capacity(batch.highest_page_id)
         self._heap = None  # scalar victim heap is stale after a batch pass
+        # The long-gap (class 2) work grows faster than linearly once a
+        # batch is many times the buffer, so a long batch is classified
+        # in equal slices; LRU is sequential, so slicing changes nothing.
+        step = max(_LRU_SLICE_FLOOR, _LRU_SLICE_CAPACITIES * self._capacity)
+        pieces = -(-n // step)
+        bounds = [n * piece // pieces for piece in range(pieces + 1)]
+        miss_positions = np.concatenate(
+            [
+                lo + self._classify_slice(refs[lo:hi])
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
+        )
+        if miss_positions.size:
+            miss_rels = (refs[miss_positions] >> 1) & 15
+            tally = np.bincount(miss_rels, minlength=len(self.batch_misses))
+            batch_misses = self.batch_misses
+            for relation in np.flatnonzero(tally):
+                batch_misses[relation] += int(tally[relation])
+            # bincount, not a scatter of ones: zero-length transactions
+            # make consecutive starts collide on one position.
+            tx_ordinal = np.bincount(
+                np.cumsum(batch.tx_lengths[:-1]), minlength=n
+            )[:n]
+            np.cumsum(tx_ordinal, out=tx_ordinal)
+            owner = tx_ordinal[miss_positions]
+            tally = np.bincount(
+                (batch.tx_indices[owner] << TX_STRIDE_SHIFT) + miss_rels,
+                minlength=len(self.tx_misses),
+            )
+            tx_misses = self.tx_misses
+            for index in np.flatnonzero(tally):
+                tx_misses[index] += int(tally[index])
+
+    def _classify_slice(self, refs: np.ndarray) -> np.ndarray:
+        """Advance residency over ``refs``; returns the miss positions."""
+        n = int(refs.shape[0])
         resident = self._resident
         last = self._last
         relation_table = self._relation
@@ -554,26 +599,6 @@ class LruArrayKernel(ArrayKernel):
         relation_table[unique_pids] = (refs[group_first] >> 1) & 15
 
         miss_positions = np.concatenate([miss3_pos, miss4_pos, c2_miss_pos])
-        if miss_positions.size:
-            miss_rels = (refs[miss_positions] >> 1) & 15
-            tally = np.bincount(miss_rels, minlength=len(self.batch_misses))
-            batch_misses = self.batch_misses
-            for relation in np.flatnonzero(tally):
-                batch_misses[relation] += int(tally[relation])
-            # bincount, not a scatter of ones: zero-length transactions
-            # make consecutive starts collide on one position.
-            tx_ordinal = np.bincount(
-                np.cumsum(batch.tx_lengths[:-1]), minlength=n
-            )[:n]
-            np.cumsum(tx_ordinal, out=tx_ordinal)
-            owner = tx_ordinal[miss_positions]
-            tally = np.bincount(
-                (batch.tx_indices[owner] << TX_STRIDE_SHIFT) + miss_rels,
-                minlength=len(self.tx_misses),
-            )
-            tx_misses = self.tx_misses
-            for index in np.flatnonzero(tally):
-                tx_misses[index] += int(tally[index])
 
         # Final residency: the ``capacity`` highest recencies among
         # touched pages (their new stamp) and untouched batch-start
@@ -620,6 +645,7 @@ class LruArrayKernel(ArrayKernel):
         self._res_ids = new_resident
         self._used = new_used
         self._pos = pos0 + n
+        return miss_positions
 
 
 class FifoArrayKernel(ArrayKernel):
@@ -1236,6 +1262,20 @@ KERNEL_FACTORIES: dict[
 ARRAY_KERNEL_POLICIES = tuple(sorted(KERNEL_FACTORIES))
 
 
+def relation_miss_rates(
+    misses: Sequence[int], accesses: Iterable[int]
+) -> dict[str, float]:
+    """Miss rate per relation name from two per-relation-index tallies.
+
+    Relations that were never referenced are absent.
+    """
+    return {
+        name: misses[index] / int(count)
+        for index, (name, count) in enumerate(zip(RELATION_NAMES, accesses))
+        if count
+    }
+
+
 def supports_array_kernel(policy: str) -> bool:
     """Whether ``policy`` has an array-kernel implementation."""
     return policy in KERNEL_FACTORIES
@@ -1271,5 +1311,6 @@ __all__ = [
     "TX_STRIDE_SHIFT",
     "TwoQArrayKernel",
     "make_kernel",
+    "relation_miss_rates",
     "supports_array_kernel",
 ]

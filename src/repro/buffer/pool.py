@@ -10,8 +10,14 @@ performance model, not storage (the executable engine in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.buffer.policy import ReplacementPolicy
+
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    import numpy as np
+
+    from repro.workload.trace import PageIdSpace
 
 
 @dataclass
@@ -103,6 +109,18 @@ class SimulatedBufferPool:
             self._stats.record_eviction(victim[0])
         self._stats.record(relation, hit=False)
         return False
+
+    def access_encoded(self, refs: "np.ndarray", space: "PageIdSpace") -> None:
+        """Reference every int-encoded page of ``refs``, in order.
+
+        The object-pool counterpart of an array kernel's
+        ``process_batch``: replaying one prepared reference array
+        through both is how the two back ends are held bit-identical.
+        """
+        access = self.access
+        relation, page, write = space.decode_ref_arrays(refs)
+        for reference in zip(relation.tolist(), page.tolist(), write.tolist()):
+            access(*reference)
 
     def reset_stats(self) -> None:
         """Clear counters without disturbing residency (used after warmup)."""

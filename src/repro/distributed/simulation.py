@@ -24,19 +24,26 @@ fan nodes out across processes and fold results bit-identical to the
 serial run.  Cross-node traffic is modelled from both ends without any
 shared state:
 
-* *Outbound* (sender side): a per-node routing RNG decides which stock
-  lines / Payments go remote; those references are counted in
-  :class:`RemoteStatistics` and skipped locally.  The drawn site label
-  only feeds Theorem 1's distinct-site count, so no receiver is ever
-  contacted.
+* *Outbound* (sender side): a per-node routing RNG decides — one
+  vectorized draw per batch of transactions — which stock lines /
+  Payments go remote; those references are counted in
+  :class:`RemoteStatistics` and masked out of the node's own reference
+  array.  The drawn site label only feeds Theorem 1's distinct-site
+  count, so no receiver is ever contacted.
 * *Inbound* (receiver side): each node draws the number of remote
   accesses *landing on it* per round from the exact compound-binomial
   law of the outbound process — ``Binomial(N-1, mix_share)`` senders,
   thinned by the per-line remote-and-targets-me probability ``p/N``
   (exact because the New-Order line count is fixed per config) — and
-  synthesises statistically equivalent pages from its own generic
-  input streams.  Those streams are independent of the per-transaction
+  synthesises statistically equivalent encoded references from its own
+  generic input streams, spliced in at their round's transaction
+  boundary.  Those streams are independent of the per-transaction
   trace streams, so the injected accesses never perturb the trace.
+
+The routed, spliced array is what the buffer sees: one
+``process_batch`` call per window on an array kernel, or — as the
+parity oracle — the same array one access at a time through the
+object pool.
 
 The two ends use independently seeded per-node generators, so the
 cluster-wide totals agree in distribution with a shared-RNG
@@ -45,11 +52,17 @@ implementation while each node stays deterministic in isolation.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.buffer.kernels import (
+    ArrayKernel,
+    make_kernel,
+    relation_miss_rates,
+    supports_array_kernel,
+)
 from repro.buffer.policy import make_policy
 from repro.buffer.pool import SimulatedBufferPool
 from repro.buffer.simulator import KERNEL_KINDS, pages_for_megabytes
@@ -61,15 +74,21 @@ from repro.obs.instruments import (
     DIST_REMOTE_STOCK_CALLS,
 )
 from repro.workload.mix import TRANSACTION_ORDER, TransactionType
+from repro.workload.stream import EncodedBatch
 from repro.workload.trace import (
+    REF_REL_MASK,
+    REF_REL_SHIFT,
     RELATION_INDEX,
     RELATION_NAMES,
+    PageIdSpace,
     TraceConfig,
     TraceGenerator,
 )
 
 _STOCK = RELATION_INDEX["stock"]
 _CUSTOMER = RELATION_INDEX["customer"]
+_NEW_ORDER = TRANSACTION_ORDER.index(TransactionType.NEW_ORDER)
+_PAYMENT = TRANSACTION_ORDER.index(TransactionType.PAYMENT)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -87,12 +106,14 @@ class DistributedSimConfig:
     warmup_transactions_per_node: int = 400
     item_replicated: bool = True
     seed: int = 0
-    #: Per-node trace emission: ``"array"`` feeds each node from the
-    #: vectorized batch emitter (decoded column-wise), ``"object"``
-    #: from the scalar per-transaction path, ``"auto"`` picks the batch
-    #: emitter.  Both emit byte-identical traces, so every report field
-    #: is independent of the choice — it is pure implementation
-    #: selection and therefore excluded from cache fingerprints.
+    #: Buffer back end, as in ``SimulationConfig.kernel``: ``"array"``
+    #: hands each node's prepared reference array to the dense kernels
+    #: of :mod:`repro.buffer.kernels`, ``"object"`` replays the very
+    #: same array through :class:`SimulatedBufferPool` (the parity
+    #: oracle), ``"auto"`` picks the array path when the policy has a
+    #: kernel.  Routing happens once, before the back end, so every
+    #: report field is independent of the choice — it is pure
+    #: implementation selection, excluded from cache fingerprints.
     kernel: str = field(default="auto", metadata={"cache_fingerprint": False})
     #: How many work units :mod:`repro.distributed.sharded` splits the
     #: node range into (``None`` = one unit per node).  Pure worker
@@ -112,13 +133,20 @@ class DistributedSimConfig:
             raise ValueError(
                 f"kernel must be one of {KERNEL_KINDS}, got {self.kernel!r}"
             )
+        if self.kernel == "array" and not supports_array_kernel(self.policy):
+            raise ValueError(
+                f"policy {self.policy!r} has no array kernel; "
+                f"use kernel='object' or 'auto'"
+            )
         if self.shards is not None and self.shards < 1:
             raise ValueError(f"shards must be >= 1 when set, got {self.shards}")
 
     @property
     def resolved_kernel(self) -> str:
-        """The concrete emission path ``auto`` resolves to."""
-        return "object" if self.kernel == "object" else "array"
+        """The back end that will actually run: array or object."""
+        if self.kernel != "auto":
+            return self.kernel
+        return "array" if supports_array_kernel(self.policy) else "object"
 
     def replace(self, **overrides) -> "DistributedSimConfig":
         """A copy with the given fields replaced (validation re-runs)."""
@@ -267,8 +295,37 @@ def simulate_node(config: DistributedSimConfig, node: int) -> NodeResult:
     return result
 
 
+class _PoolOracle:
+    """The object pool behind the three kernel calls a node makes.
+
+    ``kernel="object"`` replays the same prepared reference arrays one
+    access at a time, which is what holds the array kernels to parity.
+    """
+
+    def __init__(self, policy: str, capacity: int, space: PageIdSpace):
+        self._pool = SimulatedBufferPool(make_policy(policy, capacity))
+        self._space = space
+
+    def process_batch(self, batch: EncodedBatch) -> None:
+        self._pool.access_encoded(batch.refs, self._space)
+
+    def reset_counters(self) -> None:
+        self._pool.reset_stats()
+
+    @property
+    def batch_misses(self) -> list[int]:
+        misses = self._pool.stats.misses
+        return [misses.get(index, 0) for index in range(len(RELATION_NAMES))]
+
+
 class _NodeSimulation:
-    """One node's pool, trace and both halves of its remote traffic."""
+    """One node's buffer, trace and both halves of its remote traffic.
+
+    Everything is batch-level: the warm-up and the measured window are
+    each one :class:`EncodedBatch`; routing is one keep-mask per batch,
+    inbound traffic is spliced in as encoded references, and the
+    prepared array goes to the buffer in a single call.
+    """
 
     def __init__(self, config: DistributedSimConfig, node: int):
         self._config = config
@@ -280,44 +337,16 @@ class _NodeSimulation:
         )
         self._trace = TraceGenerator(node_trace)
         capacity = pages_for_megabytes(config.buffer_mb, config.trace.page_size)
-        self._pool = SimulatedBufferPool(make_policy(config.policy, capacity))
+        space = self._trace.page_id_space
+        self._buffer: ArrayKernel | _PoolOracle = (
+            make_kernel(config.policy, capacity, space, len(TRANSACTION_ORDER))
+            if config.resolved_kernel == "array"
+            else _PoolOracle(config.policy, capacity, space)
+        )
         # Independent per-node streams for the two halves of the remote
         # model; seeding by (seed, salt, node) keeps nodes uncorrelated.
         self._route_rng = np.random.default_rng((config.seed, 7, node))
         self._inbound_rng = np.random.default_rng((config.seed, 11, node))
-        n = config.nodes
-        # Per-line probability that the *line* goes to some remote node.
-        self._p_stock_remote = config.trace.remote_stock_probability * (n - 1) / n
-        self._p_payment_remote = REMOTE_PAYMENT_PROBABILITY * (n - 1) / n
-        self._stream = self._transactions()
-
-    def _transactions(self) -> Iterator[tuple[TransactionType, list]]:
-        """The node's decoded transaction stream, on the chosen kernel.
-
-        The batch path pulls whole encoded blocks from the vectorized
-        emitter and decodes them column-wise; the object path is the
-        scalar per-transaction stream.  The two are byte-identical, so
-        every report field is independent of the choice.
-        """
-        if self._config.resolved_kernel == "object":
-            return self._trace.stream(format="objects")
-        return self._decoded_batches(self._trace)
-
-    @staticmethod
-    def _decoded_batches(trace: TraceGenerator):
-        space = trace._space
-        while True:
-            batch = trace.encoded_batch(transactions=256)
-            relation, page, write = space.decode_ref_arrays(batch.refs)
-            triples = list(
-                zip(relation.tolist(), page.tolist(), write.tolist())
-            )
-            start = 0
-            for tx_index, length in zip(
-                batch.tx_indices.tolist(), batch.tx_lengths.tolist()
-            ):
-                yield TRANSACTION_ORDER[tx_index], triples[start : start + length]
-                start += length
 
     def _inbound_volumes(self, rounds: int) -> tuple[np.ndarray, np.ndarray]:
         """Remote accesses landing on this node, per round.
@@ -353,139 +382,95 @@ class _NodeSimulation:
         config = self._config
         warmup = config.warmup_transactions_per_node
         rounds = warmup + config.transactions_per_node
-        inbound_stock, inbound_payments = self._inbound_volumes(rounds)
+        inbound = self._inbound_volumes(rounds)
+        if warmup:
+            self._window(slice(0, warmup), inbound)
+            self._buffer.reset_counters()
+        measured, remote = self._window(slice(warmup, rounds), inbound)
+        miss = relation_miss_rates(self._buffer.batch_misses, measured.accesses)
+        return NodeResult(node=self._node, miss=miss, remote=remote)
 
-        new_orders = 0
-        remote_stock_calls = 0
-        all_local = 0
-        unique_site_sum = 0
-        payments = 0
+    def _window(
+        self, rounds: slice, inbound: tuple[np.ndarray, np.ndarray]
+    ) -> tuple[EncodedBatch, RemoteStatistics]:
+        """Generate, route and replay one window of consecutive rounds.
+
+        Returns the prepared batch as the buffer saw it and the
+        window's outbound statistics.
+        """
+        trace = self._trace
+        batch = trace.encoded_batch(transactions=rounds.stop - rounds.start)
+        owner = np.repeat(np.arange(batch.transactions), batch.tx_lengths)
+        keep, remote = self._route(batch, owner)
+        inbound_stock, inbound_payments = (volumes[rounds] for volumes in inbound)
+        payment_refs, payment_lengths = trace.remote_payment_refs(
+            int(inbound_payments.sum())
+        )
+        # Each round is the node's own transaction, then the stock lines
+        # and then the Payment customer blocks that land on it: a stable
+        # sort on the round index of the three concatenated streams.
+        round_ids = np.arange(batch.transactions)
+        landing = np.concatenate(
+            [
+                owner[keep],
+                np.repeat(round_ids, inbound_stock),
+                np.repeat(np.repeat(round_ids, inbound_payments), payment_lengths),
+            ]
+        )
+        refs = np.concatenate(
+            [
+                batch.refs[keep],
+                trace.remote_stock_refs(int(inbound_stock.sum())),
+                payment_refs,
+            ]
+        )[np.argsort(landing, kind="stable")]
+        prepared = EncodedBatch.of_refs(refs, batch.highest_page_id)
+        self._buffer.process_batch(prepared)
+        return prepared, remote
+
+    def _route(
+        self, batch: EncodedBatch, owner: np.ndarray
+    ) -> tuple[np.ndarray, RemoteStatistics]:
+        """Outbound half: which of the batch's references stay local.
+
+        Each New-Order stock line goes to a uniformly chosen peer with
+        probability ``p*(N-1)/N`` (one Bernoulli vector and one site
+        vector per batch); each Payment ships its customer block with
+        probability ``0.15*(N-1)/N`` (one Bernoulli per Payment).  The
+        site labels index the ``N-1`` peers, which is all Theorem 1's
+        distinct-site count needs — no receiver is ever contacted.
+        """
+        n = self._config.nodes
+        new_order = batch.tx_indices == _NEW_ORDER
+        payments = np.flatnonzero(batch.tx_indices == _PAYMENT)
+        keep = np.ones(batch.references, dtype=bool)
+        shipped_by = sites = np.empty(0, dtype=np.int64)
         remote_payments = 0
-
-        stream = self._stream
-        for index in range(rounds):
-            if index == warmup:
-                self._pool.reset_stats()
-            measure = index >= warmup
-            tx_type, refs = next(stream)
-            if tx_type is TransactionType.NEW_ORDER:
-                sites = self._run_new_order(refs)
-                if measure:
-                    new_orders += 1
-                    remote_stock_calls += sum(sites.values())
-                    unique_site_sum += len(sites)
-                    all_local += not sites
-            elif tx_type is TransactionType.PAYMENT:
-                was_remote = self._run_payment(refs)
-                if measure:
-                    payments += 1
-                    remote_payments += was_remote
-            else:
-                self._apply(refs)
-            for _ in range(int(inbound_stock[index])):
-                self._inbound_stock_access()
-            for _ in range(int(inbound_payments[index])):
-                self._inbound_payment_access()
-
-        stats = self._pool.stats
-        miss = {
-            name: stats.miss_rate(index)
-            for index, name in enumerate(RELATION_NAMES)
-            if stats.accesses(index)
-        }
-        return NodeResult(
-            node=self._node,
-            miss=miss,
-            remote=RemoteStatistics(
-                new_orders=new_orders,
-                remote_stock_calls=remote_stock_calls,
-                all_local_new_orders=all_local,
-                unique_site_sum=unique_site_sum,
-                payments=payments,
-                remote_payments=remote_payments,
-            ),
+        if n > 1:
+            rng = self._route_rng
+            relation = (batch.refs >> REF_REL_SHIFT) & REF_REL_MASK
+            lines = np.flatnonzero((relation == _STOCK) & new_order[owner])
+            p_line = self._config.trace.remote_stock_probability * (n - 1) / n
+            shipped = lines[rng.random(lines.size) < p_line]
+            sites = rng.integers(0, n - 1, size=shipped.size)
+            shipped_by = owner[shipped]
+            keep[shipped] = False
+            goes_remote = rng.random(payments.size) < (
+                REMOTE_PAYMENT_PROBABILITY * (n - 1) / n
+            )
+            remote_payments = int(goes_remote.sum())
+            ships_customer = np.zeros(batch.transactions, dtype=bool)
+            ships_customer[payments[goes_remote]] = True
+            keep &= ~((relation == _CUSTOMER) & ships_customer[owner])
+        new_orders = int(new_order.sum())
+        return keep, RemoteStatistics(
+            new_orders=new_orders,
+            remote_stock_calls=int(shipped_by.size),
+            all_local_new_orders=new_orders - int(np.unique(shipped_by).size),
+            unique_site_sum=int(np.unique(shipped_by * n + sites).size),
+            payments=int(payments.size),
+            remote_payments=remote_payments,
         )
-
-    # -- outbound (sender side) ----------------------------------------------
-
-    def _apply(self, refs: Sequence[tuple[int, int, bool]]) -> None:
-        pool = self._pool
-        for relation, page, write in refs:
-            pool.access(relation, page, write)
-
-    def _run_new_order(
-        self, refs: Sequence[tuple[int, int, bool]]
-    ) -> dict[int, int]:
-        """Apply a New-Order, shipping remote stock lines off-node.
-
-        Returns the map of remote-site label -> lines supplied by it;
-        the labels index the N-1 peers, which is all Theorem 1's
-        distinct-site count needs.
-        """
-        sites: dict[int, int] = {}
-        pool = self._pool
-        rng = self._route_rng
-        many = self._config.nodes > 1
-        p_remote = self._p_stock_remote
-        for relation, page, write in refs:
-            if relation == _STOCK and many and rng.random() < p_remote:
-                site = int(rng.integers(0, self._config.nodes - 1))
-                sites[site] = sites.get(site, 0) + 1
-            else:
-                pool.access(relation, page, write)
-        return sites
-
-    def _run_payment(self, refs: Sequence[tuple[int, int, bool]]) -> bool:
-        """Apply a Payment, shipping the customer block when remote."""
-        remote = (
-            self._config.nodes > 1
-            and self._route_rng.random() < self._p_payment_remote
-        )
-        pool = self._pool
-        for relation, page, write in refs:
-            if remote and relation == _CUSTOMER:
-                continue
-            pool.access(relation, page, write)
-        return remote
-
-    # -- inbound (receiver side) ---------------------------------------------
-
-    def _inbound_stock_access(self) -> None:
-        """One remote New-Order stock line landing on this node.
-
-        A fresh NURand item at a uniform local warehouse is
-        statistically equivalent to the sender's line because all nodes
-        are identically configured; New-Order stock lines are writes.
-        The draws come from the generator's generic streams, which are
-        independent of the per-transaction trace streams.
-        """
-        gen = self._trace._generator
-        page = self._trace._stock_page(gen.uniform_warehouse(), gen.item_id())
-        self._pool.access(_STOCK, page, True)
-
-    def _inbound_payment_access(self) -> None:
-        """One remote Payment's customer block landing on this node.
-
-        Mirrors the trace's Payment customer selection: one NURand id
-        written, or three same-named candidates where the sorted-middle
-        id takes the write on its first occurrence.
-        """
-        gen = self._trace._generator
-        warehouse = gen.uniform_warehouse()
-        district = gen.uniform_district()
-        _, ids = gen.customer_tuples()
-        pool = self._pool
-        if len(ids) == 1:
-            page = self._trace._customer_page(warehouse, district, ids[0])
-            pool.access(_CUSTOMER, page, True)
-            return
-        selected = sorted(ids)[len(ids) // 2]
-        written = False
-        for customer in ids:
-            write = customer == selected and not written
-            written = written or write
-            page = self._trace._customer_page(warehouse, district, customer)
-            pool.access(_CUSTOMER, page, write)
 
 
 class DistributedBufferSimulation:

@@ -64,10 +64,13 @@ _ORDER_STATUS_IDX = TRANSACTION_ORDER.index(TransactionType.ORDER_STATUS)
 _DELIVERY_IDX = TRANSACTION_ORDER.index(TransactionType.DELIVERY)
 _STOCK_LEVEL_IDX = TRANSACTION_ORDER.index(TransactionType.STOCK_LEVEL)
 
-#: Transactions planned (inputs pre-drawn column-wise) per chunk.  The
-#: chunk boundary is a fixed transaction count, independent of the
-#: consumer's ``batch_size``, so the trace does not depend on batching.
+#: Most transactions planned (inputs pre-drawn column-wise) per chunk.
+#: Every substream is consumed in transaction order whatever the chunk
+#: boundaries are, so the trace depends neither on this size nor on
+#: batching; a transaction-bounded batch plans only what it still
+#: needs (at least :data:`MIN_PLAN_TRANSACTIONS`).
 PLAN_CHUNK_TRANSACTIONS = 4096
+MIN_PLAN_TRANSACTIONS = 256
 
 # Batch-assembly group codes (per transaction).
 _G_NEW_ORDER = 0
@@ -117,6 +120,26 @@ class EncodedBatch:
         self.tx_accesses = tx_accesses
         self.highest_page_id = highest_page_id
 
+    @classmethod
+    def of_refs(cls, refs: np.ndarray, highest_page_id: int) -> "EncodedBatch":
+        """Wrap bare encoded references as one anonymous transaction.
+
+        For consumers that replay a prepared reference array (a saved
+        trace, a node's routed stream) and only want per-relation
+        totals: the whole array is a single span filed under type index
+        0, so :attr:`accesses` is exact and per-type attribution is
+        meaningless.
+        """
+        tx_accesses = np.zeros((_N_TYPES, 9), dtype=np.int64)
+        tx_accesses[0] = np.bincount((refs >> 1) & 0xF, minlength=9)
+        return cls(
+            refs,
+            np.zeros(1, dtype=np.int64),
+            _empty_i64([len(refs)]),
+            tx_accesses,
+            highest_page_id,
+        )
+
     @property
     def references(self) -> int:
         """Total references in the batch."""
@@ -156,6 +179,39 @@ def _cat_arrays(parts: list[np.ndarray]) -> np.ndarray:
     if len(parts) == 1:
         return parts[0]
     return np.concatenate(parts)
+
+
+def select_payment_customers(
+    count: int, select_float, customer_sampler, band_block, name_samplers
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Columnar Payment customer selection for ``count`` transactions.
+
+    Returns ``(by_name, singles, name_mat, write_col)``: the by-name
+    mask, the by-id customers in occurrence order, one row of
+    ``TUPLES_PER_NAME_SELECT`` ids per by-name selection, and per row
+    the column that takes the write (the first occurrence of the median
+    id, as in the scalar ``tpl.index(sorted(tpl)[mid])``).  Each
+    substream is consumed exactly as the scalar
+    ``_customer_tuples_from`` does per transaction: selection floats,
+    by-id customers, bands, then each band's names in occurrence order.
+    """
+    by_name = select_float.draw_many_np(count) < SELECT_BY_NAME_PROBABILITY
+    n_by = int(np.count_nonzero(by_name))
+    # ``draw_many_np`` views may alias a live refill buffer; the by-id
+    # column outlives this call, so it is copied.
+    singles = customer_sampler.draw_many_np(count - n_by).copy()
+    tuple_count = TUPLES_PER_NAME_SELECT
+    name_mat = np.empty((n_by, tuple_count), dtype=np.int64)
+    if n_by:
+        bands = band_block.draw_many_np(n_by)
+        for band, sampler in enumerate(name_samplers):
+            at = np.flatnonzero(bands == band)
+            if at.size:
+                draws = sampler.draw_many_np(tuple_count * int(at.size))
+                name_mat[at] = draws.reshape(-1, tuple_count)
+    median = np.sort(name_mat, axis=1)[:, tuple_count // 2]
+    write_col = np.argmax(name_mat == median[:, None], axis=1)
+    return by_name, singles, name_mat, write_col
 
 
 class ScalarBatchEmitter:
@@ -300,12 +356,12 @@ class VectorBatchEmitter:
                 single_index += 1
         return tuples_col
 
-    def _plan_chunk(self) -> None:
-        """Pre-draw one chunk of per-type input columns in bulk."""
+    def _plan_chunk(self, size: int) -> None:
+        """Pre-draw one chunk of ``size`` transactions' input columns."""
         trace = self._trace
         generator = trace._generator
         lines = self._lines
-        types = trace._next_tx_indices(PLAN_CHUNK_TRANSACTIONS)
+        types = trace._next_tx_indices(size)
         self._ck_types = types
         self._ck_pos = 0
         n_no = types.count(_NEW_ORDER_IDX)
@@ -400,25 +456,13 @@ class VectorBatchEmitter:
                 cust_d_np[remote_at] = generator._p_district_cust.draw_many_np(
                     int(remote_at.size)
                 )
-            selects = generator._p_select_float.draw_many_np(n_p)
-            by_name = selects < SELECT_BY_NAME_PROBABILITY
-            n_by = int(np.count_nonzero(by_name))
-            singles = generator._p_customer.draw_many_np(n_p - n_by).copy()
-            tuple_count = TUPLES_PER_NAME_SELECT
-            name_mat = np.empty((n_by, tuple_count), dtype=np.int64)
-            if n_by:
-                bands = generator._p_band.draw_many_np(n_by)
-                for band in range(len(generator._p_names)):
-                    at = np.flatnonzero(bands == band)
-                    if at.size:
-                        draws = generator._p_names[band].draw_many_np(
-                            tuple_count * int(at.size)
-                        )
-                        name_mat[at] = draws.reshape(-1, tuple_count)
-            # The written tuple is the first occurrence of the median
-            # id, as in the scalar ``tpl.index(sorted(tpl)[mid])``.
-            med = np.sort(name_mat, axis=1)[:, tuple_count // 2]
-            p3_write = np.argmax(name_mat == med[:, None], axis=1)
+            by_name, singles, name_mat, p3_write = select_payment_customers(
+                n_p,
+                generator._p_select_float,
+                generator._p_customer,
+                generator._p_band,
+                generator._p_names,
+            )
             p_len_np = np.where(by_name, many_width, 4)
             # The scalar-fallback tuple store stays empty: every planned
             # length is positive, so the fallback branch is unreachable.
@@ -687,7 +731,14 @@ class VectorBatchEmitter:
             produced < transactions if use_tx_bound else total < target_refs
         ):
             if self._ck_pos >= len(self._ck_types):
-                self._plan_chunk()
+                self._plan_chunk(
+                    min(
+                        PLAN_CHUNK_TRANSACTIONS,
+                        max(MIN_PLAN_TRANSACTIONS, transactions - produced),
+                    )
+                    if use_tx_bound
+                    else PLAN_CHUNK_TRANSACTIONS
+                )
             types = self._ck_types
             pos = self._ck_pos
             seg_start = pos

@@ -12,6 +12,7 @@ so the buffer pool can key pages with cheap ``(relation, page)`` tuples.
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
@@ -50,6 +51,7 @@ from repro.workload.stream import (
     EncodedBatch,
     ScalarBatchEmitter,
     VectorBatchEmitter,
+    select_payment_customers,
     stream_batches,
 )
 
@@ -184,6 +186,26 @@ class PageIdSpace:
         else:
             page = (page_id - self.static_total) // N_GROWING_RELATIONS
         return PageReference(relation, page, bool(ref & REF_WRITE_MASK))
+
+    def encode_ref_arrays(
+        self, relation: "np.ndarray", page: "np.ndarray", write: "np.ndarray"
+    ) -> "np.ndarray":
+        """Column-wise :meth:`encode_ref` (inverse of :meth:`decode_ref_arrays`)."""
+        relation = relation.astype(np.int64)
+        bases = np.zeros(REF_REL_MASK + 1, dtype=np.int64)
+        bases[:N_STATIC_RELATIONS] = self.static_bases
+        page_id = np.where(
+            relation < N_STATIC_RELATIONS,
+            bases[relation] + page,
+            self.static_total
+            + page * N_GROWING_RELATIONS
+            + (relation - N_STATIC_RELATIONS),
+        )
+        return (
+            (page_id << REF_PID_SHIFT)
+            | (relation << REF_REL_SHIFT)
+            | write.astype(np.int64)
+        )
 
     def decode_ref_arrays(
         self, refs: "np.ndarray"
@@ -361,18 +383,13 @@ class TraceGenerator:
             n_blocks=1,
         )
 
-        # Hot-path lookup tables: plain Python ints avoid per-reference
-        # numpy overhead (the simulator makes millions of page lookups).
         self._warehouse_tpp = spec["warehouse"].tuples_per_page(page_size)
         self._district_tpp = spec["district"].tuples_per_page(page_size)
         customer_local_np = self._customer_layout.packing.local_page_array()
         stock_local_np = self._stock_layout.packing.local_page_array()
         item_local_np = self._item_layout.packing.local_page_array()
-        self._customer_local = customer_local_np.tolist()
         self._customer_ppb = self._customer_layout.pages_per_block
-        self._stock_local = stock_local_np.tolist()
         self._stock_ppb = self._stock_layout.pages_per_block
-        self._item_local = item_local_np.tolist()
 
         # Buffered transaction-type sampling (rng.choice is slow per call).
         self._mix_buffer: list[int] = []
@@ -456,17 +473,6 @@ class TraceGenerator:
         self._counts_payment_one = (1, 1, 1, 0, 0, 0, 0, 0, 1)
         self._counts_payment_many = (1, 1, 3, 0, 0, 0, 0, 0, 1)
 
-        encoder_by_type = {
-            TransactionType.NEW_ORDER: self._new_order_encoded,
-            TransactionType.PAYMENT: self._payment_encoded,
-            TransactionType.ORDER_STATUS: self._order_status_encoded,
-            TransactionType.DELIVERY: self._delivery_encoded,
-            TransactionType.STOCK_LEVEL: self._stock_level_encoded,
-        }
-        self._encoders = tuple(
-            encoder_by_type[tx_type] for tx_type in TRANSACTION_ORDER
-        )
-
         self._prime_state()
 
     # -- public accessors -----------------------------------------------------
@@ -529,24 +535,14 @@ class TraceGenerator:
     def _customer_off_w(self) -> list[int]:
         return self._scalar_ref_tables()[4]
 
-    # -- page helpers -----------------------------------------------------------
-
-    def _warehouse_page(self, warehouse: int) -> int:
-        return (warehouse - 1) // self._warehouse_tpp
-
-    def _district_page(self, warehouse: int, district: int) -> int:
-        tuple_id = (warehouse - 1) * DISTRICTS_PER_WAREHOUSE + district
-        return (tuple_id - 1) // self._district_tpp
+    # -- page helpers (diagnostics; the emitters use the reference tables) --------
 
     def _customer_page(self, warehouse: int, district: int, customer: int) -> int:
         block = (warehouse - 1) * DISTRICTS_PER_WAREHOUSE + (district - 1)
-        return block * self._customer_ppb + self._customer_local[customer - 1]
+        return self._customer_layout.page_of(block, customer)
 
     def _stock_page(self, warehouse: int, item: int) -> int:
-        return (warehouse - 1) * self._stock_ppb + self._stock_local[item - 1]
-
-    def _item_page(self, item: int) -> int:
-        return self._item_local[item - 1]
+        return self._stock_layout.page_of(warehouse - 1, item)
 
     # -- priming -----------------------------------------------------------------
 
@@ -677,13 +673,18 @@ class TraceGenerator:
             yield self._transaction()
 
     def _batch_emitter(self, *, vectorized: bool):
-        """The (cached) batch builder behind ``stream(format="encoded")``."""
+        """The (cached) batch builder behind ``stream(format="encoded")``.
+
+        The cached emitter reaches back through a weak proxy: a strong
+        back-reference would make every generator cyclic garbage that
+        keeps its tables alive until a full collection.
+        """
         if vectorized:
             if self._vector_emitter is None:
-                self._vector_emitter = VectorBatchEmitter(self)
+                self._vector_emitter = VectorBatchEmitter(weakref.proxy(self))
             return self._vector_emitter
         if self._scalar_emitter is None:
-            self._scalar_emitter = ScalarBatchEmitter(self)
+            self._scalar_emitter = ScalarBatchEmitter(weakref.proxy(self))
         return self._scalar_emitter
 
     def encoded_batch(
@@ -706,6 +707,56 @@ class TraceGenerator:
         return self._batch_emitter(vectorized=vectorized).next_batch(
             min_refs=min_refs, transactions=transactions
         )
+
+    def remote_stock_refs(self, count: int) -> np.ndarray:
+        """``count`` encoded New-Order stock-line writes arriving from peers.
+
+        A fresh NURand item at a uniform local warehouse is
+        statistically equivalent to a sender's line when all nodes are
+        identically configured.  The draws come off the generator's
+        generic (``g_*``) substreams, which are independent of the
+        per-transaction streams, so they never perturb the trace.
+        """
+        generator = self._generator
+        warehouse = generator._g_warehouse.draw_many_np(count)
+        item = generator._g_item.draw_many_np(count)
+        return (((warehouse - 1) * self._stock_ppb) << REF_PID_SHIFT) + (
+            self._stock_off_w_np[item - 1]
+        )
+
+    def remote_payment_refs(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Customer blocks of ``count`` Payments arriving from peers.
+
+        Returns ``(refs, lengths)``: the encoded Customer references
+        back to back and how many each Payment contributes — one
+        written NURand id, or the same-named candidates with the median
+        id written at its first occurrence, exactly the trace's own
+        Payment selection.  Draws use the generic substreams (see
+        :meth:`remote_stock_refs`).
+        """
+        generator = self._generator
+        warehouse = generator._g_warehouse.draw_many_np(count)
+        district = generator._g_district.draw_many_np(count)
+        by_name, singles, name_mat, write_col = select_payment_customers(
+            count,
+            generator._g_float,
+            generator._g_customer,
+            generator._g_band,
+            generator._g_names,
+        )
+        base = (
+            ((warehouse - 1) * DISTRICTS_PER_WAREHOUSE + (district - 1))
+            * self._customer_ppb
+        ) << REF_PID_SHIFT
+        width = name_mat.shape[1]
+        lengths = np.where(by_name, width, 1)
+        starts = np.cumsum(lengths) - lengths
+        refs = np.empty(int(lengths.sum()), dtype=np.int64)
+        refs[starts[~by_name]] = base[~by_name] + self._customer_off_w_np[singles - 1]
+        many = base[by_name][:, None] + self._customer_off_r_np[name_mat - 1]
+        many[np.arange(len(many)), write_col] += REF_WRITE_MASK
+        refs[starts[by_name][:, None] + np.arange(width)] = many
+        return refs, lengths
 
     def transaction(self) -> tuple[TransactionType, list[PageReference]]:
         """Deprecated: use ``stream(format="objects")``."""
@@ -777,7 +828,7 @@ class TraceGenerator:
         identical trace.
         """
         tx_index = self._next_tx_index()
-        refs, counts = self._encoders[tx_index]()
+        refs, counts = _ENCODERS[tx_index](self)
         return tx_index, refs, counts
 
     def references(self, transactions: int) -> Iterator[PageReference]:
@@ -1065,3 +1116,19 @@ class TraceGenerator:
         counts[_ORDER_LINE] = lines
         counts[_STOCK] = lines
         return refs, counts
+
+
+#: The scalar encoder of each transaction type, by mix-sampler index.
+#: Plain functions called with the generator (not bound methods stored
+#: on it), so a generator holds no reference to itself and is freed by
+#: reference count alone.
+_ENCODERS = tuple(
+    {
+        TransactionType.NEW_ORDER: TraceGenerator._new_order_encoded,
+        TransactionType.PAYMENT: TraceGenerator._payment_encoded,
+        TransactionType.ORDER_STATUS: TraceGenerator._order_status_encoded,
+        TransactionType.DELIVERY: TraceGenerator._delivery_encoded,
+        TransactionType.STOCK_LEVEL: TraceGenerator._stock_level_encoded,
+    }[tx_type]
+    for tx_type in TRANSACTION_ORDER
+)

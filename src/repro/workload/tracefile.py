@@ -17,11 +17,13 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.buffer.pool import SimulatedBufferPool
-from repro.buffer.policy import make_policy
 from repro.workload.mix import TransactionMix
+from repro.workload.stream import EncodedBatch
 from repro.workload.trace import (
+    N_STATIC_RELATIONS,
+    REF_PID_SHIFT,
     RELATION_NAMES,
+    PageIdSpace,
     PageReference,
     TraceConfig,
     TraceGenerator,
@@ -56,6 +58,7 @@ class SavedTrace:
         self._writes = writes
         self._boundaries = boundaries
         self._config = config
+        self._encoded: tuple[PageIdSpace, np.ndarray] | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -172,17 +175,38 @@ class SavedTrace:
     def replay(
         self, buffer_pages: int, policy: str = "lru"
     ) -> dict[str, float]:
-        """Run the trace through a fresh buffer pool; per-relation miss rates.
+        """Run the trace through a fresh buffer; per-relation miss rates.
 
         The whole trace is replayed with no warm-up discard — saved
         traces are typically recorded after the generator's own priming,
         and replaying identically is the point.
         """
-        pool = SimulatedBufferPool(make_policy(policy, buffer_pages))
-        for relation, page, write in zip(self._relations, self._pages, self._writes):
-            pool.access(int(relation), int(page), bool(write))
-        return {
-            name: pool.stats.miss_rate(index)
-            for index, name in enumerate(RELATION_NAMES)
-            if pool.stats.accesses(index)
-        }
+        # Imported here: the kernels import this package's trace module.
+        from repro.buffer.kernels import make_kernel, relation_miss_rates
+
+        if not self.reference_count:
+            return {}
+        space, refs = self._encoded_refs()
+        batch = EncodedBatch.of_refs(refs, int(refs.max() >> REF_PID_SHIFT))
+        kernel = make_kernel(policy.lower(), buffer_pages, space, 1)
+        kernel.process_batch(batch)
+        return relation_miss_rates(kernel.batch_misses, batch.accesses)
+
+    def _encoded_refs(self) -> tuple[PageIdSpace, np.ndarray]:
+        """The trace as int-encoded references, packed once and kept.
+
+        The dense page-id space is sized from the trace itself (each
+        static relation up to its highest referenced page), so no
+        generator has to be rebuilt to replay a loaded file.
+        """
+        if self._encoded is None:
+            space = PageIdSpace(
+                [
+                    int(self._pages[self._relations == relation].max(initial=0)) + 1
+                    for relation in range(N_STATIC_RELATIONS)
+                ]
+            )
+            self._encoded = space, space.encode_ref_arrays(
+                self._relations, self._pages, self._writes
+            )
+        return self._encoded

@@ -5,14 +5,25 @@ model makes analytically: the Appendix-A remote-call expectations, and
 the reuse of single-node miss rates per node.
 """
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from repro.buffer.simulator import BufferSimulation, SimulationConfig
+from repro.buffer.kernels import make_kernel, relation_miss_rates
+from repro.buffer.simulator import (
+    BufferSimulation,
+    SimulationConfig,
+    pages_for_megabytes,
+)
+from repro.distributed import simulation as simulation_module
 from repro.distributed.simulation import (
     DistributedBufferSimulation,
     DistributedSimConfig,
+    simulate_node,
 )
-from repro.workload.trace import TraceConfig
+from repro.workload.mix import TRANSACTION_ORDER
+from repro.workload.trace import RELATION_INDEX, TraceConfig, TraceGenerator
 
 
 def scaled_trace(**overrides):
@@ -82,6 +93,28 @@ class TestAppendixAValidation:
         )
         assert result.remote.u_stock < result.remote.rc_stock / 2  # collisions
 
+    @pytest.mark.parametrize("seed", [11, 23])
+    def test_benchmark_scale_tolerances(self, seed):
+        """The perf benchmark's dist-cluster shape (32 nodes x 1 200 tx)
+        holds its Appendix A tolerances on both claim seeds.  Under a
+        second per seed on the array kernels, so it runs in tier-1."""
+        config = DistributedSimConfig(
+            nodes=32,
+            trace=TraceConfig(
+                warehouses=2, seed=seed, remote_stock_probability=0.1
+            ),
+            buffer_mb=4.0,
+            transactions_per_node=1_000,
+            warmup_transactions_per_node=200,
+            seed=seed,
+        )
+        result = DistributedBufferSimulation(config).run()
+        remote, expected = result.remote, result.expectations
+        assert remote.rc_stock == pytest.approx(expected.rc_stock, rel=0.05)
+        assert remote.u_stock == pytest.approx(expected.u_stock, rel=0.05)
+        assert remote.l_stock == pytest.approx(expected.l_stock, abs=0.02)
+        assert 0.0 < result.mean_miss_rate("stock") < 1.0
+
     def test_rows_render(self, report):
         rows = report.as_rows()
         assert {row["quantity"] for row in rows} == {
@@ -131,6 +164,36 @@ class TestConfiguration:
         assert result.remote.l_stock == 1.0
         assert result.remote.u_cust == 0.0
 
+    def test_single_node_is_a_plain_kernel_run(self):
+        """With one node nothing is routed or injected: the node's miss
+        rates are those of its bare trace through the same kernel."""
+        config = DistributedSimConfig(
+            nodes=1,
+            trace=scaled_trace(),
+            buffer_mb=0.8,
+            transactions_per_node=400,
+            warmup_transactions_per_node=100,
+        )
+        result = DistributedBufferSimulation(config).run()
+        assert result.remote.remote_stock_calls == 0
+        assert result.remote.remote_payments == 0
+        assert result.remote.all_local_new_orders == result.remote.new_orders
+
+        trace = TraceGenerator(config.trace.replace(remote_stock_probability=0.0))
+        kernel = make_kernel(
+            config.policy,
+            pages_for_megabytes(config.buffer_mb, config.trace.page_size),
+            trace.page_id_space,
+            len(TRANSACTION_ORDER),
+        )
+        kernel.process_batch(trace.encoded_batch(transactions=100))
+        kernel.reset_counters()
+        measured = trace.encoded_batch(transactions=400)
+        kernel.process_batch(measured)
+        assert result.per_node_miss == [
+            relation_miss_rates(kernel.batch_misses, measured.accesses)
+        ]
+
     def test_invalid_nodes(self):
         with pytest.raises(ValueError):
             DistributedSimConfig(nodes=0, trace=scaled_trace())
@@ -169,8 +232,6 @@ class TestKernelSelection:
     def test_array_object_report_parity(self):
         """Both kernels consume byte-identical traces, so the full report
         (remote-call statistics and per-node miss counts) matches."""
-        import dataclasses
-
         array = DistributedBufferSimulation(
             self.small_config(kernel="array")
         ).run()
@@ -183,6 +244,18 @@ class TestKernelSelection:
             array, config=obj.config
         ) == obj
 
+    @pytest.mark.parametrize("policy", ["clock", "2q"])
+    def test_parity_across_policies(self, policy):
+        """The object pool replays the very array the kernel saw, so the
+        reports agree for every policy, not just the default LRU."""
+        array = DistributedBufferSimulation(
+            self.small_config(policy=policy, kernel="array")
+        ).run()
+        obj = DistributedBufferSimulation(
+            self.small_config(policy=policy, kernel="object")
+        ).run()
+        assert dataclasses.replace(array, config=obj.config) == obj
+
     def test_kernel_excluded_from_fingerprint(self):
         """Kernel choice is an execution detail, not a cache key."""
         from repro.exec.cache import stable_fingerprint
@@ -190,3 +263,122 @@ class TestKernelSelection:
         assert stable_fingerprint(
             self.small_config(kernel="array")
         ) == stable_fingerprint(self.small_config(kernel="object"))
+
+
+class TestReferenceAccounting:
+    """What a node's buffer sees is its own trace, minus what it ships,
+    plus what lands on it — reference for reference."""
+
+    def test_accounting_closes(self, monkeypatch):
+        config = DistributedSimConfig(
+            nodes=4,
+            trace=scaled_trace(remote_stock_probability=0.3),
+            buffer_mb=0.8,
+            transactions_per_node=500,
+            warmup_transactions_per_node=100,
+            seed=6,
+        )
+        windows = []  # one dict per window, filled by the spies below
+        kept = []
+        seen = []
+
+        def spy(cls, name, record):
+            inner = getattr(cls, name)
+
+            def wrapper(self, *args, **kwargs):
+                out = inner(self, *args, **kwargs)
+                record(out, *args)
+                return out
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        spy(
+            TraceGenerator,
+            "encoded_batch",
+            lambda batch: windows.append({"generated": batch}),
+        )
+        spy(
+            simulation_module._NodeSimulation,
+            "_route",
+            lambda out, batch, owner: kept.append(out),
+        )
+        volumes = []
+        spy(
+            simulation_module._NodeSimulation,
+            "_inbound_volumes",
+            lambda out, rounds: volumes.extend(out),
+        )
+        spy(
+            TraceGenerator,
+            "remote_stock_refs",
+            lambda refs, count: windows[-1].update(stock=refs),
+        )
+        spy(
+            TraceGenerator,
+            "remote_payment_refs",
+            lambda out, count: windows[-1].update(
+                customer=out[0], blocks=out[1], payments_in=count
+            ),
+        )
+        kernel_class = type(
+            make_kernel("lru", 8, TraceGenerator(scaled_trace()).page_id_space, 5)
+        )
+        spy(kernel_class, "process_batch", lambda _, batch: seen.append(batch))
+
+        result = simulate_node(config, 2)
+
+        assert len(windows) == len(kept) == len(seen) == 2  # warm-up, measured
+        stock, customer = RELATION_INDEX["stock"], RELATION_INDEX["customer"]
+        for window, (keep, remote), prepared in zip(windows, kept, seen):
+            generated = window["generated"]
+            dropped = generated.refs[~keep]
+            relation = (dropped >> 1) & 0xF
+            shipped_lines = int(np.count_nonzero(relation == stock))
+            shipped_customers = int(np.count_nonzero(relation == customer))
+            # Only stock lines and Payment customer blocks ever leave.
+            assert shipped_lines + shipped_customers == dropped.size
+            assert shipped_lines == remote.remote_stock_calls
+            assert (
+                remote.remote_payments
+                <= shipped_customers
+                <= 3 * remote.remote_payments
+            )
+            stock_in, customer_in = window["stock"].size, window["customer"].size
+            assert window["blocks"].size == window["payments_in"] <= customer_in
+            assert prepared.references == (
+                generated.references
+                - shipped_lines
+                - shipped_customers
+                + stock_in
+                + customer_in
+            )
+            # Per relation too: only Stock and Customer counts move.
+            delta = prepared.accesses - generated.accesses
+            assert delta[stock] == stock_in - shipped_lines
+            assert delta[customer] == customer_in - shipped_customers
+            assert np.count_nonzero(delta) <= 2
+        assert result.remote == kept[-1][1]
+
+        # And in order: each round is the node's kept references, then
+        # the stock lines, then the customer blocks landing in it.
+        inbound_stock, inbound_payments = volumes
+        assert inbound_stock.sum() > 0 and inbound_payments.sum() > 0
+        round_index = 0
+        for window, (keep, _), prepared in zip(windows, kept, seen):
+            generated = window["generated"]
+            stock_refs = iter(window["stock"].tolist())
+            customer_refs = iter(window["customer"].tolist())
+            blocks = iter(window["blocks"].tolist())
+            expected = []
+            start = 0
+            for length in generated.tx_lengths.tolist():
+                span = slice(start, start + length)
+                expected += generated.refs[span][keep[span]].tolist()
+                start += length
+                for _ in range(int(inbound_stock[round_index])):
+                    expected.append(next(stock_refs))
+                for _ in range(int(inbound_payments[round_index])):
+                    expected += [next(customer_refs) for _ in range(next(blocks))]
+                round_index += 1
+            assert prepared.refs.tolist() == expected
+        assert round_index == 600

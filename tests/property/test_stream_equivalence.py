@@ -1,12 +1,16 @@
 """Equivalence properties of the vectorized trace/kernel fast paths.
 
-Two contracts keep the vectorized implementations honest:
+Three contracts keep the vectorized implementations honest:
 
 * **Emitter byte-identity** — ``stream(format="encoded")`` produces
   bit-identical :class:`EncodedBatch` blocks whether the vectorized
   batch assembler or the scalar per-transaction encoders build them,
   for any interleaving of batch bounds, and independent of how the
   stream is partitioned into batches.
+* **Plan-chunk independence** — the vectorized emitter pre-draws its
+  inputs in chunks; the emitted bytes do not depend on the chunk size,
+  which is what lets a short transaction-bounded batch plan only what
+  it needs.
 * **Kernel batch parity** — ``process_batch`` over a whole encoded
   batch leaves every kernel in exactly the state that per-transaction
   ``process_many`` calls would, including when the two entry points
@@ -16,7 +20,9 @@ Two contracts keep the vectorized implementations honest:
 import numpy as np
 import pytest
 
+from repro.buffer import kernels as kernels_module
 from repro.buffer.kernels import ARRAY_KERNEL_POLICIES, make_kernel
+from repro.workload import stream as stream_module
 from repro.workload.stream import EncodedBatch, ScalarBatchEmitter
 from repro.workload.trace import (
     N_STATIC_RELATIONS,
@@ -91,6 +97,39 @@ class TestEmitterByteIdentity:
         n = min(coarse_refs.size, fine_refs.size)
         assert np.array_equal(coarse_refs[:n], fine_refs[:n])
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            TraceConfig(warehouses=2, seed=11, remote_stock_probability=0.1),
+            TraceConfig(warehouses=1, seed=29, packing="random"),
+        ],
+        ids=["w2-remote", "w1-random"],
+    )
+    def test_plan_chunk_size_independent(self, config, monkeypatch):
+        """Byte-identical batches whatever the planner's chunk sizes."""
+        spec = BATCH_SPEC + [("tx", 300), ("tx", 1_000)]
+        reference = None
+        for chunk, floor in ((4096, 256), (4096, 4096), (1500, 7), (256, 256), (97, 1)):
+            monkeypatch.setattr(stream_module, "PLAN_CHUNK_TRANSACTIONS", chunk)
+            monkeypatch.setattr(stream_module, "MIN_PLAN_TRANSACTIONS", floor)
+            batches = emit(TraceGenerator(config).encoded_batch, spec)
+            if reference is None:
+                reference = batches
+            for i, (a, b) in enumerate(zip(reference, batches)):
+                assert_batches_equal(a, b, f"chunk {chunk}/{floor}, batch {i}")
+
+    def test_short_batch_plans_only_what_it_needs(self):
+        """``transactions=k`` for small ``k`` takes ``max(256, k)`` mix
+        draws off the buffered stream, not a full 4 096 chunk."""
+        trace = TraceGenerator(TraceConfig(warehouses=1, seed=17))
+        trace.encoded_batch(transactions=5)
+        assert trace._mix_next == stream_module.MIN_PLAN_TRANSACTIONS
+        trace.encoded_batch(transactions=1_000)  # 251 left over, 749 planned
+        assert trace._mix_next == stream_module.MIN_PLAN_TRANSACTIONS + 749
+        by_refs = TraceGenerator(TraceConfig(warehouses=1, seed=17))
+        by_refs.encoded_batch(min_refs=100)
+        assert by_refs._mix_next == stream_module.PLAN_CHUNK_TRANSACTIONS
+
     def test_object_stream_matches_encoded(self):
         """``format="objects"`` is the decoded view of the encoded stream."""
         config = TraceConfig(warehouses=2, seed=13)
@@ -158,6 +197,31 @@ def _feed_scalar(kernel, batch: EncodedBatch) -> None:
 
 
 class TestProcessBatchParity:
+    def test_sliced_lru_batch_equals_scalar_blocks(self, monkeypatch):
+        """A batch longer than the LRU slice limit is classified in
+        pieces; outcomes and per-transaction attribution are unchanged."""
+        monkeypatch.setattr(kernels_module, "_LRU_SLICE_FLOOR", 64)
+        monkeypatch.setattr(kernels_module, "_LRU_SLICE_CAPACITIES", 4)
+        rng = np.random.default_rng(7)
+        for trial in range(25):
+            capacity = int(rng.integers(1, 30))
+            scalar = make_kernel("lru", capacity, FUZZ_SPACE, 4)
+            batched = make_kernel("lru", capacity, FUZZ_SPACE, 4)
+            for segment in range(2):
+                batch = _random_batch(
+                    rng, int(rng.integers(2, 120)), int(rng.integers(200, 900)),
+                    bool(rng.integers(0, 2)),
+                )
+                _feed_scalar(scalar, batch)
+                batched.process_batch(batch)
+                context = (trial, segment)
+                assert scalar.batch_misses == batched.batch_misses, context
+                assert scalar.tx_misses == batched.tx_misses, context
+                assert scalar.eviction_counts == batched.eviction_counts, context
+                assert (
+                    scalar.resident_page_ids() == batched.resident_page_ids()
+                ), context
+
     @pytest.mark.parametrize("policy", ARRAY_KERNEL_POLICIES)
     def test_batch_equals_scalar_blocks(self, policy):
         """Whole-batch processing leaves the same state as per-tx blocks,

@@ -1,7 +1,10 @@
 """Unit tests for repro.workload.trace (the buffer-simulation input)."""
 
 import collections
+import gc
+import weakref
 
+import numpy as np
 import pytest
 
 from repro.workload.mix import TransactionType
@@ -178,6 +181,64 @@ class TestAccessShares:
         assert per_tx["stock"] == pytest.approx(12.3, rel=0.15)
         assert per_tx["item"] == pytest.approx(4.3, rel=0.15)
         assert per_tx["order_line"] > per_tx["customer"]
+
+
+class TestRemoteReferences:
+    """The receiver-side synthetic references of the distributed model."""
+
+    def test_stock_lines_are_local_stock_writes(self):
+        trace = TraceGenerator(TraceConfig(warehouses=2, seed=31))
+        relation, page, write = trace.page_id_space.decode_ref_arrays(
+            trace.remote_stock_refs(500)
+        )
+        assert set(relation.tolist()) == {RELATION_INDEX["stock"]}
+        assert write.all()
+        assert 0 <= page.min() and page.max() < trace.total_static_pages()["stock"]
+        assert trace.remote_stock_refs(0).size == 0
+
+    def test_payment_blocks_write_exactly_one_customer(self):
+        trace = TraceGenerator(TraceConfig(warehouses=2, seed=32))
+        refs, lengths = trace.remote_payment_refs(2_000)
+        assert lengths.sum() == refs.size
+        assert set(lengths.tolist()) == {1, 3}
+        # 60 % of Payments select by name (three candidates).
+        assert np.mean(lengths == 3) == pytest.approx(0.6, abs=0.04)
+        relation, page, write = trace.page_id_space.decode_ref_arrays(refs)
+        assert set(relation.tolist()) == {RELATION_INDEX["customer"]}
+        assert page.max() < trace.total_static_pages()["customer"]
+        block = np.repeat(np.arange(lengths.size), lengths)
+        assert np.bincount(block, weights=write).tolist() == [1.0] * lengths.size
+
+    def test_generic_streams_leave_the_trace_alone(self):
+        plain = TraceGenerator(TraceConfig(warehouses=1, seed=33))
+        mixed = TraceGenerator(TraceConfig(warehouses=1, seed=33))
+        mixed.remote_stock_refs(100)
+        mixed.remote_payment_refs(40)
+        assert np.array_equal(
+            plain.encoded_batch(transactions=200).refs,
+            mixed.encoded_batch(transactions=200).refs,
+        )
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_freed_by_reference_count_alone(self, vectorized):
+        """A generator that has emitted is not cyclic garbage: dropping
+        the last reference frees it (and its tables) with the cycle
+        collector switched off."""
+        gc.collect()
+        gc.disable()
+        try:
+            trace = TraceGenerator(TraceConfig(warehouses=1, seed=34))
+            trace.encoded_batch(transactions=50, vectorized=vectorized)
+            next(trace.stream(format="objects"))
+            alive = weakref.ref(trace)
+            state = weakref.ref(trace.state)
+            del trace
+            assert alive() is None
+            assert state() is None
+        finally:
+            gc.enable()
 
 
 class TestDeprecatedShims:

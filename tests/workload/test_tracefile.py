@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.workload.trace import TraceConfig
+from repro.buffer.policy import make_policy
+from repro.buffer.pool import SimulatedBufferPool
+from repro.workload.trace import RELATION_NAMES, TraceConfig
 from repro.workload.tracefile import SavedTrace
 
 
@@ -105,3 +107,17 @@ class TestReplay:
         path = trace.save(tmp_path / "trace.npz")
         loaded = SavedTrace.load(path)
         assert loaded.replay(buffer_pages=80) == trace.replay(buffer_pages=80)
+
+    @pytest.mark.parametrize("policy", ["lru", "clock"])
+    def test_replay_equals_object_pool(self, trace, policy):
+        """The kernel replay of the packed columns is the object pool's
+        one-access-at-a-time replay, rate for rate."""
+        pool = SimulatedBufferPool(make_policy(policy, 80))
+        for reference in trace.references():
+            pool.access(*reference)
+        expected = {
+            name: pool.stats.miss_rate(index)
+            for index, name in enumerate(RELATION_NAMES)
+            if pool.stats.accesses(index)
+        }
+        assert trace.replay(buffer_pages=80, policy=policy) == expected
