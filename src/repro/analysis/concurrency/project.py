@@ -24,9 +24,10 @@ cry wolf when every caller takes the guard).
 
 ``@contextmanager`` functions are modeled by their *yield-held* set:
 the locks lexically held at ``yield`` apply to the body of any
-``with f():`` statement, with one level of ``return wrapped_call()``
-chasing so ``Transaction._statement`` resolves through
-``Database.statement_scope`` to the statement latch.
+``with f():`` statement, with ``return wrapped_call()`` chasing so
+``Transaction._statement`` resolves through ``Database.statement_scope``
+to the statement latch.  A class used as ``with Scope(...):`` is modeled
+the same way, its yield-held set being what its ``__enter__`` acquires.
 
 The model is deliberately conservative where Python is dynamic: an
 unresolvable call contributes nothing (no edge, no held locks), and a
@@ -606,6 +607,9 @@ class ProjectIndex:
         for _ in range(_RETURN_CHASE_DEPTH):
             if callee is None:
                 return frozenset()
+            if callee.name == "__init__" and callee.cls_name in self.classes:
+                enter = self.classes[callee.cls_name].methods.get("__enter__")
+                return enter.yield_held if enter is not None else frozenset()
             if callee.is_ctxmgr:
                 return callee.yield_held
             returned = _sole_returned_call(callee.node)
@@ -623,8 +627,11 @@ class ProjectIndex:
             func.reset_scan()
             scanner = _Scanner(self, func)
             scanner.run()
-            if scanner.yield_held != func.yield_held:
-                func.yield_held = scanner.yield_held
+            held = scanner.yield_held
+            if func.name == "__enter__":
+                held = frozenset(site.key for site in func.lock_sites)
+            if held != func.yield_held:
+                func.yield_held = held
                 changed = True
         return changed
 

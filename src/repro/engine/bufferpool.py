@@ -100,7 +100,8 @@ class BufferManager:
     def get_page(self, page_id: PageId, for_write: bool = False) -> Page:  # requires-lock: latch
         """Return the cached page, faulting it in from the store if needed."""
         page = self._frames.get(page_id)
-        if page is not None:
+        hit = page is not None
+        if hit:
             if self._policy.contains(page_id):
                 victim = self._policy.touch(page_id)
             else:
@@ -109,20 +110,15 @@ class BufferManager:
                 victim = self._policy.admit(page_id)
             if victim is not None:
                 self._evict_victim(victim)
-            self._stats.record(page_id.file_id, hit=True)
-            instruments.ENGINE_BUFFER_REQUESTS.inc(
-                relation=self._relation(page_id.file_id),
-                policy=self._policy_name,
-                outcome="hit",
-            )
         else:
             page = self._store.read(page_id)
             self._install(page_id, page)
-            self._stats.record(page_id.file_id, hit=False)
+        self._stats.record(page_id.file_id, hit=hit)
+        if instruments.REGISTRY.enabled:
             instruments.ENGINE_BUFFER_REQUESTS.inc(
                 relation=self._relation(page_id.file_id),
                 policy=self._policy_name,
-                outcome="miss",
+                outcome="hit" if hit else "miss",
             )
         if for_write:
             self.mark_dirty(page_id)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
+from functools import partial
 
 
 class ColumnType(enum.Enum):
@@ -22,6 +23,14 @@ class ColumnType(enum.Enum):
     INT2 = "int2"      # 2-byte signed
     FLOAT = "float"    # 8-byte double
     CHAR = "char"      # fixed-length string
+
+
+_FORMATS = {
+    ColumnType.INT: "q",
+    ColumnType.INT4: "i",
+    ColumnType.INT2: "h",
+    ColumnType.FLOAT: "d",
+}
 
 
 @dataclass(frozen=True)
@@ -43,27 +52,22 @@ class Column:
 
     @property
     def struct_format(self) -> str:
-        formats = {
-            ColumnType.INT: "q",
-            ColumnType.INT4: "i",
-            ColumnType.INT2: "h",
-            ColumnType.FLOAT: "d",
-        }
         if self.type is ColumnType.CHAR:
             return f"{self.length}s"
-        return formats[self.type]
+        return _FORMATS[self.type]
 
     @property
     def byte_size(self) -> int:
-        sizes = {
-            ColumnType.INT: 8,
-            ColumnType.INT4: 4,
-            ColumnType.INT2: 2,
-            ColumnType.FLOAT: 8,
-        }
-        if self.type is ColumnType.CHAR:
-            return self.length
-        return sizes[self.type]
+        return struct.calcsize("<" + self.struct_format)
+
+
+def _encode_char(length: int, value: object) -> bytes:
+    """UTF-8 bytes of ``value``, cut to ``length`` on a character boundary."""
+    encoded = str(value).encode("utf-8")
+    if len(encoded) > length:
+        # "ignore" drops the code point the cut split, nothing else.
+        encoded = encoded[:length].decode("utf-8", "ignore").encode("utf-8")
+    return encoded
 
 
 def integer(name: str) -> Column:
@@ -114,10 +118,28 @@ class TableSchema:
         self._name = name
         self._columns = tuple(columns)
         self._primary_key = tuple(primary_key)
-        self._index_of = {column.name: i for i, column in enumerate(columns)}
         self._struct = struct.Struct(
             "<" + "".join(column.struct_format for column in columns)
         )
+        # The codec, compiled once per schema: each column's converter to
+        # its struct argument, the CHAR positions to decode, and where a
+        # lone column is packed into a record (for patch).
+        self._names = tuple(names)
+        self._chars = [
+            i for i, column in enumerate(columns) if column.type is ColumnType.CHAR
+        ]
+        self._encoders = []
+        self._patchers = {}
+        offset = 0
+        for column in columns:
+            if column.type is ColumnType.CHAR:
+                convert = partial(_encode_char, column.length)
+            else:
+                convert = float if column.type is ColumnType.FLOAT else int
+            self._encoders.append((column.name, convert))
+            pack_into = struct.Struct("<" + column.struct_format).pack_into
+            self._patchers[column.name] = (pack_into, offset, convert)
+            offset += column.byte_size
 
     # -- accessors ---------------------------------------------------------------
 
@@ -131,7 +153,7 @@ class TableSchema:
 
     @property
     def column_names(self) -> tuple[str, ...]:
-        return tuple(column.name for column in self._columns)
+        return self._names
 
     @property
     def primary_key(self) -> tuple[str, ...]:
@@ -151,28 +173,30 @@ class TableSchema:
     def pack(self, row: dict) -> bytes:
         """Serialize a row dict to fixed-length bytes.
 
-        CHAR values are encoded UTF-8 and padded/truncated to length;
-        missing columns raise ``KeyError``.
+        CHAR values are encoded UTF-8 and padded to length (truncated,
+        on a character boundary, when longer); missing columns raise
+        ``KeyError``.
         """
-        values = []
-        for column in self._columns:
-            value = row[column.name]
-            if column.type is ColumnType.CHAR:
-                encoded = str(value).encode("utf-8")[: column.length]
-                values.append(encoded)
-            elif column.type is ColumnType.FLOAT:
-                values.append(float(value))
-            else:
-                values.append(int(value))
-        return self._struct.pack(*values)
+        return self._struct.pack(
+            *[convert(row[name]) for name, convert in self._encoders]
+        )
 
     def unpack(self, record: bytes) -> dict:
         """Deserialize bytes back to a row dict (CHAR values stripped)."""
-        values = self._struct.unpack(record)
-        row = {}
-        for column, value in zip(self._columns, values):
-            if column.type is ColumnType.CHAR:
-                row[column.name] = value.rstrip(b"\x00").decode("utf-8")
-            else:
-                row[column.name] = value
-        return row
+        values = list(self._struct.unpack(record))
+        for i in self._chars:
+            values[i] = values[i].rstrip(b"\x00").decode("utf-8")
+        return dict(zip(self._names, values))
+
+    def patch(self, record: bytes, changes: dict) -> bytes:
+        """A copy of ``record`` with the ``changes`` columns overwritten.
+
+        Equal to ``pack({**unpack(record), **changes})`` without decoding
+        or re-encoding the columns that stay; an unknown column raises
+        ``KeyError``.
+        """
+        patched = bytearray(record)
+        for name, value in changes.items():
+            pack_into, offset, convert = self._patchers[name]
+            pack_into(patched, offset, convert(value))
+        return bytes(patched)

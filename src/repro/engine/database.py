@@ -225,15 +225,11 @@ class Transaction:
             target = self._db.table(table)
             key = target.schema.key_of(row)
             self._db.locks.acquire(self._id, (table, key), LockMode.EXCLUSIVE)
-            rid = target.insert(row)
+            record = target.schema.pack(row)
+            rid = target.insert(row, record)
             try:
                 self._db.wal.log_change(
-                    self._id,
-                    LogRecordType.INSERT,
-                    table,
-                    rid,
-                    before=None,
-                    after=target.schema.pack(row),
+                    self._id, LogRecordType.INSERT, table, rid, before=None, after=record
                 )
             except BaseException:
                 with self._db.fault_exemption():
@@ -248,31 +244,22 @@ class Transaction:
         """Update one row by primary key; returns the new row.
 
         ``changes`` is either a dict of column overrides or a callable
-        mapping the old row to the new one.
+        mapping the old row to the new one.  The bytes read off the page
+        are the WAL before-image and the bytes written the after-image.
         """
         self._check_active()
         with self._statement("update"):
             target = self._db.table(table)
             self._db.locks.acquire(self._id, (table, key), LockMode.EXCLUSIVE)
             rid = target.rid_of(key)
-            old_row = target.read(rid)
-            if callable(changes):
-                new_row = changes(dict(old_row))
-            else:
-                new_row = {**old_row, **changes}
-            target.update(rid, new_row)
+            new_row, before, after = target.update(rid, changes)
             try:
                 self._db.wal.log_change(
-                    self._id,
-                    LogRecordType.UPDATE,
-                    table,
-                    rid,
-                    before=target.schema.pack(old_row),
-                    after=target.schema.pack(new_row),
+                    self._id, LogRecordType.UPDATE, table, rid, before=before, after=after
                 )
             except BaseException:
                 with self._db.fault_exemption():
-                    target.update(rid, old_row)
+                    target.update(rid, before)
                 raise
             self.calls.updates += 1
             return new_row
@@ -284,19 +271,14 @@ class Transaction:
             target = self._db.table(table)
             self._db.locks.acquire(self._id, (table, key), LockMode.EXCLUSIVE)
             rid = target.rid_of(key)
-            row = target.delete(rid)
+            row, before = target.delete(rid)
             try:
                 self._db.wal.log_change(
-                    self._id,
-                    LogRecordType.DELETE,
-                    table,
-                    rid,
-                    before=target.schema.pack(row),
-                    after=None,
+                    self._id, LogRecordType.DELETE, table, rid, before=before, after=None
                 )
             except BaseException:
                 with self._db.fault_exemption():
-                    target.restore(rid, row)
+                    target.restore(rid, before)
                 raise
             target.heap.reserve(rid)
             self._freed_slots.append((table, rid))
@@ -368,8 +350,7 @@ class Transaction:
                     after=None,
                 )
             elif record.type is LogRecordType.DELETE:
-                row = target.schema.unpack(record.before)
-                target.restore(rid, row)  # back into its original slot
+                target.restore(rid, record.before)  # back into its original slot
                 wal.log_change(
                     self._id,
                     LogRecordType.INSERT,
@@ -379,8 +360,7 @@ class Transaction:
                     after=record.before,
                 )
             else:
-                old_row = target.schema.unpack(record.before)
-                target.update(rid, old_row)
+                target.update(rid, record.before)
                 wal.log_change(
                     self._id,
                     LogRecordType.UPDATE,
@@ -408,6 +388,30 @@ class Transaction:
             raise TransactionStateError(
                 f"transaction {self._id} is {self._state.value}"
             )
+
+
+class _StatementScope:
+    """Gate (when installed) around latch, for one statement body.
+
+    A plain object and not a ``@contextmanager``: a transaction enters
+    some forty of these, and the generator cost more than the latch.
+    """
+
+    __slots__ = ("_db", "_gated")
+
+    def __init__(self, db: "Database", txn: Transaction, kind: str) -> None:
+        self._db = db
+        gate = db._statement_gate
+        self._gated = None if gate is None else gate.statement(txn, kind)
+
+    def __enter__(self) -> None:
+        if self._gated is not None:
+            self._gated.__enter__()
+        self._db.latch.acquire()
+
+    def __exit__(self, *exc_info: Any) -> bool | None:
+        self._db.latch.release()
+        return None if self._gated is None else self._gated.__exit__(*exc_info)
 
 
 class Database:
@@ -460,17 +464,9 @@ class Database:
         """
         self._statement_gate = gate
 
-    @contextmanager
-    def statement_scope(self, txn: "Transaction", kind: str) -> Iterator[None]:
+    def statement_scope(self, txn: "Transaction", kind: str) -> ContextManager[None]:
         """Gate + latch scope for one statement body."""
-        gate = self._statement_gate
-        if gate is None:
-            with self.latch:
-                yield
-            return
-        with gate.statement(txn, kind):
-            with self.latch:
-                yield
+        return _StatementScope(self, txn, kind)
 
     @contextmanager
     def _latch_pause(self) -> Iterator[None]:

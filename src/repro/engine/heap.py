@@ -129,6 +129,14 @@ class HeapFile:
             self._free_pages.discard(rid.page_no)
         self._live += 1
 
+    def fetch(self, rid: RecordId, for_write: bool = False) -> Page:  # requires-lock: latch
+        """The page holding a record: one buffer request.
+
+        A read-modify-write statement reads and overwrites the slot on
+        the returned page instead of requesting it once per step.
+        """
+        return self._buffers.get_page(PageId(self._file_id, rid.page_no), for_write)
+
     def read(self, rid: RecordId) -> bytes:  # requires-lock: latch
         """Fetch a record's bytes."""
         page = self._buffers.get_page(PageId(self._file_id, rid.page_no))
@@ -139,18 +147,20 @@ class HeapFile:
         page = self._buffers.get_page(PageId(self._file_id, rid.page_no), for_write=True)
         page.update(rid.slot, record)
 
-    def delete(self, rid: RecordId) -> None:  # requires-lock: latch
-        """Free a record's slot.
+    def delete(self, rid: RecordId) -> bytes:  # requires-lock: latch
+        """Free a record's slot; returns the bytes it held.
 
         A page with unresolved reservations stays out of the free-page
         set even as more slots free up on it — the page rejoins when
         its last reservation resolves (see :meth:`release`).
         """
         page = self._buffers.get_page(PageId(self._file_id, rid.page_no), for_write=True)
+        record = page.read(rid.slot)
         page.delete(rid.slot)
         if rid.page_no not in self._reservations:
             self._free_pages.add(rid.page_no)
         self._live -= 1
+        return record
 
     def reserve(self, rid: RecordId) -> None:  # requires-lock: latch
         """Withhold a freed slot from reuse until its delete resolves.

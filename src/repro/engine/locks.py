@@ -358,7 +358,8 @@ class LockManager:
                 self._shared[resource].add(txn_id)
             self._held[txn_id].add(resource)
             self.acquisitions += 1
-        instruments.LOCK_ACQUISITIONS.inc(mode=mode.value)
+        if instruments.REGISTRY.enabled:
+            instruments.LOCK_ACQUISITIONS.inc(mode=mode.value)
 
     # -- release ------------------------------------------------------------------------
 

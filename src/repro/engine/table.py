@@ -10,7 +10,7 @@ with :class:`IndexSpec`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.engine.btree import BPlusTree
 from repro.engine.catalog import TableSchema
@@ -82,6 +82,10 @@ class Table:
     def index_names(self) -> tuple[str, ...]:
         return tuple(self._indexes)
 
+    def primary_keys(self) -> list[tuple]:  # requires-lock: latch
+        """Every primary key, read off the index: no page is touched."""
+        return [key for key, _ in self._indexes[PRIMARY].items()]
+
     def add_index(self, spec: IndexSpec) -> None:  # requires-lock: latch
         """Declare (and, if rows exist, backfill) a secondary index."""
         if spec.name in self._indexes:
@@ -115,8 +119,12 @@ class Table:
 
     # -- row operations ---------------------------------------------------------------
 
-    def insert(self, row: dict) -> RecordId:  # requires-lock: latch
-        """Insert a row, maintaining all indexes; returns its rid."""
+    def insert(self, row: dict, record: bytes | None = None) -> RecordId:  # requires-lock: latch
+        """Insert a row, maintaining all indexes; returns its rid.
+
+        ``record`` is the row already packed, for a caller that needs
+        the same bytes elsewhere (the WAL after-image).
+        """
         key = self._schema.key_of(row)
         primary: HashIndex = self._indexes[PRIMARY]
         if key in primary:
@@ -130,7 +138,7 @@ class Table:
                     raise DuplicateKeyError(
                         f"{self.name}: duplicate key {secondary!r} in {spec.name}"
                     )
-        rid = self._heap.insert(self._schema.pack(row))
+        rid = self._heap.insert(record if record is not None else self._schema.pack(row))
         primary.insert(key, rid)
         for spec in self._specs.values():
             self._index_insert_one(spec, self._indexes[spec.name], row, rid)
@@ -156,14 +164,32 @@ class Table:
         """Fetch a row by primary key."""
         return self.read(self.rid_of(key))
 
-    def update(self, rid: RecordId, new_row: dict) -> dict:  # requires-lock: latch
-        """Overwrite a row in place; returns the old row.
+    def update(  # requires-lock: latch
+        self, rid: RecordId, changes: dict | bytes | Callable[[dict], dict]
+    ) -> tuple[dict, bytes, bytes]:
+        """Overwrite a row in place; returns (new row, old bytes, new bytes).
 
-        The primary key must not change (TPC-C never does); secondary
-        index entries are moved when their key columns change.
+        ``changes`` is a dict of column overrides, a callable mapping the
+        old row to the new one, or the new record bytes themselves (an
+        undo handing back a logged image).  Whichever it is, the page is
+        requested once, the old record decoded once and the new one
+        encoded at most once.  The primary key must not change (TPC-C
+        never does); secondary index entries are moved when their key
+        columns change.
         """
-        old_row = self.read(rid)
-        if self._schema.key_of(new_row) != self._schema.key_of(old_row):
+        schema = self._schema
+        page = self._heap.fetch(rid, for_write=True)
+        before = page.read(rid.slot)
+        old_row = schema.unpack(before)
+        if isinstance(changes, dict):
+            new_row = {**old_row, **changes}
+            after = schema.patch(before, changes)
+        elif callable(changes):
+            new_row = changes(dict(old_row))
+            after = schema.pack(new_row)
+        else:
+            new_row, after = schema.unpack(changes), changes
+        if schema.key_of(new_row) != schema.key_of(old_row):
             raise ValueError(f"{self.name}: primary key is immutable")
         for spec in self._specs.values():
             old_key = self._secondary_key(spec, old_row)
@@ -180,28 +206,31 @@ class Table:
             else:
                 index.delete(old_key, rid)
                 index.insert(new_key, rid)
-        self._heap.update(rid, self._schema.pack(new_row))
-        return old_row
+        page.update(rid.slot, after)
+        return new_row, before, after
 
-    def restore(self, rid: RecordId, row: dict) -> None:  # requires-lock: latch
-        """Re-insert a deleted row at its original rid (transaction undo).
+    def restore(self, rid: RecordId, record: bytes) -> None:  # requires-lock: latch
+        """Put a deleted record back at its original rid (transaction undo).
 
         Equivalent to :meth:`insert` except the physical location is
         dictated, keeping rids stable across delete/undo so log records
-        addressing the slot stay valid.
+        addressing the slot stay valid.  Takes the bytes :meth:`delete`
+        returned (or the WAL logged), so nothing is re-encoded.
         """
+        row = self._schema.unpack(record)
         key = self._schema.key_of(row)
         primary: HashIndex = self._indexes[PRIMARY]
         if key in primary:
             raise DuplicateKeyError(f"{self.name}: duplicate primary key {key!r}")
-        self._heap.insert_at(rid, self._schema.pack(row))
+        self._heap.insert_at(rid, record)
         primary.insert(key, rid)
         for spec in self._specs.values():
             self._index_insert_one(spec, self._indexes[spec.name], row, rid)
 
-    def delete(self, rid: RecordId) -> dict:  # requires-lock: latch
-        """Remove a row; returns it."""
-        row = self.read(rid)
+    def delete(self, rid: RecordId) -> tuple[dict, bytes]:  # requires-lock: latch
+        """Remove a row; returns it, decoded and as the bytes it occupied."""
+        record = self._heap.delete(rid)
+        row = self._schema.unpack(record)
         self._indexes[PRIMARY].delete(self._schema.key_of(row))
         for spec in self._specs.values():
             index = self._indexes[spec.name]
@@ -211,8 +240,7 @@ class Table:
                 index.delete(self._secondary_key(spec, row))
             else:
                 index.delete(self._secondary_key(spec, row), rid)
-        self._heap.delete(rid)
-        return row
+        return row, record
 
     # -- index access --------------------------------------------------------------------
 

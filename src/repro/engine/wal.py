@@ -208,7 +208,9 @@ class WriteAheadLog:
         if self._injector is not None:
             self._injector.check("wal.append")
         self._records.append(record)
-        self.bytes_written += record.size_bytes
-        instruments.WAL_APPENDS.inc(type=record.type.value)
-        instruments.WAL_BYTES.inc(record.size_bytes)
+        size = record.size_bytes
+        self.bytes_written += size
+        if instruments.REGISTRY.enabled:
+            instruments.WAL_APPENDS.inc(type=record.type.value)
+            instruments.WAL_BYTES.inc(size)
         return record.lsn

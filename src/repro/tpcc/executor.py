@@ -368,7 +368,11 @@ class TpccExecutor:
         self._rollback_probability = rollback_probability
         self._retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self._sleep = sleep
-        self._history_next = db.table("history").row_count + 1 + history_offset
+        # Continue after the largest h_id present, rounded up to the stride,
+        # so a later run on the same database never reuses an earlier run's ids.
+        with db.latch:
+            last = max((key[0] for key in db.table("history").primary_keys()), default=0)
+        self._history_next = -(-last // history_stride) * history_stride + 1 + history_offset
         self._history_stride = history_stride
         #: Driver terminal this executor acts for (fault-scope identity).
         self._terminal = terminal

@@ -16,3 +16,20 @@ class Tally:
 
     def reset(self) -> None:
         self._reset_locked()
+
+    def scoped_reset(self) -> None:
+        with _NoScope(self):
+            self._reset_locked()
+
+
+class _NoScope:
+    """A context manager class whose ``__enter__`` takes no lock."""
+
+    def __init__(self, tally: Tally) -> None:
+        self._tally = tally
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc_info: object) -> None:
+        return None

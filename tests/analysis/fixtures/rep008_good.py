@@ -31,3 +31,20 @@ class SafeTally:
     def clear(self) -> None:
         with self._mutex:
             self._clear_locked()
+
+    def scoped_clear(self) -> None:
+        with _MutexScope(self):
+            self._clear_locked()
+
+
+class _MutexScope:
+    """A class-based context manager: holds what ``__enter__`` acquires."""
+
+    def __init__(self, tally: SafeTally) -> None:
+        self._tally = tally
+
+    def __enter__(self) -> None:
+        self._tally._mutex.acquire()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._tally._mutex.release()

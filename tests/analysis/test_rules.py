@@ -118,9 +118,10 @@ class TestRep007LockOrder:
 class TestRep008GuardedBy:
     def test_bad_locations(self):
         # Line 12: bare write to a guarded field.  Line 18: call into a
-        # requires-lock function without the mutex held.
+        # requires-lock function without the mutex held.  Line 22: the
+        # same call inside a scope object whose __enter__ locks nothing.
         report = lint_fixture("rep008_bad.py", "REP008")
-        assert flagged_lines(report, "REP008") == [12, 18]
+        assert flagged_lines(report, "REP008") == [12, 18, 22]
 
     def test_call_obligation_message(self):
         report = lint_fixture("rep008_bad.py", "REP008")
@@ -131,7 +132,10 @@ class TestRep008GuardedBy:
 
     def test_good_is_clean(self):
         # Covers both proof styles: a helper whose callers all hold the
-        # mutex (must-entry) and an annotated requires-lock helper.
+        # mutex (must-entry) and an annotated requires-lock helper, the
+        # latter also under a class-based scope (``with _MutexScope(self):``
+        # holds what the class's __enter__ acquires, which is how
+        # Database.statement_scope holds the statement latch).
         assert lint_fixture("rep008_good.py", "REP008").findings == []
 
 

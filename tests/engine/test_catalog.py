@@ -80,10 +80,29 @@ class TestPackUnpack:
         row = {"id": 1, "tag": 0, "score": 0.0, "name": "x" * 50}
         assert schema.unpack(schema.pack(row))["name"] == "x" * 10
 
+    def test_char_truncated_on_a_character_boundary(self):
+        # "éé" is c3 a9 c3 a9: cutting at three bytes used to store half
+        # of the second character, and unpack then raised UnicodeDecodeError.
+        schema = TableSchema("t", [integer("id"), char("name", 3)], ("id",))
+        record = schema.pack({"id": 1, "name": "éé"})
+        assert record[-3:] == "é".encode() + b"\x00"
+        assert schema.unpack(record)["name"] == "é"
+        assert schema.unpack(schema.patch(record, {"name": "aéé"}))["name"] == "aé"
+
     def test_missing_column_raises(self):
         schema = sample_schema()
         with pytest.raises(KeyError):
             schema.pack({"id": 1})
+
+    def test_patch_overwrites_only_the_named_columns(self):
+        schema = sample_schema()
+        row = {"id": 42, "tag": 7, "score": 3.25, "name": "alpha"}
+        record = schema.pack(row)
+        patched = schema.patch(record, {"score": 4, "name": "be"})
+        assert schema.unpack(patched) == {**row, "score": 4.0, "name": "be"}
+        assert schema.unpack(record) == row
+        with pytest.raises(KeyError):
+            schema.patch(record, {"nope": 1})
 
     def test_numeric_coercion(self):
         schema = sample_schema()

@@ -264,3 +264,111 @@ class TestRecovery:
         txn = db.begin()
         assert txn.select("accounts", (1,))["balance"] == 123
         txn.commit()
+
+
+class TestStatementAccounting:
+    """One page request, one decode, at most one encode per primary-key
+    statement; the log carries the bytes the page held."""
+
+    @staticmethod
+    def page_of(db, id_):
+        table = db.table("accounts")
+        return db.buffers.get_page(table.heap.page_id(table.rid_of((id_,)).page_no))
+
+    @staticmethod
+    def measured(db, statement):
+        """(page requests, WAL change records) made by one statement."""
+        requests, records = db.buffers.stats.accesses(), len(db.wal)
+        statement()
+        return db.buffers.stats.accesses() - requests, db.wal.records()[records:]
+
+    def test_update_insert_delete_make_one_request_and_one_record(self, db):
+        deposit(db, 1)
+        txn = db.begin()
+        for kind, statement in [
+            ("update", lambda: txn.update("accounts", (1,), {"balance": 5})),
+            ("update", lambda: txn.update("accounts", (1,), lambda r: {**r, "owner": "bob"})),
+            ("insert", lambda: txn.insert("accounts", {"id": 2, "balance": 0, "owner": "eve"})),
+            ("delete", lambda: txn.delete("accounts", (1,))),
+        ]:
+            requests, records = self.measured(db, statement)
+            assert requests == 1, kind
+            assert [record.type.value for record in records] == [kind]
+        requests, records = self.measured(db, lambda: txn.select("accounts", (2,)))
+        assert (requests, records) == (1, ())
+        txn.commit()
+
+    def test_codec_calls_per_statement(self, db, monkeypatch):
+        deposit(db, 1)
+        calls = []
+        for name in ("pack", "unpack", "patch"):
+            original = getattr(TableSchema, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(TableSchema, name, counted)
+        txn = db.begin()
+        txn.update("accounts", (1,), {"balance": 5})
+        assert calls == ["unpack", "patch"]
+        del calls[:]
+        txn.update("accounts", (1,), lambda row: {**row, "balance": 6})
+        assert calls == ["unpack", "pack"]
+        del calls[:]
+        txn.insert("accounts", {"id": 2, "balance": 0, "owner": "eve"})
+        assert calls == ["pack"]
+        del calls[:]
+        txn.delete("accounts", (1,))
+        assert calls == ["unpack"]
+        txn.commit()
+
+    def test_log_images_are_the_page_bytes(self, db):
+        deposit(db, 1)
+        table = db.table("accounts")
+        rid = table.rid_of((1,))
+        on_page = table.heap.read(rid)
+        txn = db.begin()
+        new_row = txn.update("accounts", (1,), {"balance": 7, "owner": "carol"})
+        update = db.wal.records()[-1]
+        assert update.before == on_page
+        assert update.after == table.heap.read(rid) == table.schema.pack(new_row)
+        txn.delete("accounts", (1,))
+        assert db.wal.records()[-1].before == update.after
+        txn.insert("accounts", {"id": 3, "balance": 1, "owner": "dan"})
+        assert db.wal.records()[-1].after == table.heap.read(table.rid_of((3,)))
+        txn.commit()
+
+    def test_update_of_unknown_column_or_key_changes_nothing(self, db):
+        deposit(db, 1)
+        image, logged = self.page_of(db, 1).to_bytes(), len(db.wal)
+        txn = db.begin()
+        with pytest.raises(KeyError):
+            txn.update("accounts", (1,), {"no_such_column": 1})
+        with pytest.raises(ValueError, match="immutable"):
+            txn.update("accounts", (1,), {"id": 2})
+        assert self.page_of(db, 1).to_bytes() == image
+        assert len(db.wal) == logged + 1  # the BEGIN
+        txn.commit()
+
+    def test_abort_restores_the_page_bytes_exactly(self, db):
+        deposit(db, 1)
+        deposit(db, 2, owner="bob")
+        image = self.page_of(db, 1).to_bytes()
+        txn = db.begin()
+        txn.update("accounts", (1,), {"balance": 9, "owner": "mallory"})
+        txn.update("accounts", (2,), lambda row: {**row, "balance": -1})
+        txn.delete("accounts", (2,))
+        assert self.page_of(db, 1).to_bytes() != image
+        txn.abort()
+        assert self.page_of(db, 1).to_bytes() == image
+
+    def test_abort_after_insert_frees_the_slot_again(self, db):
+        deposit(db, 1)
+        records = dict(self.page_of(db, 1).records())
+        txn = db.begin()
+        txn.insert("accounts", {"id": 2, "balance": 0, "owner": "eve"})
+        txn.abort()
+        # The freed slot keeps its stale bytes, so compare the live records.
+        assert dict(self.page_of(db, 1).records()) == records
+        assert db.table("accounts").row_count == 1

@@ -144,7 +144,7 @@ class TestInsertAtAndRestore:
         t.commit()
         table = db.table("items")
         with pytest.raises(DuplicateKeyError):
-            table.restore(RecordId(0, 5), row(1))
+            table.restore(RecordId(0, 5), table.schema.pack(row(1)))
 
     def test_restore_updates_secondary_indexes(self, db):
         t = db.begin()
@@ -152,7 +152,7 @@ class TestInsertAtAndRestore:
         t.commit()
         table = db.table("items")
         rid = table.rid_of((1,))
-        removed = table.delete(rid)
+        _, removed = table.delete(rid)
         table.restore(rid, removed)
         assert table.lookup("by_tag", ("alpha",)) == (rid,)
 

@@ -117,8 +117,9 @@ class TestUpdate:
     def test_update_in_place(self):
         table = make_table()
         rid = table.insert(row())
-        old = table.update(rid, row(c=99))
-        assert old["c"] == 10
+        new, before, after = table.update(rid, row(c=99))
+        assert table.schema.unpack(before)["c"] == 10
+        assert new["c"] == 99 and after == table.schema.pack(new)
         assert table.get((1, 1, 1))["c"] == 99
 
     def test_primary_key_immutable(self):
@@ -146,8 +147,9 @@ class TestDelete:
     def test_delete_removes_everywhere(self):
         table = make_table([BY_NOTE, BTREE])
         rid = table.insert(row(note="gone", c=5))
-        deleted = table.delete(rid)
+        deleted, record = table.delete(rid)
         assert deleted["note"] == "gone"
+        assert record == table.schema.pack(deleted)
         assert table.row_count == 0
         assert table.lookup("by_note", ("gone",)) == ()
         assert table.btree_min("by_customer", (1, 1, 5)) is None
