@@ -4,10 +4,8 @@ Static side (:mod:`.project`, :mod:`.annotations`): a whole-project
 lock/call model consumed by reprolint rules REP007–REP009 and the
 interprocedural REP005 fix.
 
-Dynamic side (:mod:`.locksets`, :mod:`.hb`): an Eraser-style lockset
-race detector and a vector-clock happens-before checker, wired into
-:class:`repro.analysis.sanitizer.InvariantSanitizer` and the virtual
-scheduler.
+Dynamic side (:mod:`.locksets`): an Eraser-style lockset race detector,
+wired into :class:`repro.analysis.sanitizer.InvariantSanitizer`.
 """
 
 from repro.analysis.concurrency.annotations import (
@@ -15,7 +13,6 @@ from repro.analysis.concurrency.annotations import (
     guarded_fields,
     guarded_fields_of_node,
 )
-from repro.analysis.concurrency.hb import HappensBeforeChecker, HBViolation
 from repro.analysis.concurrency.locksets import RaceDetector, RaceReport
 from repro.analysis.concurrency.project import (
     LockKey,
@@ -26,8 +23,6 @@ from repro.analysis.concurrency.project import (
 
 __all__ = [
     "GUARDED_BY",
-    "HBViolation",
-    "HappensBeforeChecker",
     "LockKey",
     "ProjectIndex",
     "RaceDetector",

@@ -9,37 +9,38 @@ but time is virtual and costs come from the paper's Table 4 parameters,
 so runs are deterministic, byte-identical per seed, and directly
 comparable with exact MVA.
 
-How it works: each in-flight transaction runs on its own task thread,
-but the scheduler admits exactly **one** statement at a time.  A
-*statement gate* (installed via :meth:`Database.set_statement_gate`)
-meters each SQL call — CPU K-instructions from the transaction's call
-census, disk demand from buffer misses — then parks the thread and
-reports the cost.  The scheduler serves the cost through FCFS CPU and
-disk stations, advances the virtual clock, and resumes whichever task
-finishes next.  Because only one thread is ever runnable, the engine
-sees a deterministic serialized statement order; locks still conflict
-across in-flight transactions exactly as they would under a real
-concurrent driver (statements of different transactions interleave at
-statement granularity).
+How it works: a discrete-event simulation, one thread popping one heap.
+Each in-flight transaction is a *statement sequence* — the generator
+``TpccExecutor.prepared_steps`` returns — that executes one SQL call
+and suspends.  A *statement gate* (installed via
+:meth:`Database.set_statement_gate`) meters each call — CPU
+K-instructions from the transaction's call census, disk demand from
+buffer misses — and records the cost; the loop serves it through FCFS
+CPU and disk stations and pushes a ``resume`` event at the completion
+time.  Popping that event resumes the sequence for its next statement,
+so statements of different transactions interleave at statement
+granularity and locks conflict across in-flight transactions exactly
+as they would under a real concurrent driver.  Determinism needs no
+argument beyond the loop itself: one thread, one heap, ties broken by
+push order.
 """
 
 from __future__ import annotations
 
+import contextvars
 import heapq
-import queue
-import threading
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Any, ContextManager
 
 import numpy as np
 
-from repro.analysis.concurrency.hb import HappensBeforeChecker
 from repro.driver.report import RecoveryWindow
 from repro.driver.spec import BenchmarkSpec
 from repro.engine.database import Database, Transaction
 from repro.obs import instruments
-from repro.tpcc.executor import TRANSIENT_ERRORS, TpccExecutor
+from repro.throughput.params import CostParameters
+from repro.tpcc.executor import TRANSIENT_ERRORS, PreparedTransaction, Steps, TpccExecutor
 
 
 @dataclass
@@ -82,22 +83,27 @@ class _Task:
         "terminal",
         "prepared",
         "start_time",
-        "thread",
-        "resume_event",
+        "steps",
+        "context",
+        "value",
         "last_txn_id",
         "outcome",
-        "error",
     )
 
-    def __init__(self, terminal: int, prepared: object, start_time: float):
+    def __init__(
+        self, terminal: int, prepared: PreparedTransaction, start_time: float, steps: Steps
+    ):
         self.terminal = terminal
         self.prepared = prepared
         self.start_time = start_time
-        self.thread: threading.Thread | None = None
-        self.resume_event: threading.Event | None = None
+        self.steps = steps
+        #: Every resume runs inside it, so context-local state a
+        #: sequence sets (the fault injector's scope) stays its own.
+        self.context = contextvars.copy_context()
+        #: What the sequence last yielded; sent back in on resume.
+        self.value: Any = None
         self.last_txn_id = -1
         self.outcome = "running"
-        self.error: BaseException | None = None
 
 
 @dataclass
@@ -114,76 +120,95 @@ class _StatementSnapshot:
     locks_held: int = 0
 
 
+class _MeteredStatement:
+    """One statement's passage through the gate: snapshot in, request out."""
+
+    __slots__ = ("_gate", "_task", "_txn", "_kind", "_snap")
+
+    def __init__(self, gate: "StatementGate", task: _Task, txn: Transaction, kind: str):
+        self._gate = gate
+        self._task = task
+        self._txn = txn
+        self._kind = kind
+
+    def __enter__(self) -> None:
+        gate, calls = self._gate, self._txn.calls
+        gate.check_served(self._kind)
+        self._snap = _StatementSnapshot(
+            selects=calls.selects,
+            updates=calls.updates,
+            inserts=calls.inserts,
+            deletes=calls.deletes,
+            non_unique_selects=calls.non_unique_selects,
+            joins=calls.joins,
+            misses=gate.total_misses(),
+            locks_held=gate.db.locks.locks_held(self._txn.txn_id),
+        )
+
+    def __exit__(self, *exc_info: Any) -> None:
+        # Also on failure: the statement ran, so it is priced and served.
+        gate = self._gate
+        gate.request = ("stmt", gate.cost(self._task, self._txn, self._kind, self._snap))
+        if instruments.REGISTRY.enabled:
+            instruments.DRIVER_STATEMENTS.inc(kind=self._kind)
+
+
 class StatementGate:
-    """The turnstile between executor threads and the scheduler.
+    """Where a sequence's statements are priced for the scheduler.
 
     Installed on the database for the duration of a virtual run; every
     statement body passes through :meth:`statement`, which meters the
-    statement's Table 4 cost and parks the thread until the scheduler
-    has served that cost through the stations.  ``sleep`` gives the
-    executor's retry backoff the same treatment (virtual, not real,
-    delay).
+    statement's Table 4 cost and leaves it in :attr:`request`.  The
+    sequence then suspends, and the scheduler takes the request and
+    serves it through the stations.  ``sleep`` gives the executor's
+    retry backoff the same treatment (virtual, not real, delay).
     """
 
-    def __init__(self, scheduler: "VirtualScheduler", db: Database):
-        self._scheduler = scheduler
-        self._db = db
-        self._params = scheduler.spec.params
-        self._local = threading.local()
+    def __init__(self, db: Database, params: CostParameters):
+        self.db = db
+        self._params = params
+        #: The task whose sequence the scheduler is resuming right now.
+        self.task: _Task | None = None
+        #: ``("stmt", (cpu_k, misses))`` or ``("sleep", seconds)``
+        #: recorded by the current step and not yet served.
+        self.request: tuple[str, Any] | None = None
 
-    def bind(self, task: _Task) -> None:
-        """Associate the calling thread with a task (thread start)."""
-        self._local.task = task
+    def total_misses(self) -> int:
+        return sum(self.db.buffers.stats.misses.values())
 
-    def _current(self) -> _Task | None:
-        return getattr(self._local, "task", None)
+    def check_served(self, kind: str) -> None:
+        """One request per suspension: a forgotten ``yield`` must not merge two."""
+        if self.request is not None:
+            raise RuntimeError(
+                f"{kind} started while the previous {self.request[0]} request "
+                "was unserved: the sequence must yield after every statement"
+            )
 
-    def _total_misses(self) -> int:
-        return sum(self._db.buffers.stats.misses.values())
+    def take(self) -> tuple[str, Any] | None:
+        """Hand the recorded request (if any) to the scheduler."""
+        request, self.request = self.request, None
+        return request
 
-    @contextmanager
-    def statement(self, txn: Transaction, kind: str) -> Iterator[None]:
-        task = self._current()
-        if task is None:  # not a driver thread (e.g. setup code)
-            yield
-            return
-        checker = self._scheduler.hb
-        label = f"terminal{task.terminal}:{kind}"
-        if checker is not None:
-            checker.statement_enter(label)
-        snap = _StatementSnapshot(
-            selects=txn.calls.selects,
-            updates=txn.calls.updates,
-            inserts=txn.calls.inserts,
-            deletes=txn.calls.deletes,
-            non_unique_selects=txn.calls.non_unique_selects,
-            joins=txn.calls.joins,
-            misses=self._total_misses(),
-            locks_held=self._db.locks.locks_held(txn.txn_id),
-        )
-        try:
-            yield
-        finally:
-            cpu_k, misses = self._cost(task, txn, kind, snap)
-            instruments.DRIVER_STATEMENTS.inc(kind=kind)
-            if checker is not None:
-                checker.statement_exit(label)
-            self._scheduler.pause(task, ("stmt", task, (cpu_k, misses)))
+    def statement(self, txn: Transaction, kind: str) -> ContextManager[None]:
+        task = self.task
+        if task is None:  # not a sequence step (e.g. an abort on close)
+            return nullcontext()
+        return _MeteredStatement(self, task, txn, kind)
 
     def sleep(self, seconds: float) -> None:
-        """Virtual sleep (retry backoff) for the calling task thread."""
-        task = self._current()
-        if task is None:
+        """Virtual sleep (retry backoff) of the sequence being resumed."""
+        if self.task is None:
             return
-        self._scheduler.pause(task, ("sleep", task, seconds))
+        self.check_served("sleep")
+        self.request = ("sleep", seconds)
 
-    def _cost(
+    def cost(
         self, task: _Task, txn: Transaction, kind: str, snap: _StatementSnapshot
     ) -> tuple[float, int]:
         """Table 4 cost of the statement just executed (K-instr, misses)."""
         p = self._params
         calls = txn.calls
-        misses = self._total_misses() - snap.misses
+        misses = self.total_misses() - snap.misses
         cpu_k = (
             (calls.selects - snap.selects) * p.select_k
             + (calls.updates - snap.updates) * p.update_k
@@ -211,26 +236,25 @@ class VirtualScheduler:
     """Discrete-event execution of a :class:`BenchmarkSpec`.
 
     Events are ``(time, seq, kind, payload)`` on a heap: ``start``
-    launches a terminal's next transaction (spawning a task thread),
-    ``resume`` unparks a task whose statement or backoff completed.
-    After every grant the scheduler blocks until the granted task's
-    next message, so exactly one thread runs at any moment and the
-    whole run is deterministic.
+    launches a terminal's next transaction, ``resume`` continues a task
+    whose statement or backoff completed.  A resumed sequence runs, on
+    the loop's own thread, until it has executed one statement (or
+    recorded one sleep) and suspended again.
     """
 
     def __init__(self, db: Database, spec: BenchmarkSpec):
         self._db = db
         self.spec = spec
-        self.gate = StatementGate(self, db)
+        self.gate = StatementGate(db, spec.params)
         self._cpu = _Station()
         self._disk = _Station()
         self._events: list[tuple[float, int, str, object]] = []
         self._seq = 0
-        self._inbox: "queue.Queue[tuple[str, _Task, object]]" = queue.Queue()
         self._now = 0.0
         self._started = 0
         self._completed = 0
-        self._in_flight = 0
+        #: Tasks whose sequence is suspended or running.
+        self._in_flight: set[_Task] = set()
         #: Admission queue: (terminal, arrival time) FIFO behind the
         #: max_in_flight gate.
         self._waiting: list[tuple[int, float]] = []
@@ -238,7 +262,7 @@ class VirtualScheduler:
         self._max_queue_depth = 0
         self._recovery: RecoveryWindow | None = None
         self._latencies: dict[str, list[float]] = {}
-        self._errors: list[BaseException] = []
+        self._errors: list[Exception] = []
         self._terminal_rngs = [
             np.random.default_rng([spec.seed, 7, terminal])
             for terminal in range(spec.terminals)
@@ -246,11 +270,6 @@ class VirtualScheduler:
         self._executors: list[TpccExecutor] = []
         self._deadline = spec.duration_seconds
         self._quota = spec.transactions
-        #: Optional vector-clock audit of the one-statement-at-a-time
-        #: claim; every hand-off below reports its send/recv edges.
-        self.hb: HappensBeforeChecker | None = (
-            HappensBeforeChecker() if spec.verify_admission else None
-        )
 
     @property
     def now(self) -> float:
@@ -262,17 +281,6 @@ class VirtualScheduler:
     def _push(self, time_: float, kind: str, payload: object) -> None:
         heapq.heappush(self._events, (time_, self._seq, kind, payload))
         self._seq += 1
-
-    def pause(self, task: _Task, message: tuple[str, _Task, object]) -> None:
-        """Park the calling task thread until the scheduler resumes it."""
-        event = threading.Event()
-        task.resume_event = event
-        if self.hb is not None:
-            self.hb.send(message)
-        self._inbox.put(message)
-        event.wait()
-        if self.hb is not None:
-            self.hb.recv(event)
 
     def _cycle_delay(self, terminal: int) -> float:
         """Think (exponential) plus keying (constant) time for a terminal."""
@@ -297,26 +305,22 @@ class VirtualScheduler:
                 time_, _, kind, payload = heapq.heappop(self._events)
                 if time_ > self._now:
                     self._now = time_
-                if kind == "start":
+                if kind == "resume":
+                    self._step(payload)  # type: ignore[arg-type]
+                elif kind == "start":
                     self._handle_start(int(payload))  # type: ignore[arg-type]
                 elif kind == "crash":
                     self._handle_crash()
-                elif kind == "shed":
-                    self._handle_shed(payload)  # type: ignore[arg-type]
                 else:
-                    task = payload
-                    if not isinstance(task, _Task) or task.resume_event is None:
-                        raise RuntimeError("resume event without a parked task")
-                    if self.hb is not None:
-                        self.hb.send(task.resume_event)
-                    task.resume_event.set()
-                    self._process_one_message()
+                    self._handle_shed(payload)  # type: ignore[arg-type]
         finally:
             self._db.set_statement_gate(None)
+            # Only an exception out of the loop leaves sequences behind;
+            # closing them aborts their transactions (ungated by now).
+            for task in self._in_flight:
+                task.context.run(task.steps.close)
         if self._errors:
             raise self._errors[0]
-        if self.hb is not None:
-            self.hb.raise_on_violations()
         return RunOutcome(
             elapsed_seconds=self._now,
             latencies=self._latencies,
@@ -329,6 +333,50 @@ class VirtualScheduler:
             recovery=self._recovery,
         )
 
+    def _step(self, task: _Task) -> None:
+        """Resume ``task`` until it has a request to serve, or has ended.
+
+        A suspension without a request (the statement raised before it
+        reached the gate, or was the post-crash no-op abort) costs no
+        virtual time: the sequence is resumed again at once.
+        """
+        gate = self.gate
+        gate.task = task
+        try:
+            request = None
+            while request is None:
+                task.value = task.context.run(task.steps.send, task.value)
+                request = gate.take()
+        except StopIteration:
+            task.outcome = "committed"
+        except TRANSIENT_ERRORS:
+            task.outcome = "gave_up"
+        except Exception as error:  # fatal: surfaced after the run
+            task.outcome = "error"
+            self._errors.append(error)
+        finally:
+            gate.task = None
+        if task.outcome != "running":
+            if gate.take() is not None:
+                self._errors.append(
+                    RuntimeError(
+                        f"terminal {task.terminal}: sequence ended with an "
+                        "unserved request (no yield after its last statement)"
+                    )
+                )
+            self._complete(task)
+        elif request[0] == "stmt":
+            cpu_k, misses = request[1]
+            params = self.spec.params
+            cpu_seconds = cpu_k / params.k_instructions_per_second
+            disk_seconds = (
+                misses * params.disk_service_ms / 1000.0 / self.spec.disk_arms
+            )
+            after_cpu = self._cpu.serve(self._now, cpu_seconds)
+            self._push(self._disk.serve(after_cpu, disk_seconds), "resume", task)
+        else:  # sleep
+            self._push(self._now + float(request[1]), "resume", task)
+
     def _handle_start(self, terminal: int) -> None:
         if self._deadline is not None and self._now >= self._deadline:
             return  # terminal retires; in-flight work drains
@@ -336,7 +384,7 @@ class VirtualScheduler:
             return
         if (
             self.spec.max_in_flight is not None
-            and self._in_flight >= self.spec.max_in_flight
+            and len(self._in_flight) >= self.spec.max_in_flight
         ):
             entry = (terminal, self._now)
             self._waiting.append(entry)
@@ -368,15 +416,14 @@ class VirtualScheduler:
     def _handle_crash(self) -> None:
         """Mid-benchmark crash()/recover() with in-flight terminals.
 
-        The event fires from the event loop, so every task thread is
-        parked at a statement boundary and none holds the latch.
-        Recovery's WAL replay is charged to both stations as a service
-        outage (sequential log reads on every disk arm), and every
-        in-flight transaction's next statement aborts transiently via
-        the database epoch bump.
+        The event fires between steps, so every sequence is suspended
+        at a statement boundary.  Recovery's WAL replay is charged to
+        both stations as a service outage (sequential log reads on
+        every disk arm), and every in-flight transaction's next
+        statement aborts transiently via the database epoch bump.
         """
         replayed = sum(1 for _ in self._db.wal.change_records())
-        in_flight = self._in_flight
+        in_flight = len(self._in_flight)
         self._db.crash()
         self._db.recover()
         duration = (
@@ -395,73 +442,26 @@ class VirtualScheduler:
 
     def _spawn(self, terminal: int, start_time: float | None = None) -> None:
         self._started += 1
-        self._in_flight += 1
-        prepared = self._executors[terminal].prepare(mix=self.spec.mix)
+        executor = self._executors[terminal]
+        prepared = executor.prepare(mix=self.spec.mix)
         task = _Task(
-            terminal, prepared, self._now if start_time is None else start_time
+            terminal,
+            prepared,
+            self._now if start_time is None else start_time,
+            executor.prepared_steps(prepared),
         )
-        thread = threading.Thread(
-            target=self._task_body, args=(task,), daemon=True
-        )
-        task.thread = thread
-        if self.hb is not None:
-            self.hb.send(task)
-        thread.start()
-        self._process_one_message()
-
-    def _task_body(self, task: _Task) -> None:
-        if self.hb is not None:
-            self.hb.recv(task)
-        self.gate.bind(task)
-        try:
-            self._executors[task.terminal].execute_prepared(task.prepared)  # type: ignore[arg-type]
-            task.outcome = "committed"
-        except TRANSIENT_ERRORS:
-            task.outcome = "gave_up"
-        except BaseException as error:  # fatal: surfaced after the run
-            task.outcome = "error"
-            task.error = error
-        finally:
-            message = ("done", task, None)
-            if self.hb is not None:
-                self.hb.send(message)
-            self._inbox.put(message)
-
-    def _process_one_message(self) -> None:
-        message = self._inbox.get()
-        if self.hb is not None:
-            self.hb.recv(message)
-        kind, task, arg = message
-        if kind == "stmt":
-            cpu_k, misses = arg  # type: ignore[misc]
-            cpu_seconds = cpu_k / self.spec.params.k_instructions_per_second
-            disk_seconds = (
-                misses
-                * self.spec.params.disk_service_ms
-                / 1000.0
-                / self.spec.disk_arms
-            )
-            after_cpu = self._cpu.serve(self._now, cpu_seconds)
-            done_at = self._disk.serve(after_cpu, disk_seconds)
-            self._push(done_at, "resume", task)
-        elif kind == "sleep":
-            self._push(self._now + float(arg), "resume", task)  # type: ignore[arg-type]
-        else:  # done
-            self._complete(task)
+        self._in_flight.add(task)
+        self._step(task)
 
     def _complete(self, task: _Task) -> None:
-        if task.thread is not None:
-            task.thread.join()
-        self._in_flight -= 1
+        self._in_flight.discard(task)
         self._completed += 1
-        tx = task.prepared.tx.value  # type: ignore[attr-defined]
+        tx = task.prepared.tx.value
         instruments.DRIVER_TX_COMPLETIONS.inc(tx=tx, outcome=task.outcome)
         if task.outcome == "committed":
             latency = self._now - task.start_time
             self._latencies.setdefault(tx, []).append(latency)
             instruments.DRIVER_TX_VIRTUAL_SECONDS.observe(latency, tx=tx)
-        elif task.outcome == "error" and task.error is not None:
-            self._errors.append(task.error)
         self._push(
             self._now + self._cycle_delay(task.terminal), "start", task.terminal
         )

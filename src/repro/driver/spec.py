@@ -64,10 +64,6 @@ class BenchmarkSpec:
     queue_deadline_seconds: float | None = None
     #: Retry-storm circuit breaker (None = retries never short-circuit).
     breaker: BreakerPolicy | None = None
-    #: Run a vector-clock happens-before checker asserting the virtual
-    #: scheduler admits exactly one statement at a time and every
-    #: resume is causally ordered after its wake-up (virtual only).
-    verify_admission: bool = False
 
     def __post_init__(self) -> None:
         if self.terminals < 1:
@@ -122,12 +118,6 @@ class BenchmarkSpec:
             raise ValueError(
                 f"victim_policy must be one of {VICTIM_POLICIES}, "
                 f"got {self.victim_policy!r}"
-            )
-        if self.verify_admission and self.scheduler != "virtual":
-            raise ValueError(
-                "verify_admission requires scheduler='virtual': only the "
-                "discrete-event scheduler claims one-statement-at-a-time "
-                "admission"
             )
         if self.queue_deadline_seconds is not None:
             if self.max_in_flight is None:

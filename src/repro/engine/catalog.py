@@ -13,6 +13,8 @@ import enum
 import struct
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
+from typing import Callable
 
 
 class ColumnType(enum.Enum):
@@ -70,6 +72,14 @@ def _encode_char(length: int, value: object) -> bytes:
     return encoded
 
 
+def key_extractor(columns: tuple[str, ...]) -> Callable[[dict], tuple]:
+    """A compiled ``row -> (row[c] for c in columns)`` for a fixed key."""
+    if len(columns) == 1:
+        (column,) = columns
+        return lambda row: (row[column],)
+    return itemgetter(*columns)
+
+
 def integer(name: str) -> Column:
     """Shorthand for an 8-byte INT column."""
     return Column(name, ColumnType.INT)
@@ -100,6 +110,7 @@ class TableSchema:
 
     ``primary_key`` lists column names whose tuple of values uniquely
     identifies a row; composite keys (the TPC-C norm) are supported.
+    ``key_of(row)`` is the primary-key tuple of a row dict.
     """
 
     def __init__(self, name: str, columns: list[Column], primary_key: tuple[str, ...]):
@@ -118,6 +129,7 @@ class TableSchema:
         self._name = name
         self._columns = tuple(columns)
         self._primary_key = tuple(primary_key)
+        self.key_of = key_extractor(self._primary_key)
         self._struct = struct.Struct(
             "<" + "".join(column.struct_format for column in columns)
         )
@@ -163,10 +175,6 @@ class TableSchema:
     def record_size(self) -> int:
         """Packed row size in bytes (the paper's tuple length)."""
         return self._struct.size
-
-    def key_of(self, row: dict) -> tuple:
-        """The primary-key tuple of a row dict."""
-        return tuple(row[name] for name in self._primary_key)
 
     # -- serialization ---------------------------------------------------------------
 

@@ -19,9 +19,8 @@ latch only protects physical structures.  Lock acquisition under the
 latch never sleeps because the driver keeps the no-wait conflict
 policy (timeout 0).  A *statement gate* may additionally be installed
 (:meth:`Database.set_statement_gate`): the deterministic virtual-time
-scheduler uses it to observe each statement's cost and pause the
-executing thread at statement boundaries, with the pause taken after
-the latch is released.
+scheduler uses it to observe each statement's cost, which it charges
+when the executing statement sequence next suspends.
 """
 
 from __future__ import annotations
@@ -458,9 +457,9 @@ class Database:
 
         A gate exposes ``statement(txn, kind)`` returning a context
         manager; the virtual-time scheduler uses it to meter each
-        statement's cost and to pause the executing thread at statement
-        boundaries.  The gate wraps *outside* the latch, so its pause
-        never blocks other threads' statements.
+        statement's cost.  The gate wraps *outside* the latch, so
+        whatever it does on exit never holds up another thread's
+        statement.
         """
         self._statement_gate = gate
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from repro.engine.btree import BPlusTree
-from repro.engine.catalog import TableSchema
+from repro.engine.catalog import TableSchema, key_extractor
 from repro.engine.errors import DuplicateKeyError, RecordNotFoundError
 from repro.engine.hashindex import HashIndex, MultiHashIndex
 from repro.engine.heap import HeapFile, RecordId
@@ -57,6 +57,8 @@ class Table:
         self._schema = schema
         self._heap = heap
         self._specs: dict[str, IndexSpec] = {}
+        #: Per secondary index, its compiled ``row -> key columns``.
+        self._key_of: dict[str, Callable[[dict], tuple]] = {}
         self._indexes: dict[str, Any] = {PRIMARY: HashIndex()}
         for spec in indexes or []:
             self.add_index(spec)
@@ -95,6 +97,7 @@ class Table:
             raise ValueError(f"index {spec.name!r} references unknown columns {missing}")
         index = self._make_index(spec)
         self._specs[spec.name] = spec
+        self._key_of[spec.name] = key_extractor(spec.columns)
         self._indexes[spec.name] = index
         for rid, record in self._heap.scan():
             self._index_insert_one(spec, index, self._schema.unpack(record), rid)
@@ -107,12 +110,9 @@ class Table:
 
     # -- key helpers ----------------------------------------------------------------
 
-    def _secondary_key(self, spec: IndexSpec, row: dict) -> tuple:
-        return tuple(row[column] for column in spec.columns)
-
     def _btree_key(self, spec: IndexSpec, row: dict, rid: RecordId) -> tuple:
         """B+-tree key, uniquified with the rid for non-unique indexes."""
-        key = self._secondary_key(spec, row)
+        key = self._key_of[spec.name](row)
         if spec.unique:
             return key
         return key + (rid.page_no, rid.slot)
@@ -133,7 +133,7 @@ class Table:
         for spec in self._specs.values():
             if spec.unique:
                 index = self._indexes[spec.name]
-                secondary = self._secondary_key(spec, row)
+                secondary = self._key_of[spec.name](row)
                 if secondary in index:
                     raise DuplicateKeyError(
                         f"{self.name}: duplicate key {secondary!r} in {spec.name}"
@@ -147,10 +147,8 @@ class Table:
     def _index_insert_one(self, spec: IndexSpec, index, row: dict, rid: RecordId) -> None:
         if spec.kind == "btree":
             index.insert(self._btree_key(spec, row, rid), rid)
-        elif spec.unique:
-            index.insert(self._secondary_key(spec, row), rid)
         else:
-            index.insert(self._secondary_key(spec, row), rid)
+            index.insert(self._key_of[spec.name](row), rid)
 
     def read(self, rid: RecordId) -> dict:  # requires-lock: latch
         """Fetch a row by rid."""
@@ -192,8 +190,9 @@ class Table:
         if schema.key_of(new_row) != schema.key_of(old_row):
             raise ValueError(f"{self.name}: primary key is immutable")
         for spec in self._specs.values():
-            old_key = self._secondary_key(spec, old_row)
-            new_key = self._secondary_key(spec, new_row)
+            key_of = self._key_of[spec.name]
+            old_key = key_of(old_row)
+            new_key = key_of(new_row)
             if old_key == new_key:
                 continue
             index = self._indexes[spec.name]
@@ -237,9 +236,9 @@ class Table:
             if spec.kind == "btree":
                 index.delete(self._btree_key(spec, row, rid))
             elif spec.unique:
-                index.delete(self._secondary_key(spec, row))
+                index.delete(self._key_of[spec.name](row))
             else:
-                index.delete(self._secondary_key(spec, row), rid)
+                index.delete(self._key_of[spec.name](row), rid)
         return row, record
 
     # -- index access --------------------------------------------------------------------

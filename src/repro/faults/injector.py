@@ -19,9 +19,12 @@ Thread-safety (for ``scheduler="threads"`` runs): all trigger
 bookkeeping — per-site operation counts, per-rule fire counts, the
 seeded stream, and the event log — mutates under one internal lock, so
 ``at_ops`` / ``every`` / ``max_fires`` semantics hold exactly even
-when many worker threads hit the same seam.  The *scope* (which
-terminal / transaction type is operating) and the exemption depth are
-thread-local, so one thread's context never leaks into another's.
+when many worker threads hit the same seam.  The exemption depth is
+thread-local.  The *scope* (which terminal / transaction type is
+operating) spans a whole transaction attempt, and the virtual scheduler
+interleaves many attempts statement by statement on one thread — so it
+lives in a context variable: each thread, and each scheduler task
+resumed inside its own ``contextvars.Context``, sees only its own.
 """
 
 from __future__ import annotations
@@ -30,9 +33,15 @@ import random
 import threading
 from collections import Counter
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Callable, Iterator
 
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan, error_for
+
+#: ``(terminal, tx_type)`` on whose behalf the current context operates.
+_SCOPE: ContextVar[tuple[int | None, str | None]] = ContextVar(
+    "repro.faults.scope", default=(None, None)
+)
 
 
 class FaultInjector:
@@ -93,26 +102,26 @@ class FaultInjector:
     def scoped(
         self, *, terminal: int | None = None, tx_type: str | None = None
     ) -> Iterator[None]:
-        """Declare on whose behalf this thread's operations run.
+        """Declare on whose behalf this context's operations run.
 
         The driver's executor enters this scope around each transaction
         attempt; rules carrying ``terminals`` / ``tx_types`` scopes
         match only operations performed inside a matching scope.
-        Scopes nest (inner values shadow outer ones) and are
-        thread-local.
+        Scopes nest (inner values shadow outer ones) and are local to
+        the current ``contextvars`` context, so the block must be
+        entered and left in the same one.
         """
-        previous = (
-            getattr(self._local, "terminal", None),
-            getattr(self._local, "tx_type", None),
+        outer_terminal, outer_tx_type = _SCOPE.get()
+        token = _SCOPE.set(
+            (
+                outer_terminal if terminal is None else terminal,
+                outer_tx_type if tx_type is None else tx_type,
+            )
         )
-        if terminal is not None:
-            self._local.terminal = terminal
-        if tx_type is not None:
-            self._local.tx_type = tx_type
         try:
             yield
         finally:
-            self._local.terminal, self._local.tx_type = previous
+            _SCOPE.reset(token)
 
     # -- introspection -------------------------------------------------------
 
@@ -143,8 +152,7 @@ class FaultInjector:
         """
         if not self.armed or self._exempt_depth():
             return None
-        terminal = getattr(self._local, "terminal", None)
-        tx_type = getattr(self._local, "tx_type", None)
+        terminal, tx_type = _SCOPE.get()
         now = self._clock() if self._clock is not None else None
         with self._lock:
             self._site_ops[site] += 1

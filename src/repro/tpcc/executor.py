@@ -19,7 +19,7 @@ import warnings
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace as dataclass_replace
-from typing import Any, Callable, Sequence, cast
+from typing import Any, Callable, Generator, Sequence, cast
 
 import numpy as np
 
@@ -62,6 +62,21 @@ TRANSIENT_ERRORS = (
     InjectedFaultError,
     TransactionAbortedByCrashError,
 )
+
+#: A statement sequence: yields each statement's result as it completes,
+#: is sent it back, and returns the transaction's result.
+Steps = Generator[Any, Any, Any]
+
+
+def drain(steps: Steps) -> Any:
+    """Run a statement sequence to completion on the calling thread."""
+    try:
+        value = next(steps)
+        while True:
+            value = steps.send(value)
+    except StopIteration as stop:
+        return stop.value
+
 
 #: Latency measurement goes through the whitelisted obs clock seam, and
 #: only when metrics collection is enabled (the histogram is flagged
@@ -385,6 +400,12 @@ class TpccExecutor:
         return self._db
 
     # -- transaction implementations ------------------------------------------
+    #
+    # Each profile is a *statement sequence*: a generator that executes
+    # one SQL call, yields its result and is sent it back (``row = yield
+    # txn.select(...)``).  The public methods drain a sequence on the
+    # calling thread; the virtual scheduler resumes many of them from
+    # one event loop, charging virtual time at every suspension.
 
     def new_order(self, *, params: NewOrderParams | None = None) -> dict | None:
         """Place an order; returns {o_id, warehouse, district, customer}.
@@ -394,184 +415,15 @@ class TpccExecutor:
         ``params=None`` draws fresh inputs inline (the historical
         stream); a prepared ``params`` skips the generator entirely.
         """
-        if params is None:
-            params = self._inputs.new_order()
-        txn = self._db.begin("new_order")
-        try:
-            txn.select("warehouse", (params.warehouse,))
-            district = txn.select("district", (params.warehouse, params.district))
-            order_id = district["d_next_o_id"]
-            txn.update(
-                "district",
-                (params.warehouse, params.district),
-                {"d_next_o_id": order_id + 1},
-            )
-            txn.select(
-                "customer", (params.warehouse, params.district, params.customer)
-            )
-            txn.insert(
-                "order",
-                {
-                    "o_w_id": params.warehouse,
-                    "o_d_id": params.district,
-                    "o_id": order_id,
-                    "o_c_id": params.customer,
-                    "o_carrier_id": 0,
-                    "o_ol_cnt": len(params.lines),
-                    "o_entry_d": 0,
-                },
-            )
-            txn.insert(
-                "new_order",
-                {
-                    "no_w_id": params.warehouse,
-                    "no_d_id": params.district,
-                    "no_o_id": order_id,
-                },
-            )
-            for number, line in enumerate(params.lines, start=1):
-                item = txn.select("item", (line.item_id,))
-                stock = txn.select("stock", (line.supply_warehouse, line.item_id))
-                quantity = stock["s_quantity"]
-                new_quantity = (
-                    quantity - line.quantity
-                    if quantity - line.quantity >= 10
-                    else quantity - line.quantity + 91
-                )
-                txn.update(
-                    "stock",
-                    (line.supply_warehouse, line.item_id),
-                    {
-                        "s_quantity": new_quantity,
-                        "s_ytd": stock["s_ytd"] + line.quantity,
-                        "s_order_cnt": stock["s_order_cnt"] + 1,
-                        "s_remote_cnt": stock["s_remote_cnt"]
-                        + (line.supply_warehouse != params.warehouse),
-                    },
-                )
-                txn.insert(
-                    "order_line",
-                    {
-                        "ol_w_id": params.warehouse,
-                        "ol_d_id": params.district,
-                        "ol_o_id": order_id,
-                        "ol_number": number,
-                        "ol_i_id": line.item_id,
-                        "ol_supply_w_id": line.supply_warehouse,
-                        "ol_quantity": line.quantity,
-                        "ol_delivery_d": 0,
-                        "ol_amount": float(item["i_price"]) * line.quantity,
-                        "ol_dist_info": f"dist-{params.district:02d}",
-                    },
-                )
-            if self._rng.random() < self._rollback_probability:
-                txn.abort()
-                self.summary.rolled_back += 1
-                return None
-            txn.commit()
-        except BaseException:
-            if txn.is_active:
-                txn.abort()
-            raise
-        self.summary.record("new_order")
-        return {
-            "o_id": order_id,
-            "warehouse": params.warehouse,
-            "district": params.district,
-            "customer": params.customer,
-        }
+        return drain(self._transaction(TransactionType.NEW_ORDER, params))
 
     def payment(self, *, params: PaymentParams | None = None) -> dict:
         """Process a payment; returns {customer, amount}."""
-        if params is None:
-            params = self._inputs.payment()
-            amount = float(self._rng.uniform(1.0, 5000.0))
-        else:
-            amount = params.amount
-        txn = self._db.begin("payment")
-        try:
-            warehouse = txn.select("warehouse", (params.warehouse,))
-            district = txn.select("district", (params.warehouse, params.district))
-            customer = self._locate_customer(
-                txn, params.customer_warehouse, params.customer_district
-            )
-            txn.update(
-                "warehouse",
-                (params.warehouse,),
-                {"w_ytd": warehouse["w_ytd"] + amount},
-            )
-            txn.update(
-                "district",
-                (params.warehouse, params.district),
-                {"d_ytd": district["d_ytd"] + amount},
-            )
-            txn.update(
-                "customer",
-                (customer["c_w_id"], customer["c_d_id"], customer["c_id"]),
-                lambda row: {
-                    **row,
-                    "c_balance": row["c_balance"] - amount,
-                    "c_ytd_payment": row["c_ytd_payment"] + amount,
-                    "c_payment_cnt": row["c_payment_cnt"] + 1,
-                },
-            )
-            h_id = self._history_next
-            self._history_next += self._history_stride
-            txn.insert(
-                "history",
-                {
-                    "h_id": h_id,
-                    "h_c_id": customer["c_id"],
-                    "h_c_d_id": customer["c_d_id"],
-                    "h_c_w_id": customer["c_w_id"],
-                    "h_d_id": params.district,
-                    "h_w_id": params.warehouse,
-                    "h_date": 0,
-                    "h_amount": amount,
-                    "h_data": "payment",
-                },
-            )
-            txn.commit()
-        except BaseException:
-            if txn.is_active:
-                txn.abort()
-            raise
-        self.summary.record("payment")
-        return {"customer": customer["c_id"], "amount": amount}
+        return drain(self._transaction(TransactionType.PAYMENT, params))
 
     def order_status(self, *, params: OrderStatusParams | None = None) -> dict | None:
         """Report a customer's last order; returns its line count or None."""
-        if params is None:
-            warehouse = self._inputs.uniform_warehouse()
-            district = self._inputs.uniform_district()
-        else:
-            warehouse = params.warehouse
-            district = params.district
-        txn = self._db.begin("order_status")
-        try:
-            customer = self._locate_customer(txn, warehouse, district)
-            order = txn.select_max(
-                "order", "by_customer", (warehouse, district, customer["c_id"])
-            )
-            lines = []
-            if order is not None:
-                lines = list(
-                    txn.range_select(
-                        "order_line",
-                        "by_order",
-                        (warehouse, district, order["o_id"]),
-                        (warehouse, district, order["o_id"], 32_767),
-                    )
-                )
-            txn.commit()
-        except BaseException:
-            if txn.is_active:
-                txn.abort()
-            raise
-        self.summary.record("order_status")
-        if order is None:
-            return None
-        return {"o_id": order["o_id"], "lines": len(lines)}
+        return drain(self._transaction(TransactionType.ORDER_STATUS, params))
 
     def delivery(self, *, params: DeliveryParams | None = None) -> dict:
         """Deliver the oldest pending order of each district.
@@ -581,6 +433,190 @@ class TpccExecutor:
         carrier id for the whole transaction, as a real terminal's
         input screen would.
         """
+        return drain(self._transaction(TransactionType.DELIVERY, params))
+
+    def stock_level(self, *, params: StockLevelParams | None = None) -> dict:
+        """Count low-stock items among the district's last 20 orders."""
+        return drain(self._transaction(TransactionType.STOCK_LEVEL, params))
+
+    def _transaction(self, tx: TransactionType, params: object) -> Steps:
+        """Run one profile in a transaction: commit on return, abort on raise.
+
+        A statement that fails has still been executed and priced, so
+        the handler suspends once — the driver serves that statement —
+        before the abort starts.
+        """
+        txn = self._db.begin(tx.value)
+        try:
+            result = yield from self._profiles[tx](self, txn, params)
+            if not txn.is_active:  # the profile rolled back on purpose
+                return result
+            yield txn.commit()
+        except Exception:
+            yield
+            if txn.is_active:
+                yield txn.abort()
+            raise
+        finally:
+            # Still active: the sequence was closed while suspended (or
+            # interrupted) and cannot suspend again, so it rolls back on
+            # the spot; an abandoned transaction never keeps its locks.
+            if txn.is_active:
+                txn.abort()
+        self.summary.record(tx.value)
+        return result
+
+    def _new_order(self, txn: Transaction, params: NewOrderParams | None) -> Steps:
+        if params is None:
+            params = self._inputs.new_order()
+        yield txn.select("warehouse", (params.warehouse,))
+        district = yield txn.select("district", (params.warehouse, params.district))
+        order_id = district["d_next_o_id"]
+        yield txn.update(
+            "district",
+            (params.warehouse, params.district),
+            {"d_next_o_id": order_id + 1},
+        )
+        yield txn.select(
+            "customer", (params.warehouse, params.district, params.customer)
+        )
+        yield txn.insert(
+            "order",
+            {
+                "o_w_id": params.warehouse,
+                "o_d_id": params.district,
+                "o_id": order_id,
+                "o_c_id": params.customer,
+                "o_carrier_id": 0,
+                "o_ol_cnt": len(params.lines),
+                "o_entry_d": 0,
+            },
+        )
+        yield txn.insert(
+            "new_order",
+            {
+                "no_w_id": params.warehouse,
+                "no_d_id": params.district,
+                "no_o_id": order_id,
+            },
+        )
+        for number, line in enumerate(params.lines, start=1):
+            item = yield txn.select("item", (line.item_id,))
+            stock = yield txn.select("stock", (line.supply_warehouse, line.item_id))
+            quantity = stock["s_quantity"]
+            new_quantity = (
+                quantity - line.quantity
+                if quantity - line.quantity >= 10
+                else quantity - line.quantity + 91
+            )
+            yield txn.update(
+                "stock",
+                (line.supply_warehouse, line.item_id),
+                {
+                    "s_quantity": new_quantity,
+                    "s_ytd": stock["s_ytd"] + line.quantity,
+                    "s_order_cnt": stock["s_order_cnt"] + 1,
+                    "s_remote_cnt": stock["s_remote_cnt"]
+                    + (line.supply_warehouse != params.warehouse),
+                },
+            )
+            yield txn.insert(
+                "order_line",
+                {
+                    "ol_w_id": params.warehouse,
+                    "ol_d_id": params.district,
+                    "ol_o_id": order_id,
+                    "ol_number": number,
+                    "ol_i_id": line.item_id,
+                    "ol_supply_w_id": line.supply_warehouse,
+                    "ol_quantity": line.quantity,
+                    "ol_delivery_d": 0,
+                    "ol_amount": float(item["i_price"]) * line.quantity,
+                    "ol_dist_info": f"dist-{params.district:02d}",
+                },
+            )
+        if self._rng.random() < self._rollback_probability:
+            yield txn.abort()
+            self.summary.rolled_back += 1
+            return None
+        return {
+            "o_id": order_id,
+            "warehouse": params.warehouse,
+            "district": params.district,
+            "customer": params.customer,
+        }
+
+    def _payment(self, txn: Transaction, params: PaymentParams | None) -> Steps:
+        if params is None:
+            params = self._inputs.payment()
+            amount = float(self._rng.uniform(1.0, 5000.0))
+        else:
+            amount = params.amount
+        warehouse = yield txn.select("warehouse", (params.warehouse,))
+        district = yield txn.select("district", (params.warehouse, params.district))
+        customer = yield from self._locate_customer(
+            txn, params.customer_warehouse, params.customer_district
+        )
+        yield txn.update(
+            "warehouse",
+            (params.warehouse,),
+            {"w_ytd": warehouse["w_ytd"] + amount},
+        )
+        yield txn.update(
+            "district",
+            (params.warehouse, params.district),
+            {"d_ytd": district["d_ytd"] + amount},
+        )
+        yield txn.update(
+            "customer",
+            (customer["c_w_id"], customer["c_d_id"], customer["c_id"]),
+            lambda row: {
+                **row,
+                "c_balance": row["c_balance"] - amount,
+                "c_ytd_payment": row["c_ytd_payment"] + amount,
+                "c_payment_cnt": row["c_payment_cnt"] + 1,
+            },
+        )
+        h_id = self._history_next
+        self._history_next += self._history_stride
+        yield txn.insert(
+            "history",
+            {
+                "h_id": h_id,
+                "h_c_id": customer["c_id"],
+                "h_c_d_id": customer["c_d_id"],
+                "h_c_w_id": customer["c_w_id"],
+                "h_d_id": params.district,
+                "h_w_id": params.warehouse,
+                "h_date": 0,
+                "h_amount": amount,
+                "h_data": "payment",
+            },
+        )
+        return {"customer": customer["c_id"], "amount": amount}
+
+    def _order_status(self, txn: Transaction, params: OrderStatusParams | None) -> Steps:
+        if params is None:
+            warehouse = self._inputs.uniform_warehouse()
+            district = self._inputs.uniform_district()
+        else:
+            warehouse = params.warehouse
+            district = params.district
+        customer = yield from self._locate_customer(txn, warehouse, district)
+        order = yield txn.select_max(
+            "order", "by_customer", (warehouse, district, customer["c_id"])
+        )
+        if order is None:
+            return None
+        lines = yield txn.range_select(
+            "order_line",
+            "by_order",
+            (warehouse, district, order["o_id"]),
+            (warehouse, district, order["o_id"], 32_767),
+        )
+        return {"o_id": order["o_id"], "lines": len(lines)}
+
+    def _delivery(self, txn: Transaction, params: DeliveryParams | None) -> Steps:
         if params is None:
             warehouse = self._inputs.uniform_warehouse()
             carrier_id: int | None = None
@@ -588,66 +624,55 @@ class TpccExecutor:
             warehouse = params.warehouse
             carrier_id = params.carrier_id
         delivered = 0
-        txn = self._db.begin("delivery")
-        try:
-            for district in range(1, self._config.districts + 1):
-                pending = txn.select_min(
-                    "new_order", "by_district", (warehouse, district)
-                )
-                if pending is None:
-                    self.summary.skipped_deliveries += 1
-                    continue
-                order_id = pending["no_o_id"]
-                txn.delete("new_order", (warehouse, district, order_id))
-                order = txn.select("order", (warehouse, district, order_id))
-                txn.update(
-                    "order",
-                    (warehouse, district, order_id),
-                    {
-                        "o_carrier_id": (
-                            int(self._rng.integers(1, 11))
-                            if carrier_id is None
-                            else carrier_id
-                        )
-                    },
-                )
-                total = 0.0
-                lines = list(
-                    txn.range_select(
-                        "order_line",
-                        "by_order",
-                        (warehouse, district, order_id),
-                        (warehouse, district, order_id, 32_767),
+        for district in range(1, self._config.districts + 1):
+            pending = yield txn.select_min(
+                "new_order", "by_district", (warehouse, district)
+            )
+            if pending is None:
+                self.summary.skipped_deliveries += 1
+                continue
+            order_id = pending["no_o_id"]
+            yield txn.delete("new_order", (warehouse, district, order_id))
+            order = yield txn.select("order", (warehouse, district, order_id))
+            yield txn.update(
+                "order",
+                (warehouse, district, order_id),
+                {
+                    "o_carrier_id": (
+                        int(self._rng.integers(1, 11))
+                        if carrier_id is None
+                        else carrier_id
                     )
+                },
+            )
+            total = 0.0
+            lines = yield txn.range_select(
+                "order_line",
+                "by_order",
+                (warehouse, district, order_id),
+                (warehouse, district, order_id, 32_767),
+            )
+            for line in lines:
+                total += line["ol_amount"]
+                yield txn.update(
+                    "order_line",
+                    (warehouse, district, order_id, line["ol_number"]),
+                    {"ol_delivery_d": 1},
                 )
-                for line in lines:
-                    total += line["ol_amount"]
-                    txn.update(
-                        "order_line",
-                        (warehouse, district, order_id, line["ol_number"]),
-                        {"ol_delivery_d": 1},
-                    )
-                txn.select("customer", (warehouse, district, order["o_c_id"]))
-                txn.update(
-                    "customer",
-                    (warehouse, district, order["o_c_id"]),
-                    lambda row, total=total: {
-                        **row,
-                        "c_balance": row["c_balance"] + total,
-                        "c_delivery_cnt": row["c_delivery_cnt"] + 1,
-                    },
-                )
-                delivered += 1
-            txn.commit()
-        except BaseException:
-            if txn.is_active:
-                txn.abort()
-            raise
-        self.summary.record("delivery")
+            yield txn.select("customer", (warehouse, district, order["o_c_id"]))
+            yield txn.update(
+                "customer",
+                (warehouse, district, order["o_c_id"]),
+                lambda row, total=total: {
+                    **row,
+                    "c_balance": row["c_balance"] + total,
+                    "c_delivery_cnt": row["c_delivery_cnt"] + 1,
+                },
+            )
+            delivered += 1
         return {"warehouse": warehouse, "delivered": delivered}
 
-    def stock_level(self, *, params: StockLevelParams | None = None) -> dict:
-        """Count low-stock items among the district's last 20 orders."""
+    def _stock_level(self, txn: Transaction, params: StockLevelParams | None) -> Steps:
         if params is None:
             warehouse = self._inputs.uniform_warehouse()
             district = self._inputs.uniform_district()
@@ -656,30 +681,32 @@ class TpccExecutor:
             warehouse = params.warehouse
             district = params.district
             threshold = params.threshold
-        txn = self._db.begin("stock_level")
-        try:
-            district_row = txn.select("district", (warehouse, district))
-            next_order = district_row["d_next_o_id"]
-            low = (warehouse, district, max(1, next_order - STOCK_LEVEL_ORDERS))
-            high = (warehouse, district, next_order - 1, 32_767)
-            txn.count_join()
-            seen: set[int] = set()
-            low_stock: set[int] = set()
-            for line in txn.range_select("order_line", "by_order", low, high):
-                item_id = line["ol_i_id"]
-                if item_id in seen:
-                    continue
-                seen.add(item_id)
-                stock = txn.select("stock", (warehouse, item_id))
-                if stock["s_quantity"] < threshold:
-                    low_stock.add(item_id)
-            txn.commit()
-        except BaseException:
-            if txn.is_active:
-                txn.abort()
-            raise
-        self.summary.record("stock_level")
+        district_row = yield txn.select("district", (warehouse, district))
+        next_order = district_row["d_next_o_id"]
+        low = (warehouse, district, max(1, next_order - STOCK_LEVEL_ORDERS))
+        high = (warehouse, district, next_order - 1, 32_767)
+        yield txn.count_join()
+        seen: set[int] = set()
+        low_stock: set[int] = set()
+        for line in (yield txn.range_select("order_line", "by_order", low, high)):
+            item_id = line["ol_i_id"]
+            if item_id in seen:
+                continue
+            seen.add(item_id)
+            stock = yield txn.select("stock", (warehouse, item_id))
+            if stock["s_quantity"] < threshold:
+                low_stock.add(item_id)
         return {"low_stock": len(low_stock), "threshold": threshold}
+
+    #: The profile of each transaction type (plain functions: an
+    #: executor holding its own bound methods would be cyclic garbage).
+    _profiles: dict[TransactionType, Callable[..., Steps]] = {
+        TransactionType.NEW_ORDER: _new_order,
+        TransactionType.PAYMENT: _payment,
+        TransactionType.ORDER_STATUS: _order_status,
+        TransactionType.DELIVERY: _delivery,
+        TransactionType.STOCK_LEVEL: _stock_level,
+    }
 
     # -- driver ---------------------------------------------------------------------
 
@@ -713,20 +740,9 @@ class TpccExecutor:
                 mix = cast(TransactionMix, args[1])
         if transactions is None:
             raise TypeError("run_mix() missing required argument: 'transactions'")
-        dispatch = self._dispatch()
         for _ in range(transactions):
-            tx_type = mix.sample(self._rng)
-            self._run_with_retry(tx_type.value, dispatch[tx_type])
+            drain(self._retrying(mix.sample(self._rng), None))
         return self.summary
-
-    def _dispatch(self) -> dict[TransactionType, Callable[..., object]]:
-        return {
-            TransactionType.NEW_ORDER: self.new_order,
-            TransactionType.PAYMENT: self.payment,
-            TransactionType.ORDER_STATUS: self.order_status,
-            TransactionType.DELIVERY: self.delivery,
-            TransactionType.STOCK_LEVEL: self.stock_level,
-        }
 
     def prepare(self, *, mix: TransactionMix = DEFAULT_MIX) -> PreparedTransaction:
         """Draw one terminal input (type + parameters) off the hot path.
@@ -759,27 +775,32 @@ class TpccExecutor:
 
     def execute_prepared(self, prepared: PreparedTransaction) -> object:
         """Run one prepared transaction under the retry policy."""
-        method = self._dispatch()[prepared.tx]
-        return self._run_with_retry(
-            prepared.tx.value, lambda: method(params=prepared.params)
-        )
+        return drain(self.prepared_steps(prepared))
 
-    def _run_with_retry(self, tx_name: str, work: Callable[[], object]) -> object:
+    def prepared_steps(self, prepared: PreparedTransaction) -> Steps:
+        """The statement sequence :meth:`execute_prepared` drains."""
+        return self._retrying(prepared.tx, prepared.params)
+
+    def _retrying(self, tx: TransactionType, params: object) -> Steps:
         """Run one transaction, retrying transient failures with backoff.
 
-        The transaction methods roll themselves back before re-raising,
-        so each retry starts from a clean slate (with freshly drawn
-        inputs — the benchmark client would likewise submit a new
-        request).  Every attempt runs inside the fault injector's
-        terminal/tx-type scope, so driver-aware fault rules can target
-        this terminal or transaction type.  With a shared
-        :class:`CircuitBreaker` installed, transient failures feed its
-        window and retries are short-circuited while it is open — the
-        transaction gives up at once instead of joining a retry storm.
+        A failed attempt has rolled itself back before re-raising, so
+        each retry starts from a clean slate (with freshly drawn inputs
+        when ``params`` is None — the benchmark client would likewise
+        submit a new request).  Every attempt runs
+        inside the fault injector's terminal/tx-type scope, so
+        driver-aware fault rules can target this terminal or
+        transaction type.  With a shared :class:`CircuitBreaker`
+        installed, transient failures feed its window and retries are
+        short-circuited while it is open — the transaction gives up at
+        once instead of joining a retry storm.  The back-off sleep is
+        one more suspension: the driver's sleep records a virtual delay
+        and returns at once, ``time.sleep`` has slept by then.
         """
+        tx_name = tx.value
         timing = instruments.TX_SECONDS.enabled
         injector = self._db.injector
-        attempt = 0
+        attempts = 0
         while True:
             try:
                 start = _WALL.wall_time() if timing else None
@@ -789,7 +810,7 @@ class TpccExecutor:
                     else nullcontext()
                 )
                 with scope:
-                    result = work()
+                    result = yield from self._transaction(tx, params)
                 if start is not None:
                     instruments.TX_SECONDS.observe(
                         _WALL.wall_time() - start, tx=tx_name
@@ -800,10 +821,10 @@ class TpccExecutor:
             except TRANSIENT_ERRORS:
                 self.summary.record_abort(tx_name)
                 instruments.TX_ABORTS.inc(tx=tx_name)
-                attempt += 1
+                attempts += 1
                 if self._breaker is not None:
                     self._breaker.record_failure(self._clock())
-                if attempt >= self._retry_policy.max_attempts:
+                if attempts >= self._retry_policy.max_attempts:
                     self.summary.gave_up += 1
                     raise
                 if self._breaker is not None and not self._breaker.allow(
@@ -814,13 +835,12 @@ class TpccExecutor:
                     raise
                 self.summary.retries += 1
                 instruments.TX_RETRIES.inc(tx=tx_name)
-                self._sleep(self._retry_policy.delay(attempt - 1, self._rng))
+                self._sleep(self._retry_policy.delay(attempts - 1, self._rng))
+                yield
 
     # -- helpers -----------------------------------------------------------------------
 
-    def _locate_customer(
-        self, txn: Transaction, warehouse: int, district: int
-    ) -> dict:
+    def _locate_customer(self, txn: Transaction, warehouse: int, district: int) -> Steps:
         """Select a customer by id (40%) or by last name (60%).
 
         The by-name path resolves all same-named customers through the
@@ -829,10 +849,10 @@ class TpccExecutor:
         """
         if self._rng.random() >= SELECT_BY_NAME_PROBABILITY:
             customer_id = self._inputs.customer_id()
-            return txn.select("customer", (warehouse, district, customer_id))
+            return (yield txn.select("customer", (warehouse, district, customer_id)))
         name_number = self._name_sampler.sample(self._rng)
         name = last_name(name_number)
-        matches = txn.select_by_index(
+        matches = yield txn.select_by_index(
             "customer", "by_name", (warehouse, district, name)
         )
         if not matches:

@@ -17,8 +17,6 @@ import pytest
 
 from repro.analysis.sanitizer import InvariantSanitizer
 from repro.driver import BenchmarkSpec, run_benchmark
-from repro.driver.runner import build_executors
-from repro.driver.scheduler import VirtualScheduler
 from repro.tpcc import TpccConfig, load_tpcc
 
 TERMINALS = int(os.environ.get("STRESS_TERMINALS", "64"))
@@ -87,33 +85,3 @@ def test_threads_stress_is_race_free():
             f"warehouse {warehouse}: a payment was lost or double-applied"
         )
 
-
-class TestVerifyAdmission:
-    def test_virtual_run_admission_is_causally_chained(self):
-        """The HB checker endorses the one-statement-at-a-time claim."""
-        spec = BenchmarkSpec(
-            terminals=4,
-            transactions=40,
-            scheduler="virtual",
-            verify_admission=True,
-            tpcc=CONFIG,
-        )
-        db = load_tpcc(CONFIG)
-        scheduler = VirtualScheduler(db, spec)
-        executors = build_executors(
-            db, spec, sleep=scheduler.gate.sleep, clock=lambda: scheduler.now
-        )
-        outcome = scheduler.run(executors)  # raises HBViolation on failure
-        assert outcome.completed == spec.transactions
-        assert scheduler.hb is not None
-        assert scheduler.hb.statements > 0
-        assert scheduler.hb.violations == []
-
-    def test_off_by_default(self):
-        db = load_tpcc(CONFIG)
-        scheduler = VirtualScheduler(db, BenchmarkSpec(transactions=10))
-        assert scheduler.hb is None
-
-    def test_requires_virtual_scheduler(self):
-        with pytest.raises(ValueError, match="verify_admission"):
-            BenchmarkSpec(scheduler="threads", verify_admission=True)

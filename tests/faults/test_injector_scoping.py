@@ -1,14 +1,17 @@
 """Driver-aware injector semantics: scopes, clocks, thread safety.
 
 Rules can now be scoped to terminals, transaction types and a start
-time; the scope an operation runs under is declared per thread via
-``scoped()``, and all trigger bookkeeping is mutex-protected so
-``at_ops`` / ``every`` / ``max_fires`` hold exactly under the worker
-pool.  Crucially, out-of-scope operations skip a rule *before* any
-probability draw, so narrowing a scope never perturbs the seeded
-stream of the operations that stay in scope.
+time; the scope an operation runs under is declared per context via
+``scoped()`` (a thread, or one statement sequence the virtual scheduler
+resumes inside its own ``contextvars.Context``), and all trigger
+bookkeeping is mutex-protected so ``at_ops`` / ``every`` /
+``max_fires`` hold exactly under the worker pool.  Crucially,
+out-of-scope operations skip a rule *before* any probability draw, so
+narrowing a scope never perturbs the seeded stream of the operations
+that stay in scope.
 """
 
+import contextvars
 import threading
 
 import pytest
@@ -105,6 +108,89 @@ class TestScoping:
 
         with pytest.raises(DeadlockError):
             injector.check("lock.acquire")
+
+
+def _interleave(*sequences):
+    """Resume generators round-robin, each inside a context of its own."""
+    live = [(contextvars.copy_context(), sequence) for sequence in sequences]
+    while live:
+        for entry in list(live):
+            context, sequence = entry
+            try:
+                context.run(next, sequence)
+            except StopIteration:
+                live.remove(entry)
+
+
+class TestInterleavedSequences:
+    """One thread, many suspended attempts: the virtual scheduler's shape."""
+
+    @staticmethod
+    def _attempt(injector, fired, operations=5, **scope):
+        with injector.scoped(**scope):
+            for _ in range(operations):
+                fired.append(injector.fire(SITE) is not None)
+                yield
+
+    def test_each_sequence_sees_only_its_own_scope(self):
+        injector = injector_for(
+            FaultRule(
+                FaultKind.WAL_APPEND, every=1, terminals=(1,), tx_types=("payment",)
+            )
+        )
+        matching, other_terminal, other_type = [], [], []
+        _interleave(
+            self._attempt(injector, matching, terminal=1, tx_type="payment"),
+            self._attempt(injector, other_terminal, terminal=2, tx_type="payment"),
+            self._attempt(injector, other_type, terminal=1, tx_type="delivery"),
+        )
+        assert matching == [True] * 5
+        assert other_terminal == [False] * 5
+        assert other_type == [False] * 5
+        assert injector.fire(SITE) is None  # nothing leaked into the caller
+
+    def test_narrowing_never_shifts_the_draw_stream_when_interleaved(self):
+        def pattern(noise_sequences):
+            injector = injector_for(
+                FaultRule(FaultKind.WAL_APPEND, probability=0.3, terminals=(9,)),
+                seed=123,
+            )
+            fired = []
+            _interleave(
+                self._attempt(injector, fired, operations=40, terminal=9),
+                *[
+                    self._attempt(injector, [], operations=40, terminal=terminal)
+                    for terminal in range(noise_sequences)
+                ],
+            )
+            return fired
+
+        assert pattern(noise_sequences=0) == pattern(noise_sequences=6)
+
+    def test_threads_still_do_not_see_each_others_scope(self):
+        injector = injector_for(FaultRule(FaultKind.WAL_APPEND, every=1, terminals=(1,)))
+        inside = threading.Event()
+        release = threading.Event()
+        seen = {}
+
+        def scoped():
+            with injector.scoped(terminal=1):
+                inside.set()
+                release.wait(timeout=5)
+                seen["scoped"] = injector.fire(SITE) is not None
+
+        def unscoped():
+            inside.wait(timeout=5)
+            seen["unscoped"] = injector.fire(SITE) is not None
+            release.set()
+
+        threads = [threading.Thread(target=scoped), threading.Thread(target=unscoped)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == {"scoped": True, "unscoped": False}
 
 
 class TestThreadSafety:
