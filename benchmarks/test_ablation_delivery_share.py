@@ -25,10 +25,8 @@ def run_backlog_study():
     backlog = {}
     for label, mix in mixes.items():
         trace = TraceGenerator(TraceConfig(warehouses=2, mix=mix, seed=47))
-        stream = trace.stream(format="objects")
         start = trace.state.pending_count()
-        for _ in range(4000):
-            next(stream)
+        trace.encoded_batch(transactions=4000)
         end = trace.state.pending_count()
         backlog[label] = end - start
         rows.append(

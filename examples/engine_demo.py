@@ -49,9 +49,9 @@ def main() -> None:
     sizes = {name: db.table(name).row_count for name in db.table_names()}
     print(render_table([{"table": k, "rows": v} for k, v in sizes.items()]))
 
-    executor = TpccExecutor(db, config, seed=args.seed)
+    executor = TpccExecutor(db=db, config=config, seed=args.seed)
     print(f"\nrunning {args.transactions} transactions ...")
-    summary = executor.run_mix(args.transactions)
+    summary = executor.run_mix(transactions=args.transactions)
 
     census_rows = []
     for label, executed in sorted(summary.executed.items()):

@@ -101,7 +101,6 @@ def build_config(scale: str, probability: float) -> DistributedSimConfig:
         ),
         transactions_per_node=params["transactions_per_node"],
         warmup_transactions_per_node=params["warmup_transactions_per_node"],
-        kernel="array",
         # Group nodes into jobs-sized shard units: per-unit dispatch
         # overhead amortizes over the group while the runner's back-fill
         # keeps the cache per-node (fingerprint-invariant to this knob).
@@ -110,7 +109,7 @@ def build_config(scale: str, probability: float) -> DistributedSimConfig:
 
 
 def reports_match(a, b) -> bool:
-    """Bit-identity modulo the layout config fields (kernel/shards)."""
+    """Bit-identity modulo the layout config field (shards)."""
     return dataclasses.replace(a, config=b.config) == b
 
 

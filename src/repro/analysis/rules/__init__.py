@@ -16,7 +16,6 @@ from repro.analysis.rules import (
     rep007_lock_order,
     rep008_guarded_by,
     rep009_blocking_hold,
-    rep010_deprecated_trace_api,
 )
 from repro.analysis.rules.base import REGISTRY, ProjectContext, ProjectRule, Rule
 
@@ -32,7 +31,6 @@ RULE_MODULES = (
     rep007_lock_order,
     rep008_guarded_by,
     rep009_blocking_hold,
-    rep010_deprecated_trace_api,
 )
 
 

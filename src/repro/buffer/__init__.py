@@ -6,11 +6,11 @@ hit statistics, the trace-driven miss-rate simulation with batch-means
 confidence intervals, and an analytic LRU approximation for
 cross-checking.
 
-Two interchangeable simulator implementations are provided: the
-reference object pool (:class:`SimulatedBufferPool` + a policy object)
-and the dense array kernels of :mod:`repro.buffer.kernels`
-(:func:`make_kernel`), selected per run via ``SimulationConfig.kernel``.
-They are bit-identical; the array path is several times faster.
+The simulation runs on the dense array kernels of
+:mod:`repro.buffer.kernels` (:func:`make_kernel`).  The object pool
+(:class:`SimulatedBufferPool` + a policy object) is the reference the
+parity suites hold the kernels to, reference by reference; the engine's
+buffer manager uses the same policy objects.
 """
 
 from repro.buffer.analytic import che_characteristic_time, che_miss_rates
@@ -18,7 +18,6 @@ from repro.buffer.kernels import (
     ARRAY_KERNEL_POLICIES,
     ArrayKernel,
     make_kernel,
-    supports_array_kernel,
 )
 from repro.buffer.policy import (
     ClockPolicy,
@@ -58,5 +57,4 @@ __all__ = [
     "che_miss_rates",
     "make_kernel",
     "make_policy",
-    "supports_array_kernel",
 ]

@@ -1257,8 +1257,7 @@ KERNEL_FACTORIES: dict[
     ),
 }
 
-#: Policies the array kernel supports (``kernel="auto"`` picks the
-#: array path exactly for these).
+#: The replacement policies a simulation config may name.
 ARRAY_KERNEL_POLICIES = tuple(sorted(KERNEL_FACTORIES))
 
 
@@ -1276,9 +1275,18 @@ def relation_miss_rates(
     }
 
 
-def supports_array_kernel(policy: str) -> bool:
-    """Whether ``policy`` has an array-kernel implementation."""
-    return policy in KERNEL_FACTORIES
+def require_kernel_policy(policy: str) -> None:
+    """Raise ``ValueError`` unless ``policy`` names an array kernel.
+
+    Names are exact (lower-case).  Simulation configs call this at
+    construction, so a bad name fails where it was written rather than
+    inside a worker process.
+    """
+    if policy not in KERNEL_FACTORIES:
+        raise ValueError(
+            f"no array kernel for policy {policy!r}; available: "
+            f"{ARRAY_KERNEL_POLICIES}"
+        )
 
 
 def make_kernel(
@@ -1288,14 +1296,8 @@ def make_kernel(
 
     Raises ``ValueError`` for unknown policy names.
     """
-    try:
-        factory = KERNEL_FACTORIES[policy]
-    except KeyError:
-        raise ValueError(
-            f"no array kernel for policy {policy!r}; available: "
-            f"{ARRAY_KERNEL_POLICIES}"
-        ) from None
-    return factory(capacity, space, transaction_types)
+    require_kernel_policy(policy)
+    return KERNEL_FACTORIES[policy](capacity, space, transaction_types)
 
 
 __all__ = [
@@ -1312,5 +1314,5 @@ __all__ = [
     "TwoQArrayKernel",
     "make_kernel",
     "relation_miss_rates",
-    "supports_array_kernel",
+    "require_kernel_policy",
 ]

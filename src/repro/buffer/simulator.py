@@ -19,23 +19,15 @@ from dataclasses import dataclass, field, replace as _dataclass_replace
 
 from repro.buffer.kernels import (
     TX_STRIDE_SHIFT,
-    ArrayKernel,
     make_kernel,
-    supports_array_kernel,
+    require_kernel_policy,
 )
-from repro.buffer.policy import make_policy
-from repro.buffer.pool import SimulatedBufferPool
 from repro.constants import DEFAULT_PAGE_SIZE
-from repro.errors import InvariantViolationError
 from repro.obs import instruments
 from repro.obs.tracing import get_tracer
 from repro.stats.batch_means import BatchMeans, BatchMeansSummary
 from repro.workload.mix import TRANSACTION_ORDER, TransactionType
 from repro.workload.trace import RELATION_NAMES, TraceConfig, TraceGenerator
-
-#: Valid kernel selections: ``auto`` picks the array fast path whenever
-#: the policy has one and falls back to the object pool otherwise.
-KERNEL_KINDS = ("auto", "array", "object")
 
 
 def pages_for_megabytes(megabytes: float, page_size: int = DEFAULT_PAGE_SIZE) -> int:
@@ -54,15 +46,9 @@ class SimulationConfig:
     ``warmup_references`` defaults to enough references to fill and
     churn the buffer (four times its capacity, at least one batch).
     Derive sweep points from a base config with :meth:`replace` instead
-    of re-spelling every field.
-
-    ``kernel`` selects the simulator implementation: ``"array"`` runs
-    the dense int kernels of :mod:`repro.buffer.kernels`, ``"object"``
-    the reference object pool, and ``"auto"`` (default) the array path
-    whenever the policy has one.  Both produce bit-identical reports,
-    so the field is excluded from cache fingerprints (the
-    ``cache_fingerprint`` metadata below) — results cached under one
-    kernel are valid for the other.
+    of re-spelling every field.  ``policy`` names one of the array
+    kernels of :mod:`repro.buffer.kernels`
+    (:data:`~repro.buffer.kernels.ARRAY_KERNEL_POLICIES`).
     """
 
     trace: TraceConfig = field(default_factory=TraceConfig)
@@ -72,22 +58,13 @@ class SimulationConfig:
     batch_size: int = 100_000
     warmup_references: int | None = None
     confidence: float = 0.90
-    kernel: str = field(default="auto", metadata={"cache_fingerprint": False})
 
     def __post_init__(self) -> None:
         if self.batches < 2:
             raise ValueError(f"need at least 2 batches, got {self.batches}")
         if self.batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        if self.kernel not in KERNEL_KINDS:
-            raise ValueError(
-                f"kernel must be one of {KERNEL_KINDS}, got {self.kernel!r}"
-            )
-        if self.kernel == "array" and not supports_array_kernel(self.policy):
-            raise ValueError(
-                f"policy {self.policy!r} has no array kernel; "
-                f"use kernel='object' or 'auto'"
-            )
+        require_kernel_policy(self.policy)
 
     def replace(self, **overrides) -> "SimulationConfig":
         """A copy with the given fields replaced (validation re-runs).
@@ -114,13 +91,6 @@ class SimulationConfig:
         if self.warmup_references is not None:
             return self.warmup_references
         return max(self.batch_size, 4 * self.buffer_pages)
-
-    @property
-    def resolved_kernel(self) -> str:
-        """The implementation that will actually run: array or object."""
-        if self.kernel != "auto":
-            return self.kernel
-        return "array" if supports_array_kernel(self.policy) else "object"
 
 
 @dataclass(frozen=True)
@@ -200,8 +170,8 @@ class MissRateReport:
 class _MeasurementState:
     """A warmed-up simulation that can run batches incrementally.
 
-    Owns the trace, the replacement-policy state (array kernel or
-    object pool), and all accounting.  ``run_batches`` extends the
+    Owns the trace, the replacement-policy state (an array kernel), and
+    all accounting.  ``run_batches`` extends the
     measurement without restarting anything, so
     :meth:`BufferSimulation.run_until_precise` only pays for the
     *additional* batches on each doubling — and because the trace
@@ -210,7 +180,7 @@ class _MeasurementState:
 
     Per-``(transaction, relation)`` tallies live in flat stride-16
     lists indexed by ``(tx_index << TX_STRIDE_SHIFT) + relation``
-    (no per-reference dict lookups on either path).
+    (no per-reference dict lookups).
     """
 
     def __init__(self, config: SimulationConfig):
@@ -218,26 +188,13 @@ class _MeasurementState:
         self._trace = TraceGenerator(config.trace)
         self._n_relations = len(RELATION_NAMES)
         self._tx_names = tuple(tx_type.value for tx_type in TRANSACTION_ORDER)
-        self._kernel: ArrayKernel | None = None
-        self._pool: SimulatedBufferPool | None = None
-        if config.resolved_kernel == "array":
-            self._kernel = make_kernel(
-                config.policy,
-                config.buffer_pages,
-                self._trace.page_id_space,
-                len(TRANSACTION_ORDER),
-            )
-        else:
-            self._pool = SimulatedBufferPool(
-                make_policy(config.policy, config.buffer_pages)
-            )
-        stride = len(self._tx_names) << TX_STRIDE_SHIFT
-        self._tx_accesses = [0] * stride
-        self._tx_misses = [0] * stride
-        self._tx_base_of = {
-            tx_type: index << TX_STRIDE_SHIFT
-            for index, tx_type in enumerate(TRANSACTION_ORDER)
-        }
+        self._kernel = make_kernel(
+            config.policy,
+            config.buffer_pages,
+            self._trace.page_id_space,
+            len(TRANSACTION_ORDER),
+        )
+        self._tx_accesses = [0] * (len(self._tx_names) << TX_STRIDE_SHIFT)
         self._total_accesses = [0] * self._n_relations
         self._total_misses = [0] * self._n_relations
         self._batch_stats = [
@@ -248,48 +205,22 @@ class _MeasurementState:
         self.batches_run = 0
         self._warm_up()
 
-    def _require_pool(self) -> SimulatedBufferPool:
-        """The object pool (the constructor builds exactly one backend)."""
-        pool = self._pool
-        if pool is None:
-            raise InvariantViolationError(
-                "object simulator path entered without a pool"
-            )
-        return pool
-
     def _warm_up(self) -> None:
         """Run references through the buffer until the warmup is spent."""
-        trace = self._trace
-        target = self._config.effective_warmup
-        kernel = self._kernel
-        if kernel is not None:
-            kernel.process_batch(trace.encoded_batch(min_refs=target))
-            kernel.reset_counters()
-        else:
-            pool = self._require_pool()
-            access = pool.access
-            seen = 0
-            while seen < target:
-                _, refs = trace._transaction()
-                for relation, page, write in refs:
-                    access(relation, page, write)
-                seen += len(refs)
-            pool.reset_stats()
+        self._kernel.process_batch(
+            self._trace.encoded_batch(min_refs=self._config.effective_warmup)
+        )
+        self._kernel.reset_counters()
 
     def run_batches(self, count: int) -> None:
         """Measure ``count`` additional batches."""
-        kernel = self._kernel
-        if kernel is not None:
-            for _ in range(count):
-                self._run_batch_array(kernel)
-        else:
-            pool = self._require_pool()
-            for _ in range(count):
-                self._run_batch_object(pool)
+        for _ in range(count):
+            self._run_batch()
         self.batches_run += count
 
-    def _run_batch_array(self, kernel: ArrayKernel) -> None:
+    def _run_batch(self) -> None:
         trace = self._trace
+        kernel = self._kernel
         kernel.begin_batch()
         batch = trace.encoded_batch(min_refs=self._config.batch_size)
         sim_transactions = instruments.SIM_TRANSACTIONS
@@ -322,37 +253,6 @@ class _MeasurementState:
         self._fold_batch(
             accesses.sum(axis=0).tolist(), kernel.batch_misses
         )
-
-    def _run_batch_object(self, pool: SimulatedBufferPool) -> None:
-        trace = self._trace
-        batch_size = self._config.batch_size
-        n_relations = self._n_relations
-        batch_accesses = [0] * n_relations
-        batch_misses = [0] * n_relations
-        tx_accesses = self._tx_accesses
-        tx_misses = self._tx_misses
-        tx_base_of = self._tx_base_of
-        access = pool.access
-        references = 0
-        transactions = 0
-        while references < batch_size:
-            tx_type, refs = trace._transaction()
-            transactions += 1
-            tx_name = tx_type.value
-            instruments.SIM_TRANSACTIONS.inc(tx=tx_name)
-            instruments.SIM_TX_REFS.observe(len(refs), tx=tx_name)
-            base = tx_base_of[tx_type]
-            for relation, page, write in refs:
-                hit = access(relation, page, write)
-                batch_accesses[relation] += 1
-                tx_accesses[base + relation] += 1
-                if not hit:
-                    batch_misses[relation] += 1
-                    tx_misses[base + relation] += 1
-            references += len(refs)
-        self._total_references += references
-        self._total_transactions += transactions
-        self._fold_batch(batch_accesses, batch_misses)
 
     def _fold_batch(
         self, batch_accesses: list[int], batch_misses: list[int]
@@ -395,8 +295,7 @@ class _MeasurementState:
                 summary=summary,
             )
 
-        kernel = self._kernel
-        tx_misses = kernel.tx_misses if kernel is not None else self._tx_misses
+        tx_misses = self._kernel.tx_misses
         tx_accesses = self._tx_accesses
         by_transaction = {}
         for tx_index, tx_name in enumerate(self._tx_names):
@@ -408,11 +307,7 @@ class _MeasurementState:
                         tx_misses[base + relation] / accesses
                     )
 
-        if kernel is not None:
-            evictions = kernel.evictions_by_relation()
-        else:
-            evictions = self._require_pool().stats.evictions
-        self._fold_counters(config, evictions)
+        self._fold_counters(config, self._kernel.evictions_by_relation())
         return MissRateReport(
             config=config,
             relations=relations,

@@ -141,14 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="cProfile each work unit; top hotspots land in the manifest",
         )
         subparser.add_argument(
-            "--kernel",
-            choices=["auto", "array", "object"],
-            default="auto",
-            help="buffer-simulator implementation: dense array kernels, "
-            "the reference object pool, or auto (array when the policy "
-            "has one); results are bit-identical either way",
-        )
-        subparser.add_argument(
             "--shards",
             type=int,
             default=None,
@@ -385,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_format_argument(bench)
 
     lint = commands.add_parser(
-        "lint", help="run the reprolint static-analysis rules (REP001..REP010)"
+        "lint", help="run the reprolint static-analysis rules (REP001..REP009)"
     )
     lint.add_argument(
         "paths",
@@ -465,7 +457,6 @@ def _request_from_args(args, experiment: str):
         collect_metrics=args.metrics is not None,
         trace_path=args.trace,
         profile=args.profile,
-        kernel=args.kernel,
         shards=args.shards,
     )
 

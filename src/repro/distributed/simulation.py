@@ -41,9 +41,7 @@ shared state:
   trace streams, so the injected accesses never perturb the trace.
 
 The routed, spliced array is what the buffer sees: one
-``process_batch`` call per window on an array kernel, or — as the
-parity oracle — the same array one access at a time through the
-object pool.
+``process_batch`` call per window on an array kernel.
 
 The two ends use independently seeded per-node generators, so the
 cluster-wide totals agree in distribution with a shared-RNG
@@ -58,14 +56,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.buffer.kernels import (
-    ArrayKernel,
     make_kernel,
     relation_miss_rates,
-    supports_array_kernel,
+    require_kernel_policy,
 )
-from repro.buffer.policy import make_policy
-from repro.buffer.pool import SimulatedBufferPool
-from repro.buffer.simulator import KERNEL_KINDS, pages_for_megabytes
+from repro.buffer.simulator import pages_for_megabytes
 from repro.constants import REMOTE_PAYMENT_PROBABILITY
 from repro.distributed.remote import RemoteCallExpectations
 from repro.obs.instruments import (
@@ -79,8 +74,6 @@ from repro.workload.trace import (
     REF_REL_MASK,
     REF_REL_SHIFT,
     RELATION_INDEX,
-    RELATION_NAMES,
-    PageIdSpace,
     TraceConfig,
     TraceGenerator,
 )
@@ -106,20 +99,11 @@ class DistributedSimConfig:
     warmup_transactions_per_node: int = 400
     item_replicated: bool = True
     seed: int = 0
-    #: Buffer back end, as in ``SimulationConfig.kernel``: ``"array"``
-    #: hands each node's prepared reference array to the dense kernels
-    #: of :mod:`repro.buffer.kernels`, ``"object"`` replays the very
-    #: same array through :class:`SimulatedBufferPool` (the parity
-    #: oracle), ``"auto"`` picks the array path when the policy has a
-    #: kernel.  Routing happens once, before the back end, so every
-    #: report field is independent of the choice — it is pure
-    #: implementation selection, excluded from cache fingerprints.
-    kernel: str = field(default="auto", metadata={"cache_fingerprint": False})
     #: How many work units :mod:`repro.distributed.sharded` splits the
     #: node range into (``None`` = one unit per node).  Pure worker
     #: layout: every shard count produces the same report and shares
-    #: the same per-node cache entries, so — like ``kernel`` — it is
-    #: excluded from cache fingerprints.
+    #: the same per-node cache entries, so it is excluded from cache
+    #: fingerprints.
     shards: int | None = field(default=None, metadata={"cache_fingerprint": False})
 
     def __post_init__(self) -> None:
@@ -129,24 +113,9 @@ class DistributedSimConfig:
             raise ValueError("transactions_per_node must be positive")
         if self.trace.remote_stock_probability < 0:
             raise ValueError("remote probability must be non-negative")
-        if self.kernel not in KERNEL_KINDS:
-            raise ValueError(
-                f"kernel must be one of {KERNEL_KINDS}, got {self.kernel!r}"
-            )
-        if self.kernel == "array" and not supports_array_kernel(self.policy):
-            raise ValueError(
-                f"policy {self.policy!r} has no array kernel; "
-                f"use kernel='object' or 'auto'"
-            )
+        require_kernel_policy(self.policy)
         if self.shards is not None and self.shards < 1:
             raise ValueError(f"shards must be >= 1 when set, got {self.shards}")
-
-    @property
-    def resolved_kernel(self) -> str:
-        """The back end that will actually run: array or object."""
-        if self.kernel != "auto":
-            return self.kernel
-        return "array" if supports_array_kernel(self.policy) else "object"
 
     def replace(self, **overrides) -> "DistributedSimConfig":
         """A copy with the given fields replaced (validation re-runs)."""
@@ -295,29 +264,6 @@ def simulate_node(config: DistributedSimConfig, node: int) -> NodeResult:
     return result
 
 
-class _PoolOracle:
-    """The object pool behind the three kernel calls a node makes.
-
-    ``kernel="object"`` replays the same prepared reference arrays one
-    access at a time, which is what holds the array kernels to parity.
-    """
-
-    def __init__(self, policy: str, capacity: int, space: PageIdSpace):
-        self._pool = SimulatedBufferPool(make_policy(policy, capacity))
-        self._space = space
-
-    def process_batch(self, batch: EncodedBatch) -> None:
-        self._pool.access_encoded(batch.refs, self._space)
-
-    def reset_counters(self) -> None:
-        self._pool.reset_stats()
-
-    @property
-    def batch_misses(self) -> list[int]:
-        misses = self._pool.stats.misses
-        return [misses.get(index, 0) for index in range(len(RELATION_NAMES))]
-
-
 class _NodeSimulation:
     """One node's buffer, trace and both halves of its remote traffic.
 
@@ -336,12 +282,11 @@ class _NodeSimulation:
             seed=config.trace.seed + 1000 * node,
         )
         self._trace = TraceGenerator(node_trace)
-        capacity = pages_for_megabytes(config.buffer_mb, config.trace.page_size)
-        space = self._trace.page_id_space
-        self._buffer: ArrayKernel | _PoolOracle = (
-            make_kernel(config.policy, capacity, space, len(TRANSACTION_ORDER))
-            if config.resolved_kernel == "array"
-            else _PoolOracle(config.policy, capacity, space)
+        self._buffer = make_kernel(
+            config.policy,
+            pages_for_megabytes(config.buffer_mb, config.trace.page_size),
+            self._trace.page_id_space,
+            len(TRANSACTION_ORDER),
         )
         # Independent per-node streams for the two halves of the remote
         # model; seeding by (seed, salt, node) keeps nodes uncorrelated.

@@ -160,11 +160,18 @@ class WriteAheadLog:
     # -- undo / redo ------------------------------------------------------------------
 
     def undo_records(self, txn_id: int) -> Iterator[LogRecord]:
-        """A live transaction's change records, newest first (for abort)."""
+        """A live transaction's change records, newest first (for abort).
+
+        The walk stops at the transaction's ``BEGIN``: nothing of it
+        lies further back, so an abort costs what the log has grown
+        since the transaction began, not the whole log.
+        """
         self._check_active(txn_id)
         for record in reversed(self._records):
             if record.txn_id != txn_id:
                 continue
+            if record.type is LogRecordType.BEGIN:
+                return
             if record.type in (
                 LogRecordType.INSERT,
                 LogRecordType.UPDATE,

@@ -48,12 +48,6 @@ class RunRequest:
     out of work-unit payloads so cache keys are identical with and
     without them.
 
-    ``kernel`` selects the buffer-simulator implementation for
-    simulation-backed experiments (``"auto"``/``"array"``/``"object"``,
-    see :class:`repro.buffer.simulator.SimulationConfig`).  Both
-    implementations are bit-identical, so the choice does not affect
-    cache keys either.
-
     ``shards`` controls how the distributed simulation's node range is
     partitioned into work units (``None`` = one unit per node; see
     :mod:`repro.distributed.sharded`).  Pure worker layout — reports
@@ -73,17 +67,11 @@ class RunRequest:
     collect_metrics: bool = False
     trace_path: str | Path | None = None
     profile: bool = False
-    kernel: str = "auto"
     shards: int | None = None
 
     def __post_init__(self) -> None:
         if isinstance(self.preset, str):
             object.__setattr__(self, "preset", Preset(self.preset))
-        if self.kernel not in ("auto", "array", "object"):
-            raise ValueError(
-                f"kernel must be one of ('auto', 'array', 'object'), "
-                f"got {self.kernel!r}"
-            )
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.retries < 0:

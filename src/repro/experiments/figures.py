@@ -120,7 +120,6 @@ def _fig8_sweep(ctx: RunContext, packing: str):
         buffer_mb=settings["sizes_mb"][0],
         batches=settings["batches"],
         batch_size=settings["batch_size"],
-        kernel=ctx.request.kernel,
     )
     spec = simulation_sweep_spec("fig8", base, settings["sizes_mb"])
     results = ctx.run_sweep(spec)
@@ -597,7 +596,6 @@ def _cluster_validation(
             seed=ctx.seed(11),
             remote_stock_probability=remote_stock_probability,
         ),
-        kernel=ctx.request.kernel,
         shards=ctx.request.shards,
     )
     report = run_sharded(config, ctx.engine, experiment=f"{experiment}-sim")

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace as dataclass_replace
-from typing import Any, Callable, Generator, Sequence, cast
+from typing import Any, Callable, Generator, Sequence
 
 import numpy as np
 
@@ -288,26 +287,11 @@ class PreparedTransaction:
     params: object
 
 
-#: Positional-parameter order of the pre-kw-only ``TpccExecutor``
-#: signature, used by the deprecation shim.
-_INIT_POSITIONAL = (
-    "db",
-    "config",
-    "seed",
-    "remote_stock_probability",
-    "remote_payment_probability",
-    "rollback_probability",
-    "retry_policy",
-    "sleep",
-)
-
-
 class TpccExecutor:
     """Drives the five transactions against a loaded database.
 
     All constructor parameters are keyword-only (REP003, like the
-    ``*Config`` dataclasses); the old positional form still works but
-    emits a :class:`DeprecationWarning`.
+    ``*Config`` dataclasses).
 
     ``history_offset``/``history_stride`` partition the history-id
     sequence so several executors inserting concurrently never collide:
@@ -316,9 +300,9 @@ class TpccExecutor:
 
     def __init__(
         self,
-        *args: object,
-        db: Database | None = None,
-        config: TpccConfig | None = None,
+        *,
+        db: Database,
+        config: TpccConfig,
         seed: int | Sequence[int] = 0,
         remote_stock_probability: float = REMOTE_STOCK_PROBABILITY,
         remote_payment_probability: float = REMOTE_PAYMENT_PROBABILITY,
@@ -331,35 +315,6 @@ class TpccExecutor:
         breaker: CircuitBreaker | None = None,
         clock: Callable[[], float] = time.monotonic,
     ):
-        if args:
-            warnings.warn(
-                "positional TpccExecutor(...) arguments are deprecated; "
-                "pass keyword arguments (TpccExecutor(db=..., config=...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if len(args) > len(_INIT_POSITIONAL):
-                raise TypeError(
-                    f"TpccExecutor takes at most {len(_INIT_POSITIONAL)} "
-                    f"positional arguments, got {len(args)}"
-                )
-            shim = cast("dict[str, Any]", dict(zip(_INIT_POSITIONAL, args)))
-            db = shim.get("db", db)
-            config = shim.get("config", config)
-            seed = shim.get("seed", seed)
-            remote_stock_probability = shim.get(
-                "remote_stock_probability", remote_stock_probability
-            )
-            remote_payment_probability = shim.get(
-                "remote_payment_probability", remote_payment_probability
-            )
-            rollback_probability = shim.get(
-                "rollback_probability", rollback_probability
-            )
-            retry_policy = shim.get("retry_policy", retry_policy)
-            sleep = shim.get("sleep", sleep)
-        if db is None or config is None:
-            raise TypeError("TpccExecutor requires db= and config=")
         if history_offset < 0:
             raise ValueError(f"history_offset must be >= 0, got {history_offset}")
         if history_stride < 1:
@@ -712,8 +667,8 @@ class TpccExecutor:
 
     def run_mix(
         self,
-        *args: object,
-        transactions: int | None = None,
+        *,
+        transactions: int,
         mix: TransactionMix = DEFAULT_MIX,
     ) -> ExecutionSummary:
         """Execute ``transactions`` draws from the mix.
@@ -721,25 +676,8 @@ class TpccExecutor:
         Transient failures (lock conflicts, injected faults) abort the
         transaction and retry it under the executor's
         :class:`RetryPolicy`; a transaction that exhausts its attempts
-        counts as ``gave_up`` and re-raises.  Arguments are keyword-only;
-        the old positional form warns.
+        counts as ``gave_up`` and re-raises.
         """
-        if args:
-            warnings.warn(
-                "positional run_mix(transactions, mix) is deprecated; "
-                "pass keyword arguments (run_mix(transactions=...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if len(args) > 2:
-                raise TypeError(
-                    f"run_mix takes at most 2 positional arguments, got {len(args)}"
-                )
-            transactions = cast(int, args[0])
-            if len(args) == 2:
-                mix = cast(TransactionMix, args[1])
-        if transactions is None:
-            raise TypeError("run_mix() missing required argument: 'transactions'")
         for _ in range(transactions):
             drain(self._retrying(mix.sample(self._rng), None))
         return self.summary

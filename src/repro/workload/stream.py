@@ -1,13 +1,15 @@
 """Batched (vectorized) trace emission behind ``TraceGenerator.stream``.
 
-The scalar emitters in :mod:`repro.workload.trace` build one Python
+The scalar encoders in :mod:`repro.workload.trace` build one Python
 list of int-encoded references per transaction; at paper scale that
 list assembly — not the random draws — dominates trace-generation
 time.  This module emits whole *batches* of transactions as a single
-numpy array instead.
+numpy array instead: :class:`VectorBatchEmitter` is the one production
+path, :class:`ScalarBatchEmitter` the reference the property suite
+holds it to.
 
 Equivalence argument (the batch path is byte-identical to the scalar
-path): the trace's :class:`~repro.workload.generator.InputGenerator`
+reference): the trace's :class:`~repro.workload.generator.InputGenerator`
 runs in split-stream mode, where every draw primitive owns an
 independent child generator (see
 :data:`~repro.workload.generator.SPLIT_STREAM_NAMES`), so a drawn
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate, chain
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -76,10 +78,9 @@ MIN_PLAN_TRANSACTIONS = 256
 _G_NEW_ORDER = 0
 _G_PAYMENT_ONE = 1
 _G_PAYMENT_MANY = 2
-_G_SCALAR = 3
-_G_DELIVERY = 4
-_G_STOCK_LEVEL = 5
-_G_ORDER_STATUS = 6
+_G_DELIVERY = 3
+_G_STOCK_LEVEL = 4
+_G_ORDER_STATUS = 5
 
 # Relation indexes, mirroring ``trace.RELATION_NAMES`` order (this
 # module cannot import trace at runtime — trace imports it); the
@@ -286,14 +287,12 @@ class VectorBatchEmitter:
         self._lines = trace.config.items_per_order
         self._no_width = 5 + 3 * self._lines
         self._pay_many_width = 2 + TUPLES_PER_NAME_SELECT + 1
-        self._can_vector_payment = TUPLES_PER_NAME_SELECT == 3
         # Planned-chunk state (carries over between batches).
         self._ck_types: list[int] = []
         self._ck_pos = 0
         empty = np.empty(0, dtype=np.int64)
         self._ck_no: tuple = ((), (), (), (), [], empty, empty, (), empty, empty, empty)
         self._ck_no_ptr = 0
-        self._ck_p: tuple = ((), (), (), (), ())
         self._ck_p_plan: tuple = ([], [0], [0], *([empty] * 9))
         self._ck_p_ptr = 0
         self._ck_os: tuple = ((), (), (), (), [0], empty)
@@ -304,7 +303,7 @@ class VectorBatchEmitter:
         self._ck_sl_ptr = 0
         self._ck_group_np = np.empty(0, dtype=np.uint8)
         self._ck_len_np = empty
-        self._ck_pay_cum: list[int] | None = [0]
+        self._ck_pay_cum: list[int] = [0]
         self._ck_action: list[int] = []
         self._ck_action_idx = 0
 
@@ -428,11 +427,11 @@ class VectorBatchEmitter:
             self._ck_no = ((), (), (), (), [], empty, empty, (), empty, empty, empty)
         self._ck_no_ptr = 0
 
-        if n_p and self._can_vector_payment:
-            # Fully columnar payment plan (the benchmark shape: every
-            # by-name selection draws exactly TUPLES_PER_NAME_SELECT
-            # ids).  Substream consumption order matches the scalar
-            # ``payment_raw`` / ``_plan_tuples`` exactly: warehouse,
+        if n_p:
+            # Fully columnar payment plan (every by-name selection
+            # draws exactly TUPLES_PER_NAME_SELECT ids).  Substream
+            # consumption order matches the scalar ``payment_raw`` /
+            # ``_plan_tuples`` exactly: warehouse,
             # home district, remote floats, remote warehouses, remote
             # districts, selection floats, by-id customers, bands, then
             # each band's names in occurrence order.
@@ -464,9 +463,6 @@ class VectorBatchEmitter:
                 generator._p_names,
             )
             p_len_np = np.where(by_name, many_width, 4)
-            # The scalar-fallback tuple store stays empty: every planned
-            # length is positive, so the fallback branch is unreachable.
-            self._ck_p = (p_w_np, p_d_np, cust_w_np, cust_d_np, ())
             self._ck_p_plan = (
                 p_len_np.tolist(),
                 np.concatenate(([0], np.cumsum(~by_name))),
@@ -481,78 +477,8 @@ class VectorBatchEmitter:
                 cust_w_np,
                 cust_d_np,
             )
-        elif n_p:  # pragma: no cover - non-benchmark tuple count
-            p_w = generator._p_warehouse.draw_many(n_p)
-            p_d = generator._p_district_home.draw_many(n_p)
-            cust_w = list(p_w)
-            cust_d = list(p_d)
-            remote_floats = generator._p_remote_float.draw_many(n_p)
-            p_remote_pay = generator._remote_payment_probability
-            remote_at = [
-                i for i, value in enumerate(remote_floats) if value < p_remote_pay
-            ]
-            if remote_at:
-                block = generator._p_remote
-                if block is not None:
-                    raw = np.array(
-                        block.draw_many(len(remote_at)), dtype=np.int64
-                    )
-                    homes = np.array([p_w[i] for i in remote_at], dtype=np.int64)
-                    vias = (raw + (raw >= homes)).tolist()
-                else:
-                    vias = [p_w[i] for i in remote_at]
-                districts = generator._p_district_cust.draw_many(len(remote_at))
-                for k, i in enumerate(remote_at):
-                    cust_w[i] = vias[k]
-                    cust_d[i] = districts[k]
-            tuples_col = self._plan_tuples(
-                n_p,
-                generator._p_select_float,
-                generator._p_customer,
-                generator._p_band,
-                generator._p_names,
-            )
-            self._ck_p = (p_w, p_d, cust_w, cust_d, tuples_col)
-            # Emission plan: per-payment variant (single-tuple vs
-            # by-name), reference-count, and pre-split variant columns,
-            # so the consumption pass only advances one pointer per
-            # Payment and slices these columns per batch segment.
-            p_len: list[int] = []
-            p1_prefix = [0] * (n_p + 1)
-            p3_prefix = [0] * (n_p + 1)
-            p1_ord: list[int] = []
-            p3_ord: list[int] = []
-            p1_customer: list[int] = []
-            p3_tuples: list[int] = []
-            p3_write_l: list[int] = []
-            for i, tpl in enumerate(tuples_col):
-                p1_prefix[i] = len(p1_ord)
-                p3_prefix[i] = len(p3_ord)
-                if len(tpl) == 1:
-                    p1_ord.append(i)
-                    p1_customer.append(tpl[0])
-                    p_len.append(4)
-                else:
-                    p_len.append(-1)
-            p1_prefix[n_p] = len(p1_ord)
-            p3_prefix[n_p] = len(p3_ord)
-            self._ck_p_plan = (
-                p_len,
-                p1_prefix,
-                p3_prefix,
-                np.array(p1_ord, dtype=np.int64),
-                np.array(p3_ord, dtype=np.int64),
-                np.array(p1_customer, dtype=np.int64),
-                np.array(p3_tuples, dtype=np.int64),
-                np.array(p3_write_l, dtype=np.int64),
-                np.array(p_w, dtype=np.int64),
-                np.array(p_d, dtype=np.int64),
-                np.array(cust_w, dtype=np.int64),
-                np.array(cust_d, dtype=np.int64),
-            )
         else:
             empty = np.empty(0, dtype=np.int64)
-            self._ck_p = ((), (), (), (), ())
             self._ck_p_plan = ([], [0], [0], *([empty] * 9))
         self._ck_p_ptr = 0
 
@@ -618,7 +544,7 @@ class VectorBatchEmitter:
         types_np = np.array(types, dtype=np.int64)
         group_lut = np.empty(_N_TYPES, dtype=np.uint8)
         group_lut[_NEW_ORDER_IDX] = _G_NEW_ORDER
-        group_lut[_PAYMENT_IDX] = _G_SCALAR  # refined per payment below
+        group_lut[_PAYMENT_IDX] = _G_PAYMENT_ONE  # by-name ones refined below
         group_lut[_ORDER_STATUS_IDX] = _G_ORDER_STATUS
         group_lut[_DELIVERY_IDX] = _G_DELIVERY
         group_lut[_STOCK_LEVEL_IDX] = _G_STOCK_LEVEL
@@ -630,31 +556,13 @@ class VectorBatchEmitter:
             p_len_np = np.array(self._ck_p_plan[0], dtype=np.int64)
             pay_at = np.flatnonzero(types_np == _PAYMENT_IDX)
             self._ck_len_np[pay_at] = p_len_np
-            pay_groups = np.where(
-                p_len_np == 4,
-                np.uint8(_G_PAYMENT_ONE),
-                np.where(
-                    p_len_np > 0,
-                    np.uint8(_G_PAYMENT_MANY),
-                    np.uint8(_G_SCALAR),
-                ),
-            ).astype(np.uint8)
-            self._ck_group_np[pay_at] = pay_groups
+            self._ck_group_np[pay_at[p_len_np != 4]] = _G_PAYMENT_MANY
 
         # Consumption plan: Payments have no order-state transition, so
         # the consumption pass only visits "action" positions and skips
-        # payment runs via the reference-count prefix sums.  A chunk
-        # with non-benchmark Payment shapes (negative planned lengths)
-        # keeps every position an action and disables the skip.
-        p_len_plan = self._ck_p_plan[0]
-        if p_len_plan and min(p_len_plan) < 0:  # pragma: no cover
-            self._ck_pay_cum = None
-            self._ck_action = list(range(len(types)))
-        else:
-            self._ck_pay_cum = list(accumulate(p_len_plan, initial=0))
-            self._ck_action = [
-                i for i, t in enumerate(types) if t != _PAYMENT_IDX
-            ]
+        # payment runs via the reference-count prefix sums.
+        self._ck_pay_cum = list(accumulate(self._ck_p_plan[0], initial=0))
+        self._ck_action = [i for i, t in enumerate(types) if t != _PAYMENT_IDX]
         self._ck_action_idx = 0
 
     def next_batch(
@@ -665,7 +573,6 @@ class VectorBatchEmitter:
         no_width = self._no_width
         lines = self._lines
         initial_per = state._initial_per_district
-        customer_ppb = trace._customer_ppb
 
         # A batch spans at most a handful of planner chunks; planned
         # columns are captured as per-segment slices ("parts") and
@@ -714,10 +621,10 @@ class VectorBatchEmitter:
         os_ncust_parts: list[Sequence[int]] = []
         os_cust_parts: list[np.ndarray] = []
 
-        # Any non-benchmark Payment shapes go through the scalar
-        # encoders; their refs are spliced back in transaction order.
-        scalar_refs: list[int] = []
-        scalar_acc = [[0] * 9 for _ in range(_N_TYPES)]
+        # Access counts of the state-dependent transactions, tallied in
+        # the consumption pass (New-Order and Payment are fixed-shape
+        # and added per batch at the end).
+        loop_acc = [[0] * 9 for _ in range(_N_TYPES)]
 
         # State-dependent reference counts in transaction order, to
         # fill the -1 slots of the planned per-chunk length template.
@@ -805,7 +712,7 @@ class VectorBatchEmitter:
             last_order = state._last_order
             while True:
                 next_act = action_pos[act_idx] if act_idx < n_actions else end
-                if pay_cum is not None and next_act > pos:
+                if next_act > pos:
                     # Positions pos..next_act-1 are all Payments (no
                     # order-state transition): skip the whole run via
                     # the planned reference-count prefix sums, unless
@@ -896,7 +803,7 @@ class VectorBatchEmitter:
                     else:
                         has = 0
                     os_has.append(has)
-                    row = scalar_acc[tx_index]
+                    row = loop_acc[tx_index]
                     row[_REL_CUSTOMER] += n_cust
                     length = n_cust
                     if has:
@@ -922,7 +829,7 @@ class VectorBatchEmitter:
                     # lines (items_per_order is fixed per generator), so
                     # the reference count needs no per-record reads.
                     tx_lines = delivered * lines
-                    row = scalar_acc[tx_index]
+                    row = loop_acc[tx_index]
                     row[_REL_CUSTOMER] += delivered
                     row[_REL_ORDER] += delivered
                     row[_REL_NEW_ORDER] += delivered
@@ -930,31 +837,6 @@ class VectorBatchEmitter:
                     length = 3 * delivered + tx_lines
                     var_lengths.append(length)
                     total += length
-                elif tx_index == _PAYMENT_IDX:
-                    # Reached only when the chunk disabled payment-run
-                    # skipping (non-benchmark tuple shapes).
-                    length = p_len[p_ptr]
-                    p_ptr += 1
-                    if length >= 0:  # pragma: no cover
-                        total += length
-                    else:  # pragma: no cover - non-benchmark tuple count
-                        tuples = self._ck_p[4][p_ptr - 1]
-                        refs = self._payment_many_scalar(
-                            self._ck_p[0][p_ptr - 1],
-                            self._ck_p[1][p_ptr - 1],
-                            self._ck_p[2][p_ptr - 1],
-                            self._ck_p[3][p_ptr - 1],
-                            tuples,
-                            history0 + (p_ptr - 1 - p_ptr0),
-                        )
-                        scalar_refs += refs
-                        row = scalar_acc[tx_index]
-                        row[0] += 1
-                        row[1] += 1
-                        row[2] += len(tuples)
-                        row[8] += 1
-                        var_lengths.append(len(refs))
-                        total += len(refs)
                 else:
                     warehouse = ck_sl_w[sl_ptr]
                     district = ck_sl_d[sl_ptr]
@@ -966,7 +848,7 @@ class VectorBatchEmitter:
                     sl_district.append(district)
                     tx_lines = len(recs) * lines
                     sl_tx_lines.append(tx_lines)
-                    row = scalar_acc[tx_index]
+                    row = loop_acc[tx_index]
                     row[_REL_DISTRICT] += 1
                     row[_REL_STOCK] += tx_lines
                     row[_REL_ORDER_LINE] += tx_lines
@@ -1112,21 +994,6 @@ class VectorBatchEmitter:
                 raise InvariantViolationError(
                     "pending queue held a record without a new-order sequence"
                 )
-            dl_cust_ref = [r.cust_ref for r in dl_recs]
-            if None in dl_cust_ref:
-                # Records placed by the scalar path (or the initial
-                # backlog) carry no plan-time reference: derive it.
-                customer_off_w = trace._customer_off_w
-                for i, r in enumerate(dl_recs):
-                    if dl_cust_ref[i] is None:
-                        dl_cust_ref[i] = (
-                            (
-                                (r.warehouse - 1) * DISTRICTS_PER_WAREHOUSE
-                                + (r.district - 1)
-                            )
-                            * customer_ppb
-                            << 5
-                        ) + customer_off_w[r.customer - 1]
             self._assemble_delivery(
                 out,
                 starts[group_arr == _G_DELIVERY],
@@ -1134,7 +1001,7 @@ class VectorBatchEmitter:
                 [r.order_seq for r in dl_recs],
                 [r.line_start for r in dl_recs],
                 [len(r.item_ids) for r in dl_recs],
-                dl_cust_ref,
+                [r.cust_ref for r in dl_recs],
                 dl_tx_recs,
             )
         if os_has:
@@ -1157,19 +1024,7 @@ class VectorBatchEmitter:
                 [r.line_start for r in sl_recs],
                 list(chain.from_iterable(r.item_ids for r in sl_recs)),
             )
-        if scalar_refs:
-            scalar_mask = group_arr == _G_SCALAR
-            scalar_starts = starts[scalar_mask]
-            scalar_lengths = lengths[scalar_mask]
-            offsets = np.repeat(
-                scalar_starts - (np.cumsum(scalar_lengths) - scalar_lengths),
-                scalar_lengths,
-            )
-            out[np.arange(len(scalar_refs), dtype=np.int64) + offsets] = _empty_i64(
-                scalar_refs
-            )
-
-        tx_accesses = np.array(scalar_acc, dtype=np.int64)
+        tx_accesses = np.array(loop_acc, dtype=np.int64)
         tx_accesses[_NEW_ORDER_IDX] += (
             np.array(trace._counts_new_order, dtype=np.int64) * n_no
         )
@@ -1458,56 +1313,3 @@ class VectorBatchEmitter:
             np.repeat(starts + 1 - pair_excl, pair_lens)
             + np.arange(2 * total_lines, dtype=np.int64)
         ] = vals
-
-    def _payment_many_scalar(
-        self,
-        warehouse: int,
-        district: int,
-        cust_warehouse: int,
-        cust_district: int,
-        tuples: Sequence[int],
-        history_seq: int,
-    ) -> list[int]:  # pragma: no cover - non-benchmark tuple count
-        """By-name Payment refs for tuple counts the matrix path skips."""
-        trace = self._trace
-        refs = [
-            (((warehouse - 1) // trace._warehouse_tpp) << 5)
-            + trace._tag_warehouse_w,
-            (
-                (
-                    ((warehouse - 1) * DISTRICTS_PER_WAREHOUSE + district - 1)
-                    // trace._district_tpp
-                )
-                << 5
-            )
-            + trace._tag_district_w,
-        ]
-        customer_base5 = (
-            (
-                (cust_warehouse - 1) * DISTRICTS_PER_WAREHOUSE
-                + (cust_district - 1)
-            )
-            * trace._customer_ppb
-        ) << 5
-        selected = sorted(tuples)[len(tuples) // 2]
-        update_pending = True
-        for customer in tuples:
-            if update_pending and customer == selected:
-                update_pending = False
-                refs.append(customer_base5 + trace._customer_off_w[customer - 1])
-            else:
-                refs.append(customer_base5 + trace._customer_off_r[customer - 1])
-        refs.append(
-            ((history_seq // trace._tpp_history) << trace._growing_shift)
-            + trace._tag_history_w
-        )
-        return refs
-
-
-def stream_batches(
-    trace: "TraceGenerator", *, batch_size: int, vectorized: bool
-) -> Iterator[EncodedBatch]:
-    """Unbounded iterator of encoded batches (``stream`` backend)."""
-    emitter = trace._batch_emitter(vectorized=vectorized)
-    while True:
-        yield emitter.next_batch(min_refs=batch_size)

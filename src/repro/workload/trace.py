@@ -11,9 +11,9 @@ so the buffer pool can key pages with cheap ``(relation, page)`` tuples.
 
 from __future__ import annotations
 
-import warnings
 import weakref
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -49,10 +49,8 @@ from repro.workload.stream import (
     DEFAULT_BATCH_SIZE,
     STREAM_FORMATS,
     EncodedBatch,
-    ScalarBatchEmitter,
     VectorBatchEmitter,
     select_payment_customers,
-    stream_batches,
 )
 
 #: Relation names in a stable order; positions are the relation indexes.
@@ -296,10 +294,11 @@ def _skewed_packing(
 class TraceGenerator:
     """Generates the TPC-C page-reference stream.
 
-    Use :meth:`transaction` to obtain one transaction's references (and
-    its type), or :meth:`references` for a flat bounded stream.  The
-    generator owns all randomness (seeded via the config) and the
-    workload state, so a given config yields a reproducible trace.
+    Use :meth:`stream` for an unbounded stream of encoded batches (or
+    decoded transactions), :meth:`encoded_batch` for one bounded batch,
+    or :meth:`references` for a flat bounded stream.  The generator owns
+    all randomness (seeded via the config) and the workload state, so a
+    given config yields a reproducible trace.
     """
 
     def __init__(self, config: TraceConfig):
@@ -307,8 +306,8 @@ class TraceGenerator:
         # One shared generator covers the mix sampling and the one-shot
         # priming draw; every per-transaction input primitive runs on
         # its own substream spawned from the same seed (split-stream
-        # mode), so batched and scalar emission consume identical
-        # per-primitive value sequences.
+        # mode), so the batch emitter and the scalar reference encoders
+        # consume identical per-primitive value sequences.
         self._rng = np.random.default_rng(config.seed)
         self._generator = InputGenerator(
             config.warehouses,
@@ -395,10 +394,6 @@ class TraceGenerator:
         self._mix_buffer: list[int] = []
         self._mix_next = 0
 
-        # Lazily built batch emitters behind ``stream``/``encoded_batch``.
-        self._vector_emitter: VectorBatchEmitter | None = None
-        self._scalar_emitter: ScalarBatchEmitter | None = None
-
         # Int-encoded reference plumbing.  A reference is
         # ``(page << shift) + tag`` where the tag folds together the
         # relation's base page id, the relation index, and the write
@@ -460,10 +455,10 @@ class TraceGenerator:
         self._stock_off_w_np = stock_pages + self._tag_stock_w
         self._customer_off_r_np = customer_pages + self._tag_customer_r
         self._customer_off_w_np = customer_pages + self._tag_customer_w
-        # The scalar emitters index plain-list copies of these tables
-        # (per-reference numpy indexing costs more than a list index);
-        # they are materialised lazily on first scalar use so the
-        # batch path never pays the conversion.
+        # The scalar reference encoders index plain-list copies of
+        # these tables (per-reference numpy indexing costs more than a
+        # list index); they are materialised lazily on first scalar use
+        # so the batch path never pays the conversion.
         self._scalar_tables: tuple[list[int], ...] | None = None
 
         # Per-transaction access counts by relation index; the fixed-shape
@@ -474,6 +469,12 @@ class TraceGenerator:
         self._counts_payment_many = (1, 1, 3, 0, 0, 0, 0, 0, 1)
 
         self._prime_state()
+
+        # The batch builder behind ``stream``/``encoded_batch``.  It
+        # reaches back through a weak proxy: a strong back-reference
+        # would make every generator cyclic garbage that keeps its
+        # tables alive until a full collection.
+        self._emitter = VectorBatchEmitter(weakref.proxy(self))
 
     # -- public accessors -----------------------------------------------------
 
@@ -640,59 +641,65 @@ class TraceGenerator:
         *,
         format: str = "encoded",
         batch_size: int = DEFAULT_BATCH_SIZE,
-        vectorized: bool = True,
     ) -> Iterator:
         """Unified trace stream (the one public emission API).
 
-        ``format="objects"`` yields ``(TransactionType, [PageReference])``
-        per transaction — the fully decoded reference path.
         ``format="encoded"`` yields :class:`EncodedBatch` blocks of at
         least ``batch_size`` int-encoded references, always ending on a
-        transaction boundary; ``vectorized`` selects the column-wise
-        batch assembler (default) or the scalar reference emitters —
-        both produce byte-identical blocks for one config, which the
-        property suite asserts.
+        transaction boundary.  ``format="objects"`` yields
+        ``(TransactionType, [PageReference])`` per transaction: a
+        decoded view of the very same blocks.
 
         Both formats consume the same underlying random stream, so a
-        given config yields the identical trace whichever is read.
+        given config yields the identical trace whichever is read.  A
+        generator is read in one format by one reader: the objects view
+        plans a block of ``batch_size`` references ahead, so the
+        workload state and any second reader are up to a block past the
+        transaction last yielded.
         """
         if format not in STREAM_FORMATS:
             raise ValueError(
                 f"format must be one of {STREAM_FORMATS}, got {format!r}"
             )
-        if format == "objects":
-            return self._object_stream()
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        return stream_batches(self, batch_size=batch_size, vectorized=vectorized)
+        batches = self._batches(batch_size)
+        if format == "encoded":
+            return batches
+        return chain.from_iterable(map(self._decoded, batches))
 
-    def _object_stream(
-        self,
-    ) -> Iterator[tuple[TransactionType, list[PageReference]]]:
+    def _batches(self, batch_size: int) -> Iterator[EncodedBatch]:
         while True:
-            yield self._transaction()
+            yield self.encoded_batch(min_refs=batch_size)
 
-    def _batch_emitter(self, *, vectorized: bool):
-        """The (cached) batch builder behind ``stream(format="encoded")``.
-
-        The cached emitter reaches back through a weak proxy: a strong
-        back-reference would make every generator cyclic garbage that
-        keeps its tables alive until a full collection.
-        """
-        if vectorized:
-            if self._vector_emitter is None:
-                self._vector_emitter = VectorBatchEmitter(weakref.proxy(self))
-            return self._vector_emitter
-        if self._scalar_emitter is None:
-            self._scalar_emitter = ScalarBatchEmitter(weakref.proxy(self))
-        return self._scalar_emitter
+    def _decoded(
+        self, batch: EncodedBatch
+    ) -> Iterator[tuple[TransactionType, list[PageReference]]]:
+        """The transactions of one encoded batch, decoded one at a time."""
+        relation, page, write = (
+            column.tolist()
+            for column in self._space.decode_ref_arrays(batch.refs)
+        )
+        start = 0
+        for tx_index, length in zip(
+            batch.tx_indices.tolist(), batch.tx_lengths.tolist()
+        ):
+            stop = start + length
+            yield _TRANSACTION_BY_INDEX[tx_index], list(
+                map(
+                    PageReference,
+                    relation[start:stop],
+                    page[start:stop],
+                    write[start:stop],
+                )
+            )
+            start = stop
 
     def encoded_batch(
         self,
         *,
         min_refs: int | None = None,
         transactions: int | None = None,
-        vectorized: bool = True,
     ) -> EncodedBatch:
         """One :class:`EncodedBatch`, bounded by references or transactions.
 
@@ -704,7 +711,7 @@ class TraceGenerator:
         """
         if (min_refs is None) == (transactions is None):
             raise ValueError("exactly one of min_refs/transactions is required")
-        return self._batch_emitter(vectorized=vectorized).next_batch(
+        return self._emitter.next_batch(
             min_refs=min_refs, transactions=transactions
         )
 
@@ -758,32 +765,6 @@ class TraceGenerator:
         refs[starts[by_name][:, None] + np.arange(width)] = many
         return refs, lengths
 
-    def transaction(self) -> tuple[TransactionType, list[PageReference]]:
-        """Deprecated: use ``stream(format="objects")``."""
-        warnings.warn(
-            "TraceGenerator.transaction() is deprecated; use "
-            "stream(format='objects') instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._transaction()
-
-    def transaction_encoded(self) -> tuple[int, list[int], Sequence[int]]:
-        """Deprecated: use ``stream(format="encoded")``."""
-        warnings.warn(
-            "TraceGenerator.transaction_encoded() is deprecated; use "
-            "stream(format='encoded') instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._transaction_encoded()
-
-    def _transaction(self) -> tuple[TransactionType, list[PageReference]]:
-        """Draw one transaction and return its type and page references."""
-        tx_index, encoded, _ = self._transaction_encoded()
-        decode = self._space.decode_ref
-        return _TRANSACTION_BY_INDEX[tx_index], [decode(ref) for ref in encoded]
-
     def _next_tx_index(self) -> int:
         """The next transaction type index from the buffered mix stream."""
         index = self._mix_next
@@ -796,7 +777,7 @@ class TraceGenerator:
     def _next_tx_indices(self, count: int) -> list[int]:
         """``count`` mix draws in bulk, off the same buffered stream.
 
-        Slices the scalar path's refill buffer (refilling in the same
+        Slices the scalar reference's refill buffer (refilling in the same
         8192-draw blocks), so bulk and one-at-a-time consumption read
         the identical sample sequence.
         """
@@ -818,13 +799,15 @@ class TraceGenerator:
         return out
 
     def _transaction_encoded(self) -> tuple[int, list[int], Sequence[int]]:
-        """Draw one transaction in int-encoded form (the scalar path).
+        """Draw one transaction in int-encoded form (the scalar reference).
 
         Returns ``(tx_index, refs, counts)``: the transaction's position
         in :data:`TRANSACTION_ORDER`, its references encoded as
         ``(page_id << 5) | (relation << 1) | write`` ints, and its
-        access counts indexed by relation.  :meth:`stream` consumes the
-        same underlying draws, so every form of one config is the
+        access counts indexed by relation.  Only
+        :class:`~repro.workload.stream.ScalarBatchEmitter` calls this —
+        the reference the property suite holds the batch emitter to;
+        both consume the same underlying draws, so they emit the
         identical trace.
         """
         tx_index = self._next_tx_index()
@@ -832,10 +815,9 @@ class TraceGenerator:
         return tx_index, refs, counts
 
     def references(self, transactions: int) -> Iterator[PageReference]:
-        """Flat stream of references over ``transactions`` transactions."""
-        for _ in range(transactions):
-            _, refs = self._transaction()
-            yield from refs
+        """The references of the next ``transactions`` transactions, flat."""
+        batch = self.encoded_batch(transactions=transactions)
+        return chain.from_iterable(refs for _, refs in self._decoded(batch))
 
     def highest_page_id(self) -> int:
         """Upper bound on the dense page ids emitted so far.
@@ -1118,7 +1100,7 @@ class TraceGenerator:
         return refs, counts
 
 
-#: The scalar encoder of each transaction type, by mix-sampler index.
+#: The scalar reference encoder of each transaction type, by mix-sampler index.
 #: Plain functions called with the generator (not bound methods stored
 #: on it), so a generator holds no reference to itself and is freed by
 #: reference count alone.

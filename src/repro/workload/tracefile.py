@@ -68,23 +68,15 @@ class SavedTrace:
         if transactions <= 0:
             raise ValueError(f"transactions must be positive, got {transactions}")
         generator = TraceGenerator(config)
-        stream = generator.stream(format="objects")
-        relations: list[int] = []
-        pages: list[int] = []
-        writes: list[bool] = []
-        boundaries: list[int] = []
-        for _ in range(transactions):
-            _, refs = next(stream)
-            for relation, page, write in refs:
-                relations.append(relation)
-                pages.append(page)
-                writes.append(write)
-            boundaries.append(len(relations))
+        batch = generator.encoded_batch(transactions=transactions)
+        relations, pages, writes = generator.page_id_space.decode_ref_arrays(
+            batch.refs
+        )
         return cls(
-            np.asarray(relations, dtype=np.int8),
-            np.asarray(pages, dtype=np.int64),
-            np.asarray(writes, dtype=np.bool_),
-            np.asarray(boundaries, dtype=np.int64),
+            relations.astype(np.int8),
+            pages,
+            writes,
+            np.cumsum(batch.tx_lengths),
             config,
         )
 

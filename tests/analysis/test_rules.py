@@ -163,24 +163,6 @@ class TestSuppression:
         assert report.findings == [] and report.suppressed == 0
 
 
-class TestRep010DeprecatedTraceApi:
-    def test_bad_locations(self):
-        report = lint_fixture("rep010_bad.py", "REP010")
-        assert flagged_lines(report, "REP010") == [5, 9, 14]
-
-    def test_inline_suppression_honoured(self):
-        report = lint_fixture("rep010_bad.py", "REP010")
-        assert report.suppressed == 1
-        assert report.suppressed_findings[0].line == 18
-
-    def test_messages_name_the_replacement(self):
-        report = lint_fixture("rep010_bad.py", "REP010")
-        assert all("stream" in finding.message for finding in report.findings)
-
-    def test_good_is_clean(self):
-        assert lint_fixture("rep010_good.py", "REP010").findings == []
-
-
 class TestRuleSelection:
     def test_unknown_code_rejected(self):
         with pytest.raises(KeyError, match="REP999"):

@@ -3,12 +3,13 @@
 The exhaustive stream-level parity checks live in
 ``tests/property/test_kernel_parity.py``; here we test the kernel
 registry, the dense page-id interning, table growth, the simulator's
-kernel selection, and full-report parity between the two simulator
-implementations.
+policy validation, and report-level parity between the simulator and a
+replay of the same trace through the reference object pool.
 """
 
-import dataclasses
+import collections
 
+import numpy as np
 import pytest
 
 from repro.buffer.kernels import (
@@ -21,9 +22,12 @@ from repro.buffer.kernels import (
     MruArrayKernel,
     TwoQArrayKernel,
     make_kernel,
-    supports_array_kernel,
 )
+from repro.buffer.policy import make_policy
+from repro.buffer.pool import SimulatedBufferPool
 from repro.buffer.simulator import BufferSimulation, SimulationConfig
+from repro.obs.metrics import default_registry
+from repro.workload.mix import TRANSACTION_ORDER
 from repro.workload.trace import (
     N_GROWING_RELATIONS,
     N_STATIC_RELATIONS,
@@ -50,21 +54,71 @@ def quick_config(**overrides):
     return SimulationConfig(**defaults)
 
 
-def reports_equal(a, b) -> bool:
-    """Full-report equality modulo the kernel-selector config field.
+def pool_replay(config: SimulationConfig):
+    """The run's trace through the reference object pool, public API only.
 
-    The kernel choice is the one config field allowed to differ between
-    the two implementations (it is excluded from cache fingerprints for
-    the same reason); every result field must match exactly.
+    Same warm-up and measurement windows as ``BufferSimulation.run``.
+    Returns the pool's measured statistics (hits, misses and evictions
+    by relation index) and the miss rate of every (transaction type,
+    relation) pair, as ``MissRateReport.by_transaction`` keys them.
     """
-    if a.config.replace(kernel="auto") != b.config.replace(kernel="auto"):
-        return False
-    for field in dataclasses.fields(a):
-        if field.name == "config":
-            continue
-        if getattr(a, field.name) != getattr(b, field.name):
-            return False
-    return True
+    trace = TraceGenerator(config.trace)
+    space = trace.page_id_space
+    pool = SimulatedBufferPool(make_policy(config.policy, config.buffer_pages))
+    pool.access_encoded(
+        trace.encoded_batch(min_refs=config.effective_warmup).refs, space
+    )
+    pool.reset_stats()
+    tx_accesses = collections.Counter()
+    tx_misses = collections.Counter()
+    for _ in range(config.batches):
+        batch = trace.encoded_batch(min_refs=config.batch_size)
+        relation, page, write = space.decode_ref_arrays(batch.refs)
+        owner = np.repeat(batch.tx_indices, batch.tx_lengths)
+        for key in zip(owner.tolist(), relation.tolist(), page.tolist(), write.tolist()):
+            tx_accesses[key[:2]] += 1
+            if not pool.access(*key[1:]):
+                tx_misses[key[:2]] += 1
+    by_transaction = {
+        (TRANSACTION_ORDER[tx].value, RELATION_NAMES[relation]): tx_misses[tx, relation]
+        / count
+        for (tx, relation), count in tx_accesses.items()
+    }
+    return pool.stats, by_transaction
+
+
+def run_with_evictions(config: SimulationConfig):
+    """A run's report and its evictions per relation index.
+
+    Evictions only exist as the ``sim.buffer.evictions_total`` counter
+    the run folds.
+    """
+    with default_registry().collecting() as session:
+        report = BufferSimulation(config).run()
+    evictions = {
+        RELATION_NAMES.index(sample["labels"]["relation"]): sample["value"]
+        for entry in session.snapshot.series
+        if entry["name"] == "sim.buffer.evictions_total"
+        for sample in entry["samples"]
+    }
+    return report, evictions
+
+
+def assert_matches_pool(config: SimulationConfig) -> None:
+    """Integer accesses / misses / evictions per relation, and the
+    per-transaction miss rates, equal the object pool's."""
+    report, evictions = run_with_evictions(config)
+    stats, by_transaction = pool_replay(config)
+    measured = {
+        RELATION_NAMES.index(name): (entry.accesses, entry.misses)
+        for name, entry in report.relations.items()
+    }
+    assert measured == {
+        relation: (stats.accesses(relation), stats.misses.get(relation, 0))
+        for relation in set(stats.hits) | set(stats.misses)
+    }
+    assert evictions == stats.evictions
+    assert report.by_transaction == by_transaction
 
 
 class TestPageIdSpace:
@@ -119,9 +173,6 @@ class TestRegistry:
         assert ARRAY_KERNEL_POLICIES == (
             "2q", "clock", "fifo", "lfu", "lru", "lru2", "lru3", "mru"
         )
-        for name in ARRAY_KERNEL_POLICIES:
-            assert supports_array_kernel(name)
-        assert not supports_array_kernel("arc")
 
     def test_make_kernel_types(self):
         space = small_space()
@@ -184,58 +235,40 @@ class TestSlotTable:
 
 class TestKernelSelection:
     def test_invalid_kernel_name(self):
-        with pytest.raises(ValueError, match="kernel"):
-            quick_config(kernel="vectorized")
+        """There is one back end: ``kernel`` is not a config field."""
+        for kernel in ("auto", "array", "object", "vectorized"):
+            with pytest.raises(TypeError):
+                quick_config(kernel=kernel)
 
     def test_array_kernel_requires_supported_policy(self):
-        with pytest.raises(ValueError, match="no array kernel"):
-            quick_config(policy="arc", kernel="array")
-
-    def test_auto_resolution(self):
-        assert quick_config(policy="lru").resolved_kernel == "array"
-        assert quick_config(policy="clock").resolved_kernel == "array"
-        assert quick_config(policy="lfu").resolved_kernel == "array"
-        assert quick_config(policy="2q").resolved_kernel == "array"
-        assert quick_config(policy="lru2").resolved_kernel == "array"
-        assert quick_config(policy="mru").resolved_kernel == "array"
-        assert quick_config(policy="lru", kernel="object").resolved_kernel == "object"
+        """A policy without a kernel fails at construction, not in a
+        worker; names are exact (``"LRU"`` used to pick the object pool)."""
+        for policy in ("arc", "LRU"):
+            with pytest.raises(ValueError, match="no array kernel.*'lru'"):
+                quick_config(policy=policy)
+        for policy in ARRAY_KERNEL_POLICIES:
+            assert quick_config(policy=policy).policy == policy
 
 
 class TestReportParity:
+    """``BufferSimulation`` against the reference object pool."""
+
     @pytest.mark.parametrize("policy", ARRAY_KERNEL_POLICIES)
     def test_array_matches_object(self, policy):
-        array = BufferSimulation(
-            quick_config(policy=policy, kernel="array")
-        ).run()
-        obj = BufferSimulation(
-            quick_config(policy=policy, kernel="object")
-        ).run()
-        assert reports_equal(array, obj)
+        assert_matches_pool(quick_config(policy=policy))
 
     def test_parity_across_packings_and_seeds(self):
         for packing, seed in [("sequential", 3), ("optimized", 21), ("random", 8)]:
-            config = quick_config(
-                trace=TraceConfig(warehouses=2, seed=seed, packing=packing)
+            assert_matches_pool(
+                quick_config(
+                    trace=TraceConfig(warehouses=2, seed=seed, packing=packing)
+                )
             )
-            array = BufferSimulation(config.replace(kernel="array")).run()
-            obj = BufferSimulation(config.replace(kernel="object")).run()
-            assert reports_equal(array, obj)
 
     def test_eviction_counters_match(self):
-        """The obs eviction tallies agree between implementations."""
-        from repro.obs.metrics import default_registry
-
-        totals = {}
-        for kernel in ("array", "object"):
-            with default_registry().collecting() as session:
-                BufferSimulation(quick_config(kernel=kernel)).run()
-            totals[kernel] = {
-                tuple(sorted(sample["labels"].items())): sample["value"]
-                for entry in session.snapshot.series
-                if entry["name"] == "sim.buffer.evictions_total"
-                for sample in entry["samples"]
-            }
-        assert totals["array"] and totals["array"] == totals["object"]
+        """The obs eviction tallies are those of the object pool."""
+        _, evictions = run_with_evictions(quick_config())
+        assert evictions and evictions == pool_replay(quick_config())[0].evictions
 
 
 class TestIncrementalPrecision:
@@ -256,19 +289,7 @@ class TestIncrementalPrecision:
         batches_run = incremental.config.batches
         assert batches_run > config.batches  # the doubling path actually ran
         fresh = BufferSimulation(config.replace(batches=batches_run)).run()
-        assert reports_equal(incremental, fresh)
-
-    def test_incremental_object_path(self):
-        config = quick_config(batches=2, batch_size=4_000, kernel="object")
-        incremental = BufferSimulation(config).run_until_precise(
-            relative_half_width=0.001,
-            relations=("customer",),
-            max_batches=8,
-        )
-        fresh = BufferSimulation(
-            config.replace(batches=incremental.config.batches)
-        ).run()
-        assert reports_equal(incremental, fresh)
+        assert incremental == fresh
 
 
 class TestHighestPageId:

@@ -106,12 +106,11 @@ class TestBitIdentity:
     @given(
         nodes=st.integers(min_value=1, max_value=5),
         shards=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
-        kernel=st.sampled_from(["array", "object"]),
     )
     @settings(max_examples=12, deadline=None)
-    def test_sharded_equals_monolithic(self, nodes, shards, kernel):
-        """Any (node count, shard size, kernel) folds to the serial report."""
-        config = tiny_config(nodes=nodes, shards=shards, kernel=kernel)
+    def test_sharded_equals_monolithic(self, nodes, shards):
+        """Any (node count, shard size) folds to the serial report."""
+        config = tiny_config(nodes=nodes, shards=shards)
         engine = ExecutionEngine(jobs=1)
         try:
             sharded = run_sharded(config, engine)

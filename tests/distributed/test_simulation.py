@@ -5,8 +5,6 @@ model makes analytically: the Appendix-A remote-call expectations, and
 the reuse of single-node miss rates per node.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -206,63 +204,20 @@ class TestConfiguration:
 
 
 class TestKernelSelection:
-    """The distributed simulation honours ``DistributedSimConfig.kernel``."""
-
-    def small_config(self, **overrides):
-        defaults = dict(
-            nodes=3,
-            trace=scaled_trace(),
-            buffer_mb=0.8,
-            transactions_per_node=600,
-            warmup_transactions_per_node=100,
-            seed=9,
-        )
-        defaults.update(overrides)
-        return DistributedSimConfig(**defaults)
+    """A node's buffer is always an array kernel of the named policy."""
 
     def test_invalid_kernel(self):
-        with pytest.raises(ValueError, match="kernel"):
-            self.small_config(kernel="simd")
+        """``kernel`` is not a config field any more."""
+        for kernel in ("auto", "array", "object", "simd"):
+            with pytest.raises(TypeError):
+                DistributedSimConfig(trace=scaled_trace(), kernel=kernel)
 
-    def test_resolution(self):
-        assert self.small_config().resolved_kernel == "array"
-        assert self.small_config(kernel="array").resolved_kernel == "array"
-        assert self.small_config(kernel="object").resolved_kernel == "object"
-
-    def test_array_object_report_parity(self):
-        """Both kernels consume byte-identical traces, so the full report
-        (remote-call statistics and per-node miss counts) matches."""
-        array = DistributedBufferSimulation(
-            self.small_config(kernel="array")
-        ).run()
-        obj = DistributedBufferSimulation(
-            self.small_config(kernel="object")
-        ).run()
-        # The echoed config records which kernel ran; every measured
-        # field must be identical.
-        assert dataclasses.replace(
-            array, config=obj.config
-        ) == obj
-
-    @pytest.mark.parametrize("policy", ["clock", "2q"])
-    def test_parity_across_policies(self, policy):
-        """The object pool replays the very array the kernel saw, so the
-        reports agree for every policy, not just the default LRU."""
-        array = DistributedBufferSimulation(
-            self.small_config(policy=policy, kernel="array")
-        ).run()
-        obj = DistributedBufferSimulation(
-            self.small_config(policy=policy, kernel="object")
-        ).run()
-        assert dataclasses.replace(array, config=obj.config) == obj
-
-    def test_kernel_excluded_from_fingerprint(self):
-        """Kernel choice is an execution detail, not a cache key."""
-        from repro.exec.cache import stable_fingerprint
-
-        assert stable_fingerprint(
-            self.small_config(kernel="array")
-        ) == stable_fingerprint(self.small_config(kernel="object"))
+    def test_policy_must_name_a_kernel(self):
+        """Rejected at construction, not inside a shard worker; names are
+        exact (``"LRU"`` used to select the object pool)."""
+        for policy in ("arc", "LRU"):
+            with pytest.raises(ValueError, match="no array kernel.*'lru'"):
+                DistributedSimConfig(trace=scaled_trace(), policy=policy)
 
 
 class TestReferenceAccounting:

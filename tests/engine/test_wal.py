@@ -70,6 +70,27 @@ class TestUndoRecords:
         change(wal, 2)
         assert all(r.txn_id == 1 for r in wal.undo_records(1))
 
+    def test_walk_stops_at_the_transactions_begin(self, wal):
+        """Aborting a late transaction reads nothing older than its BEGIN."""
+
+        class Unread:
+            @property
+            def txn_id(self):
+                raise AssertionError("undo walked past the transaction's BEGIN")
+
+        for txn_id in range(1, 6):
+            wal.log_begin(txn_id)
+            change(wal, txn_id)
+            wal.log_commit(txn_id)
+        earlier = len(wal)
+        wal.log_begin(9)
+        wal.log_begin(10)
+        first = change(wal, 10)
+        change(wal, 9)
+        second = change(wal, 10)
+        wal._records[:earlier] = [Unread()] * earlier
+        assert [r.lsn for r in wal.undo_records(10)] == [second, first]
+
 
 class TestRedoRecords:
     def test_only_committed_oldest_first(self, wal):

@@ -98,22 +98,11 @@ class TestCacheKey:
         assert reference not in keys
         assert len(keys) == len(variants)
 
-    def test_kernel_choice_shares_cache_entries(self):
-        """``SimulationConfig.kernel`` is an implementation selector with
-        bit-identical results, so all three choices must map to the same
-        cache key — an entry computed by one kernel serves the others."""
-        base = _reference_config()
-        keys = {
-            cache_key(run_simulation_config, base.replace(kernel=kernel))
-            for kernel in ("auto", "array", "object")
-        }
-        assert len(keys) == 1
-
     def test_shard_layout_shares_cache_entries(self):
-        """``DistributedSimConfig.shards`` (and ``kernel``) are worker
-        layout, not inputs: every layout of one config must map to the
-        same shard-unit cache key, so a 4-shard and a 16-shard sweep
-        share per-node entries."""
+        """``DistributedSimConfig.shards`` is worker layout, not an
+        input: every layout of one config must map to the same
+        shard-unit cache key, so a 4-shard and a 16-shard sweep share
+        per-node entries."""
         from repro.distributed.sharded import NodeShardUnit, run_shard
         from repro.distributed.simulation import DistributedSimConfig
 
@@ -121,13 +110,9 @@ class TestCacheKey:
         keys = {
             cache_key(
                 run_shard,
-                NodeShardUnit(
-                    config=base.replace(shards=shards, kernel=kernel),
-                    nodes=(2,),
-                ),
+                NodeShardUnit(config=base.replace(shards=shards), nodes=(2,)),
             )
             for shards in (None, 4, 16)
-            for kernel in ("auto", "object")
         }
         assert len(keys) == 1
         other_node = cache_key(

@@ -40,13 +40,13 @@ class TestRunRequest:
             RunRequest(experiment="fig8", retries=-1)
         with pytest.raises(ValueError, match="unit_timeout"):
             RunRequest(experiment="fig8", unit_timeout=-2.0)
-        with pytest.raises(ValueError, match="kernel"):
-            RunRequest(experiment="fig8", kernel="simd")
 
     def test_kernel_default_and_choices(self):
-        assert RunRequest(experiment="fig8").kernel == "auto"
+        """No default and no choices: ``kernel`` is not a field any more."""
+        assert not hasattr(RunRequest(experiment="fig8"), "kernel")
         for kernel in ("auto", "array", "object"):
-            assert RunRequest(experiment="fig8", kernel=kernel).kernel == kernel
+            with pytest.raises(TypeError):
+                RunRequest(experiment="fig8", kernel=kernel)
 
     def test_frozen(self):
         request = RunRequest(experiment="fig8")

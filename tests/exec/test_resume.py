@@ -172,7 +172,6 @@ class TestCliResume:
             metrics=None,
             trace=None,
             profile=False,
-            kernel="auto",
             shards=None,
         )
         request = _request_from_args(args, "fig8")

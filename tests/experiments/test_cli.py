@@ -33,9 +33,11 @@ class TestRun:
             main(["run", "fig5", "--preset", "galactic"])
 
     def test_kernel_flag(self, capsys):
-        for kernel in ("array", "object"):
-            assert main(["run", "table1", "--kernel", kernel]) == 0
-        capsys.readouterr()
+        """One back end, no selector: the flag is a usage error."""
+        with pytest.raises(SystemExit) as usage:
+            main(["run", "fig5", "--kernel", "array"])
+        assert usage.value.code == 2
+        assert "--kernel" in capsys.readouterr().err
 
     def test_invalid_kernel_rejected(self):
         with pytest.raises(SystemExit):

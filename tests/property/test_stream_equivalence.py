@@ -2,11 +2,13 @@
 
 Three contracts keep the vectorized implementations honest:
 
-* **Emitter byte-identity** — ``stream(format="encoded")`` produces
-  bit-identical :class:`EncodedBatch` blocks whether the vectorized
-  batch assembler or the scalar per-transaction encoders build them,
-  for any interleaving of batch bounds, and independent of how the
-  stream is partitioned into batches.
+* **Emitter byte-identity** — the production batch assembler behind
+  ``encoded_batch``/``stream`` produces :class:`EncodedBatch` blocks
+  bit-identical to the reference :class:`ScalarBatchEmitter` (the
+  scalar per-transaction encoders, reachable only from here), for any
+  interleaving of batch bounds, and independent of how the stream is
+  partitioned into batches.  Pinned SHA-256 digests of the same blocks
+  keep production and reference from drifting together.
 * **Plan-chunk independence** — the vectorized emitter pre-draws its
   inputs in chunks; the emitted bytes do not depend on the chunk size,
   which is what lets a short transaction-bounded batch plan only what
@@ -16,6 +18,8 @@ Three contracts keep the vectorized implementations honest:
   ``process_many`` calls would, including when the two entry points
   are interleaved on one kernel instance.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -63,25 +67,48 @@ def assert_batches_equal(a: EncodedBatch, b: EncodedBatch, label: str):
     assert a.highest_page_id == b.highest_page_id, f"{label}: highest_page_id"
 
 
+IDENTITY_CONFIGS = {
+    "w4": TraceConfig(warehouses=4, seed=3),
+    "w2-optimized": TraceConfig(warehouses=2, seed=11, packing="optimized"),
+    "w1-random": TraceConfig(warehouses=1, seed=29, packing="random"),
+}
+
+#: SHA-256 over ``refs``/``tx_indices``/``tx_lengths``/``tx_accesses``
+#: (int64 bytes, in that order) of the ``BATCH_SPEC`` batches, computed
+#: on the commit before the scalar path lost its production callers.
+PINNED_DIGESTS = {
+    "w4": "a7ff1c794dfbf13238445ef2b433384ee24efcda45ab705aba5d35cf96791ed7",
+    "w2-optimized": "9acb61d89403af11984a71a26255e32cd432434d88b74178b3bdaf79a91c6891",
+    "w1-random": "f97291e9de03bb2453ad0082660f91422315cd0848a39a5bc0eab1f1fb2200d8",
+}
+
+
+def batches_digest(batches) -> str:
+    digest = hashlib.sha256()
+    for batch in batches:
+        for column in (
+            batch.refs, batch.tx_indices, batch.tx_lengths, batch.tx_accesses
+        ):
+            digest.update(np.ascontiguousarray(column, dtype=np.int64).tobytes())
+    return digest.hexdigest()
+
+
 class TestEmitterByteIdentity:
     @pytest.mark.parametrize(
-        "config",
-        [
-            TraceConfig(warehouses=4, seed=3),
-            TraceConfig(warehouses=2, seed=11, packing="optimized"),
-            TraceConfig(warehouses=1, seed=29, packing="random"),
-        ],
-        ids=["w4", "w2-optimized", "w1-random"],
+        "config", list(IDENTITY_CONFIGS.values()), ids=list(IDENTITY_CONFIGS)
     )
     def test_vectorized_matches_scalar(self, config):
         vector = TraceGenerator(config)
         scalar_emitter = ScalarBatchEmitter(TraceGenerator(config))
-        vector_batches = emit(
-            lambda **kw: vector.encoded_batch(vectorized=True, **kw), BATCH_SPEC
-        )
+        vector_batches = emit(vector.encoded_batch, BATCH_SPEC)
         scalar_batches = emit(scalar_emitter.next_batch, BATCH_SPEC)
         for i, (a, b) in enumerate(zip(vector_batches, scalar_batches)):
             assert_batches_equal(a, b, f"batch {i}")
+
+    @pytest.mark.parametrize("name", list(IDENTITY_CONFIGS))
+    def test_emitted_bytes_are_pinned(self, name):
+        batches = emit(TraceGenerator(IDENTITY_CONFIGS[name]).encoded_batch, BATCH_SPEC)
+        assert batches_digest(batches) == PINNED_DIGESTS[name]
 
     def test_batch_size_independent(self):
         """One partitioning of the stream is byte-equal to any other."""

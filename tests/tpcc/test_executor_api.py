@@ -1,7 +1,7 @@
 """The executor's keyword-only API surface and driver hooks.
 
-The concurrent driver made ``TpccExecutor``'s constructor keyword-only
-(with a one-release positional shim), added precomputed transaction
+The concurrent driver made ``TpccExecutor``'s constructor keyword-only,
+added precomputed transaction
 arguments (``prepare``/``execute_prepared``), interleaved h_id streams
 for collision-free concurrent payments, and gave ``ExecutionSummary``
 a ``merge`` for folding per-terminal summaries.
@@ -21,12 +21,11 @@ class TestKeywordOnlyConstructor:
             warnings.simplefilter("error")
             TpccExecutor(db=small_tpcc_db, config=small_tpcc_config, seed=5)
 
-    def test_positional_form_warns_but_works(
+    def test_positional_form_is_a_type_error(
         self, small_tpcc_db, small_tpcc_config
     ):
-        with pytest.warns(DeprecationWarning, match="keyword"):
-            executor = TpccExecutor(small_tpcc_db, small_tpcc_config, 5)
-        assert executor.new_order() is not None
+        with pytest.raises(TypeError):
+            TpccExecutor(small_tpcc_db, small_tpcc_config, 5)
 
     def test_missing_db_or_config_is_a_type_error(self, small_tpcc_db):
         with pytest.raises(TypeError):
@@ -34,15 +33,16 @@ class TestKeywordOnlyConstructor:
         with pytest.raises(TypeError):
             TpccExecutor()
 
-    def test_run_mix_positional_count_warns(
+    def test_run_mix_positional_count_is_a_type_error(
         self, small_tpcc_db, small_tpcc_config
     ):
         executor = TpccExecutor(
             db=small_tpcc_db, config=small_tpcc_config, seed=5
         )
-        with pytest.warns(DeprecationWarning, match="keyword"):
-            summary = executor.run_mix(5)
-        assert summary.total <= 5 + summary.gave_up
+        with pytest.raises(TypeError):
+            executor.run_mix(5)
+        with pytest.raises(TypeError):
+            executor.run_mix()
 
 
 class TestPreparedTransactions:

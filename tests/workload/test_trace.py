@@ -221,8 +221,8 @@ class TestRemoteReferences:
 
 
 class TestLifetime:
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_freed_by_reference_count_alone(self, vectorized):
+    @pytest.mark.parametrize("objects_view", [True, False])
+    def test_freed_by_reference_count_alone(self, objects_view):
         """A generator that has emitted is not cyclic garbage: dropping
         the last reference frees it (and its tables) with the cycle
         collector switched off."""
@@ -230,8 +230,9 @@ class TestLifetime:
         gc.disable()
         try:
             trace = TraceGenerator(TraceConfig(warehouses=1, seed=34))
-            trace.encoded_batch(transactions=50, vectorized=vectorized)
-            next(trace.stream(format="objects"))
+            trace.encoded_batch(transactions=50)
+            if objects_view:
+                next(trace.stream(format="objects"))
             alive = weakref.ref(trace)
             state = weakref.ref(trace.state)
             del trace
@@ -241,38 +242,29 @@ class TestLifetime:
             gc.enable()
 
 
-class TestDeprecatedShims:
-    """``transaction()``/``transaction_encoded()`` warn but still work."""
+class TestOneEmissionPath:
+    """The selectors and shims between byte-identical paths are gone."""
 
-    def test_transaction_warns_and_delegates(self):
-        old = TraceGenerator(TraceConfig(warehouses=1, seed=21))
-        new = TraceGenerator(TraceConfig(warehouses=1, seed=21))
-        stream = new.stream(format="objects")
-        with pytest.warns(DeprecationWarning, match="stream"):
-            tx_type, refs = old.transaction()  # reprolint: disable=REP010
-        assert (tx_type, refs) == next(stream)
+    def test_vectorized_is_not_an_option(self):
+        trace = TraceGenerator(TraceConfig(warehouses=1, seed=21))
+        with pytest.raises(TypeError):
+            trace.stream(vectorized=False)
+        with pytest.raises(TypeError):
+            trace.encoded_batch(transactions=1, vectorized=False)
 
-    def test_transaction_encoded_warns_and_delegates(self):
-        old = TraceGenerator(TraceConfig(warehouses=1, seed=22))
-        new = TraceGenerator(TraceConfig(warehouses=1, seed=22))
-        with pytest.warns(DeprecationWarning, match="stream"):
-            tx_index, encoded, accesses = (
-                old.transaction_encoded()  # reprolint: disable=REP010
-            )
-        batch = new.encoded_batch(transactions=1)
-        assert tx_index == int(batch.tx_indices[0])
-        assert encoded == batch.refs.tolist()
+    def test_per_transaction_entry_points_are_gone(self):
+        trace = TraceGenerator(TraceConfig(warehouses=1, seed=21))
+        assert not hasattr(trace, "transaction")
+        assert not hasattr(trace, "transaction_encoded")
 
-    def test_warning_fires_once_per_call_site(self):
-        """Under the default filter the shim nags once, not per call."""
-        import warnings as _warnings
-
-        trace = TraceGenerator(TraceConfig(warehouses=1, seed=23))
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("default")
-            for _ in range(5):
-                trace.transaction()  # reprolint: disable=REP010
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
+    def test_references_consumes_exactly_n_transactions(self):
+        config = TraceConfig(warehouses=1, seed=22)
+        whole = TraceGenerator(config).encoded_batch(transactions=30)
+        split = TraceGenerator(config)
+        head = list(split.references(10))
+        tail = split.encoded_batch(transactions=20)
+        cut = int(whole.tx_lengths[:10].sum())
+        decode = split.page_id_space.decode_ref
+        assert head == [decode(ref) for ref in whole.refs[:cut].tolist()]
+        assert np.array_equal(tail.refs, whole.refs[cut:])
+        assert np.array_equal(tail.tx_indices, whole.tx_indices[10:])

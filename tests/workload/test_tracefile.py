@@ -51,6 +51,26 @@ class TestRecord:
         live_refs = list(live.references(50))
         assert list(saved.references()) == live_refs
 
+    def test_recorded_columns_are_pinned(self):
+        """SHA-256 of the four stored columns (int8 relations, int64
+        pages, bool writes, int64 boundaries), taken while ``record``
+        still appended one Python object per reference."""
+        import hashlib
+
+        saved = SavedTrace.record(TraceConfig(warehouses=2, seed=13), 300)
+        digest = hashlib.sha256()
+        for column, dtype in (
+            (saved._relations, np.int8),
+            (saved._pages, np.int64),
+            (saved._writes, np.bool_),
+            (saved._boundaries, np.int64),
+        ):
+            assert column.dtype == dtype
+            digest.update(np.ascontiguousarray(column).tobytes())
+        assert digest.hexdigest() == (
+            "7b9408f119a6d9841f80b7671054613d9258292af0027a4540f87451e7e0250c"
+        )
+
     def test_relation_access_counts(self, trace):
         counts = trace.relation_access_counts()
         assert counts["stock"] > counts["warehouse"]
