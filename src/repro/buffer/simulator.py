@@ -25,6 +25,8 @@ from repro.buffer.kernels import (
     require_kernel_policy,
 )
 from repro.constants import DEFAULT_PAGE_SIZE
+from repro.exec.engine import ExecutionEngine
+from repro.exec.units import SweepSpec
 from repro.obs import instruments
 from repro.obs.tracing import get_tracer
 from repro.stats.batch_means import BatchMeans, BatchMeansSummary
@@ -417,13 +419,22 @@ def run_simulation_config(config: SimulationConfig) -> MissRateReport:
     return BufferSimulation(config).run()
 
 
-def simulation_sweep_spec(
-    experiment: str, base: SimulationConfig, buffer_sizes_mb: list[float]
-):
-    """Declare a buffer-size sweep as engine work units (one per size)."""
-    from repro.exec.units import SweepSpec
+def sweep_buffer_sizes(
+    base: SimulationConfig,
+    buffer_sizes_mb: list[float],
+    engine: ExecutionEngine | None = None,
+    experiment: str = "buffer-sweep",
+) -> dict[float, MissRateReport]:
+    """Run the same simulation at several buffer sizes (Figure 8 x-axis).
 
-    return SweepSpec.over(
+    Each size gets an independent trace (same seed), so curves differ
+    only in buffer capacity — which also makes the points independent
+    work units (one per size, named ``experiment/packing/<size>MB``):
+    pass an :class:`~repro.exec.engine.ExecutionEngine` to fan them out
+    over processes and hit its result cache; the default engine runs
+    them serially in-process, bit-identical either way.
+    """
+    spec = SweepSpec.over(
         experiment,
         run_simulation_config,
         (
@@ -432,28 +443,7 @@ def simulation_sweep_spec(
             for megabytes in buffer_sizes_mb
         ),
     )
-
-
-def sweep_buffer_sizes(
-    base: SimulationConfig,
-    buffer_sizes_mb: list[float],
-    engine=None,
-) -> dict[float, MissRateReport]:
-    """Run the same simulation at several buffer sizes (Figure 8 x-axis).
-
-    Each size gets an independent trace (same seed), so curves differ
-    only in buffer capacity — which also makes the points independent
-    work units: pass an :class:`repro.exec.engine.ExecutionEngine` to
-    fan them out over processes (and hit its result cache); without one
-    the sweep runs serially in-process, bit-identical either way.
-    """
-    if engine is None:
-        return {
-            megabytes: run_simulation_config(base.replace(buffer_mb=megabytes))
-            for megabytes in buffer_sizes_mb
-        }
-    spec = simulation_sweep_spec("buffer-sweep", base, buffer_sizes_mb)
-    results = engine.run_sweep(spec)
+    results = (engine or ExecutionEngine()).run_sweep(spec)
     return {
         megabytes: results[unit.unit_id]
         for megabytes, unit in zip(buffer_sizes_mb, spec.units)

@@ -140,15 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="cProfile each work unit; top hotspots land in the manifest",
         )
-        subparser.add_argument(
-            "--shards",
-            type=int,
-            default=None,
-            metavar="N",
-            help="split the distributed simulation's node range into N "
-            "work units (default: one per node); pure worker layout — "
-            "reports and cache entries are identical for every value",
-        )
         add_format_argument(subparser)
 
     run = commands.add_parser("run", help="regenerate one table or figure")
@@ -457,7 +448,6 @@ def _request_from_args(args, experiment: str):
         collect_metrics=args.metrics is not None,
         trace_path=args.trace,
         profile=args.profile,
-        shards=args.shards,
     )
 
 
@@ -476,73 +466,39 @@ def _write_snapshot(args, snapshot) -> None:
         _note(args, f"metrics snapshot written to {args.metrics}")
 
 
-def _command_run(args) -> int:
+def _run_experiments(args, experiment_ids: Sequence[str]) -> int:
+    """Body of ``run`` and ``run-all``: one engine, one manifest, one exit block.
+
+    ``run`` is the one-experiment case.  It differs only in what it
+    prints (the bare result instead of the ``results``/``failed``
+    envelope) and in exiting 2, not 3, when the experiment rejects its
+    configuration.
+    """
+    from pathlib import Path
+
     from repro.exec.engine import ExecutionError
     from repro.exec.request import build_engine, execute
 
-    try:
-        request = _request_from_args(args, args.experiment)
-        engine = build_engine(request)
-    except ValueError as error:
-        print(f"invalid run request: {error}", file=sys.stderr)
-        return 2
-    try:
-        result = execute(request, engine=engine)
-    except KeyError as error:
-        print(error.args[0], file=sys.stderr)
-        return 2
-    except ValueError as error:
-        print(
-            f"experiment {args.experiment!r} rejected its configuration: {error}",
-            file=sys.stderr,
-        )
-        return 2
-    except ExecutionError as error:
-        print(f"execution failed: {error}", file=sys.stderr)
-        return 3
-    except KeyboardInterrupt:
-        print(
-            "interrupted; partial manifest covers the finished units "
-            "(resume with --resume)",
-            file=sys.stderr,
-        )
-        return 130
-    finally:
-        manifest = engine.manifest()
-        if request.manifest_path is not None:
-            manifest.write(request.manifest_path)
-        if manifest.total_units and not args.quiet:
-            print(f"[exec] manifest: {manifest.summary()}", file=sys.stderr)
-        engine.close()
-    _emit(args, result.render(), result.to_dict())
-    _write_snapshot(args, getattr(result, "metrics", None))
-    if args.csv:
-        result.to_csv(args.csv)
-        _note(args, f"\nrows written to {args.csv}")
-    return 0
-
-
-def _command_run_all(args) -> int:
-    from repro.exec.engine import ExecutionError
-    from repro.exec.request import build_engine, execute
-    from repro.experiments.runner import list_experiments
-
-    failures: list[str] = []
-    documents: list[dict[str, Any]] = []
+    single = args.command == "run"
     json_mode = args.format == "json"
     try:
-        base = _request_from_args(args, "placeholder")
+        base = _request_from_args(args, experiment_ids[0])
         engine = build_engine(base)
     except ValueError as error:
         print(f"invalid run request: {error}", file=sys.stderr)
         return 2
+    documents: list[dict[str, Any]] = []
+    failures: list[str] = []
+    exit_code = 0
     try:
-        for experiment_id in list_experiments():
-            request = base.replace(experiment=experiment_id)
+        for experiment_id in experiment_ids:
             try:
-                result = execute(request, engine=engine)
+                result = execute(
+                    base.replace(experiment=experiment_id), engine=engine
+                )
             except ValueError as error:
                 failures.append(experiment_id)
+                exit_code = 2 if single else 3
                 print(
                     f"experiment {experiment_id!r} rejected its "
                     f"configuration: {error}",
@@ -551,19 +507,21 @@ def _command_run_all(args) -> int:
                 continue
             except ExecutionError as error:
                 failures.append(experiment_id)
+                exit_code = 3
                 print(
                     f"execution failed for {experiment_id!r}: {error}",
                     file=sys.stderr,
                 )
                 continue
-            if json_mode:
-                documents.append(result.to_dict())
-            else:
+            documents.append(result.to_dict())
+            if not json_mode:
                 print(result.render())
-                print()
-            if args.csv_dir:
-                from pathlib import Path
-
+                if not single:
+                    print()
+            if single and args.csv:
+                result.to_csv(args.csv)
+                _note(args, f"\nrows written to {args.csv}")
+            elif not single and args.csv_dir:
                 directory = Path(args.csv_dir)
                 directory.mkdir(parents=True, exist_ok=True)
                 result.to_csv(directory / f"{experiment_id}.csv")
@@ -578,23 +536,40 @@ def _command_run_all(args) -> int:
         manifest = engine.manifest()
         if base.manifest_path is not None:
             manifest.write(base.manifest_path)
-        if not args.quiet:
+        if manifest.total_units and not args.quiet:
             print(f"[exec] manifest: {manifest.summary()}", file=sys.stderr)
         snapshot = engine.collected_metrics
         engine.close()
+    if single and failures:
+        return exit_code
     if json_mode:
-        document: dict[str, Any] = {"results": documents, "failed": failures}
-        if snapshot is not None and args.metrics == "-":
-            document["metrics"] = snapshot.to_dict()
+        document = documents[0]
+        if not single:
+            document = {"results": documents, "failed": failures}
+            if snapshot is not None and args.metrics == "-":
+                document["metrics"] = snapshot.to_dict()
         print(json.dumps(document, indent=2, sort_keys=True, default=str))
-        if args.metrics not in (None, "-"):
-            _write_snapshot(args, snapshot)
-    else:
-        _write_snapshot(args, snapshot)
+    _write_snapshot(args, snapshot)
     if failures:
         print(f"failed experiments: {', '.join(failures)}", file=sys.stderr)
-        return 3
-    return 0
+    return exit_code
+
+
+def _command_run(args) -> int:
+    from repro.experiments.runner import resolve
+
+    try:
+        resolve(args.experiment)
+    except KeyError as error:
+        print(error.args[0], file=sys.stderr)
+        return 2
+    return _run_experiments(args, [args.experiment])
+
+
+def _command_run_all(args) -> int:
+    from repro.experiments.runner import list_experiments
+
+    return _run_experiments(args, list_experiments())
 
 
 def _command_stats(args) -> int:

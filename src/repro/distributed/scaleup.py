@@ -91,52 +91,6 @@ def scaleup_curve(
     return points
 
 
-@dataclass(frozen=True, kw_only=True)
-class ScaleupUnit:
-    """Payload of one scale-up grid point (picklable work unit).
-
-    Evaluating one node count is independent of every other, so the
-    Figures 11-12 grids decompose into one unit per (node count,
-    remote-stock probability) pair for the execution engine.
-    """
-
-    nodes: int
-    miss_rates: MissRateInputs
-    params: CostParameters | None = None
-    mix: TransactionMix | None = None
-    remote_stock_probability: float | None = None
-
-
-def evaluate_scaleup_unit(unit: ScaleupUnit) -> ScaleupPoint:
-    """Compute one :class:`ScaleupPoint` (module-level for pickling)."""
-    mix = unit.mix if unit.mix is not None else DEFAULT_MIX
-    single = ThroughputModel(
-        params=unit.params, mix=mix, miss_rates=unit.miss_rates
-    ).solve()
-    replicated = DistributedThroughputModel(
-        unit.nodes,
-        unit.miss_rates,
-        item_replicated=True,
-        params=unit.params,
-        mix=mix,
-        remote_stock_probability=unit.remote_stock_probability,
-    ).solve()
-    non_replicated = DistributedThroughputModel(
-        unit.nodes,
-        unit.miss_rates,
-        item_replicated=False,
-        params=unit.params,
-        mix=mix,
-        remote_stock_probability=unit.remote_stock_probability,
-    ).solve()
-    return ScaleupPoint(
-        nodes=unit.nodes,
-        linear_tpm=unit.nodes * single.new_order_tpm,
-        replicated_tpm=replicated.system_new_order_tpm,
-        non_replicated_tpm=non_replicated.system_new_order_tpm,
-    )
-
-
 def remote_probability_sensitivity(
     node_counts: list[int],
     remote_probabilities: list[float],

@@ -2,31 +2,25 @@
 
 :mod:`repro.distributed.simulation` makes every node of a cluster run
 self-contained (``simulate_node(config, node)`` has no cross-node
-state), and this module is the payoff: it partitions the node range of
-a :class:`DistributedSimConfig` into shard work units, fans them out
-through the :class:`~repro.exec.engine.ExecutionEngine` process pool,
-and folds the results into a :class:`DistributedSimReport` that is
-bit-identical to :class:`DistributedBufferSimulation` — the fold sorts
-by node id, so neither the shard layout nor completion order can leak
-into the report (property-tested in
+state), and this module is the payoff: every node of a
+:class:`DistributedSimConfig` is one work unit, fanned out through the
+:class:`~repro.exec.engine.ExecutionEngine` process pool and folded
+into a :class:`DistributedSimReport` that is bit-identical to
+:class:`DistributedBufferSimulation` — the fold sorts by node id, so
+completion order cannot leak into the report (property-tested in
 ``tests/distributed/test_sharded.py``).
 
-Caching is **per node**, not per shard: before dispatching, the runner
-probes the engine's content-addressed cache under each node's
-singleton-unit key and only ships the missing nodes; after a grouped
-shard completes, its per-node results are written back under those same
-singleton keys.  A 4-shard and a 16-shard run of one config therefore
-share cache entries exactly (``shards`` — like ``kernel`` — is excluded
-from fingerprints), and a sweep over ``remote_stock_probability`` or
-replication re-uses every node shard whose config did not change.
-Checkpoint/resume comes for free: a killed sweep's completed nodes are
-already on disk.
+Before dispatching, the runner probes the engine's content-addressed
+cache under each node unit's key and only ships the missing nodes, so
+a repeated sweep point adds no unit records at all and a sweep over
+``remote_stock_probability`` or replication re-uses every node whose
+config did not change.  Checkpoint/resume comes for free: a killed
+sweep's completed nodes are already on disk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.distributed.simulation import (
     DistributedSimConfig,
@@ -42,73 +36,27 @@ from repro.exec.units import SweepSpec
 
 @dataclass(frozen=True)
 class NodeShardUnit:
-    """One shard: simulate the given nodes of ``config`` in one worker."""
+    """One shard: simulate node ``node`` of ``config`` in one worker."""
 
     config: DistributedSimConfig
-    nodes: tuple[int, ...]
+    node: int
 
 
-def run_shard(unit: NodeShardUnit) -> list[NodeResult]:
+def run_shard(unit: NodeShardUnit) -> NodeResult:
     """Execute one shard (module-level, picklable for the process pool)."""
-    return [simulate_node(unit.config, node) for node in unit.nodes]
-
-
-def node_cache_key(config: DistributedSimConfig, node: int) -> str:
-    """The content-addressed key one node's result is cached under.
-
-    Always the *singleton-unit* key, whatever shard layout actually
-    computed the node — this is what makes cache entries shard-layout
-    invariant.
-    """
-    return cache_key(run_shard, NodeShardUnit(config=config, nodes=(node,)))
-
-
-def shard_layout(
-    nodes: Sequence[int], shards: int | None
-) -> list[tuple[int, ...]]:
-    """Split node ids into at most ``shards`` balanced contiguous groups.
-
-    ``shards=None`` means one group per node (the cache-friendliest
-    layout, and the default).  Groups never mix order: results are
-    re-sorted at fold time anyway, but contiguous groups keep unit ids
-    readable.
-    """
-    ordered = sorted(nodes)
-    if not ordered:
-        return []
-    if shards is None:
-        return [(node,) for node in ordered]
-    count = min(shards, len(ordered))
-    base, extra = divmod(len(ordered), count)
-    groups = []
-    start = 0
-    for index in range(count):
-        size = base + (1 if index < extra else 0)
-        groups.append(tuple(ordered[start : start + size]))
-        start += size
-    return groups
-
-
-def _unit_id(group: tuple[int, ...]) -> str:
-    if len(group) == 1:
-        return f"node-{group[0]:04d}"
-    return f"nodes-{group[0]:04d}-{group[-1]:04d}"
+    return simulate_node(unit.config, unit.node)
 
 
 def shard_spec(
-    config: DistributedSimConfig,
-    nodes: Sequence[int] | None = None,
-    experiment: str = "distributed-sharded",
+    config: DistributedSimConfig, experiment: str = "distributed-sharded"
 ) -> SweepSpec:
-    """The sweep spec covering ``nodes`` (default: all) of ``config``."""
-    if nodes is None:
-        nodes = range(config.nodes)
+    """The sweep spec of ``config``: one unit per node."""
     return SweepSpec.over(
         experiment,
         run_shard,
         [
-            (_unit_id(group), NodeShardUnit(config=config, nodes=group))
-            for group in shard_layout(nodes, config.shards)
+            (f"node-{node:04d}", NodeShardUnit(config=config, node=node))
+            for node in range(config.nodes)
         ],
     )
 
@@ -119,40 +67,25 @@ def run_sharded(
     experiment: str = "distributed-sharded",
 ) -> DistributedSimReport:
     """Run ``config`` through the engine; bit-identical to the serial run."""
-    results: dict[int, NodeResult] = {}
-    cache = engine.cache
-    if cache is not None:
-        for node in range(config.nodes):
-            value = cache.get(node_cache_key(config, node))
-            if value is not MISSING:
-                results[node] = value[0]
-    missing = [node for node in range(config.nodes) if node not in results]
+    spec = shard_spec(config, experiment)
+    results: list[NodeResult] = []
+    missing = []
+    for unit in spec.units:
+        value = MISSING
+        if engine.cache is not None:
+            value = engine.cache.get(cache_key(unit.function, unit.payload))
+        if value is MISSING:
+            missing.append(unit)
+        else:
+            results.append(value)
     if missing:
-        spec = shard_spec(config, nodes=missing, experiment=experiment)
-        outputs = engine.run_sweep(spec)
-        grouped = [out for out in outputs.values() if out is not None]
-        for shard_results in grouped:
-            for result in shard_results:
-                results[result.node] = result
-        if cache is not None:
-            # Back-fill singleton keys for nodes computed inside grouped
-            # shards (singleton units were already stored by the engine).
-            for shard_results in grouped:
-                if len(shard_results) > 1:
-                    for result in shard_results:
-                        cache.put(
-                            node_cache_key(config, result.node), [result]
-                        )
-    return fold_report(
-        config, [results[node] for node in sorted(results)]
-    )
+        results.extend(engine.run_sweep(SweepSpec(experiment, tuple(missing))).values())
+    return fold_report(config, results)
 
 
 __all__ = [
     "NodeShardUnit",
-    "node_cache_key",
     "run_shard",
     "run_sharded",
-    "shard_layout",
     "shard_spec",
 ]

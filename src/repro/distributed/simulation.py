@@ -99,12 +99,6 @@ class DistributedSimConfig:
     warmup_transactions_per_node: int = 400
     item_replicated: bool = True
     seed: int = 0
-    #: How many work units :mod:`repro.distributed.sharded` splits the
-    #: node range into (``None`` = one unit per node).  Pure worker
-    #: layout: every shard count produces the same report and shares
-    #: the same per-node cache entries, so it is excluded from cache
-    #: fingerprints.
-    shards: int | None = field(default=None, metadata={"cache_fingerprint": False})
 
     def __post_init__(self) -> None:
         if self.nodes < 1:
@@ -114,8 +108,6 @@ class DistributedSimConfig:
         if self.trace.remote_stock_probability < 0:
             raise ValueError("remote probability must be non-negative")
         require_kernel_policy(self.policy)
-        if self.shards is not None and self.shards < 1:
-            raise ValueError(f"shards must be >= 1 when set, got {self.shards}")
 
     def replace(self, **overrides) -> "DistributedSimConfig":
         """A copy with the given fields replaced (validation re-runs)."""
@@ -229,7 +221,7 @@ def fold_report(
 ) -> DistributedSimReport:
     """Assemble a report from one :class:`NodeResult` per node.
 
-    Results may arrive in any order (shards complete out of order);
+    Results may arrive in any order (node shards complete out of order);
     the fold sorts by node id, so the report is identical however the
     work was partitioned.
     """

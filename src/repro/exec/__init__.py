@@ -21,7 +21,6 @@ from repro.exec.request import (
     RunContext,
     RunRequest,
     build_engine,
-    context_for,
     execute,
 )
 from repro.exec.units import SweepSpec, WorkUnit
@@ -38,7 +37,6 @@ __all__ = [
     "WorkUnit",
     "build_engine",
     "cache_key",
-    "context_for",
     "execute",
     "load_completed_units",
     "stable_fingerprint",

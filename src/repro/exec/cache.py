@@ -49,15 +49,9 @@ def stable_fingerprint(value: Any) -> str:
     if isinstance(value, np.generic):
         return f"npscalar:{value.dtype}:{value.item()!r}"
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        # Fields tagged ``cache_fingerprint: False`` are implementation
-        # selectors with no effect on results (e.g. SimulationConfig.
-        # kernel) — leaving them out keys the cache on *what* is
-        # computed, not *how*, so entries are shared across the
-        # equivalent implementations.
         fields = ",".join(
             f"{field.name}={stable_fingerprint(getattr(value, field.name))}"
             for field in dataclasses.fields(value)
-            if field.metadata.get("cache_fingerprint", True)
         )
         return f"{type(value).__qualname__}({fields})"
     if isinstance(value, dict):

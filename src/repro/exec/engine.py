@@ -33,7 +33,7 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any, NamedTuple, NoReturn, TextIO
 
 from repro.exec.cache import MISSING, ResultCache, cache_key
 from repro.exec.units import SupportsSweep, WorkUnit
@@ -196,12 +196,22 @@ def load_completed_units(manifest_path: str | Path) -> set[tuple[str, str]]:
         return set()
 
 
+class _Outcome(NamedTuple):
+    """What :func:`_invoke` ships back from a (possibly remote) unit run."""
+
+    result: Any
+    wall_seconds: float
+    cpu_seconds: float
+    snapshot: MetricsSnapshot | None
+    hotspots: list[dict[str, Any]] | None
+
+
 def _invoke(
     unit: WorkUnit,
     collect_metrics: bool = False,
     profile: bool = False,
     profile_top_n: int = 10,
-) -> tuple[Any, float, float, MetricsSnapshot | None, list[dict[str, Any]] | None]:
+) -> _Outcome:
     """Run one unit, measuring wall and CPU time (worker-side).
 
     Observability options arrive as extra call arguments — never inside
@@ -230,7 +240,7 @@ def _invoke(
     finally:
         if registry is not None:
             registry.disable()
-    return (
+    return _Outcome(
         result,
         time.perf_counter() - wall_start,
         time.process_time() - cpu_start,
@@ -427,11 +437,59 @@ class ExecutionEngine:
         )
         return results
 
-    def _store(self, unit: WorkUnit, result: Any, keys: dict[str, str]) -> None:
-        """Write one fresh result through to the cache (checkpointing)."""
+    def _finish(
+        self,
+        experiment: str,
+        unit: WorkUnit,
+        outcome: _Outcome,
+        attempts: int,
+        progress: str,
+        results: dict[str, Any],
+        keys: dict[str, str],
+    ) -> None:
+        """One unit completed: checkpoint to the cache, observe, record, log."""
+        wall, cpu = outcome.wall_seconds, outcome.cpu_seconds
+        results[unit.unit_id] = outcome.result
         if self.cache is not None:
             key = keys.get(unit.unit_id) or cache_key(unit.function, unit.payload)
-            self.cache.put(key, result)
+            self.cache.put(key, outcome.result)
+        instruments.EXEC_UNIT_SECONDS.observe(wall, experiment=experiment)
+        self._record(
+            UnitRecord(
+                experiment=experiment,
+                unit_id=unit.unit_id,
+                status="done",
+                attempts=attempts,
+                wall_seconds=wall,
+                cpu_seconds=cpu,
+                profile=outcome.hotspots,
+            )
+        )
+        self._log(
+            f"{experiment} {progress} {unit.unit_id} "
+            f"wall={wall:.2f}s cpu={cpu:.2f}s"
+        )
+
+    def _exhausted(self, experiment: str, errors: dict[str, str | None]) -> NoReturn:
+        """Units out of retry budget: record each as failed, then raise."""
+        attempts = self.retries + 1
+        for unit_id, error in errors.items():
+            self._record(
+                UnitRecord(
+                    experiment=experiment,
+                    unit_id=unit_id,
+                    status="failed",
+                    attempts=attempts,
+                    wall_seconds=0.0,
+                    cpu_seconds=0.0,
+                    error=error,
+                )
+            )
+        details = "; ".join(f"{unit_id}: {error}" for unit_id, error in errors.items())
+        raise ExecutionError(
+            f"{len(errors)} unit(s) of {experiment} failed after "
+            f"{attempts} attempts — {details}"
+        )
 
     def _record_interrupted(self, experiment: str, units: list[WorkUnit]) -> None:
         """Mark every unit without a record yet as interrupted."""
@@ -471,9 +529,7 @@ class ExecutionEngine:
                 try:
                     # In-process run: metrics (when enabled) record into
                     # the live registry directly — no snapshot to merge.
-                    result, wall, cpu, _, hotspots = _invoke(
-                        unit, False, self.profile, self.profile_top_n
-                    )
+                    outcome = _invoke(unit, False, self.profile, self.profile_top_n)
                 except KeyboardInterrupt:
                     raise
                 except Exception as error:  # noqa: BLE001 - recorded + retried
@@ -483,41 +539,12 @@ class ExecutionEngine:
                         f"failed: {error_text}"
                     )
                     continue
-                results[unit.unit_id] = result
-                self._store(unit, result, keys)
-                instruments.EXEC_UNIT_SECONDS.observe(wall, experiment=experiment)
-                self._record(
-                    UnitRecord(
-                        experiment=experiment,
-                        unit_id=unit.unit_id,
-                        status="done",
-                        attempts=attempt,
-                        wall_seconds=wall,
-                        cpu_seconds=cpu,
-                        profile=hotspots,
-                    )
-                )
-                self._log(
-                    f"{experiment} {index}/{total} {unit.unit_id} "
-                    f"wall={wall:.2f}s cpu={cpu:.2f}s"
+                self._finish(
+                    experiment, unit, outcome, attempt, f"{index}/{total}", results, keys
                 )
                 break
             else:
-                self._record(
-                    UnitRecord(
-                        experiment=experiment,
-                        unit_id=unit.unit_id,
-                        status="failed",
-                        attempts=self.retries + 1,
-                        wall_seconds=0.0,
-                        cpu_seconds=0.0,
-                        error=error_text,
-                    )
-                )
-                raise ExecutionError(
-                    f"unit {unit.unit_id!r} of {experiment} failed after "
-                    f"{self.retries + 1} attempts: {error_text}"
-                )
+                self._exhausted(experiment, {unit.unit_id: error_text})
 
     def _run_parallel(
         self,
@@ -551,9 +578,7 @@ class ExecutionEngine:
                 if attempts[unit_id] > 1:
                     instruments.EXEC_UNIT_RETRIES.inc(experiment=experiment)
                 try:
-                    result, wall, cpu, snapshot, hotspots = future.result(
-                        timeout=self.unit_timeout
-                    )
+                    outcome = future.result(timeout=self.unit_timeout)
                 except FutureTimeoutError:
                     errors[unit_id] = (
                         f"timed out after {self.unit_timeout}s"
@@ -575,58 +600,28 @@ class ExecutionEngine:
                     )
                 else:
                     done += 1
-                    results[unit_id] = result
-                    self._store(pending[unit_id], result, keys)
-                    del pending[unit_id]
                     errors.pop(unit_id, None)
-                    if snapshot is not None:
+                    if outcome.snapshot is not None:
                         # Fold the worker's per-unit metrics into the
                         # parent registry, where the surrounding
                         # collecting() session picks them up.
-                        default_registry().merge_snapshot(snapshot)
-                    instruments.EXEC_UNIT_SECONDS.observe(
-                        wall, experiment=experiment
-                    )
-                    self._record(
-                        UnitRecord(
-                            experiment=experiment,
-                            unit_id=unit_id,
-                            status="done",
-                            attempts=attempts[unit_id],
-                            wall_seconds=wall,
-                            cpu_seconds=cpu,
-                            profile=hotspots,
-                        )
-                    )
-                    self._log(
-                        f"{experiment} {done}/{total} {unit_id} "
-                        f"wall={wall:.2f}s cpu={cpu:.2f}s"
+                        default_registry().merge_snapshot(outcome.snapshot)
+                    self._finish(
+                        experiment,
+                        pending.pop(unit_id),
+                        outcome,
+                        attempts[unit_id],
+                        f"{done}/{total}",
+                        results,
+                        keys,
                     )
             if pool_broken:
                 self._discard_pool()
 
-            exhausted = [
-                unit_id
+            exhausted = {
+                unit_id: errors.get(unit_id)
                 for unit_id in pending
                 if attempts[unit_id] >= self.retries + 1
-            ]
+            }
             if exhausted:
-                for unit_id in exhausted:
-                    self._record(
-                        UnitRecord(
-                            experiment=experiment,
-                            unit_id=unit_id,
-                            status="failed",
-                            attempts=attempts[unit_id],
-                            wall_seconds=0.0,
-                            cpu_seconds=0.0,
-                            error=errors.get(unit_id),
-                        )
-                    )
-                details = "; ".join(
-                    f"{unit_id}: {errors.get(unit_id)}" for unit_id in exhausted
-                )
-                raise ExecutionError(
-                    f"{len(exhausted)} unit(s) of {experiment} failed after "
-                    f"{self.retries + 1} attempts — {details}"
-                )
+                self._exhausted(experiment, exhausted)

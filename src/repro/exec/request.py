@@ -15,6 +15,7 @@ the object experiment functions receive instead of a bare
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -26,7 +27,7 @@ from repro.obs.metrics import default_registry
 from repro.obs.tracing import tracing_to
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.runner import ExperimentResult
+    from repro.experiments.runner import ExperimentFunction, ExperimentResult
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -47,11 +48,6 @@ class RunRequest:
     *records*, never what it computes — and they are deliberately kept
     out of work-unit payloads so cache keys are identical with and
     without them.
-
-    ``shards`` controls how the distributed simulation's node range is
-    partitioned into work units (``None`` = one unit per node; see
-    :mod:`repro.distributed.sharded`).  Pure worker layout — reports
-    and cache keys are identical for every value.
     """
 
     experiment: str
@@ -67,7 +63,6 @@ class RunRequest:
     collect_metrics: bool = False
     trace_path: str | Path | None = None
     profile: bool = False
-    shards: int | None = None
 
     def __post_init__(self) -> None:
         if isinstance(self.preset, str):
@@ -80,8 +75,6 @@ class RunRequest:
             raise ValueError(
                 f"unit_timeout must be positive, got {self.unit_timeout}"
             )
-        if self.shards is not None and self.shards < 1:
-            raise ValueError(f"shards must be >= 1 when set, got {self.shards}")
 
     def replace(self, **overrides: Any) -> "RunRequest":
         """A copy with the given fields replaced."""
@@ -124,11 +117,6 @@ def build_engine(request: RunRequest) -> ExecutionEngine:
     )
 
 
-def context_for(request: RunRequest, engine: ExecutionEngine | None = None) -> RunContext:
-    """A ready-to-use context (building an engine when none is shared)."""
-    return RunContext(request=request, engine=engine or build_engine(request))
-
-
 def execute(
     request: RunRequest, *, engine: ExecutionEngine | None = None
 ) -> "ExperimentResult":
@@ -146,34 +134,38 @@ def execute(
     duration.  Both are observe-only — outputs and cache keys are
     byte-identical with and without them.
     """
-    from contextlib import ExitStack
-
     from repro.experiments.runner import resolve
 
     function = resolve(request.experiment)
-    own_engine = engine is None
-    engine = engine if engine is not None else build_engine(request)
-    session = None
-    try:
-        with ExitStack() as stack:
-            if request.trace_path is not None:
-                stack.enter_context(tracing_to(request.trace_path))
-            if request.collect_metrics:
-                session = stack.enter_context(default_registry().collecting())
-            result = function(RunContext(request=request, engine=engine))
-        if session is not None:
-            snapshot = session.snapshot
-            result = result.with_metrics(snapshot)
-            engine.collected_metrics = (
-                snapshot
-                if engine.collected_metrics is None
-                else engine.collected_metrics.merge(snapshot)
-            )
-    finally:
-        if own_engine:
+    if engine is not None:
+        return _run(function, request, engine)
+    with build_engine(request) as owned:
+        try:
+            return _run(function, request, owned)
+        finally:
             if request.manifest_path is not None:
-                engine.manifest().write(request.manifest_path)
-            engine.close()
+                owned.manifest().write(request.manifest_path)
+
+
+def _run(
+    function: "ExperimentFunction", request: RunRequest, engine: ExecutionEngine
+) -> "ExperimentResult":
+    """Call the experiment inside the request's tracing / metrics sessions."""
+    session = None
+    with ExitStack() as stack:
+        if request.trace_path is not None:
+            stack.enter_context(tracing_to(request.trace_path))
+        if request.collect_metrics:
+            session = stack.enter_context(default_registry().collecting())
+        result = function(RunContext(request=request, engine=engine))
+    if session is not None:
+        snapshot = session.snapshot
+        result = result.with_metrics(snapshot)
+        engine.collected_metrics = (
+            snapshot
+            if engine.collected_metrics is None
+            else engine.collected_metrics.merge(snapshot)
+        )
     return result
 
 
@@ -182,6 +174,5 @@ __all__ = [
     "RunRequest",
     "RunManifest",
     "build_engine",
-    "context_for",
     "execute",
 ]

@@ -7,19 +7,22 @@ workloads and the analytic miss-rate provider; STANDARD runs the
 paper's 20-warehouse simulation at a coarser statistical budget; PAPER
 replicates the 30 x 100k batch-means protocol.
 
-The sweep-shaped experiments (fig8-fig12) declare their grid points as
-:class:`~repro.exec.units.SweepSpec` work units and execute them
-through the context's engine, so ``--jobs N`` fans them out over
-processes and ``--cache-dir`` memoizes each point on disk.
+Work units are for simulations: Figure 8's operating points and the
+cluster cross-check of Figures 11-12 go through the context's engine
+(``--jobs N`` fans them out, ``--cache-dir`` memoizes each on disk).
+Figures 9-12 themselves are closed forms — utilisation arithmetic over
+Table 4 and Appendix A, about a millisecond a point — and are plain
+function calls over a miss-rate provider built once per engine.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.buffer.simulator import SimulationConfig, simulation_sweep_spec
+from repro.buffer.simulator import SimulationConfig, sweep_buffer_sizes
 from repro.constants import (
     NURAND_A_ITEM,
     ITEMS,
@@ -37,18 +40,19 @@ from repro.core.nurand import (
 )
 from repro.core.packing import HottestFirstPacking, SequentialPacking
 from repro.core.skew import SkewSummary, access_share_of_hottest, gini_coefficient
-from repro.distributed.scaleup import ScaleupUnit, evaluate_scaleup_unit
+from repro.distributed.scaleup import (
+    remote_probability_sensitivity,
+    scaleup_curve,
+)
 from repro.distributed.sharded import run_sharded
 from repro.distributed.simulation import DistributedSimConfig
-from repro.exec.units import SweepSpec
 from repro.experiments.runner import ExperimentResult, Preset, register
 from repro.throughput.model import ThroughputModel
 from repro.throughput.params import MissRateInputs
 from repro.throughput.pricing import (
     AnalyticMissRateProvider,
     InterpolatingMissRateProvider,
-    PricePointUnit,
-    evaluate_throughput_point,
+    PriceBook,
     optimal_point,
     price_performance_sweep,
 )
@@ -101,10 +105,9 @@ def _fig8_settings(preset: Preset) -> dict:
 def _fig8_sweep(ctx: RunContext, packing: str):
     """Miss-rate sweep for one packing, shared by figs 8, 9, 10.
 
-    The sweep points are declared as a :class:`SweepSpec` (one
-    simulation per buffer size) and executed through the context's
-    engine; results are memoized on the engine so a ``run-all`` reuses
-    them across the whole figure family.
+    One simulation work unit per buffer size, executed through the
+    context's engine; results are memoized on the engine so a
+    ``run-all`` reuses them across the whole figure family.
     """
     seed = ctx.seed(11)
     memo_key = ("fig8-sweep", ctx.preset, packing, seed)
@@ -121,24 +124,35 @@ def _fig8_sweep(ctx: RunContext, packing: str):
         batches=settings["batches"],
         batch_size=settings["batch_size"],
     )
-    spec = simulation_sweep_spec("fig8", base, settings["sizes_mb"])
-    results = ctx.run_sweep(spec)
-    reports = {
-        megabytes: results[unit.unit_id]
-        for megabytes, unit in zip(settings["sizes_mb"], spec.units)
-    }
+    reports = sweep_buffer_sizes(
+        base, settings["sizes_mb"], ctx.engine, experiment="fig8"
+    )
     ctx.engine.scratch[memo_key] = reports
     return reports
 
 
 def _miss_rate_provider(ctx: RunContext, packing: str):
-    """Buffer-size -> MissRateInputs, analytic for QUICK, simulated otherwise."""
-    if ctx.preset is Preset.QUICK:
-        residual = MissRateInputs(
-            customer=0.0, item=0.0, stock=0.0, order=0.02, order_line=0.01
-        )
-        return AnalyticMissRateProvider(packing=packing, residual=residual)
-    return InterpolatingMissRateProvider.from_reports(_fig8_sweep(ctx, packing))
+    """Buffer-size -> MissRateInputs, analytic for QUICK, simulated otherwise.
+
+    Built once per (preset, packing, seed) per engine and evaluated at
+    most once per buffer size: a QUICK point is a Che solve (tens of
+    milliseconds) that Figures 9, 10 and 10b would otherwise repeat per
+    curve.
+    """
+    memo_key = ("miss-rate-provider", ctx.preset, packing, ctx.seed(11))
+    provider = ctx.engine.scratch.get(memo_key)
+    if provider is None:
+        if ctx.preset is Preset.QUICK:
+            residual = MissRateInputs(
+                customer=0.0, item=0.0, stock=0.0, order=0.02, order_line=0.01
+            )
+            provider = AnalyticMissRateProvider(packing=packing, residual=residual)
+        else:
+            provider = InterpolatingMissRateProvider.from_reports(
+                _fig8_sweep(ctx, packing)
+            )
+        provider = ctx.engine.scratch[memo_key] = cache(provider)
+    return provider
 
 
 def _reference_miss(ctx: RunContext, packing: str = "optimized") -> MissRateInputs:
@@ -388,36 +402,21 @@ def fig8(ctx: RunContext) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def _throughput_series(ctx: RunContext, sizes_mb: list[float]):
-    """New-Order tpm per packing, one engine work unit per buffer size."""
-    series = {}
-    for packing in ("sequential", "optimized"):
-        provider = _miss_rate_provider(ctx, packing)
-        spec = SweepSpec.over(
-            "fig9",
-            evaluate_throughput_point,
-            (
-                (
-                    f"fig9/{packing}/{size:g}MB",
-                    PricePointUnit(buffer_mb=size, provider=provider),
-                )
-                for size in sizes_mb
-            ),
-        )
-        results = ctx.run_sweep(spec)
-        series[packing] = [
-            results[unit.unit_id].new_order_tpm for unit in spec.units
-        ]
-    return series
-
-
 @register("fig9")
 def fig9(ctx: RunContext) -> ExperimentResult:
     """Figure 9: maximum New-Order throughput vs buffer size."""
     sizes = [float(mb) for mb in (8, 16, 26, 39, 52, 78, 104, 130, 154, 180, 208)]
-    series = _throughput_series(ctx, sizes)
-    sequential = np.array(series["sequential"])
-    optimized = np.array(series["optimized"])
+    sequential, optimized = (
+        np.array(
+            [
+                ThroughputModel(miss_rates=_miss_rate_provider(ctx, packing)(size))
+                .solve()
+                .new_order_tpm
+                for size in sizes
+            ]
+        )
+        for packing in ("sequential", "optimized")
+    )
     improvement = (optimized - sequential) / sequential
     rows = _series_rows(
         "buffer MB",
@@ -457,11 +456,7 @@ def fig10(ctx: RunContext) -> ExperimentResult:
         for include_growth in (False, True):
             label = f"{packing}{' +storage' if include_growth else ''}"
             points = price_performance_sweep(
-                sizes,
-                provider,
-                include_growth=include_growth,
-                engine=ctx.engine,
-                label=f"fig10/{packing}{'+storage' if include_growth else ''}",
+                sizes, provider, include_growth=include_growth
             )
             curves[label] = points
             best = optimal_point(points)
@@ -518,8 +513,6 @@ def fig10_disk_size(ctx: RunContext) -> ExperimentResult:
     database on one disk) the full 30%.  We sweep the disk capacity and
     report the gain at each size.
     """
-    from repro.throughput.pricing import PriceBook
-
     sizes = [float(mb) for mb in range(8, 260, 8)]
     providers = {
         packing: _miss_rate_provider(ctx, packing)
@@ -535,8 +528,6 @@ def fig10_disk_size(ctx: RunContext) -> ExperimentResult:
                 provider,
                 prices=PriceBook(disk_capacity_gb=capacity_gb),
                 include_growth=True,
-                engine=ctx.engine,
-                label=f"fig10b/{capacity_gb:g}GB/{packing}",
             )
             optima[packing] = optimal_point(points)
         gain = 1 - optima["optimized"].cost_per_tpm / optima["sequential"].cost_per_tpm
@@ -596,7 +587,6 @@ def _cluster_validation(
             seed=ctx.seed(11),
             remote_stock_probability=remote_stock_probability,
         ),
-        shards=ctx.request.shards,
     )
     report = run_sharded(config, ctx.engine, experiment=f"{experiment}-sim")
     single = run_sharded(
@@ -615,16 +605,7 @@ def fig11(ctx: RunContext) -> ExperimentResult:
     """Figure 11: scale-up with and without Item replication."""
     miss = _reference_miss(ctx)
     node_counts = [1, 2, 5, 10, 15, 20, 25, 30]
-    spec = SweepSpec.over(
-        "fig11",
-        evaluate_scaleup_unit,
-        (
-            (f"fig11/N={nodes}", ScaleupUnit(nodes=nodes, miss_rates=miss))
-            for nodes in node_counts
-        ),
-    )
-    results = ctx.run_sweep(spec)
-    points = [results[unit.unit_id] for unit in spec.units]
+    points = scaleup_curve(node_counts, miss)
     rows = [point.as_row() for point in points]
     by_nodes = {point.nodes: point for point in points}
     headline = {
@@ -665,30 +646,7 @@ def fig12(ctx: RunContext) -> ExperimentResult:
     miss = _reference_miss(ctx)
     node_counts = [1, 2, 5, 10, 15, 20, 25, 30]
     probabilities = [0.01, 0.05, 0.10, 0.50, 1.00]
-    spec = SweepSpec.over(
-        "fig12",
-        evaluate_scaleup_unit,
-        (
-            (
-                f"fig12/p={probability}/N={nodes}",
-                ScaleupUnit(
-                    nodes=nodes,
-                    miss_rates=miss,
-                    remote_stock_probability=probability,
-                ),
-            )
-            for probability in probabilities
-            for nodes in node_counts
-        ),
-    )
-    results = ctx.run_sweep(spec)
-    curves = {
-        probability: [
-            (nodes, results[f"fig12/p={probability}/N={nodes}"].replicated_tpm)
-            for nodes in node_counts
-        ]
-        for probability in probabilities
-    }
+    curves = remote_probability_sensitivity(node_counts, probabilities, miss)
     rows = []
     for index, nodes in enumerate(node_counts):
         row: dict[str, object] = {"nodes": nodes}

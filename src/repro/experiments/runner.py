@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import inspect
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -90,38 +89,12 @@ ExperimentFunction = Callable[["RunContext"], ExperimentResult]
 EXPERIMENTS: dict[str, ExperimentFunction] = {}
 
 
-def _check_signature(experiment_id: str, function: Callable) -> None:
-    """Reject the pre-RunContext ``function(preset)`` contract.
-
-    The single-``Preset`` signature was deprecated when the unified
-    run-request API landed and the shim has aged out; experiments must
-    declare a ``RunContext`` parameter (by annotation, or a first
-    parameter named ``ctx``/``context``).
-    """
-    parameters = list(inspect.signature(function).parameters.values())
-    first = parameters[0] if parameters else None
-    annotation = (
-        "" if first is None or first.annotation is inspect.Parameter.empty
-        else str(first.annotation)
-    )
-    if first is not None and (
-        "RunContext" in annotation or first.name in ("ctx", "context")
-    ):
-        return
-    raise TypeError(
-        f"experiment {experiment_id!r} must accept a RunContext as its "
-        "first parameter; the legacy single-Preset signature is no "
-        "longer supported"
-    )
-
-
 def register(experiment_id: str):
     """Decorator adding an experiment function to the registry."""
 
     def wrap(function: ExperimentFunction) -> ExperimentFunction:
         if experiment_id in EXPERIMENTS:
             raise ValueError(f"experiment {experiment_id!r} registered twice")
-        _check_signature(experiment_id, function)
         EXPERIMENTS[experiment_id] = function
         return function
 

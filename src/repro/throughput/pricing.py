@@ -250,97 +250,6 @@ class PricePerformancePoint:
         }
 
 
-@dataclass(frozen=True, kw_only=True)
-class PricePointUnit:
-    """Payload of one price/performance sweep point (picklable).
-
-    The provider rides along inside the payload — both provider classes
-    here carry only numpy arrays and plain dataclasses, so a unit can
-    be shipped to a worker process or fingerprinted for the result
-    cache without special cases.
-    """
-
-    buffer_mb: float
-    provider: object
-    params: CostParameters | None = None
-    mix: TransactionMix = DEFAULT_MIX
-    warehouses: int = WAREHOUSES_PER_NODE
-    prices: PriceBook | None = None
-    include_growth: bool = True
-    page_size: int = DEFAULT_PAGE_SIZE
-
-
-def evaluate_throughput_point(unit: PricePointUnit) -> ThroughputResult:
-    """Solve the throughput model at one buffer size (Figure 9 unit)."""
-    params = unit.params if unit.params is not None else CostParameters()
-    miss = unit.provider(unit.buffer_mb)
-    return ThroughputModel(params=params, mix=unit.mix, miss_rates=miss).solve()
-
-
-def evaluate_price_point(unit: PricePointUnit) -> PricePerformancePoint:
-    """Cost one buffer size (module-level work unit for the engine)."""
-    params = unit.params if unit.params is not None else CostParameters()
-    prices = unit.prices if unit.prices is not None else PriceBook()
-
-    miss = unit.provider(unit.buffer_mb)
-    model = ThroughputModel(params=params, mix=unit.mix, miss_rates=miss)
-    result = model.solve()
-
-    storage = float(static_storage_bytes(unit.warehouses, unit.page_size))
-    if unit.include_growth:
-        storage += growth_bytes(result.total_tpm, unit.mix)
-    disks_capacity = max(1, math.ceil(storage / (prices.disk_capacity_gb * 1e9)))
-    disks = max(result.disk_arms_for_bandwidth, disks_capacity)
-    return PricePerformancePoint(
-        buffer_mb=unit.buffer_mb,
-        miss_rates=miss,
-        throughput=result,
-        disk_arms_for_bandwidth=result.disk_arms_for_bandwidth,
-        disks_for_capacity=disks_capacity,
-        disks=disks,
-        memory_cost=unit.buffer_mb * prices.memory_price_per_mb,
-        disk_cost=disks * prices.disk_price,
-        cpu_cost=prices.cpu_price,
-        storage_bytes=storage,
-    )
-
-
-def price_performance_spec(
-    buffer_sizes_mb: list[float],
-    miss_rate_provider,
-    params: CostParameters | None = None,
-    mix: TransactionMix = DEFAULT_MIX,
-    warehouses: int = WAREHOUSES_PER_NODE,
-    prices: PriceBook | None = None,
-    include_growth: bool = True,
-    page_size: int = DEFAULT_PAGE_SIZE,
-    label: str = "price-performance",
-):
-    """Declare the $/tpm sweep as independent work units (one per size)."""
-    from repro.exec.units import SweepSpec
-
-    return SweepSpec.over(
-        label,
-        evaluate_price_point,
-        (
-            (
-                f"{label}/{buffer_mb:g}MB",
-                PricePointUnit(
-                    buffer_mb=buffer_mb,
-                    provider=miss_rate_provider,
-                    params=params,
-                    mix=mix,
-                    warehouses=warehouses,
-                    prices=prices,
-                    include_growth=include_growth,
-                    page_size=page_size,
-                ),
-            )
-            for buffer_mb in buffer_sizes_mb
-        ),
-    )
-
-
 def price_performance_sweep(
     buffer_sizes_mb: list[float],
     miss_rate_provider,
@@ -350,33 +259,40 @@ def price_performance_sweep(
     prices: PriceBook | None = None,
     include_growth: bool = True,
     page_size: int = DEFAULT_PAGE_SIZE,
-    engine=None,
-    label: str = "price-performance",
 ) -> list[PricePerformancePoint]:
     """Evaluate the $/tpm curve over candidate buffer sizes.
 
     ``miss_rate_provider`` maps a buffer size in MB to
     :class:`MissRateInputs` — use :class:`AnalyticMissRateProvider` or a
-    closure over simulation reports.  Pass an
-    :class:`repro.exec.engine.ExecutionEngine` to fan the points out in
-    parallel (and cache them); without one the sweep runs serially
-    in-process with identical results.
+    closure over simulation reports.  A point is utilisation arithmetic
+    over Table 4 (about a millisecond), so the sweep is a plain loop.
     """
-    spec = price_performance_spec(
-        buffer_sizes_mb,
-        miss_rate_provider,
-        params=params,
-        mix=mix,
-        warehouses=warehouses,
-        prices=prices,
-        include_growth=include_growth,
-        page_size=page_size,
-        label=label,
-    )
-    if engine is None:
-        return [unit.run() for unit in spec.units]
-    results = engine.run_sweep(spec)
-    return [results[unit.unit_id] for unit in spec.units]
+    prices = prices if prices is not None else PriceBook()
+    static_storage = float(static_storage_bytes(warehouses, page_size))
+    points = []
+    for buffer_mb in buffer_sizes_mb:
+        miss = miss_rate_provider(buffer_mb)
+        result = ThroughputModel(params=params, mix=mix, miss_rates=miss).solve()
+        storage = static_storage
+        if include_growth:
+            storage += growth_bytes(result.total_tpm, mix)
+        disks_capacity = max(1, math.ceil(storage / (prices.disk_capacity_gb * 1e9)))
+        disks = max(result.disk_arms_for_bandwidth, disks_capacity)
+        points.append(
+            PricePerformancePoint(
+                buffer_mb=buffer_mb,
+                miss_rates=miss,
+                throughput=result,
+                disk_arms_for_bandwidth=result.disk_arms_for_bandwidth,
+                disks_for_capacity=disks_capacity,
+                disks=disks,
+                memory_cost=buffer_mb * prices.memory_price_per_mb,
+                disk_cost=disks * prices.disk_price,
+                cpu_cost=prices.cpu_price,
+                storage_bytes=storage,
+            )
+        )
+    return points
 
 
 def optimal_point(points: list[PricePerformancePoint]) -> PricePerformancePoint:

@@ -18,6 +18,9 @@ generation stays fast while the public API remains scalar.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from functools import partial
+
 import numpy as np
 
 from repro.constants import (
@@ -45,40 +48,40 @@ from repro.workload.transactions import (
 )
 
 
-class _BufferedSampler:
-    """Refillable block of draws from one NURand sampler.
+class _BlockSampler:
+    """Refillable block of draws, handed out one by one.
 
-    The buffer is converted to a plain list once per refill so ``draw``
-    hands out Python ints without per-call numpy scalar boxing.
-    ``lazy`` defers the first refill to the first draw, so a sampler on
-    a dedicated substream costs nothing until used.
+    ``refill_block`` is the only thing that differs between primitives:
+    a zero-argument callable returning the next block as an array
+    (:func:`_nurand_block`, :func:`_uniform_block`, :func:`_float_block`).
+    Scalar numpy calls cost microseconds each; drawing a block and
+    handing it out keeps the marginal distribution identical while
+    amortizing the call.  The block is converted to a plain list once
+    per refill so ``draw`` hands out Python numbers without per-call
+    numpy scalar boxing.  The first refill is deferred to the first
+    draw — a primitive that is never used consumes nothing — unless
+    ``eager`` asks for it at construction.
     """
 
-    def __init__(
-        self,
-        sampler: NURand,
-        rng: np.random.Generator,
-        block: int = 8192,
-        lazy: bool = False,
-    ):
-        self._sampler = sampler
-        self._rng = rng
-        self._block = block
+    __slots__ = ("_refill_block", "_buffer", "_buffer_np", "_next")
+
+    def __init__(self, refill_block: Callable[[], np.ndarray], eager: bool = False):
+        self._refill_block = refill_block
+        # int64 so that concatenating the empty start with the first
+        # real block keeps that block's dtype (int64 or float64).
         self._buffer_np: np.ndarray = (
-            np.empty(0, dtype=np.int64)
-            if lazy
-            else sampler.sample_array(rng, block)
+            refill_block() if eager else np.empty(0, dtype=np.int64)
         )
-        self._buffer: list[int] = self._buffer_np.tolist()
+        self._buffer: list = self._buffer_np.tolist()
         self._next = 0
 
-    def _refill(self) -> list[int]:
-        self._buffer_np = self._sampler.sample_array(self._rng, self._block)
+    def _refill(self) -> list:
+        self._buffer_np = self._refill_block()
         self._buffer = self._buffer_np.tolist()
         self._next = 0
         return self._buffer
 
-    def draw(self) -> int:
+    def draw(self):
         index = self._next
         if index >= len(self._buffer):
             self._refill()
@@ -86,7 +89,7 @@ class _BufferedSampler:
         self._next = index + 1
         return self._buffer[index]
 
-    def draw_many(self, count: int) -> list[int]:
+    def draw_many(self, count: int) -> list:
         """``count`` sequential draws (same stream as ``draw`` repeated)."""
         index = self._next
         buffer = self._buffer
@@ -127,146 +130,21 @@ class _BufferedSampler:
         return np.concatenate(parts)
 
 
-class _UniformBlock:
-    """Buffered uniform integer draws over ``[lo, hi)`` from a shared rng.
-
-    Scalar ``rng.integers`` calls cost microseconds each; drawing blocks
-    of 4096 and handing them out one by one keeps the marginal
-    distribution identical while amortizing the numpy call.  The buffer
-    fills lazily so a primitive that is never used consumes no draws.
-    """
-
-    __slots__ = ("_rng", "_lo", "_hi", "_block", "_buffer", "_buffer_np", "_next")
-
-    def __init__(self, rng: np.random.Generator, lo: int, hi: int, block: int = 4096):
-        self._rng = rng
-        self._lo = lo
-        self._hi = hi
-        self._block = block
-        self._buffer_np: np.ndarray = np.empty(0, dtype=np.int64)
-        self._buffer: list[int] = []
-        self._next = 0
-
-    def _refill(self) -> list[int]:
-        self._buffer_np = self._rng.integers(self._lo, self._hi, size=self._block)
-        self._buffer = self._buffer_np.tolist()
-        self._next = 0
-        return self._buffer
-
-    def draw(self) -> int:
-        index = self._next
-        if index >= len(self._buffer):
-            self._refill()
-            index = 0
-        self._next = index + 1
-        return self._buffer[index]
-
-    def draw_many(self, count: int) -> list[int]:
-        """``count`` sequential draws (same stream as ``draw`` repeated)."""
-        index = self._next
-        buffer = self._buffer
-        if index + count <= len(buffer):
-            self._next = index + count
-            return buffer[index : index + count]
-        out = buffer[index:]
-        self._next = len(buffer)
-        while len(out) < count:
-            buffer = self._refill()
-            take = min(count - len(out), len(buffer))
-            out += buffer[:take]
-            self._next = take
-        return out
-
-    def draw_many_np(self, count: int) -> "np.ndarray":
-        """``draw_many`` returning an array view of the refill buffer.
-
-        Same stream, same bookkeeping — only the container differs, so
-        columnar consumers skip the list round-trip.  Callers must treat
-        the result as read-only (it may alias the live buffer).
-        """
-        index = self._next
-        buffer_np = self._buffer_np
-        if index + count <= buffer_np.shape[0]:
-            self._next = index + count
-            return buffer_np[index : index + count]
-        parts = [buffer_np[index:]]
-        got = buffer_np.shape[0] - index
-        self._next = buffer_np.shape[0]
-        while got < count:
-            self._refill()
-            buffer_np = self._buffer_np
-            take = min(count - got, buffer_np.shape[0])
-            parts.append(buffer_np[:take])
-            got += take
-            self._next = take
-        return np.concatenate(parts)
+def _nurand_block(
+    sampler: NURand, rng: np.random.Generator, eager: bool = False
+) -> _BlockSampler:
+    """Blocks of 8192 draws from one NURand sampler."""
+    return _BlockSampler(partial(sampler.sample_array, rng, 8192), eager)
 
 
-class _FloatBlock:
-    """Buffered uniform ``[0, 1)`` floats from a shared rng (lazy refill)."""
+def _uniform_block(rng: np.random.Generator, lo: int, hi: int) -> _BlockSampler:
+    """Blocks of 4096 uniform integers over ``[lo, hi)``."""
+    return _BlockSampler(partial(rng.integers, lo, hi, size=4096))
 
-    __slots__ = ("_rng", "_block", "_buffer", "_buffer_np", "_next")
 
-    def __init__(self, rng: np.random.Generator, block: int = 4096):
-        self._rng = rng
-        self._block = block
-        self._buffer_np: np.ndarray = np.empty(0, dtype=np.float64)
-        self._buffer: list[float] = []
-        self._next = 0
-
-    def _refill(self) -> list[float]:
-        self._buffer_np = self._rng.random(self._block)
-        self._buffer = self._buffer_np.tolist()
-        self._next = 0
-        return self._buffer
-
-    def draw(self) -> float:
-        index = self._next
-        if index >= len(self._buffer):
-            self._refill()
-            index = 0
-        self._next = index + 1
-        return self._buffer[index]
-
-    def draw_many(self, count: int) -> list[float]:
-        """``count`` sequential draws (same stream as ``draw`` repeated)."""
-        index = self._next
-        buffer = self._buffer
-        if index + count <= len(buffer):
-            self._next = index + count
-            return buffer[index : index + count]
-        out = buffer[index:]
-        self._next = len(buffer)
-        while len(out) < count:
-            buffer = self._refill()
-            take = min(count - len(out), len(buffer))
-            out += buffer[:take]
-            self._next = take
-        return out
-
-    def draw_many_np(self, count: int) -> "np.ndarray":
-        """``draw_many`` returning an array view of the refill buffer.
-
-        Same stream, same bookkeeping — only the container differs, so
-        columnar consumers skip the list round-trip.  Callers must treat
-        the result as read-only (it may alias the live buffer).
-        """
-        index = self._next
-        buffer_np = self._buffer_np
-        if index + count <= buffer_np.shape[0]:
-            self._next = index + count
-            return buffer_np[index : index + count]
-        parts = [buffer_np[index:]]
-        got = buffer_np.shape[0] - index
-        self._next = buffer_np.shape[0]
-        while got < count:
-            self._refill()
-            buffer_np = self._buffer_np
-            take = min(count - got, buffer_np.shape[0])
-            parts.append(buffer_np[:take])
-            got += take
-            self._next = take
-        return np.concatenate(parts)
+def _float_block(rng: np.random.Generator) -> _BlockSampler:
+    """Blocks of 4096 uniform ``[0, 1)`` floats."""
+    return _BlockSampler(partial(rng.random, 4096))
 
 
 #: Substream layout of split-stream mode, in spawn order.  Every draw
@@ -399,22 +277,22 @@ class InputGenerator:
         if not split_streams:
             self._rng = rng if rng is not None else np.random.default_rng(0)
             shared = self._rng
-            item_sampler = _BufferedSampler(item_nurand, shared)
-            customer_sampler = _BufferedSampler(customer_nurand, shared)
+            item_sampler = _nurand_block(item_nurand, shared, eager=True)
+            customer_sampler = _nurand_block(customer_nurand, shared, eager=True)
             name_samplers = [
-                _BufferedSampler(name_nurand(band), shared)
+                _nurand_block(name_nurand(band), shared, eager=True)
                 for band in range(TUPLES_PER_NAME_SELECT)
             ]
-            warehouse_block = _UniformBlock(shared, 1, warehouses + 1)
-            district_block = _UniformBlock(shared, 1, DISTRICTS_PER_WAREHOUSE + 1)
+            warehouse_block = _uniform_block(shared, 1, warehouses + 1)
+            district_block = _uniform_block(shared, 1, DISTRICTS_PER_WAREHOUSE + 1)
             # [1, warehouses) — only meaningful (and only constructible)
             # when there is more than one warehouse to pick from.
             remote_block = (
-                _UniformBlock(shared, 1, warehouses) if warehouses > 1 else None
+                _uniform_block(shared, 1, warehouses) if warehouses > 1 else None
             )
-            band_block = _UniformBlock(shared, 0, len(name_samplers))
-            threshold_block = _UniformBlock(shared, 10, 21)
-            float_block = _FloatBlock(shared)
+            band_block = _uniform_block(shared, 0, len(name_samplers))
+            threshold_block = _uniform_block(shared, 10, 21)
+            float_block = _float_block(shared)
             # Every per-transaction primitive aliases the shared one, so
             # the draw stream is exactly the historical shared-rng order.
             self._no_warehouse = warehouse_block
@@ -461,18 +339,16 @@ class InputGenerator:
             )
             self._rng = np.random.default_rng(seed_sequence)
 
-            def uniform(name: str, lo: int, hi: int) -> _UniformBlock:
-                return _UniformBlock(np.random.default_rng(children[name]), lo, hi)
+            def uniform(name: str, lo: int, hi: int) -> _BlockSampler:
+                return _uniform_block(np.random.default_rng(children[name]), lo, hi)
 
-            def floats(name: str) -> _FloatBlock:
-                return _FloatBlock(np.random.default_rng(children[name]))
+            def floats(name: str) -> _BlockSampler:
+                return _float_block(np.random.default_rng(children[name]))
 
-            def nurand(name: str, dist: NURand) -> _BufferedSampler:
-                return _BufferedSampler(
-                    dist, np.random.default_rng(children[name]), lazy=True
-                )
+            def nurand(name: str, dist: NURand) -> _BlockSampler:
+                return _nurand_block(dist, np.random.default_rng(children[name]))
 
-            def remote(name: str) -> _UniformBlock | None:
+            def remote(name: str) -> _BlockSampler | None:
                 if warehouses <= 1:
                     return None
                 return uniform(name, 1, warehouses)
@@ -549,7 +425,7 @@ class InputGenerator:
         return self._g_district.draw()
 
     @staticmethod
-    def _remote_from(block: _UniformBlock | None, home: int) -> int:
+    def _remote_from(block: _BlockSampler | None, home: int) -> int:
         if block is None:
             return home
         other = block.draw()
@@ -569,10 +445,10 @@ class InputGenerator:
 
     def _customer_tuples_from(
         self,
-        select_float: _FloatBlock,
-        customer_sampler: _BufferedSampler,
-        band_block: _UniformBlock,
-        name_samplers: list[_BufferedSampler],
+        select_float: _BlockSampler,
+        customer_sampler: _BlockSampler,
+        band_block: _BlockSampler,
+        name_samplers: list[_BlockSampler],
     ) -> tuple[bool, tuple[int, ...]]:
         if select_float.draw() >= SELECT_BY_NAME_PROBABILITY:
             return False, (customer_sampler.draw(),)

@@ -1,30 +1,25 @@
 """Sharded vs monolithic distributed simulation (repro.distributed.sharded).
 
-The sharded runner's contract is *bit-identity*: whatever the shard
-layout, worker count, trace-emission kernel or cache state, the folded
+The sharded runner's contract is *bit-identity*: whatever the node
+count, worker count or cache state, the folded
 :class:`DistributedSimReport` equals the serial
 :class:`DistributedBufferSimulation` run field for field.  These tests
-drive that property across the layout space, plus the shard-invariant
-cache sharing and the metrics-merge reconciliation.
+drive that property, plus the per-node cache reuse and the
+metrics-merge reconciliation.
 """
-
-import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distributed.sharded import (
-    node_cache_key,
-    run_sharded,
-    shard_layout,
-)
+from repro.cli import main
+from repro.distributed.sharded import run_sharded, shard_spec
 from repro.distributed.simulation import (
     DistributedBufferSimulation,
     DistributedSimConfig,
 )
-from repro.exec.cache import stable_fingerprint
 from repro.exec.engine import ExecutionEngine
+from repro.exec.request import RunRequest
 from repro.obs.metrics import default_registry
 from repro.workload.trace import TraceConfig
 
@@ -62,16 +57,6 @@ def tiny_config(**overrides):
     return DistributedSimConfig(**defaults)
 
 
-def identical(sharded, monolithic) -> bool:
-    """Full-report equality modulo the layout config fields.
-
-    ``kernel`` and ``shards`` are the config fields allowed to differ
-    (both are fingerprint-excluded for the same reason); every measured
-    field must match exactly.
-    """
-    return dataclasses.replace(sharded, config=monolithic.config) == monolithic
-
-
 _MONOLITHIC_CACHE: dict[int, object] = {}
 
 
@@ -86,87 +71,70 @@ def monolithic(nodes: int):
 
 class TestShardLayout:
     def test_default_is_per_node(self):
-        assert shard_layout([0, 1, 2, 3], None) == [(0,), (1,), (2,), (3,)]
+        """One work unit per node is the only layout."""
+        spec = shard_spec(tiny_config(nodes=4), "exp")
+        assert spec.experiment == "exp"
+        assert [unit.unit_id for unit in spec.units] == [
+            "node-0000", "node-0001", "node-0002", "node-0003"
+        ]
+        assert [unit.payload.node for unit in spec.units] == [0, 1, 2, 3]
 
-    def test_balanced_contiguous_groups(self):
-        assert shard_layout([0, 1, 2, 3, 4], 2) == [(0, 1, 2), (3, 4)]
-        assert shard_layout(range(6), 3) == [(0, 1), (2, 3), (4, 5)]
-
-    def test_sorts_and_clamps(self):
-        assert shard_layout([3, 1, 2], 1) == [(1, 2, 3)]
-        assert shard_layout([0, 1], 5) == [(0,), (1,)]
-        assert shard_layout([], 3) == []
-
-    def test_invalid_shards_rejected(self):
-        with pytest.raises(ValueError, match="shards"):
-            tiny_config(shards=0)
+    def test_invalid_shards_rejected(self, capsys):
+        """No layout knob on the config, the request or the CLI any more."""
+        with pytest.raises(TypeError, match="shards"):
+            tiny_config(shards=2)
+        with pytest.raises(TypeError, match="shards"):
+            RunRequest(experiment="fig11", shards=2)
+        with pytest.raises(SystemExit) as usage:
+            main(["run", "fig11", "--shards", "4"])
+        assert usage.value.code == 2
+        assert "--shards" in capsys.readouterr().err
 
 
 class TestBitIdentity:
-    @given(
-        nodes=st.integers(min_value=1, max_value=5),
-        shards=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
-    )
-    @settings(max_examples=12, deadline=None)
-    def test_sharded_equals_monolithic(self, nodes, shards):
-        """Any (node count, shard size) folds to the serial report."""
-        config = tiny_config(nodes=nodes, shards=shards)
+    @given(nodes=st.integers(min_value=1, max_value=5))
+    @settings(max_examples=5, deadline=None)
+    def test_sharded_equals_monolithic(self, nodes):
+        """Any node count folds to the serial report."""
+        config = tiny_config(nodes=nodes)
         engine = ExecutionEngine(jobs=1)
         try:
             sharded = run_sharded(config, engine)
         finally:
             engine.close()
-        assert identical(sharded, monolithic(nodes))
+        assert sharded == monolithic(nodes)
 
-    def test_parallel_grouped_run(self, tmp_path):
-        """Process-pool execution with grouped shards and a cache."""
-        config = tiny_config(nodes=6, shards=2)
+    def test_parallel_run_with_cache(self, tmp_path):
+        """Process-pool execution (out-of-order completion) with a cache."""
+        config = tiny_config(nodes=6)
         engine = ExecutionEngine(jobs=3, cache_dir=tmp_path / "cache")
         try:
             sharded = run_sharded(config, engine)
         finally:
             engine.close()
-        assert identical(sharded, monolithic(6))
+        assert sharded == monolithic(6)
 
 
 class TestCacheSharing:
-    def test_shards_excluded_from_fingerprint(self):
-        """Worker layout is an execution detail, not a cache key."""
-        prints = {
-            stable_fingerprint(tiny_config(shards=shards))
-            for shards in (None, 1, 4, 16)
-        }
-        assert len(prints) == 1
-        assert stable_fingerprint(tiny_config(nodes=4)) != stable_fingerprint(
-            tiny_config(nodes=5)
-        )
-
-    def test_node_cache_key_shard_invariant(self):
-        assert node_cache_key(tiny_config(shards=4), 0) == node_cache_key(
-            tiny_config(shards=16), 0
-        )
-        assert node_cache_key(tiny_config(), 0) != node_cache_key(
-            tiny_config(), 1
-        )
-
-    def test_relaunch_with_different_layout_is_all_cached(self, tmp_path):
-        """A 2-shard run back-fills per-node entries, so a per-node
-        relaunch of the same config executes zero units."""
-        config = tiny_config(nodes=4, shards=2)
+    def test_relaunch_is_all_cached(self, tmp_path):
+        """A second engine on the same cache directory executes — and
+        records — zero units: the per-node probe serves every node."""
+        config = tiny_config(nodes=4)
         first_engine = ExecutionEngine(jobs=1, cache_dir=tmp_path / "cache")
         try:
             first = run_sharded(config, first_engine)
+            assert len(first_engine.manifest().units) == config.nodes
         finally:
             first_engine.close()
 
         second_engine = ExecutionEngine(jobs=1, cache_dir=tmp_path / "cache")
         try:
-            second = run_sharded(config.replace(shards=None), second_engine)
+            second = run_sharded(config, second_engine)
             executed = len(second_engine.manifest().units)
         finally:
             second_engine.close()
         assert executed == 0
-        assert identical(second, first)
+        assert second == first
 
     def test_sweep_reuses_unchanged_node_shards(self, tmp_path):
         """Changing only fingerprint-relevant fields misses the cache;
@@ -212,7 +180,7 @@ class TestMetricsReconciliation:
             for name in _DIST_COUNTERS
         }
 
-        assert identical(sharded, mono)
+        assert sharded == mono
         assert sharded_totals == mono_totals
         assert sharded_totals["dist.nodes_total"] == config.nodes
         assert (

@@ -98,43 +98,6 @@ class TestCacheKey:
         assert reference not in keys
         assert len(keys) == len(variants)
 
-    def test_shard_layout_shares_cache_entries(self):
-        """``DistributedSimConfig.shards`` is worker layout, not an
-        input: every layout of one config must map to the same
-        shard-unit cache key, so a 4-shard and a 16-shard sweep share
-        per-node entries."""
-        from repro.distributed.sharded import NodeShardUnit, run_shard
-        from repro.distributed.simulation import DistributedSimConfig
-
-        base = DistributedSimConfig(nodes=4)
-        keys = {
-            cache_key(
-                run_shard,
-                NodeShardUnit(config=base.replace(shards=shards), nodes=(2,)),
-            )
-            for shards in (None, 4, 16)
-        }
-        assert len(keys) == 1
-        other_node = cache_key(
-            run_shard, NodeShardUnit(config=base, nodes=(3,))
-        )
-        assert other_node not in keys
-
-    def test_fingerprint_skips_opted_out_fields(self):
-        import dataclasses
-
-        @dataclasses.dataclass(frozen=True)
-        class Payload:
-            value: int
-            scratch: str = dataclasses.field(
-                default="", metadata={"cache_fingerprint": False}
-            )
-
-        assert stable_fingerprint(Payload(1, "a")) == stable_fingerprint(
-            Payload(1, "b")
-        )
-        assert stable_fingerprint(Payload(1)) != stable_fingerprint(Payload(2))
-
     def test_changes_with_function(self):
         def other(config):
             return None

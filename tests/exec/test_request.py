@@ -6,7 +6,8 @@ import warnings
 import pytest
 
 from repro.exec.engine import ExecutionEngine
-from repro.exec.request import RunContext, RunRequest, build_engine, context_for, execute
+from repro.exec.request import RunContext, RunRequest, build_engine, execute
+from repro.exec.units import SweepSpec
 from repro.experiments import runner
 from repro.experiments.runner import (
     ExperimentResult,
@@ -64,13 +65,17 @@ class TestRunRequest:
 
 class TestRunContext:
     def test_preset_and_seed_passthrough(self):
-        context = context_for(RunRequest(experiment="fig8", preset="paper"))
+        context = RunContext(
+            request=RunRequest(experiment="fig8", preset="paper"),
+            engine=ExecutionEngine(),
+        )
         assert context.preset is Preset.PAPER
         assert context.seed(11) == 11
 
     def test_seed_override_wins(self):
-        context = context_for(
-            RunRequest(experiment="fig8", seed_override=99)
+        context = RunContext(
+            request=RunRequest(experiment="fig8", seed_override=99),
+            engine=ExecutionEngine(),
         )
         assert context.seed(11) == 99
 
@@ -86,10 +91,12 @@ class TestRunContext:
         assert engine.cache is None
         engine.close()
 
-    def test_context_for_reuses_shared_engine(self):
+    def test_context_reuses_shared_engine(self):
         engine = ExecutionEngine(jobs=1)
-        context = context_for(RunRequest(experiment="fig8"), engine)
+        context = RunContext(request=RunRequest(experiment="fig8"), engine=engine)
         assert context.engine is engine
+        assert context.run_sweep(SweepSpec("empty", ())) == {}
+        assert engine.manifest().total_units == 0
 
 
 def _fresh_registry(monkeypatch):
@@ -136,32 +143,7 @@ class TestExecute:
 
 
 class TestLegacyShimRemoved:
-    """The PR-1 ``function(preset)`` shim has aged out: TypeError now."""
-
-    def test_old_signature_rejected(self, monkeypatch):
-        _fresh_registry(monkeypatch)
-
-        def old_style(preset):
-            return ExperimentResult(
-                experiment="_test_legacy",
-                title="t",
-                rows=[{"preset": preset.value}],
-            )
-
-        with pytest.raises(TypeError, match="RunContext"):
-            register("_test_legacy")(old_style)
-        assert "_test_legacy" not in runner.EXPERIMENTS
-
-    def test_zero_argument_function_rejected(self, monkeypatch):
-        _fresh_registry(monkeypatch)
-
-        def no_args():
-            return ExperimentResult(
-                experiment="_test_noargs", title="t", rows=[{"a": 1}]
-            )
-
-        with pytest.raises(TypeError, match="no longer supported"):
-            register("_test_noargs")(no_args)
+    """``ExperimentFunction`` is the contract; registration adds no check."""
 
     def test_new_style_registers_cleanly(self, monkeypatch):
         _fresh_registry(monkeypatch)

@@ -172,7 +172,6 @@ class TestCliResume:
             metrics=None,
             trace=None,
             profile=False,
-            shards=None,
         )
         request = _request_from_args(args, "fig8")
         assert request.resume_from == "m.json"

@@ -99,6 +99,61 @@ class TestRunEngineFlags:
         assert main(["run", "_test_doomed"]) == 3
         assert "execution failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", [["run", "_test_keyerror"], ["run-all"]], ids=["run", "run-all"]
+    )
+    def test_key_error_inside_experiment_is_not_unknown_id(
+        self, capsys, monkeypatch, command
+    ):
+        """Only an unregistered id exits 2 "unknown experiment"; a
+        ``KeyError`` raised by the experiment itself surfaces as itself."""
+        from repro.experiments import runner
+
+        def broken(ctx):
+            raise KeyError("x")
+
+        monkeypatch.setattr(runner, "EXPERIMENTS", {"_test_keyerror": broken})
+        monkeypatch.setattr(runner, "list_experiments", lambda: ["_test_keyerror"])
+        with pytest.raises(KeyError, match="x"):
+            main([*command, "--quiet"])
+        assert "unknown experiment" not in capsys.readouterr().err
+
+    def test_run_all_tallies_rejected_configurations(self, capsys, monkeypatch):
+        from repro.experiments import runner
+
+        def bad(ctx):
+            raise ValueError("unsupported preset")
+
+        monkeypatch.setattr(runner, "EXPERIMENTS", {"_test_bad": bad})
+        monkeypatch.setattr(runner, "list_experiments", lambda: ["_test_bad"])
+        assert main(["run-all", "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "rejected its configuration" in err
+        assert "failed experiments: _test_bad" in err
+
+
+class TestRunAll:
+    def test_quick_smoke(self, tmp_path, capsys):
+        """Every experiment renders, and only simulations are work units."""
+        import json
+
+        from repro.experiments.runner import list_experiments
+
+        manifest_path = tmp_path / "manifest.json"
+        assert main(
+            ["run-all", "--preset", "quick", "--quiet",
+             "--manifest", str(manifest_path)]
+        ) == 0
+        out = capsys.readouterr().out
+        for experiment_id in list_experiments():
+            assert f"{experiment_id}: " in out
+        units = json.loads(manifest_path.read_text())["units"]
+        assert units
+        assert all(
+            unit["experiment"] == "fig8" and unit["unit"].startswith("fig8/")
+            for unit in units
+        )
+
 
 class TestSkew:
     def test_stock_summary(self, capsys):

@@ -2,6 +2,9 @@
 paper's qualitative findings (shape, ordering, sign), and the exact
 analytic figures must match quantitatively."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.experiments.runner import Preset, run_experiment
@@ -20,6 +23,21 @@ def fig9():
 @pytest.fixture(scope="module")
 def fig10():
     return run_experiment("fig10", Preset.QUICK)
+
+
+@pytest.fixture(scope="module")
+def fig10_disk_size():
+    return run_experiment("fig10_disk_size", Preset.QUICK)
+
+
+@pytest.fixture(scope="module")
+def fig11():
+    return run_experiment("fig11", Preset.QUICK)
+
+
+@pytest.fixture(scope="module")
+def fig12():
+    return run_experiment("fig12", Preset.QUICK)
 
 
 class TestSkewFigures:
@@ -110,9 +128,8 @@ class TestFig10:
 
 
 class TestFig11:
-    def test_paper_gains(self):
-        result = run_experiment("fig11", Preset.QUICK)
-        h = result.headline
+    def test_paper_gains(self, fig11):
+        h = fig11.headline
         assert h["replicated efficiency @30"] > 0.94
         assert h["replication gain % @2"] == pytest.approx(10, abs=4)
         assert h["replication gain % @10"] == pytest.approx(30, abs=7)
@@ -120,15 +137,13 @@ class TestFig11:
 
 
 class TestFig12:
-    def test_paper_drop(self):
-        result = run_experiment("fig12", Preset.QUICK)
-        assert result.headline["scale-up drop % at p=1.0 (N=30)"] == pytest.approx(
+    def test_paper_drop(self, fig12):
+        assert fig12.headline["scale-up drop % at p=1.0 (N=30)"] == pytest.approx(
             44, abs=10
         )
 
-    def test_rows_decrease_in_probability(self):
-        rows = run_experiment("fig12", Preset.QUICK).rows
-        final = rows[-1]
+    def test_rows_decrease_in_probability(self, fig12):
+        final = fig12.rows[-1]
         assert final["p=0.01"] > final["p=0.1"] > final["p=1.0"]
 
 
@@ -140,12 +155,35 @@ class TestAppendix:
 
 
 class TestFig10DiskSize:
-    def test_gain_grows_with_disk_capacity(self):
-        result = run_experiment("fig10_disk_size", Preset.QUICK)
-        h = result.headline
+    def test_gain_grows_with_disk_capacity(self, fig10_disk_size):
+        h = fig10_disk_size.headline
         assert h["gain % at 3 GB"] < h["gain % at 6 GB"]
         assert h["gain % at 6 GB"] <= h["gain % at 12 GB"] + 1e-9
 
-    def test_rows_cover_capacities(self):
-        rows = run_experiment("fig10_disk_size", Preset.QUICK).rows
+    def test_rows_cover_capacities(self, fig10_disk_size):
+        rows = fig10_disk_size.rows
         assert [row["disk GB"] for row in rows] == [3.0, 6.0, 12.0, 24.0]
+
+
+class TestClosedFormDigests:
+    """Figures 9-12 are plain function calls, not work units (the
+    ``run-all`` smoke in test_cli.py checks the manifest); their QUICK
+    documents are pinned to the SHA-256 they had as work units, computed
+    at d606306, the last commit that dispatched them."""
+
+    PINNED = {
+        "fig9": "961d2fc6b0b1f9a1ea0261d2f1c8dfd679c46fe3021c541a058c3abc93857d5f",
+        "fig10": "2fe0687f60a96edf02be251692c6948016013fe416a40872e05c74b3bb0c6f4f",
+        "fig10_disk_size": "31c7d89e95909cc96e6f55890766523efa295e7886d803facf64d170f7d327c9",
+        "fig11": "281b13c3effbca6a552d4727e6fbd03de28bc482d77ec1e5f00d24ded984a159",
+        "fig12": "db8205b227d1dfcbd8735e5823f19d88f787d0e685d8431f918db1803857cbc1",
+    }
+
+    @pytest.mark.parametrize("experiment_id", sorted(PINNED))
+    def test_quick_document_unchanged(self, experiment_id, request):
+        document = request.getfixturevalue(experiment_id).to_dict()
+        del document["metrics"]
+        digest = hashlib.sha256(
+            json.dumps(document, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == self.PINNED[experiment_id]
