@@ -56,11 +56,13 @@ class _BlockSampler:
     (:func:`_nurand_block`, :func:`_uniform_block`, :func:`_float_block`).
     Scalar numpy calls cost microseconds each; drawing a block and
     handing it out keeps the marginal distribution identical while
-    amortizing the call.  The block is converted to a plain list once
-    per refill so ``draw`` hands out Python numbers without per-call
-    numpy scalar boxing.  The first refill is deferred to the first
-    draw — a primitive that is never used consumes nothing — unless
-    ``eager`` asks for it at construction.
+    amortizing the call.  ``draw``/``draw_many`` hand out Python numbers
+    from a plain-list copy of the block (no per-call numpy scalar
+    boxing), made when a scalar draw first needs the current block:
+    columnar consumers (``draw_many_np``) never pay for it.  The first
+    refill is deferred to the first draw — a primitive that is never
+    used consumes nothing — unless ``eager`` asks for it at
+    construction.
     """
 
     __slots__ = ("_refill_block", "_buffer", "_buffer_np", "_next")
@@ -72,20 +74,28 @@ class _BlockSampler:
         self._buffer_np: np.ndarray = (
             refill_block() if eager else np.empty(0, dtype=np.int64)
         )
-        self._buffer: list = self._buffer_np.tolist()
+        # The list copy of ``_buffer_np``; empty until a scalar draw
+        # asks for the current block.
+        self._buffer: list = []
         self._next = 0
 
-    def _refill(self) -> list:
+    def _refill(self) -> None:
         self._buffer_np = self._refill_block()
-        self._buffer = self._buffer_np.tolist()
+        self._buffer = []
         self._next = 0
+
+    def _listed(self) -> list:
+        """The current block as a list (the next block if this one is spent)."""
+        if self._next >= self._buffer_np.shape[0]:
+            self._refill()
+        self._buffer = self._buffer_np.tolist()
         return self._buffer
 
     def draw(self):
         index = self._next
         if index >= len(self._buffer):
-            self._refill()
-            index = 0
+            self._listed()
+            index = self._next
         self._next = index + 1
         return self._buffer[index]
 
@@ -93,13 +103,16 @@ class _BlockSampler:
         """``count`` sequential draws (same stream as ``draw`` repeated)."""
         index = self._next
         buffer = self._buffer
+        if count and index >= len(buffer):
+            buffer = self._listed()
+            index = self._next
         if index + count <= len(buffer):
             self._next = index + count
             return buffer[index : index + count]
         out = buffer[index:]
         self._next = len(buffer)
         while len(out) < count:
-            buffer = self._refill()
+            buffer = self._listed()
             take = min(count - len(out), len(buffer))
             out += buffer[:take]
             self._next = take

@@ -44,7 +44,7 @@ from repro.workload.mix import (
     TransactionType,
 )
 from repro.workload.schema import RELATIONS
-from repro.workload.state import OrderRecord, WorkloadState
+from repro.workload.state import ColumnarOrderState, OrderRecord, WorkloadState
 from repro.workload.stream import (
     DEFAULT_BATCH_SIZE,
     STREAM_FORMATS,
@@ -262,6 +262,11 @@ class TraceConfig:
             )
         if self.warehouses <= 0:
             raise ValueError(f"warehouses must be positive, got {self.warehouses}")
+        if self.prime_orders < 0 or self.prime_pending < 0:
+            raise ValueError(
+                f"prime_orders and prime_pending must be non-negative, got "
+                f"{self.prime_orders} and {self.prime_pending}"
+            )
         if self.prime_pending > self.prime_orders:
             raise ValueError(
                 f"prime_pending ({self.prime_pending}) cannot exceed prime_orders "
@@ -317,12 +322,6 @@ class TraceGenerator:
             customers_per_district=config.customers_per_district,
             split_streams=True,
             seed_sequence=np.random.SeedSequence(config.seed),
-        )
-        self._state = WorkloadState(
-            config.warehouses,
-            initial_orders_per_district=config.customers_per_district,
-            items_per_order=config.items_per_order,
-            initial_pending_per_district=config.prime_pending,
         )
         self._mix = config.mix
 
@@ -390,7 +389,9 @@ class TraceGenerator:
         self._customer_ppb = self._customer_layout.pages_per_block
         self._stock_ppb = self._stock_layout.pages_per_block
 
-        # Buffered transaction-type sampling (rng.choice is slow per call).
+        # Buffered transaction-type sampling (rng.choice is slow per call):
+        # the planner slices the array, the scalar reference indexes the list.
+        self._mix_array = np.empty(0, dtype=np.int64)
         self._mix_buffer: list[int] = []
         self._mix_next = 0
 
@@ -458,8 +459,10 @@ class TraceGenerator:
         # The scalar reference encoders index plain-list copies of
         # these tables (per-reference numpy indexing costs more than a
         # list index); they are materialised lazily on first scalar use
-        # so the batch path never pays the conversion.
+        # so the batch path never pays the conversion; likewise the
+        # reference's object order store.
         self._scalar_tables: tuple[list[int], ...] | None = None
+        self._scalar_state: WorkloadState | None = None
 
         # Per-transaction access counts by relation index; the fixed-shape
         # transactions share cached tuples, the variable ones build lists.
@@ -468,7 +471,7 @@ class TraceGenerator:
         self._counts_payment_one = (1, 1, 1, 0, 0, 0, 0, 0, 1)
         self._counts_payment_many = (1, 1, 3, 0, 0, 0, 0, 0, 1)
 
-        self._prime_state()
+        self._orders = self._prime_state()
 
         # The batch builder behind ``stream``/``encoded_batch``.  It
         # reaches back through a weak proxy: a strong back-reference
@@ -483,8 +486,18 @@ class TraceGenerator:
         return self._config
 
     @property
-    def state(self) -> WorkloadState:
-        return self._state
+    def state(self) -> ColumnarOrderState:
+        """The order bookkeeping, as a read-only view.
+
+        The emitter resolves a planned chunk of transactions at a time,
+        so the queries (``pending_count``, ``pending_orders``,
+        ``recent_orders``, ``last_order_of``) see the state up to one
+        planned chunk past the last emitted transaction; the insertion
+        counters (``orders_placed``, ``order_lines_inserted``,
+        ``new_order_inserts``, ``history_rows``) see exactly what was
+        emitted.
+        """
+        return self._orders
 
     @property
     def page_id_space(self) -> PageIdSpace:
@@ -547,92 +560,44 @@ class TraceGenerator:
 
     # -- priming -----------------------------------------------------------------
 
-    def _prime_state(self) -> None:
-        """Register the tail of TPC-C's initial population (Sec. 4).
+    def _prime_state(self) -> ColumnarOrderState:
+        """The order state holding the tail of TPC-C's initial population.
 
         The initial database gives every customer one order, laid out
         district by district.  The buffer model only needs the *recent*
         ones: the last ``prime_orders`` per district enter the recent
         list (for Stock-Level) with real random item ids, and the last
         ``prime_pending`` of those are pending (for Delivery).  Older
-        initial orders are synthesized lazily by the workload state
-        when Order-Status asks for a cold customer's last order.
+        initial orders are position arithmetic, looked up when
+        Order-Status asks for a cold customer's last order.
         """
-        from repro.workload.state import OrderRecord
-
         config = self._config
-        items_per_order = config.items_per_order
-        per_district = config.customers_per_district
-        # One vectorized draw for every primed order's item ids: the
-        # scalar equivalent costs tens of microseconds per order, which
-        # dominates generator construction at paper scale.
-        n_primed = (
-            config.warehouses * DISTRICTS_PER_WAREHOUSE * config.prime_orders
+        n_primed = config.warehouses * DISTRICTS_PER_WAREHOUSE * config.prime_orders
+        return ColumnarOrderState(
+            config.warehouses,
+            config.customers_per_district,
+            config.prime_pending,
+            self._rng.integers(
+                1, config.items + 1, size=(n_primed, config.items_per_order)
+            ),
         )
-        item_draws = iter(
-            map(
-                tuple,
-                self._rng.integers(
-                    1, config.items + 1, size=(n_primed, items_per_order)
-                ).tolist(),
+
+    @property
+    def _state(self) -> WorkloadState:
+        """The scalar reference's object store, primed on first use with
+        the same orders (and item ids) as the columnar one."""
+        state = self._scalar_state
+        if state is None:
+            config = self._config
+            state = self._scalar_state = WorkloadState(
+                config.warehouses,
+                initial_orders_per_district=config.customers_per_district,
+                items_per_order=config.items_per_order,
+                initial_pending_per_district=config.prime_pending,
             )
-        )
-        # ``register_initial_order`` inlined: the loop visits districts
-        # in order and only synthesizes in-range ids, so the per-call
-        # validation and dict lookups collapse to one slot fetch per
-        # district.
-        pending = self._state._pending
-        recent = self._state._recent
-        last_order = self._state._last_order
-        first = per_district - config.prime_orders + 1
-        first_pending = per_district - config.prime_pending + 1
-        # Delivery's Customer write reference per primed order (see
-        # ``OrderRecord.cust_ref``), computed column-wise: districts
-        # vary the block base, customers the per-tuple offset.
-        n_districts = config.warehouses * DISTRICTS_PER_WAREHOUSE
-        cref_iter = iter(
-            (
-                (
-                    (np.arange(n_districts, dtype=np.int64) * self._customer_ppb)
-                    << 5
-                )[:, None]
-                + self._customer_off_w_np[first - 1 : per_district][None, :]
-            )
-            .ravel()
-            .tolist()
-        )
-        for warehouse in range(1, config.warehouses + 1):
-            for district in range(1, DISTRICTS_PER_WAREHOUSE + 1):
-                district_index = (warehouse - 1) * DISTRICTS_PER_WAREHOUSE + (
-                    district - 1
-                )
-                district_pending = pending[(warehouse, district)]
-                district_recent = recent[(warehouse, district)]
-                for customer in range(first, per_district + 1):
-                    order_seq = district_index * per_district + (customer - 1)
-                    pending_rank = customer - first_pending
-                    if pending_rank >= 0:
-                        new_order_seq = (
-                            district_index * config.prime_pending + pending_rank
-                        )
-                    else:
-                        new_order_seq = None
-                    record = OrderRecord(
-                        warehouse,
-                        district,
-                        customer,
-                        order_seq,
-                        order_seq * items_per_order,
-                        next(item_draws),
-                        new_order_seq,
-                        None,
-                        None,
-                        next(cref_iter),
-                    )
-                    district_recent.append(record)
-                    last_order[(warehouse, district, customer)] = record
-                    if new_order_seq is not None:
-                        district_pending.append(record)
+            for record in self._orders.primed_orders():
+                state.register_initial_order(record)
+        return state
 
     # -- per-transaction reference generation -------------------------------------
 
@@ -765,38 +730,36 @@ class TraceGenerator:
         refs[starts[by_name][:, None] + np.arange(width)] = many
         return refs, lengths
 
+    def _refill_mix(self) -> None:
+        self._mix_array = self._mix.sample_array(self._rng, 8192)
+        self._mix_buffer = self._mix_array.tolist()
+        self._mix_next = 0
+
     def _next_tx_index(self) -> int:
         """The next transaction type index from the buffered mix stream."""
+        if self._mix_next >= len(self._mix_buffer):
+            self._refill_mix()
         index = self._mix_next
-        if index >= len(self._mix_buffer):
-            self._mix_buffer = self._mix.sample_array(self._rng, 8192).tolist()
-            index = 0
         self._mix_next = index + 1
         return self._mix_buffer[index]
 
-    def _next_tx_indices(self, count: int) -> list[int]:
+    def _next_tx_indices(self, count: int) -> np.ndarray:
         """``count`` mix draws in bulk, off the same buffered stream.
 
         Slices the scalar reference's refill buffer (refilling in the same
         8192-draw blocks), so bulk and one-at-a-time consumption read
         the identical sample sequence.
         """
-        out: list[int] = []
+        parts: list[np.ndarray] = []
         while count:
+            if self._mix_next >= len(self._mix_array):
+                self._refill_mix()
             index = self._mix_next
-            buffer = self._mix_buffer
-            available = len(buffer) - index
-            if not available:
-                self._mix_buffer = buffer = self._mix.sample_array(
-                    self._rng, 8192
-                ).tolist()
-                self._mix_next = index = 0
-                available = len(buffer)
-            take = available if available < count else count
-            out += buffer[index : index + take]
+            take = min(len(self._mix_array) - index, count)
+            parts.append(self._mix_array[index : index + take])
             self._mix_next = index + take
             count -= take
-        return out
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _transaction_encoded(self) -> tuple[int, list[int], Sequence[int]]:
         """Draw one transaction in int-encoded form (the scalar reference).
@@ -823,11 +786,14 @@ class TraceGenerator:
         """Upper bound on the dense page ids emitted so far.
 
         The static relations are bounded by construction; the growing
-        relations' extent follows from the workload state's insertion
-        counters, so this is O(1).  The simulator calls it once per
-        batch to pre-size the kernels' page tables.
+        relations' extent follows from the order state's insertion
+        counters — which advance with the batches emitted, not the
+        chunks planned — so this is O(1).  The simulator calls it once
+        per batch to pre-size the kernels' page tables.
         """
-        state = self._state
+        return self._highest_page_id_of(self._orders)
+
+    def _highest_page_id_of(self, state: ColumnarOrderState | WorkloadState) -> int:
         growing = max(
             (state.orders_placed // self._tpp_order) * N_GROWING_RELATIONS
             + (_ORDER - N_STATIC_RELATIONS),

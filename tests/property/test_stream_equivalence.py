@@ -27,6 +27,7 @@ import pytest
 from repro.buffer import kernels as kernels_module
 from repro.buffer.kernels import ARRAY_KERNEL_POLICIES, make_kernel
 from repro.workload import stream as stream_module
+from repro.workload.mix import TransactionMix
 from repro.workload.stream import EncodedBatch, ScalarBatchEmitter
 from repro.workload.trace import (
     N_STATIC_RELATIONS,
@@ -73,13 +74,60 @@ IDENTITY_CONFIGS = {
     "w1-random": TraceConfig(warehouses=1, seed=29, packing="random"),
 }
 
+#: Configs that stress the order state, pinned by digest only: queues
+#: that start empty under a Delivery-heavy mix (most Deliveries skip
+#: districts), a tiny customer population with many remote stock lines
+#: (customers re-order inside one planner chunk), and the paper's 20
+#: warehouses through a spec that crosses more than ten planner chunks.
+STATE_STRESS_CONFIGS = {
+    "w2-delivery-heavy": TraceConfig(
+        warehouses=2,
+        seed=5,
+        prime_pending=0,
+        mix=TransactionMix.from_percent(
+            new_order=30, payment=30, order_status=5, delivery=30, stock_level=5
+        ),
+    ),
+    "w2-remote-small": TraceConfig(
+        warehouses=2,
+        seed=19,
+        remote_stock_probability=0.1,
+        customers_per_district=60,
+        items=1000,
+    ),
+    "w20-default": TraceConfig(warehouses=20, seed=11),
+}
+
+#: More than ten 4 096-transaction planner chunks (about 45 000
+#: transactions), cut by both kinds of bound.
+LONG_BATCH_SPEC = [
+    ("refs", 500_000),
+    ("tx", 9_000),
+    ("refs", 65_536),
+    ("tx", 1),
+    ("refs", 700_000),
+    ("tx", 5_000),
+    ("refs", 65_536),
+]
+
+PINNED_SPECS = {name: BATCH_SPEC for name in IDENTITY_CONFIGS} | {
+    "w2-delivery-heavy": BATCH_SPEC,
+    "w2-remote-small": BATCH_SPEC,
+    "w20-default": LONG_BATCH_SPEC,
+}
+
 #: SHA-256 over ``refs``/``tx_indices``/``tx_lengths``/``tx_accesses``
-#: (int64 bytes, in that order) of the ``BATCH_SPEC`` batches, computed
-#: on the commit before the scalar path lost its production callers.
+#: (int64 bytes, in that order) of the ``PINNED_SPECS`` batches.  The
+#: first three were computed on the commit before the scalar path lost
+#: its production callers, the state-stress ones on the commit before
+#: the order state became columnar.
 PINNED_DIGESTS = {
     "w4": "a7ff1c794dfbf13238445ef2b433384ee24efcda45ab705aba5d35cf96791ed7",
     "w2-optimized": "9acb61d89403af11984a71a26255e32cd432434d88b74178b3bdaf79a91c6891",
     "w1-random": "f97291e9de03bb2453ad0082660f91422315cd0848a39a5bc0eab1f1fb2200d8",
+    "w2-delivery-heavy": "a99ba759ffd91f111286b3a52680be2ae702307486694898361a60155f666ef7",
+    "w2-remote-small": "fa0d8eeefb3778760e4edaa28184be977fd62265633b1a1fdae9a75e60349a44",
+    "w20-default": "603e8ff8214ebd2b89b0173909233ce191f0cc72732c64e3a6b8b03a700bdd3b",
 }
 
 
@@ -105,9 +153,10 @@ class TestEmitterByteIdentity:
         for i, (a, b) in enumerate(zip(vector_batches, scalar_batches)):
             assert_batches_equal(a, b, f"batch {i}")
 
-    @pytest.mark.parametrize("name", list(IDENTITY_CONFIGS))
+    @pytest.mark.parametrize("name", list(PINNED_DIGESTS))
     def test_emitted_bytes_are_pinned(self, name):
-        batches = emit(TraceGenerator(IDENTITY_CONFIGS[name]).encoded_batch, BATCH_SPEC)
+        config = (IDENTITY_CONFIGS | STATE_STRESS_CONFIGS)[name]
+        batches = emit(TraceGenerator(config).encoded_batch, PINNED_SPECS[name])
         assert batches_digest(batches) == PINNED_DIGESTS[name]
 
     def test_batch_size_independent(self):

@@ -36,6 +36,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="prime_pending"):
             TraceConfig(prime_orders=5, prime_pending=6)
 
+    def test_negative_priming_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            TraceConfig(prime_orders=-1, prime_pending=-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            TraceConfig(prime_pending=-1)
+
     def test_all_packings_construct(self):
         for packing in PACKING_KINDS:
             TraceGenerator(TraceConfig(warehouses=1, packing=packing, seed=1))
