@@ -18,13 +18,7 @@ from repro.driver.report import (
     TxStats,
     percentile,
 )
-from repro.driver.runner import (
-    build_executors,
-    run_benchmark,
-    run_benchmark_unit,
-    spec_from_dict,
-    spec_to_dict,
-)
+from repro.driver.runner import build_executors, run_benchmark
 from repro.driver.scheduler import RunOutcome, StatementGate, VirtualScheduler
 from repro.driver.spec import SCHEDULERS, BenchmarkSpec
 from repro.driver.validate import (
@@ -32,7 +26,6 @@ from repro.driver.validate import (
     ValidationPoint,
     validate_against_mva,
     validate_reports,
-    validation_sweep,
 )
 
 __all__ = [
@@ -52,10 +45,6 @@ __all__ = [
     "build_executors",
     "percentile",
     "run_benchmark",
-    "run_benchmark_unit",
-    "spec_from_dict",
-    "spec_to_dict",
     "validate_against_mva",
     "validate_reports",
-    "validation_sweep",
 ]

@@ -1,9 +1,7 @@
 """Run a :class:`BenchmarkSpec` end to end and build the report.
 
 ``run_benchmark`` is the public entry point behind ``python -m repro
-bench``; ``run_benchmark_unit`` is its picklable work-unit form so
-benchmark points cache and fan out through
-:class:`repro.exec.ExecutionEngine` exactly like experiment sweeps.
+bench``.
 
 Chaos wiring: when the spec carries a :class:`FaultPlan` it is armed
 *after* loading (the initial population is never faulted) with a clock
@@ -15,9 +13,8 @@ virtual run.
 
 from __future__ import annotations
 
-import dataclasses
 import time
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from repro.driver.pool import WorkerPool
 from repro.driver.report import DeadlockStats, DriverReport, ShedStats, TxStats
@@ -25,7 +22,6 @@ from repro.driver.scheduler import RunOutcome, VirtualScheduler
 from repro.driver.spec import BenchmarkSpec
 from repro.engine.database import Database
 from repro.faults import FaultInjector, FaultKind
-from repro.results import _deserialize, _serialize
 from repro.tpcc.executor import CircuitBreaker, ExecutionSummary, TpccExecutor
 from repro.tpcc.loader import load_tpcc
 
@@ -160,26 +156,3 @@ def run_benchmark(spec: BenchmarkSpec, db: Database | None = None) -> DriverRepo
         shed=shed,
         faults_fired=injector.fired() if injector is not None else 0,
     )
-
-
-def spec_to_dict(spec: BenchmarkSpec) -> dict[str, Any]:
-    """JSON-serializable form of a spec (for work-unit payloads)."""
-    return {
-        f.name: _serialize(getattr(spec, f.name))
-        for f in dataclasses.fields(spec)
-    }
-
-
-def spec_from_dict(data: Mapping[str, Any]) -> BenchmarkSpec:
-    """Rebuild a spec from :func:`spec_to_dict` output."""
-    return _deserialize(dict(data), BenchmarkSpec)
-
-
-def run_benchmark_unit(payload: Mapping[str, Any]) -> dict[str, Any]:
-    """Picklable work-unit entry point: payload is ``{"spec": {...}}``.
-
-    Returns the report as a dict so the execution engine's JSON result
-    cache can fingerprint and store it like any sweep unit.
-    """
-    spec = spec_from_dict(payload["spec"])
-    return run_benchmark(spec).to_dict()

@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.driver.report import DriverReport
-from repro.driver.runner import run_benchmark, run_benchmark_unit, spec_to_dict
+from repro.driver.runner import run_benchmark
 from repro.driver.spec import BenchmarkSpec
-from repro.exec.units import SweepSpec
 from repro.results import ReportMixin
 from repro.throughput.mva import mva_curve
 
@@ -145,20 +144,3 @@ def validate_against_mva(
         for count in sorted(set(terminal_counts))
     ]
     return validate_reports(reports)
-
-
-def validation_sweep(
-    spec: BenchmarkSpec, terminal_counts: list[int]
-) -> SweepSpec:
-    """The same validation as cacheable work units (one per population)."""
-    return SweepSpec.over(
-        experiment="bench_driver",
-        function=run_benchmark_unit,
-        payloads=[
-            (
-                f"terminals={count}",
-                {"spec": spec_to_dict(spec.replace(terminals=count))},
-            )
-            for count in sorted(set(terminal_counts))
-        ],
-    )

@@ -3,9 +3,9 @@
 Each experiment is a function returning an :class:`ExperimentResult`
 (rows plus headline numbers and the paper's reference values).  The
 registry in :mod:`repro.experiments.runner` maps experiment ids
-("table1" … "fig12") to those functions; the benchmark suite calls
-them through :func:`run_experiment`, and ``EXPERIMENTS.md`` records
-paper-vs-measured for each.
+("table1" … "fig12") to those functions; ``python -m repro run`` and
+``tests/experiments/`` call them through :func:`run_experiment`, and
+``EXPERIMENTS.md`` records paper-vs-measured for each.
 """
 
 from repro.experiments.report import render_table

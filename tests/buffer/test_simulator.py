@@ -137,6 +137,45 @@ class TestBehaviour:
         assert lru.overall_miss_rate() < fifo.overall_miss_rate()
 
 
+def stock_miss_rate(policy="lru", **trace):
+    """Stock miss rate of two warehouses behind a 10 MB buffer."""
+    return BufferSimulation(
+        SimulationConfig(
+            trace=TraceConfig(warehouses=2, **trace),
+            buffer_mb=10,
+            policy=policy,
+            batches=4,
+            batch_size=12_000,
+            warmup_references=20_000,
+        )
+    ).run().miss_rate("stock")
+
+
+class TestAblations:
+    """Design choices the paper argues in prose, measured."""
+
+    @pytest.mark.parametrize("policy", ["lru", "clock", "fifo", "lfu", "2q", "lru2"])
+    def test_every_policy_gains_from_optimized_packing(self, policy):
+        """Section 4: optimized packing helps beyond LRU too."""
+        sequential = stock_miss_rate(policy, packing="sequential", seed=41)
+        optimized = stock_miss_rate(policy, packing="optimized", seed=41)
+        assert sequential - optimized > 0
+
+    def test_8k_pages_do_not_lower_stock_misses(self):
+        """At a fixed byte budget the buffer holds half as many 8K pages,
+        each less concentrated than a 4K page."""
+        small = stock_miss_rate(packing="sequential", seed=43, page_size=4096)
+        large = stock_miss_rate(packing="sequential", seed=43, page_size=8192)
+        assert large >= small - 0.02
+
+    def test_one_percent_remote_stock_leaves_misses_alone(self):
+        """Section 5.3 reuses single-node miss rates per node, which holds
+        only if the benchmark's 1 % remote stock does not move them."""
+        local = stock_miss_rate(remote_stock_probability=0.0, seed=71)
+        remote = stock_miss_rate(remote_stock_probability=0.01, seed=71)
+        assert abs(remote - local) < 0.03
+
+
 class TestMissesPerTransaction:
     def test_consistent_with_counters(self, quick_report):
         for name, entry in quick_report.relations.items():

@@ -17,7 +17,7 @@ from repro.core.nurand import (
     nurand,
     period_count,
 )
-from repro.core.nurand import _exact_counts_enumerated
+from repro.core.nurand import _exact_counts_enumerated, _exact_counts_power_of_two
 
 
 class TestScalarSampler:
@@ -55,6 +55,7 @@ class TestNURandClass:
         """Hot ids should be sampled much more often than cold ones."""
         sampler = NURand(NURAND_A_ITEM, 1, ITEMS)
         values = sampler.sample_array(rng, 200_000)
+        assert values.shape == (200_000,)
         counts = np.bincount(values, minlength=ITEMS + 1)[1:]
         hot = np.sort(counts)[::-1][: ITEMS // 50].sum()  # hottest 2%
         assert hot / 200_000 > 0.25  # paper: ~39% to hottest 2%
@@ -89,6 +90,11 @@ class TestExactPmf:
         fast = exact_pmf(63, 5, 300).pmf
         slow = _exact_counts_enumerated(63, 5, 300, 0)
         assert np.allclose(fast, slow / slow.sum())
+
+    def test_paper_scale_counts_every_draw_pair(self):
+        """NU(8191, 1, 100000): each of the 8192 x 100000 (A, x) draws counted once."""
+        counts = _exact_counts_power_of_two(8191, 1, 100_000, 0)
+        assert counts.sum() == 8192 * 100_000
 
     def test_matches_enumeration_generic_a(self):
         fast = exact_pmf(100, 1, 257).pmf

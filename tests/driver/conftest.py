@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.constants import DISTRICTS_PER_WAREHOUSE
 from repro.driver import BenchmarkSpec
 from repro.tpcc import TpccConfig
 
@@ -20,6 +21,27 @@ from repro.tpcc import TpccConfig
 @pytest.fixture(autouse=True)
 def invariant_sanitizer():
     yield None
+
+
+def ytd_state(db, warehouses: int) -> dict[int, tuple[float, float]]:
+    """Per-warehouse (w_ytd, sum of d_ytd) pairs, read transactionally.
+
+    TPC-C consistency condition 1 holds across a run when every
+    warehouse's ``w_ytd`` moved by as much as its districts' sum did.
+    """
+    txn = db.begin("ytd-audit")
+    try:
+        state = {}
+        for warehouse in range(1, warehouses + 1):
+            w_ytd = txn.select("warehouse", (warehouse,))["w_ytd"]
+            d_total = sum(
+                txn.select("district", (warehouse, district))["d_ytd"]
+                for district in range(1, DISTRICTS_PER_WAREHOUSE + 1)
+            )
+            state[warehouse] = (w_ytd, d_total)
+    finally:
+        txn.commit()
+    return state
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ from repro.faults.invariants import check_recovery_invariants
 from repro.tpcc import TpccConfig, load_tpcc
 from repro.tpcc.executor import BreakerPolicy, RetryPolicy
 
-DISTRICTS_PER_WAREHOUSE = 10
+from .conftest import ytd_state
 
 CONFIG = TpccConfig(
     warehouses=2,
@@ -57,27 +57,10 @@ CHAOS_SPEC = BenchmarkSpec(
 )
 
 
-def _ytd_state(db, warehouses):
-    """Per-warehouse (w_ytd, sum of d_ytd) pairs, read transactionally."""
-    txn = db.begin("ytd-audit")
-    try:
-        state = {}
-        for warehouse in range(1, warehouses + 1):
-            w_ytd = txn.select("warehouse", (warehouse,))["w_ytd"]
-            d_total = sum(
-                txn.select("district", (warehouse, district))["d_ytd"]
-                for district in range(1, DISTRICTS_PER_WAREHOUSE + 1)
-            )
-            state[warehouse] = (w_ytd, d_total)
-    finally:
-        txn.commit()
-    return state
-
-
 @pytest.fixture(scope="module")
 def chaos_report():
     db = load_tpcc(CONFIG)
-    before = _ytd_state(db, CONFIG.warehouses)
+    before = ytd_state(db, CONFIG.warehouses)
     report = run_benchmark(CHAOS_SPEC, db=db)
     return db, before, report
 
@@ -103,7 +86,7 @@ class TestChaosScenario:
     def test_zero_lost_updates(self, chaos_report):
         """Consistency condition 1 + WAL-implied state, post-chaos."""
         db, before, _report = chaos_report
-        after = _ytd_state(db, CONFIG.warehouses)
+        after = ytd_state(db, CONFIG.warehouses)
         for warehouse, (w_ytd, d_total) in after.items():
             w_before, d_before = before[warehouse]
             assert w_ytd - w_before == pytest.approx(d_total - d_before)
@@ -112,10 +95,10 @@ class TestChaosScenario:
     def test_survives_a_second_crash(self, chaos_report):
         """The post-run state is durable: crash again, nothing moves."""
         db, _before, _report = chaos_report
-        state = _ytd_state(db, CONFIG.warehouses)
+        state = ytd_state(db, CONFIG.warehouses)
         db.crash()
         db.recover()
-        assert _ytd_state(db, CONFIG.warehouses) == state
+        assert ytd_state(db, CONFIG.warehouses) == state
 
 
 class TestSeededReplay:
@@ -125,6 +108,75 @@ class TestSeededReplay:
         second = run_benchmark(CHAOS_SPEC).to_dict()
         assert json.dumps(first, sort_keys=True) == json.dumps(
             second, sort_keys=True
+        )
+
+
+_UNGATED = dict(max_in_flight=None, queue_deadline_seconds=None, breaker=None)
+
+#: CHAOS_SPEC's faults one at a time, each with the counter that shows
+#: its fault actually fired.
+CELLS = {
+    "crash": (
+        CHAOS_SPEC.replace(
+            faults=FaultPlan(
+                rules=(
+                    FaultRule(FaultKind.WAL_APPEND, probability=0.002, max_fires=4),
+                ),
+                seed=14,
+                name="crash-noise",
+            ),
+            **_UNGATED,
+        ),
+        lambda report: report.recovery.in_flight_aborted,
+    ),
+    "deadlock": (
+        CHAOS_SPEC.replace(
+            crash_at_seconds=None,
+            faults=FaultPlan(
+                rules=(FaultRule(FaultKind.DEADLOCK, every=40, max_fires=3),),
+                seed=15,
+                name="deadlock-storm",
+            ),
+            **_UNGATED,
+        ),
+        lambda report: report.deadlocks.injected,
+    ),
+    "overload": (
+        CHAOS_SPEC.replace(
+            terminals=48, think_time_seconds=0.05, crash_at_seconds=None, faults=None
+        ),
+        lambda report: report.shed.admission,
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CELLS))
+def cell(request):
+    spec, fired = CELLS[request.param]
+    db = load_tpcc(spec.tpcc)
+    before = ytd_state(db, spec.tpcc.warehouses)
+    report = run_benchmark(spec, db=db)
+    return spec, fired, db, before, report
+
+
+class TestChaosCells:
+    def test_resolves_without_lost_updates(self, cell):
+        spec, _fired, db, before, report = cell
+        assert report.committed + report.gave_up == spec.transactions
+        for warehouse, (w_ytd, d_total) in ytd_state(db, spec.tpcc.warehouses).items():
+            w_before, d_before = before[warehouse]
+            assert w_ytd - w_before == pytest.approx(d_total - d_before)
+        check_recovery_invariants(db).raise_if_violated()
+
+    def test_fault_fired(self, cell):
+        _spec, fired, _db, _before, report = cell
+        assert fired(report) > 0
+
+    def test_replay_is_byte_identical(self, cell):
+        spec, _fired, _db, _before, report = cell
+        replay = run_benchmark(spec)
+        assert json.dumps(replay.to_dict(), sort_keys=True) == json.dumps(
+            report.to_dict(), sort_keys=True
         )
 
 

@@ -15,24 +15,7 @@ from repro.faults.invariants import check_recovery_invariants
 from repro.tpcc import TpccConfig, load_tpcc
 from repro.tpcc.executor import RetryPolicy, TpccExecutor
 
-DISTRICTS_PER_WAREHOUSE = 10
-
-
-def _ytd_state(db, warehouses):
-    """Per-warehouse (w_ytd, sum of d_ytd) pairs, read transactionally."""
-    txn = db.begin("ytd-audit")
-    try:
-        state = {}
-        for warehouse in range(1, warehouses + 1):
-            w_ytd = txn.select("warehouse", (warehouse,))["w_ytd"]
-            d_total = sum(
-                txn.select("district", (warehouse, district))["d_ytd"]
-                for district in range(1, DISTRICTS_PER_WAREHOUSE + 1)
-            )
-            state[warehouse] = (w_ytd, d_total)
-    finally:
-        txn.commit()
-    return state
+from .conftest import ytd_state
 
 
 @pytest.mark.parametrize("terminals", [2, 16, 256])
@@ -53,12 +36,12 @@ def test_no_lost_updates(terminals):
         tpcc=config,
     )
     db = load_tpcc(config)
-    before = _ytd_state(db, config.warehouses)
+    before = ytd_state(db, config.warehouses)
 
     report = run_benchmark(spec, db=db)
 
     assert report.committed + report.gave_up == spec.transactions
-    after = _ytd_state(db, config.warehouses)
+    after = ytd_state(db, config.warehouses)
     for warehouse, (w_before, d_before) in before.items():
         w_after, d_after = after[warehouse]
         w_delta = w_after - w_before
@@ -98,7 +81,7 @@ def test_same_spec_twice_on_one_database(small_spec):
     payments = sum(report.summary.executed["payment"] for report in (first, second))
     assert len(ids) == len(set(ids)) == payments
     assert min(set(ids) - set(after_first)) > max(after_first)
-    for w_ytd, d_total in _ytd_state(db, spec.tpcc.warehouses).values():
+    for w_ytd, d_total in ytd_state(db, spec.tpcc.warehouses).values():
         assert w_ytd == pytest.approx(d_total)
     check_recovery_invariants(db).raise_if_violated()
 

@@ -1,10 +1,10 @@
-"""BenchmarkSpec construction, validation, and serialization."""
+"""BenchmarkSpec construction, validation, and replacement."""
 
 import dataclasses
 
 import pytest
 
-from repro.driver import BenchmarkSpec, spec_from_dict, spec_to_dict
+from repro.driver import BenchmarkSpec
 from repro.workload.mix import TransactionMix
 
 
@@ -82,13 +82,3 @@ class TestReplace:
         spec = BenchmarkSpec(think_time_seconds=2.0, keying_time_seconds=0.5)
         assert spec.cycle_delay_seconds == 2.5
 
-
-class TestSerialization:
-    def test_round_trip(self):
-        import json
-
-        spec = BenchmarkSpec(
-            terminals=16, transactions=None, duration_seconds=5.0, seed=7
-        )
-        data = json.loads(json.dumps(spec_to_dict(spec)))
-        assert spec_from_dict(data) == spec

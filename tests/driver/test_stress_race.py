@@ -3,15 +3,12 @@
 A seeded 64-terminal run on the real-thread worker pool with the
 Eraser lockset detector armed: the run must finish with zero candidate
 races, zero sanitizer violations, and zero lost updates (TPC-C
-consistency condition 1 on the warehouse/district YTD totals).  Scale
-down with ``STRESS_TERMINALS`` for smoke runs (CI uses 16).
+consistency condition 1 on the warehouse/district YTD totals).
 
 This module shadows the suite-wide autouse sanitizer: it installs its
 own race-detecting one, *before* loading so every engine object is
 constructed under instrumentation and its guard locks are tracked.
 """
-
-import os
 
 import pytest
 
@@ -19,8 +16,7 @@ from repro.analysis.sanitizer import InvariantSanitizer
 from repro.driver import BenchmarkSpec, run_benchmark
 from repro.tpcc import TpccConfig, load_tpcc
 
-TERMINALS = int(os.environ.get("STRESS_TERMINALS", "64"))
-DISTRICTS_PER_WAREHOUSE = 10
+from .conftest import ytd_state
 
 CONFIG = TpccConfig(
     warehouses=2,
@@ -39,28 +35,11 @@ def invariant_sanitizer():
     yield None
 
 
-def _ytd_state(db, warehouses):
-    """Per-warehouse (w_ytd, sum of d_ytd) pairs, read transactionally."""
-    txn = db.begin("ytd-audit")
-    try:
-        state = {}
-        for warehouse in range(1, warehouses + 1):
-            w_ytd = txn.select("warehouse", (warehouse,))["w_ytd"]
-            d_total = sum(
-                txn.select("district", (warehouse, district))["d_ytd"]
-                for district in range(1, DISTRICTS_PER_WAREHOUSE + 1)
-            )
-            state[warehouse] = (w_ytd, d_total)
-    finally:
-        txn.commit()
-    return state
-
-
 def test_threads_stress_is_race_free():
     """Acceptance: 64 terminals, lockset detector armed, zero races."""
     spec = BenchmarkSpec(
-        terminals=TERMINALS,
-        transactions=max(2 * TERMINALS, 64),
+        terminals=64,
+        transactions=128,
         think_time_seconds=0.0,
         scheduler="threads",
         workers=8,
@@ -69,7 +48,7 @@ def test_threads_stress_is_race_free():
     sanitizer = InvariantSanitizer(race_detection=True)
     with sanitizer:
         db = load_tpcc(CONFIG)
-        before = _ytd_state(db, CONFIG.warehouses)
+        before = ytd_state(db, CONFIG.warehouses)
         report = run_benchmark(spec, db=db)
         races = list(sanitizer.race_detector.races)
     assert races == []
@@ -78,7 +57,7 @@ def test_threads_stress_is_race_free():
     # Zero lost updates: every transaction resolved, and each
     # warehouse's YTD delta equals the sum of its districts' deltas.
     assert report.committed + report.gave_up == spec.transactions
-    after = _ytd_state(db, CONFIG.warehouses)
+    after = ytd_state(db, CONFIG.warehouses)
     for warehouse, (w_before, d_before) in before.items():
         w_after, d_after = after[warehouse]
         assert w_after - w_before == pytest.approx(d_after - d_before), (

@@ -62,7 +62,7 @@ class TestTable4:
 class TestTables67:
     def test_appendix_terms_present(self):
         result = run_experiment("tables6_7")
-        assert "U_stock" in result.headline
+        assert result.headline["U_stock"] > 0.0
         assert result.headline["L_stock"] < 1.0
 
     def test_replication_reduces_new_order_messages(self):

@@ -1,8 +1,14 @@
 """End-to-end integration tests: the full paper pipeline.
 
 Simulation -> miss-rate inputs -> throughput model -> price/performance
-and distributed scale-up, plus the executable engine cross-validation.
+and distributed scale-up, plus the executable engine cross-validation
+and the runnable examples.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +22,8 @@ from repro.throughput.pricing import (
     price_performance_sweep,
 )
 from repro.workload.trace import TraceConfig
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture(scope="module")
@@ -130,3 +138,21 @@ class TestEngineModelCrossValidation:
         before = small_tpcc_db.wal.bytes_written
         executor.new_order()
         assert small_tpcc_db.wal.bytes_written > before
+
+
+class TestExamples:
+    @pytest.mark.parametrize(
+        "script", sorted((ROOT / "examples").glob("*.py")), ids=lambda path: path.stem
+    )
+    def test_runs_from_any_directory(self, script, tmp_path):
+        """Every example is a runnable demo with its default arguments."""
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        result = subprocess.run(
+            [sys.executable, str(script)],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr

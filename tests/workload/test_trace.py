@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.workload.mix import TransactionType
+from repro.workload.mix import DEFAULT_MIX, TransactionMix, TransactionType
 from repro.workload.trace import (
     PACKING_KINDS,
     RELATION_INDEX,
@@ -64,6 +64,22 @@ class TestPriming:
 
     def test_pending_orders_available(self, small_trace):
         assert small_trace.state.pending_orders(1, 1)
+
+
+class TestNewOrderBacklog:
+    @staticmethod
+    def _backlog_growth(mix):
+        trace = TraceGenerator(TraceConfig(warehouses=2, mix=mix, seed=47))
+        start = trace.state.pending_count()
+        trace.encoded_batch(transactions=4000)
+        return trace.state.pending_count() - start
+
+    def test_unbalanced_mix_grows_the_backlog(self):
+        """Section 2.1: 45 % New-Order against 4 % Delivery outgrows 43/5."""
+        unbalanced = TransactionMix.from_percent(
+            new_order=45, payment=43, order_status=4, delivery=4, stock_level=4
+        )
+        assert self._backlog_growth(unbalanced) > self._backlog_growth(DEFAULT_MIX)
 
 
 class TestPageMapping:
