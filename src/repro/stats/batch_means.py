@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import stats as scipy_stats
-
 from repro.results import ReportMixin
 
 
@@ -92,7 +90,11 @@ class BatchMeans:
         n = len(self._batch_means)
         if n < 2:
             raise ValueError("half_width requires at least two batches")
-        t_quantile = scipy_stats.t.ppf(0.5 + self._confidence / 2, df=n - 1)
+        # First use only, so `import repro` loads no scipy module; stdtrit(df, q)
+        # is bit-identical to the t.ppf(q, df) of scipy's stats package.
+        from scipy.special import stdtrit
+
+        t_quantile = stdtrit(n - 1, 0.5 + self._confidence / 2)
         return float(t_quantile * math.sqrt(self.variance() / n))
 
     def summary(self) -> BatchMeansSummary:

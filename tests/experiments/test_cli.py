@@ -195,6 +195,52 @@ class TestModuleEntryPoint:
         assert process.returncode == 0
         assert "fig8" in process.stdout
 
+    def test_cold_start_loads_no_scipy(self):
+        """Importing repro and listing experiments load no scipy module; a
+        batch-means run then loads ``scipy.special`` and never ``scipy.stats``.
+
+        A fresh interpreter, because this process already holds scipy.
+        """
+        import subprocess
+        import sys
+        import textwrap
+
+        script = textwrap.dedent(
+            """
+            import sys
+
+            import repro
+            import repro.distributed.simulation
+            import repro.driver
+            import repro.tpcc.executor
+            from repro.cli import main
+
+            assert main(["list"]) == 0
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+            assert not loaded, loaded[:5]
+
+            config = repro.SimulationConfig(
+                trace=repro.TraceConfig(warehouses=1, seed=3),
+                buffer_mb=1,
+                batches=2,
+                batch_size=2_000,
+                warmup_references=2_000,
+            )
+            report = repro.BufferSimulation(config).run()
+            assert report.relations["stock"].summary is not None
+            assert "scipy.special" in sys.modules
+            assert "scipy.stats" not in sys.modules
+            """
+        )
+        process = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert process.returncode == 0, process.stderr
+        assert "fig8" in process.stdout
+
 
 class TestValidate:
     def test_consistent_trace(self, capsys):

@@ -62,6 +62,20 @@ class TestBatchMeans:
             wide.add_batch(value)
         assert wide.half_width() > narrow.half_width()
 
+    @pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99])
+    def test_half_width_equals_scipy_stats_t(self, confidence):
+        """The t quantile is bit-identical to ``scipy.stats.t.ppf``."""
+        from scipy import stats
+
+        draws = np.random.default_rng(11).normal(0.5, 0.05, size=200)
+        bm = BatchMeans(confidence)
+        for n, value in enumerate(draws, start=1):
+            bm.add_batch(value)
+            if n < 2:
+                continue
+            quantile = stats.t.ppf(0.5 + confidence / 2, df=n - 1)
+            assert bm.half_width() == float(quantile * math.sqrt(bm.variance() / n))
+
     def test_coverage_of_true_mean(self):
         """The 90% interval should contain the true mean ~90% of the time."""
         rng = np.random.default_rng(7)

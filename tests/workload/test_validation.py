@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.workload import validation
 from repro.workload.trace import TraceConfig
 from repro.workload.validation import validate_trace
 
@@ -20,8 +21,25 @@ def scaled_config(**overrides):
 
 
 @pytest.fixture(scope="module")
-def checks():
-    return validate_trace(scaled_config(), transactions=6_000)
+def check_inputs():
+    """The ``(counts, analytic)`` that ``validate_trace`` gave ``_check``
+    per relation, and the checks it returned."""
+    inputs = {}
+    check = validation._check
+
+    def recording(relation, counts, analytic):
+        inputs[relation] = (counts, analytic)
+        return check(relation, counts, analytic)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(validation, "_check", recording)
+        checks = validate_trace(scaled_config(), transactions=6_000)
+    return inputs, checks
+
+
+@pytest.fixture(scope="module")
+def checks(check_inputs):
+    return check_inputs[1]
 
 
 class TestConsistency:
@@ -52,6 +70,34 @@ class TestConsistency:
         uniform_counts = np.full(analytic.size, 100, dtype=np.int64)
         check = validation._check("item", uniform_counts, analytic)
         assert not check.consistent(tv_threshold=0.05)
+
+
+class TestChiSquare:
+    @staticmethod
+    def _scipy_p_value(counts, analytic):
+        """``_check``'s bins and rescaling, then ``scipy.stats.chisquare``."""
+        from scipy import stats
+
+        expected = analytic.pmf * counts.sum()
+        keep = expected >= 5
+        observed, expected = counts[keep], expected[keep]
+        expected = expected * observed.sum() / expected.sum()
+        return float(stats.chisquare(observed, expected)[1])
+
+    @pytest.mark.parametrize("relation", ["item", "stock", "customer"])
+    def test_p_value_equals_scipy_stats(self, check_inputs, relation):
+        """The p-value is bit-identical to ``scipy.stats.chisquare``'s."""
+        inputs, checks = check_inputs
+        expected = self._scipy_p_value(*inputs[relation])
+        assert checks[relation].chi2_p_value == expected
+
+    def test_uniform_counts_p_value_equals_scipy_stats(self):
+        import numpy as np
+
+        analytic = validation._analytic_page_pmf(scaled_config(), "item")
+        counts = np.full(analytic.size, 100, dtype=np.int64)
+        check = validation._check("item", counts, analytic)
+        assert check.chi2_p_value == self._scipy_p_value(counts, analytic)
 
 
 class TestInterface:
