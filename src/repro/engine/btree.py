@@ -17,7 +17,7 @@ layer.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.engine.errors import (
     DuplicateKeyError,
@@ -49,6 +49,18 @@ class _Node:
         return self.children is None
 
 
+def _runs(count: int, most: int, half: int) -> list[tuple[int, int]]:
+    """The (start, stop) slices ascending appends cut ``count`` entries into.
+
+    Appends go to the last node; when it exceeds ``most`` it splits,
+    keeping ``half`` on the left.  So every run but the last holds
+    ``half`` entries, and the last holds the rest (at most ``most``).
+    """
+    full = max(0, -(-(count - most) // half))
+    bounds = [run * half for run in range(full + 1)] + [count]
+    return list(zip(bounds, bounds[1:]))
+
+
 class BPlusTree:
     """A B+ tree with order ``order`` (max children per interior node)."""
 
@@ -58,6 +70,53 @@ class BPlusTree:
         self._order = order
         self._root = _Node(leaf=True)
         self._size = 0
+
+    @classmethod
+    def from_sorted(cls, pairs: Iterable[tuple[Any, Any]], order: int = 64) -> "BPlusTree":
+        """A tree holding ``pairs``, whose keys must strictly ascend, built bottom-up.
+
+        The result has the shape :meth:`insert` leaves when the same keys
+        arrive in ascending order: every node but the last on each level
+        holds half its capacity (the left half of a split), and every
+        separator is the smallest key of the subtree to its right.  Later
+        inserts and deletes therefore split and merge exactly where they
+        would have.  A repeated key raises ``DuplicateKeyError``, a
+        descending one ``ValueError``.
+        """
+        tree = cls(order)
+        pairs = list(pairs)
+        if not pairs:
+            return tree
+        keys = [key for key, _ in pairs]
+        for position, (low, high) in enumerate(zip(keys, keys[1:]), start=1):
+            if not low < high:
+                if low == high:
+                    raise DuplicateKeyError(f"key {high!r} already in index")
+                raise ValueError(f"keys not ascending at position {position}: {high!r}")
+        values = [value for _, value in pairs]
+
+        level: list[_Node] = []
+        for start, stop in _runs(len(keys), order - 1, order // 2):
+            leaf = _Node(leaf=True)
+            leaf.keys = keys[start:stop]
+            leaf.values = values[start:stop]
+            if level:
+                leaf.prev_leaf = level[-1]
+                level[-1].next_leaf = leaf
+            level.append(leaf)
+        lows = [leaf.keys[0] for leaf in level]
+        while len(level) > 1:
+            runs = _runs(len(level), order, order // 2 + 1)
+            parents = []
+            for start, stop in runs:
+                parent = _Node(leaf=False)
+                parent.children = level[start:stop]
+                parent.keys = lows[start + 1 : stop]
+                parents.append(parent)
+            level, lows = parents, [lows[start] for start, _ in runs]
+        tree._root = level[0]
+        tree._size = len(keys)
+        return tree
 
     # -- basic properties ---------------------------------------------------------
 

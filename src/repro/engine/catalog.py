@@ -14,7 +14,7 @@ import struct
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Mapping, Sequence
 
 
 class ColumnType(enum.Enum):
@@ -188,6 +188,46 @@ class TableSchema:
         return self._struct.pack(
             *[convert(row[name]) for name, convert in self._encoders]
         )
+
+    def packer(
+        self, columns: tuple[str, ...], constants: Mapping[str, object]
+    ) -> Callable[[Sequence], bytes]:
+        """A :meth:`pack` for rows whose other columns all hold ``constants``.
+
+        ``packer(columns, constants)(values)`` equals
+        ``pack({**constants, **dict(zip(columns, values))})`` when each
+        value already has its column's type (a number for INT and FLOAT
+        columns): the constants are converted once, here, and a call
+        converts only its CHAR values.  A value ``pack`` would have had
+        to coerce raises ``struct.error`` instead.  Every column must be
+        in exactly one of ``columns`` and ``constants``.
+        """
+        given = [*columns, *constants]
+        if sorted(given) != sorted(self._names):
+            raise ValueError(
+                f"{self._name}: columns and constants must cover each column once, "
+                f"got {sorted(given)}"
+            )
+        converter = dict(self._encoders)
+        fixed = [converter[name](value) for name, value in constants.items()]
+        column_of = {column.name: column for column in self._columns}
+        chars = [
+            (i, column_of[name].length)
+            for i, name in enumerate(columns)
+            if column_of[name].type is ColumnType.CHAR
+        ]
+        # A row is ``[*values, *fixed]``; ``gather`` puts it in column order.
+        source = {name: i for i, name in enumerate(given)}
+        gather = key_extractor(tuple(source[name] for name in self._names))
+        pack = self._struct.pack
+
+        def pack_row(values: Sequence) -> bytes:
+            row = [*values, *fixed]
+            for i, length in chars:
+                row[i] = _encode_char(length, row[i])
+            return pack(*gather(row))
+
+        return pack_row
 
     def unpack(self, record: bytes) -> dict:
         """Deserialize bytes back to a row dict (CHAR values stripped)."""

@@ -19,6 +19,16 @@ class HashIndex:
     def __init__(self) -> None:
         self._entries: dict[Any, Any] = {}
 
+    @classmethod
+    def from_pairs(cls, pairs: list[tuple[Any, Any]]) -> "HashIndex":
+        """An index holding ``pairs``, iterated in their order; a repeated key raises."""
+        index = cls()
+        index._entries = dict(pairs)
+        if len(index._entries) != len(pairs):
+            repeats = len(pairs) - len(index._entries)
+            raise DuplicateKeyError(f"{repeats} of {len(pairs)} keys repeat an earlier key")
+        return index
+
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -69,6 +79,15 @@ class MultiHashIndex:
     def __init__(self) -> None:
         self._entries: dict[Any, list[Any]] = {}
         self._size = 0
+
+    @classmethod
+    def from_pairs(cls, pairs: list[tuple[Any, Any]]) -> "MultiHashIndex":
+        """An index holding ``pairs``: keys and each key's postings in their order."""
+        index = cls()
+        for key, value in pairs:
+            index._entries.setdefault(key, []).append(value)
+        index._size = len(pairs)
+        return index
 
     def __len__(self) -> int:
         """Total number of (key, value) postings."""

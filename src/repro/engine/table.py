@@ -4,12 +4,16 @@ A :class:`Table` is the unlogged, unlocked primitive layer; transaction
 semantics (locks, WAL, undo) live in :class:`repro.engine.database.
 Database`.  Every table has a unique hash index on its primary key;
 secondary indexes (ordered B+ tree or hash, unique or not) are declared
-with :class:`IndexSpec`.
+with :class:`IndexSpec`.  A :class:`BulkLoad` fills an empty table (the
+initial population); :func:`_build_index` makes an index from its
+(key, rid) entries at once, for the bulk load, a backfill and crash
+recovery alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Iterator
 
 from repro.engine.btree import BPlusTree
@@ -38,6 +42,26 @@ class IndexSpec:
             raise ValueError(f"index {self.name!r} needs at least one column")
         if self.name == PRIMARY:
             raise ValueError(f"index name {PRIMARY!r} is reserved")
+
+
+def _build_index(spec: IndexSpec | None, entries: list[tuple[tuple, RecordId]]) -> Any:
+    """An index of kind ``spec`` (``None``: the primary key) holding ``entries``.
+
+    The one way an index is filled in bulk: the load, :meth:`Table.add_index`
+    and :meth:`Table.rebuild_indexes` all end here, and each installs the
+    index only once it is built.  ``entries`` are (key, rid) pairs in heap
+    order; hash postings keep that order, a B+ tree is sorted once and
+    built bottom-up.
+    """
+    if spec is None:
+        return HashIndex.from_pairs(entries)
+    if spec.kind == "btree":
+        if not spec.unique:
+            entries = [(key + (rid.page_no, rid.slot), rid) for key, rid in entries]
+        return BPlusTree.from_sorted(sorted(entries, key=itemgetter(0)))
+    if spec.unique:
+        return HashIndex.from_pairs(entries)
+    return MultiHashIndex.from_pairs(entries)
 
 
 class Table:
@@ -95,18 +119,11 @@ class Table:
         missing = [c for c in spec.columns if c not in self._schema.column_names]
         if missing:
             raise ValueError(f"index {spec.name!r} references unknown columns {missing}")
-        index = self._make_index(spec)
+        key_of = key_extractor(spec.columns)
+        index = _build_index(spec, [(key_of(row), rid) for rid, row in self.scan()])
         self._specs[spec.name] = spec
-        self._key_of[spec.name] = key_extractor(spec.columns)
+        self._key_of[spec.name] = key_of
         self._indexes[spec.name] = index
-        for rid, record in self._heap.scan():
-            self._index_insert_one(spec, index, self._schema.unpack(record), rid)
-
-    @staticmethod
-    def _make_index(spec: IndexSpec):
-        if spec.kind == "btree":
-            return BPlusTree()
-        return HashIndex() if spec.unique else MultiHashIndex()
 
     # -- key helpers ----------------------------------------------------------------
 
@@ -309,14 +326,14 @@ class Table:
     def rebuild_indexes(self) -> None:  # requires-lock: latch
         """Recreate every index from the heap (after WAL recovery)."""
         self._heap.rebuild_metadata()
-        self._indexes[PRIMARY] = HashIndex()
-        for name, spec in self._specs.items():
-            self._indexes[name] = self._make_index(spec)
-        for rid, record in self._heap.scan():
-            row = self._schema.unpack(record)
-            self._indexes[PRIMARY].insert(self._schema.key_of(row), rid)
-            for name, spec in self._specs.items():
-                self._index_insert_one(spec, self._indexes[name], row, rid)
+        key_of = {PRIMARY: self._schema.key_of, **self._key_of}
+        entries: dict[str, list[tuple[tuple, RecordId]]] = {name: [] for name in key_of}
+        for rid, row in self.scan():
+            for name, extract in key_of.items():
+                entries[name].append((extract(row), rid))
+        self._indexes.update(
+            {name: _build_index(self._specs.get(name), pairs) for name, pairs in entries.items()}
+        )
 
     def _require_spec(self, index_name: str) -> IndexSpec:
         spec = self._specs.get(index_name)
@@ -325,6 +342,75 @@ class Table:
                 f"table {self.name} has no index {index_name!r}"
             )
         return spec
+
+
+class BulkLoad:
+    """An empty table's initial population: rows stored in order, indexes built at the end.
+
+    Not a transactional path: nothing is logged or locked (the caller
+    takes a backup afterwards).  ``columns`` names, in order, the values
+    each :meth:`append` takes; every other column holds its value in
+    ``constants`` in every row (see :meth:`TableSchema.packer`).  Each
+    row is checked against the primary key and the unique secondary keys
+    before anything changes, as :meth:`Table.insert` checks it, then
+    packed and stored with :meth:`HeapFile.insert`.  Secondary-index
+    entries are only collected; :meth:`finish` builds each index once.
+    Until then those indexes are empty.
+    """
+
+    def __init__(self, table: Table, columns: tuple[str, ...], constants: dict[str, Any]):
+        if table.row_count:
+            raise ValueError(f"bulk load needs an empty table; {table.name} has rows")
+        position = {name: i for i, name in enumerate(columns)}
+
+        def key_of(key_columns: tuple[str, ...]) -> Callable[[tuple], tuple]:
+            fixed = [name for name in key_columns if name not in position]
+            if fixed:
+                raise ValueError(f"{table.name}: key columns {fixed} must vary per row")
+            return key_extractor(tuple(position[name] for name in key_columns))
+
+        self._table = table
+        self._pack = table.schema.packer(columns, constants)
+        self._primary: HashIndex = table._indexes[PRIMARY]
+        self._primary_key = key_of(table.schema.primary_key)
+        self._heap = table.heap
+        # Per secondary index: its name, its key and its (key, rid) entries so far.
+        self._secondary = [
+            (name, key_of(spec.columns), []) for name, spec in table._specs.items()
+        ]
+        # The keys taken so far in each unique index that can repeat a key
+        # on its own: one holding every primary-key column cannot.
+        covered = set(table.schema.primary_key)
+        self._taken = [
+            (name, key_of(spec.columns), set())
+            for name, spec in table._specs.items()
+            if spec.unique and not covered <= set(spec.columns)
+        ]
+
+    def append(self, values: tuple) -> RecordId:  # requires-lock: latch
+        """Add one row, given as the values of ``columns``; returns its rid."""
+        key = self._primary_key(values)
+        if key in self._primary:
+            raise DuplicateKeyError(f"{self._table.name}: duplicate primary key {key!r}")
+        for name, key_of, taken in self._taken:
+            if key_of(values) in taken:
+                raise DuplicateKeyError(
+                    f"{self._table.name}: duplicate key {key_of(values)!r} in {name}"
+                )
+        rid = self._heap.insert(self._pack(values))
+        self._primary.insert(key, rid)
+        for _, key_of, entries in self._secondary:
+            entries.append((key_of(values), rid))
+        for _, key_of, taken in self._taken:
+            taken.add(key_of(values))
+        return rid
+
+    def finish(self) -> None:  # requires-lock: latch
+        """Build every secondary index from the rows appended."""
+        specs = self._table._specs
+        self._table._indexes.update(
+            {name: _build_index(specs[name], entries) for name, _, entries in self._secondary}
+        )
 
 
 class _Infinity:

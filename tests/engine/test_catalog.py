@@ -1,5 +1,7 @@
 """Unit tests for repro.engine.catalog."""
 
+import struct
+
 import pytest
 
 from repro.engine.catalog import (
@@ -117,6 +119,35 @@ class TestPackUnpack:
         short = schema.pack({"id": 1, "tag": 0, "score": 0.0, "name": ""})
         long = schema.pack({"id": 1, "tag": 0, "score": 0.0, "name": "abcdefghij"})
         assert len(short) == len(long) == schema.record_size
+
+
+class TestPacker:
+    def test_equals_pack(self):
+        schema = sample_schema()
+        pack_row = schema.packer(("id", "name"), {"tag": 7, "score": 2})
+        for values in [(1, "alpha"), (2, "x" * 50), (3, "aééééé")]:
+            row = {"tag": 7, "score": 2, **dict(zip(("id", "name"), values))}
+            assert pack_row(values) == schema.pack(row)
+
+    def test_constants_only_for_missing_columns(self):
+        schema = sample_schema()
+        assert schema.packer((), {"id": 1, "tag": 2, "score": 3.0, "name": "n"})(()) == (
+            schema.pack({"id": 1, "tag": 2, "score": 3.0, "name": "n"})
+        )
+
+    def test_every_column_exactly_once(self):
+        schema = sample_schema()
+        with pytest.raises(ValueError, match="once"):
+            schema.packer(("id", "name"), {"tag": 7})
+        with pytest.raises(ValueError, match="once"):
+            schema.packer(("id", "name", "tag"), {"tag": 7, "score": 1.0})
+        with pytest.raises(ValueError, match="once"):
+            schema.packer(("id", "nope"), {"tag": 7, "score": 1.0, "name": "n"})
+
+    def test_values_are_not_coerced(self):
+        pack_row = sample_schema().packer(("id",), {"tag": 0, "score": 0.0, "name": ""})
+        with pytest.raises(struct.error):
+            pack_row(("5",))
 
 
 class TestKeyOf:

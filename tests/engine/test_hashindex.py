@@ -95,3 +95,23 @@ class TestMultiHashIndex:
         index.insert("A", 1)
         index.insert("B", 2)
         assert dict(index.items()) == {"A": (1,), "B": (2,)}
+
+
+class TestFromPairs:
+    def test_unique_keeps_pair_order(self):
+        index = HashIndex.from_pairs([(3, "c"), (1, "a"), (2, "b")])
+        assert list(index.items()) == [(3, "c"), (1, "a"), (2, "b")]
+        assert len(index) == 3
+
+    def test_unique_rejects_a_repeated_key(self):
+        with pytest.raises(DuplicateKeyError):
+            HashIndex.from_pairs([(1, "a"), (2, "b"), (1, "c")])
+
+    def test_multi_equals_inserts_in_order(self):
+        pairs = [("x", 1), ("y", 2), ("x", 3), ("z", 4), ("y", 5)]
+        reference = MultiHashIndex()
+        for key, value in pairs:
+            reference.insert(key, value)
+        index = MultiHashIndex.from_pairs(pairs)
+        assert list(index.items()) == list(reference.items())
+        assert len(index) == len(reference) == 5

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.btree import BPlusTree
 from repro.tpcc import TpccConfig, TpccExecutor, load_tpcc
 
 
@@ -98,3 +99,39 @@ class TestCrashDuringWorkload:
         db.simulate_crash()
         db.recover()
         assert db.table("order").row_count == orders_before
+
+
+def index_entries(db):
+    """Every index's items(): hash indexes as mappings, B+ trees in key order.
+
+    A hash index's key order follows insertion, which recovery (a heap
+    scan) cannot know once deletes have freed slots that later inserts
+    reused; its postings, the by-name lookup's answer order, stay.
+    """
+    entries = {}
+    for name in db.table_names():
+        table = db.table(name)
+        for index_name in table.index_names():
+            index = table._indexes[index_name]
+            items = list(index.items())
+            entries[name, index_name] = items if isinstance(index, BPlusTree) else dict(items)
+    return entries
+
+
+class TestIndexesAfterRecovery:
+    def test_every_index_comes_back_as_it_was(self, loaded):
+        db, config = loaded
+        TpccExecutor(db=db, config=config, seed=8).run_mix(transactions=60)
+        expected = index_entries(db)
+        db.crash()
+        db.recover()
+        assert index_entries(db) == expected
+
+    def test_name_lookup_keeps_its_posting_order(self, loaded):
+        db, config = loaded
+        TpccExecutor(db=db, config=config, seed=9).run_mix(transactions=40)
+        by_name = db.table("customer")._indexes["by_name"]
+        expected = list(by_name.items())
+        db.crash()
+        db.recover()
+        assert list(db.table("customer")._indexes["by_name"].items()) == expected

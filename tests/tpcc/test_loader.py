@@ -28,6 +28,37 @@ class TestConfig:
         with pytest.raises(ValueError, match="pending"):
             TpccConfig(initial_orders_per_district=5, pending_orders_per_district=6)
 
+    def test_customers_must_be_positive(self):
+        # Zero is divisible by three; the loader used to divide by it.
+        with pytest.raises(ValueError, match="customers_per_district must be positive"):
+            TpccConfig(
+                customers_per_district=0,
+                initial_orders_per_district=0,
+                pending_orders_per_district=0,
+            )
+
+    def test_initial_orders_non_negative(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            TpccConfig(initial_orders_per_district=-1, pending_orders_per_district=0)
+
+    def test_pending_orders_non_negative(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            TpccConfig(pending_orders_per_district=-1)
+
+    def test_items_per_order_at_least_one(self):
+        with pytest.raises(ValueError, match="items_per_order must be positive"):
+            TpccConfig(items_per_order=0)
+
+    def test_buffer_pages_at_least_one(self):
+        with pytest.raises(ValueError, match="buffer_pages must be positive"):
+            TpccConfig(buffer_pages=0)
+
+    def test_initial_orders_bounded_by_customers(self):
+        # Each customer has at most one initial order (a permutation).
+        TpccConfig(customers_per_district=30, initial_orders_per_district=30)
+        with pytest.raises(ValueError, match="cannot exceed customers_per_district"):
+            TpccConfig(customers_per_district=30, initial_orders_per_district=31)
+
     def test_unique_names(self):
         assert TpccConfig(customers_per_district=90).unique_names == 30
 
