@@ -84,7 +84,7 @@ def main() -> None:
 
     print("\nsimulating a crash (buffer contents lost) ...")
     orders_before = db.table("order").row_count
-    db.simulate_crash()
+    db.crash()
     db.recover()
     assert db.table("order").row_count == orders_before
     print(f"recovered: {orders_before} orders intact after WAL redo/undo")

@@ -6,7 +6,7 @@ fault/recovery harness — are only trustworthy when every code path is
 paths, no page mutated outside the WAL-before-data protocol.  This
 package enforces those invariants mechanically:
 
-* :mod:`repro.analysis.rules` — AST rules REP001..REP009, run by
+* :mod:`repro.analysis.rules` — AST rules REP001..REP006, run by
   ``python -m repro lint`` (see :mod:`repro.analysis.runner`);
 * :mod:`repro.analysis.sanitizer` — a runtime invariant monitor the
   test suite activates around every test (lock pairing, waits-for

@@ -13,9 +13,6 @@ from repro.analysis.rules import (
     rep004_bare_assert,
     rep005_lock_pairing,
     rep006_wal_discipline,
-    rep007_lock_order,
-    rep008_guarded_by,
-    rep009_blocking_hold,
 )
 from repro.analysis.rules.base import REGISTRY, ProjectContext, ProjectRule, Rule
 
@@ -28,9 +25,6 @@ RULE_MODULES = (
     rep004_bare_assert,
     rep005_lock_pairing,
     rep006_wal_discipline,
-    rep007_lock_order,
-    rep008_guarded_by,
-    rep009_blocking_hold,
 )
 
 

@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING, ClassVar, Iterator, Type
 from repro.analysis.findings import Finding, ModuleSource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.analysis.concurrency.project import ProjectIndex
+    from repro.analysis.callgraph import ProjectIndex
 
 #: Every registered rule, keyed by code ("REP001" .. "REP006").
 REGISTRY: dict[str, Type["Rule"]] = {}
@@ -47,10 +47,9 @@ class Rule(ABC):
 class ProjectContext:
     """Everything parsed for one lint run, shared across project rules.
 
-    The heavyweight :class:`~repro.analysis.concurrency.project.
-    ProjectIndex` is built lazily on first use so runs selecting only
-    per-file rules pay nothing for it, and built once so REP005/007/
-    008/009 share a single call-graph fixed point.
+    The :class:`~repro.analysis.callgraph.ProjectIndex` is built
+    lazily on first use, so runs selecting only per-file rules pay
+    nothing for it.
     """
 
     def __init__(self, modules: list[ModuleSource]) -> None:
@@ -60,14 +59,14 @@ class ProjectContext:
     @property
     def index(self) -> "ProjectIndex":
         if self._index is None:
-            from repro.analysis.concurrency.project import ProjectIndex
+            from repro.analysis.callgraph import ProjectIndex
 
             self._index = ProjectIndex.build(self.modules)
         return self._index
 
 
 class ProjectRule(Rule):
-    """A rule needing whole-project context (call graph, lock model).
+    """A rule needing whole-project context (the call graph).
 
     The runner calls :meth:`prepare` once, with every module of the
     run parsed, before the per-module :meth:`check` pass.

@@ -11,10 +11,9 @@ AST-level (the runtime sanitizer does the precise dynamic check):
 
 "Reach" is the fix for the old per-scope blind spot: releases (and
 unpins) that live in helper functions now count, via the transitive
-call graph of :class:`~repro.analysis.concurrency.project.
-ProjectIndex`, so delegating cleanup to a helper no longer trips the
-rule.  A scope that neither contains nor can reach a release is still
-flagged.
+call graph of :class:`~repro.analysis.callgraph.ProjectIndex`, so
+delegating cleanup to a helper no longer trips the rule.  A scope that
+neither contains nor can reach a release is still flagged.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from repro.analysis.findings import Finding, ModuleSource
 from repro.analysis.rules.base import ProjectRule, attr_chain, register
 
 if TYPE_CHECKING:
-    from repro.analysis.concurrency.project import FunctionInfo
+    from repro.analysis.callgraph import FunctionInfo
 
 _RELEASE_NAMES = frozenset({"release", "release_all"})
 
@@ -140,7 +139,7 @@ def _reaches(
         seen.add(id(func))
         if predicate(func):
             return True
-        stack.extend(edge.callee for edge in func.call_edges)
+        stack.extend(func.callees)
     return False
 
 

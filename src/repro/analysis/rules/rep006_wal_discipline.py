@@ -34,7 +34,7 @@ _HEAP_MUTATORS = frozenset(
 WAL_WHITELIST: dict[str, tuple[str, ...]] = {
     "repro/engine/heap.py": ("HeapFile.*",),
     "repro/engine/table.py": ("Table.*", "BulkLoad.*"),
-    "repro/engine/database.py": ("Database._recover_locked", "Transaction._undo_all"),
+    "repro/engine/database.py": ("Database._recover", "Transaction._undo_all"),
 }
 
 

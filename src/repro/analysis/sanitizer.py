@@ -10,22 +10,17 @@ checks it *dynamically*: the test suite installs it around every test
   policy that is still unresolved at :meth:`check` — a deadlock with
   nothing to break it.  A cycle observed mid-run is only a *candidate*:
   under no-wait every participant has already been told "conflict" and
-  is normally mid-abort, so concurrent drivers transiently show mutual
-  wait edges that dissolve as soon as the aborts release.  A candidate
-  is withdrawn when any participant releases its locks or acquires
-  another resource; one that survives to ``check()`` means somebody
-  observed a conflict and then neither aborted nor progressed.  (In
-  blocking mode the lock manager's own waits-for detector resolves
+  is normally mid-abort, so interleaved terminals transiently show
+  mutual wait edges that dissolve as soon as the aborts release.  A
+  candidate is withdrawn when any participant releases its locks or
+  acquires another resource; one that survives to ``check()`` means
+  somebody observed a conflict and then neither aborted nor progressed.
+  (In blocking mode the lock manager's own waits-for detector resolves
   cycles by aborting a victim, so there a cycle is expected operation);
 * any :meth:`LockManager.contention` counter ever decreases — the
   counters are documented monotone for the manager's lifetime (and
-  across ``Database.crash()``, which carries them forward), so a dip
-  means an increment raced outside the manager mutex;
-* a buffer pool ever tracks more frames than its capacity;
-* (with ``race_detection=True``) a guard-annotated attribute is
-  written by two threads without a common lock — the Eraser lockset
-  discipline, enforced by :class:`~repro.analysis.concurrency.
-  locksets.RaceDetector` over every ``# guarded-by:``-annotated class.
+  across ``Database.crash()``, which carries them forward);
+* a buffer pool ever tracks more frames than its capacity.
 
 It also records the resource acquisition-order graph for diagnostics.
 Order-graph cycles are *not* failures: TPC-C legitimately acquires
@@ -56,10 +51,7 @@ class SanitizerViolation(InvariantViolationError):
 class InvariantSanitizer:
     """Monkeypatch-based monitor over LockManager/Transaction/BufferManager."""
 
-    def __init__(self, race_detection: bool = False) -> None:
-        from repro.analysis.concurrency.locksets import RaceDetector
-
-        self.race_detector = RaceDetector() if race_detection else None
+    def __init__(self) -> None:
         self.violations: list[str] = []
         #: waits-for edges per lock manager: txn -> txns it waits on.
         self._waits_for: dict[int, dict[int, set[int]]] = defaultdict(dict)
@@ -145,49 +137,7 @@ class InvariantSanitizer:
         Transaction.abort = patched_abort
         BufferManager.get_page = patched_get_page
         self._installed = True
-        if self.race_detector is not None:
-            self._install_race_detection()
         return self
-
-    def _install_race_detection(self) -> None:
-        """Instrument every guard-annotated class and adopt live objects.
-
-        Classes constructed after installation self-adopt through the
-        detector's patched ``__init__``; the long-lived default metrics
-        registry predates installation, so its instruments are adopted
-        explicitly here.
-        """
-        from repro.driver.pool import WorkerPool
-        from repro.engine.bufferpool import BufferManager
-        from repro.engine.database import Database
-        from repro.engine.heap import HeapFile
-        from repro.engine.locks import LockManager
-        from repro.engine.wal import WriteAheadLog
-        from repro.faults.injector import FaultInjector
-        from repro.obs.metrics import Counter, Gauge, Histogram, default_registry
-        from repro.tpcc.executor import CircuitBreaker
-
-        detector = self.race_detector
-        if detector is None:  # caller gates on race_detector; belt-and-braces
-            return
-        detector.instrument(
-            (
-                Database,
-                LockManager,
-                BufferManager,
-                HeapFile,
-                WriteAheadLog,
-                FaultInjector,
-                WorkerPool,
-                CircuitBreaker,
-                Counter,
-                Gauge,
-                Histogram,
-            )
-        )
-        for instrument in default_registry()._instruments.values():
-            detector.adopt(instrument)
-        detector.activate()
 
     def uninstall(self) -> None:
         if not self._installed:
@@ -196,24 +146,12 @@ class InvariantSanitizer:
         from repro.engine.database import Transaction
         from repro.engine.locks import LockManager
 
-        if self.race_detector is not None:
-            self._harvest_races()
-            self.race_detector.restore()
         LockManager._try_acquire = self._originals["try_acquire"]
         LockManager.release_all = self._originals["release_all"]
         Transaction.commit = self._originals["commit"]
         Transaction.abort = self._originals["abort"]
         BufferManager.get_page = self._originals["get_page"]
         self._installed = False
-
-    def _harvest_races(self) -> None:
-        """Fold candidate races into the violation list (deduplicated)."""
-        if self.race_detector is None:
-            return
-        for race in self.race_detector.races:
-            message = race.render()
-            if message not in self.violations:
-                self.violations.append(message)
 
     def __enter__(self) -> InvariantSanitizer:
         return self.install()
@@ -289,27 +227,18 @@ class InvariantSanitizer:
         self._pending_cycles = []
 
     def _check_monotone(self, mgr: Any) -> None:
-        """Assert the manager's contention counters never decrease.
-
-        Snapshot and comparison both run under the manager's mutex, so
-        concurrent wrapper calls cannot store snapshots out of order
-        and fake a regression.
-        """
-        mutex = getattr(mgr, "_mutex", None)
-        if mutex is None:
-            return
-        with mutex:
-            snapshot = mgr.contention()
-            last = self._last_contention.get(mgr)
-            if last is not None:
-                for name, value in snapshot.items():
-                    before = last.get(name, 0)
-                    if value < before:
-                        self.violations.append(
-                            f"lock counter {name!r} decreased "
-                            f"{before} -> {value} (non-monotone accounting)"
-                        )
-            self._last_contention[mgr] = snapshot
+        """Assert the manager's contention counters never decrease."""
+        snapshot = mgr.contention()
+        last = self._last_contention.get(mgr)
+        if last is not None:
+            for name, value in snapshot.items():
+                before = last.get(name, 0)
+                if value < before:
+                    self.violations.append(
+                        f"lock counter {name!r} decreased "
+                        f"{before} -> {value} (non-monotone accounting)"
+                    )
+        self._last_contention[mgr] = snapshot
 
     def _check_leak(self, txn: Any, action: str) -> None:
         held = txn._db.locks.locks_held(txn._id)

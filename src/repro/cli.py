@@ -227,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = commands.add_parser(
         "bench",
         help="run the concurrent multi-terminal TPC-C driver "
-        "(virtual time by default; deterministic per seed)",
+        "(virtual time; deterministic per seed)",
     )
     bench.add_argument(
         "--terminals", type=int, default=8, help="emulated terminals (default: 8)"
@@ -245,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="run for a fixed virtual (or wall) duration instead",
+        help="run for a fixed virtual duration instead",
     )
     bench.add_argument(
         "--think",
@@ -262,19 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="constant keying time per terminal (default: 0.0)",
     )
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--scheduler",
-        choices=["virtual", "threads"],
-        default="virtual",
-        help="virtual = deterministic discrete-event time; "
-        "threads = real worker pool with wall-clock latencies",
-    )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="worker threads for --scheduler threads (default: 4)",
-    )
     bench.add_argument(
         "--warehouses",
         type=int,
@@ -298,17 +285,15 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="crash and recover the database at this virtual instant "
-        "(virtual scheduler only)",
+        help="crash and recover the database at this virtual instant",
     )
     bench.add_argument(
         "--lock-timeout",
         type=float,
         default=0.0,
         metavar="SECONDS",
-        help="block on lock conflicts up to this budget instead of "
-        "no-wait aborts (threads scheduler; enables waits-for "
-        "deadlock detection)",
+        help="block on lock conflicts for up to this virtual budget "
+        "instead of no-wait aborts (enables waits-for deadlock detection)",
     )
     bench.add_argument(
         "--victim-policy",
@@ -368,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_format_argument(bench)
 
     lint = commands.add_parser(
-        "lint", help="run the reprolint static-analysis rules (REP001..REP009)"
+        "lint", help="run the reprolint static-analysis rules (REP001..REP006)"
     )
     lint.add_argument(
         "paths",
@@ -781,8 +766,6 @@ def _command_bench(args) -> int:
             keying_time_seconds=args.keying,
             retry=retry,
             seed=args.seed,
-            scheduler=args.scheduler,
-            workers=args.workers,
             max_in_flight=args.max_in_flight,
             tpcc=TpccConfig(warehouses=warehouses),
             faults=faults,

@@ -3,13 +3,10 @@
 :mod:`repro.driver.spec` declares the kw-only :class:`BenchmarkSpec`;
 :mod:`repro.driver.scheduler` executes it deterministically in virtual
 time (the paper's closed network with the real engine in the loop);
-:mod:`repro.driver.pool` executes it with real worker threads;
-:mod:`repro.driver.runner` ties them together into a
-:class:`DriverReport`; :mod:`repro.driver.validate` closes the loop
-against exact MVA.
+:mod:`repro.driver.runner` turns a run into a :class:`DriverReport`;
+:mod:`repro.driver.validate` closes the loop against exact MVA.
 """
 
-from repro.driver.pool import WorkerPool
 from repro.driver.report import (
     DeadlockStats,
     DriverReport,
@@ -20,7 +17,7 @@ from repro.driver.report import (
 )
 from repro.driver.runner import build_executors, run_benchmark
 from repro.driver.scheduler import RunOutcome, StatementGate, VirtualScheduler
-from repro.driver.spec import SCHEDULERS, BenchmarkSpec
+from repro.driver.spec import BenchmarkSpec
 from repro.driver.validate import (
     DriverValidation,
     ValidationPoint,
@@ -29,7 +26,6 @@ from repro.driver.validate import (
 )
 
 __all__ = [
-    "SCHEDULERS",
     "BenchmarkSpec",
     "DeadlockStats",
     "DriverReport",
@@ -41,7 +37,6 @@ __all__ = [
     "TxStats",
     "ValidationPoint",
     "VirtualScheduler",
-    "WorkerPool",
     "build_executors",
     "percentile",
     "run_benchmark",

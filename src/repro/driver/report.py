@@ -170,10 +170,9 @@ class DriverReport(ReportMixin):
         """The CLI's text form: headline figures plus the per-tx table."""
         from repro.experiments.report import render_table
 
-        clock = "virtual" if self.deterministic else "wall-clock"
         lines = [
             f"terminals={self.spec.terminals} scheduler={self.spec.scheduler} "
-            f"({clock} time)",
+            "(virtual time)",
             f"elapsed {self.elapsed_seconds:.3f} s, "
             f"{self.committed} committed, "
             f"tpmC {self.tpmc:.1f}, throughput {self.throughput_tps:.2f} tx/s",

@@ -4,11 +4,9 @@
 bench``.
 
 Chaos wiring: when the spec carries a :class:`FaultPlan` it is armed
-*after* loading (the initial population is never faulted) with a clock
-matching the scheduler — virtual time under the deterministic
-scheduler, wall time under the worker pool — so time-scoped rules and
-the circuit breaker behave identically across replays of a seeded
-virtual run.
+*after* loading (the initial population is never faulted) with the
+scheduler's virtual clock, so time-scoped rules and the circuit breaker
+behave identically across replays of a seeded run.
 """
 
 from __future__ import annotations
@@ -16,9 +14,8 @@ from __future__ import annotations
 import time
 from typing import Any, Callable
 
-from repro.driver.pool import WorkerPool
 from repro.driver.report import DeadlockStats, DriverReport, ShedStats, TxStats
-from repro.driver.scheduler import RunOutcome, VirtualScheduler
+from repro.driver.scheduler import VirtualScheduler
 from repro.driver.spec import BenchmarkSpec
 from repro.engine.database import Database
 from repro.faults import FaultInjector, FaultKind
@@ -64,35 +61,18 @@ def run_benchmark(spec: BenchmarkSpec, db: Database | None = None) -> DriverRepo
         injector = FaultInjector(spec.faults)
     breaker = CircuitBreaker(spec.breaker) if spec.breaker is not None else None
 
-    outcome: RunOutcome
-    if spec.scheduler == "virtual":
-        scheduler = VirtualScheduler(db, spec)
+    scheduler = VirtualScheduler(db, spec)
 
-        def virtual_clock() -> float:
-            return scheduler.now
+    def virtual_clock() -> float:
+        return scheduler.now
 
-        clock: Callable[[], float] = virtual_clock
-        if injector is not None:
-            injector.set_clock(clock)
-            db.attach_injector(injector)
-        executors = build_executors(
-            db, spec, sleep=scheduler.gate.sleep, breaker=breaker, clock=clock
-        )
-        outcome = scheduler.run(executors)
-    else:
-        started_at = time.monotonic()
-
-        def wall_clock() -> float:
-            return time.monotonic() - started_at
-
-        clock = wall_clock
-        if injector is not None:
-            injector.set_clock(clock)
-            db.attach_injector(injector)
-        executors = build_executors(
-            db, spec, sleep=time.sleep, breaker=breaker, clock=clock
-        )
-        outcome = WorkerPool(db, spec).run(executors)
+    if injector is not None:
+        injector.set_clock(virtual_clock)
+        db.attach_injector(injector)
+    executors = build_executors(
+        db, spec, sleep=scheduler.gate.sleep, breaker=breaker, clock=virtual_clock
+    )
+    outcome = scheduler.run(executors)
     if injector is not None:
         db.attach_injector(None)
 
@@ -149,7 +129,7 @@ def run_benchmark(spec: BenchmarkSpec, db: Database | None = None) -> DriverRepo
         disk_utilization=outcome.disk_busy_seconds / elapsed if elapsed > 0 else 0.0,
         cpu_demand_seconds=cpu_demand,
         disk_demand_seconds=disk_demand,
-        deterministic=spec.scheduler == "virtual",
+        deterministic=True,
         summary=merged,
         deadlocks=deadlocks,
         recovery=outcome.recovery,

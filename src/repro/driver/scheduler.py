@@ -23,6 +23,18 @@ granularity and locks conflict across in-flight transactions exactly
 as they would under a real concurrent driver.  Determinism needs no
 argument beyond the loop itself: one thread, one heap, ties broken by
 push order.
+
+Lock conflicts follow the spec's policy.  Under no-wait
+(``lock_timeout_seconds == 0``) a conflict aborts the transaction,
+which retries under its :class:`~repro.tpcc.executor.RetryPolicy`.
+Under the blocking policy (``> 0``) the blocked statement comes back as
+a :class:`~repro.engine.locks.LockWait` and its task *parks*: no
+station serves it while it waits.  The waits-for cycle check runs once,
+at park time, and a deadlock victim gets a ``DeadlockError`` thrown
+into its sequence.  The holder's commit or abort wakes the waiters at
+the current virtual instant, in park order, and each re-runs its
+statement from the start; a ``timeout`` event at park time plus the
+budget throws ``LockConflictError`` into a waiter still parked.
 """
 
 from __future__ import annotations
@@ -38,6 +50,7 @@ import numpy as np
 from repro.driver.report import RecoveryWindow
 from repro.driver.spec import BenchmarkSpec
 from repro.engine.database import Database, Transaction
+from repro.engine.locks import LockWait
 from repro.obs import instruments
 from repro.throughput.params import CostParameters
 from repro.tpcc.executor import TRANSIENT_ERRORS, PreparedTransaction, Steps, TpccExecutor
@@ -45,7 +58,7 @@ from repro.tpcc.executor import TRANSIENT_ERRORS, PreparedTransaction, Steps, Tp
 
 @dataclass
 class RunOutcome:
-    """What a scheduler run measured (shared by both drivers)."""
+    """What a scheduler run measured."""
 
     elapsed_seconds: float
     latencies: dict[str, list[float]]
@@ -86,6 +99,7 @@ class _Task:
         "steps",
         "context",
         "value",
+        "error",
         "last_txn_id",
         "outcome",
     )
@@ -100,8 +114,12 @@ class _Task:
         #: Every resume runs inside it, so context-local state a
         #: sequence sets (the fault injector's scope) stays its own.
         self.context = contextvars.copy_context()
-        #: What the sequence last yielded; sent back in on resume.
+        #: What the sequence last yielded; sent back in on resume (a
+        #: ``LockWait`` is re-run instead: the task is parked on it).
         self.value: Any = None
+        #: An error to throw into the sequence on resume (deadlock
+        #: victim, lock-wait timeout).
+        self.error: BaseException | None = None
         self.last_txn_id = -1
         self.outcome = "running"
 
@@ -118,6 +136,16 @@ class _StatementSnapshot:
     joins: int = 0
     misses: int = 0
     locks_held: int = 0
+
+    def restore_calls(self, txn: Transaction) -> None:
+        """Put the transaction's call census back to statement entry."""
+        calls = txn.calls
+        calls.selects = self.selects
+        calls.updates = self.updates
+        calls.inserts = self.inserts
+        calls.deletes = self.deletes
+        calls.non_unique_selects = self.non_unique_selects
+        calls.joins = self.joins
 
 
 class _MeteredStatement:
@@ -145,7 +173,12 @@ class _MeteredStatement:
             locks_held=gate.db.locks.locks_held(self._txn.txn_id),
         )
 
-    def __exit__(self, *exc_info: Any) -> None:
+    def __exit__(self, exc_type: Any, *exc_info: Any) -> None:
+        if exc_type is LockWait:
+            # Parked: the statement re-runs from its start when woken,
+            # so this pass is neither counted nor priced.
+            self._snap.restore_calls(self._txn)
+            return
         # Also on failure: the statement ran, so it is priced and served.
         gate = self._gate
         gate.request = ("stmt", gate.cost(self._task, self._txn, self._kind, self._snap))
@@ -237,9 +270,10 @@ class VirtualScheduler:
 
     Events are ``(time, seq, kind, payload)`` on a heap: ``start``
     launches a terminal's next transaction, ``resume`` continues a task
-    whose statement or backoff completed.  A resumed sequence runs, on
-    the loop's own thread, until it has executed one statement (or
-    recorded one sleep) and suspended again.
+    whose statement or backoff completed (or whose lock wait ended),
+    ``timeout`` ends a lock wait that outlived its budget.  A resumed
+    sequence runs until it has executed one statement (or recorded one
+    sleep) and suspended again, or until it parks on a lock.
     """
 
     def __init__(self, db: Database, spec: BenchmarkSpec):
@@ -255,6 +289,8 @@ class VirtualScheduler:
         self._completed = 0
         #: Tasks whose sequence is suspended or running.
         self._in_flight: set[_Task] = set()
+        #: Parked tasks by transaction id, in park order.
+        self._parked: dict[int, _Task] = {}
         #: Admission queue: (terminal, arrival time) FIFO behind the
         #: max_in_flight gate.
         self._waiting: list[tuple[int, float]] = []
@@ -309,6 +345,8 @@ class VirtualScheduler:
                     self._step(payload)  # type: ignore[arg-type]
                 elif kind == "start":
                     self._handle_start(int(payload))  # type: ignore[arg-type]
+                elif kind == "timeout":
+                    self._handle_timeout(payload)  # type: ignore[arg-type]
                 elif kind == "crash":
                     self._handle_crash()
                 else:
@@ -334,7 +372,7 @@ class VirtualScheduler:
         )
 
     def _step(self, task: _Task) -> None:
-        """Resume ``task`` until it has a request to serve, or has ended.
+        """Resume ``task`` until it has a request to serve, has parked, or has ended.
 
         A suspension without a request (the statement raised before it
         reached the gate, or was the post-crash no-op abort) costs no
@@ -345,8 +383,13 @@ class VirtualScheduler:
         try:
             request = None
             while request is None:
-                task.value = task.context.run(task.steps.send, task.value)
+                if task.error is None and type(task.value) is not LockWait:
+                    task.value = task.context.run(task.steps.send, task.value)
+                else:
+                    task.value = self._resume_blocked(task)
                 request = gate.take()
+                if request is None and type(task.value) is LockWait and self._park(task):
+                    break
         except StopIteration:
             task.outcome = "committed"
         except TRANSIENT_ERRORS:
@@ -356,6 +399,8 @@ class VirtualScheduler:
             self._errors.append(error)
         finally:
             gate.task = None
+        if self._db.locks.woken:
+            self._wake()
         if task.outcome != "running":
             if gate.take() is not None:
                 self._errors.append(
@@ -365,6 +410,8 @@ class VirtualScheduler:
                     )
                 )
             self._complete(task)
+        elif request is None:
+            pass  # parked
         elif request[0] == "stmt":
             cpu_k, misses = request[1]
             params = self.spec.params
@@ -376,6 +423,62 @@ class VirtualScheduler:
             self._push(self._disk.serve(after_cpu, disk_seconds), "resume", task)
         else:  # sleep
             self._push(self._now + float(request[1]), "resume", task)
+
+    # -- lock waits ----------------------------------------------------------------
+
+    @staticmethod
+    def _resume_blocked(task: _Task) -> Any:
+        """Throw the task's pending error in, or re-run its parked statement.
+
+        An error the re-run raises (the crash epoch moved, an injected
+        fault) goes into the sequence, where the statement would have
+        raised it.
+        """
+        error, task.error = task.error, None
+        if error is None:
+            try:
+                return task.context.run(task.value.retry)
+            except Exception as raised:
+                error = raised
+        return task.context.run(task.steps.throw, error)
+
+    def _park(self, task: _Task) -> bool:
+        """Park a task on its ``LockWait``; False if it is the deadlock victim.
+
+        A victim other than the parking task was itself parked: it is
+        unparked and resumed at once, with the ``DeadlockError`` to
+        throw.  A parked task waits for a release (:meth:`_wake`) or its
+        ``timeout`` event.
+        """
+        wait: LockWait = task.value
+        resolved = self._db.locks.park(wait.txn_id, wait.resource)
+        if resolved is not None:
+            victim, error = resolved
+            if victim == wait.txn_id:
+                task.error = error
+                return False
+            doomed = self._parked.pop(victim)
+            doomed.error = error
+            self._push(self._now, "resume", doomed)
+        self._parked[wait.txn_id] = task
+        self._push(self._now + wait.timeout, "timeout", wait)
+        return True
+
+    def _wake(self) -> None:
+        """Resume, at the current instant and in park order, the waiters a release woke."""
+        locks = self._db.locks
+        for txn_id in locks.woken:
+            self._push(self._now, "resume", self._parked.pop(txn_id))
+        locks.woken.clear()
+
+    def _handle_timeout(self, wait: LockWait) -> None:
+        """A lock wait's budget ran out: unless woken meanwhile, it fails."""
+        task = self._parked.get(wait.txn_id)
+        if task is None or task.value is not wait:
+            return  # woken, or chosen as a deadlock victim, before its budget ran out
+        del self._parked[wait.txn_id]
+        task.error = self._db.locks.time_out(wait)
+        self._step(task)
 
     def _handle_start(self, terminal: int) -> None:
         if self._deadline is not None and self._now >= self._deadline:
@@ -420,12 +523,17 @@ class VirtualScheduler:
         at a statement boundary.  Recovery's WAL replay is charged to
         both stations as a service outage (sequential log reads on
         every disk arm), and every in-flight transaction's next
-        statement aborts transiently via the database epoch bump.
+        statement aborts transiently via the database epoch bump —
+        parked ones are resumed at once, since the lock they wait for
+        was lost with the old lock manager.
         """
         replayed = sum(1 for _ in self._db.wal.change_records())
         in_flight = len(self._in_flight)
         self._db.crash()
         self._db.recover()
+        for task in self._parked.values():
+            self._push(self._now, "resume", task)
+        self._parked.clear()
         duration = (
             replayed * self.spec.params.disk_service_ms / 1000.0 / self.spec.disk_arms
         )

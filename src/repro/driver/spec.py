@@ -1,9 +1,9 @@
 """The benchmark specification: one kw-only dataclass describing a run.
 
 A :class:`BenchmarkSpec` captures everything the concurrent driver
-needs — terminal population, stop condition (wall/virtual duration *or*
-a transaction count), transaction mix, think/keying times, retry
-policy, seed and scheduler — so a run is reproducible from the spec
+needs — terminal population, stop condition (virtual duration *or* a
+transaction count), transaction mix, think/keying times, retry policy,
+lock-conflict policy and seed — so a run is reproducible from the spec
 alone and specs compose with ``.replace()`` like the repo's other
 ``*Config`` dataclasses (REP003).
 """
@@ -19,19 +19,14 @@ from repro.tpcc.executor import BreakerPolicy, RetryPolicy
 from repro.tpcc.loader import TpccConfig
 from repro.workload.mix import DEFAULT_MIX, TransactionMix
 
-#: Scheduler modes: ``virtual`` is the deterministic discrete-event
-#: scheduler (virtual time, Table 4 costs); ``threads`` is a real
-#: worker pool measuring wall-clock latencies.
-SCHEDULERS = ("virtual", "threads")
-
-
 @dataclass(frozen=True, kw_only=True)
 class BenchmarkSpec:
     """Parameters of one concurrent TPC-C benchmark run (keyword-only).
 
-    Exactly one of ``duration_seconds`` (virtual or wall time,
-    depending on the scheduler) and ``transactions`` (a total
-    transaction count split across terminals) must be set.
+    Exactly one of ``duration_seconds`` (virtual time) and
+    ``transactions`` (a total transaction count split across
+    terminals) must be set.  ``scheduler`` names the one scheduler
+    there is, the deterministic virtual-time event loop.
     """
 
     terminals: int = 8
@@ -43,19 +38,17 @@ class BenchmarkSpec:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     seed: int = 0
     scheduler: str = "virtual"
-    workers: int = 4
     max_in_flight: int | None = None
     tpcc: TpccConfig = field(default_factory=TpccConfig)
     params: CostParameters = field(default_factory=CostParameters)
     disk_arms: int = 8
     #: Seeded fault schedule armed after loading (None = no chaos).
     faults: FaultPlan | None = None
-    #: Virtual instant of a mid-benchmark crash()/recover() cycle
-    #: (virtual scheduler only).
+    #: Virtual instant of a mid-benchmark crash()/recover() cycle.
     crash_at_seconds: float | None = None
-    #: Lock-conflict policy: 0 keeps no-wait; > 0 enables blocking
-    #: waits with waits-for deadlock detection (threads scheduler only
-    #: — the virtual scheduler's determinism requires no-wait).
+    #: Lock-conflict policy: 0 keeps no-wait; > 0 parks a blocked
+    #: statement for up to this many virtual seconds, with waits-for
+    #: deadlock detection at park time.
     lock_timeout_seconds: float = 0.0
     #: Deadlock victim policy: youngest | oldest | fewest_locks.
     victim_policy: str = "youngest"
@@ -82,37 +75,25 @@ class BenchmarkSpec:
             )
         if self.think_time_seconds < 0 or self.keying_time_seconds < 0:
             raise ValueError("think/keying times must be non-negative")
-        if self.scheduler not in SCHEDULERS:
+        if self.scheduler != "virtual":
             raise ValueError(
-                f"scheduler must be one of {SCHEDULERS}, got {self.scheduler!r}"
+                f"scheduler must be 'virtual', got {self.scheduler!r}: the "
+                "threads scheduler was removed (blocking lock waits run in "
+                "virtual time with lock_timeout_seconds > 0)"
             )
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.max_in_flight is not None and self.max_in_flight < 1:
             raise ValueError(
                 f"max_in_flight must be >= 1, got {self.max_in_flight}"
             )
         if self.disk_arms < 1:
             raise ValueError(f"disk_arms must be >= 1, got {self.disk_arms}")
-        if self.crash_at_seconds is not None:
-            if self.scheduler != "virtual":
-                raise ValueError(
-                    "crash_at_seconds requires the virtual scheduler "
-                    "(a wall-clock crash instant is not reproducible)"
-                )
-            if self.crash_at_seconds <= 0:
-                raise ValueError(
-                    f"crash_at_seconds must be positive, got {self.crash_at_seconds}"
-                )
+        if self.crash_at_seconds is not None and self.crash_at_seconds <= 0:
+            raise ValueError(
+                f"crash_at_seconds must be positive, got {self.crash_at_seconds}"
+            )
         if self.lock_timeout_seconds < 0:
             raise ValueError(
                 f"lock_timeout_seconds must be >= 0, got {self.lock_timeout_seconds}"
-            )
-        if self.lock_timeout_seconds > 0 and self.scheduler == "virtual":
-            raise ValueError(
-                "lock_timeout_seconds requires scheduler='threads': the "
-                "virtual scheduler serializes statements, so blocking "
-                "waits cannot make progress (keep the no-wait default)"
             )
         if self.victim_policy not in VICTIM_POLICIES:
             raise ValueError(

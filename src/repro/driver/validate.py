@@ -134,11 +134,6 @@ def validate_against_mva(
     spec: BenchmarkSpec, terminal_counts: list[int]
 ) -> DriverValidation:
     """Run the spec at each terminal count (fresh database per run)."""
-    if spec.scheduler != "virtual":
-        raise ValueError(
-            "MVA validation requires the virtual scheduler "
-            "(wall-clock latencies are not comparable with Table 4 demands)"
-        )
     reports = [
         run_benchmark(spec.replace(terminals=count))
         for count in sorted(set(terminal_counts))

@@ -21,11 +21,8 @@ from repro.obs import instruments
 class BufferManager:
     """A write-back page cache with replacement and statistics.
 
-    Thread contract: every method assumes the caller holds the global
-    statement latch (``Database.latch`` — the declared guard of the
-    frame table and dirty set below); statements, checkpoints, and
-    recovery all run under it.  Pages are not pinned: a frame can be
-    evicted between operations but never during one.
+    Pages are not pinned: a frame can be evicted between operations
+    but never during one.
 
     Eviction is best-effort under fault injection: when the write-back
     of a victim fails with an injected fault (eviction error or torn
@@ -53,11 +50,11 @@ class BufferManager:
             self._policy_name = type(policy).__name__.removesuffix("Policy").lower()
         self._policy = policy
         self._file_names: dict[int, str] = {}
-        self._frames: dict[PageId, Page] = {}  # guarded-by: latch
-        self._dirty: set[PageId] = set()  # guarded-by: latch
+        self._frames: dict[PageId, Page] = {}
+        self._dirty: set[PageId] = set()
         self._stats = PoolStatistics()
         self._injector = injector
-        self.deferred_evictions = 0  # guarded-by: latch
+        self.deferred_evictions = 0
 
     def set_injector(self, injector) -> None:
         """Arm (or disarm with None) a fault injector at the eviction seam."""
@@ -75,6 +72,11 @@ class BufferManager:
     @property
     def store(self) -> PageStore:
         return self._store
+
+    @property
+    def policy_name(self) -> str:
+        """The replacement policy's name (``"lru"``, ``"clock"``, ...)."""
+        return self._policy_name
 
     @property
     def capacity(self) -> int:
@@ -97,7 +99,7 @@ class BufferManager:
 
     # -- page access ----------------------------------------------------------------
 
-    def get_page(self, page_id: PageId, for_write: bool = False) -> Page:  # requires-lock: latch
+    def get_page(self, page_id: PageId, for_write: bool = False) -> Page:
         """Return the cached page, faulting it in from the store if needed."""
         page = self._frames.get(page_id)
         hit = page is not None
@@ -124,7 +126,7 @@ class BufferManager:
             self.mark_dirty(page_id)
         return page
 
-    def new_page(self, page_id: PageId, page: Page) -> Page:  # requires-lock: latch
+    def new_page(self, page_id: PageId, page: Page) -> Page:
         """Register a freshly allocated page as resident and dirty.
 
         The allocation itself is not counted as a miss: no read I/O
@@ -137,7 +139,7 @@ class BufferManager:
         self.mark_dirty(page_id)
         return page
 
-    def mark_dirty(self, page_id: PageId) -> None:  # requires-lock: latch
+    def mark_dirty(self, page_id: PageId) -> None:
         """Flag a resident page as modified."""
         if page_id not in self._frames:
             raise ValueError(f"page {page_id} is not resident")
@@ -145,18 +147,18 @@ class BufferManager:
 
     # -- write-back -------------------------------------------------------------------
 
-    def flush_page(self, page_id: PageId) -> None:  # requires-lock: latch
+    def flush_page(self, page_id: PageId) -> None:
         """Write one dirty resident page back to the store."""
         if page_id in self._dirty:
             self._store.write(page_id, self._frames[page_id])
             self._dirty.discard(page_id)
 
-    def flush_all(self) -> None:  # requires-lock: latch
+    def flush_all(self) -> None:
         """Write back every dirty page (checkpoint)."""
         for page_id in sorted(self._dirty):
             self.flush_page(page_id)
 
-    def drop_all(self) -> None:  # requires-lock: latch
+    def drop_all(self) -> None:
         """Flush and empty the cache (used by recovery tests)."""
         self.flush_all()
         for page_id in list(self._frames):

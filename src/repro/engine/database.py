@@ -9,27 +9,25 @@ locks and logging before/after images so abort and crash recovery work.
 Per-transaction call counters mirror the census of paper Table 2, so
 the executable engine can *measure* what the model assumes.
 
-Concurrency: the engine was built single-threaded; the concurrent
-driver (:mod:`repro.driver`) runs statements from many threads, so
-every statement body executes under ``Database.latch`` — a global
-statement-level latch (the SQLite approach) that makes the compound
-heap/WAL/buffer updates of one SQL call atomic with respect to other
-threads.  Tuple *locks* still provide transaction-level isolation; the
-latch only protects physical structures.  Lock acquisition under the
-latch never sleeps because the driver keeps the no-wait conflict
-policy (timeout 0).  A *statement gate* may additionally be installed
-(:meth:`Database.set_statement_gate`): the deterministic virtual-time
-scheduler uses it to observe each statement's cost, which it charges
-when the executing statement sequence next suspends.
+Concurrency: everything runs on one thread.  Concurrent terminals are
+statement sequences interleaved by the virtual-time scheduler
+(:mod:`repro.driver.scheduler`), so a statement body is atomic by
+construction and tuple locks provide transaction-level isolation.
+The scheduler installs a *statement gate*
+(:meth:`Database.set_statement_gate`) to price each statement, and
+parks a statement that blocks on a lock under the blocking policy:
+the statement returns its :class:`~repro.engine.locks.LockWait`, and
+the scheduler re-runs it from its start once the lock is released.
+That is safe because every write statement takes its lock before it
+changes anything, and re-taking a read lock already held is a no-op.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable, ContextManager, Iterator
+from typing import Any, Callable, ContextManager
 
 from repro.engine.bufferpool import BufferManager
 from repro.engine.catalog import TableSchema
@@ -39,7 +37,7 @@ from repro.engine.errors import (
     TransactionStateError,
 )
 from repro.engine.heap import HeapFile, RecordId
-from repro.engine.locks import LockManager, LockMode
+from repro.engine.locks import LockManager, LockMode, LockWait
 from repro.engine.page import Page, PageStore
 from repro.engine.table import IndexSpec, Table
 from repro.engine.wal import LogRecordType, WriteAheadLog
@@ -125,19 +123,34 @@ class Transaction:
         return self._state is _TxnState.ACTIVE
 
     def _statement(self, kind: str) -> ContextManager[None]:
-        """Latch (and gate, when installed) scope for one SQL call."""
+        """Gate scope (when a gate is installed) for one SQL call."""
         return self._db.statement_scope(self, kind)
+
+    def _parked(self, wait: LockWait, statement: Callable[..., Any], *args: Any) -> Any:
+        """Hand a blocked statement to the scheduler as a retry of itself.
+
+        Only a scheduler (a statement gate) can park it; without one no
+        other transaction could run to release the lock, so the wait
+        is raised as the conflict it is.
+        """
+        if self._db._statement_gate is None:
+            raise wait
+        wait.retry = lambda: statement(*args)
+        return wait
 
     # -- reads ---------------------------------------------------------------------
 
     def select(self, table: str, key: tuple) -> dict:
         """Fetch one row by primary key under an S lock."""
         self._check_active()
-        with self._statement("select"):
-            target = self._db.table(table)
-            self._db.locks.acquire(self._id, (table, key), LockMode.SHARED)
-            self.calls.selects += 1
-            return target.get(key)
+        try:
+            with self._statement("select"):
+                target = self._db.table(table)
+                self._db.locks.acquire(self._id, (table, key), LockMode.SHARED)
+                self.calls.selects += 1
+                return target.get(key)
+        except LockWait as wait:
+            return self._parked(wait, self.select, table, key)
 
     def select_by_index(self, table: str, index: str, key: tuple) -> list[dict]:
         """Equality lookup on a secondary index (S locks each row).
@@ -146,18 +159,21 @@ class Transaction:
         returned, the paper's costing of the customer-name lookup.
         """
         self._check_active()
-        with self._statement("select_by_index"):
-            target = self._db.table(table)
-            rows = []
-            for rid in target.lookup(index, key):
-                row = target.read(rid)
-                self._db.locks.acquire(
-                    self._id, (table, target.schema.key_of(row)), LockMode.SHARED
-                )
-                rows.append(row)
-            self.calls.non_unique_selects += 1
-            self.calls.selects += len(rows)
-            return rows
+        try:
+            with self._statement("select_by_index"):
+                target = self._db.table(table)
+                rows = []
+                for rid in target.lookup(index, key):
+                    row = target.read(rid)
+                    self._db.locks.acquire(
+                        self._id, (table, target.schema.key_of(row)), LockMode.SHARED
+                    )
+                    rows.append(row)
+                self.calls.non_unique_selects += 1
+                self.calls.selects += len(rows)
+                return rows
+        except LockWait as wait:
+            return self._parked(wait, self.select_by_index, table, index, key)
 
     def select_min(self, table: str, index: str, prefix: tuple) -> dict | None:
         """Smallest row under an ordered-index prefix (Delivery's Min)."""
@@ -171,22 +187,27 @@ class Transaction:
         self, table: str, index: str, prefix: tuple, smallest: bool
     ) -> dict | None:
         self._check_active()
-        with self._statement("select"):
-            target = self._db.table(table)
-            entry = (
-                target.btree_min(index, prefix)
-                if smallest
-                else target.btree_max(index, prefix)
+        try:
+            with self._statement("select"):
+                target = self._db.table(table)
+                entry = (
+                    target.btree_min(index, prefix)
+                    if smallest
+                    else target.btree_max(index, prefix)
+                )
+                self.calls.selects += 1
+                if entry is None:
+                    return None
+                _, rid = entry
+                row = target.read(rid)
+                self._db.locks.acquire(
+                    self._id, (table, target.schema.key_of(row)), LockMode.SHARED
+                )
+                return row
+        except LockWait as wait:
+            return self._parked(
+                wait, self._select_extreme, table, index, prefix, smallest
             )
-            self.calls.selects += 1
-            if entry is None:
-                return None
-            _, rid = entry
-            row = target.read(rid)
-            self._db.locks.acquire(
-                self._id, (table, target.schema.key_of(row)), LockMode.SHARED
-            )
-            return row
 
     def range_select(
         self, table: str, index: str, low: tuple, high: tuple
@@ -195,20 +216,23 @@ class Transaction:
 
         Materialized eagerly (not a generator): a lazy scan would hold
         statement-boundary state across arbitrary caller code, which
-        the statement latch/gate cannot span safely.
+        the statement gate cannot span safely.
         """
         self._check_active()
-        with self._statement("range_select"):
-            target = self._db.table(table)
-            rows = []
-            for _, rid in target.btree_range(index, low, high):
-                row = target.read(rid)
-                self._db.locks.acquire(
-                    self._id, (table, target.schema.key_of(row)), LockMode.SHARED
-                )
-                self.calls.selects += 1
-                rows.append(row)
-            return rows
+        try:
+            with self._statement("range_select"):
+                target = self._db.table(table)
+                rows = []
+                for _, rid in target.btree_range(index, low, high):
+                    row = target.read(rid)
+                    self._db.locks.acquire(
+                        self._id, (table, target.schema.key_of(row)), LockMode.SHARED
+                    )
+                    self.calls.selects += 1
+                    rows.append(row)
+                return rows
+        except LockWait as wait:
+            return self._parked(wait, self.range_select, table, index, low, high)
 
     # -- writes ---------------------------------------------------------------------
 
@@ -220,22 +244,25 @@ class Transaction:
         either the row exists and is logged, or neither happened.
         """
         self._check_active()
-        with self._statement("insert"):
-            target = self._db.table(table)
-            key = target.schema.key_of(row)
-            self._db.locks.acquire(self._id, (table, key), LockMode.EXCLUSIVE)
-            record = target.schema.pack(row)
-            rid = target.insert(row, record)
-            try:
-                self._db.wal.log_change(
-                    self._id, LogRecordType.INSERT, table, rid, before=None, after=record
-                )
-            except BaseException:
-                with self._db.fault_exemption():
-                    target.delete(rid)
-                raise
-            self.calls.inserts += 1
-            return rid
+        try:
+            with self._statement("insert"):
+                target = self._db.table(table)
+                key = target.schema.key_of(row)
+                self._db.locks.acquire(self._id, (table, key), LockMode.EXCLUSIVE)
+                record = target.schema.pack(row)
+                rid = target.insert(row, record)
+                try:
+                    self._db.wal.log_change(
+                        self._id, LogRecordType.INSERT, table, rid, before=None, after=record
+                    )
+                except BaseException:
+                    with self._db.fault_exemption():
+                        target.delete(rid)
+                    raise
+                self.calls.inserts += 1
+                return rid
+        except LockWait as wait:
+            return self._parked(wait, self.insert, table, row)
 
     def update(
         self, table: str, key: tuple, changes: dict | Callable[[dict], dict]
@@ -247,42 +274,48 @@ class Transaction:
         are the WAL before-image and the bytes written the after-image.
         """
         self._check_active()
-        with self._statement("update"):
-            target = self._db.table(table)
-            self._db.locks.acquire(self._id, (table, key), LockMode.EXCLUSIVE)
-            rid = target.rid_of(key)
-            new_row, before, after = target.update(rid, changes)
-            try:
-                self._db.wal.log_change(
-                    self._id, LogRecordType.UPDATE, table, rid, before=before, after=after
-                )
-            except BaseException:
-                with self._db.fault_exemption():
-                    target.update(rid, before)
-                raise
-            self.calls.updates += 1
-            return new_row
+        try:
+            with self._statement("update"):
+                target = self._db.table(table)
+                self._db.locks.acquire(self._id, (table, key), LockMode.EXCLUSIVE)
+                rid = target.rid_of(key)
+                new_row, before, after = target.update(rid, changes)
+                try:
+                    self._db.wal.log_change(
+                        self._id, LogRecordType.UPDATE, table, rid, before=before, after=after
+                    )
+                except BaseException:
+                    with self._db.fault_exemption():
+                        target.update(rid, before)
+                    raise
+                self.calls.updates += 1
+                return new_row
+        except LockWait as wait:
+            return self._parked(wait, self.update, table, key, changes)
 
     def delete(self, table: str, key: tuple) -> dict:
         """Delete one row by primary key; returns it."""
         self._check_active()
-        with self._statement("delete"):
-            target = self._db.table(table)
-            self._db.locks.acquire(self._id, (table, key), LockMode.EXCLUSIVE)
-            rid = target.rid_of(key)
-            row, before = target.delete(rid)
-            try:
-                self._db.wal.log_change(
-                    self._id, LogRecordType.DELETE, table, rid, before=before, after=None
-                )
-            except BaseException:
-                with self._db.fault_exemption():
-                    target.restore(rid, before)
-                raise
-            target.heap.reserve(rid)
-            self._freed_slots.append((table, rid))
-            self.calls.deletes += 1
-            return row
+        try:
+            with self._statement("delete"):
+                target = self._db.table(table)
+                self._db.locks.acquire(self._id, (table, key), LockMode.EXCLUSIVE)
+                rid = target.rid_of(key)
+                row, before = target.delete(rid)
+                try:
+                    self._db.wal.log_change(
+                        self._id, LogRecordType.DELETE, table, rid, before=before, after=None
+                    )
+                except BaseException:
+                    with self._db.fault_exemption():
+                        target.restore(rid, before)
+                    raise
+                target.heap.reserve(rid)
+                self._freed_slots.append((table, rid))
+                self.calls.deletes += 1
+                return row
+        except LockWait as wait:
+            return self._parked(wait, self.delete, table, key)
 
     def count_join(self) -> None:
         """Record that the transaction performed a join (census only)."""
@@ -389,28 +422,8 @@ class Transaction:
             )
 
 
-class _StatementScope:
-    """Gate (when installed) around latch, for one statement body.
-
-    A plain object and not a ``@contextmanager``: a transaction enters
-    some forty of these, and the generator cost more than the latch.
-    """
-
-    __slots__ = ("_db", "_gated")
-
-    def __init__(self, db: "Database", txn: Transaction, kind: str) -> None:
-        self._db = db
-        gate = db._statement_gate
-        self._gated = None if gate is None else gate.statement(txn, kind)
-
-    def __enter__(self) -> None:
-        if self._gated is not None:
-            self._gated.__enter__()
-        self._db.latch.acquire()
-
-    def __exit__(self, *exc_info: Any) -> bool | None:
-        self._db.latch.release()
-        return None if self._gated is None else self._gated.__exit__(*exc_info)
+#: The statement scope when no gate is installed (reusable, stateless).
+_UNGATED = nullcontext()
 
 
 class Database:
@@ -430,22 +443,17 @@ class Database:
         self.locks = LockManager(
             default_timeout=lock_timeout, victim_policy=victim_policy
         )
-        self.locks.set_wait_scope(self._latch_pause)
         self.wal = WriteAheadLog()
-        #: Statement-level latch: every SQL-call body (and begin /
-        #: commit / abort) runs while holding it, making the engine's
-        #: compound structures safe under multi-threaded drivers.
-        self.latch = threading.RLock()
         #: Crash epoch: bumped by every :meth:`crash`, so transactions
         #: that began before the crash can tell they were rolled back.
-        self.epoch = 0  # guarded-by: latch
+        self.epoch = 0
         self._statement_gate: Any = None
-        self._tables: dict[str, Table] = {}  # guarded-by: latch
-        self._file_ids: dict[str, int] = {}  # guarded-by: latch
-        self._next_file_id = 0  # guarded-by: latch
-        self._next_txn_id = 1  # guarded-by: latch
-        self._census: dict[str, CallCounts] = {}  # guarded-by: latch
-        self._finished: dict[str, int] = {}  # guarded-by: latch
+        self._tables: dict[str, Table] = {}
+        self._file_ids: dict[str, int] = {}
+        self._next_file_id = 0
+        self._next_txn_id = 1
+        self._census: dict[str, CallCounts] = {}
+        self._finished: dict[str, int] = {}
         self._injector = None
         if injector is not None:
             self.attach_injector(injector)
@@ -457,39 +465,15 @@ class Database:
 
         A gate exposes ``statement(txn, kind)`` returning a context
         manager; the virtual-time scheduler uses it to meter each
-        statement's cost.  The gate wraps *outside* the latch, so
-        whatever it does on exit never holds up another thread's
-        statement.
+        statement's cost.  With a gate installed, a statement blocked
+        under the blocking lock policy is parked instead of raised.
         """
         self._statement_gate = gate
 
     def statement_scope(self, txn: "Transaction", kind: str) -> ContextManager[None]:
-        """Gate + latch scope for one statement body."""
-        return _StatementScope(self, txn, kind)
-
-    @contextmanager
-    def _latch_pause(self) -> Iterator[None]:
-        """Release the statement latch around a blocking lock-wait sleep.
-
-        Statement bodies hold :attr:`latch` while acquiring tuple
-        locks; if a blocking wait slept while holding it, the lock's
-        current holder could never run its releasing statement — an
-        instant latch-level deadlock the waits-for graph cannot see.
-        The lock manager enters this scope around every poll sleep.
-        Callers outside any statement (standalone lock tests) simply
-        don't hold the latch; the release attempt is then skipped.
-        """
-        released = False
-        try:
-            self.latch.release()
-            released = True
-        except RuntimeError:
-            pass  # caller did not hold the latch; nothing to pause
-        try:
-            yield
-        finally:
-            if released:
-                self.latch.acquire()
+        """Gate scope for one statement body (a no-op without a gate)."""
+        gate = self._statement_gate
+        return _UNGATED if gate is None else gate.statement(txn, kind)
 
     # -- fault injection ---------------------------------------------------------
 
@@ -555,10 +539,9 @@ class Database:
 
     def begin(self, label: str = "all") -> Transaction:
         """Start a new transaction, optionally labeled for the census."""
-        with self.latch:
-            txn = Transaction(self, self._next_txn_id, label)
-            self._next_txn_id += 1
-            return txn
+        txn = Transaction(self, self._next_txn_id, label)
+        self._next_txn_id += 1
+        return txn
 
     def run(self, work: Callable[[Transaction], Any], label: str = "all") -> Any:
         """Run ``work`` in a transaction: commit on return, abort on raise."""
@@ -574,10 +557,9 @@ class Database:
 
     def record_finished(self, txn: Transaction) -> None:
         """Aggregate a committed transaction's call census under its label."""
-        with self.latch:
-            self._census.setdefault(txn.label, CallCounts()).merge(txn.calls)
-            self._finished.setdefault(txn.label, 0)
-            self._finished[txn.label] += 1
+        self._census.setdefault(txn.label, CallCounts()).merge(txn.calls)
+        self._finished.setdefault(txn.label, 0)
+        self._finished[txn.label] += 1
         instruments.TX_COMMITS.inc(tx=txn.label)
         instruments.TX_OPS.observe(txn.calls.total(), tx=txn.label)
 
@@ -592,14 +574,12 @@ class Database:
     # -- durability ----------------------------------------------------------------------
 
     def checkpoint(self) -> None:
-        """Flush all dirty pages to the store (atomically vs statements)."""
-        with self.latch:
-            self.buffers.flush_all()
+        """Flush all dirty pages to the store."""
+        self.buffers.flush_all()
 
     def drop_buffer_cache(self) -> None:
         """Flush then empty the buffer cache (cold-cache maintenance)."""
-        with self.latch:
-            self.buffers.drop_all()
+        self.buffers.drop_all()
 
     def backup(self) -> None:
         """Checkpoint, then snapshot every page image as the base backup.
@@ -607,12 +587,10 @@ class Database:
         Call after the initial load: crash recovery restores torn
         (checksum-failing) pages from this snapshot before rolling the
         log forward, so base rows that predate the WAL survive torn
-        writes too.  The latch is held across both steps so the
-        snapshot is a statement boundary, not a mid-statement state.
+        writes too.
         """
-        with self.latch:
-            self.checkpoint()
-            self.store.snapshot_backup()
+        self.checkpoint()
+        self.store.snapshot_backup()
 
     def crash(self) -> None:
         """Simulate a hard crash: volatile state (buffers, locks) is lost.
@@ -623,40 +601,31 @@ class Database:
         The crash epoch is bumped, so transactions that began earlier
         fail their next statement with
         :class:`TransactionAbortedByCrashError` instead of silently
-        writing against recovered state.
-
-        The whole swap runs under the statement latch: without it a
-        statement mid-flight in another thread could install pages
-        into the pre-crash buffer pool (or take locks in the pre-crash
-        manager) *while* the replacements are being wired in, leaving
-        the engine half old, half new.
+        writing against recovered state.  The buffer pool comes back
+        empty, with the replacement policy it was configured with.
         """
-        with self.latch:
-            self.epoch += 1
-            self.buffers = BufferManager(
-                self.store, self.buffers.capacity, "lru", injector=self._injector
-            )
-            for name, file_id in self._file_ids.items():
-                self.buffers.name_file(file_id, name)
-            for table in self._tables.values():
-                table.heap.rebind(self.buffers)
-            replacement = LockManager(
-                default_timeout=self.locks.default_timeout,
-                poll_interval=self.locks.poll_interval,
-                injector=self._injector,
-                victim_policy=self.locks.victim_policy,
-            )
-            # Lock *state* is volatile, but the run's contention
-            # accounting is not: the replacement carries the
-            # predecessor's counters so driver reports (and the
-            # sanitizer's monotonicity check) span the crash.
-            replacement.adopt_counters(self.locks)
-            replacement.set_wait_scope(self._latch_pause)
-            self.locks = replacement
-
-    def simulate_crash(self) -> None:
-        """Backwards-compatible alias for :meth:`crash`."""
-        self.crash()
+        self.epoch += 1
+        self.buffers = BufferManager(
+            self.store,
+            self.buffers.capacity,
+            self.buffers.policy_name,
+            injector=self._injector,
+        )
+        for name, file_id in self._file_ids.items():
+            self.buffers.name_file(file_id, name)
+        for table in self._tables.values():
+            table.heap.rebind(self.buffers)
+        replacement = LockManager(
+            default_timeout=self.locks.default_timeout,
+            injector=self._injector,
+            victim_policy=self.locks.victim_policy,
+        )
+        # Lock *state* is volatile, but the run's contention
+        # accounting is not: the replacement carries the
+        # predecessor's counters so driver reports (and the
+        # sanitizer's monotonicity check) span the crash.
+        replacement.adopt_counters(self.locks)
+        self.locks = replacement
 
     def recover(self) -> None:
         """Repair torn pages, replay the log, roll back in-flight work.
@@ -674,9 +643,8 @@ class Database:
         crash replays identically; (4) indexes are rebuilt and a
         checkpoint makes the recovered state durable.
         """
-        with self.latch:
-            with self.fault_exemption():
-                self._recover_locked()
+        with self.fault_exemption():
+            self._recover()
 
     def _repair_torn_pages(self) -> None:
         """Restore checksum-failing pages from backup (or reformat them)."""
@@ -689,7 +657,7 @@ class Database:
                 page_id, Page(record_size, self.store.page_size)
             )
 
-    def _recover_locked(self) -> None:
+    def _recover(self) -> None:
         self._repair_torn_pages()
         for record in self.wal.change_records():
             instruments.WAL_REPLAYS.inc(table=record.table)

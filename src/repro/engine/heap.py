@@ -42,18 +42,18 @@ class HeapFile:
         self._buffers = buffers
         self._file_id = file_id
         self._record_size = record_size
-        self._page_count = 0  # guarded-by: latch
+        self._page_count = 0
         # Pages with at least one free slot.
-        self._free_pages: set[int] = set()  # guarded-by: latch
+        self._free_pages: set[int] = set()
         self._records_per_page = Page(
             record_size, buffers.store.page_size
         ).capacity
-        self._live = 0  # guarded-by: latch
+        self._live = 0
         # Slots freed by not-yet-resolved deletes: the page is withheld
         # from allocation so a concurrent insert cannot reuse a slot the
         # deleter's abort may need to restore.  Maps page_no to the
         # reserved slot set plus a count of committed (permanent) frees.
-        self._reservations: dict[int, tuple[set[int], list[int]]] = {}  # guarded-by: latch
+        self._reservations: dict[int, tuple[set[int], list[int]]] = {}
 
     # -- accessors --------------------------------------------------------------
 
@@ -91,7 +91,7 @@ class HeapFile:
 
     # -- operations --------------------------------------------------------------
 
-    def insert(self, record: bytes) -> RecordId:  # requires-lock: latch
+    def insert(self, record: bytes) -> RecordId:
         """Store a record, allocating a page if necessary."""
         if self._free_pages:
             page_no = min(self._free_pages)
@@ -110,7 +110,7 @@ class HeapFile:
         self._live += 1
         return RecordId(page_no, slot)
 
-    def insert_at(self, rid: RecordId, record: bytes) -> None:  # requires-lock: latch
+    def insert_at(self, rid: RecordId, record: bytes) -> None:
         """Store a record in a specific free slot (transaction undo).
 
         The page must already exist and the slot must be free; unlike
@@ -129,7 +129,7 @@ class HeapFile:
             self._free_pages.discard(rid.page_no)
         self._live += 1
 
-    def fetch(self, rid: RecordId, for_write: bool = False) -> Page:  # requires-lock: latch
+    def fetch(self, rid: RecordId, for_write: bool = False) -> Page:
         """The page holding a record: one buffer request.
 
         A read-modify-write statement reads and overwrites the slot on
@@ -137,17 +137,17 @@ class HeapFile:
         """
         return self._buffers.get_page(PageId(self._file_id, rid.page_no), for_write)
 
-    def read(self, rid: RecordId) -> bytes:  # requires-lock: latch
+    def read(self, rid: RecordId) -> bytes:
         """Fetch a record's bytes."""
         page = self._buffers.get_page(PageId(self._file_id, rid.page_no))
         return page.read(rid.slot)
 
-    def update(self, rid: RecordId, record: bytes) -> None:  # requires-lock: latch
+    def update(self, rid: RecordId, record: bytes) -> None:
         """Overwrite a record in place (fixed length, no moves)."""
         page = self._buffers.get_page(PageId(self._file_id, rid.page_no), for_write=True)
         page.update(rid.slot, record)
 
-    def delete(self, rid: RecordId) -> bytes:  # requires-lock: latch
+    def delete(self, rid: RecordId) -> bytes:
         """Free a record's slot; returns the bytes it held.
 
         A page with unresolved reservations stays out of the free-page
@@ -162,7 +162,7 @@ class HeapFile:
         self._live -= 1
         return record
 
-    def reserve(self, rid: RecordId) -> None:  # requires-lock: latch
+    def reserve(self, rid: RecordId) -> None:
         """Withhold a freed slot from reuse until its delete resolves.
 
         Called by a transaction right after it frees the slot.  The
@@ -175,7 +175,7 @@ class HeapFile:
         slots.add(rid.slot)
         self._free_pages.discard(rid.page_no)
 
-    def release(self, rid: RecordId, freed: bool) -> None:  # requires-lock: latch
+    def release(self, rid: RecordId, freed: bool) -> None:
         """Resolve a reservation: the delete committed (``freed=True``)
         or aborted with the record restored (``freed=False``).
 
@@ -196,7 +196,7 @@ class HeapFile:
                 self._free_pages.add(rid.page_no)
             del self._reservations[rid.page_no]
 
-    def apply_put(self, rid: RecordId, record: bytes) -> None:  # requires-lock: latch
+    def apply_put(self, rid: RecordId, record: bytes) -> None:
         """Recovery hook: force a record into a slot, growing if needed."""
         while rid.page_no >= self._page_count:
             page_no = self._page_count
@@ -208,14 +208,14 @@ class HeapFile:
         page = self._buffers.get_page(PageId(self._file_id, rid.page_no), for_write=True)
         page.put(rid.slot, record)
 
-    def apply_clear(self, rid: RecordId) -> None:  # requires-lock: latch
+    def apply_clear(self, rid: RecordId) -> None:
         """Recovery hook: force a slot free (no-op when already free)."""
         if rid.page_no >= self._page_count:
             return
         page = self._buffers.get_page(PageId(self._file_id, rid.page_no), for_write=True)
         page.clear(rid.slot)
 
-    def rebuild_metadata(self) -> None:  # requires-lock: latch
+    def rebuild_metadata(self) -> None:
         """Recount live records and free pages after recovery."""
         self._live = 0
         self._free_pages.clear()
@@ -226,7 +226,7 @@ class HeapFile:
             if not page.is_full:
                 self._free_pages.add(page_no)
 
-    def scan(self) -> Iterator[tuple[RecordId, bytes]]:  # requires-lock: latch
+    def scan(self) -> Iterator[tuple[RecordId, bytes]]:
         """Iterate every live record in page order (a full table scan)."""
         for page_no in range(self._page_count):
             page = self._buffers.get_page(PageId(self._file_id, page_no))

@@ -64,7 +64,7 @@ class SeqScan(Operator):
         super().__init__()
         self._table = table
 
-    def _rows(self) -> Iterator[Row]:  # requires-lock: latch
+    def _rows(self) -> Iterator[Row]:
         for _, row in self._table.scan():
             yield row
 
@@ -88,7 +88,7 @@ class IndexScan(Operator):
         self._low = low
         self._high = high
 
-    def _rows(self) -> Iterator[Row]:  # requires-lock: latch
+    def _rows(self) -> Iterator[Row]:
         for _, rid in self._table.btree_range(self._index, self._low, self._high):
             yield self._table.read(rid)
 
@@ -108,7 +108,7 @@ class IndexLookup(Operator):
         self._index = index
         self._key = key
 
-    def _rows(self) -> Iterator[Row]:  # requires-lock: latch
+    def _rows(self) -> Iterator[Row]:
         for rid in self._table.lookup(self._index, self._key):
             yield self._table.read(rid)
 
@@ -183,7 +183,7 @@ class IndexNestedLoopJoin(Operator):
         self._inner_key = inner_key
         self.inner_probes = 0
 
-    def _rows(self) -> Iterator[Row]:  # requires-lock: latch
+    def _rows(self) -> Iterator[Row]:
         for outer_row in self._outer:
             self.inner_probes += 1
             for rid in self._inner_table.lookup(

@@ -108,11 +108,11 @@ class Table:
     def index_names(self) -> tuple[str, ...]:
         return tuple(self._indexes)
 
-    def primary_keys(self) -> list[tuple]:  # requires-lock: latch
+    def primary_keys(self) -> list[tuple]:
         """Every primary key, read off the index: no page is touched."""
         return [key for key, _ in self._indexes[PRIMARY].items()]
 
-    def add_index(self, spec: IndexSpec) -> None:  # requires-lock: latch
+    def add_index(self, spec: IndexSpec) -> None:
         """Declare (and, if rows exist, backfill) a secondary index."""
         if spec.name in self._indexes:
             raise ValueError(f"index {spec.name!r} already exists on {self.name}")
@@ -136,7 +136,7 @@ class Table:
 
     # -- row operations ---------------------------------------------------------------
 
-    def insert(self, row: dict, record: bytes | None = None) -> RecordId:  # requires-lock: latch
+    def insert(self, row: dict, record: bytes | None = None) -> RecordId:
         """Insert a row, maintaining all indexes; returns its rid.
 
         ``record`` is the row already packed, for a caller that needs
@@ -167,7 +167,7 @@ class Table:
         else:
             index.insert(self._key_of[spec.name](row), rid)
 
-    def read(self, rid: RecordId) -> dict:  # requires-lock: latch
+    def read(self, rid: RecordId) -> dict:
         """Fetch a row by rid."""
         return self._schema.unpack(self._heap.read(rid))
 
@@ -175,11 +175,11 @@ class Table:
         """Primary-key lookup; raises if absent."""
         return self._indexes[PRIMARY].search(key)
 
-    def get(self, key: tuple) -> dict:  # requires-lock: latch
+    def get(self, key: tuple) -> dict:
         """Fetch a row by primary key."""
         return self.read(self.rid_of(key))
 
-    def update(  # requires-lock: latch
+    def update(
         self, rid: RecordId, changes: dict | bytes | Callable[[dict], dict]
     ) -> tuple[dict, bytes, bytes]:
         """Overwrite a row in place; returns (new row, old bytes, new bytes).
@@ -225,7 +225,7 @@ class Table:
         page.update(rid.slot, after)
         return new_row, before, after
 
-    def restore(self, rid: RecordId, record: bytes) -> None:  # requires-lock: latch
+    def restore(self, rid: RecordId, record: bytes) -> None:
         """Put a deleted record back at its original rid (transaction undo).
 
         Equivalent to :meth:`insert` except the physical location is
@@ -243,7 +243,7 @@ class Table:
         for spec in self._specs.values():
             self._index_insert_one(spec, self._indexes[spec.name], row, rid)
 
-    def delete(self, rid: RecordId) -> tuple[dict, bytes]:  # requires-lock: latch
+    def delete(self, rid: RecordId) -> tuple[dict, bytes]:
         """Remove a row; returns it, decoded and as the bytes it occupied."""
         record = self._heap.delete(rid)
         row = self._schema.unpack(record)
@@ -318,12 +318,12 @@ class Table:
         index: BPlusTree = self._indexes[index_name]
         return index.max_in_range(prefix, prefix + (_Infinity(),))
 
-    def scan(self) -> Iterator[tuple[RecordId, dict]]:  # requires-lock: latch
+    def scan(self) -> Iterator[tuple[RecordId, dict]]:
         """Full scan in heap order."""
         for rid, record in self._heap.scan():
             yield rid, self._schema.unpack(record)
 
-    def rebuild_indexes(self) -> None:  # requires-lock: latch
+    def rebuild_indexes(self) -> None:
         """Recreate every index from the heap (after WAL recovery)."""
         self._heap.rebuild_metadata()
         key_of = {PRIMARY: self._schema.key_of, **self._key_of}
@@ -387,7 +387,7 @@ class BulkLoad:
             if spec.unique and not covered <= set(spec.columns)
         ]
 
-    def append(self, values: tuple) -> RecordId:  # requires-lock: latch
+    def append(self, values: tuple) -> RecordId:
         """Add one row, given as the values of ``columns``; returns its rid."""
         key = self._primary_key(values)
         if key in self._primary:
@@ -405,7 +405,7 @@ class BulkLoad:
             taken.add(key_of(values))
         return rid
 
-    def finish(self) -> None:  # requires-lock: latch
+    def finish(self) -> None:
         """Build every secondary index from the rows appended."""
         specs = self._table._specs
         self._table._indexes.update(

@@ -72,11 +72,11 @@ class WriteAheadLog:
     """
 
     def __init__(self, injector=None) -> None:
-        self._records: list[LogRecord] = []  # guarded-by: latch
-        self._active: set[int] = set()  # guarded-by: latch
-        self._committed: set[int] = set()  # guarded-by: latch
-        self._aborted: set[int] = set()  # guarded-by: latch
-        self.bytes_written = 0  # guarded-by: latch
+        self._records: list[LogRecord] = []
+        self._active: set[int] = set()
+        self._committed: set[int] = set()
+        self._aborted: set[int] = set()
+        self.bytes_written = 0
         self._injector = injector
 
     def set_injector(self, injector) -> None:

@@ -15,22 +15,17 @@ every firing — is identical.  Under the deterministic virtual-time
 driver the scheduler serializes the call sequence itself, so a seeded
 plan fires at the same virtual instant every run.
 
-Thread-safety (for ``scheduler="threads"`` runs): all trigger
-bookkeeping — per-site operation counts, per-rule fire counts, the
-seeded stream, and the event log — mutates under one internal lock, so
-``at_ops`` / ``every`` / ``max_fires`` semantics hold exactly even
-when many worker threads hit the same seam.  The exemption depth is
-thread-local.  The *scope* (which terminal / transaction type is
-operating) spans a whole transaction attempt, and the virtual scheduler
-interleaves many attempts statement by statement on one thread — so it
-lives in a context variable: each thread, and each scheduler task
-resumed inside its own ``contextvars.Context``, sees only its own.
+The *scope* (which terminal / transaction type is operating) spans a
+whole transaction attempt, and the virtual scheduler interleaves many
+attempts statement by statement — so it lives in a context variable:
+each scheduler task, resumed inside its own ``contextvars.Context``,
+sees only its own.  An exemption never spans a suspension (undo and
+recovery run inside one statement), so its depth is a plain counter.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -49,16 +44,15 @@ class FaultInjector:
 
     def __init__(self, plan: FaultPlan, armed: bool = True):
         self._plan = plan
-        self._lock = threading.Lock()
-        self._rng = random.Random(plan.seed)  # guarded-by: _lock
-        self._site_ops: Counter[str] = Counter()  # guarded-by: _lock
-        self._rule_fires: Counter[int] = Counter()  # guarded-by: _lock
+        self._rng = random.Random(plan.seed)
+        self._site_ops: Counter[str] = Counter()
+        self._rule_fires: Counter[int] = Counter()
         self._rules_by_site: dict[str, list[tuple[int, object]]] = {}
         for index, rule in enumerate(plan.rules):
             self._rules_by_site.setdefault(rule.site, []).append((index, rule))
-        self.events: list[FaultEvent] = []  # guarded-by: _lock
+        self.events: list[FaultEvent] = []
         self.armed = armed
-        self._local = threading.local()
+        self._exempt_depth = 0
         self._clock: Callable[[], float] | None = None
 
     # -- configuration -------------------------------------------------------
@@ -89,14 +83,12 @@ class FaultInjector:
         Used by the engine around paths that must not fail mid-way —
         transaction abort (undo) and crash recovery — mirroring real
         systems, where rollback I/O is not allowed to fail the rollback.
-        Exemption is per-thread: one worker's rollback does not shield
-        the operations of other workers.
         """
-        self._local.exempt_depth = self._exempt_depth() + 1
+        self._exempt_depth += 1
         try:
             yield
         finally:
-            self._local.exempt_depth = self._exempt_depth() - 1
+            self._exempt_depth -= 1
 
     @contextmanager
     def scoped(
@@ -127,20 +119,17 @@ class FaultInjector:
 
     def operations(self, site: str) -> int:
         """Operations observed at a site so far."""
-        with self._lock:
-            return self._site_ops[site]
+        return self._site_ops[site]
 
     def fired(self, kind: FaultKind | None = None) -> int:
         """Total faults fired (optionally of one kind)."""
-        with self._lock:
-            if kind is None:
-                return len(self.events)
-            return sum(1 for event in self.events if event.kind is kind)
+        if kind is None:
+            return len(self.events)
+        return sum(1 for event in self.events if event.kind is kind)
 
     def event_summary(self) -> tuple[tuple[int, str, str, int], ...]:
         """Comparable firing log (asserting replay determinism)."""
-        with self._lock:
-            return tuple(event.as_tuple() for event in self.events)
+        return tuple(event.as_tuple() for event in self.events)
 
     # -- the seams -----------------------------------------------------------
 
@@ -150,27 +139,26 @@ class FaultInjector:
         At most one rule fires per operation (the first matching one in
         plan order); the caller decides what failing means.
         """
-        if not self.armed or self._exempt_depth():
+        if not self.armed or self._exempt_depth:
             return None
         terminal, tx_type = _SCOPE.get()
         now = self._clock() if self._clock is not None else None
-        with self._lock:
-            self._site_ops[site] += 1
-            op_index = self._site_ops[site]
-            for rule_index, rule in self._rules_by_site.get(site, ()):
-                if not self._in_scope(rule, terminal, tx_type, now):
-                    continue
-                if not self._rule_fires_now(rule_index, rule, op_index):
-                    continue
-                self._rule_fires[rule_index] += 1
-                event = FaultEvent(
-                    sequence=len(self.events) + 1,
-                    kind=rule.kind,
-                    site=site,
-                    op_index=op_index,
-                )
-                self.events.append(event)
-                return event
+        self._site_ops[site] += 1
+        op_index = self._site_ops[site]
+        for rule_index, rule in self._rules_by_site.get(site, ()):
+            if not self._in_scope(rule, terminal, tx_type, now):
+                continue
+            if not self._rule_fires_now(rule_index, rule, op_index):
+                continue
+            self._rule_fires[rule_index] += 1
+            event = FaultEvent(
+                sequence=len(self.events) + 1,
+                kind=rule.kind,
+                site=site,
+                op_index=op_index,
+            )
+            self.events.append(event)
+            return event
         return None
 
     def check(self, site: str) -> None:
@@ -180,9 +168,6 @@ class FaultInjector:
             raise error_for(event.kind, event.op_index)
 
     # -- internal ------------------------------------------------------------
-
-    def _exempt_depth(self) -> int:
-        return getattr(self._local, "exempt_depth", 0)
 
     @staticmethod
     def _in_scope(

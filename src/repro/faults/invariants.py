@@ -75,16 +75,6 @@ def check_recovery_invariants(db: Database) -> InvariantReport:
     the WAL (recovery must close out in-flight work).
     """
     report = InvariantReport()
-    # The oracle reads heaps through the buffer manager (scans fault
-    # pages in and may evict), so it takes the statement latch like any
-    # other engine entry point — the check can then run while worker
-    # threads are still alive without perturbing pool state.
-    with db.latch:
-        report = _check_locked(db, report)
-    return report
-
-
-def _check_locked(db: Database, report: InvariantReport) -> InvariantReport:  # requires-lock: latch
     expected = expected_state(db)
 
     active = [

@@ -37,7 +37,6 @@ which is what the byte-identical-snapshot determinism tests compare.
 from __future__ import annotations
 
 import json
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, ClassVar, Iterator, Mapping, Sequence
@@ -75,12 +74,6 @@ class Instrument:
         self.name = name
         self.help = help
         self.deterministic = deterministic
-        #: Protects this instrument's samples: record calls arrive from
-        #: every worker thread of the concurrent driver, and unguarded
-        #: read-modify-write increments lose updates under contention.
-        #: Taken *after* the enabled check, so a disabled instrument
-        #: never touches it.
-        self._lock = threading.Lock()
 
     @property
     def enabled(self) -> bool:
@@ -110,7 +103,7 @@ class Counter(Instrument):
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        self._values: dict[LabelKey, float] = {}  # guarded-by: _lock
+        self._values: dict[LabelKey, float] = {}
 
     def inc(self, amount: float = 1, **labels: Any) -> None:
         if not self._registry.enabled:
@@ -118,24 +111,20 @@ class Counter(Instrument):
         if amount < 0:
             raise ValueError(f"counter increments must be >= 0, got {amount}")
         key = _label_key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0) + amount
+        self._values[key] = self._values.get(key, 0) + amount
 
     def value(self, **labels: Any) -> float:
         """Current value for one label set (0 when never incremented)."""
-        with self._lock:
-            return self._values.get(_label_key(labels), 0)
+        return self._values.get(_label_key(labels), 0)
 
     def _samples(self) -> list[dict[str, Any]]:
-        with self._lock:
-            return [
-                {"labels": dict(key), "value": value}
-                for key, value in self._values.items()
-            ]
+        return [
+            {"labels": dict(key), "value": value}
+            for key, value in self._values.items()
+        ]
 
     def _clear(self) -> None:
-        with self._lock:
-            self._values.clear()
+        self._values.clear()
 
 
 class Gauge(Instrument):
@@ -145,38 +134,33 @@ class Gauge(Instrument):
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        self._values: dict[LabelKey, float] = {}  # guarded-by: _lock
+        self._values: dict[LabelKey, float] = {}
 
     def set(self, value: float, **labels: Any) -> None:
         if not self._registry.enabled:
             return
-        with self._lock:
-            self._values[_label_key(labels)] = value
+        self._values[_label_key(labels)] = value
 
     def inc(self, amount: float = 1, **labels: Any) -> None:
         if not self._registry.enabled:
             return
         key = _label_key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0) + amount
+        self._values[key] = self._values.get(key, 0) + amount
 
     def dec(self, amount: float = 1, **labels: Any) -> None:
         self.inc(-amount, **labels)
 
     def value(self, **labels: Any) -> float:
-        with self._lock:
-            return self._values.get(_label_key(labels), 0)
+        return self._values.get(_label_key(labels), 0)
 
     def _samples(self) -> list[dict[str, Any]]:
-        with self._lock:
-            return [
-                {"labels": dict(key), "value": value}
-                for key, value in self._values.items()
-            ]
+        return [
+            {"labels": dict(key), "value": value}
+            for key, value in self._values.items()
+        ]
 
     def _clear(self) -> None:
-        with self._lock:
-            self._values.clear()
+        self._values.clear()
 
 
 @dataclass
@@ -211,45 +195,42 @@ class Histogram(Instrument):
         if not bounds or any(b <= a for b, a in zip(bounds[1:], bounds)):
             raise ValueError(f"buckets must be strictly increasing, got {buckets}")
         self.buckets = bounds
-        self._series: dict[LabelKey, _HistogramSeries] = {}  # guarded-by: _lock
+        self._series: dict[LabelKey, _HistogramSeries] = {}
 
     def observe(self, value: float, count: int = 1, **labels: Any) -> None:
         """Record ``count`` observations of ``value``."""
         if not self._registry.enabled:
             return
         key = _label_key(labels)
-        with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = self._series[key] = _HistogramSeries(
-                    counts=[0] * (len(self.buckets) + 1)
-                )
-            index = len(self.buckets)
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    index = i
-                    break
-            series.counts[index] += count
-            series.total += value * count
-            series.observations += count
+        series = self._series.get(key)
+        if series is None:
+            series = self._series[key] = _HistogramSeries(
+                counts=[0] * (len(self.buckets) + 1)
+            )
+        index = len(self.buckets)
+        for i, bound in enumerate(self.buckets):
+            if value <= bound:
+                index = i
+                break
+        series.counts[index] += count
+        series.total += value * count
+        series.observations += count
 
     def count(self, **labels: Any) -> int:
         """Total observations for one label set."""
-        with self._lock:
-            series = self._series.get(_label_key(labels))
-            return series.observations if series is not None else 0
+        series = self._series.get(_label_key(labels))
+        return series.observations if series is not None else 0
 
     def _samples(self) -> list[dict[str, Any]]:
-        with self._lock:
-            return [
-                {
-                    "labels": dict(key),
-                    "counts": list(series.counts),
-                    "sum": series.total,
-                    "count": series.observations,
-                }
-                for key, series in self._series.items()
-            ]
+        return [
+            {
+                "labels": dict(key),
+                "counts": list(series.counts),
+                "sum": series.total,
+                "count": series.observations,
+            }
+            for key, series in self._series.items()
+        ]
 
     def describe(self) -> dict[str, Any]:
         described = super().describe()
@@ -257,8 +238,7 @@ class Histogram(Instrument):
         return described
 
     def _clear(self) -> None:
-        with self._lock:
-            self._series.clear()
+        self._series.clear()
 
 
 @dataclass(frozen=True)

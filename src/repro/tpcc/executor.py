@@ -13,7 +13,6 @@ specification requires.
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
 from contextlib import nullcontext
@@ -156,7 +155,7 @@ class BreakerPolicy:
 
 
 class CircuitBreaker:
-    """Thread-safe closed / open / half-open breaker over a failure window.
+    """Closed / open / half-open breaker over a failure window.
 
     One instance is shared by every executor of a benchmark run, so the
     failure window sees the *global* transient-failure rate.  All time
@@ -166,64 +165,59 @@ class CircuitBreaker:
 
     def __init__(self, policy: BreakerPolicy):
         self.policy = policy
-        self._mutex = threading.Lock()
-        self._failures: deque[float] = deque()  # guarded-by: _mutex
-        self._opened_at: float | None = None  # guarded-by: _mutex
-        self._half_open_trial = False  # guarded-by: _mutex
-        self.opens = 0  # guarded-by: _mutex
-        self.short_circuits = 0  # guarded-by: _mutex
+        self._failures: deque[float] = deque()
+        self._opened_at: float | None = None
+        self._half_open_trial = False
+        self.opens = 0
+        self.short_circuits = 0
 
     @property
     def state(self) -> str:
         """``closed``, ``open`` or ``half_open`` (as of the last call)."""
-        with self._mutex:
-            if self._opened_at is None:
-                return "closed"
-            return "half_open" if self._half_open_trial else "open"
+        if self._opened_at is None:
+            return "closed"
+        return "half_open" if self._half_open_trial else "open"
 
     def allow(self, now: float) -> bool:
         """Whether a retry may proceed at ``now``; counts short-circuits."""
-        with self._mutex:
-            if self._opened_at is None:
-                return True
-            if self._half_open_trial:
-                # Another thread's trial is already probing.
-                self.short_circuits += 1
-                return False
-            if now >= self._opened_at + self.policy.cooldown_seconds:
-                self._half_open_trial = True
-                return True
+        if self._opened_at is None:
+            return True
+        if self._half_open_trial:
+            # Another terminal's trial is already probing.
             self.short_circuits += 1
             return False
+        if now >= self._opened_at + self.policy.cooldown_seconds:
+            self._half_open_trial = True
+            return True
+        self.short_circuits += 1
+        return False
 
     def record_failure(self, now: float) -> None:
         """Note one transient failure; may open (or re-open) the breaker."""
-        with self._mutex:
-            if self._half_open_trial:
-                # The half-open trial failed: back to a full cooldown.
-                self._half_open_trial = False
-                self._opened_at = now
-                self.opens += 1
-                return
-            if self._opened_at is not None:
-                return  # already open; in-flight stragglers change nothing
-            window_start = now - self.policy.window_seconds
-            self._failures.append(now)
-            while self._failures and self._failures[0] < window_start:
-                self._failures.popleft()
-            if len(self._failures) >= self.policy.failure_threshold:
-                self._opened_at = now
-                self._half_open_trial = False
-                self._failures.clear()
-                self.opens += 1
+        if self._half_open_trial:
+            # The half-open trial failed: back to a full cooldown.
+            self._half_open_trial = False
+            self._opened_at = now
+            self.opens += 1
+            return
+        if self._opened_at is not None:
+            return  # already open; in-flight stragglers change nothing
+        window_start = now - self.policy.window_seconds
+        self._failures.append(now)
+        while self._failures and self._failures[0] < window_start:
+            self._failures.popleft()
+        if len(self._failures) >= self.policy.failure_threshold:
+            self._opened_at = now
+            self._half_open_trial = False
+            self._failures.clear()
+            self.opens += 1
 
     def record_success(self) -> None:
         """Note a completed transaction; a half-open success closes."""
-        with self._mutex:
-            if self._opened_at is not None and self._half_open_trial:
-                self._opened_at = None
-                self._half_open_trial = False
-                self._failures.clear()
+        if self._opened_at is not None and self._half_open_trial:
+            self._opened_at = None
+            self._half_open_trial = False
+            self._failures.clear()
 
 
 @dataclass
@@ -278,9 +272,9 @@ class ExecutionSummary(ReportMixin):
 class PreparedTransaction:
     """One terminal input drawn off the hot path (type + parameters).
 
-    The concurrent driver precomputes these into per-terminal queues so
-    the worker threads spend their time in the engine, not in the input
-    generator (the noisepage benchmark-runner pattern).
+    The driver draws one per terminal cycle, so the statement sequence
+    spends its time in the engine, not in the input generator (the
+    noisepage benchmark-runner pattern).
     """
 
     tx: TransactionType
@@ -340,8 +334,7 @@ class TpccExecutor:
         self._sleep = sleep
         # Continue after the largest h_id present, rounded up to the stride,
         # so a later run on the same database never reuses an earlier run's ids.
-        with db.latch:
-            last = max((key[0] for key in db.table("history").primary_keys()), default=0)
+        last = max((key[0] for key in db.table("history").primary_keys()), default=0)
         self._history_next = -(-last // history_stride) * history_stride + 1 + history_offset
         self._history_stride = history_stride
         #: Driver terminal this executor acts for (fault-scope identity).

@@ -112,24 +112,19 @@ def load_tpcc(config: TpccConfig) -> Database:
         policy=config.policy,
         page_size=config.page_size,
     )
-    # Population happens before any worker thread exists, but it writes
-    # latch-guarded engine state directly (bypassing transactions), so
-    # hold the latch for the whole phase: the guarded-by discipline then
-    # holds unconditionally, not just "no threads yet".
-    with db.latch:
-        indexes = tpcc_index_specs()
-        for name, schema in TPCC_SCHEMAS.items():
-            db.create_table(schema, indexes.get(name))
+    indexes = tpcc_index_specs()
+    for name, schema in TPCC_SCHEMAS.items():
+        db.create_table(schema, indexes.get(name))
 
-        loads = _bulk_loads(db, config)
-        _load_items(loads["item"], config, rng)
-        for warehouse in range(1, config.warehouses + 1):
-            _load_warehouse(loads, config, rng, warehouse)
-        for load in loads.values():
-            load.finish()
-        db.backup()  # checkpoint + base backup: torn-page repair needs it
-        db.buffers.reset_stats()
-        db.store.reset_counters()
+    loads = _bulk_loads(db, config)
+    _load_items(loads["item"], config, rng)
+    for warehouse in range(1, config.warehouses + 1):
+        _load_warehouse(loads, config, rng, warehouse)
+    for load in loads.values():
+        load.finish()
+    db.backup()  # checkpoint + base backup: torn-page repair needs it
+    db.buffers.reset_stats()
+    db.store.reset_counters()
     return db
 
 

@@ -99,57 +99,6 @@ class TestRep006WalDiscipline:
         assert lint_fixture("rep006_good.py", "REP006").findings == []
 
 
-class TestRep007LockOrder:
-    def test_bad_locations(self):
-        # Both halves of the ABBA pair are flagged, each naming the other.
-        report = lint_fixture("rep007_bad.py", "REP007")
-        assert flagged_lines(report, "REP007") == [13, 18]
-
-    def test_messages_name_the_opposite_site(self):
-        report = lint_fixture("rep007_bad.py", "REP007")
-        messages = [finding.message for finding in report.findings]
-        assert any("Transfer.credit" in message for message in messages)
-        assert all("ABBA" in message for message in messages)
-
-    def test_good_is_clean(self):
-        assert lint_fixture("rep007_good.py", "REP007").findings == []
-
-
-class TestRep008GuardedBy:
-    def test_bad_locations(self):
-        # Line 12: bare write to a guarded field.  Line 18: call into a
-        # requires-lock function without the mutex held.  Line 22: the
-        # same call inside a scope object whose __enter__ locks nothing.
-        report = lint_fixture("rep008_bad.py", "REP008")
-        assert flagged_lines(report, "REP008") == [12, 18, 22]
-
-    def test_call_obligation_message(self):
-        report = lint_fixture("rep008_bad.py", "REP008")
-        assert any(
-            "requires lock _mutex" in finding.message
-            for finding in report.findings
-        )
-
-    def test_good_is_clean(self):
-        # Covers both proof styles: a helper whose callers all hold the
-        # mutex (must-entry) and an annotated requires-lock helper, the
-        # latter also under a class-based scope (``with _MutexScope(self):``
-        # holds what the class's __enter__ acquires, which is how
-        # Database.statement_scope holds the statement latch).
-        assert lint_fixture("rep008_good.py", "REP008").findings == []
-
-
-class TestRep009BlockingHold:
-    def test_bad_locations(self):
-        # Line 18: sleep inside the with.  Line 25: sleep in a helper
-        # reached with the mutex held (may-entry propagation).
-        report = lint_fixture("rep009_bad.py", "REP009")
-        assert flagged_lines(report, "REP009") == [18, 25]
-
-    def test_good_is_clean(self):
-        assert lint_fixture("rep009_good.py", "REP009").findings == []
-
-
 class TestSuppression:
     def test_all_findings_suppressed(self):
         report = lint_fixture("suppressed.py")

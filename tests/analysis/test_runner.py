@@ -16,10 +16,11 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 class TestSelfLint:
     def test_shipped_tree_is_clean(self):
-        """Acceptance: zero findings on src/repro with all rules enabled."""
+        """Acceptance: zero findings and zero suppressions on src/repro."""
         report = lint_paths()
         assert report.parse_errors == []
         assert report.findings == []
+        assert report.suppressed == 0
         assert report.files_checked > 50
 
     def test_default_target_is_repro_package(self):
@@ -96,7 +97,6 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["rules"] == [
             "REP001", "REP002", "REP003", "REP004", "REP005", "REP006",
-            "REP007", "REP008", "REP009",
         ]
         assert {finding["rule"] for finding in payload["findings"]} == {"REP004"}
 
@@ -115,7 +115,6 @@ class TestCli:
         out = capsys.readouterr().out
         for rule_code in (
             "REP001", "REP002", "REP003", "REP004", "REP005", "REP006",
-            "REP007", "REP008", "REP009",
         ):
             assert rule_code in out
-        assert "REP010" not in out
+        assert "REP007" not in out

@@ -1,12 +1,9 @@
 """Driver-test fixtures.
 
 The suite-wide autouse ``invariant_sanitizer`` (tests/conftest.py) is
-shadowed here: it monkeypatches ``LockManager`` at class granularity
-and walks the waits-for graph on every acquisition, which is not
-thread-safe under the worker pool's threads — and under the
-no-wait protocol every conflict is an immediate abort, so the deadlock
-detector it exists for has nothing to observe.  The driver tests check
-the stronger end-state invariants directly (see test_invariants.py).
+shadowed here: it walks the waits-for graph on every acquisition,
+which multi-terminal runs make slow, and the driver tests check the
+stronger end-state invariants directly (see test_invariants.py).
 """
 
 from __future__ import annotations

@@ -147,6 +147,22 @@ CELLS = {
         ),
         lambda report: report.shed.admission,
     ),
+    # Blocking lock waits in virtual time, with the crash landing while
+    # terminals are parked: waits, park-time deadlocks and the crash
+    # must all have happened.
+    "blocking": (
+        CHAOS_SPEC.replace(
+            faults=None,
+            lock_timeout_seconds=0.2,
+            victim_policy="fewest_locks",
+            **_UNGATED,
+        ),
+        lambda report: min(
+            report.lock_waits,
+            report.deadlocks.detected,
+            report.recovery.in_flight_aborted,
+        ),
+    ),
 }
 
 
@@ -224,24 +240,30 @@ class TestOverloadShedding:
         assert gated.shed.max_queue_depth <= 48
 
 
-class TestThreadsModeWiring:
-    def test_blocking_locks_under_worker_pool(self):
-        """lock_timeout routes the pool through the blocking/deadlock path."""
+class TestBlockingCell:
+    def test_blocking_locks_in_virtual_time(self):
+        """lock_timeout parks blocked statements in the event loop."""
         spec = BenchmarkSpec(
             terminals=4,
             transactions=24,
             think_time_seconds=0.0,
-            scheduler="threads",
-            workers=4,
             retry=RetryPolicy(max_attempts=8, base_delay=0.001, max_delay=0.01),
             seed=3,
             tpcc=CONFIG,
             lock_timeout_seconds=0.2,
             victim_policy="fewest_locks",
         )
-        report = run_benchmark(spec)
+        db = load_tpcc(spec.tpcc)
+        before = ytd_state(db, CONFIG.warehouses)
+        report = run_benchmark(spec, db=db)
         assert report.committed + report.gave_up == 24
         assert report.deadlocks.policy == "fewest_locks"
-        # Victims and timeouts are load-dependent, but the counters must
-        # be internally consistent: every detection picked one victim.
+        assert report.lock_waits > 0
+        # Every detection picked exactly one victim, and every abort is
+        # a victim or a timed-out wait.
         assert report.deadlocks.victims == report.deadlocks.detected
+        assert report.aborts == report.deadlocks.victims + report.lock_timeouts
+        for warehouse, (w_ytd, d_total) in ytd_state(db, CONFIG.warehouses).items():
+            w_before, d_before = before[warehouse]
+            assert w_ytd - w_before == pytest.approx(d_total - d_before)
+        check_recovery_invariants(db).raise_if_violated()

@@ -4,11 +4,14 @@ The constants below were computed on the commit *before* the scheduler
 became a single-threaded event loop (one OS thread per in-flight
 transaction, baton passed through ``threading.Event`` + ``queue.Queue``).
 Each spec pins three SHA-256 digests: the serialized ``DriverReport``
-(without the parent's ``spec.verify_admission`` key, deleted together
-with the threads it audited), the WAL change-record stream, and the
-deterministic-only metrics snapshot of the run.  A change that reorders two statements of different
-transactions, prices one differently, or moves a logged byte fails
-here; a change that is meant to must say so and re-pin.
+(without the ``spec.verify_admission`` and ``spec.workers`` keys, each
+deleted together with the threads it configured or audited), the WAL
+change-record stream, and the deterministic-only metrics snapshot of
+the run.  These are no-wait runs (``lock_timeout_seconds == 0``), the
+path blocking lock waits leave untouched.  A change that reorders two
+statements of different transactions, prices one differently, or moves
+a logged byte fails here; a change that is meant to must say so and
+re-pin.
 
 Run this file as a script to print the digests of the current tree.
 """
@@ -94,22 +97,22 @@ SPECS = {
 #: name -> (report, WAL change stream, deterministic metrics) SHA-256.
 PINNED: dict[str, tuple[str, str, str]] = {
     "contended-11": (
-        "2f8085cfa9a82894f451978a84d63b94845e99ddd8c38b1e2a69ccbe753eec84",
+        "97f82cf2c6dd4c67984e43ca9b55a07a19bb9b52dd7ef710639d8bfa006e30cf",
         "894815fe3b3277af0bcca67874ed4dccd9c39c04eafd43899573e18a8f503357",
         "8c942bf31ab0ae684f2593369e63991b11d2583cc6ee30175700b0381295bc0c",
     ),
     "contended-23": (
-        "5199dedf4aa22011d7035871271165f85275cbabc7513ce30b2983bbdea9a0cd",
+        "85a1c459ae79d133f3e0193adad5a1b2e785384036f06ca2704d93957c28af72",
         "07ab3dd0f19e337e9c205ae99115ba8129da408777a5fc5e65bef40b0b7d616f",
         "a23b1e14dfac7e10b53a1ecbd1d1bc7eef50d7a2cbf3d22a074615474810ff28",
     ),
     "default-retry": (
-        "0a065692770837ed87609ac050f2e891d7f2769afd198ca23d2393a5557a79b1",
+        "bc481edba743947cce5465a5825482cae77bd0280522449efe71b011b314dc18",
         "5bed8e3b5be7174bbbb5c6e593a2493ed4ef32be1a7db418058c288fd0086080",
         "a947834e8e140ed0ee7d13c02dea7ba6399fa66df72b4658b9e9b7fc7956889e",
     ),
     "chaos": (
-        "fa74f92c4a84f00f4e015bfb4226d142fb07bf94bd2aeefdb579ec5068bb456a",
+        "413a4438943d06d339630e067d8ecbbb9945490ea7a70762882d5f010088b1e0",
         "6c38f5c62c96d0c6a91f6b8df73e3425e4fdd4a2389eaac75cdafeb886e20676",
         "8715c53cab448eb76e326d185e46017eff9b7de99f7fdc60133545b743fdb9fa",
     ),

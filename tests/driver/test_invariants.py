@@ -57,8 +57,7 @@ def test_no_lost_updates(terminals):
 
 
 def _history_ids(db):
-    with db.latch:
-        return sorted(key[0] for key in db.table("history").primary_keys())
+    return sorted(key[0] for key in db.table("history").primary_keys())
 
 
 def test_same_spec_twice_on_one_database(small_spec):

@@ -44,7 +44,7 @@ class TestValidation:
             {"think_time_seconds": -0.1},
             {"keying_time_seconds": -0.1},
             {"scheduler": "fibers"},
-            {"workers": 0},
+            {"scheduler": "threads"},
             {"max_in_flight": 0},
             {"disk_arms": 0},
         ],
@@ -52,6 +52,15 @@ class TestValidation:
     def test_rejects_bad_values(self, overrides):
         with pytest.raises(ValueError):
             BenchmarkSpec(**overrides)
+
+    def test_threads_scheduler_was_removed(self):
+        with pytest.raises(ValueError, match="threads scheduler was removed"):
+            BenchmarkSpec(scheduler="threads")
+        assert not hasattr(BenchmarkSpec(), "workers")
+
+    def test_blocking_lock_waits_are_virtual(self):
+        spec = BenchmarkSpec(lock_timeout_seconds=0.2, victim_policy="oldest")
+        assert spec.scheduler == "virtual" and spec.lock_timeout_seconds == 0.2
 
     def test_rejects_bad_mix(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.driver import BenchmarkSpec, validate_against_mva
-from repro.tpcc import TpccConfig
+from repro.driver import BenchmarkSpec, run_benchmark, validate_against_mva, validate_reports
+from repro.faults.invariants import check_recovery_invariants
+from repro.tpcc import TpccConfig, load_tpcc
+
+from .conftest import ytd_state
 
 CONFIG = TpccConfig(
     warehouses=2,
@@ -54,10 +57,29 @@ class TestValidateAgainstMva:
         for point in validate_against_mva(spec, [1, 2, 4]).points:
             assert point.throughput_ratio == pytest.approx(1.0, abs=0.35)
 
-    def test_rejects_wall_clock_scheduler(self):
-        spec = BenchmarkSpec(scheduler="threads", tpcc=CONFIG)
-        with pytest.raises(ValueError, match="virtual"):
-            validate_against_mva(spec, [1, 2])
+    def test_blocking_waits_validate_against_the_model(self):
+        """Blocking lock waits run, stay consistent and stay under MVA."""
+        spec = BenchmarkSpec(
+            terminals=1,
+            transactions=40,
+            think_time_seconds=0.5,
+            tpcc=CONFIG,
+            lock_timeout_seconds=0.2,
+        )
+        reports = []
+        for terminals in (1, 4):
+            db = load_tpcc(CONFIG)
+            before = ytd_state(db, CONFIG.warehouses)
+            report = run_benchmark(spec.replace(terminals=terminals), db=db)
+            assert report.committed + report.gave_up == spec.transactions
+            for warehouse, (w_ytd, d_total) in ytd_state(db, CONFIG.warehouses).items():
+                w_before, d_before = before[warehouse]
+                assert w_ytd - w_before == pytest.approx(d_total - d_before)
+            check_recovery_invariants(db).raise_if_violated()
+            reports.append(report)
+        assert reports[0].lock_waits == 0  # one terminal never waits on itself
+        for point in validate_reports(reports).points:
+            assert point.throughput_ratio < 1.3
 
     def test_render_and_round_trip(self, validation):
         assert "measured vs exact MVA" in validation.render()

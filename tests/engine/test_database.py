@@ -171,6 +171,22 @@ class TestIsolation:
             txn2.update("accounts", (1,), {"balance": 2})
         txn1.commit()
 
+    def test_blocking_conflict_without_a_scheduler_fails_at_once(self):
+        """With nothing to park in, a blocking-mode wait is the conflict it is."""
+        db = Database(buffer_pages=64, lock_timeout=0.5)
+        db.create_table(
+            TableSchema("accounts", [integer("id"), integer("balance")], ("id",))
+        )
+        db.run(lambda txn: txn.insert("accounts", {"id": 1, "balance": 0}))
+        txn1 = db.begin()
+        txn2 = db.begin()
+        txn1.update("accounts", (1,), {"balance": 1})
+        with pytest.raises(LockConflictError):
+            txn2.update("accounts", (1,), {"balance": 2})
+        assert db.locks.waits == 0  # nothing was parked
+        txn2.abort()
+        txn1.commit()
+
     def test_concurrent_readers_allowed(self, db):
         deposit(db, 1)
         txn1 = db.begin()
@@ -220,7 +236,7 @@ class TestCensus:
 class TestRecovery:
     def test_committed_survives_crash(self, db):
         deposit(db, 1, balance=77)
-        db.simulate_crash()
+        db.crash()
         db.recover()
         txn = db.begin()
         assert txn.select("accounts", (1,))["balance"] == 77
@@ -231,7 +247,7 @@ class TestRecovery:
         txn = db.begin()
         txn.update("accounts", (1,), {"balance": 999})
         db.checkpoint()  # steal: dirty uncommitted page reaches disk
-        db.simulate_crash()
+        db.crash()
         db.recover()
         check = db.begin()
         assert check.select("accounts", (1,))["balance"] == 10
@@ -241,25 +257,37 @@ class TestRecovery:
         txn = db.begin()
         txn.insert("accounts", {"id": 9, "balance": 1, "owner": "ghost"})
         db.checkpoint()
-        db.simulate_crash()
+        db.crash()
         db.recover()
         assert db.table("accounts").row_count == 0
 
     def test_indexes_rebuilt_after_recovery(self, db):
         deposit(db, 1, owner="alice")
         deposit(db, 2, owner="alice")
-        db.simulate_crash()
+        db.crash()
         db.recover()
         txn = db.begin()
         rows = txn.select_by_index("accounts", "by_owner", ("alice",))
         txn.commit()
         assert len(rows) == 2
 
+    def test_crash_keeps_the_configured_policy(self):
+        db = Database(buffer_pages=64, policy="clock")
+        db.create_table(TableSchema("accounts", [integer("id")], ("id",)))
+        db.run(lambda txn: txn.insert("accounts", {"id": 1}))
+        db.crash()
+        db.recover()
+        assert db.buffers.policy_name == "clock"
+        assert type(db.buffers._policy).__name__ == "ClockPolicy"
+        txn = db.begin()
+        assert txn.select("accounts", (1,)) == {"id": 1}
+        txn.commit()
+
     def test_unflushed_committed_work_redone(self, db):
         # Commit but never checkpoint: the page images on "disk" are
         # stale and recovery must redo from the log.
         deposit(db, 1, balance=123)
-        db.simulate_crash()
+        db.crash()
         db.recover()
         txn = db.begin()
         assert txn.select("accounts", (1,))["balance"] == 123

@@ -1,54 +1,41 @@
 """Unit tests for blocking-mode lock waits and deadlock resolution.
 
-Most cases drive the LockManager single-threaded with fake clock/sleep
-hooks (the sleep hook doubles as the "concurrent holder" that releases
-or blocks mid-wait); the final class stages a genuine two-thread
-deadlock and checks exactly one side dies as the victim.
+Most cases drive the LockManager's park/wake protocol by hand — the
+calls the virtual scheduler makes when a statement blocks, when a
+holder releases, and when a wait's budget runs out.  The final class
+stages genuine AB/BA deadlocks between terminals under
+``run_benchmark`` and checks each resolves with exactly one victim.
 """
 
-import threading
+import json
 
 import pytest
 
+from repro.driver import BenchmarkSpec, run_benchmark
 from repro.engine.errors import DeadlockError, LockConflictError
-from repro.engine.locks import LockManager, LockMode
-
-
-class FakeTime:
-    """Manual clock + sleep pair for deterministic wait loops."""
-
-    def __init__(self):
-        self.now = 0.0
-        self.on_sleep = None
-
-    def clock(self):
-        return self.now
-
-    def sleep(self, seconds):
-        self.now += seconds
-        if self.on_sleep is not None:
-            self.on_sleep()
+from repro.engine.locks import LockManager, LockMode, LockWait
+from repro.tpcc import TpccConfig
+from repro.tpcc.executor import RetryPolicy
 
 
 @pytest.fixture
-def faketime():
-    return FakeTime()
+def locks():
+    return LockManager(default_timeout=1.0)
 
 
-@pytest.fixture
-def locks(faketime):
-    return LockManager(
-        default_timeout=1.0,
-        poll_interval=0.01,
-        clock=faketime.clock,
-        sleep=faketime.sleep,
-    )
+def blocked(locks, txn_id, resource):
+    """Request X on ``resource`` and park the resulting wait, as the scheduler does."""
+    with pytest.raises(LockWait):
+        locks.acquire(txn_id, resource, LockMode.EXCLUSIVE)
+    return locks.park(txn_id, resource)
 
 
 class TestBlockingWaits:
-    def test_wait_until_holder_releases(self, locks, faketime):
+    def test_wait_until_holder_releases(self, locks):
         locks.acquire(1, "r", LockMode.EXCLUSIVE)
-        faketime.on_sleep = lambda: locks.release_all(1)
+        assert blocked(locks, 2, "r") is None
+        locks.release_all(1)
+        assert locks.woken == [2]
         locks.acquire(2, "r", LockMode.EXCLUSIVE)
         assert locks.mode_held(2, "r") is LockMode.EXCLUSIVE
         stats = locks.contention()
@@ -56,128 +43,104 @@ class TestBlockingWaits:
 
     def test_timeout_when_holder_never_releases(self, locks):
         locks.acquire(1, "r", LockMode.EXCLUSIVE)
-        with pytest.raises(LockConflictError, match="timed out"):
-            locks.acquire(2, "r", LockMode.EXCLUSIVE, timeout=0.05)
-        stats = locks.contention()
-        assert stats["timeouts"] == 1
-        # The waiter deregistered itself on the way out.
-        assert locks.waits_for() == {}
-
-    def test_zero_timeout_is_no_wait(self, faketime):
-        locks = LockManager(clock=faketime.clock, sleep=faketime.sleep)
-        locks.acquire(1, "r", LockMode.EXCLUSIVE)
-        with pytest.raises(LockConflictError):
+        with pytest.raises(LockWait) as raised:
             locks.acquire(2, "r", LockMode.EXCLUSIVE)
+        locks.park(2, "r")
+        error = locks.time_out(raised.value)
+        assert isinstance(error, LockConflictError)
+        assert "timed out after 1.0s" in str(error)
+        assert locks.contention()["timeouts"] == 1
+        # The waiter left the waits-for graph, and no release wakes it.
+        assert locks.waits_for() == {}
+        locks.release_all(1)
+        assert locks.woken == []
+
+    def test_zero_timeout_is_no_wait(self):
+        locks = LockManager()
+        locks.acquire(1, "r", LockMode.EXCLUSIVE)
+        with pytest.raises(LockConflictError) as raised:
+            locks.acquire(2, "r", LockMode.EXCLUSIVE)
+        assert not isinstance(raised.value, LockWait)
         assert locks.contention()["waits"] == 0
 
-    def test_waits_for_graph_shape(self, locks, faketime):
+    def test_waits_for_graph_shape(self, locks):
         locks.acquire(1, "r", LockMode.EXCLUSIVE)
-
-        def snapshot_then_release():
-            assert locks.waits_for() == {2: {1}}
-            locks.release_all(1)
-
-        faketime.on_sleep = snapshot_then_release
-        locks.acquire(2, "r", LockMode.EXCLUSIVE)
+        blocked(locks, 2, "r")
+        assert locks.waits_for() == {2: {1}}
+        locks.release_all(1)
         assert locks.waits_for() == {}
+
+    def test_waiters_woken_in_park_order(self, locks):
+        locks.acquire(1, "r", LockMode.EXCLUSIVE)
+        locks.acquire(1, "s", LockMode.EXCLUSIVE)
+        for waiter, resource in ((5, "s"), (3, "r"), (4, "s")):
+            blocked(locks, waiter, resource)
+        locks.release_all(1)
+        assert locks.woken == [5, 3, 4]
 
 
 class TestDeadlockResolution:
     def _stage_cycle(self, locks):
-        """txn 1 holds a, txn 2 holds b; then 2 blocks on a, 1 on b."""
+        """txn 1 holds a, txn 2 holds b, and 1 already waits for b."""
         locks.acquire(1, "a", LockMode.EXCLUSIVE)
         locks.acquire(2, "b", LockMode.EXCLUSIVE)
+        assert blocked(locks, 1, "b") is None
 
-    def test_waiter_victimized_when_it_closes_the_cycle(self, locks, faketime):
+    def test_waiter_victimized_when_it_closes_the_cycle(self, locks):
         self._stage_cycle(locks)
-        # Simulate txn 1 already waiting on b, then txn 2 arrives on a
-        # and closes the cycle; with policy=youngest txn 2 dies.
-        faketime.on_sleep = pytest.fail  # the cycle must resolve pre-sleep
-        with locks._mutex:
-            locks._waiting[1] = "b"
-            locks.waits += 1
-        with pytest.raises(DeadlockError, match="waits-for cycle"):
-            locks.acquire(2, "a", LockMode.EXCLUSIVE)
+        # txn 2 arrives on a and closes the cycle; with policy=youngest
+        # txn 2 dies, at park time.
+        victim, error = blocked(locks, 2, "a")
+        assert victim == 2
+        assert isinstance(error, DeadlockError)
+        assert "waits-for cycle" in str(error)
+        assert locks.waits_for() == {1: {2}}  # the victim waits no longer
         stats = locks.contention()
         assert stats["deadlocks"] == 1 and stats["victims"] == 1
         assert stats["wait_chain_max"] == 2
         assert stats["timeouts"] == 0
 
-    def test_oldest_policy_dooms_the_other_side(self, faketime):
-        locks = LockManager(
-            default_timeout=1.0,
-            poll_interval=0.01,
-            clock=faketime.clock,
-            sleep=faketime.sleep,
-            victim_policy="oldest",
-        )
+    def test_oldest_policy_dooms_the_other_side(self):
+        locks = LockManager(default_timeout=1.0, victim_policy="oldest")
         self._stage_cycle(locks)
-        with locks._mutex:
-            locks._waiting[1] = "b"
-            locks.waits += 1
-
-        def holder_aborts_when_doomed():
-            # txn 1 is the chosen victim; model its abort releasing a.
-            with locks._mutex:
-                doomed = dict(locks._doomed)
-            assert 1 in doomed
-            locks.release_all(1)
-
-        faketime.on_sleep = holder_aborts_when_doomed
         # txn 2 closes the cycle; the *other* (oldest) member is doomed,
-        # so txn 2 keeps waiting and wins once 1 releases.
+        # so txn 2 keeps waiting and wins once 1's abort releases a.
+        victim, _error = blocked(locks, 2, "a")
+        assert victim == 1
+        assert locks.waits_for() == {2: {1}}
+        locks.release_all(1)
+        assert locks.woken == [2]
         locks.acquire(2, "a", LockMode.EXCLUSIVE)
-        assert locks.mode_held(2, "a") is LockMode.EXCLUSIVE
         stats = locks.contention()
         assert stats["deadlocks"] == 1 and stats["victims"] == 1
 
-    def test_fewest_locks_picks_smallest_footprint(self, faketime):
-        locks = LockManager(
-            default_timeout=1.0,
-            poll_interval=0.01,
-            clock=faketime.clock,
-            sleep=faketime.sleep,
-            victim_policy="fewest_locks",
-        )
+    def test_fewest_locks_picks_smallest_footprint(self):
+        locks = LockManager(default_timeout=1.0, victim_policy="fewest_locks")
         # txn 1 has the bigger footprint (a + extra), txn 2 just b.
-        locks.acquire(1, "a", LockMode.EXCLUSIVE)
         locks.acquire(1, "extra", LockMode.EXCLUSIVE)
-        locks.acquire(2, "b", LockMode.EXCLUSIVE)
-        with locks._mutex:
-            locks._waiting[1] = "b"
-            locks.waits += 1
-        with pytest.raises(DeadlockError):
-            locks.acquire(2, "a", LockMode.EXCLUSIVE)
-
-    def test_cycle_not_recounted_while_victim_pending(self, locks, faketime):
-        """A second detection of the same cycle must not pick a second victim."""
         self._stage_cycle(locks)
-        with locks._mutex:
-            locks._waiting[1] = "b"
-            locks.waits += 1
-        with pytest.raises(DeadlockError):
-            locks.acquire(2, "a", LockMode.EXCLUSIVE)
-        before = locks.contention()
-        # Re-stage the same waits-for shape with the doomed flag still set.
-        with locks._mutex:
-            locks._doomed[2] = "1 -> 2"
-            locks._waiting[2] = "a"
-        with locks._mutex:
-            assert locks._resolve_deadlock(1) is None
-        after = locks.contention()
-        assert after["deadlocks"] == before["deadlocks"]
-        assert after["victims"] == before["victims"]
+        victim, _error = blocked(locks, 2, "a")
+        assert victim == 2
 
-    def test_injected_deadlock_counts(self, faketime):
+    def test_cycle_not_recounted_while_victim_pending(self, locks):
+        """The victim leaves the graph at once: no second detection, no second victim."""
+        self._stage_cycle(locks)
+        victim, _error = blocked(locks, 2, "a")
+        # The victim still holds b until its abort runs; a third waiter
+        # on b sees no cycle.
+        assert blocked(locks, 3, "b") is None
+        after = locks.contention()
+        assert after["deadlocks"] == 1 and after["victims"] == 1
+        locks.release_all(victim)
+        assert locks.woken == [1, 3]
+
+    def test_injected_deadlock_counts(self):
         from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultRule
 
         plan = FaultPlan(
             rules=(FaultRule(kind=FaultKind.DEADLOCK, every=1),), seed=7
         )
-        locks = LockManager(
-            clock=faketime.clock, sleep=faketime.sleep,
-            injector=FaultInjector(plan),
-        )
+        locks = LockManager(injector=FaultInjector(plan))
         with pytest.raises(DeadlockError):
             locks.acquire(1, "r", LockMode.EXCLUSIVE)
         stats = locks.contention()
@@ -187,18 +150,20 @@ class TestDeadlockResolution:
 class TestCounterContinuity:
     def test_adopt_counters(self, locks):
         locks.acquire(1, "r", LockMode.EXCLUSIVE)
-        with pytest.raises(LockConflictError):
-            locks.acquire(2, "r", LockMode.EXCLUSIVE, timeout=0)
+        blocked(locks, 2, "r")
         replacement = LockManager()
         replacement.adopt_counters(locks)
         assert replacement.contention() == locks.contention()
         assert replacement.locks_held(1) == 0  # locks themselves are volatile
+        assert replacement.waits_for() == {}  # and so are waits
 
-    def test_counters_monotone_through_mixed_traffic(self, locks, faketime):
+    def test_counters_monotone_through_mixed_traffic(self, locks):
         snapshots = [locks.contention()]
         locks.acquire(1, "r", LockMode.SHARED)
         snapshots.append(locks.contention())
-        faketime.on_sleep = lambda: locks.release_all(1)
+        blocked(locks, 2, "r")
+        snapshots.append(locks.contention())
+        locks.release_all(1)
         locks.acquire(2, "r", LockMode.EXCLUSIVE)
         snapshots.append(locks.contention())
         locks.release_all(2)
@@ -208,36 +173,44 @@ class TestCounterContinuity:
                 assert value >= before[name], name
 
 
-class TestRealThreads:
-    def test_two_thread_deadlock_resolves(self):
-        """A genuine AB/BA deadlock: exactly one thread dies, one wins."""
-        locks = LockManager(default_timeout=5.0, poll_interval=0.001)
-        locks.acquire(1, "a", LockMode.EXCLUSIVE)
-        locks.acquire(2, "b", LockMode.EXCLUSIVE)
-        barrier = threading.Barrier(2)
-        outcomes: dict[int, str] = {}
+class TestEventLoop:
+    def test_ab_ba_deadlock_resolves(self):
+        """Two terminals on one warehouse deadlock AB/BA; one victim per cycle.
 
-        def contend(txn_id, first_held, then_wanted):
-            barrier.wait()
-            try:
-                locks.acquire(txn_id, then_wanted, LockMode.EXCLUSIVE)
-                outcomes[txn_id] = "granted"
-            except DeadlockError:
-                outcomes[txn_id] = "victim"
-                locks.release_all(txn_id)
-
-        threads = [
-            threading.Thread(target=contend, args=(1, "a", "b")),
-            threading.Thread(target=contend, args=(2, "b", "a")),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-            assert not thread.is_alive(), "deadlock was not resolved"
-        assert sorted(outcomes.values()) == ["granted", "victim"]
-        # Policy youngest: txn 2 is the victim.
-        assert outcomes[2] == "victim" and outcomes[1] == "granted"
-        stats = locks.contention()
-        assert stats["deadlocks"] >= 1 and stats["victims"] >= 1
-        assert stats["wait_chain_max"] == 2
+        Payment reads the warehouse row (S) and later updates it (X);
+        two Payments in flight each hold the S lock the other's upgrade
+        needs.  Each cycle is found when its second member parks and is
+        broken by exactly one victim, under every policy, and a replay
+        reproduces the report byte for byte.
+        """
+        base = BenchmarkSpec(
+            terminals=2,
+            transactions=60,
+            think_time_seconds=0.0,
+            lock_timeout_seconds=5.0,
+            retry=RetryPolicy(max_attempts=50),
+            seed=4,
+            tpcc=TpccConfig(
+                warehouses=1,
+                customers_per_district=30,
+                items=200,
+                initial_orders_per_district=10,
+                pending_orders_per_district=5,
+                buffer_pages=300,
+            ),
+        )
+        for policy in ("youngest", "oldest", "fewest_locks"):
+            spec = base.replace(victim_policy=policy)
+            report = run_benchmark(spec)
+            deadlocks = report.deadlocks
+            assert deadlocks.policy == policy
+            assert deadlocks.detected > 0
+            assert deadlocks.victims == deadlocks.detected
+            assert deadlocks.wait_chain_max == 2
+            assert report.lock_timeouts == 0  # every wait ended in a grant or a victim
+            assert report.aborts == deadlocks.victims
+            assert report.committed + report.gave_up == spec.transactions
+            replay = run_benchmark(spec)
+            assert json.dumps(replay.to_dict(), sort_keys=True) == json.dumps(
+                report.to_dict(), sort_keys=True
+            )

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.driver import BenchmarkSpec, run_benchmark
+from repro.driver.scheduler import VirtualScheduler
 from repro.engine.errors import LockConflictError
-from repro.engine.locks import LockManager, LockMode
+from repro.engine.locks import LockManager, LockMode, LockWait
+from repro.tpcc import TpccConfig
 
 
 @pytest.fixture
@@ -95,87 +98,82 @@ class TestAccounting:
         assert locks.acquisitions == 3
 
 
-class FakeClock:
-    """A virtual clock: ``sleep`` advances ``now`` deterministically."""
-
-    def __init__(self):
-        self.now = 0.0
-        self.sleeps: list[float] = []
-
-    def __call__(self) -> float:
-        return self.now
-
-    def sleep(self, seconds: float) -> None:
-        self.sleeps.append(seconds)
-        self.now += seconds
-
-
-def waiting_locks(default_timeout=0.0):
-    clock = FakeClock()
-    manager = LockManager(
-        default_timeout=default_timeout,
-        poll_interval=0.01,
-        clock=clock,
-        sleep=clock.sleep,
-    )
-    return manager, clock
-
-
 class TestAcquisitionTimeout:
     def test_default_is_no_wait(self):
-        manager, clock = waiting_locks()
+        manager = LockManager()
         manager.acquire(1, "r", LockMode.EXCLUSIVE)
-        with pytest.raises(LockConflictError):
+        with pytest.raises(LockConflictError) as raised:
             manager.acquire(2, "r", LockMode.EXCLUSIVE)
-        assert clock.sleeps == []  # failed fast, never polled
+        assert not isinstance(raised.value, LockWait)  # failed fast, nothing to park
         assert manager.conflicts == 1
-        assert manager.timeouts == 0
+        assert manager.timeouts == 0 and manager.waits == 0
 
-    def test_timeout_bounds_the_wait(self):
-        """The deadlock/starvation guard: a blocked request raises
-        instead of hanging once its budget is exhausted."""
-        manager, clock = waiting_locks(default_timeout=0.05)
-        manager.acquire(1, "r", LockMode.EXCLUSIVE)
-        with pytest.raises(LockConflictError, match="timed out"):
-            manager.acquire(2, "r", LockMode.EXCLUSIVE)
-        assert manager.timeouts == 1
-        assert clock.sleeps  # it polled while waiting
-        assert clock.now >= 0.05  # and gave up only after the budget
+    def test_timeout_bounds_the_wait(self, monkeypatch):
+        """The starvation guard fires at exactly park time + the budget."""
+        parked_at: dict[int, float] = {}
+        fired: list[tuple[float, float]] = []
+        park, handle_timeout = VirtualScheduler._park, VirtualScheduler._handle_timeout
+
+        def recording_park(scheduler, task):
+            parked_at[id(task.value)] = scheduler.now
+            return park(scheduler, task)
+
+        def recording_timeout(scheduler, wait):
+            timeouts = scheduler._db.locks.timeouts
+            handle_timeout(scheduler, wait)
+            if scheduler._db.locks.timeouts > timeouts:
+                fired.append((parked_at[id(wait)], scheduler.now))
+
+        monkeypatch.setattr(VirtualScheduler, "_park", recording_park)
+        monkeypatch.setattr(VirtualScheduler, "_handle_timeout", recording_timeout)
+        spec = BenchmarkSpec(
+            terminals=6,
+            transactions=40,
+            think_time_seconds=0.0,
+            lock_timeout_seconds=0.01,
+            tpcc=TpccConfig(
+                warehouses=1,
+                customers_per_district=30,
+                items=200,
+                initial_orders_per_district=10,
+                pending_orders_per_district=5,
+                buffer_pages=300,
+            ),
+        )
+        report = run_benchmark(spec)
+        assert report.lock_timeouts == len(fired) > 0
+        for parked, now in fired:
+            assert now == parked + spec.lock_timeout_seconds
 
     def test_waiter_succeeds_when_holder_releases(self):
-        manager, clock = waiting_locks(default_timeout=1.0)
+        manager = LockManager(default_timeout=1.0)
         manager.acquire(1, "r", LockMode.EXCLUSIVE)
-
-        # Release the conflicting lock after two polls.
-        original_sleep = clock.sleep
-
-        def sleeping(seconds):
-            original_sleep(seconds)
-            if len(clock.sleeps) == 2:
-                manager.release_all(1)
-
-        manager._sleep = sleeping
-        manager.acquire(2, "r", LockMode.EXCLUSIVE)
+        with pytest.raises(LockWait) as raised:
+            manager.acquire(2, "r", LockMode.EXCLUSIVE)
+        wait = raised.value
+        assert (wait.txn_id, wait.resource, wait.timeout) == (2, "r", 1.0)
+        assert manager.park(2, "r") is None
+        manager.release_all(1)
+        assert manager.woken == [2]  # the release woke the waiter
+        manager.acquire(2, "r", LockMode.EXCLUSIVE)  # and its retry is granted
         assert manager.mode_held(2, "r") is LockMode.EXCLUSIVE
-        assert manager.timeouts == 0
-        assert len(clock.sleeps) == 2
-
-    def test_per_call_timeout_overrides_default(self):
-        manager, clock = waiting_locks(default_timeout=0.0)
-        manager.acquire(1, "r", LockMode.EXCLUSIVE)
-        with pytest.raises(LockConflictError, match="timed out"):
-            manager.acquire(2, "r", LockMode.EXCLUSIVE, timeout=0.03)
-        assert manager.timeouts == 1
+        assert manager.timeouts == 0 and manager.waits == 1
 
     def test_conflicts_counted_per_failed_attempt(self):
-        manager, clock = waiting_locks(default_timeout=0.03)
-        manager.acquire(1, "r", LockMode.EXCLUSIVE)
-        with pytest.raises(LockConflictError):
-            manager.acquire(2, "r", LockMode.EXCLUSIVE)
-        assert manager.conflicts == len(clock.sleeps) + 1  # one try per poll + the last
+        manager = LockManager(default_timeout=1.0)
+        manager.acquire(1, "r", LockMode.SHARED)
+        manager.acquire(3, "r", LockMode.SHARED)
+        for attempt in range(2):
+            with pytest.raises(LockWait):
+                manager.acquire(2, "r", LockMode.EXCLUSIVE)
+            manager.park(2, "r")
+            manager.release_all(1 + 2 * attempt)  # wakes the waiter each time
+        manager.acquire(2, "r", LockMode.EXCLUSIVE)
+        assert manager.conflicts == 2  # one per failed attempt, none for the grant
+        assert manager.waits == 2
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="default_timeout"):
             LockManager(default_timeout=-1.0)
-        with pytest.raises(ValueError, match="poll_interval"):
-            LockManager(poll_interval=0.0)
+        with pytest.raises(ValueError, match="victim_policy"):
+            LockManager(victim_policy="random")

@@ -51,7 +51,7 @@ class TestSlotReuseClobbering:
         t2 = db.begin()
         t2.insert("items", row(1, value=222))  # reuses the freed slot
         t2.commit()
-        db.simulate_crash()
+        db.crash()
         db.recover()
         assert state(db) == {1: 222}
 
@@ -63,7 +63,7 @@ class TestSlotReuseClobbering:
         final = db.begin()
         final.insert("items", row(7, value=99))
         final.commit()
-        db.simulate_crash()
+        db.crash()
         db.recover()
         assert state(db) == {7: 99}
 
@@ -123,7 +123,7 @@ class TestUndoRidStability:
         t.update("items", (4,), {"value": 400})
         t.delete("items", (1,))
         t.abort()
-        db.simulate_crash()
+        db.crash()
         db.recover()
         assert state(db) == {1: 1, 2: 2, 3: 3, 4: 4}
 
@@ -167,17 +167,17 @@ class TestInFlightAtCrash:
         open_txn.update("items", (1,), {"value": 999})
         open_txn.insert("items", row(2))
         db.checkpoint()  # stolen pages reach disk
-        db.simulate_crash()
+        db.crash()
         db.recover()
         assert state(db) == {1: 10}
 
     def test_recovery_closes_open_transactions_in_log(self, db):
         open_txn = db.begin()
         open_txn.insert("items", row(1))
-        db.simulate_crash()
+        db.crash()
         db.recover()
         assert not db.wal.is_active(open_txn.txn_id)
         # A second crash/recovery replays the same closed history.
-        db.simulate_crash()
+        db.crash()
         db.recover()
         assert state(db) == {}

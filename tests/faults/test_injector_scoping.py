@@ -1,18 +1,15 @@
-"""Driver-aware injector semantics: scopes, clocks, thread safety.
+"""Driver-aware injector semantics: scopes and clocks.
 
-Rules can now be scoped to terminals, transaction types and a start
-time; the scope an operation runs under is declared per context via
-``scoped()`` (a thread, or one statement sequence the virtual scheduler
-resumes inside its own ``contextvars.Context``), and all trigger
-bookkeeping is mutex-protected so ``at_ops`` / ``every`` /
-``max_fires`` hold exactly under the worker pool.  Crucially,
-out-of-scope operations skip a rule *before* any probability draw, so
-narrowing a scope never perturbs the seeded stream of the operations
-that stay in scope.
+Rules can be scoped to terminals, transaction types and a start time;
+the scope an operation runs under is declared per context via
+``scoped()`` (one statement sequence the virtual scheduler resumes
+inside its own ``contextvars.Context``).  Crucially, out-of-scope
+operations skip a rule *before* any probability draw, so narrowing a
+scope never perturbs the seeded stream of the operations that stay in
+scope.
 """
 
 import contextvars
-import threading
 
 import pytest
 
@@ -166,114 +163,3 @@ class TestInterleavedSequences:
             return fired
 
         assert pattern(noise_sequences=0) == pattern(noise_sequences=6)
-
-    def test_threads_still_do_not_see_each_others_scope(self):
-        injector = injector_for(FaultRule(FaultKind.WAL_APPEND, every=1, terminals=(1,)))
-        inside = threading.Event()
-        release = threading.Event()
-        seen = {}
-
-        def scoped():
-            with injector.scoped(terminal=1):
-                inside.set()
-                release.wait(timeout=5)
-                seen["scoped"] = injector.fire(SITE) is not None
-
-        def unscoped():
-            inside.wait(timeout=5)
-            seen["unscoped"] = injector.fire(SITE) is not None
-            release.set()
-
-        threads = [threading.Thread(target=scoped), threading.Thread(target=unscoped)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-        assert not any(thread.is_alive() for thread in threads)
-        assert seen == {"scoped": True, "unscoped": False}
-
-
-class TestThreadSafety:
-    def test_trigger_counters_exact_under_contention(self):
-        """every=100 fires exactly ops/100 times across 8 threads."""
-        injector = injector_for(
-            FaultRule(FaultKind.WAL_APPEND, every=100)
-        )
-        threads_n, per_thread = 8, 2_500
-        barrier = threading.Barrier(threads_n)
-
-        def hammer(terminal):
-            barrier.wait()
-            with injector.scoped(terminal=terminal):
-                for _ in range(per_thread):
-                    injector.fire(SITE)
-
-        threads = [
-            threading.Thread(target=hammer, args=(t,)) for t in range(threads_n)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        total = threads_n * per_thread
-        assert injector.operations(SITE) == total
-        assert injector.fired() == total // 100
-
-    def test_max_fires_cap_exact_under_contention(self):
-        injector = injector_for(
-            FaultRule(FaultKind.WAL_APPEND, every=2, max_fires=5)
-        )
-        barrier = threading.Barrier(4)
-
-        def hammer():
-            barrier.wait()
-            for _ in range(1_000):
-                injector.fire(SITE)
-
-        threads = [threading.Thread(target=hammer) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert injector.fired() == 5
-
-    def test_exemption_is_per_thread(self):
-        injector = injector_for(FaultRule(FaultKind.WAL_APPEND, every=1))
-        inside = threading.Event()
-        release = threading.Event()
-        other_fired = []
-
-        def exempted():
-            with injector.exempt():
-                inside.set()
-                release.wait(timeout=5)
-
-        def unshielded():
-            inside.wait(timeout=5)
-            other_fired.append(injector.fire(SITE) is not None)
-            release.set()
-
-        threads = [
-            threading.Thread(target=exempted),
-            threading.Thread(target=unshielded),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert other_fired == [True]  # the exempt thread shields only itself
-
-    def test_event_sequence_numbers_dense(self):
-        injector = injector_for(FaultRule(FaultKind.WAL_APPEND, every=3))
-
-        def hammer():
-            for _ in range(300):
-                injector.fire(SITE)
-
-        threads = [threading.Thread(target=hammer) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        sequences = [event[0] for event in injector.event_summary()]
-        assert sequences == list(range(1, len(sequences) + 1))

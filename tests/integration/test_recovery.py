@@ -37,7 +37,7 @@ class TestCrashDuringWorkload:
         executor = TpccExecutor(db=db, config=config, seed=1)
         executor.run_mix(transactions=60)
         expected = snapshot(db)
-        db.simulate_crash()
+        db.crash()
         db.recover()
         assert snapshot(db) == expected
 
@@ -47,7 +47,7 @@ class TestCrashDuringWorkload:
         executor.run_mix(transactions=30)
         expected = snapshot(db)
         for _ in range(3):
-            db.simulate_crash()
+            db.crash()
             db.recover()
         assert snapshot(db) == expected
 
@@ -75,7 +75,7 @@ class TestCrashDuringWorkload:
             },
         )
         db.checkpoint()  # the torn writes reach disk (steal)
-        db.simulate_crash()
+        db.crash()
         db.recover()
         assert snapshot(db) == expected
 
@@ -83,7 +83,7 @@ class TestCrashDuringWorkload:
         db, config = loaded
         executor = TpccExecutor(db=db, config=config, seed=4)
         executor.run_mix(transactions=30)
-        db.simulate_crash()
+        db.crash()
         db.recover()
         # A fresh executor must be able to keep processing.
         executor2 = TpccExecutor(db=db, config=config, seed=5)
@@ -96,7 +96,7 @@ class TestCrashDuringWorkload:
         orders_before = db.table("order").row_count
         executor.new_order()  # rolls back
         assert db.table("order").row_count == orders_before
-        db.simulate_crash()
+        db.crash()
         db.recover()
         assert db.table("order").row_count == orders_before
 

@@ -144,6 +144,6 @@ class TestEngineSeams:
         txn.insert("t", {"id": 1, "v": 10})
         txn.commit()
         with default_registry().collecting() as session:
-            db.simulate_crash()
+            db.crash()
             db.recover()
         assert session.snapshot.counter_total("engine.wal.replays_total") > 0

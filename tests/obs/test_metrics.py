@@ -306,46 +306,3 @@ class TestInstrumentKinds:
         data = json.loads(registry.snapshot().to_json())
         assert data["series"] == []  # nothing recorded yet
 
-
-class TestThreadSafety:
-    """Regression: increments are read-modify-write and used to race.
-
-    The concurrent driver records into one registry from every worker
-    thread; without the per-instrument lock a burst of increments
-    loses updates (two threads read the same old value).  These tests
-    hammer each instrument from eight threads and require the exact
-    total — flaky-by-construction without the lock, deterministic
-    with it.
-    """
-
-    THREADS = 8
-    ROUNDS = 5000
-
-    def _hammer(self, record):
-        import threading
-
-        threads = [
-            threading.Thread(
-                target=lambda: [record() for _ in range(self.ROUNDS)]
-            )
-            for _ in range(self.THREADS)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-    def test_counter_increments_are_not_lost(self, registry):
-        counter = registry.counter("c")
-        self._hammer(lambda: counter.inc(relation="stock"))
-        assert counter.value(relation="stock") == self.THREADS * self.ROUNDS
-
-    def test_gauge_increments_are_not_lost(self, registry):
-        gauge = registry.gauge("g")
-        self._hammer(lambda: gauge.inc())
-        assert gauge.value() == self.THREADS * self.ROUNDS
-
-    def test_histogram_observations_are_not_lost(self, registry):
-        histogram = registry.histogram("h")
-        self._hammer(lambda: histogram.observe(1.0))
-        assert histogram.count() == self.THREADS * self.ROUNDS

@@ -97,7 +97,7 @@ class TestCrashConsistency:
             open_txn = db.begin()
             apply_ops(open_txn, committed_state, in_flight_ops)
             db.checkpoint()  # its dirty pages reach disk, then the crash
-        db.simulate_crash()
+        db.crash()
         db.recover()
         assert table_state(db) == committed_state
 
@@ -114,10 +114,10 @@ class TestCrashConsistency:
                 committed_state = shadow
             else:
                 txn.abort()
-        db.simulate_crash()
+        db.crash()
         db.recover()
         first = table_state(db)
-        db.simulate_crash()
+        db.crash()
         db.recover()
         assert table_state(db) == first == committed_state
 
@@ -134,7 +134,7 @@ class TestCrashConsistency:
                 committed_state = shadow
             else:
                 txn.abort()
-        db.simulate_crash()
+        db.crash()
         db.recover()
         table = db.table("items")
         for key, row in committed_state.items():

@@ -136,7 +136,7 @@ class TestRedoIdempotence:
             else:
                 txn.abort()
 
-        db.simulate_crash()
+        db.crash()
         db.recover()
         recovered = {row["id"]: row for _, row in db.table("items").scan()}
 
