@@ -1,16 +1,15 @@
 """Database buffer-pool modeling (paper Section 4).
 
 Provides page-replacement policies (LRU as the paper assumes, plus
-FIFO/CLOCK/LFU/2Q extensions), a simulated buffer pool with per-relation
-hit statistics, the trace-driven miss-rate simulation with batch-means
-confidence intervals, and an analytic LRU approximation for
-cross-checking.
+FIFO/CLOCK/LFU/2Q extensions), the trace-driven miss-rate simulation
+with batch-means confidence intervals, and an analytic LRU
+approximation for cross-checking.
 
 The simulation runs on the dense array kernels of
-:mod:`repro.buffer.kernels` (:func:`make_kernel`).  The object pool
-(:class:`SimulatedBufferPool` + a policy object) is the reference the
-parity suites hold the kernels to, reference by reference; the engine's
-buffer manager uses the same policy objects.
+:mod:`repro.buffer.kernels` (:func:`make_kernel`).  The policy objects
+of :mod:`repro.buffer.policy` are what the engine's buffer manager
+runs on, and the reference the parity suites hold the kernels to,
+reference by reference.
 """
 
 from repro.buffer.analytic import che_characteristic_time, che_miss_rates
@@ -29,7 +28,6 @@ from repro.buffer.policy import (
     TwoQPolicy,
     make_policy,
 )
-from repro.buffer.pool import PoolStatistics, SimulatedBufferPool
 from repro.buffer.simulator import (
     BufferSimulation,
     MissRateReport,
@@ -47,10 +45,8 @@ __all__ = [
     "LruKPolicy",
     "LruPolicy",
     "MissRateReport",
-    "PoolStatistics",
     "RelationMissRate",
     "ReplacementPolicy",
-    "SimulatedBufferPool",
     "SimulationConfig",
     "TwoQPolicy",
     "che_characteristic_time",

@@ -239,8 +239,7 @@ class ArrayKernel:
     def evictions_by_relation(self) -> dict[int, int]:
         """Cumulative eviction tallies keyed by relation index.
 
-        Matches :attr:`repro.buffer.pool.PoolStatistics.evictions`'s
-        shape: relations that never lost a page are absent.
+        Relations that never lost a page are absent.
         """
         return {
             relation: count

@@ -6,12 +6,16 @@ difference between optimized packing of tuples and non-optimized
 packing"; the extra policies here (FIFO, CLOCK, LFU, 2Q and LRU-K)
 let the benchmark harness test that hypothesis.
 
-A policy tracks *which* pages are resident and picks victims; hit/miss
-accounting lives in :class:`repro.buffer.pool.SimulatedBufferPool`.
-All operations are O(1) or amortized O(log n).
+A policy tracks *which* pages are resident and picks victims; the
+caller does the hit/miss accounting (the engine's
+:class:`~repro.engine.bufferpool.BufferManager`).  All operations are
+O(1) or amortized O(log n).
 
-The page key type is deliberately generic (any hashable); the simulator
-uses ``(relation_index, page_number)`` tuples.
+The page key type is deliberately generic (any hashable); the engine
+uses :class:`~repro.engine.page.PageId`.  The simulator's array
+kernels (:mod:`repro.buffer.kernels`) implement the same policies over
+dense page ids, and ``tests/property/test_kernel_parity.py`` holds them
+to these objects reference by reference.
 """
 
 from __future__ import annotations

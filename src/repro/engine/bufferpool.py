@@ -11,11 +11,45 @@ be compared directly against the trace-driven buffer model.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from repro.buffer.policy import ReplacementPolicy, make_policy
-from repro.buffer.pool import PoolStatistics
 from repro.engine.errors import InjectedFaultError
 from repro.engine.page import Page, PageId, PageStore
 from repro.obs import instruments
+
+
+@dataclass
+class BufferStatistics:
+    """Hit/miss counters keyed by file id.
+
+    ``evictions`` stays empty: the buffer manager counts evictions in
+    the ``engine.buffer.evictions_total`` metric, with their outcome.
+    """
+
+    hits: dict[int, int] = field(default_factory=dict)
+    misses: dict[int, int] = field(default_factory=dict)
+    evictions: dict[int, int] = field(default_factory=dict)
+
+    def record(self, file_id: int, hit: bool) -> None:
+        table = self.hits if hit else self.misses
+        table[file_id] = table.get(file_id, 0) + 1
+
+    def accesses(self, file_id: int | None = None) -> int:
+        """Page requests, for one file or in total."""
+        if file_id is None:
+            return sum(self.hits.values()) + sum(self.misses.values())
+        return self.hits.get(file_id, 0) + self.misses.get(file_id, 0)
+
+    def miss_rate(self, file_id: int) -> float:
+        """Miss fraction of one file; 0.0 if it was never requested."""
+        total = self.accesses(file_id)
+        return self.misses.get(file_id, 0) / total if total else 0.0
+
+    def reset(self) -> None:
+        self.hits.clear()
+        self.misses.clear()
+        self.evictions.clear()
 
 
 class BufferManager:
@@ -52,7 +86,7 @@ class BufferManager:
         self._file_names: dict[int, str] = {}
         self._frames: dict[PageId, Page] = {}
         self._dirty: set[PageId] = set()
-        self._stats = PoolStatistics()
+        self._stats = BufferStatistics()
         self._injector = injector
         self.deferred_evictions = 0
 
@@ -87,7 +121,7 @@ class BufferManager:
         return len(self._frames)
 
     @property
-    def stats(self) -> PoolStatistics:
+    def stats(self) -> BufferStatistics:
         """Hit/miss counters keyed by file id."""
         return self._stats
 

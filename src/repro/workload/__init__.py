@@ -11,7 +11,6 @@ from repro.workload.access import relation_access_table
 from repro.workload.generator import InputGenerator
 from repro.workload.mix import DEFAULT_MIX, TransactionMix, TransactionType
 from repro.workload.schema import RELATIONS, RelationSpec, schema_table
-from repro.workload.state import WorkloadState
 from repro.workload.trace import PageReference, TraceConfig, TraceGenerator
 from repro.workload.tracefile import SavedTrace
 
@@ -26,7 +25,6 @@ __all__ = [
     "TraceGenerator",
     "TransactionMix",
     "TransactionType",
-    "WorkloadState",
     "relation_access_table",
     "schema_table",
 ]

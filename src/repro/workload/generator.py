@@ -56,10 +56,11 @@ class _BlockSampler:
     (:func:`_nurand_block`, :func:`_uniform_block`, :func:`_float_block`).
     Scalar numpy calls cost microseconds each; drawing a block and
     handing it out keeps the marginal distribution identical while
-    amortizing the call.  ``draw``/``draw_many`` hand out Python numbers
-    from a plain-list copy of the block (no per-call numpy scalar
-    boxing), made when a scalar draw first needs the current block:
-    columnar consumers (``draw_many_np``) never pay for it.  The first
+    amortizing the call.  ``draw``/``draw_many`` — the per-transaction
+    ``*Params`` methods — hand out Python numbers from a plain-list copy
+    of the block (no per-call numpy scalar boxing), made when a scalar
+    draw first needs the current block; the trace emitter reads whole
+    columns with ``draw_many_np`` and never pays for it.  The first
     refill is deferred to the first draw — a primitive that is never
     used consumes nothing — unless ``eager`` asks for it at
     construction.
@@ -164,8 +165,8 @@ def _float_block(rng: np.random.Generator) -> _BlockSampler:
 #: primitive gets its own child generator of the config's seed
 #: sequence, so a value depends only on how many draws *its* primitive
 #: has made — never on the interleaving across primitives.  That makes
-#: batched (columnar) consumption byte-identical to scalar consumption,
-#: which is what the vectorized trace emitter relies on.  The ``g_*``
+#: the values independent of how the draws are batched, which is what
+#: lets the trace emitter draw whole columns at a time.  The ``g_*``
 #: streams back the generic accessors (``uniform_warehouse`` etc.) so
 #: external draws don't perturb the per-transaction streams.
 SPLIT_STREAM_NAMES: tuple[str, ...] = (
@@ -483,47 +484,39 @@ class InputGenerator:
             self._g_float, self._g_customer, self._g_band, self._g_names
         )
 
-    # -- raw per-transaction emitters ---------------------------------------
-    #
-    # The ``*_raw`` methods return plain ints/tuples instead of the
-    # ``*Params`` dataclasses.  The trace generator's hot path consumes
-    # these directly; the public ``*Params`` constructors below are thin
-    # wrappers that draw from the same stream in the same order.
+    # -- per-transaction generators ----------------------------------------
 
-    def new_order_raw(
-        self,
-    ) -> tuple[int, int, int, list[int], tuple[int, ...] | None]:
-        """``(warehouse, district, customer, item_ids, supply)`` for New-Order.
+    def new_order(self) -> NewOrderParams:
+        """Inputs for one New-Order transaction.
 
-        ``supply`` is ``None`` in the common all-local case; otherwise a
-        tuple of per-line supply warehouses.
+        Draw order: warehouse, the line items, one remote flag per
+        line, a supply warehouse per flagged line, district, customer.
         """
         warehouse = self._no_warehouse.draw()
         count = self._items_per_order
         items = self._no_item.draw_many(count)
         remote_flags = self._no_flags.draw_many(count)
         p_remote = self._remote_stock_probability
-        supply: list[int] | None = None
-        if min(remote_flags) < p_remote:
-            for index, flag in enumerate(remote_flags):
-                if flag < p_remote:
-                    if supply is None:
-                        supply = [warehouse] * index
-                    supply.append(self._remote_from(self._no_remote, warehouse))
-                elif supply is not None:
-                    supply.append(warehouse)
-        district = self._no_district.draw()
-        customer = self._no_customer.draw()
-        return (
-            warehouse,
-            district,
-            customer,
-            items,
-            tuple(supply) if supply is not None else None,
+        lines = tuple(
+            OrderLineRequest(
+                item_id=item,
+                supply_warehouse=(
+                    self._remote_from(self._no_remote, warehouse)
+                    if flag < p_remote
+                    else warehouse
+                ),
+            )
+            for item, flag in zip(items, remote_flags)
+        )
+        return NewOrderParams(
+            warehouse=warehouse,
+            district=self._no_district.draw(),
+            customer=self._no_customer.draw(),
+            lines=lines,
         )
 
-    def payment_raw(self) -> tuple[int, int, int, int, bool, tuple[int, ...]]:
-        """``(w, d, customer_w, customer_d, by_name, tuples)`` for Payment."""
+    def payment(self) -> PaymentParams:
+        """Inputs for one Payment transaction."""
         warehouse = self._p_warehouse.draw()
         district = self._p_district_home.draw()
         if self._p_remote_float.draw() < self._remote_payment_probability:
@@ -535,66 +528,6 @@ class InputGenerator:
         by_name, tuples = self._customer_tuples_from(
             self._p_select_float, self._p_customer, self._p_band, self._p_names
         )
-        return (
-            warehouse,
-            district,
-            customer_warehouse,
-            customer_district,
-            by_name,
-            tuples,
-        )
-
-    def order_status_raw(self) -> tuple[int, int, bool, tuple[int, ...]]:
-        """``(warehouse, district, by_name, tuples)`` for Order-Status."""
-        by_name, tuples = self._customer_tuples_from(
-            self._os_select_float, self._os_customer, self._os_band, self._os_names
-        )
-        return self._os_warehouse.draw(), self._os_district.draw(), by_name, tuples
-
-    def delivery_raw(self) -> int:
-        """The carrier's warehouse for a Delivery transaction."""
-        return self._d_warehouse.draw()
-
-    def stock_level_raw(self) -> tuple[int, int, int]:
-        """``(warehouse, district, threshold)`` for Stock-Level."""
-        return (
-            self._sl_warehouse.draw(),
-            self._sl_district.draw(),
-            self._sl_threshold.draw(),
-        )
-
-    # -- per-transaction generators ----------------------------------------
-
-    def new_order(self) -> NewOrderParams:
-        """Inputs for one New-Order transaction."""
-        warehouse, district, customer, items, supply = self.new_order_raw()
-        if supply is None:
-            lines = tuple(
-                OrderLineRequest(item_id=item, supply_warehouse=warehouse)
-                for item in items
-            )
-        else:
-            lines = tuple(
-                OrderLineRequest(item_id=item, supply_warehouse=via)
-                for item, via in zip(items, supply)
-            )
-        return NewOrderParams(
-            warehouse=warehouse,
-            district=district,
-            customer=customer,
-            lines=lines,
-        )
-
-    def payment(self) -> PaymentParams:
-        """Inputs for one Payment transaction."""
-        (
-            warehouse,
-            district,
-            customer_warehouse,
-            customer_district,
-            by_name,
-            tuples,
-        ) = self.payment_raw()
         return PaymentParams(
             warehouse=warehouse,
             district=district,
@@ -606,23 +539,24 @@ class InputGenerator:
 
     def order_status(self) -> OrderStatusParams:
         """Inputs for one Order-Status transaction."""
-        warehouse, district, by_name, tuples = self.order_status_raw()
+        by_name, tuples = self._customer_tuples_from(
+            self._os_select_float, self._os_customer, self._os_band, self._os_names
+        )
         return OrderStatusParams(
-            warehouse=warehouse,
-            district=district,
+            warehouse=self._os_warehouse.draw(),
+            district=self._os_district.draw(),
             by_name=by_name,
             customer_tuples=tuples,
         )
 
     def delivery(self) -> DeliveryParams:
         """Inputs for one Delivery transaction."""
-        return DeliveryParams(warehouse=self.delivery_raw())
+        return DeliveryParams(warehouse=self._d_warehouse.draw())
 
     def stock_level(self) -> StockLevelParams:
         """Inputs for one Stock-Level transaction."""
-        warehouse, district, threshold = self.stock_level_raw()
         return StockLevelParams(
-            warehouse=warehouse,
-            district=district,
-            threshold=threshold,
+            warehouse=self._sl_warehouse.draw(),
+            district=self._sl_district.draw(),
+            threshold=self._sl_threshold.draw(),
         )

@@ -5,40 +5,33 @@ each customer, the last 20 orders for each district, and which tuples
 are in the New-Order relation"; Order-Status, Delivery and Stock-Level
 replay those tuples (the ``P(x)`` entries of Table 3).
 
-:class:`WorkloadState` maintains exactly that bookkeeping, plus the
-global append positions of the ever-growing Order, Order-Line, New-Order
-and History relations so appended tuples can be mapped to pages.  It is
-the object store of the scalar reference encoders (tests only);
-:class:`ColumnarOrderState` keeps the same bookkeeping as arrays and
-answers a whole planned chunk of transactions at once — the store the
-production trace emitter runs on.
+:class:`ColumnarOrderState` keeps exactly that bookkeeping as arrays,
+plus the global append positions of the ever-growing Order, Order-Line,
+New-Order and History relations so appended tuples can be mapped to
+pages, and answers a whole planned chunk of transactions at once.
+:class:`OrderRecord` is the value its diagnostic queries return.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.constants import DISTRICTS_PER_WAREHOUSE, STOCK_LEVEL_ORDERS
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class OrderRecord:
     """One placed order, with the append positions of its tuples.
 
     ``order_seq`` and ``line_start`` are 0-based global insertion
     positions in the Order and Order-Line relations; together with the
     tuples-per-page geometry they determine which pages the order's
-    tuples occupy.  ``new_order_seq`` is the position of the pending
-    entry in the New-Order relation (None once delivered).
-
-    Records compare by identity: each represents one concrete insertion
-    event, and the trace generator caches derived page encodings on the
-    instance (``ol_pages``/``sl_refs``), so two records are never
-    interchangeable.  The positional fields are never mutated.
+    tuples occupy.  ``new_order_seq`` is the position of its entry in
+    the New-Order relation (None for an initial order that was never
+    pending).
     """
 
     warehouse: int
@@ -48,226 +41,6 @@ class OrderRecord:
     line_start: int
     item_ids: tuple[int, ...]
     new_order_seq: int | None
-    #: Lazy cache (filled by the trace generator): per-line Order-Line
-    #: page term ``page << growing_shift``, untagged so every reader
-    #: (insert, delivery write, status/stock-level read) can add its own
-    #: relation/write tag.
-    ol_pages: list[int] | None = field(default=None, repr=False)
-    #: Lazy cache: Stock-Level's interleaved (Order-Line, Stock)
-    #: reference pairs for this order, fully tagged.  Stable because an
-    #: order is only ever scanned by its own district's Stock-Level.
-    sl_refs: list[int] | None = field(default=None, repr=False)
-    #: Optional plan-time cache: the fully tagged Customer page
-    #: reference Delivery emits for this order (the batch emitter
-    #: precomputes it column-wise; scalar-path records leave it None).
-    cust_ref: int | None = field(default=None, repr=False)
-
-    @property
-    def line_count(self) -> int:
-        return len(self.item_ids)
-
-    def line_seqs(self) -> range:
-        """Global Order-Line positions of this order's lines."""
-        return range(self.line_start, self.line_start + self.line_count)
-
-
-class WorkloadState:
-    """Mutable order bookkeeping for a TPC-C run.
-
-    The structure is deliberately simulation-oriented: it stores only
-    what the stateful transactions need (ids and append positions), not
-    row payloads — the executable engine in :mod:`repro.tpcc` stores
-    real rows.
-    """
-
-    def __init__(
-        self,
-        warehouses: int,
-        initial_orders_per_district: int = 0,
-        items_per_order: int = 10,
-        initial_pending_per_district: int = 0,
-    ):
-        if warehouses <= 0:
-            raise ValueError(f"warehouses must be positive, got {warehouses}")
-        if initial_orders_per_district < 0:
-            raise ValueError(
-                "initial_orders_per_district must be non-negative, got "
-                f"{initial_orders_per_district}"
-            )
-        if initial_pending_per_district < 0:
-            raise ValueError(
-                "initial_pending_per_district must be non-negative, got "
-                f"{initial_pending_per_district}"
-            )
-        self._warehouses = warehouses
-        self._initial_per_district = initial_orders_per_district
-        self._items_per_order = items_per_order
-        n_districts = warehouses * DISTRICTS_PER_WAREHOUSE
-        # The initial population (TPC-C loads one order per customer)
-        # occupies the first positions of the Order / Order-Line
-        # relations; live sequences continue after it.
-        initial_orders = n_districts * initial_orders_per_district
-        self._order_seq = initial_orders
-        self._line_seq = initial_orders * items_per_order
-        self._new_order_seq = n_districts * initial_pending_per_district
-        self._history_seq = 0
-        # Pending (undelivered) orders per district, oldest first.
-        self._pending: dict[tuple[int, int], deque[OrderRecord]] = {
-            (w, d): deque()
-            for w in range(1, warehouses + 1)
-            for d in range(1, DISTRICTS_PER_WAREHOUSE + 1)
-        }
-        # Most recent orders per district, for Stock-Level.
-        self._recent: dict[tuple[int, int], deque[OrderRecord]] = {
-            key: deque(maxlen=STOCK_LEVEL_ORDERS) for key in self._pending
-        }
-        # Last order per customer, for Order-Status.
-        self._last_order: dict[tuple[int, int, int], OrderRecord] = {}
-
-    # -- sizes ---------------------------------------------------------------
-
-    @property
-    def warehouses(self) -> int:
-        return self._warehouses
-
-    @property
-    def orders_placed(self) -> int:
-        """Total orders ever inserted (size of the Order relation)."""
-        return self._order_seq
-
-    @property
-    def order_lines_inserted(self) -> int:
-        return self._line_seq
-
-    @property
-    def history_rows(self) -> int:
-        return self._history_seq
-
-    @property
-    def new_order_inserts(self) -> int:
-        """Total tuples ever appended to the New-Order relation."""
-        return self._new_order_seq
-
-    def pending_count(self) -> int:
-        """Current size of the New-Order relation (pending orders)."""
-        return sum(len(queue) for queue in self._pending.values())
-
-    # -- mutations -----------------------------------------------------------
-
-    def place_order(
-        self, warehouse: int, district: int, customer: int, item_ids: tuple[int, ...]
-    ) -> OrderRecord:
-        """Record a New-Order: appends Order, New-Order and Order-Lines."""
-        self._check_district(warehouse, district)
-        record = OrderRecord(
-            warehouse=warehouse,
-            district=district,
-            customer=customer,
-            order_seq=self._order_seq,
-            line_start=self._line_seq,
-            item_ids=tuple(item_ids),
-            new_order_seq=self._new_order_seq,
-        )
-        self._order_seq += 1
-        self._line_seq += len(record.item_ids)
-        self._new_order_seq += 1
-        self._pending[(warehouse, district)].append(record)
-        self._recent[(warehouse, district)].append(record)
-        self._last_order[(warehouse, district, customer)] = record
-        return record
-
-    def record_payment(self) -> int:
-        """Record a Payment's History append; returns its position."""
-        seq = self._history_seq
-        self._history_seq += 1
-        return seq
-
-    def deliver_oldest(self, warehouse: int, district: int) -> OrderRecord | None:
-        """Pop the oldest pending order for a district (None if empty).
-
-        The benchmark allows a Delivery to find no pending order for a
-        district and skip it.
-        """
-        self._check_district(warehouse, district)
-        queue = self._pending[(warehouse, district)]
-        if not queue:
-            return None
-        return queue.popleft()
-
-    def register_initial_order(self, record: OrderRecord) -> None:
-        """Install a pre-existing (initially loaded) order.
-
-        Used when priming the trace: the record's sequence positions
-        must lie in the initial region (they are not checked), and the
-        live counters are not advanced.  The record becomes the
-        customer's last order, enters the district's recent list, and —
-        when it carries a ``new_order_seq`` — the pending queue.
-        """
-        key = (record.warehouse, record.district)
-        self._check_district(*key)
-        self._recent[key].append(record)
-        self._last_order[(record.warehouse, record.district, record.customer)] = record
-        if record.new_order_seq is not None:
-            self._pending[key].append(record)
-
-    # -- queries -------------------------------------------------------------
-
-    def last_order_of(
-        self, warehouse: int, district: int, customer: int
-    ) -> OrderRecord | None:
-        """Most recent order by a customer.
-
-        Falls back to the customer's *initial* order when they have not
-        ordered during the run: TPC-C's initial population gives every
-        customer ``c <= initial_orders_per_district`` exactly one order,
-        laid out district by district in customer order.  Returns None
-        only when no initial population was configured.
-        """
-        record = self._last_order.get((warehouse, district, customer))
-        if record is not None:
-            return record
-        return self._initial_order_of(warehouse, district, customer)
-
-    def _initial_order_of(
-        self, warehouse: int, district: int, customer: int
-    ) -> OrderRecord | None:
-        if self._initial_per_district == 0 or customer > self._initial_per_district:
-            return None
-        district_index = (warehouse - 1) * DISTRICTS_PER_WAREHOUSE + (district - 1)
-        order_seq = district_index * self._initial_per_district + (customer - 1)
-        # Synthesized on demand: item ids are placeholders (only the
-        # page positions matter for the transactions that read these).
-        return OrderRecord(
-            warehouse=warehouse,
-            district=district,
-            customer=customer,
-            order_seq=order_seq,
-            line_start=order_seq * self._items_per_order,
-            item_ids=(0,) * self._items_per_order,
-            new_order_seq=None,
-        )
-
-    def recent_orders(self, warehouse: int, district: int) -> tuple[OrderRecord, ...]:
-        """Up to the last 20 orders of a district, oldest first."""
-        self._check_district(warehouse, district)
-        return tuple(self._recent[(warehouse, district)])
-
-    def pending_orders(self, warehouse: int, district: int) -> tuple[OrderRecord, ...]:
-        """The district's pending orders, oldest first (read-only copy)."""
-        self._check_district(warehouse, district)
-        return tuple(self._pending[(warehouse, district)])
-
-    # -- internal ------------------------------------------------------------
-
-    def _check_district(self, warehouse: int, district: int) -> None:
-        if not 1 <= warehouse <= self._warehouses:
-            raise ValueError(
-                f"warehouse must be in [1, {self._warehouses}], got {warehouse}"
-            )
-        if not 1 <= district <= DISTRICTS_PER_WAREHOUSE:
-            raise ValueError(
-                f"district must be in [1, {DISTRICTS_PER_WAREHOUSE}], got {district}"
-            )
 
 
 class ChunkResolution(NamedTuple):
@@ -625,11 +398,6 @@ class ColumnarOrderState:
         index = self._district_index(warehouse, district)
         rows = self._arrivals[index, self._delivered[index] : self._arrived[index]]
         return tuple(self._record(index, row) for row in rows.tolist())
-
-    def primed_orders(self) -> Iterator[OrderRecord]:
-        """The primed initial orders, district by district, oldest first."""
-        for row in range(self._n_primed):
-            yield self._record(row // self._prime_orders, row)
 
     def _record(self, district_index: int, row: int) -> OrderRecord:
         warehouse, district = divmod(district_index, DISTRICTS_PER_WAREHOUSE)

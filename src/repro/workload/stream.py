@@ -1,26 +1,21 @@
 """Batched (vectorized) trace emission behind ``TraceGenerator.stream``.
 
-The scalar encoders in :mod:`repro.workload.trace` build one Python
-list of int-encoded references per transaction; at paper scale that
-list assembly — not the random draws — dominates trace-generation
-time.  This module emits whole *batches* of transactions as a single
-numpy array instead: :class:`VectorBatchEmitter` is the one production
-path, :class:`ScalarBatchEmitter` the reference the property suite
-holds it to.
+:class:`VectorBatchEmitter` emits whole *batches* of transactions as a
+single numpy array of int-encoded references: it draws the inputs of a
+chunk of transactions column by column, resolves the chunk's order
+bookkeeping at once and assembles the references group by group.
+There is no per-transaction Python on this path.
 
-Equivalence argument (the batch path is byte-identical to the scalar
-reference): the trace's :class:`~repro.workload.generator.InputGenerator`
-runs in split-stream mode, where every draw primitive owns an
-independent child generator (see
-:data:`~repro.workload.generator.SPLIT_STREAM_NAMES`), so a drawn
+Why the batch cuts do not matter: the trace's
+:class:`~repro.workload.generator.InputGenerator` runs in split-stream
+mode, where every draw primitive owns an independent child generator
+(see :data:`~repro.workload.generator.SPLIT_STREAM_NAMES`), so a drawn
 value depends only on how many draws *its own* primitive has made —
-never on the interleaving across primitives.  The chunk planner
-consumes each substream in the same within-substream order as the
-scalar ``*_raw()`` methods (transaction order, and line order within a
-transaction), just grouped into whole-column ``draw_many_np`` calls;
-the underlying numpy bit streams are therefore consumed identically.
-Chunks cover a fixed number of transactions and carry over across
-batches, so the emitted trace is independent of ``batch_size``.
+never on the interleaving across primitives.  The planner consumes
+each substream in transaction order, and in line order within a
+transaction, in whole-column ``draw_many_np`` calls.  Chunks cover a
+fixed number of transactions and carry over across batches, so the
+emitted trace is independent of ``batch_size`` and of the chunk size.
 
 The order state is resolved a whole chunk at a time by
 :class:`~repro.workload.state.ColumnarOrderState`, and that is
@@ -41,10 +36,11 @@ minimum, not a loop.  Every reference count is thus known when a chunk
 is planned, the chunk's references are assembled column-wise into one
 array in transaction order, and a batch is a cut of it.  The insertion
 counters behind ``highest_page_id`` still advance by what each batch
-*emitted*.  The property suite asserts byte identity of the resulting
-blocks per seed, and an independent ``deque``/``dict`` oracle
+*emitted*.  ``tests/property/test_stream_equivalence.py`` pins SHA-256
+digests of the emitted blocks (and every batch's ``highest_page_id``)
+for six configurations, and an independent ``deque``/``dict`` oracle
 (``tests/property/test_order_state_oracle.py``) checks the resolution
-itself.
+itself at several chunk sizes.
 """
 
 from __future__ import annotations
@@ -87,9 +83,8 @@ PLAN_CHUNK_TRANSACTIONS = 4096
 MIN_PLAN_TRANSACTIONS = 256
 
 # Relation indexes, mirroring ``trace.RELATION_NAMES`` order (this
-# module cannot import trace at runtime — trace imports it); the
-# byte-identity suite compares ``tx_accesses`` against the scalar
-# path, which pins these values.
+# module cannot import trace at runtime — trace imports it); the pinned
+# digests cover ``tx_accesses``, which is built from these values.
 _REL_DISTRICT = 1
 _REL_CUSTOMER = 2
 _REL_STOCK = 3
@@ -183,10 +178,9 @@ def select_payment_customers(
     mask, the by-id customers in occurrence order, one row of
     ``TUPLES_PER_NAME_SELECT`` ids per by-name selection, and per row
     the column that takes the write (the first occurrence of the median
-    id, as in the scalar ``tpl.index(sorted(tpl)[mid])``).  Each
-    substream is consumed exactly as the scalar
-    ``_customer_tuples_from`` does per transaction: selection floats,
-    by-id customers, bands, then each band's names in occurrence order.
+    id).  Each substream is consumed in transaction order: selection
+    floats, by-id customers, bands, then each band's names in
+    occurrence order.
     """
     by_name = select_float.draw_many_np(count) < SELECT_BY_NAME_PROBABILITY
     n_by = int(np.count_nonzero(by_name))
@@ -205,49 +199,6 @@ def select_payment_customers(
     median = np.sort(name_mat, axis=1)[:, tuple_count // 2]
     write_col = np.argmax(name_mat == median[:, None], axis=1)
     return by_name, singles, name_mat, write_col
-
-
-class ScalarBatchEmitter:
-    """Reference batch builder over the scalar per-transaction encoders.
-
-    Byte-for-byte this is the pre-vectorization trace: it simply
-    concatenates ``_transaction_encoded`` outputs.  The property suite
-    compares its batches against :class:`VectorBatchEmitter`'s.
-    """
-
-    def __init__(self, trace: "TraceGenerator"):
-        self._trace = trace
-
-    def next_batch(
-        self, *, min_refs: int | None = None, transactions: int | None = None
-    ) -> EncodedBatch:
-        trace = self._trace
-        refs: list[int] = []
-        tx_indices: list[int] = []
-        tx_lengths: list[int] = []
-        tx_accesses = np.zeros((_N_TYPES, 9), dtype=np.int64)
-        acc = tx_accesses.tolist()
-        produced = 0
-        while (
-            produced < transactions
-            if transactions is not None
-            else len(refs) < (min_refs if min_refs is not None else DEFAULT_BATCH_SIZE)
-        ):
-            tx_index, tx_refs, counts = trace._transaction_encoded()
-            refs += tx_refs
-            tx_indices.append(tx_index)
-            tx_lengths.append(len(tx_refs))
-            row = acc[tx_index]
-            for relation in range(9):
-                row[relation] += counts[relation]
-            produced += 1
-        return EncodedBatch(
-            _empty_i64(refs),
-            _empty_i64(tx_indices),
-            _empty_i64(tx_lengths),
-            np.array(acc, dtype=np.int64),
-            trace._highest_page_id_of(trace._state),
-        )
 
 
 class _PlannedChunk:
@@ -391,8 +342,8 @@ class VectorBatchEmitter:
         sl_district = (sl_w - 1) * DISTRICTS_PER_WAREHOUSE + (
             generator._sl_district.draw_many_np(n_sl) - 1
         )
-        # Threshold draws are consumed (stream parity) but unused by
-        # the encoder, exactly like the scalar path.
+        # Threshold draws are consumed (the substream stays in step with
+        # the transactions) but do not change which pages are touched.
         generator._sl_threshold.draw_many_np(n_sl)
 
         resolved = self._state.resolve_chunk(
@@ -457,10 +408,10 @@ class VectorBatchEmitter:
     def _plan_payments(self, count: int) -> tuple[np.ndarray, ...]:
         """Input columns of ``count`` Payments.
 
-        Substream consumption order matches the scalar ``payment_raw``
-        exactly: warehouse, home district, remote floats, remote
-        warehouses, remote districts, selection floats, by-id
-        customers, bands, then each band's names in occurrence order.
+        Each substream is consumed in transaction order: warehouse,
+        home district, remote floats, remote warehouses, remote
+        districts, selection floats, by-id customers, bands, then each
+        band's names in occurrence order.
         """
         generator = self._trace._generator
         warehouse = generator._p_warehouse.draw_many_np(count)

@@ -35,7 +35,6 @@ from repro.core.packing import (
     RandomPacking,
     SequentialPacking,
 )
-from repro.errors import InvariantViolationError
 from repro.workload.generator import InputGenerator
 from repro.workload.mix import (
     DEFAULT_MIX,
@@ -44,7 +43,7 @@ from repro.workload.mix import (
     TransactionType,
 )
 from repro.workload.schema import RELATIONS
-from repro.workload.state import ColumnarOrderState, OrderRecord, WorkloadState
+from repro.workload.state import ColumnarOrderState
 from repro.workload.stream import (
     DEFAULT_BATCH_SIZE,
     STREAM_FORMATS,
@@ -311,8 +310,7 @@ class TraceGenerator:
         # One shared generator covers the mix sampling and the one-shot
         # priming draw; every per-transaction input primitive runs on
         # its own substream spawned from the same seed (split-stream
-        # mode), so the batch emitter and the scalar reference encoders
-        # consume identical per-primitive value sequences.
+        # mode), so the batch emitter can draw each one column-wise.
         self._rng = np.random.default_rng(config.seed)
         self._generator = InputGenerator(
             config.warehouses,
@@ -389,10 +387,9 @@ class TraceGenerator:
         self._customer_ppb = self._customer_layout.pages_per_block
         self._stock_ppb = self._stock_layout.pages_per_block
 
-        # Buffered transaction-type sampling (rng.choice is slow per call):
-        # the planner slices the array, the scalar reference indexes the list.
+        # Buffered transaction-type sampling (rng.choice is slow per
+        # call): the planner slices the array.
         self._mix_array = np.empty(0, dtype=np.int64)
-        self._mix_buffer: list[int] = []
         self._mix_next = 0
 
         # Int-encoded reference plumbing.  A reference is
@@ -431,7 +428,6 @@ class TraceGenerator:
         self._tag_district_w = static_tag(_DISTRICT, True)
         self._tag_customer_r = static_tag(_CUSTOMER, False)
         self._tag_customer_w = static_tag(_CUSTOMER, True)
-        self._tag_stock_r = static_tag(_STOCK, False)
         self._tag_stock_w = static_tag(_STOCK, True)
         self._tag_item_r = static_tag(_ITEM, False)
         self._tag_order_r = growing_tag(_ORDER, False)
@@ -446,26 +442,18 @@ class TraceGenerator:
 
         # Per-tuple encoded-reference tables: the full reference for
         # tuple ``t`` is ``(block_base << 5) + table[t - 1]``, turning
-        # the hot emitters' page lookup + shift + tag into one indexed
-        # add.  (Item needs no block base; its table holds full refs.)
+        # the emitter's page lookup + shift + tag into one indexed add.
+        # (Item needs no block base; its table holds full refs.)
         item_pages = item_local_np << REF_PID_SHIFT
         stock_pages = stock_local_np << REF_PID_SHIFT
         customer_pages = customer_local_np << REF_PID_SHIFT
         self._item_ref_r_np = item_pages + self._tag_item_r
-        self._stock_off_r_np = stock_pages + self._tag_stock_r
         self._stock_off_w_np = stock_pages + self._tag_stock_w
         self._customer_off_r_np = customer_pages + self._tag_customer_r
         self._customer_off_w_np = customer_pages + self._tag_customer_w
-        # The scalar reference encoders index plain-list copies of
-        # these tables (per-reference numpy indexing costs more than a
-        # list index); they are materialised lazily on first scalar use
-        # so the batch path never pays the conversion; likewise the
-        # reference's object order store.
-        self._scalar_tables: tuple[list[int], ...] | None = None
-        self._scalar_state: WorkloadState | None = None
 
-        # Per-transaction access counts by relation index; the fixed-shape
-        # transactions share cached tuples, the variable ones build lists.
+        # Per-transaction access counts by relation index of the
+        # fixed-shape transactions (the emitter scales the others).
         lines = config.items_per_order
         self._counts_new_order = (1, 1, 1, lines, lines, 1, 1, lines, 0)
         self._counts_payment_one = (1, 1, 1, 0, 0, 0, 0, 0, 1)
@@ -514,50 +502,6 @@ class TraceGenerator:
             "item": self._item_layout.n_pages,
         }
 
-    # -- scalar-path reference tables ---------------------------------------------
-
-    def _scalar_ref_tables(self) -> tuple[list[int], ...]:
-        tables = self._scalar_tables
-        if tables is None:
-            tables = (
-                self._item_ref_r_np.tolist(),
-                self._stock_off_r_np.tolist(),
-                self._stock_off_w_np.tolist(),
-                self._customer_off_r_np.tolist(),
-                self._customer_off_w_np.tolist(),
-            )
-            self._scalar_tables = tables
-        return tables
-
-    @property
-    def _item_ref_r(self) -> list[int]:
-        return self._scalar_ref_tables()[0]
-
-    @property
-    def _stock_off_r(self) -> list[int]:
-        return self._scalar_ref_tables()[1]
-
-    @property
-    def _stock_off_w(self) -> list[int]:
-        return self._scalar_ref_tables()[2]
-
-    @property
-    def _customer_off_r(self) -> list[int]:
-        return self._scalar_ref_tables()[3]
-
-    @property
-    def _customer_off_w(self) -> list[int]:
-        return self._scalar_ref_tables()[4]
-
-    # -- page helpers (diagnostics; the emitters use the reference tables) --------
-
-    def _customer_page(self, warehouse: int, district: int, customer: int) -> int:
-        block = (warehouse - 1) * DISTRICTS_PER_WAREHOUSE + (district - 1)
-        return self._customer_layout.page_of(block, customer)
-
-    def _stock_page(self, warehouse: int, item: int) -> int:
-        return self._stock_layout.page_of(warehouse - 1, item)
-
     # -- priming -----------------------------------------------------------------
 
     def _prime_state(self) -> ColumnarOrderState:
@@ -581,23 +525,6 @@ class TraceGenerator:
                 1, config.items + 1, size=(n_primed, config.items_per_order)
             ),
         )
-
-    @property
-    def _state(self) -> WorkloadState:
-        """The scalar reference's object store, primed on first use with
-        the same orders (and item ids) as the columnar one."""
-        state = self._scalar_state
-        if state is None:
-            config = self._config
-            state = self._scalar_state = WorkloadState(
-                config.warehouses,
-                initial_orders_per_district=config.customers_per_district,
-                items_per_order=config.items_per_order,
-                initial_pending_per_district=config.prime_pending,
-            )
-            for record in self._orders.primed_orders():
-                state.register_initial_order(record)
-        return state
 
     # -- per-transaction reference generation -------------------------------------
 
@@ -732,23 +659,14 @@ class TraceGenerator:
 
     def _refill_mix(self) -> None:
         self._mix_array = self._mix.sample_array(self._rng, 8192)
-        self._mix_buffer = self._mix_array.tolist()
         self._mix_next = 0
-
-    def _next_tx_index(self) -> int:
-        """The next transaction type index from the buffered mix stream."""
-        if self._mix_next >= len(self._mix_buffer):
-            self._refill_mix()
-        index = self._mix_next
-        self._mix_next = index + 1
-        return self._mix_buffer[index]
 
     def _next_tx_indices(self, count: int) -> np.ndarray:
         """``count`` mix draws in bulk, off the same buffered stream.
 
-        Slices the scalar reference's refill buffer (refilling in the same
-        8192-draw blocks), so bulk and one-at-a-time consumption read
-        the identical sample sequence.
+        Slices the buffered mix array, refilling it in 8192-draw blocks,
+        so the sample sequence does not depend on how the planner
+        splits its requests.
         """
         parts: list[np.ndarray] = []
         while count:
@@ -760,22 +678,6 @@ class TraceGenerator:
             self._mix_next = index + take
             count -= take
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    def _transaction_encoded(self) -> tuple[int, list[int], Sequence[int]]:
-        """Draw one transaction in int-encoded form (the scalar reference).
-
-        Returns ``(tx_index, refs, counts)``: the transaction's position
-        in :data:`TRANSACTION_ORDER`, its references encoded as
-        ``(page_id << 5) | (relation << 1) | write`` ints, and its
-        access counts indexed by relation.  Only
-        :class:`~repro.workload.stream.ScalarBatchEmitter` calls this —
-        the reference the property suite holds the batch emitter to;
-        both consume the same underlying draws, so they emit the
-        identical trace.
-        """
-        tx_index = self._next_tx_index()
-        refs, counts = _ENCODERS[tx_index](self)
-        return tx_index, refs, counts
 
     def references(self, transactions: int) -> Iterator[PageReference]:
         """The references of the next ``transactions`` transactions, flat."""
@@ -791,292 +693,16 @@ class TraceGenerator:
         chunks planned — so this is O(1).  The simulator calls it once
         per batch to pre-size the kernels' page tables.
         """
-        return self._highest_page_id_of(self._orders)
-
-    def _highest_page_id_of(self, state: ColumnarOrderState | WorkloadState) -> int:
+        orders = self._orders
         growing = max(
-            (state.orders_placed // self._tpp_order) * N_GROWING_RELATIONS
+            (orders.orders_placed // self._tpp_order) * N_GROWING_RELATIONS
             + (_ORDER - N_STATIC_RELATIONS),
-            (state.new_order_inserts // self._tpp_new_order) * N_GROWING_RELATIONS
+            (orders.new_order_inserts // self._tpp_new_order) * N_GROWING_RELATIONS
             + (_NEW_ORDER - N_STATIC_RELATIONS),
-            (state.order_lines_inserted // self._tpp_order_line)
+            (orders.order_lines_inserted // self._tpp_order_line)
             * N_GROWING_RELATIONS
             + (_ORDER_LINE - N_STATIC_RELATIONS),
-            (state.history_rows // self._tpp_history) * N_GROWING_RELATIONS
+            (orders.history_rows // self._tpp_history) * N_GROWING_RELATIONS
             + (_HISTORY - N_STATIC_RELATIONS),
         )
         return self._space.static_total + growing
-
-    def _ol_pages_of(self, record: OrderRecord) -> list[int]:
-        """Per-line Order-Line page terms ``page << growing_shift``.
-
-        Built once per record and cached on it: an order's lines are
-        touched by its New-Order insert, at most one Delivery, and any
-        number of Order-Status and Stock-Level scans — all reading the
-        same pages, each adding its own relation/write tag.
-        """
-        pages = record.ol_pages
-        if pages is None:
-            line_tpp = self._tpp_order_line
-            gshift = self._growing_shift
-            page, rem = divmod(record.line_start, line_tpp)
-            count = len(record.item_ids)
-            if rem + count <= line_tpp:
-                # Common case: all lines land on one Order-Line page.
-                pages = [page << gshift] * count
-            else:
-                pages = []
-                append = pages.append
-                value = page << gshift
-                for _ in range(count):
-                    append(value)
-                    rem += 1
-                    if rem == line_tpp:
-                        rem = 0
-                        page += 1
-                        value = page << gshift
-            record.ol_pages = pages
-        return pages
-
-    def _new_order_encoded(self) -> tuple[list[int], Sequence[int]]:
-        warehouse, district, customer, items, supply = (
-            self._generator.new_order_raw()
-        )
-        customer_base5 = (
-            ((warehouse - 1) * DISTRICTS_PER_WAREHOUSE + (district - 1))
-            * self._customer_ppb
-        ) << 5
-        refs = [
-            (((warehouse - 1) // self._warehouse_tpp) << 5) + self._tag_warehouse_r,
-            (
-                (
-                    ((warehouse - 1) * DISTRICTS_PER_WAREHOUSE + district - 1)
-                    // self._district_tpp
-                )
-                << 5
-            )
-            + self._tag_district_w,
-            customer_base5 + self._customer_off_r[customer - 1],
-        ]
-        record = self._state.place_order(warehouse, district, customer, tuple(items))
-        gshift = self._growing_shift
-        refs.append((record.order_seq // self._tpp_order << gshift) + self._tag_order_w)
-        if record.new_order_seq is None:
-            raise InvariantViolationError(
-                "place_order returned a record without a new-order sequence"
-            )
-        refs.append(
-            (record.new_order_seq // self._tpp_new_order << gshift)
-            + self._tag_new_order_w
-        )
-        append = refs.append
-        item_ref = self._item_ref_r
-        stock_off = self._stock_off_w
-        line_tpp = self._tpp_order_line
-        # One divmod locates the first line's page; the loop then steps
-        # by remainder, so the common whole-order-on-one-page case costs
-        # one add and one compare per line instead of a division.
-        page, rem = divmod(record.line_start, line_tpp)
-        ol_ref = (page << gshift) + self._tag_order_line_w
-        if supply is None:
-            stock_base5 = ((warehouse - 1) * self._stock_ppb) << 5
-            for item in items:
-                append(item_ref[item - 1])
-                append(stock_base5 + stock_off[item - 1])
-                append(ol_ref)
-                rem += 1
-                if rem == line_tpp:
-                    rem = 0
-                    page += 1
-                    ol_ref = (page << gshift) + self._tag_order_line_w
-        else:
-            stock_ppb = self._stock_ppb
-            for item, via in zip(items, supply):
-                append(item_ref[item - 1])
-                append((((via - 1) * stock_ppb) << 5) + stock_off[item - 1])
-                append(ol_ref)
-                rem += 1
-                if rem == line_tpp:
-                    rem = 0
-                    page += 1
-                    ol_ref = (page << gshift) + self._tag_order_line_w
-        return refs, self._counts_new_order
-
-    def _payment_encoded(self) -> tuple[list[int], Sequence[int]]:
-        (
-            warehouse,
-            district,
-            customer_warehouse,
-            customer_district,
-            _by_name,
-            tuples,
-        ) = self._generator.payment_raw()
-        refs = [
-            (((warehouse - 1) // self._warehouse_tpp) << 5) + self._tag_warehouse_w,
-            (
-                (
-                    ((warehouse - 1) * DISTRICTS_PER_WAREHOUSE + district - 1)
-                    // self._district_tpp
-                )
-                << 5
-            )
-            + self._tag_district_w,
-        ]
-        customer_base5 = (
-            (
-                (customer_warehouse - 1) * DISTRICTS_PER_WAREHOUSE
-                + (customer_district - 1)
-            )
-            * self._customer_ppb
-        ) << 5
-        if len(tuples) == 1:
-            refs.append(customer_base5 + self._customer_off_w[tuples[0] - 1])
-            counts: Sequence[int] = self._counts_payment_one
-        else:
-            # The selected tuple (the median, as in Params.selected_customer)
-            # is written exactly once, at its first occurrence.
-            selected = sorted(tuples)[len(tuples) // 2]
-            update_pending = True
-            off_read = self._customer_off_r
-            off_write = self._customer_off_w
-            for customer in tuples:
-                if update_pending and customer == selected:
-                    update_pending = False
-                    refs.append(customer_base5 + off_write[customer - 1])
-                else:
-                    refs.append(customer_base5 + off_read[customer - 1])
-            counts = self._counts_payment_many
-        refs.append(
-            (self._state.record_payment() // self._tpp_history << self._growing_shift)
-            + self._tag_history_w
-        )
-        return refs, counts
-
-    def _order_status_encoded(self) -> tuple[list[int], Sequence[int]]:
-        warehouse, district, _by_name, tuples = self._generator.order_status_raw()
-        return self._order_status_refs(warehouse, district, tuples)
-
-    def _order_status_refs(
-        self, warehouse: int, district: int, tuples: Sequence[int]
-    ) -> tuple[list[int], Sequence[int]]:
-        customer_base5 = (
-            ((warehouse - 1) * DISTRICTS_PER_WAREHOUSE + (district - 1))
-            * self._customer_ppb
-        ) << 5
-        customer_off = self._customer_off_r
-        refs = [
-            customer_base5 + customer_off[customer - 1] for customer in tuples
-        ]
-        counts = [0, 0, len(tuples), 0, 0, 0, 0, 0, 0]
-        selected = sorted(tuples)[len(tuples) // 2]
-        record = self._state.last_order_of(warehouse, district, selected)
-        if record is not None:
-            gshift = self._growing_shift
-            refs.append(
-                (record.order_seq // self._tpp_order << gshift) + self._tag_order_r
-            )
-            tag_line = self._tag_order_line_r
-            refs += [page + tag_line for page in self._ol_pages_of(record)]
-            counts[_ORDER] = 1
-            counts[_ORDER_LINE] = len(record.item_ids)
-        return refs, counts
-
-    def _delivery_encoded(self) -> tuple[list[int], Sequence[int]]:
-        return self._delivery_refs(self._generator.delivery_raw())
-
-    def _delivery_refs(self, warehouse: int) -> tuple[list[int], Sequence[int]]:
-        refs: list[int] = []
-        append = refs.append
-        gshift = self._growing_shift
-        tag_line = self._tag_order_line_w
-        customer_ppb = self._customer_ppb
-        customer_off = self._customer_off_w
-        delivered = 0
-        lines = 0
-        for district in range(1, DISTRICTS_PER_WAREHOUSE + 1):
-            record = self._state.deliver_oldest(warehouse, district)
-            if record is None:
-                continue
-            if record.new_order_seq is None:
-                raise InvariantViolationError(
-                    "deliver_oldest returned a record without a new-order "
-                    "sequence"
-                )
-            delivered += 1
-            append(
-                (record.new_order_seq // self._tpp_new_order << gshift)
-                + self._tag_new_order_w
-            )
-            append((record.order_seq // self._tpp_order << gshift) + self._tag_order_w)
-            refs += [page + tag_line for page in self._ol_pages_of(record)]
-            lines += len(record.item_ids)
-            customer_base5 = (
-                (
-                    (record.warehouse - 1) * DISTRICTS_PER_WAREHOUSE
-                    + (record.district - 1)
-                )
-                * customer_ppb
-            ) << 5
-            append(customer_base5 + customer_off[record.customer - 1])
-        counts = [0] * 9
-        counts[_CUSTOMER] = delivered
-        counts[_ORDER] = delivered
-        counts[_NEW_ORDER] = delivered
-        counts[_ORDER_LINE] = lines
-        return refs, counts
-
-    def _stock_level_encoded(self) -> tuple[list[int], Sequence[int]]:
-        warehouse, district, _threshold = self._generator.stock_level_raw()
-        return self._stock_level_refs(warehouse, district)
-
-    def _stock_level_refs(
-        self, warehouse: int, district: int
-    ) -> tuple[list[int], Sequence[int]]:
-        refs = [
-            (
-                (
-                    ((warehouse - 1) * DISTRICTS_PER_WAREHOUSE + district - 1)
-                    // self._district_tpp
-                )
-                << 5
-            )
-            + self._tag_district_r
-        ]
-        stock_base5 = ((warehouse - 1) * self._stock_ppb) << 5
-        stock_off = self._stock_off_r
-        tag_line = self._tag_order_line_r
-        lines = 0
-        for record in self._state.recent_orders(warehouse, district):
-            pairs = record.sl_refs
-            if pairs is None:
-                pairs = []
-                append = pairs.append
-                for ol_page, item_id in zip(
-                    self._ol_pages_of(record), record.item_ids
-                ):
-                    append(ol_page + tag_line)
-                    append(stock_base5 + stock_off[item_id - 1])
-                record.sl_refs = pairs
-            refs += pairs
-            lines += len(record.item_ids)
-        counts = [0] * 9
-        counts[_DISTRICT] = 1
-        counts[_ORDER_LINE] = lines
-        counts[_STOCK] = lines
-        return refs, counts
-
-
-#: The scalar reference encoder of each transaction type, by mix-sampler index.
-#: Plain functions called with the generator (not bound methods stored
-#: on it), so a generator holds no reference to itself and is freed by
-#: reference count alone.
-_ENCODERS = tuple(
-    {
-        TransactionType.NEW_ORDER: TraceGenerator._new_order_encoded,
-        TransactionType.PAYMENT: TraceGenerator._payment_encoded,
-        TransactionType.ORDER_STATUS: TraceGenerator._order_status_encoded,
-        TransactionType.DELIVERY: TraceGenerator._delivery_encoded,
-        TransactionType.STOCK_LEVEL: TraceGenerator._stock_level_encoded,
-    }[tx_type]
-    for tx_type in TRANSACTION_ORDER
-)

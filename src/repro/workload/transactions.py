@@ -2,8 +2,9 @@
 
 These are the values a terminal would submit (paper Section 2.2).  The
 stateful parts of a transaction — which order is a customer's latest,
-which pending order Delivery picks — live in
-:class:`repro.workload.state.WorkloadState`, not here.
+which pending order Delivery picks — live in the order bookkeeping
+(:class:`repro.workload.state.ColumnarOrderState` for the trace, the
+tables themselves for the executable engine), not here.
 """
 
 from __future__ import annotations

@@ -8,10 +8,11 @@ from repro.buffer.analytic import (
     che_hit_probabilities,
     che_miss_rates,
 )
-from repro.buffer.pool import SimulatedBufferPool
 from repro.buffer.policy import LruPolicy
 from repro.core.nurand import exact_pmf
 from repro.stats.distribution import DiscreteDistribution
+
+from .policy_replay import replay
 
 
 class TestCharacteristicTime:
@@ -79,15 +80,12 @@ class TestCheMissRates:
         capacity = 120
         analytic = che_miss_rates({"r": pmf}, {"r": 1.0}, capacity)["r"]
 
-        pool = SimulatedBufferPool(LruPolicy(capacity))
+        policy = LruPolicy(capacity)
         ids = pmf.sample(rng, size=120_000)
-        pages = ids - 1  # one tuple per page for this test
-        for page in pages[:20_000]:
-            pool.access(0, int(page))
-        pool.reset_stats()
-        for page in pages[20_000:]:
-            pool.access(0, int(page))
-        simulated = pool.stats.miss_rate(0)
+        keys = [(0, page) for page in (ids - 1).tolist()]  # one tuple per page
+        replay(policy, keys[:20_000])
+        hits, misses, _ = replay(policy, keys[20_000:])
+        simulated = misses[0] / (hits[0] + misses[0])
         assert analytic == pytest.approx(simulated, abs=0.03)
 
     def test_large_capacity_near_zero_miss(self):

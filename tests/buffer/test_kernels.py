@@ -5,7 +5,8 @@ The exhaustive stream-level parity checks live in
 registry, the dense page-id interning, table growth, the bound on
 every kernel's state, the simulator's policy validation, and parity of
 the simulator's report and the kernels' shared tally with a replay of
-the same trace through the reference object pool.
+the same trace through the reference policy object
+(``tests/buffer/policy_replay.py``).
 """
 
 import collections
@@ -26,7 +27,6 @@ from repro.buffer.kernels import (
     make_kernel,
 )
 from repro.buffer.policy import make_policy
-from repro.buffer.pool import SimulatedBufferPool
 from repro.buffer.simulator import BufferSimulation, SimulationConfig
 from repro.obs.metrics import default_registry
 from repro.workload.mix import TRANSACTION_ORDER
@@ -40,6 +40,8 @@ from repro.workload.trace import (
     TraceConfig,
     TraceGenerator,
 )
+
+from .policy_replay import replay
 
 
 def small_space() -> PageIdSpace:
@@ -58,33 +60,40 @@ def quick_config(**overrides):
     return SimulationConfig(**defaults)
 
 
-def pool_replay(config: SimulationConfig):
-    """The run's trace through the reference object pool, public API only.
+def page_keys(space: PageIdSpace, refs) -> list[tuple[int, int]]:
+    relation, page, _ = space.decode_ref_arrays(refs)
+    return list(zip(relation.tolist(), page.tolist()))
+
+
+def policy_replay(config: SimulationConfig):
+    """The run's trace through the reference policy object, public API only.
 
     Same warm-up and measurement windows as ``BufferSimulation.run``.
-    Returns the pool's measured statistics (hits, misses and evictions
-    by relation index), the miss rate of every (transaction type,
-    relation) pair, as ``MissRateReport.by_transaction`` keys them, and
-    the misses behind those rates, as a kernel's ``tx_misses`` lays
-    them out.
+    Returns the measured ``(hits, misses, evictions)`` by relation
+    index, the miss rate of every (transaction type, relation) pair, as
+    ``MissRateReport.by_transaction`` keys them, and the misses behind
+    those rates, as a kernel's ``tx_misses`` lays them out.
     """
     trace = TraceGenerator(config.trace)
     space = trace.page_id_space
-    pool = SimulatedBufferPool(make_policy(config.policy, config.buffer_pages))
-    pool.access_encoded(
-        trace.encoded_batch(min_refs=config.effective_warmup).refs, space
-    )
-    pool.reset_stats()
+    policy = make_policy(config.policy, config.buffer_pages)
+    warmup = trace.encoded_batch(min_refs=config.effective_warmup)
+    replay(policy, page_keys(space, warmup.refs))
+    totals = (collections.Counter(), collections.Counter(), collections.Counter())
     tx_accesses = collections.Counter()
     tx_misses = collections.Counter()
     for _ in range(config.batches):
         batch = trace.encoded_batch(min_refs=config.batch_size)
-        relation, page, write = space.decode_ref_arrays(batch.refs)
-        owner = np.repeat(batch.tx_indices, batch.tx_lengths)
-        for key in zip(owner.tolist(), relation.tolist(), page.tolist(), write.tolist()):
-            tx_accesses[key[:2]] += 1
-            if not pool.access(*key[1:]):
-                tx_misses[key[:2]] += 1
+        keys = page_keys(space, batch.refs)
+        ends = np.cumsum(batch.tx_lengths).tolist()
+        for tx, start, end in zip(batch.tx_indices.tolist(), [0] + ends, ends):
+            counts = replay(policy, keys[start:end])
+            for total, count in zip(totals, counts):
+                total.update(count)
+            hits, misses, _ = counts
+            for relation in hits | misses:
+                tx_accesses[tx, relation] += hits[relation] + misses[relation]
+                tx_misses[tx, relation] += misses[relation]
     by_transaction = {
         (TRANSACTION_ORDER[tx].value, RELATION_NAMES[relation]): tx_misses[tx, relation]
         / count
@@ -93,7 +102,7 @@ def pool_replay(config: SimulationConfig):
     tx_miss_row = [0] * (len(TRANSACTION_ORDER) << TX_STRIDE_SHIFT)
     for (tx, relation), count in tx_misses.items():
         tx_miss_row[(tx << TX_STRIDE_SHIFT) + relation] = count
-    return pool.stats, by_transaction, tx_miss_row
+    return totals, by_transaction, tx_miss_row
 
 
 def kernel_replay(config: SimulationConfig):
@@ -129,24 +138,24 @@ def run_with_evictions(config: SimulationConfig):
     return report, evictions
 
 
-def assert_matches_pool(config: SimulationConfig) -> None:
+def assert_matches_policy(config: SimulationConfig) -> None:
     """Integer accesses / misses / evictions per relation, and the
-    per-transaction miss rates, equal the object pool's — in the
+    per-transaction miss rates, equal the policy object's — in the
     report, and in a bare kernel's own counters."""
     report, evictions = run_with_evictions(config)
-    stats, by_transaction, tx_misses = pool_replay(config)
+    (hits, misses, policy_evictions), by_transaction, tx_misses = policy_replay(config)
     measured = {
         RELATION_NAMES.index(name): (entry.accesses, entry.misses)
         for name, entry in report.relations.items()
     }
     assert measured == {
-        relation: (stats.accesses(relation), stats.misses.get(relation, 0))
-        for relation in set(stats.hits) | set(stats.misses)
+        relation: (hits[relation] + misses[relation], misses[relation])
+        for relation in hits | misses
     }
-    assert evictions == stats.evictions
+    assert evictions == policy_evictions
     assert report.by_transaction == by_transaction
     kernel = kernel_replay(config)
-    assert kernel.evictions_by_relation() == stats.evictions
+    assert kernel.evictions_by_relation() == policy_evictions
     assert kernel.tx_misses == tx_misses
 
 
@@ -317,24 +326,24 @@ class TestKernelSelection:
 
 
 class TestReportParity:
-    """``BufferSimulation`` against the reference object pool."""
+    """``BufferSimulation`` against a replay through the policy objects."""
 
     @pytest.mark.parametrize("policy", ARRAY_KERNEL_POLICIES)
     def test_array_matches_object(self, policy):
-        assert_matches_pool(quick_config(policy=policy))
+        assert_matches_policy(quick_config(policy=policy))
 
     def test_parity_across_packings_and_seeds(self):
         for packing, seed in [("sequential", 3), ("optimized", 21), ("random", 8)]:
-            assert_matches_pool(
+            assert_matches_policy(
                 quick_config(
                     trace=TraceConfig(warehouses=2, seed=seed, packing=packing)
                 )
             )
 
     def test_eviction_counters_match(self):
-        """The obs eviction tallies are those of the object pool."""
+        """The obs eviction tallies are those of the policy object."""
         _, evictions = run_with_evictions(quick_config())
-        assert evictions and evictions == pool_replay(quick_config())[0].evictions
+        assert evictions and evictions == policy_replay(quick_config())[0][2]
 
 
 class TestIncrementalPrecision:

@@ -130,6 +130,8 @@ class TestStatsByFile:
         buffers.get_page(PageId(7, 0))
         assert buffers.stats.miss_rate(0) == 1.0
         assert buffers.stats.miss_rate(7) == pytest.approx(0.5)
+        assert (buffers.stats.accesses(7), buffers.stats.accesses()) == (2, 3)
+        assert buffers.stats.miss_rate(3) == 0.0  # never requested
 
     def test_reset_stats(self, store):
         buffers = BufferManager(store, 8)

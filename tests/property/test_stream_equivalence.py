@@ -2,13 +2,14 @@
 
 Three contracts keep the vectorized implementations honest:
 
-* **Emitter byte-identity** — the production batch assembler behind
-  ``encoded_batch``/``stream`` produces :class:`EncodedBatch` blocks
-  bit-identical to the reference :class:`ScalarBatchEmitter` (the
-  scalar per-transaction encoders, reachable only from here), for any
-  interleaving of batch bounds, and independent of how the stream is
-  partitioned into batches.  Pinned SHA-256 digests of the same blocks
-  keep production and reference from drifting together.
+* **Emitter byte-identity** — the batch assembler behind
+  ``encoded_batch``/``stream`` emits the :class:`EncodedBatch` blocks
+  pinned below (SHA-256 of the columns, and every batch's
+  ``highest_page_id``), taken while a scalar per-transaction encoder
+  still held it to the same bytes, for any interleaving of batch
+  bounds, and independent of how the stream is partitioned into
+  batches.  ``tests/property/test_order_state_oracle.py`` checks the
+  order bookkeeping under the blocks against an independent model.
 * **Plan-chunk independence** — the vectorized emitter pre-draws its
   inputs in chunks; the emitted bytes do not depend on the chunk size,
   which is what lets a short transaction-bounded batch plan only what
@@ -28,7 +29,7 @@ from repro.buffer import kernels as kernels_module
 from repro.buffer.kernels import ARRAY_KERNEL_POLICIES, make_kernel
 from repro.workload import stream as stream_module
 from repro.workload.mix import TransactionMix
-from repro.workload.stream import EncodedBatch, ScalarBatchEmitter
+from repro.workload.stream import EncodedBatch
 from repro.workload.trace import (
     N_STATIC_RELATIONS,
     RELATION_NAMES,
@@ -130,6 +131,17 @@ PINNED_DIGESTS = {
     "w20-default": "603e8ff8214ebd2b89b0173909233ce191f0cc72732c64e3a6b8b03a700bdd3b",
 }
 
+#: ``highest_page_id`` of every ``PINNED_SPECS`` batch, recorded on the
+#: last commit with the scalar reference (which compared it per batch).
+PINNED_HIGHEST_PAGE_IDS = {
+    "w4": [116821, 116825, 117065, 117065, 117193, 118145, 118201],
+    "w2-optimized": [59443, 59447, 59687, 59687, 59799, 60755, 60811],
+    "w1-random": [30754, 30758, 30958, 30958, 31094, 32026, 32090],
+    "w2-delivery-heavy": [59439, 59447, 59647, 59647, 59735, 60371, 60419],
+    "w2-remote-small": [1039, 1043, 1243, 1243, 1347, 2303, 2359],
+    "w20-default": [578713, 580749, 581125, 581125, 585169, 586321, 586705],
+}
+
 
 def batches_digest(batches) -> str:
     digest = hashlib.sha256()
@@ -142,22 +154,17 @@ def batches_digest(batches) -> str:
 
 
 class TestEmitterByteIdentity:
-    @pytest.mark.parametrize(
-        "config", list(IDENTITY_CONFIGS.values()), ids=list(IDENTITY_CONFIGS)
-    )
-    def test_vectorized_matches_scalar(self, config):
-        vector = TraceGenerator(config)
-        scalar_emitter = ScalarBatchEmitter(TraceGenerator(config))
-        vector_batches = emit(vector.encoded_batch, BATCH_SPEC)
-        scalar_batches = emit(scalar_emitter.next_batch, BATCH_SPEC)
-        for i, (a, b) in enumerate(zip(vector_batches, scalar_batches)):
-            assert_batches_equal(a, b, f"batch {i}")
-
     @pytest.mark.parametrize("name", list(PINNED_DIGESTS))
     def test_emitted_bytes_are_pinned(self, name):
         config = (IDENTITY_CONFIGS | STATE_STRESS_CONFIGS)[name]
         batches = emit(TraceGenerator(config).encoded_batch, PINNED_SPECS[name])
         assert batches_digest(batches) == PINNED_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", list(PINNED_HIGHEST_PAGE_IDS))
+    def test_highest_page_ids_are_pinned(self, name):
+        config = (IDENTITY_CONFIGS | STATE_STRESS_CONFIGS)[name]
+        batches = emit(TraceGenerator(config).encoded_batch, PINNED_SPECS[name])
+        assert [b.highest_page_id for b in batches] == PINNED_HIGHEST_PAGE_IDS[name]
 
     def test_batch_size_independent(self):
         """One partitioning of the stream is byte-equal to any other."""

@@ -4,103 +4,13 @@ import numpy as np
 import pytest
 
 from repro.constants import STOCK_LEVEL_ORDERS
-from repro.workload.state import ColumnarOrderState, WorkloadState
-
-
-@pytest.fixture
-def state():
-    return WorkloadState(warehouses=2)
-
-
-class TestPlaceOrder:
-    def test_sequences_advance(self, state):
-        first = state.place_order(1, 1, 10, (1, 2, 3))
-        second = state.place_order(1, 2, 11, (4, 5))
-        assert first.order_seq == 0 and second.order_seq == 1
-        assert first.line_start == 0 and second.line_start == 3
-        assert state.orders_placed == 2
-        assert state.order_lines_inserted == 5
-
-    def test_line_seqs(self, state):
-        record = state.place_order(1, 1, 7, (9, 9, 9))
-        assert list(record.line_seqs()) == [0, 1, 2]
-        assert record.line_count == 3
-
-    def test_becomes_pending(self, state):
-        state.place_order(1, 1, 7, (1,))
-        assert state.pending_count() == 1
-        assert len(state.pending_orders(1, 1)) == 1
-
-    def test_tracked_as_last_order(self, state):
-        record = state.place_order(2, 3, 42, (1, 2))
-        assert state.last_order_of(2, 3, 42) is record
-
-    def test_new_order_replaces_last(self, state):
-        state.place_order(1, 1, 5, (1,))
-        second = state.place_order(1, 1, 5, (2,))
-        assert state.last_order_of(1, 1, 5) is second
-
-    def test_invalid_district(self, state):
-        with pytest.raises(ValueError, match="district"):
-            state.place_order(1, 11, 5, (1,))
-
-    def test_invalid_warehouse(self, state):
-        with pytest.raises(ValueError, match="warehouse"):
-            state.place_order(3, 1, 5, (1,))
-
-
-class TestDelivery:
-    def test_fifo_order(self, state):
-        first = state.place_order(1, 1, 5, (1,))
-        state.place_order(1, 1, 6, (2,))
-        assert state.deliver_oldest(1, 1) is first
-
-    def test_empty_district_returns_none(self, state):
-        assert state.deliver_oldest(1, 1) is None
-
-    def test_delivery_drains_pending(self, state):
-        state.place_order(1, 1, 5, (1,))
-        state.deliver_oldest(1, 1)
-        assert state.pending_count() == 0
-
-    def test_delivery_does_not_touch_recent(self, state):
-        record = state.place_order(1, 1, 5, (1,))
-        state.deliver_oldest(1, 1)
-        assert record in state.recent_orders(1, 1)
-
-
-class TestRecentOrders:
-    def test_keeps_last_twenty(self, state):
-        for customer in range(1, 30):
-            state.place_order(1, 1, customer, (1,))
-        recent = state.recent_orders(1, 1)
-        assert len(recent) == STOCK_LEVEL_ORDERS
-        assert recent[0].customer == 29 - STOCK_LEVEL_ORDERS + 1
-        assert recent[-1].customer == 29
-
-    def test_per_district_isolation(self, state):
-        state.place_order(1, 1, 5, (1,))
-        assert state.recent_orders(1, 2) == ()
-        assert state.recent_orders(2, 1) == ()
-
-
-class TestHistory:
-    def test_payment_sequence(self, state):
-        assert state.record_payment() == 0
-        assert state.record_payment() == 1
-        assert state.history_rows == 2
-
-
-class TestValidation:
-    def test_invalid_warehouse_count(self):
-        with pytest.raises(ValueError, match="warehouses"):
-            WorkloadState(0)
+from repro.workload.state import ColumnarOrderState
 
 
 class TestColumnarOrderState:
-    """The same queries against the production (array) store: two
-    warehouses, 40 customers per district, the last 25 initial orders of
-    each district primed and the last 5 of those pending."""
+    """Two warehouses, 40 customers per district, the last 25 initial
+    orders of each district primed and the last 5 of those pending.
+    ``tests/property/test_order_state_oracle.py`` checks whole chunks."""
 
     LINES = 4
 

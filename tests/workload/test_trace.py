@@ -92,13 +92,13 @@ class TestPageMapping:
         assert pages["item"] == 2041
 
     def test_customer_blocks_disjoint(self, small_trace):
-        page_a = small_trace._customer_page(1, 1, 1)
-        page_b = small_trace._customer_page(1, 2, 1)
-        page_c = small_trace._customer_page(2, 1, 1)
-        assert len({page_a, page_b, page_c}) == 3
+        # One block per district: (warehouse - 1) * 10 + district - 1.
+        layout = small_trace._customer_layout
+        assert len({layout.page_of(block, 1) for block in (0, 1, 10)}) == 3
 
     def test_stock_blocks_disjoint(self, small_trace):
-        assert small_trace._stock_page(1, 1) != small_trace._stock_page(2, 1)
+        layout = small_trace._stock_layout  # one block per warehouse
+        assert layout.page_of(0, 1) != layout.page_of(1, 1)
 
 
 class TestReferenceStreams:

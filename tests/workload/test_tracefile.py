@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.buffer.policy import make_policy
-from repro.buffer.pool import SimulatedBufferPool
 from repro.workload.trace import RELATION_NAMES, TraceConfig
 from repro.workload.tracefile import SavedTrace
+
+from ..buffer.policy_replay import replay
 
 
 @pytest.fixture(scope="module")
@@ -130,14 +131,13 @@ class TestReplay:
 
     @pytest.mark.parametrize("policy", ["lru", "clock"])
     def test_replay_equals_object_pool(self, trace, policy):
-        """The kernel replay of the packed columns is the object pool's
+        """The kernel replay of the packed columns is the policy object's
         one-access-at-a-time replay, rate for rate."""
-        pool = SimulatedBufferPool(make_policy(policy, 80))
-        for reference in trace.references():
-            pool.access(*reference)
+        hits, misses, _ = replay(
+            make_policy(policy, 80), (ref[:2] for ref in trace.references())
+        )
         expected = {
-            name: pool.stats.miss_rate(index)
-            for index, name in enumerate(RELATION_NAMES)
-            if pool.stats.accesses(index)
+            RELATION_NAMES[index]: misses[index] / (hits[index] + misses[index])
+            for index in sorted(hits | misses)
         }
         assert trace.replay(buffer_pages=80, policy=policy) == expected
