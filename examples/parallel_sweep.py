@@ -2,11 +2,11 @@
 """Parallel, cached experiment execution through the run-request API.
 
 A :class:`repro.RunRequest` carries everything needed to run one
-experiment — id, preset, worker count, cache directory, retry budget —
-and :func:`repro.execute` runs it.  This example regenerates Figure 8
-twice with an on-disk cache: the first pass simulates every sweep
-point (in parallel when ``--jobs > 1``), the second is served entirely
-from the cache.
+experiment — id, preset, worker count, cache directory — and
+:func:`repro.execute` runs it.  This example regenerates Figure 8 twice
+with an on-disk cache: the first pass simulates every sweep point (in
+parallel when ``--jobs > 1``), the second is served entirely from the
+cache.
 
 Usage::
 

@@ -92,30 +92,10 @@ def _build_parser() -> argparse.ArgumentParser:
             help="override the experiment's built-in trace seed",
         )
         subparser.add_argument(
-            "--timeout",
-            type=float,
-            default=None,
-            metavar="SECONDS",
-            help="per-unit timeout (enforced when --jobs > 1)",
-        )
-        subparser.add_argument(
-            "--retries",
-            type=int,
-            default=1,
-            help="retry budget per failing work unit (default: 1)",
-        )
-        subparser.add_argument(
             "--manifest",
             metavar="PATH",
             default=None,
             help="write a JSON run manifest (unit timings, cache hits)",
-        )
-        subparser.add_argument(
-            "--resume",
-            metavar="PATH",
-            default=None,
-            help="resume from a previous run's manifest: skip units it "
-            "completed, serving their results from --cache-dir",
         )
         subparser.add_argument(
             "--quiet",
@@ -425,11 +405,8 @@ def _request_from_args(args, experiment: str):
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         seed_override=args.seed,
-        unit_timeout=args.timeout,
-        retries=args.retries,
         manifest_path=args.manifest,
         progress=not args.quiet,
-        resume_from=args.resume,
         collect_metrics=args.metrics is not None,
         trace_path=args.trace,
         profile=args.profile,
@@ -513,7 +490,7 @@ def _run_experiments(args, experiment_ids: Sequence[str]) -> int:
     except KeyboardInterrupt:
         print(
             "interrupted; partial manifest covers the finished units "
-            "(resume with --resume)",
+            "(rerun with the same --cache-dir to continue)",
             file=sys.stderr,
         )
         return 130

@@ -21,10 +21,12 @@ from repro.obs import instruments
 
 @dataclass
 class BufferStatistics:
-    """Hit/miss counters keyed by file id.
+    """Hit, miss and completed-eviction counters keyed by file id.
 
-    ``evictions`` stays empty: the buffer manager counts evictions in
-    the ``engine.buffer.evictions_total`` metric, with their outcome.
+    ``evictions`` counts the policy victims actually written back and
+    dropped; a deferred eviction (injected fault) and :meth:`BufferManager.
+    drop_all` are not evictions.  The ``engine.buffer.evictions_total``
+    metric counts the same events, with deferred ones as their own outcome.
     """
 
     hits: dict[int, int] = field(default_factory=dict)
@@ -232,6 +234,8 @@ class BufferManager:
             instruments.ENGINE_BUFFER_EVICTIONS.inc(outcome="deferred", **labels)
             return
         del self._frames[victim]
+        evictions = self._stats.evictions
+        evictions[victim.file_id] = evictions.get(victim.file_id, 0) + 1
         instruments.ENGINE_BUFFER_EVICTIONS.inc(outcome="evicted", **labels)
 
     def _evict(self, page_id: PageId) -> None:

@@ -1,9 +1,9 @@
 """Parallel experiment-execution subsystem.
 
 Decomposes sweep-shaped experiments into independent, picklable work
-units (:mod:`repro.exec.units`), fans them out over a process pool with
-retry/timeout handling and structured progress (:mod:`repro.exec.
-engine`), memoizes unit results in an on-disk content-addressed cache
+units (:mod:`repro.exec.units`), runs each once, serially or over a
+process pool, with structured progress (:mod:`repro.exec.engine`),
+memoizes unit results in an on-disk content-addressed cache
 (:mod:`repro.exec.cache`), and exposes the unified run-request API
 (:mod:`repro.exec.request`) used by the CLI and
 :func:`repro.experiments.run_experiment`.
@@ -15,7 +15,6 @@ from repro.exec.engine import (
     ExecutionError,
     RunManifest,
     UnitRecord,
-    load_completed_units,
 )
 from repro.exec.request import (
     RunContext,
@@ -38,6 +37,5 @@ __all__ = [
     "build_engine",
     "cache_key",
     "execute",
-    "load_completed_units",
     "stable_fingerprint",
 ]

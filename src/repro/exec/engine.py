@@ -1,21 +1,19 @@
 """Parallel execution of experiment work units.
 
-The :class:`ExecutionEngine` runs the units of a :class:`~repro.exec.
-units.SweepSpec` with
+The :class:`ExecutionEngine` runs each unit of a :class:`~repro.exec.
+units.SweepSpec` once, with
 
 * a configurable worker count (``jobs=1`` runs synchronously in-process,
   so results are bit-identical with the pre-engine serial code path),
-* an optional on-disk result cache (see :mod:`repro.exec.cache`),
-* per-unit retry-on-failure and, for ``jobs > 1``, a per-unit timeout
-  (a timed-out round tears the worker pool down so stragglers cannot
-  occupy slots forever),
+* an optional on-disk result cache (see :mod:`repro.exec.cache`), which
+  is also the checkpoint: each result is stored as its unit finishes, so
+  rerunning an interrupted or failed sweep with the same cache directory
+  executes only the units that have no result yet, and
 * structured progress on stderr plus a :class:`RunManifest` recording
-  per-unit status, attempts, cache hits and wall/CPU time, and
-* checkpoint/resume: results are written to the cache per unit as they
-  finish, an interrupt (SIGINT) records the unfinished units as
-  ``"interrupted"`` so a partial manifest can still be written, and a
-  re-invocation passing ``resume_from=<manifest path>`` skips units the
-  previous run completed, serving their results from the cache.
+  per-unit status, cache hits and wall/CPU time.
+
+A unit is a deterministic function of its payload, so one that raises
+would raise again: the first failure stops the sweep.
 """
 
 from __future__ import annotations
@@ -23,17 +21,11 @@ from __future__ import annotations
 import json
 import sys
 import time
-import warnings
-from concurrent.futures import (
-    CancelledError,
-    Future,
-    ProcessPoolExecutor,
-    TimeoutError as FutureTimeoutError,
-)
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Any, NamedTuple, NoReturn, TextIO
+from typing import Any, Callable, NamedTuple
 
 from repro.exec.cache import MISSING, ResultCache, cache_key
 from repro.exec.units import SupportsSweep, WorkUnit
@@ -44,21 +36,20 @@ from repro.results import ReportMixin
 
 
 class ExecutionError(RuntimeError):
-    """A unit exhausted its retry budget (or the pool died repeatedly)."""
+    """A work unit raised; its sweep stopped there."""
 
 
 @dataclass
 class UnitRecord(ReportMixin):
     """Execution record of one work unit (one manifest row).
 
-    ``profile`` holds the unit's top-N cProfile hotspot rows when the
+    ``profile`` holds the unit's top-10 cProfile hotspot rows when the
     run requested profiling (see :mod:`repro.obs.profiling`).
     """
 
     experiment: str
     unit_id: str
-    status: str  # "done" | "cached" | "skipped" | "interrupted" | "failed"
-    attempts: int
+    status: str  # "done" | "cached" | "failed"
     wall_seconds: float
     cpu_seconds: float
     error: str | None = None
@@ -68,17 +59,11 @@ class UnitRecord(ReportMixin):
     def cached(self) -> bool:
         return self.status == "cached"
 
-    @property
-    def skipped(self) -> bool:
-        """Completed by a previous (resumed-from) run, served from cache."""
-        return self.status == "skipped"
-
     def as_dict(self) -> dict[str, Any]:
         data = {
             "experiment": self.experiment,
             "unit": self.unit_id,
             "status": self.status,
-            "attempts": self.attempts,
             "wall_seconds": round(self.wall_seconds, 6),
             "cpu_seconds": round(self.cpu_seconds, 6),
             "error": self.error,
@@ -107,16 +92,6 @@ class RunManifest:
         return sum(1 for record in self.units if record.cached)
 
     @property
-    def skipped(self) -> int:
-        """Units a resumed run did not re-execute."""
-        return sum(1 for record in self.units if record.skipped)
-
-    @property
-    def interrupted(self) -> int:
-        """Units left unfinished by an interrupt (SIGINT)."""
-        return sum(1 for record in self.units if record.status == "interrupted")
-
-    @property
     def failures(self) -> int:
         return sum(1 for record in self.units if record.status == "failed")
 
@@ -134,8 +109,6 @@ class RunManifest:
             "cache_dir": self.cache_dir,
             "units_total": self.total_units,
             "cache_hits": self.cache_hits,
-            "skipped": self.skipped,
-            "interrupted": self.interrupted,
             "failures": self.failures,
             "wall_seconds": round(self.wall_seconds, 6),
             "cpu_seconds": round(self.cpu_seconds, 6),
@@ -155,45 +128,11 @@ class RunManifest:
         return path
 
     def summary(self) -> str:
-        extra = ""
-        if self.skipped:
-            extra += f", {self.skipped} resumed-skipped"
-        if self.interrupted:
-            extra += f", {self.interrupted} interrupted"
         return (
             f"{self.total_units} units, {self.cache_hits} cache hits, "
-            f"{self.failures} failures{extra}, wall {self.wall_seconds:.2f}s, "
+            f"{self.failures} failures, wall {self.wall_seconds:.2f}s, "
             f"cpu {self.cpu_seconds:.2f}s"
         )
-
-
-#: Manifest statuses that mean "this unit's result is good" for resume.
-_COMPLETED_STATUSES = frozenset({"done", "cached", "skipped"})
-
-
-def load_completed_units(manifest_path: str | Path) -> set[tuple[str, str]]:
-    """(experiment, unit) pairs a previous run's manifest completed.
-
-    A missing or unparsable manifest yields an empty set with a
-    :class:`RuntimeWarning` — resuming from nothing is a full run, not
-    an error.
-    """
-    path = Path(manifest_path)
-    try:
-        data = json.loads(path.read_text())
-        return {
-            (row["experiment"], row["unit"])
-            for row in data.get("units", ())
-            if row.get("status") in _COMPLETED_STATUSES
-        }
-    except Exception as error:  # noqa: BLE001 - degrade to a full run
-        warnings.warn(
-            f"cannot resume from manifest {path}: "
-            f"{type(error).__name__}: {error}; running all units",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return set()
 
 
 class _Outcome(NamedTuple):
@@ -207,10 +146,7 @@ class _Outcome(NamedTuple):
 
 
 def _invoke(
-    unit: WorkUnit,
-    collect_metrics: bool = False,
-    profile: bool = False,
-    profile_top_n: int = 10,
+    unit: WorkUnit, collect_metrics: bool = False, profile: bool = False
 ) -> _Outcome:
     """Run one unit, measuring wall and CPU time (worker-side).
 
@@ -231,9 +167,7 @@ def _invoke(
     try:
         hotspots = None
         if profile:
-            result, hotspots = profile_call(
-                unit.function, unit.payload, top_n=profile_top_n
-            )
+            result, hotspots = profile_call(unit.function, unit.payload)
         else:
             result = unit.function(unit.payload)
         snapshot = registry.snapshot() if registry is not None else None
@@ -261,47 +195,19 @@ class ExecutionEngine:
         self,
         jobs: int = 1,
         cache_dir: str | Path | None = None,
-        unit_timeout: float | None = None,
-        retries: int = 1,
         progress: bool = False,
-        stream: TextIO | None = None,
-        resume_from: str | Path | None = None,
-        collect_metrics: bool = False,
         profile: bool = False,
-        profile_top_n: int = 10,
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        if unit_timeout is not None and unit_timeout <= 0:
-            raise ValueError(f"unit_timeout must be positive, got {unit_timeout}")
-        if profile_top_n < 1:
-            raise ValueError(f"profile_top_n must be >= 1, got {profile_top_n}")
         self.jobs = jobs
-        self.unit_timeout = unit_timeout
-        self.retries = retries
-        self.collect_metrics = collect_metrics
         self.profile = profile
-        self.profile_top_n = profile_top_n
         #: Snapshot of the last collected run, set by
         #: :func:`repro.exec.request.execute`; embedded into manifests.
         self.collected_metrics: MetricsSnapshot | None = None
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
-        self._completed: set[tuple[str, str]] = (
-            load_completed_units(resume_from) if resume_from is not None else set()
-        )
-        if self._completed and self.cache is None:
-            warnings.warn(
-                "resume_from given without a cache directory; completed "
-                "units have no stored results and will be re-run",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self._completed = set()
         self.scratch: dict[Any, Any] = {}
         self._progress = progress
-        self._stream = stream if stream is not None else sys.stderr
         self._records: list[UnitRecord] = []
         self._wall = 0.0
         self._pool: ProcessPoolExecutor | None = None
@@ -320,59 +226,32 @@ class ExecutionEngine:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-        return self._pool
-
-    def _discard_pool(self) -> None:
-        """Tear the pool down without waiting (after a timeout/breakage)."""
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        pool.shutdown(wait=False, cancel_futures=True)
-        # Workers stuck inside a timed-out unit would otherwise keep a
-        # CPU busy (and, via the executor's atexit hook, stall process
-        # shutdown); terminating them is safe because their results are
-        # discarded anyway.  ``_processes`` is private but stable.
-        for process in list((getattr(pool, "_processes", None) or {}).values()):
-            try:
-                process.terminate()
-            except OSError:  # pragma: no cover - already dead
-                pass
-
     # -- manifest ------------------------------------------------------------
 
     def manifest(self) -> RunManifest:
         return RunManifest(
             jobs=self.jobs,
-            cache_dir=str(self.cache.root) if self.cache else None,
+            cache_dir=str(self.cache.root) if self.cache is not None else None,
             units=list(self._records),
             wall_seconds=self._wall,
             metrics=self.collected_metrics,
         )
 
-    def _record(self, record: UnitRecord) -> None:
-        self._records.append(record)
-
     def _log(self, message: str) -> None:
         if self._progress:
-            print(f"[exec] {message}", file=self._stream, flush=True)
+            print(f"[exec] {message}", file=sys.stderr, flush=True)
 
     # -- execution -----------------------------------------------------------
 
     def run_sweep(self, spec: SupportsSweep) -> dict[str, Any]:
         """Run every unit of a sweep; returns ``{unit_id: result}``.
 
-        Cached units are served from disk without executing; a resumed
-        run (``resume_from``) additionally skips units its predecessor
-        completed.  Fresh results are written back to the cache as each
-        unit finishes, so an interrupt loses at most in-flight work:
-        on ``KeyboardInterrupt`` the unfinished units are recorded as
-        ``"interrupted"`` and the exception propagates, leaving the
-        manifest ready to be written and resumed from.  Raises
-        :class:`ExecutionError` when a unit keeps failing past the
-        retry budget.
+        Cached units are served from disk without executing.  Fresh
+        results are written to the cache as each unit finishes, so an
+        interrupt (``KeyboardInterrupt`` propagates) or a failure loses
+        only the units not yet finished.  The first unit that raises is
+        recorded as ``"failed"``, the rest are cancelled, and
+        :class:`ExecutionError` names it.
         """
         started = time.perf_counter()
         results: dict[str, Any] = {}
@@ -380,69 +259,84 @@ class ExecutionEngine:
         keys: dict[str, str] = {}
         for unit in spec.units:
             if self.cache is not None:
-                key = cache_key(unit.function, unit.payload)
-                keys[unit.unit_id] = key
+                key = keys[unit.unit_id] = cache_key(unit.function, unit.payload)
                 value = self.cache.get(key)
                 instruments.EXEC_CACHE_LOOKUPS.inc(
                     outcome="miss" if value is MISSING else "hit",
                     experiment=spec.experiment,
                 )
                 if value is not MISSING:
-                    resumed = (spec.experiment, unit.unit_id) in self._completed
-                    status = "skipped" if resumed else "cached"
                     results[unit.unit_id] = value
-                    self._record(
-                        UnitRecord(
-                            experiment=spec.experiment,
-                            unit_id=unit.unit_id,
-                            status=status,
-                            attempts=0,
-                            wall_seconds=0.0,
-                            cpu_seconds=0.0,
-                        )
+                    self._records.append(
+                        UnitRecord(spec.experiment, unit.unit_id, "cached", 0.0, 0.0)
                     )
-                    self._log(
-                        f"{spec.experiment} {unit.unit_id} "
-                        + ("resumed (skipped)" if resumed else "cache hit")
-                    )
+                    self._log(f"{spec.experiment} {unit.unit_id} cache hit")
                     continue
             remaining.append(unit)
-
-        registry = default_registry()
-        force_enabled = self.collect_metrics and not registry.enabled
-        if force_enabled:
-            # Direct engine use (no surrounding collecting() session):
-            # honor collect_metrics by enabling for the sweep's duration.
-            registry.enable()
         try:
-            if remaining:
-                if self.jobs == 1:
-                    self._run_serial(spec.experiment, remaining, results, keys)
-                else:
-                    self._run_parallel(spec.experiment, remaining, results, keys)
-        except KeyboardInterrupt:
-            self._discard_pool()
-            self._record_interrupted(spec.experiment, spec.units)
-            self._wall += time.perf_counter() - started
-            self._log(f"{spec.experiment} sweep interrupted")
-            raise
+            self._run_units(spec.experiment, remaining, results, keys)
         finally:
-            if force_enabled:
-                registry.disable()
-
-        self._wall += time.perf_counter() - started
+            self._wall += time.perf_counter() - started
         self._log(
             f"{spec.experiment} sweep done: {len(spec.units)} units "
             f"({len(spec.units) - len(remaining)} cached)"
         )
         return results
 
+    def _run_units(
+        self,
+        experiment: str,
+        units: list[WorkUnit],
+        results: dict[str, Any],
+        keys: dict[str, str],
+    ) -> None:
+        """Run each unit once; results and records keep the units' order."""
+        futures: list[Future] = []
+        calls: list[Callable[[], _Outcome]]
+        if self.jobs > 1 and units:
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+            # Workers collect metrics exactly when the parent does.
+            collect = default_registry().enabled
+            futures = [
+                self._pool.submit(_invoke, unit, collect, self.profile)
+                for unit in units
+            ]
+            calls = [future.result for future in futures]
+        else:
+            # In-process run: metrics (when enabled) record into the
+            # live registry directly — no snapshot to merge.
+            calls = [partial(_invoke, unit, False, self.profile) for unit in units]
+        try:
+            for index, (unit, call) in enumerate(zip(units, calls), start=1):
+                try:
+                    outcome = call()
+                except Exception as error:
+                    message = f"{type(error).__name__}: {error}"
+                    self._records.append(
+                        UnitRecord(experiment, unit.unit_id, "failed", 0.0, 0.0, message)
+                    )
+                    raise ExecutionError(
+                        f"unit {unit.unit_id} of {experiment} failed — {message}"
+                    ) from error
+                if outcome.snapshot is not None:
+                    # Fold the worker's per-unit metrics into the parent
+                    # registry, where the surrounding collecting()
+                    # session picks them up.
+                    default_registry().merge_snapshot(outcome.snapshot)
+                self._finish(
+                    experiment, unit, outcome, f"{index}/{len(units)}", results, keys
+                )
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            raise
+
     def _finish(
         self,
         experiment: str,
         unit: WorkUnit,
         outcome: _Outcome,
-        attempts: int,
         progress: str,
         results: dict[str, Any],
         keys: dict[str, str],
@@ -451,15 +345,13 @@ class ExecutionEngine:
         wall, cpu = outcome.wall_seconds, outcome.cpu_seconds
         results[unit.unit_id] = outcome.result
         if self.cache is not None:
-            key = keys.get(unit.unit_id) or cache_key(unit.function, unit.payload)
-            self.cache.put(key, outcome.result)
+            self.cache.put(keys[unit.unit_id], outcome.result)
         instruments.EXEC_UNIT_SECONDS.observe(wall, experiment=experiment)
-        self._record(
+        self._records.append(
             UnitRecord(
                 experiment=experiment,
                 unit_id=unit.unit_id,
                 status="done",
-                attempts=attempts,
                 wall_seconds=wall,
                 cpu_seconds=cpu,
                 profile=outcome.hotspots,
@@ -469,159 +361,3 @@ class ExecutionEngine:
             f"{experiment} {progress} {unit.unit_id} "
             f"wall={wall:.2f}s cpu={cpu:.2f}s"
         )
-
-    def _exhausted(self, experiment: str, errors: dict[str, str | None]) -> NoReturn:
-        """Units out of retry budget: record each as failed, then raise."""
-        attempts = self.retries + 1
-        for unit_id, error in errors.items():
-            self._record(
-                UnitRecord(
-                    experiment=experiment,
-                    unit_id=unit_id,
-                    status="failed",
-                    attempts=attempts,
-                    wall_seconds=0.0,
-                    cpu_seconds=0.0,
-                    error=error,
-                )
-            )
-        details = "; ".join(f"{unit_id}: {error}" for unit_id, error in errors.items())
-        raise ExecutionError(
-            f"{len(errors)} unit(s) of {experiment} failed after "
-            f"{attempts} attempts — {details}"
-        )
-
-    def _record_interrupted(self, experiment: str, units: list[WorkUnit]) -> None:
-        """Mark every unit without a record yet as interrupted."""
-        recorded = {
-            record.unit_id
-            for record in self._records
-            if record.experiment == experiment
-        }
-        for unit in units:
-            if unit.unit_id not in recorded:
-                self._record(
-                    UnitRecord(
-                        experiment=experiment,
-                        unit_id=unit.unit_id,
-                        status="interrupted",
-                        attempts=0,
-                        wall_seconds=0.0,
-                        cpu_seconds=0.0,
-                        error="KeyboardInterrupt",
-                    )
-                )
-
-    def _run_serial(
-        self,
-        experiment: str,
-        units: list[WorkUnit],
-        results: dict[str, Any],
-        keys: dict[str, str],
-    ) -> None:
-        """In-process execution (``jobs=1``); timeouts are not enforced."""
-        total = len(units)
-        for index, unit in enumerate(units, start=1):
-            error_text = None
-            for attempt in range(1, self.retries + 2):
-                if attempt > 1:
-                    instruments.EXEC_UNIT_RETRIES.inc(experiment=experiment)
-                try:
-                    # In-process run: metrics (when enabled) record into
-                    # the live registry directly — no snapshot to merge.
-                    outcome = _invoke(unit, False, self.profile, self.profile_top_n)
-                except KeyboardInterrupt:
-                    raise
-                except Exception as error:  # noqa: BLE001 - recorded + retried
-                    error_text = f"{type(error).__name__}: {error}"
-                    self._log(
-                        f"{experiment} {unit.unit_id} attempt {attempt} "
-                        f"failed: {error_text}"
-                    )
-                    continue
-                self._finish(
-                    experiment, unit, outcome, attempt, f"{index}/{total}", results, keys
-                )
-                break
-            else:
-                self._exhausted(experiment, {unit.unit_id: error_text})
-
-    def _run_parallel(
-        self,
-        experiment: str,
-        units: list[WorkUnit],
-        results: dict[str, Any],
-        keys: dict[str, str],
-    ) -> None:
-        """Fan units out over the process pool, with retry and timeout."""
-        pending: dict[str, WorkUnit] = {unit.unit_id: unit for unit in units}
-        attempts: dict[str, int] = {unit.unit_id: 0 for unit in units}
-        errors: dict[str, str] = {}
-        total = len(units)
-        done = 0
-
-        while pending:
-            pool = self._ensure_pool()
-            futures: dict[str, Future] = {
-                unit_id: pool.submit(
-                    _invoke,
-                    unit,
-                    self.collect_metrics,
-                    self.profile,
-                    self.profile_top_n,
-                )
-                for unit_id, unit in pending.items()
-            }
-            pool_broken = False
-            for unit_id, future in futures.items():
-                attempts[unit_id] += 1
-                if attempts[unit_id] > 1:
-                    instruments.EXEC_UNIT_RETRIES.inc(experiment=experiment)
-                try:
-                    outcome = future.result(timeout=self.unit_timeout)
-                except FutureTimeoutError:
-                    errors[unit_id] = (
-                        f"timed out after {self.unit_timeout}s"
-                    )
-                    pool_broken = True
-                    self._log(f"{experiment} {unit_id} {errors[unit_id]}")
-                except (CancelledError, BrokenProcessPool) as error:
-                    # Collateral damage from a timed-out sibling (the pool
-                    # was torn down under it): retry without charging the
-                    # unit's own budget.
-                    errors[unit_id] = f"{type(error).__name__}: {error}"
-                    attempts[unit_id] -= 1
-                    pool_broken = True
-                except Exception as error:  # noqa: BLE001 - recorded + retried
-                    errors[unit_id] = f"{type(error).__name__}: {error}"
-                    self._log(
-                        f"{experiment} {unit_id} attempt {attempts[unit_id]} "
-                        f"failed: {errors[unit_id]}"
-                    )
-                else:
-                    done += 1
-                    errors.pop(unit_id, None)
-                    if outcome.snapshot is not None:
-                        # Fold the worker's per-unit metrics into the
-                        # parent registry, where the surrounding
-                        # collecting() session picks them up.
-                        default_registry().merge_snapshot(outcome.snapshot)
-                    self._finish(
-                        experiment,
-                        pending.pop(unit_id),
-                        outcome,
-                        attempts[unit_id],
-                        f"{done}/{total}",
-                        results,
-                        keys,
-                    )
-            if pool_broken:
-                self._discard_pool()
-
-            exhausted = {
-                unit_id: errors.get(unit_id)
-                for unit_id in pending
-                if attempts[unit_id] >= self.retries + 1
-            }
-            if exhausted:
-                self._exhausted(experiment, exhausted)

@@ -2,12 +2,11 @@
 
 A :class:`RunRequest` is the single entry point for executing an
 experiment: it names the experiment and preset and carries every
-execution knob (worker count, cache directory, per-unit timeout, retry
-budget, seed override, manifest path).  :func:`execute` resolves the
-experiment function, builds an :class:`~repro.exec.engine.
-ExecutionEngine`, and calls the function with a :class:`RunContext` —
-the object experiment functions receive instead of a bare
-:class:`~repro.experiments.runner.Preset`.
+execution knob (worker count, cache directory, seed override, manifest
+path).  :func:`execute` resolves the experiment function, builds an
+:class:`~repro.exec.engine.ExecutionEngine`, and calls the function
+with a :class:`RunContext` — the object experiment functions receive
+instead of a bare :class:`~repro.experiments.runner.Preset`.
 
 ``repro.experiments.run_experiment`` is a thin wrapper that builds a
 ``RunRequest`` and delegates here, so the old call sites keep working.
@@ -35,13 +34,10 @@ class RunRequest:
     """Everything needed to run one experiment.
 
     ``seed_override`` replaces the experiment's built-in trace seed so
-    sweeps can be replicated at different random seeds; ``unit_timeout``
-    (seconds) and ``retries`` govern individual work units and only
-    bite for simulation-backed sweeps; ``jobs=1`` keeps execution
-    synchronous and in-process (bit-identical with the legacy path).
-    ``resume_from`` points at a previous run's manifest: units it
-    completed are skipped and served from the cache (requires
-    ``cache_dir``).
+    sweeps can be replicated at different random seeds; ``jobs=1`` keeps
+    execution synchronous and in-process (bit-identical with the legacy
+    path).  Rerunning with the same ``cache_dir`` serves every unit a
+    previous run finished from the cache.
 
     The observability knobs (``collect_metrics``, ``trace_path``,
     ``profile``) are strictly observe-only: they change what the run
@@ -55,11 +51,8 @@ class RunRequest:
     jobs: int = 1
     cache_dir: str | Path | None = None
     seed_override: int | None = None
-    unit_timeout: float | None = None
-    retries: int = 1
     manifest_path: str | Path | None = None
     progress: bool = False
-    resume_from: str | Path | None = None
     collect_metrics: bool = False
     trace_path: str | Path | None = None
     profile: bool = False
@@ -69,12 +62,6 @@ class RunRequest:
             object.__setattr__(self, "preset", Preset(self.preset))
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.unit_timeout is not None and self.unit_timeout <= 0:
-            raise ValueError(
-                f"unit_timeout must be positive, got {self.unit_timeout}"
-            )
 
     def replace(self, **overrides: Any) -> "RunRequest":
         """A copy with the given fields replaced."""
@@ -108,11 +95,7 @@ def build_engine(request: RunRequest) -> ExecutionEngine:
     return ExecutionEngine(
         jobs=request.jobs,
         cache_dir=request.cache_dir,
-        unit_timeout=request.unit_timeout,
-        retries=request.retries,
         progress=request.progress,
-        resume_from=request.resume_from,
-        collect_metrics=request.collect_metrics,
         profile=request.profile,
     )
 

@@ -1,13 +1,12 @@
 """Work-unit decomposition: the ``SweepSpec`` protocol.
 
 A sweep of simulations (the Figure 8 operating points, the nodes of a
-cluster simulation, the driver validation's terminal populations) is a
-set of *independent* evaluations of one function over a parameter
-grid.  A :class:`SweepSpec` declares that set as picklable
-:class:`WorkUnit`\\ s so the execution engine can fan them out over
-processes, cache each one, and retry failures individually.  Work
-units are for simulations: a closed-form point (Figures 9-12) costs
-about a millisecond and is a plain function call.
+cluster simulation) is a set of *independent* evaluations of one
+function over a parameter grid.  A :class:`SweepSpec` declares that set
+as picklable :class:`WorkUnit`\\ s so the execution engine can fan them
+out over processes and cache each one.  Work units are for
+simulations: a closed-form point (Figures 9-12) costs about a
+millisecond and is a plain function call.
 
 The unit ``function`` must be a module-level callable (picklable by
 qualified name) and the ``payload`` a picklable value — frozen config

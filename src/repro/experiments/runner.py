@@ -122,8 +122,8 @@ def run_experiment(
     """Run one experiment by id ("table1", "fig8", …).
 
     Thin wrapper over the unified run-request API: keyword ``options``
-    (``jobs``, ``cache_dir``, ``seed_override``, ``unit_timeout``,
-    ``retries``, ``manifest_path``, ``progress``) are forwarded to
+    (``jobs``, ``cache_dir``, ``seed_override``, ``manifest_path``,
+    ``progress``, …) are forwarded to
     :class:`repro.exec.request.RunRequest`.
     """
     from repro.exec.request import RunRequest, execute

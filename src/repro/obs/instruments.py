@@ -175,10 +175,6 @@ EXEC_CACHE_LOOKUPS = REGISTRY.counter(
     "exec.cache.lookups_total",
     help="result-cache lookups, by outcome=hit|miss",
 )
-EXEC_UNIT_RETRIES = REGISTRY.counter(
-    "exec.unit.retries_total",
-    help="work-unit attempts beyond the first",
-)
 EXEC_UNIT_SECONDS = REGISTRY.histogram(
     "exec.unit.seconds",
     help="wall-clock duration per executed work unit (non-deterministic)",
@@ -198,7 +194,6 @@ __all__ = [
     "ENGINE_BUFFER_EVICTIONS",
     "ENGINE_BUFFER_REQUESTS",
     "EXEC_CACHE_LOOKUPS",
-    "EXEC_UNIT_RETRIES",
     "EXEC_UNIT_SECONDS",
     "LOCK_ACQUISITIONS",
     "LOCK_CONFLICTS",

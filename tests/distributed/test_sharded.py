@@ -169,7 +169,7 @@ class TestMetricsReconciliation:
             for name in _DIST_COUNTERS
         }
 
-        engine = ExecutionEngine(jobs=2, cache_dir=None, collect_metrics=True)
+        engine = ExecutionEngine(jobs=2)
         try:
             with registry.collecting() as sharded_session:
                 sharded = run_sharded(config, engine)

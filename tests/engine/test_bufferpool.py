@@ -4,6 +4,9 @@ import pytest
 
 from repro.engine.bufferpool import BufferManager
 from repro.engine.page import Page, PageId, PageStore
+from repro.obs.metrics import default_registry
+from repro.tpcc import TpccConfig, load_tpcc
+from repro.tpcc.executor import TpccExecutor
 
 
 def make_page(payload: bytes = b"12345678") -> Page:
@@ -138,3 +141,27 @@ class TestStatsByFile:
         buffers.get_page(PageId(0, 0))
         buffers.reset_stats()
         assert buffers.stats.accesses() == 0
+
+    def test_evictions_per_file_match_the_metric(self):
+        config = TpccConfig(
+            warehouses=1,
+            customers_per_district=60,
+            items=300,
+            initial_orders_per_district=25,
+            pending_orders_per_district=8,
+            buffer_pages=40,
+            seed=99,
+        )
+        db = load_tpcc(config)
+        db.buffers.reset_stats()
+        executor = TpccExecutor(db=db, config=config, seed=7)
+        with default_registry().collecting() as session:
+            for _ in range(100):
+                executor.execute_prepared(executor.prepare())
+        evictions = db.buffers.stats.evictions
+        assert sum(evictions.values()) > 0
+        assert sum(evictions.values()) == session.snapshot.counter_total(
+            "engine.buffer.evictions_total", outcome="evicted"
+        )
+        db.buffers.reset_stats()
+        assert db.buffers.stats.evictions == {}

@@ -1,13 +1,14 @@
 """Unit tests for the execution engine: serial/parallel parity, the
-on-disk cache, retry-on-failure, per-unit timeouts and the manifest."""
+on-disk cache as the checkpoint, stop-on-failure and the manifest."""
 
-import io
-import time
+import inspect
+from pathlib import Path
 
 import pytest
 
+from repro.exec.cache import MISSING, cache_key
 from repro.exec.engine import ExecutionEngine, ExecutionError
-from repro.exec.units import SupportsSweep, SweepSpec, WorkUnit
+from repro.exec.units import SupportsSweep, SweepSpec
 
 
 # Unit functions must be module-level so the process pool can pickle
@@ -17,25 +18,26 @@ def _double(value):
     return value * 2
 
 
-def _fail_until_marker(payload):
-    """Fail on the first attempt; succeed once the marker file exists."""
-    marker, value = payload
-    from pathlib import Path
-
-    path = Path(marker)
-    if not path.exists():
-        path.write_text("attempted")
-        raise RuntimeError("first attempt fails")
-    return value * 10
+def _fail_at_three(value):
+    if value == 3:
+        raise RuntimeError(f"boom {value}")
+    return value * 2
 
 
-def _always_fail(payload):
-    raise RuntimeError(f"boom {payload}")
+def _interrupt_at_three(payload):
+    """Count each finished run in a marker file; unit 3 raises
+    ``KeyboardInterrupt`` until the ``resumed`` tripwire file exists."""
+    directory, value = payload
+    if value == 3 and not (Path(directory) / "resumed").exists():
+        raise KeyboardInterrupt
+    marker = Path(directory) / f"ran-{value}"
+    marker.write_text(marker.read_text() + "x" if marker.exists() else "x")
+    return value * 2
 
 
-def _sleep(seconds):
-    time.sleep(seconds)
-    return seconds
+def executions(directory, value):
+    marker = Path(directory) / f"ran-{value}"
+    return len(marker.read_text()) if marker.exists() else 0
 
 
 def _spec(values=(1, 2, 3)):
@@ -73,13 +75,11 @@ class TestSerialExecution:
         assert manifest.cache_hits == 0
         assert manifest.failures == 0
         assert all(record.status == "done" for record in manifest.units)
-        assert all(record.attempts == 1 for record in manifest.units)
 
-    def test_progress_lines(self):
-        stream = io.StringIO()
-        engine = ExecutionEngine(jobs=1, progress=True, stream=stream)
+    def test_progress_lines(self, capsys):
+        engine = ExecutionEngine(jobs=1, progress=True)
         engine.run_sweep(_spec())
-        lines = stream.getvalue().splitlines()
+        lines = capsys.readouterr().err.splitlines()
         assert lines
         assert all(line.startswith("[exec] ") for line in lines)
         assert any("sweep done" in line for line in lines)
@@ -87,10 +87,12 @@ class TestSerialExecution:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError, match="jobs"):
             ExecutionEngine(jobs=0)
-        with pytest.raises(ValueError, match="retries"):
-            ExecutionEngine(retries=-1)
-        with pytest.raises(ValueError, match="unit_timeout"):
-            ExecutionEngine(unit_timeout=0.0)
+        assert list(inspect.signature(ExecutionEngine).parameters) == [
+            "jobs",
+            "cache_dir",
+            "progress",
+            "profile",
+        ]
 
 
 class TestParallelExecution:
@@ -128,81 +130,69 @@ class TestCache:
             assert serial.run_sweep(_spec()) == expected
             assert serial.manifest().all_cached
 
-    def test_cache_hit_logged(self, tmp_path):
+    def test_cache_hit_logged(self, tmp_path, capsys):
         with ExecutionEngine(jobs=1, cache_dir=tmp_path) as first:
             first.run_sweep(_spec())
-        stream = io.StringIO()
-        with ExecutionEngine(
-            jobs=1, cache_dir=tmp_path, progress=True, stream=stream
-        ) as second:
+        with ExecutionEngine(jobs=1, cache_dir=tmp_path, progress=True) as second:
             second.run_sweep(_spec())
-        assert "cache hit" in stream.getvalue()
+        assert "cache hit" in capsys.readouterr().err
 
-
-class TestRetry:
-    def _flaky_spec(self, tmp_path):
-        return SweepSpec.over(
-            "flaky",
-            _fail_until_marker,
-            [("flaky/unit", (str(tmp_path / "marker"), 7))],
-        )
-
-    def test_serial_retry_succeeds(self, tmp_path):
-        with ExecutionEngine(jobs=1, retries=1) as engine:
-            results = engine.run_sweep(self._flaky_spec(tmp_path))
-            record = engine.manifest().units[0]
-        assert results == {"flaky/unit": 70}
-        assert record.status == "done"
-        assert record.attempts == 2
-
-    def test_parallel_retry_succeeds(self, tmp_path):
-        with ExecutionEngine(jobs=2, retries=1) as engine:
-            results = engine.run_sweep(self._flaky_spec(tmp_path))
-            record = engine.manifest().units[0]
-        assert results == {"flaky/unit": 70}
-        assert record.attempts == 2
-
-    def test_serial_budget_exhausted(self):
-        spec = SweepSpec.over("doomed", _always_fail, [("doomed/unit", "x")])
-        with ExecutionEngine(jobs=1, retries=0) as engine:
-            with pytest.raises(ExecutionError, match="boom"):
-                engine.run_sweep(spec)
-            manifest = engine.manifest()
-        assert manifest.failures == 1
-        assert manifest.units[0].error.startswith("RuntimeError")
-
-    def test_parallel_budget_exhausted(self):
+    def test_rerun_after_interrupt_runs_each_unit_once(self, tmp_path):
+        cache = tmp_path / "cache"
         spec = SweepSpec.over(
-            "doomed", _always_fail, [("doomed/a", 1), ("doomed/b", 2)]
+            "demo",
+            _interrupt_at_three,
+            ((f"demo/{value}", (str(tmp_path), value)) for value in (1, 2, 3, 4)),
         )
-        with ExecutionEngine(jobs=2, retries=0) as engine:
-            with pytest.raises(ExecutionError, match="failed after 1 attempts"):
+        with ExecutionEngine(jobs=1, cache_dir=cache) as first:
+            with pytest.raises(KeyboardInterrupt):
+                first.run_sweep(spec)
+            partial = first.manifest()
+        assert [(r.unit_id, r.status) for r in partial.units] == [
+            ("demo/1", "done"),
+            ("demo/2", "done"),
+        ]
+
+        (tmp_path / "resumed").write_text("")  # clear the tripwire
+        with ExecutionEngine(jobs=1, cache_dir=cache) as second:
+            results = second.run_sweep(spec)
+            statuses = {r.unit_id: r.status for r in second.manifest().units}
+        assert results == {f"demo/{value}": value * 2 for value in (1, 2, 3, 4)}
+        assert statuses == {
+            "demo/1": "cached",
+            "demo/2": "cached",
+            "demo/3": "done",
+            "demo/4": "done",
+        }
+        assert all(executions(tmp_path, value) == 1 for value in (1, 2, 3, 4))
+
+
+class TestFailure:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_unit_stops_the_sweep(self, tmp_path, jobs):
+        spec = SweepSpec.over(
+            "doomed", _fail_at_three, ((f"doomed/{v}", v) for v in (1, 2, 3, 4))
+        )
+        with ExecutionEngine(jobs=jobs, cache_dir=tmp_path) as engine:
+            with pytest.raises(ExecutionError, match="doomed/3 .*boom 3"):
                 engine.run_sweep(spec)
-            assert engine.manifest().failures == 2
-
-    def test_failed_units_not_cached(self, tmp_path):
-        spec = SweepSpec.over("doomed", _always_fail, [("doomed/unit", 1)])
-        with ExecutionEngine(jobs=1, retries=0, cache_dir=tmp_path) as engine:
-            with pytest.raises(ExecutionError):
-                engine.run_sweep(spec)
-            assert len(engine.cache) == 0
-
-
-class TestTimeout:
-    def test_hung_unit_times_out(self):
-        spec = SweepSpec.over("slow", _sleep, [("slow/unit", 120.0)])
-        started = time.perf_counter()
-        with ExecutionEngine(jobs=2, unit_timeout=0.25, retries=0) as engine:
-            with pytest.raises(ExecutionError, match="timed out"):
-                engine.run_sweep(spec)
-        # The worker pool must be torn down instead of waiting out the
-        # 120-second sleep.
-        assert time.perf_counter() - started < 60.0
-
-    def test_fast_units_unaffected(self):
-        spec = SweepSpec.over("fast", _sleep, [("fast/unit", 0.01)])
-        with ExecutionEngine(jobs=2, unit_timeout=30.0) as engine:
-            assert engine.run_sweep(spec) == {"fast/unit": 0.01}
+            records = engine.manifest().units
+        assert [(r.unit_id, r.status) for r in records] == [
+            ("doomed/1", "done"),
+            ("doomed/2", "done"),
+            ("doomed/3", "failed"),
+        ]
+        assert records[-1].error == "RuntimeError: boom 3"
+        cached = {
+            unit.unit_id: engine.cache.get(cache_key(unit.function, unit.payload))
+            for unit in spec
+        }
+        assert cached == {
+            "doomed/1": 2,
+            "doomed/2": 4,
+            "doomed/3": MISSING,
+            "doomed/4": MISSING,
+        }
 
 
 class TestManifestOutput:

@@ -23,7 +23,8 @@ class TestRunRequest:
         assert request.preset is Preset.QUICK
         assert request.jobs == 1
         assert request.cache_dir is None
-        assert request.retries == 1
+        assert request.manifest_path is None
+        assert not request.collect_metrics
 
     def test_preset_string_coerced(self):
         assert RunRequest(experiment="fig8", preset="standard").preset is (
@@ -37,10 +38,9 @@ class TestRunRequest:
     def test_validation(self):
         with pytest.raises(ValueError, match="jobs"):
             RunRequest(experiment="fig8", jobs=0)
-        with pytest.raises(ValueError, match="retries"):
-            RunRequest(experiment="fig8", retries=-1)
-        with pytest.raises(ValueError, match="unit_timeout"):
-            RunRequest(experiment="fig8", unit_timeout=-2.0)
+        for removed in ("unit_timeout", "retries", "resume_from"):
+            with pytest.raises(TypeError):
+                RunRequest(experiment="fig8", **{removed: 1})
 
     def test_kernel_default_and_choices(self):
         """No default and no choices: ``kernel`` is not a field any more."""
@@ -79,16 +79,13 @@ class TestRunContext:
         )
         assert context.seed(11) == 99
 
-    def test_build_engine_copies_knobs(self):
+    def test_build_engine_copies_knobs(self, tmp_path):
         engine = build_engine(
-            RunRequest(
-                experiment="fig8", jobs=3, retries=2, unit_timeout=5.0
-            )
+            RunRequest(experiment="fig8", jobs=3, cache_dir=tmp_path, profile=True)
         )
         assert engine.jobs == 3
-        assert engine.retries == 2
-        assert engine.unit_timeout == 5.0
-        assert engine.cache is None
+        assert engine.profile
+        assert engine.manifest().cache_dir == str(tmp_path)
         engine.close()
 
     def test_context_reuses_shared_engine(self):
@@ -177,9 +174,9 @@ class TestRunExperimentWrapper:
                 experiment="_test_options", title="t", rows=[{"a": 1}]
             )
 
-        run_experiment("_test_options", "quick", jobs=2, retries=3)
+        run_experiment("_test_options", "quick", jobs=2, seed_override=3)
         assert seen["request"].jobs == 2
-        assert seen["request"].retries == 3
+        assert seen["request"].seed_override == 3
 
 
 class TestFig8EndToEnd:

@@ -131,6 +131,27 @@ class TestRunEngineFlags:
         assert "rejected its configuration" in err
         assert "failed experiments: _test_bad" in err
 
+    def test_retry_budget_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as usage:
+            main(["run", "fig8", "--retries", "1"])
+        assert usage.value.code == 2
+        assert "--retries" in capsys.readouterr().err
+
+    def test_sigint_exits_130_and_writes_partial_manifest(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.exec.request as request_module
+
+        def fake_execute(request, *, engine=None):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(request_module, "execute", fake_execute)
+        manifest_path = tmp_path / "manifest.json"
+        code = main(["run", "fig8", "--manifest", str(manifest_path), "--quiet"])
+        assert code == 130
+        assert manifest_path.exists()
+        assert "rerun with the same --cache-dir" in capsys.readouterr().err
+
 
 class TestRunAll:
     def test_quick_smoke(self, tmp_path, capsys):

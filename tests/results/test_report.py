@@ -53,7 +53,6 @@ SAMPLES = [
         experiment="fig8",
         unit_id="fig8/2MB",
         status="done",
-        attempts=1,
         wall_seconds=0.25,
         cpu_seconds=0.24,
         error=None,
