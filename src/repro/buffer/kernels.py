@@ -266,24 +266,6 @@ class ArrayKernel:
         if victims.size:
             _add_tally(self.eviction_counts, self._relation[victims])
 
-    def process_block(self, refs: list[int], tx_base: int) -> None:
-        """One transaction's encoded references, as a one-span batch.
-
-        A test entry point: ``tx_base`` is the transaction's index
-        shifted by :data:`TX_STRIDE_SHIFT`, its row in ``tx_misses``.
-        """
-        if not refs:
-            return
-        self.process_batch(
-            EncodedBatch(
-                np.array(refs, dtype=np.int64),
-                np.array([tx_base >> TX_STRIDE_SHIFT]),
-                np.array([len(refs)]),
-                np.zeros((0, 0), dtype=np.int64),  # access counts: unused here
-                max(refs) >> REF_PID_SHIFT,
-            )
-        )
-
     def _replace(
         self, page_ids: np.ndarray
     ) -> tuple[Sequence[int] | np.ndarray, Sequence[int] | np.ndarray]:
@@ -292,10 +274,6 @@ class ArrayKernel:
         Returns the positions that missed and the page ids evicted,
         each in any order: only their multiplicities are tallied.
         """
-        raise NotImplementedError
-
-    def resident_page_ids(self) -> list[int]:
-        """Resident dense page ids, victims first (for parity tests)."""
         raise NotImplementedError
 
     def __len__(self) -> int:
@@ -351,11 +329,6 @@ class LruArrayKernel(ArrayKernel):
 
     def __len__(self) -> int:
         return self._used
-
-    def resident_page_ids(self) -> list[int]:
-        residents = np.flatnonzero(self._resident)
-        ordered = residents[np.argsort(self._last[residents], kind="stable")]
-        return ordered.tolist()
 
     def _replace(self, page_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # The long-gap (class 2) work grows faster than linearly once a
@@ -582,11 +555,6 @@ class FifoArrayKernel(ArrayKernel):
     def __len__(self) -> int:
         return self._count
 
-    def resident_page_ids(self) -> list[int]:
-        if self._count < self._capacity:
-            return list(self._page_of[: self._count])
-        return list(self._page_of[self._head :] + self._page_of[: self._head])
-
     def _replace(self, page_ids: np.ndarray) -> tuple[list[int], list[int]]:
         resident = self._resident
         page_of = self._page_of
@@ -643,13 +611,6 @@ class ClockArrayKernel(ArrayKernel):
 
     def __len__(self) -> int:
         return self._count
-
-    def resident_page_ids(self) -> list[int]:
-        count = self._count
-        if count == 0:
-            return []
-        hand = self._hand if count == self._capacity else 0
-        return [self._page_of[(hand + i) % count] for i in range(count)]
 
     def _replace(self, page_ids: np.ndarray) -> tuple[list[int], list[int]]:
         frame_of = self._frame_of
@@ -714,10 +675,6 @@ class LfuArrayKernel(ArrayKernel):
     def __len__(self) -> int:
         return len(self._heap)
 
-    def resident_page_ids(self) -> list[int]:
-        residents = [entry & _PAGE_MASK for entry in self._heap]
-        return sorted(residents, key=self._key_of.__getitem__)
-
     def _replace(self, page_ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
         key_of = self._key_of
         heap = self._heap
@@ -750,8 +707,8 @@ class MruArrayKernel(ArrayKernel):
     After any reference its page is resident and carries the highest
     stamp, so the victim of a full-pool miss is always the page of the
     previous reference.  The per-page last-touch stamp (``0`` = not
-    resident) is the residency flag, and orders
-    :meth:`resident_page_ids` as ``MruPolicy``'s recency stack.
+    resident) is the residency flag, and orders the residents as
+    ``MruPolicy``'s recency stack.
     """
 
     policy_name = "mru"
@@ -771,11 +728,6 @@ class MruArrayKernel(ArrayKernel):
 
     def __len__(self) -> int:
         return self._used
-
-    def resident_page_ids(self) -> list[int]:
-        last = self._last_of
-        residents = [page for page, stamp in enumerate(last) if stamp]
-        return sorted(residents, key=last.__getitem__, reverse=True)
 
     def _replace(self, page_ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
         last = self._last_of
@@ -838,11 +790,6 @@ class TwoQArrayKernel(ArrayKernel):
 
     def __len__(self) -> int:
         return len(self._probation) + len(self._main)
-
-    def resident_page_ids(self) -> list[int]:
-        # Probation in FIFO order, then main in LRU order — each
-        # queue's own victim order, admission victims first.
-        return list(self._probation) + list(self._main)
 
     def _replace(self, page_ids: np.ndarray) -> tuple[list[int], list[int]]:
         queue_of = self._queue_of
@@ -929,11 +876,6 @@ class LruKArrayKernel(ArrayKernel):
         if seen >= k:
             return self._times[page_id * k + seen % k]
         return self._times[page_id * k] - _UNDER_K
-
-    def resident_page_ids(self) -> list[int]:
-        return sorted(
-            (entry & _PAGE_MASK for entry in self._heap), key=self._priority
-        )
 
     def _replace(self, page_ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
         k = self._k

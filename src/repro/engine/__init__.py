@@ -35,26 +35,10 @@ from repro.engine.hashindex import HashIndex
 from repro.engine.heap import HeapFile, RecordId
 from repro.engine.locks import LockManager, LockMode
 from repro.engine.page import Page, PageId, PageStore
-from repro.engine.query import (
-    Aggregate,
-    Distinct,
-    Filter,
-    IndexLookup,
-    IndexNestedLoopJoin,
-    IndexScan,
-    Limit,
-    Operator,
-    Project,
-    SeqScan,
-    Sort,
-    execute,
-    stock_level_plan,
-)
 from repro.engine.table import Table
 from repro.engine.wal import WriteAheadLog
 
 __all__ = [
-    "Aggregate",
     "BPlusTree",
     "BufferEvictionError",
     "BufferManager",
@@ -62,30 +46,20 @@ __all__ = [
     "ColumnType",
     "CorruptPageError",
     "Database",
-    "Distinct",
     "DuplicateKeyError",
     "EngineError",
-    "Filter",
     "InjectedFaultError",
     "HashIndex",
     "HeapFile",
-    "IndexLookup",
-    "IndexNestedLoopJoin",
-    "IndexScan",
-    "Limit",
     "LockConflictError",
     "LockManager",
     "LockMode",
-    "Operator",
     "Page",
     "PageFullError",
     "PageId",
     "PageStore",
     "RecordId",
-    "Project",
     "RecordNotFoundError",
-    "SeqScan",
-    "Sort",
     "Table",
     "TableNotFoundError",
     "TableSchema",
@@ -94,6 +68,4 @@ __all__ = [
     "TransactionStateError",
     "WalAppendFaultError",
     "WriteAheadLog",
-    "execute",
-    "stock_level_plan",
 ]

@@ -402,10 +402,6 @@ class BPlusTree:
         self._require(len(keys) == self._size, "size counter out of sync")
         self._validate_node(self._root, is_root=True)
 
-    def check_invariants(self) -> None:
-        """Backwards-compatible alias for :meth:`validate`."""
-        self.validate()
-
     @staticmethod
     def _require(condition: bool, message: str) -> None:
         if not condition:

@@ -577,10 +577,6 @@ class Database:
         """Flush all dirty pages to the store."""
         self.buffers.flush_all()
 
-    def drop_buffer_cache(self) -> None:
-        """Flush then empty the buffer cache (cold-cache maintenance)."""
-        self.buffers.drop_all()
-
     def backup(self) -> None:
         """Checkpoint, then snapshot every page image as the base backup.
 

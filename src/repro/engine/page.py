@@ -326,10 +326,6 @@ class PageStore:
         """
         self._backup = dict(self._images)
 
-    @property
-    def has_backup(self) -> bool:
-        return self._backup is not None
-
     def backup_images(self) -> dict[PageId, bytes]:
         """The backup snapshot (empty when none was taken)."""
         return dict(self._backup) if self._backup is not None else {}

@@ -41,6 +41,7 @@ from repro.workload.trace import (
     TraceGenerator,
 )
 
+from .kernel_probe import process_block, resident_page_ids
 from .policy_replay import replay
 
 
@@ -239,20 +240,20 @@ class TestSlotTable:
         page_id = space.encode(N_STATIC_RELATIONS, 50_000)
         kernel.ensure_page_capacity(page_id)
         ref = space.encode_ref(N_STATIC_RELATIONS, 50_000, True)
-        kernel.process_block([ref], 0)
-        assert kernel.resident_page_ids() == [page_id]
+        process_block(kernel, [ref], 0)
+        assert resident_page_ids(kernel) == [page_id]
 
     def test_process_block_grows_without_presizing(self):
         space = small_space()
         kernel = make_kernel("fifo", 4, space, 5)
         ref = space.encode_ref(N_STATIC_RELATIONS + 1, 9_999, True)
-        kernel.process_block([ref], 0)
+        process_block(kernel, [ref], 0)
         assert len(kernel) == 1
 
     def test_counter_reset_keeps_residency(self):
         space = small_space()
         kernel = make_kernel("lru", 4, space, 5)
-        kernel.process_block([space.encode_ref(0, 1, False)], 0)
+        process_block(kernel, [space.encode_ref(0, 1, False)], 0)
         assert kernel.batch_misses[0] == 1
         kernel.reset_counters()
         assert kernel.batch_misses[0] == 0
@@ -264,7 +265,7 @@ class TestSlotTable:
         kernel = make_kernel("lru", 1, space, 5)
         a = space.encode_ref(0, 1, False)
         b = space.encode_ref(1, 2, False)
-        kernel.process_block([a, b, a], 0)
+        process_block(kernel, [a, b, a], 0)
         assert kernel.batch_misses[0] == 2  # a missed twice (evicted by b)
         assert kernel.batch_misses[1] == 1
         assert kernel.evictions_by_relation() == {0: 1, 1: 1}

@@ -58,18 +58,18 @@ class TestSplitsAndOrdering:
         build(tree, range(200))
         assert len(tree) == 200
         assert [key for key, _ in tree.items()] == list(range(200))
-        tree.check_invariants()
+        tree.validate()
 
     def test_many_reverse_inserts(self, tree):
         build(tree, reversed(range(200)))
         assert [key for key, _ in tree.items()] == list(range(200))
-        tree.check_invariants()
+        tree.validate()
 
     def test_random_inserts(self, tree):
         keys = np.random.default_rng(0).permutation(500).tolist()
         build(tree, keys)
         assert [key for key, _ in tree.items()] == sorted(keys)
-        tree.check_invariants()
+        tree.validate()
 
     def test_all_keys_findable_after_splits(self, tree):
         keys = list(range(0, 300, 3))
@@ -84,7 +84,7 @@ class TestDeletion:
         assert tree.delete(25) == "v25"
         assert 25 not in tree
         assert len(tree) == 49
-        tree.check_invariants()
+        tree.validate()
 
     def test_delete_missing(self, tree):
         build(tree, range(5))
@@ -97,7 +97,7 @@ class TestDeletion:
         rng = np.random.default_rng(1)
         for key in rng.permutation(keys).tolist():
             tree.delete(key)
-            tree.check_invariants()
+            tree.validate()
         assert len(tree) == 0
         assert list(tree.items()) == []
 
@@ -109,7 +109,7 @@ class TestDeletion:
             tree.insert(key, "again")
         assert len(tree) == 60
         assert tree.search(4) == "again"
-        tree.check_invariants()
+        tree.validate()
 
     def test_interleaved_operations(self, tree):
         rng = np.random.default_rng(7)
@@ -124,7 +124,7 @@ class TestDeletion:
                 present.add(key)
         assert len(tree) == len(present)
         assert [key for key, _ in tree.items()] == sorted(present)
-        tree.check_invariants()
+        tree.validate()
 
 
 class TestRangeScan:
@@ -212,6 +212,6 @@ class TestLargeOrder:
         for key in keys:
             tree.insert(key, key)
         assert len(tree) == 5000
-        tree.check_invariants()
+        tree.validate()
         for key in (0, 2499, 4999):
             assert tree.search(key) == key

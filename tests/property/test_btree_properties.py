@@ -48,7 +48,7 @@ class TestModelEquivalence:
                 assert tree.get(key) == model.get(key)
         assert len(tree) == len(model)
         assert [k for k, _ in tree.items()] == sorted(model)
-        tree.check_invariants()
+        tree.validate()
 
     @given(st.lists(keys, unique=True, min_size=1, max_size=200), keys, keys)
     @settings(max_examples=100, deadline=None)
@@ -86,7 +86,7 @@ class TestModelEquivalence:
         to_delete = insert_keys[:: 2]
         for key in to_delete:
             tree.delete(key)
-        tree.check_invariants()
+        tree.validate()
         survivors = sorted(set(insert_keys) - set(to_delete))
         assert [k for k, _ in tree.items()] == survivors
         for key in survivors:

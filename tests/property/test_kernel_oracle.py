@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 from repro.buffer.kernels import make_kernel
 from repro.workload.trace import N_STATIC_RELATIONS, PageIdSpace
 
+from ..buffer.kernel_probe import process_block, resident_page_ids
+
 
 def _lru_k(k):
     return lambda ticks: ticks[-k] if len(ticks) >= k else ticks[0] - (1 << 60)
@@ -55,7 +57,7 @@ def test_lockstep_against_brute_force(policy, capacity, stream):
         page_id = SPACE.encode(relation, page)
         evicted_before = sum(kernel.eviction_counts)
         missed_before = sum(kernel.batch_misses)
-        kernel.process_block([SPACE.encode_ref(relation, page, False)], 0)
+        process_block(kernel, [SPACE.encode_ref(relation, page, False)], 0)
 
         victim = None
         if page_id in residents:
@@ -70,7 +72,7 @@ def test_lockstep_against_brute_force(policy, capacity, stream):
         missed = sum(kernel.batch_misses) - missed_before
         assert missed == (len(residents[page_id]) == 1), context
         assert sum(kernel.eviction_counts) - evicted_before == (victim is not None), context
-        assert kernel.resident_page_ids() == sorted(
+        assert resident_page_ids(kernel) == sorted(
             residents, key=lambda p: priority(residents[p])
         ), context
         assert len(kernel) == len(residents), context

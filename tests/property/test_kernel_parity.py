@@ -19,6 +19,8 @@ from repro.workload.trace import (
     REF_PID_SHIFT,
 )
 
+from ..buffer.kernel_probe import process_block, resident_page_ids
+
 #: Every relation accepts pages 0..11 under this static geometry, so
 #: the stream strategy does not need per-relation page bounds.
 STATIC_PAGES = [12] * N_STATIC_RELATIONS
@@ -46,15 +48,15 @@ def test_lockstep_parity(policy_name, capacity, stream):
     kernel = make_kernel(policy_name, capacity, space, len(RELATION_NAMES))
     policy = make_policy(policy_name, capacity)
 
-    resident_before = set(kernel.resident_page_ids())
+    resident_before = set(resident_page_ids(kernel))
     for step, (relation, page, write) in enumerate(stream):
         ref = space.encode_ref(relation, page, write)
         page_id = ref >> REF_PID_SHIFT
 
         misses_before = sum(kernel.batch_misses)
-        kernel.process_block([ref], 0)
+        process_block(kernel, [ref], 0)
         kernel_missed = sum(kernel.batch_misses) > misses_before
-        resident_after = set(kernel.resident_page_ids())
+        resident_after = set(resident_page_ids(kernel))
         kernel_victims = resident_before - resident_after
 
         key = (relation, page)
@@ -97,7 +99,7 @@ def test_eviction_order_parity(policy_name, capacity, stream):
     policy = make_policy(policy_name, capacity)
 
     for relation, page, write in stream:
-        kernel.process_block([space.encode_ref(relation, page, write)], 0)
+        process_block(kernel, [space.encode_ref(relation, page, write)], 0)
         key = (relation, page)
         if policy.contains(key):
             policy.touch(key)
@@ -105,7 +107,7 @@ def test_eviction_order_parity(policy_name, capacity, stream):
             policy.admit(key)
 
     expected = [space.encode(*key) for key in _policy_eviction_order(policy)]
-    assert kernel.resident_page_ids() == expected
+    assert resident_page_ids(kernel) == expected
 
 
 def _policy_residents(policy):

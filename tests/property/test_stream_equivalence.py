@@ -38,6 +38,8 @@ from repro.workload.trace import (
     TraceGenerator,
 )
 
+from ..buffer.kernel_probe import process_block, resident_page_ids
+
 #: Mixed reference- and transaction-bounded batch requests, sized to
 #: cross planner-chunk boundaries several times.
 BATCH_SPEC = [
@@ -273,7 +275,7 @@ def _feed_scalar(kernel, batch: EncodedBatch) -> None:
     for tx_index, length in zip(
         batch.tx_indices.tolist(), batch.tx_lengths.tolist()
     ):
-        kernel.process_block(batch.refs[pos : pos + length].tolist(), tx_index << 4)
+        process_block(kernel, batch.refs[pos : pos + length].tolist(), tx_index << 4)
         pos += length
 
 
@@ -300,7 +302,7 @@ class TestProcessBatchParity:
                 assert scalar.tx_misses == batched.tx_misses, context
                 assert scalar.eviction_counts == batched.eviction_counts, context
                 assert (
-                    scalar.resident_page_ids() == batched.resident_page_ids()
+                    resident_page_ids(scalar) == resident_page_ids(batched)
                 ), context
 
     @pytest.mark.parametrize("policy", ARRAY_KERNEL_POLICIES)
@@ -329,6 +331,6 @@ class TestProcessBatchParity:
                     scalar.eviction_counts == batched.eviction_counts
                 ), context
                 assert (
-                    scalar.resident_page_ids() == batched.resident_page_ids()
+                    resident_page_ids(scalar) == resident_page_ids(batched)
                 ), context
                 assert len(scalar) == len(batched), context
