@@ -12,9 +12,10 @@ page ids out once, calls the policy's ``_replace`` hook, and folds the
 miss positions and victims the hook returns into the counters with
 ``bincount``.  A hook's loop does replacement and nothing else:
 
-* :class:`LruArrayKernel` — timestamp LRU with no per-reference loop:
-  a batch event merge classifies every reference with array ops (see
-  the class), so hits cost no Python work at all.
+* :class:`LruArrayKernel` — the resident ids in recency order and a
+  slot per page, with no per-reference loop: every reference is
+  classified with array ops (see the class), so hits cost no Python
+  work at all.
 * :class:`FifoArrayKernel` — a circular buffer of page ids in
   admission order, mirroring ``FifoPolicy``'s deque.
 * :class:`ClockArrayKernel` — a ring of frames with reference bits and
@@ -68,8 +69,10 @@ _PAGE_TABLE_GROWTH = 4096
 
 #: The vectorized LRU pass classifies at most this many references at a
 #: time: ``_LRU_SLICE_CAPACITIES`` buffer capacities, and never fewer
-#: than ``_LRU_SLICE_FLOOR`` (measured optimum: 8-16 capacities; a
-#: 1 024-page buffer costs 230 ns/ref on one 48 k batch, 110 in three).
+#: than ``_LRU_SLICE_FLOOR`` (measured optimum: 8-16 capacities, within
+#: noise of each other; unsliced, a 3 328-page buffer costs 216 ns/ref
+#: on a 100 k batch against 97 in two slices, and a 1 024-page buffer
+#: 176 on a 41 k batch against 98 in three).
 _LRU_SLICE_CAPACITIES = 16
 _LRU_SLICE_FLOOR = 8192
 
@@ -281,26 +284,29 @@ class ArrayKernel:
 
 
 class LruArrayKernel(ArrayKernel):
-    """Least-recently-used over per-page last-touch timestamps.
+    """Least-recently-used over the resident ids kept in recency order.
 
-    State is dense per-page arrays — residency and last-touch position
-    — plus a single global position counter that is never reset.
-    There is no per-reference loop (a long batch is cut into a few
-    slices).  The classifier leans on the LRU *inclusion property*:
-    with exact LRU the resident set after any prefix of the trace is
-    simply the ``capacity`` most recently touched distinct pages, so
-    hit/miss outcomes and the eviction multiset are determined by the
-    trace alone — no victim needs to be sequenced.  Each reference is
-    classified by array ops: a repeat touch within ``capacity``
-    positions of the previous touch is a guaranteed hit; a repeat
-    across a longer gap misses iff the gap contains ``capacity``
+    State is the resident page ids, least recent first, plus one int32
+    slot per page: its index in that order plus one, or 0 when the page
+    is not resident.  There is no per-reference loop (a long batch is
+    cut into a few slices).  The classifier leans on the LRU *inclusion
+    property*: with exact LRU the resident set after any prefix of the
+    trace is simply the ``capacity`` most recently touched distinct
+    pages, so hit/miss outcomes and the eviction multiset are
+    determined by the trace alone — no victim needs to be sequenced.
+    Each reference is classified by array ops: a repeat touch within
+    ``capacity`` positions of the previous touch is a guaranteed hit; a
+    repeat across a longer gap misses iff the gap contains ``capacity``
     distinct pages (an inclusion/exclusion identity over the batch's
     touch chains plus a 2D dominance count, see
     :func:`_block_count_lt`); a first touch of a non-resident page
-    always misses; and a first touch of a batch-start resident misses
-    iff ``capacity`` distinct pages with higher recency were touched
-    first (resolved with the same dominance counter over pre-batch
-    recency ranks).  Hits cost no Python work at all.
+    always misses; and a first touch of a slice-start resident misses
+    iff ``capacity`` distinct pages more recent than it were touched
+    first (rank bounds settle most of these, the same dominance counter
+    the rest).  The new recency order is the untouched residents
+    followed by the touched pages in last-touch order, and the part of
+    it beyond ``capacity`` is exactly the slice's late victims.  Hits
+    cost no Python work at all.
     """
 
     policy_name = "lru"
@@ -309,26 +315,15 @@ class LruArrayKernel(ArrayKernel):
         self, capacity: int, space: PageIdSpace, transaction_types: int
     ) -> None:
         super().__init__(capacity, space, transaction_types)
-        size = self._relation.shape[0]
-        self._resident = np.zeros(size, dtype=np.uint8)
-        self._last = np.zeros(size, dtype=np.int64)
-        self._pos = 0
-        self._used = 0
-        # The resident ids, and a reusable scratch flag per page for
-        # set intersections without hashing.
         self._res_ids = np.empty(0, dtype=np.int64)
-        self._mark = np.zeros(size, dtype=bool)
+        self._slot = np.zeros(self._relation.shape[0], dtype=np.int32)
 
     def _grow(self, extra: int) -> None:
         super()._grow(extra)
-        self._resident = np.concatenate(
-            [self._resident, np.zeros(extra, dtype=np.uint8)]
-        )
-        self._last = np.concatenate([self._last, np.zeros(extra, dtype=np.int64)])
-        self._mark = np.concatenate([self._mark, np.zeros(extra, dtype=bool)])
+        self._slot = np.concatenate([self._slot, np.zeros(extra, dtype=np.int32)])
 
     def __len__(self) -> int:
-        return self._used
+        return int(self._res_ids.size)
 
     def _replace(self, page_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # The long-gap (class 2) work grows faster than linearly once a
@@ -349,10 +344,8 @@ class LruArrayKernel(ArrayKernel):
     def _classify_slice(self, pids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Advance residency over ``pids``; miss positions and victims."""
         n = int(pids.shape[0])
-        resident = self._resident
-        last = self._last
-        mark = self._mark
-        pos0 = self._pos
+        slot = self._slot
+        res_ids = self._res_ids
         capacity = self._capacity
 
         # Group each page's touches in position order by sorting one
@@ -436,19 +429,21 @@ class LruArrayKernel(ArrayKernel):
         else:
             c2_miss_pos = np.empty(0, dtype=np.int64)
 
-        res_ids = self._res_ids
-
-        # Classes 3 and 4 — first in-batch touches.  Non-residents
-        # always miss.  A batch-start resident x survives until its
+        # Classes 3 and 4 — first in-slice touches.  Non-residents
+        # always miss.  A slice-start resident x survives until its
         # first touch iff fewer than ``capacity`` pages outrank it the
         # whole way: the distinct pages touched before it plus the
-        # residents with younger pre-batch stamps, minus the overlap
-        # (already-touched residents whose stamp was younger — their
-        # touch moved them from one group to the other, not two).
-        was_resident = resident[unique_pids] != 0
+        # residents more recent than x, minus the overlap (residents
+        # more recent than x and touched before it — their touch moved
+        # them from one group to the other, not two).
+        page_slot = slot[unique_pids]
+        was_resident = page_slot != 0
         miss3_pos = group_first[~was_resident]
         first4 = group_first[was_resident]
+        slot4 = page_slot[was_resident]
         page4 = unique_pids[was_resident]
+        touched = np.zeros(res_ids.size, dtype=bool)  # in recency order
+        touched[slot4 - 1] = True
         if first4.size:
             # ``firsts_le`` doubles as the first-touch rank table: a
             # queried first's rank is the count of firsts at or before
@@ -458,29 +453,35 @@ class LruArrayKernel(ArrayKernel):
                     np.bincount(group_first, minlength=n), dtype=np.int32
                 )
             touched_before = firsts_le[first4] - 1
-            # ``above`` only needs rank *counts*, not a rank table:
-            # stamps are unique, so a binary search against the sorted
-            # resident stamps replaces the argsort + scatter.
-            sorted_last = np.sort(last[res_ids])
-            above = res_ids.size - np.searchsorted(
-                sorted_last, last[page4], side="right"
-            )
+            above = res_ids.size - slot4
             miss4 = touched_before >= capacity
-            ambiguous = (touched_before + above >= capacity) & ~miss4
+            threshold = touched_before + above - capacity  # miss iff overlap <= it
+            ambiguous = (threshold >= 0) & ~miss4
             if ambiguous.any():
-                by_touch = np.argsort(first4)
-                seq_pos = np.empty(first4.size, dtype=np.int64)
-                seq_pos[by_touch] = np.arange(first4.size, dtype=np.int64)
-                by_rank = np.argsort(last[page4[by_touch]])
-                ranks = np.empty(first4.size, dtype=np.int64)
-                ranks[by_rank] = np.arange(first4.size, dtype=np.int64)
-                q_idx = seq_pos[ambiguous]
-                q_rank = ranks[q_idx]
-                overlap = q_idx - _block_count_lt(ranks, by_rank, q_idx, q_rank)
-                miss4[ambiguous] = (
-                    touched_before[ambiguous] + above[ambiguous] - overlap
-                    >= capacity
-                )
+                # Among the m touched residents, x's first-touch order
+                # ``seq`` and recency order ``r`` bound its overlap: at
+                # most ``seq`` were touched before it and ``m - 1 - r``
+                # are more recent, and at most ``r`` of the ``seq`` are
+                # less recent.
+                m = first4.size
+                is_first4 = np.zeros(n, dtype=bool)
+                is_first4[first4] = True
+                seq = np.cumsum(is_first4, dtype=np.int32)[first4] - 1
+                r = np.cumsum(touched, dtype=np.int32)[slot4 - 1] - 1
+                lo = np.maximum(seq - r, 0)
+                hi = np.minimum(seq, m - 1 - r)
+                miss4 |= ambiguous & (hi <= threshold)
+                ambiguous &= (lo <= threshold) & (hi > threshold)
+                if ambiguous.any():
+                    ranks = np.empty(m, dtype=np.int64)
+                    ranks[seq] = r  # recency order, in first-touch order
+                    by_rank = np.empty(m, dtype=np.int64)
+                    by_rank[r] = seq
+                    q_idx = seq[ambiguous]
+                    overlap = q_idx - _block_count_lt(
+                        ranks, by_rank, q_idx, ranks[q_idx]
+                    )
+                    miss4[ambiguous] = overlap <= threshold[ambiguous]
             miss4_pos = first4[miss4]
             miss4_page = page4[miss4]
         else:
@@ -489,44 +490,22 @@ class LruArrayKernel(ArrayKernel):
 
         miss_positions = np.concatenate([miss3_pos, miss4_pos, c2_miss_pos])
 
-        # Final residency: the ``capacity`` highest recencies among
-        # touched pages (their new stamp) and untouched batch-start
-        # residents (their old stamp).
-        new_last = group_last + (pos0 + 1)
-        mark[unique_pids] = True
-        untouched = res_ids[~mark[res_ids]]
-        mark[unique_pids] = False
-        cand_ids = np.concatenate([unique_pids, untouched])
-        cand_last = np.concatenate([new_last, last[untouched]])
-        total = cand_ids.size
-        new_used = total if total < capacity else capacity
-        if total > new_used:
-            keep = np.argpartition(cand_last, total - new_used)
-            new_resident = cand_ids[keep[total - new_used :]]
-        else:
-            new_resident = cand_ids
-
-        # Eviction multiset: each class-2 readmission and each class-4
-        # miss records one earlier eviction of that same page, and any
-        # candidate missing from the final residents was evicted once
-        # after its last touch (or, untouched, at some point mid-batch).
-        mark[new_resident] = True
-        victims = np.concatenate(
-            [
-                miss4_page,
-                unique_pids[~mark[unique_pids]],
-                untouched[~mark[untouched]],
-                pids[c2_miss_pos],
-            ]
-        )
-        mark[new_resident] = False
-
-        resident[res_ids] = 0
-        resident[new_resident] = 1
-        last[unique_pids] = new_last
-        self._res_ids = new_resident
-        self._used = new_used
-        self._pos = pos0 + n
+        # Final recency order: the untouched residents, then every
+        # touched page at its last touch, cut to the newest
+        # ``capacity``.  The part cut off is exactly the candidates
+        # evicted after their last touch (or, untouched, at some point
+        # mid-slice); each class-2 readmission and each class-4 miss
+        # records one earlier eviction of that same page.
+        is_last = np.zeros(n, dtype=bool)
+        is_last[group_last] = True
+        order = np.concatenate([res_ids[~touched], pids[is_last]])
+        cut = max(order.size - capacity, 0)
+        evicted = order[:cut]
+        new_res_ids = order[cut:]
+        slot[evicted] = 0
+        slot[new_res_ids] = np.arange(1, new_res_ids.size + 1, dtype=np.int32)
+        self._res_ids = new_res_ids
+        victims = np.concatenate([miss4_page, evicted, pids[c2_miss_pos]])
         return miss_positions, victims
 
 

@@ -48,8 +48,7 @@ def process_block(kernel: ArrayKernel, refs: list[int], tx_base: int) -> None:
 def resident_page_ids(kernel: ArrayKernel) -> list[int]:
     """The kernel's resident dense page ids, next victim first."""
     if isinstance(kernel, LruArrayKernel):
-        residents = np.flatnonzero(kernel._resident)
-        return residents[np.argsort(kernel._last[residents], kind="stable")].tolist()
+        return kernel._res_ids.tolist()
     if isinstance(kernel, FifoArrayKernel):
         if kernel._count < kernel._capacity:
             return kernel._page_of[: kernel._count]

@@ -6,7 +6,8 @@ registry, the dense page-id interning, table growth, the bound on
 every kernel's state, the simulator's policy validation, and parity of
 the simulator's report and the kernels' shared tally with a replay of
 the same trace through the reference policy object
-(``tests/buffer/policy_replay.py``).
+(``tests/buffer/policy_replay.py``), the LRU kernel's recency order,
+and the dominance counter behind the LRU classifier.
 """
 
 import collections
@@ -24,9 +25,10 @@ from repro.buffer.kernels import (
     LruKArrayKernel,
     MruArrayKernel,
     TwoQArrayKernel,
+    _block_count_lt,
     make_kernel,
 )
-from repro.buffer.policy import make_policy
+from repro.buffer.policy import LruPolicy, make_policy
 from repro.buffer.simulator import BufferSimulation, SimulationConfig
 from repro.obs.metrics import default_registry
 from repro.workload.mix import TRANSACTION_ORDER
@@ -307,6 +309,120 @@ class TestBoundedState:
             and len(value) > capacity
         }
         assert not outgrown
+
+
+def mixed_page_stream(rng: np.random.Generator, pages: int, n: int) -> np.ndarray:
+    """``n`` page ids below ``pages``: uniform, skewed and scan runs."""
+    runs = []
+    while sum(run.size for run in runs) < n:
+        kind = int(rng.integers(0, 3))
+        length = int(rng.integers(200, 3_000))
+        if kind == 0:
+            run = rng.integers(0, pages, size=length)
+        elif kind == 1:
+            hot = rng.permutation(pages)
+            run = hot[(pages * rng.random(length) ** 3).astype(np.int64)]
+        else:
+            start = int(rng.integers(0, pages))
+            run = (start + np.arange(length)) % pages
+        runs.append(run)
+    return np.concatenate(runs)[:n]
+
+
+class TestLruRecencyOrder:
+    """The LRU kernel's state is its residents in recency order."""
+
+    @pytest.mark.parametrize(
+        "capacity, pages", [(50, 100), (90, 360), (200, 500), (400, 1_200)]
+    )
+    def test_sliced_batches_keep_the_policy_order(self, capacity, pages):
+        """Batches several slices long leave ``_res_ids`` in the order
+        of ``LruPolicy``'s ordered dict, least recent first, with
+        ``_slot`` its inverse plus one and 0 off the residents.  The
+        order follows from the trace alone, so the misses and evictions
+        are checked too: they are where a first touch of a resident is
+        classified."""
+        space = PageIdSpace([pages, 1, 1, 1, 1])  # relation 0 ids are pages
+        kernel = make_kernel("lru", capacity, space, len(TRANSACTION_ORDER))
+        policy = LruPolicy(capacity)
+        rng = np.random.default_rng(capacity)
+        policy_evictions = 0
+        for _ in range(4):
+            page_ids = mixed_page_stream(rng, pages, 20_000)
+            kernel.begin_batch()
+            kernel.process_batch(
+                EncodedBatch.of_refs(page_ids << REF_PID_SHIFT, space.static_total)
+            )
+            _, misses, evictions = replay(
+                policy, [(0, page) for page in page_ids.tolist()]
+            )
+            policy_evictions += evictions[0]
+            assert kernel.batch_misses[0] == misses[0]
+            assert kernel.eviction_counts[0] == policy_evictions
+            order = kernel._res_ids
+            assert order.tolist() == [page for _, page in policy._pages]
+            expected_slot = np.zeros(kernel._slot.size, dtype=np.int64)
+            expected_slot[order] = np.arange(1, order.size + 1)
+            assert np.array_equal(kernel._slot, expected_slot)
+            assert len(kernel) == order.size
+
+
+class TestBlockCountLt:
+    """``_block_count_lt`` against a brute-force dominance count."""
+
+    @staticmethod
+    def check(ranks, q_index, q_rank):
+        by_rank = np.empty_like(ranks)
+        by_rank[ranks] = np.arange(ranks.size)
+        q_index = np.asarray(q_index, dtype=np.int64)
+        q_rank = np.asarray(q_rank, dtype=np.int64)
+        below = np.arange(ranks.size)[None, :] < q_index[:, None]
+        below &= ranks[None, :] < q_rank[:, None]
+        counts = _block_count_lt(ranks, by_rank, q_index, q_rank)
+        assert counts.tolist() == np.count_nonzero(below, axis=1).tolist()
+
+    @pytest.mark.parametrize(
+        "m", [1, 2, 15, 16, 17, 31, 64, 100, 257, 1_000, 2_048, 2_999, 3_000]
+    )
+    def test_every_index_and_rank_edge(self, m):
+        """One query per index value and one per rank value, each
+        paired with a random other coordinate, plus the four corners:
+        every block edge the counter can pick is queried."""
+        rng = np.random.default_rng(m)
+        ranks = rng.permutation(m).astype(np.int64)
+        sweep = np.arange(m + 1)
+        self.check(
+            ranks,
+            np.concatenate([sweep, rng.integers(0, m + 1, m + 1), [0, 0, m, m]]),
+            np.concatenate([rng.integers(0, m + 1, m + 1), sweep, [0, m, 0, m]]),
+        )
+
+    @pytest.mark.parametrize("m", [40, 500, 3_000])
+    def test_few_queries_on_wide_blocks(self, m):
+        """Few queries make wide blocks; query on their edges and
+        either side of them, and at both ends of each axis."""
+        rng = np.random.default_rng(m + 1)
+        ranks = rng.permutation(m).astype(np.int64)
+        for queries in (1, 3, 8):
+            # The width ``_block_count_lt`` picks for this many queries.
+            block = max(16, min(int((m * m / queries) ** (1 / 3)), m))
+            edges = np.arange(0, m + 1, block)
+            near = np.clip(np.concatenate([edges - 1, edges, edges + 1, [m]]), 0, m)
+            q_index = rng.choice(near, queries)
+            q_rank = rng.choice(near, queries)
+            q_index[0], q_rank[-1] = rng.choice([0, m]), rng.choice([0, m])
+            self.check(ranks, q_index, q_rank)
+
+    def test_random_sizes(self):
+        rng = np.random.default_rng(2024)
+        for m in rng.integers(1, 3_001, 12).tolist():
+            ranks = rng.permutation(m).astype(np.int64)
+            queries = int(rng.integers(1, 400))
+            self.check(
+                ranks,
+                rng.integers(0, m + 1, queries),
+                rng.integers(0, m + 1, queries),
+            )
 
 
 class TestKernelSelection:
