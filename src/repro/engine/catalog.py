@@ -5,6 +5,14 @@ CHAR(n) columns and packs them to bytes with :mod:`struct`.  Fixed
 lengths keep the page geometry identical to the paper's Table 1 — the
 TPC-C schemas in :mod:`repro.tpcc.rows` are sized so their packed rows
 match the paper's tuple lengths byte for byte.
+
+Decoding is projected: ``unpack(record, columns)`` decodes only the
+named columns plus the primary key (a statement needs the key for its
+lock), through a :class:`struct.Struct` that skips every other column
+with ``x`` pad bytes.  One such decoder is compiled per column tuple
+and cached on the schema; ``columns=None`` decodes the whole row.
+:meth:`TableSchema.patch` is the other half: it writes changed columns
+into a copy of the record without decoding the row at all.
 """
 
 from __future__ import annotations
@@ -134,14 +142,13 @@ class TableSchema:
             "<" + "".join(column.struct_format for column in columns)
         )
         # The codec, compiled once per schema: each column's converter to
-        # its struct argument, the CHAR positions to decode, and where a
-        # lone column is packed into a record (for patch).
+        # its struct argument and where a lone column is packed into a
+        # record (for patch).  Decoders are compiled per projection, on
+        # first use, and kept in ``_decoders``.
         self._names = tuple(names)
-        self._chars = [
-            i for i, column in enumerate(columns) if column.type is ColumnType.CHAR
-        ]
         self._encoders = []
         self._patchers = {}
+        self._decoders: dict[tuple[str, ...] | None, Callable[[bytes], dict]] = {}
         offset = 0
         for column in columns:
             if column.type is ColumnType.CHAR:
@@ -229,12 +236,54 @@ class TableSchema:
 
         return pack_row
 
-    def unpack(self, record: bytes) -> dict:
-        """Deserialize bytes back to a row dict (CHAR values stripped)."""
-        values = list(self._struct.unpack(record))
-        for i in self._chars:
-            values[i] = values[i].rstrip(b"\x00").decode("utf-8")
-        return dict(zip(self._names, values))
+    def unpack(self, record: bytes, columns: tuple[str, ...] | None = None) -> dict:
+        """Deserialize bytes back to a row dict (CHAR values stripped).
+
+        ``columns`` projects the row: only those columns and the primary
+        key are decoded, the rest of the record is skipped unread.
+        ``None`` decodes every column; an unknown column raises
+        ``KeyError``.
+        """
+        decode = self._decoders.get(columns)
+        if decode is None:
+            decode = self._decoders[columns] = self._decoder(columns)
+        return decode(record)
+
+    def _decoder(self, columns: tuple[str, ...] | None) -> Callable[[bytes], dict]:
+        """Compile the decoder of one projection (see :meth:`unpack`)."""
+        if columns is None:
+            wanted = set(self._names)
+        else:
+            unknown = [name for name in columns if name not in self._names]
+            if unknown:
+                raise KeyError(f"{self._name}: unknown columns {unknown}")
+            wanted = {*columns, *self._primary_key}
+        fmt, names, chars, skipped = "<", [], [], 0
+        for column in self._columns:
+            if column.name not in wanted:
+                skipped += column.byte_size
+                continue
+            if skipped:
+                fmt += f"{skipped}x"
+                skipped = 0
+            if column.type is ColumnType.CHAR:
+                chars.append(len(names))
+            fmt += column.struct_format
+            names.append(column.name)
+        if skipped:
+            fmt += f"{skipped}x"
+        unpack = struct.Struct(fmt).unpack
+        names = tuple(names)
+        if not chars:
+            return lambda record: dict(zip(names, unpack(record)))
+
+        def decode(record: bytes) -> dict:
+            values = list(unpack(record))
+            for i in chars:
+                values[i] = values[i].rstrip(b"\x00").decode("utf-8")
+            return dict(zip(names, values))
+
+        return decode
 
     def patch(self, record: bytes, changes: dict) -> bytes:
         """A copy of ``record`` with the ``changes`` columns overwritten.

@@ -9,6 +9,11 @@ locks and logging before/after images so abort and crash recovery work.
 Per-transaction call counters mirror the census of paper Table 2, so
 the executable engine can *measure* what the model assumes.
 
+Every read statement takes ``columns=``, the columns the caller reads:
+the row comes back decoded for those and the primary key only (the key
+names the row's lock), and ``None`` decodes the whole row.  An update
+returns nothing; one that names no key column never decodes the row.
+
 Concurrency: everything runs on one thread.  Concurrent terminals are
 statement sequences interleaved by the virtual-time scheduler
 (:mod:`repro.driver.scheduler`), so a statement body is atomic by
@@ -140,7 +145,9 @@ class Transaction:
 
     # -- reads ---------------------------------------------------------------------
 
-    def select(self, table: str, key: tuple) -> dict:
+    def select(
+        self, table: str, key: tuple, columns: tuple[str, ...] | None = None
+    ) -> dict:
         """Fetch one row by primary key under an S lock."""
         self._check_active()
         try:
@@ -148,11 +155,17 @@ class Transaction:
                 target = self._db.table(table)
                 self._db.locks.acquire(self._id, (table, key), LockMode.SHARED)
                 self.calls.selects += 1
-                return target.get(key)
+                return target.get(key, columns)
         except LockWait as wait:
-            return self._parked(wait, self.select, table, key)
+            return self._parked(wait, self.select, table, key, columns)
 
-    def select_by_index(self, table: str, index: str, key: tuple) -> list[dict]:
+    def select_by_index(
+        self,
+        table: str,
+        index: str,
+        key: tuple,
+        columns: tuple[str, ...] | None = None,
+    ) -> list[dict]:
         """Equality lookup on a secondary index (S locks each row).
 
         Counted as a non-unique select plus one select per row
@@ -164,7 +177,7 @@ class Transaction:
                 target = self._db.table(table)
                 rows = []
                 for rid in target.lookup(index, key):
-                    row = target.read(rid)
+                    row = target.read(rid, columns)
                     self._db.locks.acquire(
                         self._id, (table, target.schema.key_of(row)), LockMode.SHARED
                     )
@@ -173,18 +186,37 @@ class Transaction:
                 self.calls.selects += len(rows)
                 return rows
         except LockWait as wait:
-            return self._parked(wait, self.select_by_index, table, index, key)
+            return self._parked(
+                wait, self.select_by_index, table, index, key, columns
+            )
 
-    def select_min(self, table: str, index: str, prefix: tuple) -> dict | None:
+    def select_min(
+        self,
+        table: str,
+        index: str,
+        prefix: tuple,
+        columns: tuple[str, ...] | None = None,
+    ) -> dict | None:
         """Smallest row under an ordered-index prefix (Delivery's Min)."""
-        return self._select_extreme(table, index, prefix, smallest=True)
+        return self._select_extreme(table, index, prefix, columns, smallest=True)
 
-    def select_max(self, table: str, index: str, prefix: tuple) -> dict | None:
+    def select_max(
+        self,
+        table: str,
+        index: str,
+        prefix: tuple,
+        columns: tuple[str, ...] | None = None,
+    ) -> dict | None:
         """Largest row under an ordered-index prefix (Order-Status's Max)."""
-        return self._select_extreme(table, index, prefix, smallest=False)
+        return self._select_extreme(table, index, prefix, columns, smallest=False)
 
     def _select_extreme(
-        self, table: str, index: str, prefix: tuple, smallest: bool
+        self,
+        table: str,
+        index: str,
+        prefix: tuple,
+        columns: tuple[str, ...] | None,
+        smallest: bool,
     ) -> dict | None:
         self._check_active()
         try:
@@ -199,18 +231,23 @@ class Transaction:
                 if entry is None:
                     return None
                 _, rid = entry
-                row = target.read(rid)
+                row = target.read(rid, columns)
                 self._db.locks.acquire(
                     self._id, (table, target.schema.key_of(row)), LockMode.SHARED
                 )
                 return row
         except LockWait as wait:
             return self._parked(
-                wait, self._select_extreme, table, index, prefix, smallest
+                wait, self._select_extreme, table, index, prefix, columns, smallest
             )
 
     def range_select(
-        self, table: str, index: str, low: tuple, high: tuple
+        self,
+        table: str,
+        index: str,
+        low: tuple,
+        high: tuple,
+        columns: tuple[str, ...] | None = None,
     ) -> list[dict]:
         """Ordered range scan, one select counted per row returned.
 
@@ -224,7 +261,7 @@ class Transaction:
                 target = self._db.table(table)
                 rows = []
                 for _, rid in target.btree_range(index, low, high):
-                    row = target.read(rid)
+                    row = target.read(rid, columns)
                     self._db.locks.acquire(
                         self._id, (table, target.schema.key_of(row)), LockMode.SHARED
                     )
@@ -232,7 +269,9 @@ class Transaction:
                     rows.append(row)
                 return rows
         except LockWait as wait:
-            return self._parked(wait, self.range_select, table, index, low, high)
+            return self._parked(
+                wait, self.range_select, table, index, low, high, columns
+            )
 
     # -- writes ---------------------------------------------------------------------
 
@@ -264,14 +303,14 @@ class Transaction:
         except LockWait as wait:
             return self._parked(wait, self.insert, table, row)
 
-    def update(
-        self, table: str, key: tuple, changes: dict | Callable[[dict], dict]
-    ) -> dict:
-        """Update one row by primary key; returns the new row.
+    def update(self, table: str, key: tuple, changes: dict) -> None:
+        """Update one row by primary key with a dict of column values.
 
-        ``changes`` is either a dict of column overrides or a callable
-        mapping the old row to the new one.  The bytes read off the page
-        are the WAL before-image and the bytes written the after-image.
+        The bytes read off the page are the WAL before-image and the
+        bytes written the after-image.  A caller computing a new value
+        from an old one reads the old one first, under its own lock
+        (``select(..., columns=...)``); nothing is decoded here unless
+        ``changes`` names a key column.
         """
         self._check_active()
         try:
@@ -279,7 +318,7 @@ class Transaction:
                 target = self._db.table(table)
                 self._db.locks.acquire(self._id, (table, key), LockMode.EXCLUSIVE)
                 rid = target.rid_of(key)
-                new_row, before, after = target.update(rid, changes)
+                before, after = target.update(rid, changes)
                 try:
                     self._db.wal.log_change(
                         self._id, LogRecordType.UPDATE, table, rid, before=before, after=after
@@ -289,7 +328,6 @@ class Transaction:
                         target.update(rid, before)
                     raise
                 self.calls.updates += 1
-                return new_row
         except LockWait as wait:
             return self._parked(wait, self.update, table, key, changes)
 

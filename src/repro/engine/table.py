@@ -8,6 +8,12 @@ with :class:`IndexSpec`.  A :class:`BulkLoad` fills an empty table (the
 initial population); :func:`_build_index` makes an index from its
 (key, rid) entries at once, for the bulk load, a backfill and crash
 recovery alike.
+
+Reads take the ``columns`` projection of :meth:`TableSchema.unpack`, so
+a statement decodes only the columns it reads (plus the primary key).
+An :meth:`Table.update` whose dict names no primary-key or index-key
+column cannot move an index entry; it patches the changed columns into
+the record bytes and never decodes the old row.
 """
 
 from __future__ import annotations
@@ -83,6 +89,9 @@ class Table:
         self._specs: dict[str, IndexSpec] = {}
         #: Per secondary index, its compiled ``row -> key columns``.
         self._key_of: dict[str, Callable[[dict], tuple]] = {}
+        #: Every primary-key and index-key column: an update naming none
+        #: of them leaves every index as it is.
+        self._key_columns = frozenset(schema.primary_key)
         self._indexes: dict[str, Any] = {PRIMARY: HashIndex()}
         for spec in indexes or []:
             self.add_index(spec)
@@ -124,6 +133,7 @@ class Table:
         self._specs[spec.name] = spec
         self._key_of[spec.name] = key_of
         self._indexes[spec.name] = index
+        self._key_columns |= set(spec.columns)
 
     # -- key helpers ----------------------------------------------------------------
 
@@ -167,41 +177,40 @@ class Table:
         else:
             index.insert(self._key_of[spec.name](row), rid)
 
-    def read(self, rid: RecordId) -> dict:
-        """Fetch a row by rid."""
-        return self._schema.unpack(self._heap.read(rid))
+    def read(self, rid: RecordId, columns: tuple[str, ...] | None = None) -> dict:
+        """Fetch a row by rid, projected to ``columns`` plus the primary key."""
+        return self._schema.unpack(self._heap.read(rid), columns)
 
     def rid_of(self, key: tuple) -> RecordId:
         """Primary-key lookup; raises if absent."""
         return self._indexes[PRIMARY].search(key)
 
-    def get(self, key: tuple) -> dict:
-        """Fetch a row by primary key."""
-        return self.read(self.rid_of(key))
+    def get(self, key: tuple, columns: tuple[str, ...] | None = None) -> dict:
+        """Fetch a row by primary key, projected as :meth:`read` is."""
+        return self.read(self.rid_of(key), columns)
 
-    def update(
-        self, rid: RecordId, changes: dict | bytes | Callable[[dict], dict]
-    ) -> tuple[dict, bytes, bytes]:
-        """Overwrite a row in place; returns (new row, old bytes, new bytes).
+    def update(self, rid: RecordId, changes: dict | bytes) -> tuple[bytes, bytes]:
+        """Overwrite a row in place; returns (old bytes, new bytes).
 
-        ``changes`` is a dict of column overrides, a callable mapping the
-        old row to the new one, or the new record bytes themselves (an
-        undo handing back a logged image).  Whichever it is, the page is
-        requested once, the old record decoded once and the new one
-        encoded at most once.  The primary key must not change (TPC-C
-        never does); secondary index entries are moved when their key
-        columns change.
+        ``changes`` is a dict of column overrides or the new record bytes
+        themselves (an undo handing back a logged image).  Either way the
+        page is requested once.  A dict naming no primary-key or
+        index-key column is patched into the record, which is never
+        decoded; otherwise the old row is decoded once, to move the
+        secondary index entries whose key columns change.  The primary
+        key must not change (TPC-C never does).
         """
         schema = self._schema
         page = self._heap.fetch(rid, for_write=True)
         before = page.read(rid.slot)
+        if isinstance(changes, dict) and self._key_columns.isdisjoint(changes):
+            after = schema.patch(before, changes)
+            page.update(rid.slot, after)
+            return before, after
         old_row = schema.unpack(before)
         if isinstance(changes, dict):
             new_row = {**old_row, **changes}
             after = schema.patch(before, changes)
-        elif callable(changes):
-            new_row = changes(dict(old_row))
-            after = schema.pack(new_row)
         else:
             new_row, after = schema.unpack(changes), changes
         if schema.key_of(new_row) != schema.key_of(old_row):
@@ -223,7 +232,7 @@ class Table:
                 index.delete(old_key, rid)
                 index.insert(new_key, rid)
         page.update(rid.slot, after)
-        return new_row, before, after
+        return before, after
 
     def restore(self, rid: RecordId, record: bytes) -> None:
         """Put a deleted record back at its original rid (transaction undo).

@@ -9,6 +9,13 @@ simplification: the executor picks a real last name and resolves it
 through the ``by_name`` index (three matching customers per district by
 construction), selecting the middle row by first name as the
 specification requires.
+
+Every read names the columns the profile goes on to use (``columns=``),
+so the engine decodes those and the primary key and skips the rest;
+a select whose result only the census needs names none, ``()``.  An
+update sets new values computed from ones the same transaction read
+under its S lock, which no other transaction can change before the
+update's X lock is granted.
 """
 
 from __future__ import annotations
@@ -417,8 +424,10 @@ class TpccExecutor:
     def _new_order(self, txn: Transaction, params: NewOrderParams | None) -> Steps:
         if params is None:
             params = self._inputs.new_order()
-        yield txn.select("warehouse", (params.warehouse,))
-        district = yield txn.select("district", (params.warehouse, params.district))
+        yield txn.select("warehouse", (params.warehouse,), ())
+        district = yield txn.select(
+            "district", (params.warehouse, params.district), ("d_next_o_id",)
+        )
         order_id = district["d_next_o_id"]
         yield txn.update(
             "district",
@@ -426,7 +435,7 @@ class TpccExecutor:
             {"d_next_o_id": order_id + 1},
         )
         yield txn.select(
-            "customer", (params.warehouse, params.district, params.customer)
+            "customer", (params.warehouse, params.district, params.customer), ()
         )
         yield txn.insert(
             "order",
@@ -449,8 +458,12 @@ class TpccExecutor:
             },
         )
         for number, line in enumerate(params.lines, start=1):
-            item = yield txn.select("item", (line.item_id,))
-            stock = yield txn.select("stock", (line.supply_warehouse, line.item_id))
+            item = yield txn.select("item", (line.item_id,), ("i_price",))
+            stock = yield txn.select(
+                "stock",
+                (line.supply_warehouse, line.item_id),
+                ("s_quantity", "s_ytd", "s_order_cnt", "s_remote_cnt"),
+            )
             quantity = stock["s_quantity"]
             new_quantity = (
                 quantity - line.quantity
@@ -500,10 +513,15 @@ class TpccExecutor:
             amount = float(self._rng.uniform(1.0, 5000.0))
         else:
             amount = params.amount
-        warehouse = yield txn.select("warehouse", (params.warehouse,))
-        district = yield txn.select("district", (params.warehouse, params.district))
+        warehouse = yield txn.select("warehouse", (params.warehouse,), ("w_ytd",))
+        district = yield txn.select(
+            "district", (params.warehouse, params.district), ("d_ytd",)
+        )
         customer = yield from self._locate_customer(
-            txn, params.customer_warehouse, params.customer_district
+            txn,
+            params.customer_warehouse,
+            params.customer_district,
+            ("c_first", "c_balance", "c_ytd_payment", "c_payment_cnt"),
         )
         yield txn.update(
             "warehouse",
@@ -518,11 +536,10 @@ class TpccExecutor:
         yield txn.update(
             "customer",
             (customer["c_w_id"], customer["c_d_id"], customer["c_id"]),
-            lambda row: {
-                **row,
-                "c_balance": row["c_balance"] - amount,
-                "c_ytd_payment": row["c_ytd_payment"] + amount,
-                "c_payment_cnt": row["c_payment_cnt"] + 1,
+            {
+                "c_balance": customer["c_balance"] - amount,
+                "c_ytd_payment": customer["c_ytd_payment"] + amount,
+                "c_payment_cnt": customer["c_payment_cnt"] + 1,
             },
         )
         h_id = self._history_next
@@ -550,9 +567,11 @@ class TpccExecutor:
         else:
             warehouse = params.warehouse
             district = params.district
-        customer = yield from self._locate_customer(txn, warehouse, district)
+        customer = yield from self._locate_customer(
+            txn, warehouse, district, ("c_first",)
+        )
         order = yield txn.select_max(
-            "order", "by_customer", (warehouse, district, customer["c_id"])
+            "order", "by_customer", (warehouse, district, customer["c_id"]), ()
         )
         if order is None:
             return None
@@ -561,6 +580,7 @@ class TpccExecutor:
             "by_order",
             (warehouse, district, order["o_id"]),
             (warehouse, district, order["o_id"], 32_767),
+            (),
         )
         return {"o_id": order["o_id"], "lines": len(lines)}
 
@@ -574,14 +594,16 @@ class TpccExecutor:
         delivered = 0
         for district in range(1, self._config.districts + 1):
             pending = yield txn.select_min(
-                "new_order", "by_district", (warehouse, district)
+                "new_order", "by_district", (warehouse, district), ()
             )
             if pending is None:
                 self.summary.skipped_deliveries += 1
                 continue
             order_id = pending["no_o_id"]
             yield txn.delete("new_order", (warehouse, district, order_id))
-            order = yield txn.select("order", (warehouse, district, order_id))
+            order = yield txn.select(
+                "order", (warehouse, district, order_id), ("o_c_id",)
+            )
             yield txn.update(
                 "order",
                 (warehouse, district, order_id),
@@ -599,6 +621,7 @@ class TpccExecutor:
                 "by_order",
                 (warehouse, district, order_id),
                 (warehouse, district, order_id, 32_767),
+                ("ol_amount",),
             )
             for line in lines:
                 total += line["ol_amount"]
@@ -607,14 +630,17 @@ class TpccExecutor:
                     (warehouse, district, order_id, line["ol_number"]),
                     {"ol_delivery_d": 1},
                 )
-            yield txn.select("customer", (warehouse, district, order["o_c_id"]))
+            customer = yield txn.select(
+                "customer",
+                (warehouse, district, order["o_c_id"]),
+                ("c_balance", "c_delivery_cnt"),
+            )
             yield txn.update(
                 "customer",
                 (warehouse, district, order["o_c_id"]),
-                lambda row, total=total: {
-                    **row,
-                    "c_balance": row["c_balance"] + total,
-                    "c_delivery_cnt": row["c_delivery_cnt"] + 1,
+                {
+                    "c_balance": customer["c_balance"] + total,
+                    "c_delivery_cnt": customer["c_delivery_cnt"] + 1,
                 },
             )
             delivered += 1
@@ -629,19 +655,24 @@ class TpccExecutor:
             warehouse = params.warehouse
             district = params.district
             threshold = params.threshold
-        district_row = yield txn.select("district", (warehouse, district))
+        district_row = yield txn.select(
+            "district", (warehouse, district), ("d_next_o_id",)
+        )
         next_order = district_row["d_next_o_id"]
         low = (warehouse, district, max(1, next_order - STOCK_LEVEL_ORDERS))
         high = (warehouse, district, next_order - 1, 32_767)
         yield txn.count_join()
         seen: set[int] = set()
         low_stock: set[int] = set()
-        for line in (yield txn.range_select("order_line", "by_order", low, high)):
+        lines = yield txn.range_select(
+            "order_line", "by_order", low, high, ("ol_i_id",)
+        )
+        for line in lines:
             item_id = line["ol_i_id"]
             if item_id in seen:
                 continue
             seen.add(item_id)
-            stock = yield txn.select("stock", (warehouse, item_id))
+            stock = yield txn.select("stock", (warehouse, item_id), ("s_quantity",))
             if stock["s_quantity"] < threshold:
                 low_stock.add(item_id)
         return {"low_stock": len(low_stock), "threshold": threshold}
@@ -771,20 +802,25 @@ class TpccExecutor:
 
     # -- helpers -----------------------------------------------------------------------
 
-    def _locate_customer(self, txn: Transaction, warehouse: int, district: int) -> Steps:
+    def _locate_customer(
+        self, txn: Transaction, warehouse: int, district: int, columns: tuple[str, ...]
+    ) -> Steps:
         """Select a customer by id (40%) or by last name (60%).
 
         The by-name path resolves all same-named customers through the
         ``by_name`` index, sorts by first name, and returns the middle
-        one — the specification's rule.
+        one — the specification's rule.  Either way the row holds
+        ``columns``, which must include ``c_first`` for that sort.
         """
         if self._rng.random() >= SELECT_BY_NAME_PROBABILITY:
             customer_id = self._inputs.customer_id()
-            return (yield txn.select("customer", (warehouse, district, customer_id)))
+            return (
+                yield txn.select("customer", (warehouse, district, customer_id), columns)
+            )
         name_number = self._name_sampler.sample(self._rng)
         name = last_name(name_number)
         matches = yield txn.select_by_index(
-            "customer", "by_name", (warehouse, district, name)
+            "customer", "by_name", (warehouse, district, name), columns
         )
         if not matches:
             # The loader assigns every name number to exactly three

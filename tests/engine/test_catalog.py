@@ -1,5 +1,7 @@
 """Unit tests for repro.engine.catalog."""
 
+import random
+import string
 import struct
 
 import pytest
@@ -14,6 +16,8 @@ from repro.engine.catalog import (
     int4,
     integer,
 )
+from repro.engine.database import Database
+from repro.tpcc.rows import TPCC_SCHEMAS, tpcc_index_specs
 
 
 class TestColumn:
@@ -160,3 +164,141 @@ class TestKeyOf:
     def test_key_order_follows_declaration(self):
         schema = TableSchema("t", [integer("a"), integer("b")], ("b", "a"))
         assert schema.key_of({"a": 1, "b": 2}) == (2, 1)
+
+
+_INT_BITS = {ColumnType.INT: 64, ColumnType.INT4: 32, ColumnType.INT2: 16}
+
+
+def random_value(column, rng, fill):
+    """A value of ``column``'s type; a CHAR value fills the column.
+
+    ``fill`` picks the CHAR text: ASCII, or two-byte UTF-8 characters
+    (with one ASCII byte when the length is odd), either way exactly
+    ``column.length`` bytes long.
+    """
+    if column.type is ColumnType.CHAR:
+        if fill:
+            return "é" * (column.length // 2) + "z" * (column.length % 2)
+        return "".join(rng.choice(string.ascii_letters) for _ in range(column.length))
+    if column.type is ColumnType.FLOAT:
+        return rng.uniform(-1e6, 1e6)
+    half = 1 << (_INT_BITS[column.type] - 1)
+    return rng.randrange(-half, half)
+
+
+def random_row(schema, rng, fill=False):
+    return {column.name: random_value(column, rng, fill) for column in schema.columns}
+
+
+class TestProjectedUnpack:
+    @pytest.mark.parametrize("name", sorted(TPCC_SCHEMAS))
+    def test_is_the_full_decode_restricted_to_the_key_and_columns(self, name):
+        schema = TPCC_SCHEMAS[name]
+        names = schema.column_names
+        rng = random.Random(f"projection-{name}")
+        for i in range(12):
+            row = random_row(schema, rng, fill=i % 2 == 1)
+            record = schema.pack(row)
+            full = schema.unpack(record)
+            assert full == row
+            subsets = [(), names, schema.primary_key, names[::-1]]
+            subsets += [
+                tuple(rng.sample(names, rng.randint(1, len(names)))) for _ in range(6)
+            ]
+            for columns in subsets:
+                kept = {*columns, *schema.primary_key}
+                assert schema.unpack(record, columns) == {
+                    column: value for column, value in full.items() if column in kept
+                }, columns
+
+    def test_unknown_column_raises_key_error(self):
+        schema = sample_schema()
+        record = schema.pack({"id": 1, "tag": 0, "score": 0.0, "name": ""})
+        with pytest.raises(KeyError, match="nope"):
+            schema.unpack(record, ("score", "nope"))
+        assert schema.unpack(record, ("score",)) == {"id": 1, "score": 0.0}
+
+
+def tpcc_table(name, rows):
+    """A database holding one TPC-C table (with its indexes) and ``rows``."""
+    db = Database(buffer_pages=64)
+    db.create_table(TPCC_SCHEMAS[name], tpcc_index_specs().get(name))
+    txn = db.begin()
+    for row in rows:
+        txn.insert(name, row)
+    txn.commit()
+    return db
+
+
+class TestDecodeFreeUpdate:
+    @pytest.mark.parametrize("name", ["customer", "stock", "order", "order_line"])
+    def test_writes_what_pack_of_the_merged_row_writes(self, name, monkeypatch):
+        schema = TPCC_SCHEMAS[name]
+        rng = random.Random(f"update-{name}")
+        rows = [random_row(schema, rng, fill=i % 2 == 1) for i in range(8)]
+        db = tpcc_table(name, rows)
+        table = db.table(name)
+        key_columns = {*schema.primary_key}
+        for spec in tpcc_index_specs().get(name, []):
+            key_columns |= set(spec.columns)
+        free = [column for column in schema.columns if column.name not in key_columns]
+        decoded = []
+        original = type(schema).unpack
+        monkeypatch.setattr(
+            type(schema),
+            "unpack",
+            lambda self, *args: decoded.append(args) or original(self, *args),
+        )
+        for i, row in enumerate(rows):
+            key = schema.key_of(row)
+            rid = table.rid_of(key)
+            before = table.heap.read(rid)
+            changes = {
+                column.name: random_value(column, rng, fill=i % 2 == 0)
+                for column in rng.sample(free, rng.randint(1, len(free)))
+            }
+            txn = db.begin()
+            txn.update(name, key, changes)
+            txn.commit()
+            assert decoded == []
+            expected = schema.pack({**original(schema, before), **changes})
+            assert table.heap.read(rid) == expected
+            update = db.wal.records()[-2]  # the COMMIT follows it
+            assert (update.before, update.after) == (before, expected)
+
+    @pytest.mark.parametrize(
+        "name, column, value", [("customer", "c_last", "RENAMED"), ("order", "o_c_id", 4321)]
+    )
+    def test_an_index_column_still_moves_the_entry(self, name, column, value):
+        schema = TPCC_SCHEMAS[name]
+        (spec,) = tpcc_index_specs()[name]
+        row = random_row(schema, random.Random(f"index-{name}"))
+        moved = {**row, column: value}
+        db = tpcc_table(name, [row])
+        table = db.table(name)
+        rid = table.rid_of(schema.key_of(row))
+
+        def index_key(values):
+            return tuple(values[c] for c in spec.columns)
+
+        assert table.lookup(spec.name, index_key(row)) == (rid,)
+        txn = db.begin()
+        txn.update(name, schema.key_of(row), {column: value})
+        txn.commit()
+        assert table.lookup(spec.name, index_key(row)) == ()
+        assert table.lookup(spec.name, index_key(moved)) == (rid,)
+        assert table.heap.read(rid) == schema.pack(moved)
+
+    def test_a_primary_key_column_still_raises(self):
+        schema = TPCC_SCHEMAS["stock"]
+        row = random_row(schema, random.Random("key"))
+        db = tpcc_table("stock", [row])
+        rid = db.table("stock").rid_of(schema.key_of(row))
+        image = db.table("stock").heap.read(rid)
+        txn = db.begin()
+        with pytest.raises(ValueError, match="immutable"):
+            txn.update(
+                "stock", schema.key_of(row), {"s_quantity": 5, "s_i_id": row["s_i_id"] + 1}
+            )
+        txn.abort()
+        assert db.table("stock").heap.read(rid) == image

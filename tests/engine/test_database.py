@@ -1,5 +1,7 @@
 """Unit tests for repro.engine.database (transactions, ACID behaviour)."""
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.engine.catalog import TableSchema, char, integer
@@ -9,12 +11,12 @@ from repro.engine.errors import (
     TableNotFoundError,
     TransactionStateError,
 )
+from repro.engine.locks import LockWait
 from repro.engine.table import IndexSpec
 
 
-@pytest.fixture
-def db():
-    db = Database(buffer_pages=64)
+def accounts_db(**options):
+    db = Database(buffer_pages=64, **options)
     schema = TableSchema(
         "accounts",
         [integer("id"), integer("balance"), char("owner", 12)],
@@ -22,6 +24,11 @@ def db():
     )
     db.create_table(schema, [IndexSpec("by_owner", ("owner",), kind="hash")])
     return db
+
+
+@pytest.fixture
+def db():
+    return accounts_db()
 
 
 def deposit(db, id_, balance=100, owner="alice"):
@@ -64,14 +71,15 @@ class TestCommit:
     def test_update_with_dict(self, db):
         deposit(db, 1)
         txn = db.begin()
-        new_row = txn.update("accounts", (1,), {"balance": 250})
+        assert txn.update("accounts", (1,), {"balance": 250}) is None
+        assert txn.select("accounts", (1,))["balance"] == 250
         txn.commit()
-        assert new_row["balance"] == 250
 
-    def test_update_with_callable(self, db):
+    def test_update_from_a_value_read_first(self, db):
         deposit(db, 1)
         txn = db.begin()
-        txn.update("accounts", (1,), lambda row: {**row, "balance": row["balance"] + 1})
+        row = txn.select("accounts", (1,), ("balance",))
+        txn.update("accounts", (1,), {"balance": row["balance"] + 1})
         txn.commit()
         txn = db.begin()
         assert txn.select("accounts", (1,))["balance"] == 101
@@ -294,9 +302,47 @@ class TestRecovery:
         txn.commit()
 
 
+class TestProjection:
+    """A read decodes the columns it names and the primary key."""
+
+    def test_every_read_projects(self, db):
+        deposit(db, 1, balance=5, owner="ann")
+        txn = db.begin()
+        projected = {"id": 1, "balance": 5}
+        assert txn.select("accounts", (1,), ("balance",)) == projected
+        assert txn.select_by_index("accounts", "by_owner", ("ann",), ("balance",)) == [
+            projected
+        ]
+        assert txn.select("accounts", (1,), ()) == {"id": 1}
+        assert txn.select("accounts", (1,)) == {"id": 1, "balance": 5, "owner": "ann"}
+        txn.commit()
+
+    @pytest.mark.parametrize(
+        "statement, args",
+        [("select", ((1,),)), ("select_by_index", ("by_owner", ("ann",)))],
+    )
+    def test_a_parked_read_retries_with_its_projection(self, statement, args):
+        class Gate:  # prices nothing; its presence lets a blocked read park
+            def statement(self, txn, kind):
+                return nullcontext()
+
+        db = accounts_db(lock_timeout=1.0)
+        deposit(db, 1, balance=5, owner="ann")
+        db.set_statement_gate(Gate())
+        writer, reader = db.begin(), db.begin()
+        writer.update("accounts", (1,), {"balance": 7})
+        wait = getattr(reader, statement)("accounts", *args, ("balance",))
+        assert isinstance(wait, LockWait)
+        writer.commit()
+        retried = wait.retry()
+        rows = retried if statement == "select_by_index" else [retried]
+        assert rows == [{"id": 1, "balance": 7}]
+        reader.commit()
+
+
 class TestStatementAccounting:
-    """One page request, one decode, at most one encode per primary-key
-    statement; the log carries the bytes the page held."""
+    """One page request, at most one decode and at most one encode per
+    primary-key statement; the log carries the bytes the page held."""
 
     @staticmethod
     def page_of(db, id_):
@@ -315,7 +361,7 @@ class TestStatementAccounting:
         txn = db.begin()
         for kind, statement in [
             ("update", lambda: txn.update("accounts", (1,), {"balance": 5})),
-            ("update", lambda: txn.update("accounts", (1,), lambda r: {**r, "owner": "bob"})),
+            ("update", lambda: txn.update("accounts", (1,), {"owner": "bob"})),
             ("insert", lambda: txn.insert("accounts", {"id": 2, "balance": 0, "owner": "eve"})),
             ("delete", lambda: txn.delete("accounts", (1,))),
         ]:
@@ -332,17 +378,22 @@ class TestStatementAccounting:
         for name in ("pack", "unpack", "patch"):
             original = getattr(TableSchema, name)
 
-            def counted(self, *args, _name=name, _original=original):
+            def counted(self, *args, _name=name, _original=original, **kwargs):
                 calls.append(_name)
-                return _original(self, *args)
+                return _original(self, *args, **kwargs)
 
             monkeypatch.setattr(TableSchema, name, counted)
         txn = db.begin()
+        # A dict naming no key column is patched in; the row is not decoded.
         txn.update("accounts", (1,), {"balance": 5})
+        assert calls == ["patch"]
+        del calls[:]
+        # "owner" keys the by_owner index, so the old row is decoded once.
+        txn.update("accounts", (1,), {"owner": "bob"})
         assert calls == ["unpack", "patch"]
         del calls[:]
-        txn.update("accounts", (1,), lambda row: {**row, "balance": 6})
-        assert calls == ["unpack", "pack"]
+        assert txn.select("accounts", (1,), ("balance",)) == {"id": 1, "balance": 5}
+        assert calls == ["unpack"]
         del calls[:]
         txn.insert("accounts", {"id": 2, "balance": 0, "owner": "eve"})
         assert calls == ["pack"]
@@ -357,9 +408,10 @@ class TestStatementAccounting:
         rid = table.rid_of((1,))
         on_page = table.heap.read(rid)
         txn = db.begin()
-        new_row = txn.update("accounts", (1,), {"balance": 7, "owner": "carol"})
+        txn.update("accounts", (1,), {"balance": 7, "owner": "carol"})
         update = db.wal.records()[-1]
         assert update.before == on_page
+        new_row = {**table.schema.unpack(on_page), "balance": 7, "owner": "carol"}
         assert update.after == table.heap.read(rid) == table.schema.pack(new_row)
         txn.delete("accounts", (1,))
         assert db.wal.records()[-1].before == update.after
@@ -385,7 +437,7 @@ class TestStatementAccounting:
         image = self.page_of(db, 1).to_bytes()
         txn = db.begin()
         txn.update("accounts", (1,), {"balance": 9, "owner": "mallory"})
-        txn.update("accounts", (2,), lambda row: {**row, "balance": -1})
+        txn.update("accounts", (2,), {"balance": -1})
         txn.delete("accounts", (2,))
         assert self.page_of(db, 1).to_bytes() != image
         txn.abort()
