@@ -207,7 +207,7 @@ class StatementGate:
         self.request: tuple[str, Any] | None = None
 
     def total_misses(self) -> int:
-        return sum(self.db.buffers.stats.misses.values())
+        return self.db.buffers.stats.total_misses
 
     def check_served(self, kind: str) -> None:
         """One request per suspension: a forgotten ``yield`` must not merge two."""

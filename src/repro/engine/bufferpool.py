@@ -6,7 +6,14 @@ pluggable replacement policy (reusing :mod:`repro.buffer.policy`).
 Dirty pages are written back on eviction and on :meth:`flush_all`.
 
 Per-file hit/miss statistics are kept so the executable TPC-C run can
-be compared directly against the trace-driven buffer model.
+be compared directly against the trace-driven buffer model, with a
+running miss total beside them for the scheduler's per-statement
+pricing.
+
+A hit costs one frame-table lookup plus the policy's ``touch``.  The
+only resident frames the policy does not track are the *orphans* of
+deferred evictions, kept in their own set: a request finds them there
+(only while the set is non-empty) and re-admits them.
 """
 
 from __future__ import annotations
@@ -32,10 +39,8 @@ class BufferStatistics:
     hits: dict[int, int] = field(default_factory=dict)
     misses: dict[int, int] = field(default_factory=dict)
     evictions: dict[int, int] = field(default_factory=dict)
-
-    def record(self, file_id: int, hit: bool) -> None:
-        table = self.hits if hit else self.misses
-        table[file_id] = table.get(file_id, 0) + 1
+    #: ``sum(misses.values())``, kept as the misses are counted.
+    total_misses: int = 0
 
     def accesses(self, file_id: int | None = None) -> int:
         """Page requests, for one file or in total."""
@@ -52,6 +57,7 @@ class BufferStatistics:
         self.hits.clear()
         self.misses.clear()
         self.evictions.clear()
+        self.total_misses = 0
 
 
 class BufferManager:
@@ -88,6 +94,8 @@ class BufferManager:
         self._file_names: dict[int, str] = {}
         self._frames: dict[PageId, Page] = {}
         self._dirty: set[PageId] = set()
+        #: Resident frames the policy has forgotten (deferred evictions).
+        self._orphans: set[PageId] = set()
         self._stats = BufferStatistics()
         self._injector = injector
         self.deferred_evictions = 0
@@ -138,28 +146,33 @@ class BufferManager:
     def get_page(self, page_id: PageId, for_write: bool = False) -> Page:
         """Return the cached page, faulting it in from the store if needed."""
         page = self._frames.get(page_id)
+        file_id = page_id.file_id
+        stats = self._stats
         hit = page is not None
-        if hit:
-            if self._policy.contains(page_id):
-                victim = self._policy.touch(page_id)
-            else:
+        if page is not None:
+            if self._orphans and page_id in self._orphans:
                 # An orphaned frame (its eviction write-back failed):
                 # re-adopt it into the policy.
+                self._orphans.discard(page_id)
                 victim = self._policy.admit(page_id)
+            else:
+                victim = self._policy.touch(page_id)
             if victim is not None:
                 self._evict_victim(victim)
+            stats.hits[file_id] = stats.hits.get(file_id, 0) + 1
         else:
             page = self._store.read(page_id)
             self._install(page_id, page)
-        self._stats.record(page_id.file_id, hit=hit)
+            stats.misses[file_id] = stats.misses.get(file_id, 0) + 1
+            stats.total_misses += 1
         if instruments.REGISTRY.enabled:
             instruments.ENGINE_BUFFER_REQUESTS.inc(
-                relation=self._relation(page_id.file_id),
+                relation=self._relation(file_id),
                 policy=self._policy_name,
                 outcome="hit" if hit else "miss",
             )
         if for_write:
-            self.mark_dirty(page_id)
+            self._dirty.add(page_id)  # resident: it was just requested
         return page
 
     def new_page(self, page_id: PageId, page: Page) -> Page:
@@ -223,13 +236,15 @@ class BufferManager:
             "relation": self._relation(victim.file_id),
             "policy": self._policy_name,
         }
-        if self._injector is not None and self._injector.fire("buffer.evict"):
-            self.deferred_evictions += 1
-            instruments.ENGINE_BUFFER_EVICTIONS.inc(outcome="deferred", **labels)
-            return
-        try:
-            self._write_back(victim)
-        except InjectedFaultError:
+        injector = self._injector
+        deferred = injector is not None and injector.fire("buffer.evict") is not None
+        if not deferred:
+            try:
+                self._write_back(victim)
+            except InjectedFaultError:
+                deferred = True
+        if deferred:
+            self._orphans.add(victim)
             self.deferred_evictions += 1
             instruments.ENGINE_BUFFER_EVICTIONS.inc(outcome="deferred", **labels)
             return
@@ -240,7 +255,9 @@ class BufferManager:
 
     def _evict(self, page_id: PageId) -> None:
         self._write_back(page_id)
-        if self._policy.contains(page_id):
+        if page_id in self._orphans:
+            self._orphans.discard(page_id)
+        else:
             self._policy.remove(page_id)
         del self._frames[page_id]
 

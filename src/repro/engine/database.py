@@ -128,8 +128,13 @@ class Transaction:
         return self._state is _TxnState.ACTIVE
 
     def _statement(self, kind: str) -> ContextManager[None]:
-        """Gate scope (when a gate is installed) for one SQL call."""
-        return self._db.statement_scope(self, kind)
+        """Gate scope (when a gate is installed) for one SQL call.
+
+        The SQL statements below test the gate and the transaction state
+        inline instead; this serves the once-per-transaction calls.
+        """
+        gate = self._db._statement_gate
+        return _UNGATED if gate is None else gate.statement(self, kind)
 
     def _parked(self, wait: LockWait, statement: Callable[..., Any], *args: Any) -> Any:
         """Hand a blocked statement to the scheduler as a retry of itself.
@@ -149,11 +154,14 @@ class Transaction:
         self, table: str, key: tuple, columns: tuple[str, ...] | None = None
     ) -> dict:
         """Fetch one row by primary key under an S lock."""
-        self._check_active()
+        db = self._db
+        if self._state is not _TxnState.ACTIVE or self._epoch != db.epoch:
+            self._check_active()
+        gate = db._statement_gate
         try:
-            with self._statement("select"):
-                target = self._db.table(table)
-                self._db.locks.acquire(self._id, (table, key), LockMode.SHARED)
+            with _UNGATED if gate is None else gate.statement(self, "select"):
+                target = db.table(table)
+                db.locks.acquire(self._id, (table, key), LockMode.SHARED)
                 self.calls.selects += 1
                 return target.get(key, columns)
         except LockWait as wait:
@@ -171,14 +179,17 @@ class Transaction:
         Counted as a non-unique select plus one select per row
         returned, the paper's costing of the customer-name lookup.
         """
-        self._check_active()
+        db = self._db
+        if self._state is not _TxnState.ACTIVE or self._epoch != db.epoch:
+            self._check_active()
+        gate = db._statement_gate
         try:
-            with self._statement("select_by_index"):
-                target = self._db.table(table)
+            with _UNGATED if gate is None else gate.statement(self, "select_by_index"):
+                target = db.table(table)
                 rows = []
                 for rid in target.lookup(index, key):
                     row = target.read(rid, columns)
-                    self._db.locks.acquire(
+                    db.locks.acquire(
                         self._id, (table, target.schema.key_of(row)), LockMode.SHARED
                     )
                     rows.append(row)
@@ -218,10 +229,13 @@ class Transaction:
         columns: tuple[str, ...] | None,
         smallest: bool,
     ) -> dict | None:
-        self._check_active()
+        db = self._db
+        if self._state is not _TxnState.ACTIVE or self._epoch != db.epoch:
+            self._check_active()
+        gate = db._statement_gate
         try:
-            with self._statement("select"):
-                target = self._db.table(table)
+            with _UNGATED if gate is None else gate.statement(self, "select"):
+                target = db.table(table)
                 entry = (
                     target.btree_min(index, prefix)
                     if smallest
@@ -232,7 +246,7 @@ class Transaction:
                     return None
                 _, rid = entry
                 row = target.read(rid, columns)
-                self._db.locks.acquire(
+                db.locks.acquire(
                     self._id, (table, target.schema.key_of(row)), LockMode.SHARED
                 )
                 return row
@@ -255,14 +269,17 @@ class Transaction:
         statement-boundary state across arbitrary caller code, which
         the statement gate cannot span safely.
         """
-        self._check_active()
+        db = self._db
+        if self._state is not _TxnState.ACTIVE or self._epoch != db.epoch:
+            self._check_active()
+        gate = db._statement_gate
         try:
-            with self._statement("range_select"):
-                target = self._db.table(table)
+            with _UNGATED if gate is None else gate.statement(self, "range_select"):
+                target = db.table(table)
                 rows = []
                 for _, rid in target.btree_range(index, low, high):
                     row = target.read(rid, columns)
-                    self._db.locks.acquire(
+                    db.locks.acquire(
                         self._id, (table, target.schema.key_of(row)), LockMode.SHARED
                     )
                     self.calls.selects += 1
@@ -282,20 +299,23 @@ class Transaction:
         heap insert is compensated locally so the statement is atomic:
         either the row exists and is logged, or neither happened.
         """
-        self._check_active()
+        db = self._db
+        if self._state is not _TxnState.ACTIVE or self._epoch != db.epoch:
+            self._check_active()
+        gate = db._statement_gate
         try:
-            with self._statement("insert"):
-                target = self._db.table(table)
+            with _UNGATED if gate is None else gate.statement(self, "insert"):
+                target = db.table(table)
                 key = target.schema.key_of(row)
-                self._db.locks.acquire(self._id, (table, key), LockMode.EXCLUSIVE)
+                db.locks.acquire(self._id, (table, key), LockMode.EXCLUSIVE)
                 record = target.schema.pack(row)
                 rid = target.insert(row, record)
                 try:
-                    self._db.wal.log_change(
+                    db.wal.log_change(
                         self._id, LogRecordType.INSERT, table, rid, before=None, after=record
                     )
                 except BaseException:
-                    with self._db.fault_exemption():
+                    with db.fault_exemption():
                         target.delete(rid)
                     raise
                 self.calls.inserts += 1
@@ -312,19 +332,22 @@ class Transaction:
         (``select(..., columns=...)``); nothing is decoded here unless
         ``changes`` names a key column.
         """
-        self._check_active()
+        db = self._db
+        if self._state is not _TxnState.ACTIVE or self._epoch != db.epoch:
+            self._check_active()
+        gate = db._statement_gate
         try:
-            with self._statement("update"):
-                target = self._db.table(table)
-                self._db.locks.acquire(self._id, (table, key), LockMode.EXCLUSIVE)
+            with _UNGATED if gate is None else gate.statement(self, "update"):
+                target = db.table(table)
+                db.locks.acquire(self._id, (table, key), LockMode.EXCLUSIVE)
                 rid = target.rid_of(key)
                 before, after = target.update(rid, changes)
                 try:
-                    self._db.wal.log_change(
+                    db.wal.log_change(
                         self._id, LogRecordType.UPDATE, table, rid, before=before, after=after
                     )
                 except BaseException:
-                    with self._db.fault_exemption():
+                    with db.fault_exemption():
                         target.update(rid, before)
                     raise
                 self.calls.updates += 1
@@ -333,19 +356,22 @@ class Transaction:
 
     def delete(self, table: str, key: tuple) -> dict:
         """Delete one row by primary key; returns it."""
-        self._check_active()
+        db = self._db
+        if self._state is not _TxnState.ACTIVE or self._epoch != db.epoch:
+            self._check_active()
+        gate = db._statement_gate
         try:
-            with self._statement("delete"):
-                target = self._db.table(table)
-                self._db.locks.acquire(self._id, (table, key), LockMode.EXCLUSIVE)
+            with _UNGATED if gate is None else gate.statement(self, "delete"):
+                target = db.table(table)
+                db.locks.acquire(self._id, (table, key), LockMode.EXCLUSIVE)
                 rid = target.rid_of(key)
                 row, before = target.delete(rid)
                 try:
-                    self._db.wal.log_change(
+                    db.wal.log_change(
                         self._id, LogRecordType.DELETE, table, rid, before=before, after=None
                     )
                 except BaseException:
-                    with self._db.fault_exemption():
+                    with db.fault_exemption():
                         target.restore(rid, before)
                     raise
                 target.heap.reserve(rid)
@@ -507,11 +533,6 @@ class Database:
         under the blocking lock policy is parked instead of raised.
         """
         self._statement_gate = gate
-
-    def statement_scope(self, txn: "Transaction", kind: str) -> ContextManager[None]:
-        """Gate scope for one statement body (a no-op without a gate)."""
-        gate = self._statement_gate
-        return _UNGATED if gate is None else gate.statement(txn, kind)
 
     # -- fault injection ---------------------------------------------------------
 

@@ -4,6 +4,11 @@ A :class:`HeapFile` owns a contiguous range of page numbers within one
 file id and allocates new pages as inserts arrive, tracking pages with
 free slots so deleted space is reused.  Records are addressed by
 :class:`RecordId` (page number, slot).
+
+The heap builds each page's :class:`PageId` once, when it allocates the
+page, and hands that same tuple to every buffer request for the page.
+A page number out of range gets a fresh id, which the store rejects
+with :class:`~repro.engine.errors.RecordNotFoundError`.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ class HeapFile:
         self._file_id = file_id
         self._record_size = record_size
         self._page_count = 0
+        #: ``PageId`` of each allocated page, by page number.
+        self._page_ids: list[PageId] = []
         # Pages with at least one free slot.
         self._free_pages: set[int] = set()
         self._records_per_page = Page(
@@ -87,7 +94,23 @@ class HeapFile:
         """The global page id of a heap page."""
         if not 0 <= page_no < self._page_count:
             raise ValueError(f"page {page_no} out of range [0, {self._page_count})")
-        return PageId(self._file_id, page_no)
+        return self._page_ids[page_no]
+
+    def _id(self, page_no: int) -> PageId:
+        """The id a buffer request for ``page_no`` uses (built once per page)."""
+        if 0 <= page_no < self._page_count:
+            return self._page_ids[page_no]
+        return PageId(self._file_id, page_no)  # not ours: the store will say so
+
+    def _allocate(self) -> Page:
+        """Append a fresh page to the heap; returns it."""
+        page_id = PageId(self._file_id, self._page_count)
+        page = self._buffers.new_page(
+            page_id, Page(self._record_size, self._buffers.store.page_size)
+        )
+        self._page_ids.append(page_id)
+        self._page_count += 1
+        return page
 
     # -- operations --------------------------------------------------------------
 
@@ -95,14 +118,10 @@ class HeapFile:
         """Store a record, allocating a page if necessary."""
         if self._free_pages:
             page_no = min(self._free_pages)
-            page = self._buffers.get_page(PageId(self._file_id, page_no), for_write=True)
+            page = self._buffers.get_page(self._page_ids[page_no], for_write=True)
         else:
             page_no = self._page_count
-            page = self._buffers.new_page(
-                PageId(self._file_id, page_no),
-                Page(self._record_size, self._buffers.store.page_size),
-            )
-            self._page_count += 1
+            page = self._allocate()
             self._free_pages.add(page_no)
         slot = page.insert(record)
         if page.is_full:
@@ -121,7 +140,7 @@ class HeapFile:
             raise RecordNotFoundError(
                 f"page {rid.page_no} out of range [0, {self._page_count})"
             )
-        page = self._buffers.get_page(PageId(self._file_id, rid.page_no), for_write=True)
+        page = self._buffers.get_page(self._page_ids[rid.page_no], for_write=True)
         if page.is_live(rid.slot):
             raise ValueError(f"slot {rid} is occupied")
         page.put(rid.slot, record)
@@ -135,16 +154,15 @@ class HeapFile:
         A read-modify-write statement reads and overwrites the slot on
         the returned page instead of requesting it once per step.
         """
-        return self._buffers.get_page(PageId(self._file_id, rid.page_no), for_write)
+        return self._buffers.get_page(self._id(rid.page_no), for_write)
 
     def read(self, rid: RecordId) -> bytes:
         """Fetch a record's bytes."""
-        page = self._buffers.get_page(PageId(self._file_id, rid.page_no))
-        return page.read(rid.slot)
+        return self._buffers.get_page(self._id(rid.page_no)).read(rid.slot)
 
     def update(self, rid: RecordId, record: bytes) -> None:
         """Overwrite a record in place (fixed length, no moves)."""
-        page = self._buffers.get_page(PageId(self._file_id, rid.page_no), for_write=True)
+        page = self._buffers.get_page(self._id(rid.page_no), for_write=True)
         page.update(rid.slot, record)
 
     def delete(self, rid: RecordId) -> bytes:
@@ -154,7 +172,7 @@ class HeapFile:
         set even as more slots free up on it — the page rejoins when
         its last reservation resolves (see :meth:`release`).
         """
-        page = self._buffers.get_page(PageId(self._file_id, rid.page_no), for_write=True)
+        page = self._buffers.get_page(self._id(rid.page_no), for_write=True)
         record = page.read(rid.slot)
         page.delete(rid.slot)
         if rid.page_no not in self._reservations:
@@ -199,20 +217,15 @@ class HeapFile:
     def apply_put(self, rid: RecordId, record: bytes) -> None:
         """Recovery hook: force a record into a slot, growing if needed."""
         while rid.page_no >= self._page_count:
-            page_no = self._page_count
-            self._buffers.new_page(
-                PageId(self._file_id, page_no),
-                Page(self._record_size, self._buffers.store.page_size),
-            )
-            self._page_count += 1
-        page = self._buffers.get_page(PageId(self._file_id, rid.page_no), for_write=True)
+            self._allocate()
+        page = self._buffers.get_page(self._id(rid.page_no), for_write=True)
         page.put(rid.slot, record)
 
     def apply_clear(self, rid: RecordId) -> None:
         """Recovery hook: force a slot free (no-op when already free)."""
         if rid.page_no >= self._page_count:
             return
-        page = self._buffers.get_page(PageId(self._file_id, rid.page_no), for_write=True)
+        page = self._buffers.get_page(self._id(rid.page_no), for_write=True)
         page.clear(rid.slot)
 
     def rebuild_metadata(self) -> None:
@@ -221,7 +234,7 @@ class HeapFile:
         self._free_pages.clear()
         self._reservations.clear()  # crash resolves every in-flight delete
         for page_no in range(self._page_count):
-            page = self._buffers.get_page(PageId(self._file_id, page_no))
+            page = self._buffers.get_page(self._page_ids[page_no])
             self._live += page.live_records
             if not page.is_full:
                 self._free_pages.add(page_no)
@@ -229,6 +242,6 @@ class HeapFile:
     def scan(self) -> Iterator[tuple[RecordId, bytes]]:
         """Iterate every live record in page order (a full table scan)."""
         for page_no in range(self._page_count):
-            page = self._buffers.get_page(PageId(self._file_id, page_no))
+            page = self._buffers.get_page(self._page_ids[page_no])
             for slot, record in page.records():
                 yield RecordId(page_no, slot), record

@@ -17,12 +17,19 @@ one member under the victim policy (``youngest`` / ``oldest`` /
 every resource it frees, in park order, and the scheduler re-runs their
 statements.  The timeout is the starvation backstop, charged in virtual
 time by the scheduler (:meth:`LockManager.time_out`).
+
+Bookkeeping: ``_held`` maps each transaction to ``{resource: mode}`` in
+grant order (an upgrade keeps the resource's place), so
+:meth:`LockManager.mode_held` is one lookup and
+:meth:`LockManager.release_all` frees each resource by the mode it was
+granted.  Beside it, ``_exclusive`` maps a resource to its X holder and
+``_shared`` to its set of S holders; an upgrade moves the transaction
+from the one to the other, and no resource keeps an empty holder set.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
 from typing import Any, Callable, Hashable
 
 from repro.engine.deadlock import VICTIM_POLICIES, choose_victim, find_cycle
@@ -82,9 +89,9 @@ class LockManager:
                 f"victim_policy must be one of {VICTIM_POLICIES}, "
                 f"got {victim_policy!r}"
             )
-        self._shared: dict[Resource, set[int]] = defaultdict(set)
+        self._shared: dict[Resource, set[int]] = {}
         self._exclusive: dict[Resource, int] = {}
-        self._held: dict[int, set[Resource]] = defaultdict(set)
+        self._held: dict[int, dict[Resource, LockMode]] = {}
         self.default_timeout = default_timeout
         self.victim_policy = victim_policy
         self._injector = injector
@@ -118,11 +125,8 @@ class LockManager:
 
     def mode_held(self, txn_id: int, resource: Resource) -> LockMode | None:
         """The strongest mode a transaction holds on a resource."""
-        if self._exclusive.get(resource) == txn_id:
-            return LockMode.EXCLUSIVE
-        if txn_id in self._shared.get(resource, ()):
-            return LockMode.SHARED
-        return None
+        held = self._held.get(txn_id)
+        return None if held is None else held.get(resource)
 
     def waits_for(self) -> dict[int, set[int]]:
         """The current waits-for graph: waiter -> transactions blocking it."""
@@ -194,34 +198,41 @@ class LockManager:
 
     def _try_acquire(self, txn_id: int, resource: Resource, mode: LockMode) -> None:
         """One no-wait grant attempt."""
-        current = self.mode_held(txn_id, resource)
-        if current is LockMode.EXCLUSIVE:
-            return  # already as strong as possible
-        if current is LockMode.SHARED and mode is LockMode.SHARED:
-            return
+        held = self._held.get(txn_id)
+        current = None if held is None else held.get(resource)
+        if current is LockMode.EXCLUSIVE or (current is not None and mode is LockMode.SHARED):
+            return  # already held at least as strongly
 
+        # The transaction holds no X lock here (checked above), so any X
+        # holder is another transaction.
         exclusive_holder = self._exclusive.get(resource)
-        if exclusive_holder is not None and exclusive_holder != txn_id:
+        if exclusive_holder is not None:
             self.conflicts += 1
             instruments.LOCK_CONFLICTS.inc(mode=mode.value)
             raise LockConflictError(
                 f"txn {txn_id} blocked on {resource!r}: "
                 f"X-held by {exclusive_holder}"
             )
+        holders = self._shared.get(resource)
         if mode is LockMode.EXCLUSIVE:
-            others = self._shared.get(resource, set()) - {txn_id}
-            if others:
+            if holders is not None and (current is None or len(holders) > 1):
+                others = sorted(holder for holder in holders if holder != txn_id)
                 self.conflicts += 1
                 instruments.LOCK_CONFLICTS.inc(mode=mode.value)
                 raise LockConflictError(
-                    f"txn {txn_id} blocked on {resource!r}: "
-                    f"S-held by {sorted(others)}"
+                    f"txn {txn_id} blocked on {resource!r}: S-held by {others}"
                 )
-            self._shared.get(resource, set()).discard(txn_id)
+            if current is not None:  # upgrade: the sole S holder becomes the X holder
+                del self._shared[resource]
             self._exclusive[resource] = txn_id
+        elif holders is None:
+            self._shared[resource] = {txn_id}
         else:
-            self._shared[resource].add(txn_id)
-        self._held[txn_id].add(resource)
+            holders.add(txn_id)
+        if held is None:
+            self._held[txn_id] = {resource: mode}
+        else:
+            held[resource] = mode
         self.acquisitions += 1
         if instruments.REGISTRY.enabled:
             instruments.LOCK_ACQUISITIONS.inc(mode=mode.value)
@@ -279,23 +290,25 @@ class LockManager:
         Waiters parked on any freed resource are woken (appended to
         :attr:`woken` in park order).
         """
-        resources = self._held.pop(txn_id, set())
-        for resource in resources:
-            if self._exclusive.get(resource) == txn_id:
+        held = self._held.pop(txn_id, None)
+        if held is None:
+            return 0
+        for resource, mode in held.items():
+            if mode is LockMode.EXCLUSIVE:
                 del self._exclusive[resource]
-            holders = self._shared.get(resource)
-            if holders is not None:
+            else:
+                holders = self._shared[resource]
                 holders.discard(txn_id)
                 if not holders:
                     del self._shared[resource]
-        self.releases += len(resources)
+        self.releases += len(held)
         if self._waiting:
             woken = [
                 waiter
                 for waiter, resource in self._waiting.items()
-                if resource in resources
+                if resource in held
             ]
             for waiter in woken:
                 self.unpark(waiter)
             self.woken.extend(woken)
-        return len(resources)
+        return len(held)

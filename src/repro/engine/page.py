@@ -107,7 +107,8 @@ class Page:
 
     def read(self, slot: int) -> bytes:
         """Return the record bytes in a slot."""
-        self._check_live(slot)
+        if not (0 <= slot < self._capacity and self._occupied[slot]):
+            self._check_live(slot)  # raises the precise error
         start = slot * self._record_size
         return bytes(self._data[start : start + self._record_size])
 

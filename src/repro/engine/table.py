@@ -187,7 +187,8 @@ class Table:
 
     def get(self, key: tuple, columns: tuple[str, ...] | None = None) -> dict:
         """Fetch a row by primary key, projected as :meth:`read` is."""
-        return self.read(self.rid_of(key), columns)
+        rid = self._indexes[PRIMARY].search(key)
+        return self._schema.unpack(self._heap.read(rid), columns)
 
     def update(self, rid: RecordId, changes: dict | bytes) -> tuple[bytes, bytes]:
         """Overwrite a row in place; returns (old bytes, new bytes).

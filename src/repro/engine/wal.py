@@ -14,13 +14,16 @@ supports the two operations the engine needs:
 
 The paper models a dedicated log disk; ``bytes_written`` measures the
 log traffic that disk would carry.
+
+Records are :class:`LogRecord` named tuples: immutable, and built in
+one allocation.  The log keeps them in LSN order in one list, so an LSN
+is the record's index in it.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.engine.errors import WalError
 from repro.obs import instruments
@@ -35,8 +38,13 @@ class LogRecordType(enum.Enum):
     ABORT = "abort"
 
 
-@dataclass(frozen=True)
-class LogRecord:
+#: The record types that change a tuple (the rest delimit transactions).
+#: A tuple, not a set: membership compares by identity, where a set
+#: would call ``Enum.__hash__``, a Python function.
+_CHANGE_TYPES = (LogRecordType.INSERT, LogRecordType.UPDATE, LogRecordType.DELETE)
+
+
+class LogRecord(NamedTuple):
     """One WAL entry.
 
     ``location`` identifies the tuple: (table name, RecordId).  Images
@@ -123,11 +131,7 @@ class WriteAheadLog:
     ) -> int:
         """Append an insert/update/delete record."""
         self._check_active(txn_id)
-        if type_ not in (
-            LogRecordType.INSERT,
-            LogRecordType.UPDATE,
-            LogRecordType.DELETE,
-        ):
+        if type_ not in _CHANGE_TYPES:
             raise WalError(f"{type_} is not a change record type")
         return self._append(
             LogRecord(self.next_lsn, txn_id, type_, table, location, before, after)
@@ -172,21 +176,13 @@ class WriteAheadLog:
                 continue
             if record.type is LogRecordType.BEGIN:
                 return
-            if record.type in (
-                LogRecordType.INSERT,
-                LogRecordType.UPDATE,
-                LogRecordType.DELETE,
-            ):
+            if record.type in _CHANGE_TYPES:
                 yield record
 
     def redo_records(self) -> Iterator[LogRecord]:
         """Change records of committed transactions, oldest first."""
         for record in self._records:
-            if record.txn_id in self._committed and record.type in (
-                LogRecordType.INSERT,
-                LogRecordType.UPDATE,
-                LogRecordType.DELETE,
-            ):
+            if record.txn_id in self._committed and record.type in _CHANGE_TYPES:
                 yield record
 
     def change_records(self) -> Iterator[LogRecord]:
@@ -198,11 +194,7 @@ class WriteAheadLog:
         transactions (which recovery then rolls back).
         """
         for record in self._records:
-            if record.type in (
-                LogRecordType.INSERT,
-                LogRecordType.UPDATE,
-                LogRecordType.DELETE,
-            ):
+            if record.type in _CHANGE_TYPES:
                 yield record
 
     # -- internal --------------------------------------------------------------------------

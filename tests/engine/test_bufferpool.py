@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine.bufferpool import BufferManager
 from repro.engine.page import Page, PageId, PageStore
+from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultRule
 from repro.obs.metrics import default_registry
 from repro.tpcc import TpccConfig, load_tpcc
 from repro.tpcc.executor import TpccExecutor
@@ -124,6 +125,67 @@ class TestDropAll:
         assert store.read(PageId(0, 0)).read(0) == b"DURABLE!"
 
 
+def defer_first_eviction() -> FaultInjector:
+    """An injector whose first ``buffer.evict`` defers the eviction."""
+    return FaultInjector(
+        FaultPlan(rules=(FaultRule(FaultKind.BUFFER_EVICTION, at_ops=(1,)),))
+    )
+
+
+class TestOrphanedFrames:
+    """A deferred eviction leaves a resident frame the policy has forgotten."""
+
+    def orphan(self, store) -> BufferManager:
+        buffers = BufferManager(store, 2, injector=defer_first_eviction())
+        buffers.get_page(PageId(0, 0), for_write=True)
+        buffers.get_page(PageId(0, 1))
+        buffers.get_page(PageId(0, 2))  # page 0 is the victim; its eviction is deferred
+        assert buffers.deferred_evictions == 1
+        assert buffers.is_resident(PageId(0, 0))
+        assert not buffers._policy.contains(PageId(0, 0))
+        assert buffers.resident_pages == 3
+        return buffers
+
+    def test_next_access_is_a_hit_and_readmits(self, store):
+        buffers = self.orphan(store)
+        reads = store.reads
+        buffers.get_page(PageId(0, 0))
+        assert store.reads == reads  # served from the orphaned frame
+        assert buffers.stats.hits == {0: 1}
+        assert buffers.stats.total_misses == 3
+        assert buffers._policy.contains(PageId(0, 0))
+        assert len(buffers._policy) == buffers.capacity
+        # Re-admission evicted the policy's LRU page (1) for real.
+        assert not buffers.is_resident(PageId(0, 1))
+        assert buffers.resident_pages == 2
+
+    def test_policy_never_tracks_more_than_capacity(self, store):
+        buffers = self.orphan(store)
+        for page_no in (0, 3, 0, 1, 2, 4, 5, 0):
+            buffers.get_page(PageId(0, page_no))
+            assert len(buffers._policy) <= buffers.capacity
+
+    def test_readmitted_orphan_stays_dirty_until_written_back(self, store):
+        buffers = self.orphan(store)
+        buffers.get_page(PageId(0, 0))
+        assert buffers.is_dirty(PageId(0, 0))
+        writes = store.writes
+        buffers.get_page(PageId(0, 3))
+        buffers.get_page(PageId(0, 4))  # evicts page 0, now without a fault
+        assert not buffers.is_resident(PageId(0, 0))
+        assert store.writes == writes + 1
+
+    def test_drop_all_clears_the_orphan(self, store):
+        buffers = self.orphan(store)
+        buffers.drop_all()
+        assert buffers.resident_pages == 0
+        assert len(buffers._policy) == 0
+        assert not buffers.is_dirty(PageId(0, 0))
+        buffers.get_page(PageId(0, 0))  # a miss again, and admitted normally
+        assert buffers.stats.misses == {0: 4}
+        assert buffers._policy.contains(PageId(0, 0))
+
+
 class TestStatsByFile:
     def test_per_file_accounting(self, store):
         store.allocate(PageId(7, 0), make_page())
@@ -165,3 +227,23 @@ class TestStatsByFile:
         )
         db.buffers.reset_stats()
         assert db.buffers.stats.evictions == {}
+
+    def test_total_misses_is_the_sum_of_misses(self):
+        config = TpccConfig(
+            warehouses=1,
+            customers_per_district=60,
+            items=300,
+            initial_orders_per_district=25,
+            pending_orders_per_district=8,
+            buffer_pages=40,
+            seed=99,
+        )
+        db = load_tpcc(config)
+        stats = db.buffers.stats
+        TpccExecutor(db=db, config=config, seed=7).run_mix(transactions=100)
+        assert stats.total_misses > 0
+        assert stats.total_misses == sum(stats.misses.values())
+        db.buffers.reset_stats()
+        assert stats.total_misses == 0 == sum(stats.misses.values())
+        TpccExecutor(db=db, config=config, seed=8).run_mix(transactions=20)
+        assert stats.total_misses == sum(stats.misses.values()) > 0

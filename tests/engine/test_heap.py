@@ -69,6 +69,19 @@ class TestReadUpdateDelete:
         with pytest.raises(RecordNotFoundError):
             heap.read(RecordId(5, 0))
 
+    def test_out_of_range_pages_reach_the_store(self, heap):
+        """A page number the heap never allocated, negative ones included,
+        is not mistaken for an allocated page."""
+        heap.insert(b"a" * 512)
+        for page_no in (-1, 1):
+            rid = RecordId(page_no, 0)
+            for request in (heap.read, heap.fetch, heap.delete):
+                with pytest.raises(RecordNotFoundError, match="no page"):
+                    request(rid)
+            with pytest.raises(RecordNotFoundError, match="no page"):
+                heap.update(rid, b"b" * 512)
+        assert heap.read(RecordId(0, 0)) == b"a" * 512
+
 
 class TestScan:
     def test_scan_in_page_order(self, heap):

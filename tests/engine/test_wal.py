@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine.errors import WalError
-from repro.engine.wal import LogRecordType, WriteAheadLog
+from repro.engine.wal import LogRecord, LogRecordType, WriteAheadLog
 
 
 @pytest.fixture
@@ -122,3 +122,31 @@ class TestAccounting:
         change(wal, 1)
         assert len(wal.records()) == 2
         assert len(wal) == 2
+
+
+class TestLogRecord:
+    def test_fields_are_read_only(self, wal):
+        wal.log_begin(1)
+        change(wal, 1)
+        record = wal.records()[-1]
+        for name in ("lsn", "txn_id", "type", "table", "location", "before", "after"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        assert record.after == b"new"
+
+    def test_defaults_of_a_terminator(self):
+        record = LogRecord(7, 3, LogRecordType.COMMIT)
+        assert (record.table, record.location, record.before, record.after) == (None,) * 4
+
+    def test_sizes_of_every_record_type(self, wal):
+        """32 header bytes plus the images, as the dataclass record counted."""
+        wal.log_begin(1)
+        wal.log_change(1, LogRecordType.INSERT, "t", ("rid", 0), None, b"a" * 60)
+        wal.log_change(1, LogRecordType.UPDATE, "t", ("rid", 0), b"a" * 60, b"b" * 60)
+        wal.log_change(1, LogRecordType.DELETE, "t", ("rid", 0), b"b" * 60, None)
+        wal.log_commit(1)
+        wal.log_begin(2)
+        wal.log_abort(2)
+        sizes = [record.size_bytes for record in wal.records()]
+        assert sizes == [32, 92, 152, 92, 32, 32, 32]
+        assert wal.bytes_written == 464

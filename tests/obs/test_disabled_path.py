@@ -1,8 +1,9 @@
 """The disabled-metrics path on the engine's three hot seams.
 
 ``BufferManager.get_page``, ``LockManager._try_acquire`` and
-``WriteAheadLog._append`` run some 160 times per transaction.  With the
-registry disabled they must not even *call* an instrument: the guard is
+``WriteAheadLog._append`` are the engine's most frequent calls: per
+committed transaction on engine-mix (seed 11), 50.3 page requests,
+50.2 lock grants and 19.6 WAL appends.  With the registry disabled they must not even *call* an instrument: the guard is
 ``if instruments.REGISTRY.enabled:``, ahead of the label kwargs.  With
 it enabled the recorded series are those of the commit before the guard
 went in (digest below), except that a primary-key update or delete now
