@@ -23,16 +23,19 @@ miss positions and victims the hook returns into the counters with
   order before the hand ever moves; a newly admitted page starts with
   its reference bit clear; the hand advances past each victim).
 * :class:`LfuArrayKernel` — one packed ``(count, last touch)`` int per
-  page and a heap with exactly one entry per resident page, re-keyed
-  on pop: a hit writes the page's int and never touches the heap.
+  page, an admission FIFO of the pages still on their first reference
+  (they rank below every other page, by admission) and a heap with one
+  entry per promoted resident, re-keyed on pop: a hit writes the
+  page's int and touches the heap only when it promotes the page.
 * :class:`MruArrayKernel` — most-recently-used: the victim is always
   the page of the previous reference, so there is no heap at all.
 * :class:`TwoQArrayKernel` — FIFO probation queue plus LRU main queue
   (two ordered dicts), mirroring ``TwoQPolicy`` including the
   promotion-overflow victim that a *hit* can produce.
 * :class:`LruKArrayKernel` — backward-K distance over a flat ring of
-  K stamps per page and the same re-key-on-pop heap (``lru2``/``lru3``
-  in the registry).
+  K stamps per page, the same admission FIFO for pages with fewer
+  than K references and the same re-key-on-pop heap for the rest
+  (``lru2``/``lru3`` in the registry).
 
 The contract is **exact parity**: for any reference stream, a kernel
 produces the same hit/miss outcome and the same eviction victim on
@@ -50,7 +53,7 @@ cumulative per-relation eviction tallies — folded into a
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from collections.abc import Iterable, Sequence
 from typing import Callable, ClassVar
 
@@ -76,13 +79,9 @@ _PAGE_TABLE_GROWTH = 4096
 _LRU_SLICE_CAPACITIES = 16
 _LRU_SLICE_FLOOR = 8192
 
-#: Key offset that ranks pages with fewer than K references below every
-#: fully referenced page (mirrors ``LruKPolicy._kth_recent``).
-_UNDER_K = 1 << 60
-
-#: A heap entry is ``priority << _PAGE_BITS | page id``: one int orders
-#: as the ``(priority, page)`` pair would.  (A page id indexes the
-#: per-page lists, which cannot reach 2**32 entries.)
+#: A heap entry of a promoted page is ``priority << _PAGE_BITS | page
+#: id``: one int orders as the ``(priority, page)`` pair would.  (A page
+#: id indexes the per-page lists, which cannot reach 2**32 entries.)
 _PAGE_BITS = 32
 _PAGE_MASK = (1 << _PAGE_BITS) - 1
 
@@ -148,27 +147,23 @@ def _add_tally(target: list[int], keys: np.ndarray) -> None:
         target[index] += int(tally[index])
 
 
-def _evict_minimum(
-    heap: list[int], live_priority: Callable[[int], int], entry: int
-) -> int:
-    """Replace the minimum-priority page of a full ``heap`` by ``entry``.
+def _pop_minimum(heap: list[int], live_priority: Callable[[int], int]) -> int:
+    """Pop the minimum-priority page of a non-empty ``heap``.
 
-    The heap holds exactly one entry per resident page, written with
-    the priority the page had at the time, and hits never touch it
-    (*re-key on pop*): while the top entry is older than its page's
-    ``live_priority`` it is rewritten in place, and the first current
-    top is the victim.  That is the true minimum — a priority only
-    grows, so every other page's live priority is at least its own
+    The heap holds one entry per promoted resident page, written with
+    the priority the page had when it was promoted, and later hits never
+    touch it (*re-key on pop*): while the top entry is older than its
+    page's ``live_priority`` it is rewritten in place, and the first
+    current top is the victim.  That is the true minimum — a priority
+    only grows, so every other page's live priority is at least its own
     entry, which is at least the top; reference positions are unique,
-    so there are no ties.  The victims are therefore those of a heap
-    that pushes on every touch and skips stale entries on pop, as the
-    object policies do.  Returns the victim's page id.
+    so there are no ties.  Returns the victim's page id.
     """
     while True:
         victim = heap[0] & _PAGE_MASK
         live = live_priority(victim)
         if heap[0] >> _PAGE_BITS == live:
-            heapq.heapreplace(heap, entry)
+            heapq.heappop(heap)
             return victim
         heapq.heapreplace(heap, live << _PAGE_BITS | victim)
 
@@ -629,12 +624,23 @@ class ClockArrayKernel(ArrayKernel):
 
 
 class LfuArrayKernel(ArrayKernel):
-    """Least-frequently-used over a re-key-on-pop heap.
+    """Least-frequently-used over an admission FIFO and a re-key-on-pop heap.
 
     A resident page's priority is ``(count, last touch)``, packed into
-    one int per page (:data:`_TICK_BITS`; ``0`` = not resident).  A hit
-    rewrites that int and nothing else; victims come from
-    :func:`_evict_minimum`, as ``LfuPolicy``'s would.
+    one int per page (:data:`_TICK_BITS`; ``0`` = not resident).  A page
+    on its first reference ranks below every promoted one (count 2 or
+    more), and such pages rank among themselves by admission, so they
+    wait in ``_young``, a FIFO of page ids: the victim of a full-pool
+    miss is its oldest page still on count 1, and the entries of pages
+    promoted since are dropped as they come up.  A hit that promotes a
+    page pushes the page's one entry onto ``_heap``; any other hit
+    rewrites the page's int and nothing else.  Only when no resident is
+    left on its first reference does :func:`_pop_minimum` choose among
+    the promoted pages, as ``LfuPolicy``'s heap would.
+
+    The heap is reached only once the FIFO is empty, and a FIFO victim
+    leaves with its only entry, so every queued id is a distinct
+    resident and neither structure outgrows ``capacity``.
     """
 
     policy_name = "lfu"
@@ -644,38 +650,54 @@ class LfuArrayKernel(ArrayKernel):
     ) -> None:
         super().__init__(capacity, space, transaction_types)
         self._key_of = [0] * self._relation.shape[0]
+        self._young: deque[int] = deque()
         self._heap: list[int] = []
         self._tick = 0
+        self._used = 0
 
     def _grow(self, extra: int) -> None:
         super()._grow(extra)
         self._key_of.extend([0] * extra)
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return self._used
 
     def _replace(self, page_ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
         key_of = self._key_of
+        young = self._young
         heap = self._heap
         capacity = self._capacity
+        used = self._used
+        # The smallest key with count 2: below it a page is on count 1.
+        promoted = 2 << _TICK_BITS
         first = self._tick + 1
         misses: list[int] = []
         victims: list[int] = []
         for tick, page_id in enumerate(page_ids.tolist(), first):
             key = key_of[page_id]
-            if key:
+            if key >= promoted:
                 # Carry out of the all-ones tick field: count += 1.
                 key_of[page_id] = (key | _TICK_MASK) + 1 + tick
                 continue
-            misses.append(tick)
-            key = key_of[page_id] = 1 << _TICK_BITS | tick
-            entry = key << _PAGE_BITS | page_id
-            if len(heap) < capacity:
-                heapq.heappush(heap, entry)
+            if key:  # promotion: count 1 -> 2
+                key = key_of[page_id] = promoted | tick
+                heapq.heappush(heap, key << _PAGE_BITS | page_id)
                 continue
-            victim = _evict_minimum(heap, key_of.__getitem__, entry)
-            key_of[victim] = 0
-            victims.append(victim)
+            misses.append(tick)
+            if used < capacity:
+                used += 1
+            else:
+                while young:
+                    victim = young.popleft()
+                    if key_of[victim] < promoted:
+                        break
+                else:
+                    victim = _pop_minimum(heap, key_of.__getitem__)
+                key_of[victim] = 0
+                victims.append(victim)
+            key_of[page_id] = 1 << _TICK_BITS | tick
+            young.append(page_id)
+        self._used = used
         self._tick += len(page_ids)
         return np.array(misses, dtype=np.int64) - first, victims
 
@@ -807,15 +829,19 @@ class TwoQArrayKernel(ArrayKernel):
 
 
 class LruKArrayKernel(ArrayKernel):
-    """LRU-K over flat per-page stamp rings and a re-key-on-pop heap.
+    """LRU-K over flat per-page stamp rings, an admission FIFO and a re-key-on-pop heap.
 
     Each page owns ``k`` consecutive cells of ``_times`` and a count of
     its references this residency (``0`` = not resident); reference
     ``n`` lands in cell ``n % k``, so once ``k`` are recorded that cell
-    holds the K-th most recent one.  A page's priority is that stamp,
-    or its first stamp minus :data:`_UNDER_K` while it has fewer than
-    ``k`` — ``LruKPolicy``'s key — and it only grows, so victims come
-    from :func:`_evict_minimum`.
+    holds the K-th most recent one.  ``LruKPolicy`` ranks a page with
+    fewer than ``k`` references below every other page, by its first
+    reference, so such pages wait in ``_young``, a FIFO of page ids in
+    admission order, exactly as :class:`LfuArrayKernel`'s pages on
+    count 1 do.  The reference that brings a page to ``k`` pushes its
+    one entry onto ``_heap``; from then on its priority is the K-th
+    most recent stamp, which only grows, so :func:`_pop_minimum`
+    chooses among the promoted pages once the FIFO runs dry.
     """
 
     policy_name = "lruk"
@@ -833,8 +859,10 @@ class LruKArrayKernel(ArrayKernel):
         self._k = k
         self._seen = [0] * self._relation.shape[0]
         self._times = [0] * (k * len(self._seen))
+        self._young: deque[int] = deque()
         self._heap: list[int] = []
         self._tick = 0
+        self._used = 0
 
     @property
     def k(self) -> int:
@@ -846,42 +874,56 @@ class LruKArrayKernel(ArrayKernel):
         self._times.extend([0] * (self._k * extra))
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return self._used
 
     def _priority(self, page_id: int) -> int:
-        """The page's live priority (it must be resident)."""
+        """A promoted resident's live priority: its K-th most recent stamp."""
         k = self._k
-        seen = self._seen[page_id]
-        if seen >= k:
-            return self._times[page_id * k + seen % k]
-        return self._times[page_id * k] - _UNDER_K
+        return self._times[page_id * k + self._seen[page_id] % k]
 
     def _replace(self, page_ids: np.ndarray) -> tuple[np.ndarray, list[int]]:
         k = self._k
         seen_of = self._seen
         times = self._times
+        young = self._young
         heap = self._heap
         capacity = self._capacity
-        priority = self._priority
+        used = self._used
         first = self._tick + 1
         misses: list[int] = []
         victims: list[int] = []
         for tick, page_id in enumerate(page_ids.tolist(), first):
             seen = seen_of[page_id]
-            if seen:
+            if seen >= k:
                 times[page_id * k + seen % k] = tick
                 seen_of[page_id] = seen + 1
                 continue
+            if seen:  # fewer than k so far: reference `seen` lands in cell `seen`
+                times[page_id * k + seen] = tick
+                seen_of[page_id] = seen = seen + 1
+                if seen == k:
+                    # Promotion: the K-th most recent stamp is the first.
+                    heapq.heappush(heap, times[page_id * k] << _PAGE_BITS | page_id)
+                continue
             misses.append(tick)
+            if used < capacity:
+                used += 1
+            else:
+                while young:
+                    victim = young.popleft()
+                    if seen_of[victim] < k:
+                        break
+                else:
+                    victim = _pop_minimum(heap, self._priority)
+                seen_of[victim] = 0
+                victims.append(victim)
             seen_of[page_id] = 1
             times[page_id * k] = tick
-            entry = priority(page_id) << _PAGE_BITS | page_id
-            if len(heap) < capacity:
-                heapq.heappush(heap, entry)
-                continue
-            victim = _evict_minimum(heap, priority, entry)
-            seen_of[victim] = 0
-            victims.append(victim)
+            if k > 1:
+                young.append(page_id)
+            else:  # LRU-1: the admitting reference is the K-th
+                heapq.heappush(heap, tick << _PAGE_BITS | page_id)
+        self._used = used
         self._tick += len(page_ids)
         return np.array(misses, dtype=np.int64) - first, victims
 

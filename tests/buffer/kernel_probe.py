@@ -11,7 +11,6 @@ private tables, so the kernels themselves carry no test-only code.
 import numpy as np
 
 from repro.buffer.kernels import (
-    _PAGE_MASK,
     TX_STRIDE_SHIFT,
     ArrayKernel,
     ClockArrayKernel,
@@ -58,8 +57,10 @@ def resident_page_ids(kernel: ArrayKernel) -> list[int]:
         hand = kernel._hand if count == kernel._capacity else 0
         return [kernel._page_of[(hand + i) % count] for i in range(count)]
     if isinstance(kernel, LfuArrayKernel):
-        pages = [entry & _PAGE_MASK for entry in kernel._heap]
-        return sorted(pages, key=kernel._key_of.__getitem__)
+        # The packed (count, last touch) int is the priority; 0 = absent.
+        key_of = kernel._key_of
+        pages = [page for page, key in enumerate(key_of) if key]
+        return sorted(pages, key=key_of.__getitem__)
     if isinstance(kernel, MruArrayKernel):
         last = kernel._last_of
         pages = [page for page, stamp in enumerate(last) if stamp]
@@ -69,6 +70,15 @@ def resident_page_ids(kernel: ArrayKernel) -> list[int]:
         # own victim order, admission victims first.
         return list(kernel._probation) + list(kernel._main)
     if isinstance(kernel, LruKArrayKernel):
-        pages = [entry & _PAGE_MASK for entry in kernel._heap]
-        return sorted(pages, key=kernel._priority)
+        # Pages with fewer than K references first, by their first one;
+        # then the rest by their K-th most recent one.
+        k, seen, times = kernel.k, kernel._seen, kernel._times
+
+        def priority(page: int) -> tuple[bool, int]:
+            if seen[page] < k:
+                return False, times[page * k]
+            return True, times[page * k + seen[page] % k]
+
+        pages = [page for page, count in enumerate(seen) if count]
+        return sorted(pages, key=priority)
     raise TypeError(f"no residency view for {type(kernel).__name__}")

@@ -7,7 +7,8 @@ every kernel's state, the simulator's policy validation, and parity of
 the simulator's report and the kernels' shared tally with a replay of
 the same trace through the reference policy object
 (``tests/buffer/policy_replay.py``), the LRU kernel's recency order,
-and the dominance counter behind the LRU classifier.
+the LFU and LRU-K admission FIFO, and the dominance counter behind the
+LRU classifier.
 """
 
 import collections
@@ -16,6 +17,9 @@ import numpy as np
 import pytest
 
 from repro.buffer.kernels import (
+    _PAGE_MASK,
+    _TICK_BITS,
+    _TICK_MASK,
     ARRAY_KERNEL_POLICIES,
     TX_STRIDE_SHIFT,
     ClockArrayKernel,
@@ -365,6 +369,58 @@ class TestLruRecencyOrder:
             expected_slot[order] = np.arange(1, order.size + 1)
             assert np.array_equal(kernel._slot, expected_slot)
             assert len(kernel) == order.size
+
+
+class TestAdmissionFifo:
+    """LFU and LRU-K keep their first-class residents in ``_young``."""
+
+    @pytest.mark.parametrize("policy", ["lfu", "lru2", "lru3"])
+    @pytest.mark.parametrize("capacity, pages", [(50, 100), (90, 360), (200, 500)])
+    def test_queue_holds_every_first_class_resident_in_admission_order(
+        self, policy, capacity, pages
+    ):
+        """After every batch: the queued ids are distinct residents, the
+        first-class ones among them are every first-class resident in
+        admission order, and the heap holds one entry per promoted
+        resident; neither structure outgrows the pool."""
+        space = PageIdSpace([pages, 1, 1, 1, 1])  # relation 0 ids are pages
+        kernel = make_kernel(policy, capacity, space, len(TRANSACTION_ORDER))
+        if policy == "lfu":
+            key_of = kernel._key_of
+            resident = key_of.__getitem__
+
+            def admission(page):
+                # On count 1 the last touch is the admission.
+                return key_of[page] & _TICK_MASK
+
+            def first_class(page):
+                return key_of[page] >> _TICK_BITS == 1
+        else:
+            k, seen, times = kernel.k, kernel._seen, kernel._times
+            resident = seen.__getitem__
+
+            def admission(page):
+                return times[page * k]
+
+            def first_class(page):
+                return seen[page] < k
+
+        rng = np.random.default_rng(capacity)
+        for _ in range(6):
+            page_ids = mixed_page_stream(rng, pages, 10_000)
+            kernel.process_batch(
+                EncodedBatch.of_refs(page_ids << REF_PID_SHIFT, space.static_total)
+            )
+            residents = [page for page in range(pages) if resident(page)]
+            young = list(kernel._young)
+            assert len(set(young)) == len(young) <= capacity
+            assert set(young) <= set(residents)
+            assert [page for page in young if first_class(page)] == sorted(
+                (page for page in residents if first_class(page)), key=admission
+            )
+            promoted = sorted(page for page in residents if not first_class(page))
+            assert sorted(entry & _PAGE_MASK for entry in kernel._heap) == promoted
+            assert len(kernel) == len(residents)
 
 
 class TestBlockCountLt:

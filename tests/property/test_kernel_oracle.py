@@ -15,7 +15,7 @@ Positions are unique, so the order is total and the victim, and the
 whole victims-first residency order, are determined.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.buffer.kernels import make_kernel
@@ -47,6 +47,16 @@ SPACE = PageIdSpace([PAGES] * N_STATIC_RELATIONS)
     st.lists(st.integers(min_value=0, max_value=3 * PAGES - 1), min_size=1, max_size=200),
 )
 @settings(max_examples=200, deadline=None)
+# Every resident promoted (one re-referenced again), then a cold miss:
+# the victim can only come from the re-key heap.
+@example("lfu", 3, [0, 0, 1, 1, 2, 2, 0, 3])
+@example("lru2", 3, [0, 0, 1, 1, 2, 2, 0, 3])
+@example("lru3", 3, [0, 0, 0, 1, 1, 1, 2, 2, 2, 0, 3])
+# A page promoted, evicted from the heap, re-admitted and promoted
+# again; the heap then chooses between it and an older promotion.
+@example("lfu", 2, [0, 0, 1, 1, 2, 0, 0, 3, 1])
+@example("lru2", 2, [0, 0, 1, 1, 2, 0, 0, 3, 1])
+@example("lru3", 2, [0, 0, 0, 1, 1, 1, 2, 0, 0, 0, 3, 1])
 def test_lockstep_against_brute_force(policy, capacity, stream):
     """Same hits, same victims, same victims-first order, every step."""
     priority = PRIORITIES[policy]
