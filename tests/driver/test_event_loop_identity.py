@@ -7,8 +7,11 @@ Each spec pins three SHA-256 digests: the serialized ``DriverReport``
 (without the ``spec.verify_admission`` and ``spec.workers`` keys, each
 deleted together with the threads it configured or audited), the WAL
 change-record stream, and the deterministic-only metrics snapshot of
-the run.  These are no-wait runs (``lock_timeout_seconds == 0``), the
-path blocking lock waits leave untouched.  A change that reorders two
+the run.  The ``blocking-*`` specs were pinned later, on the commit
+before the scheduler priced statements through one reusable scope and
+served the stations inline; they run the blocking lock policy
+(``lock_timeout_seconds > 0``), so parks, wakes, timeouts and deadlock
+victims under each victim policy are inside their digests.  A change that reorders two
 statements of different transactions, prices one differently, or moves
 a logged byte fails here; a change that is meant to must say so and
 re-pin.
@@ -51,6 +54,20 @@ def _contended(seed: int) -> BenchmarkSpec:
     )
 
 
+def _blocking(victim_policy: str) -> BenchmarkSpec:
+    """Blocking lock waits: parks, wakes, timeouts and deadlock victims."""
+    return BenchmarkSpec(
+        terminals=16,
+        transactions=150,
+        think_time_seconds=0.5,
+        seed=7,
+        tpcc=CONFIG,
+        lock_timeout_seconds=0.2,
+        retry=RetryPolicy(max_attempts=50, max_delay=1.0),
+        victim_policy=victim_policy,
+    )
+
+
 SPECS = {
     "contended-11": _contended(11),
     "contended-23": _contended(23),
@@ -58,6 +75,8 @@ SPECS = {
     "default-retry": BenchmarkSpec(
         terminals=16, transactions=200, think_time_seconds=0.5, seed=5, tpcc=CONFIG
     ),
+    "blocking-youngest": _blocking("youngest"),
+    "blocking-oldest": _blocking("oldest"),
     # Crash with a crowd in flight, admission shedding, a breaker, and
     # fault rules scoped by terminal and by transaction type.
     "chaos": BenchmarkSpec(
@@ -111,6 +130,16 @@ PINNED: dict[str, tuple[str, str, str]] = {
         "5bed8e3b5be7174bbbb5c6e593a2493ed4ef32be1a7db418058c288fd0086080",
         "a947834e8e140ed0ee7d13c02dea7ba6399fa66df72b4658b9e9b7fc7956889e",
     ),
+    "blocking-youngest": (
+        "ff8677d48101323950a97e2dd2e4c2ca2f7958b0558e83150d1255854181a791",
+        "8fd081b78a1841f3c95fd40b40c8bebbb20c53a569e8302ade3372e9d29cf4dd",
+        "c3379f5fd5e90ad54d848a09e2a852077ec59c59d49be3b458aee67a68fa929d",
+    ),
+    "blocking-oldest": (
+        "0d46f3ce103cf731c9f75c401c1a7345f7ffe85aafb756e4be60604a31f443ab",
+        "233b2a1a298aa6b0a67907ecdb4e0317497b6af19c7f436ec44101d2c8cc8493",
+        "7f7c23a477e05628fcf43c4ec8d0bca9ed98f38affadb3e4abd351454cfe4749",
+    ),
     "chaos": (
         "413a4438943d06d339630e067d8ecbbb9945490ea7a70762882d5f010088b1e0",
         "6c38f5c62c96d0c6a91f6b8df73e3425e4fdd4a2389eaac75cdafeb886e20676",
@@ -124,7 +153,16 @@ COUNTS: dict[str, tuple[int, int, int, int]] = {
     "contended-11": (120, 0, 509, 0),
     "contended-23": (120, 0, 601, 0),
     "default-retry": (91, 109, 617, 0),
+    "blocking-youngest": (150, 0, 689, 0),
+    "blocking-oldest": (150, 0, 619, 0),
     "chaos": (26, 124, 164, 62),
+}
+
+#: name -> (lock waits, lock-wait timeouts, deadlocks detected) of the
+#: blocking specs: each branch of a park is taken hundreds of times.
+BLOCKING: dict[str, tuple[int, int, int]] = {
+    "blocking-youngest": (1459, 202, 487),
+    "blocking-oldest": (1287, 204, 415),
 }
 
 
@@ -173,6 +211,15 @@ def test_the_chaos_spec_exercises_every_short_circuit():
     assert report.shed.retry_short_circuits > 0
     assert report.deadlocks.injected == 3
     assert report.faults_fired > report.deadlocks.injected
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKING))
+def test_the_blocking_specs_park_wake_time_out_and_pick_victims(name):
+    report, _ = run_digests(name)
+    counts = (report.lock_waits, report.lock_timeouts, report.deadlocks.detected)
+    assert counts == BLOCKING[name]
+    assert report.deadlocks.victims == report.deadlocks.detected
+    assert report.deadlocks.policy == SPECS[name].victim_policy
 
 
 if __name__ == "__main__":
