@@ -72,21 +72,18 @@ class RunOutcome:
 
 
 class _Station:
-    """One FCFS queueing station in virtual time."""
+    """One FCFS queueing station in virtual time.
+
+    ``VirtualScheduler._step`` serves a request inline: it starts at
+    ``max(arrival, free_at)``, ends ``demand`` later, and moves
+    ``free_at`` there and ``busy_seconds`` on by ``demand``.
+    """
 
     __slots__ = ("free_at", "busy_seconds")
 
     def __init__(self) -> None:
         self.free_at = 0.0
         self.busy_seconds = 0.0
-
-    def serve(self, arrival: float, demand: float) -> float:
-        """Serve a request arriving at ``arrival``; returns completion."""
-        start = max(arrival, self.free_at)
-        end = start + demand
-        self.free_at = end
-        self.busy_seconds += demand
-        return end
 
 
 class _Task:
@@ -124,66 +121,108 @@ class _Task:
         self.outcome = "running"
 
 
-@dataclass
-class _StatementSnapshot:
-    """Call-census and buffer state at statement entry."""
+class _StatementScope:
+    """A statement's passage through the gate: snapshot in, request out.
 
-    selects: int = 0
-    updates: int = 0
-    inserts: int = 0
-    deletes: int = 0
-    non_unique_selects: int = 0
-    joins: int = 0
-    misses: int = 0
-    locks_held: int = 0
+    Each gate owns one and hands it out for every statement, which is
+    safe because statements never nest and a parked statement re-runs
+    from its start in a later step.  The entry snapshot is the call
+    census and the buffer misses; the held locks only for ``commit`` and
+    ``abort``, the two kinds priced per lock.  The buffer and lock
+    managers are read through the database at each use, since
+    ``Database.crash`` replaces both.
+    """
 
-    def restore_calls(self, txn: Transaction) -> None:
-        """Put the transaction's call census back to statement entry."""
-        calls = txn.calls
-        calls.selects = self.selects
-        calls.updates = self.updates
-        calls.inserts = self.inserts
-        calls.deletes = self.deletes
-        calls.non_unique_selects = self.non_unique_selects
-        calls.joins = self.joins
+    __slots__ = (
+        "_gate",
+        "task",
+        "txn",
+        "kind",
+        "selects",
+        "updates",
+        "inserts",
+        "deletes",
+        "non_unique_selects",
+        "joins",
+        "misses",
+        "locks_held",
+    )
 
+    task: _Task
+    txn: Transaction
+    kind: str
+    selects: int
+    updates: int
+    inserts: int
+    deletes: int
+    non_unique_selects: int
+    joins: int
+    misses: int
+    locks_held: int
 
-class _MeteredStatement:
-    """One statement's passage through the gate: snapshot in, request out."""
-
-    __slots__ = ("_gate", "_task", "_txn", "_kind", "_snap")
-
-    def __init__(self, gate: "StatementGate", task: _Task, txn: Transaction, kind: str):
+    def __init__(self, gate: "StatementGate"):
         self._gate = gate
-        self._task = task
-        self._txn = txn
-        self._kind = kind
 
     def __enter__(self) -> None:
-        gate, calls = self._gate, self._txn.calls
-        gate.check_served(self._kind)
-        self._snap = _StatementSnapshot(
-            selects=calls.selects,
-            updates=calls.updates,
-            inserts=calls.inserts,
-            deletes=calls.deletes,
-            non_unique_selects=calls.non_unique_selects,
-            joins=calls.joins,
-            misses=gate.total_misses(),
-            locks_held=gate.db.locks.locks_held(self._txn.txn_id),
-        )
+        gate = self._gate
+        if gate.request is not None:
+            gate.check_served(self.kind)
+        txn = self.txn
+        calls = txn.calls
+        self.selects = calls.selects
+        self.updates = calls.updates
+        self.inserts = calls.inserts
+        self.deletes = calls.deletes
+        self.non_unique_selects = calls.non_unique_selects
+        self.joins = calls.joins
+        db = gate.db
+        self.misses = db.buffers.stats.total_misses
+        if self.kind in ("commit", "abort"):
+            self.locks_held = db.locks.locks_held(txn.txn_id)
 
     def __exit__(self, exc_type: Any, *exc_info: Any) -> None:
+        txn = self.txn
+        calls = txn.calls
         if exc_type is LockWait:
             # Parked: the statement re-runs from its start when woken,
             # so this pass is neither counted nor priced.
-            self._snap.restore_calls(self._txn)
+            calls.selects = self.selects
+            calls.updates = self.updates
+            calls.inserts = self.inserts
+            calls.deletes = self.deletes
+            calls.non_unique_selects = self.non_unique_selects
+            calls.joins = self.joins
             return
-        # Also on failure: the statement ran, so it is priced and served.
+        # Also on failure: the statement ran, so it is priced and served:
+        # Table 4 K-instructions for the CPU, buffer misses for the disk.
         gate = self._gate
-        gate.request = ("stmt", gate.cost(self._task, self._txn, self._kind, self._snap))
+        p = gate._params
+        misses = gate.db.buffers.stats.total_misses - self.misses
+        cpu_k = (
+            (calls.selects - self.selects) * p.select_k
+            + (calls.updates - self.updates) * p.update_k
+            + (calls.inserts - self.inserts) * p.insert_k
+            + (calls.deletes - self.deletes) * p.delete_k
+            + (calls.non_unique_selects - self.non_unique_selects)
+            * p.non_unique_select_k
+            + (calls.joins - self.joins) * p.join_k
+            + p.application_k  # application code between SQL calls
+            + misses * p.init_io_k  # I/O initiation per buffer miss
+        )
+        task = self.task
+        if task.last_txn_id != txn.txn_id:
+            task.last_txn_id = txn.txn_id
+            cpu_k += p.init_transaction_k + p.application_k
+        kind = self.kind
+        if kind == "commit":
+            # Commit log write plus one lock release per held lock.
+            cpu_k += p.commit_k + p.init_io_k
+            cpu_k += self.locks_held * p.release_lock_k
+        elif kind == "abort":
+            cpu_k += self.locks_held * p.release_lock_k
+        gate.request = ("stmt", (cpu_k, misses))
         if instruments.REGISTRY.enabled:
-            instruments.DRIVER_STATEMENTS.inc(kind=self._kind)
+            instruments.DRIVER_STATEMENTS.inc(kind=kind)
 
 
 class StatementGate:
@@ -205,9 +244,7 @@ class StatementGate:
         #: ``("stmt", (cpu_k, misses))`` or ``("sleep", seconds)``
         #: recorded by the current step and not yet served.
         self.request: tuple[str, Any] | None = None
-
-    def total_misses(self) -> int:
-        return self.db.buffers.stats.total_misses
+        self._scope = _StatementScope(self)
 
     def check_served(self, kind: str) -> None:
         """One request per suspension: a forgotten ``yield`` must not merge two."""
@@ -226,7 +263,11 @@ class StatementGate:
         task = self.task
         if task is None:  # not a sequence step (e.g. an abort on close)
             return nullcontext()
-        return _MeteredStatement(self, task, txn, kind)
+        scope = self._scope
+        scope.task = task
+        scope.txn = txn
+        scope.kind = kind
+        return scope
 
     def sleep(self, seconds: float) -> None:
         """Virtual sleep (retry backoff) of the sequence being resumed."""
@@ -234,35 +275,6 @@ class StatementGate:
             return
         self.check_served("sleep")
         self.request = ("sleep", seconds)
-
-    def cost(
-        self, task: _Task, txn: Transaction, kind: str, snap: _StatementSnapshot
-    ) -> tuple[float, int]:
-        """Table 4 cost of the statement just executed (K-instr, misses)."""
-        p = self._params
-        calls = txn.calls
-        misses = self.total_misses() - snap.misses
-        cpu_k = (
-            (calls.selects - snap.selects) * p.select_k
-            + (calls.updates - snap.updates) * p.update_k
-            + (calls.inserts - snap.inserts) * p.insert_k
-            + (calls.deletes - snap.deletes) * p.delete_k
-            + (calls.non_unique_selects - snap.non_unique_selects)
-            * p.non_unique_select_k
-            + (calls.joins - snap.joins) * p.join_k
-            + p.application_k  # application code between SQL calls
-            + misses * p.init_io_k  # I/O initiation per buffer miss
-        )
-        if task.last_txn_id != txn.txn_id:
-            task.last_txn_id = txn.txn_id
-            cpu_k += p.init_transaction_k + p.application_k
-        if kind == "commit":
-            # Commit log write plus one lock release per held lock.
-            cpu_k += p.commit_k + p.init_io_k
-            cpu_k += snap.locks_held * p.release_lock_k
-        elif kind == "abort":
-            cpu_k += snap.locks_held * p.release_lock_k
-        return cpu_k, misses
 
 
 class VirtualScheduler:
@@ -287,8 +299,9 @@ class VirtualScheduler:
         self._now = 0.0
         self._started = 0
         self._completed = 0
-        #: Tasks whose sequence is suspended or running.
-        self._in_flight: set[_Task] = set()
+        #: Tasks whose sequence is suspended or running, in spawn order
+        #: (a dict, not a set: ``run`` closes leftovers in this order).
+        self._in_flight: dict[_Task, None] = {}
         #: Parked tasks by transaction id, in park order.
         self._parked: dict[int, _Task] = {}
         #: Admission queue: (terminal, arrival time) FIFO behind the
@@ -337,12 +350,15 @@ class VirtualScheduler:
                 self._push(self._cycle_delay(terminal), "start", terminal)
             if self.spec.crash_at_seconds is not None:
                 self._push(self.spec.crash_at_seconds, "crash", None)
-            while self._events:
-                time_, _, kind, payload = heapq.heappop(self._events)
+            events = self._events
+            pop = heapq.heappop
+            step = self._step
+            while events:
+                time_, _, kind, payload = pop(events)
                 if time_ > self._now:
                     self._now = time_
                 if kind == "resume":
-                    self._step(payload)  # type: ignore[arg-type]
+                    step(payload)  # type: ignore[arg-type]
                 elif kind == "start":
                     self._handle_start(int(payload))  # type: ignore[arg-type]
                 elif kind == "timeout":
@@ -354,7 +370,8 @@ class VirtualScheduler:
         finally:
             self._db.set_statement_gate(None)
             # Only an exception out of the loop leaves sequences behind;
-            # closing them aborts their transactions (ungated by now).
+            # closing them, oldest spawn first, aborts their transactions
+            # (ungated by now).
             for task in self._in_flight:
                 task.context.run(task.steps.close)
         if self._errors:
@@ -387,8 +404,10 @@ class VirtualScheduler:
                     task.value = task.context.run(task.steps.send, task.value)
                 else:
                     task.value = self._resume_blocked(task)
-                request = gate.take()
-                if request is None and type(task.value) is LockWait and self._park(task):
+                request = gate.request
+                if request is not None:
+                    gate.request = None
+                elif type(task.value) is LockWait and self._park(task):
                     break
         except StopIteration:
             task.outcome = "committed"
@@ -410,19 +429,28 @@ class VirtualScheduler:
                     )
                 )
             self._complete(task)
-        elif request is None:
-            pass  # parked
-        elif request[0] == "stmt":
+            return
+        if request is None:
+            return  # parked
+        if request[0] == "stmt":
+            # The CPU station, then the disk station: FCFS, each starting
+            # at max(arrival, free_at).
             cpu_k, misses = request[1]
             params = self.spec.params
-            cpu_seconds = cpu_k / params.k_instructions_per_second
-            disk_seconds = (
-                misses * params.disk_service_ms / 1000.0 / self.spec.disk_arms
-            )
-            after_cpu = self._cpu.serve(self._now, cpu_seconds)
-            self._push(self._disk.serve(after_cpu, disk_seconds), "resume", task)
+            demand = cpu_k / params.k_instructions_per_second
+            station = self._cpu
+            end = max(self._now, station.free_at) + demand
+            station.free_at = end
+            station.busy_seconds += demand
+            demand = misses * params.disk_service_ms / 1000.0 / self.spec.disk_arms
+            station = self._disk
+            end = max(end, station.free_at) + demand
+            station.free_at = end
+            station.busy_seconds += demand
         else:  # sleep
-            self._push(self._now + float(request[1]), "resume", task)
+            end = self._now + float(request[1])
+        heapq.heappush(self._events, (end, self._seq, "resume", task))
+        self._seq += 1
 
     # -- lock waits ----------------------------------------------------------------
 
@@ -558,11 +586,11 @@ class VirtualScheduler:
             self._now if start_time is None else start_time,
             executor.prepared_steps(prepared),
         )
-        self._in_flight.add(task)
+        self._in_flight[task] = None
         self._step(task)
 
     def _complete(self, task: _Task) -> None:
-        self._in_flight.discard(task)
+        del self._in_flight[task]
         self._completed += 1
         tx = task.prepared.tx.value
         instruments.DRIVER_TX_COMPLETIONS.inc(tx=tx, outcome=task.outcome)

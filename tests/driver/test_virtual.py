@@ -1,9 +1,13 @@
 """The virtual-time scheduler: determinism, accounting, admission."""
 
+import itertools
+
 import pytest
 
 from repro.driver import BenchmarkSpec, run_benchmark
-from repro.tpcc import TpccConfig
+from repro.driver.scheduler import VirtualScheduler
+from repro.tpcc import TpccConfig, load_tpcc
+from repro.tpcc.executor import TpccExecutor
 
 
 @pytest.fixture(scope="module")
@@ -11,21 +15,21 @@ def report(small_spec_module):
     return run_benchmark(small_spec_module)
 
 
+CONFIG = TpccConfig(
+    warehouses=2,
+    customers_per_district=60,
+    items=300,
+    initial_orders_per_district=25,
+    pending_orders_per_district=8,
+    buffer_pages=400,
+    seed=99,
+)
+
+
 @pytest.fixture(scope="module")
 def small_spec_module():
     return BenchmarkSpec(
-        terminals=4,
-        transactions=60,
-        think_time_seconds=0.5,
-        tpcc=TpccConfig(
-            warehouses=2,
-            customers_per_district=60,
-            items=300,
-            initial_orders_per_district=25,
-            pending_orders_per_district=8,
-            buffer_pages=400,
-            seed=99,
-        ),
+        terminals=4, transactions=60, think_time_seconds=0.5, tpcc=CONFIG
     )
 
 
@@ -87,3 +91,53 @@ class TestAdmissionControl:
         # Terminals retire at the deadline; only in-flight work drains.
         assert timed.elapsed_seconds >= 5.0
         assert timed.elapsed_seconds < 15.0
+
+
+def test_an_exception_out_of_the_loop_closes_leftovers_in_spawn_order(monkeypatch):
+    """The closes (and their compensation and ABORT records) follow spawn order.
+
+    Spawn order, not memory addresses: a set of in-flight tasks would
+    close them in hash order, which moves from one process to the next.
+    """
+    spawned = itertools.count()
+    closed: list[int] = []
+    finished: set[int] = set()
+    prepared_steps = TpccExecutor.prepared_steps
+
+    def numbered(self, prepared):
+        number = next(spawned)
+        inner = prepared_steps(self, prepared)
+
+        def steps():
+            try:
+                result = yield from inner
+            except GeneratorExit:
+                closed.append(number)
+                raise
+            except BaseException:
+                finished.add(number)
+                raise
+            finished.add(number)
+            return result
+
+        return steps()
+
+    def boom(self):
+        raise RuntimeError("recovery failed")
+
+    monkeypatch.setattr(TpccExecutor, "prepared_steps", numbered)
+    monkeypatch.setattr(VirtualScheduler, "_handle_crash", boom)
+    spec = BenchmarkSpec(
+        terminals=16,
+        transactions=200,
+        think_time_seconds=0.2,
+        crash_at_seconds=1.0,
+        tpcc=CONFIG,
+    )
+    db = load_tpcc(CONFIG)
+    with pytest.raises(RuntimeError, match="recovery failed"):
+        run_benchmark(spec, db=db)
+    leftover = [n for n in range(next(spawned)) if n not in finished]
+    assert len(leftover) > 8  # the crash instant found a crowd in flight
+    assert closed == leftover  # every leftover closed, oldest spawn first
+    assert not any(db.wal.is_active(r.txn_id) for r in db.wal.records())
