@@ -20,7 +20,7 @@ checks it *dynamically*: the test suite installs it around every test
 * any :meth:`LockManager.contention` counter ever decreases — the
   counters are documented monotone for the manager's lifetime (and
   across ``Database.crash()``, which carries them forward);
-* a buffer pool ever tracks more frames than its capacity.
+* a buffer pool's LRU ever holds more frames than its capacity.
 
 It also records the resource acquisition-order graph for diagnostics.
 Order-graph cycles are *not* failures: TPC-C legitimately acquires
@@ -121,12 +121,11 @@ class InvariantSanitizer:
             mgr: Any, page_id: Any, for_write: bool = False
         ) -> Any:
             page = sanitizer._originals["get_page"](mgr, page_id, for_write)
-            # Orphaned frames (failed eviction write-backs) may keep
-            # _frames above capacity by design; the policy itself must
-            # never track more than its capacity.
-            if len(mgr._policy) > mgr.capacity:
+            # Orphaned frames (failed eviction write-backs) live outside
+            # the LRU order; the LRU itself never holds more than capacity.
+            if len(mgr._frames) > mgr.capacity:
                 sanitizer.violations.append(
-                    f"replacement policy tracks {len(mgr._policy)} frames, "
+                    f"buffer LRU tracks {len(mgr._frames)} frames, "
                     f"capacity {mgr.capacity} (after get_page({page_id}))"
                 )
             return page

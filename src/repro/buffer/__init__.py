@@ -1,15 +1,15 @@
 """Database buffer-pool modeling (paper Section 4).
 
-Provides page-replacement policies (LRU as the paper assumes, plus
-FIFO/CLOCK/LFU/2Q extensions), the trace-driven miss-rate simulation
-with batch-means confidence intervals, and an analytic LRU
-approximation for cross-checking.
+Provides the trace-driven miss-rate simulation with batch-means
+confidence intervals, and an analytic LRU approximation for
+cross-checking.
 
 The simulation runs on the dense array kernels of
-:mod:`repro.buffer.kernels` (:func:`make_kernel`).  The policy objects
-of :mod:`repro.buffer.policy` are what the engine's buffer manager
-runs on, and the reference the parity suites hold the kernels to,
-reference by reference.
+:mod:`repro.buffer.kernels` (:func:`make_kernel`): LRU as the paper
+assumes, plus FIFO/CLOCK/LFU/MRU/2Q/LRU-K extensions.  The parity
+suites hold each kernel to a reference policy object, reference by
+reference; those objects are test code.  The engine's buffer manager
+(:mod:`repro.engine.bufferpool`) is LRU only.
 """
 
 from repro.buffer.analytic import che_characteristic_time, che_miss_rates
@@ -17,16 +17,6 @@ from repro.buffer.kernels import (
     ARRAY_KERNEL_POLICIES,
     ArrayKernel,
     make_kernel,
-)
-from repro.buffer.policy import (
-    ClockPolicy,
-    FifoPolicy,
-    LfuPolicy,
-    LruKPolicy,
-    LruPolicy,
-    ReplacementPolicy,
-    TwoQPolicy,
-    make_policy,
 )
 from repro.buffer.simulator import (
     BufferSimulation,
@@ -39,18 +29,10 @@ __all__ = [
     "ARRAY_KERNEL_POLICIES",
     "ArrayKernel",
     "BufferSimulation",
-    "ClockPolicy",
-    "FifoPolicy",
-    "LfuPolicy",
-    "LruKPolicy",
-    "LruPolicy",
     "MissRateReport",
     "RelationMissRate",
-    "ReplacementPolicy",
     "SimulationConfig",
-    "TwoQPolicy",
     "che_characteristic_time",
     "che_miss_rates",
     "make_kernel",
-    "make_policy",
 ]

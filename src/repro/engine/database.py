@@ -496,14 +496,13 @@ class Database:
     def __init__(
         self,
         buffer_pages: int = 1024,
-        policy: str = "lru",
         page_size: int = 4096,
         lock_timeout: float = 0.0,
         injector=None,
         victim_policy: str = "youngest",
     ):
         self.store = PageStore(page_size)
-        self.buffers = BufferManager(self.store, buffer_pages, policy)
+        self.buffers = BufferManager(self.store, buffer_pages)
         self.locks = LockManager(
             default_timeout=lock_timeout, victim_policy=victim_policy
         )
@@ -657,14 +656,11 @@ class Database:
         fail their next statement with
         :class:`TransactionAbortedByCrashError` instead of silently
         writing against recovered state.  The buffer pool comes back
-        empty, with the replacement policy it was configured with.
+        empty, with the capacity it was configured with.
         """
         self.epoch += 1
         self.buffers = BufferManager(
-            self.store,
-            self.buffers.capacity,
-            self.buffers.policy_name,
-            injector=self._injector,
+            self.store, self.buffers.capacity, injector=self._injector
         )
         for name, file_id in self._file_ids.items():
             self.buffers.name_file(file_id, name)

@@ -56,7 +56,6 @@ class TpccConfig:
     initial_orders_per_district: int = 30
     pending_orders_per_district: int = 10
     buffer_pages: int = 2_000
-    policy: str = "lru"
     page_size: int = 4096
     seed: int = 42
 
@@ -109,7 +108,6 @@ def load_tpcc(config: TpccConfig) -> Database:
     rng = np.random.default_rng(config.seed)
     db = Database(
         buffer_pages=config.buffer_pages,
-        policy=config.policy,
         page_size=config.page_size,
     )
     indexes = tpcc_index_specs()

@@ -137,30 +137,6 @@ class TestDeadlockDetection:
         assert "B" in sanitizer.order_graph["A"]
 
 
-class _LeakyPolicy:
-    """A buggy replacement policy that admits without ever evicting."""
-
-    def __init__(self, capacity):
-        self.capacity = capacity
-        self._pages = []
-
-    def __len__(self):
-        return len(self._pages)
-
-    def contains(self, page):
-        return page in self._pages
-
-    def touch(self, page):
-        return None
-
-    def admit(self, page):
-        self._pages.append(page)
-        return None
-
-    def remove(self, page):
-        self._pages.remove(page)
-
-
 class TestBufferAccounting:
     @staticmethod
     def _store(pages=3):
@@ -172,11 +148,14 @@ class TestBufferAccounting:
         return store
 
     def test_over_capacity_policy_flagged(self):
-        buffers = BufferManager(self._store(), 1, policy=_LeakyPolicy(1))
+        store = self._store()
+        buffers = BufferManager(store, 1)
         sanitizer = InvariantSanitizer()
         with sanitizer:
             buffers.get_page(PageId(0, 0))
-            buffers.get_page(PageId(0, 1))
+            # A stray frame slipped into the LRU past its capacity.
+            buffers._frames[PageId(0, 1)] = store.read(PageId(0, 1))
+            buffers.get_page(PageId(0, 0))
         with pytest.raises(SanitizerViolation, match="tracks 2 frames"):
             sanitizer.check()
 

@@ -1,11 +1,11 @@
-"""A reference replay of page keys through a ``repro.buffer.policy`` object."""
+"""A reference replay of page keys through a ``policy_oracle`` object."""
 
 from collections import Counter
 
 
 def replay(policy, keys):
     """Reference every ``(relation, page)`` key in order: ``touch`` a
-    resident page, else ``admit`` it, as the engine's buffer manager does.
+    resident page, else ``admit`` it.
 
     Returns ``(hits, misses, evictions)`` Counters by relation index;
     an eviction counts against the relation of the page it evicted.

@@ -8,10 +8,10 @@ from repro.buffer.analytic import (
     che_hit_probabilities,
     che_miss_rates,
 )
-from repro.buffer.policy import LruPolicy
 from repro.core.nurand import exact_pmf
 from repro.stats.distribution import DiscreteDistribution
 
+from .policy_oracle import LruPolicy
 from .policy_replay import replay
 
 

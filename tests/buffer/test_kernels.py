@@ -32,7 +32,6 @@ from repro.buffer.kernels import (
     _block_count_lt,
     make_kernel,
 )
-from repro.buffer.policy import LruPolicy, make_policy
 from repro.buffer.simulator import BufferSimulation, SimulationConfig
 from repro.obs.metrics import default_registry
 from repro.workload.mix import TRANSACTION_ORDER
@@ -48,6 +47,7 @@ from repro.workload.trace import (
 )
 
 from .kernel_probe import process_block, resident_page_ids
+from .policy_oracle import LruPolicy, make_policy
 from .policy_replay import replay
 
 

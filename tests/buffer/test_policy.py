@@ -1,8 +1,8 @@
-"""Unit tests for repro.buffer.policy (replacement policies)."""
+"""Unit tests for the replacement-policy oracle (``policy_oracle``)."""
 
 import pytest
 
-from repro.buffer.policy import (
+from .policy_oracle import (
     ClockPolicy,
     FifoPolicy,
     LfuPolicy,
@@ -186,7 +186,7 @@ class TestTwoQ:
 
 class TestLruK:
     def test_single_reference_pages_evicted_first(self):
-        from repro.buffer.policy import LruKPolicy
+        from .policy_oracle import LruKPolicy
 
         policy = LruKPolicy(3, k=2)
         policy.admit("hot")
@@ -198,7 +198,7 @@ class TestLruK:
         assert "hot" in policy
 
     def test_kth_reference_age_decides_among_hot_pages(self):
-        from repro.buffer.policy import LruKPolicy
+        from .policy_oracle import LruKPolicy
 
         policy = LruKPolicy(2, k=2)
         policy.admit("a")   # refs of a: t1
@@ -212,7 +212,7 @@ class TestLruK:
         assert policy.admit("c") == "a"
 
     def test_invalid_k(self):
-        from repro.buffer.policy import LruKPolicy
+        from .policy_oracle import LruKPolicy
 
         import pytest
 

@@ -130,3 +130,15 @@ class TestSchema:
         _check_schema()(document, schema, "$", errors)
         assert any("p99_ms" in error for error in errors)
         assert any("fibers" in error for error in errors)
+
+
+class TestOldReports:
+    def test_reads_a_report_that_names_the_buffer_policy(self):
+        """Reports written before the engine became LRU-only carry
+        ``spec.tpcc.policy``; reading one drops the key."""
+        report = _tiny_report()
+        document = json.loads(json.dumps(report.to_dict()))
+        document["spec"]["tpcc"]["policy"] = "lru"
+        restored = DriverReport.from_dict(document)
+        assert restored.spec.tpcc == report.spec.tpcc
+        assert restored.to_dict() == report.to_dict()

@@ -133,7 +133,7 @@ def defer_first_eviction() -> FaultInjector:
 
 
 class TestOrphanedFrames:
-    """A deferred eviction leaves a resident frame the policy has forgotten."""
+    """A deferred eviction leaves a resident frame outside the LRU order."""
 
     def orphan(self, store) -> BufferManager:
         buffers = BufferManager(store, 2, injector=defer_first_eviction())
@@ -142,7 +142,8 @@ class TestOrphanedFrames:
         buffers.get_page(PageId(0, 2))  # page 0 is the victim; its eviction is deferred
         assert buffers.deferred_evictions == 1
         assert buffers.is_resident(PageId(0, 0))
-        assert not buffers._policy.contains(PageId(0, 0))
+        assert PageId(0, 0) not in buffers._frames
+        assert PageId(0, 0) in buffers._orphans
         assert buffers.resident_pages == 3
         return buffers
 
@@ -153,9 +154,9 @@ class TestOrphanedFrames:
         assert store.reads == reads  # served from the orphaned frame
         assert buffers.stats.hits == {0: 1}
         assert buffers.stats.total_misses == 3
-        assert buffers._policy.contains(PageId(0, 0))
-        assert len(buffers._policy) == buffers.capacity
-        # Re-admission evicted the policy's LRU page (1) for real.
+        assert list(buffers._frames) == [PageId(0, 2), PageId(0, 0)]  # the most recent
+        assert not buffers._orphans
+        # Re-admission evicted the least recent page (1) for real.
         assert not buffers.is_resident(PageId(0, 1))
         assert buffers.resident_pages == 2
 
@@ -163,7 +164,7 @@ class TestOrphanedFrames:
         buffers = self.orphan(store)
         for page_no in (0, 3, 0, 1, 2, 4, 5, 0):
             buffers.get_page(PageId(0, page_no))
-            assert len(buffers._policy) <= buffers.capacity
+            assert len(buffers._frames) <= buffers.capacity
 
     def test_readmitted_orphan_stays_dirty_until_written_back(self, store):
         buffers = self.orphan(store)
@@ -175,15 +176,24 @@ class TestOrphanedFrames:
         assert not buffers.is_resident(PageId(0, 0))
         assert store.writes == writes + 1
 
+    def test_checkpoint_writes_the_orphan_back(self, store):
+        buffers = self.orphan(store)
+        buffers.mark_dirty(PageId(0, 0))  # an orphan is still resident
+        writes = store.writes
+        buffers.flush_all()
+        assert store.writes == writes + 1
+        assert not buffers.is_dirty(PageId(0, 0))
+        assert buffers.is_resident(PageId(0, 0))  # clean, still an orphan
+
     def test_drop_all_clears_the_orphan(self, store):
         buffers = self.orphan(store)
         buffers.drop_all()
         assert buffers.resident_pages == 0
-        assert len(buffers._policy) == 0
+        assert not buffers._frames and not buffers._orphans
         assert not buffers.is_dirty(PageId(0, 0))
         buffers.get_page(PageId(0, 0))  # a miss again, and admitted normally
         assert buffers.stats.misses == {0: 4}
-        assert buffers._policy.contains(PageId(0, 0))
+        assert list(buffers._frames) == [PageId(0, 0)]
 
 
 class TestStatsByFile:

@@ -279,14 +279,17 @@ class TestRecovery:
         txn.commit()
         assert len(rows) == 2
 
-    def test_crash_keeps_the_configured_policy(self):
-        db = Database(buffer_pages=64, policy="clock")
+    def test_crash_keeps_the_pool_capacity_and_empties_it(self):
+        db = Database(buffer_pages=64)
         db.create_table(TableSchema("accounts", [integer("id")], ("id",)))
         db.run(lambda txn: txn.insert("accounts", {"id": 1}))
+        before = db.buffers
+        assert before.resident_pages > 0
         db.crash()
+        assert db.buffers is not before
+        assert db.buffers.capacity == 64
+        assert db.buffers.resident_pages == 0
         db.recover()
-        assert db.buffers.policy_name == "clock"
-        assert type(db.buffers._policy).__name__ == "ClockPolicy"
         txn = db.begin()
         assert txn.select("accounts", (1,)) == {"id": 1}
         txn.commit()

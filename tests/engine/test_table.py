@@ -224,7 +224,7 @@ class TestBulkLoad:
         io = [(pool.store.reads, pool.store.writes) for pool in pools]
         assert io[0] == io[1] and io[0][1] > 0  # pages were evicted mid-load
         assert pools[0].stats.accesses() == pools[1].stats.accesses()
-        assert list(pools[0]._policy._pages) == list(pools[1]._policy._pages)
+        assert list(pools[0]._frames) == list(pools[1]._frames)
         for table in (inserted, loaded):
             table._indexes["by_customer"].validate()
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.buffer.kernels import ARRAY_KERNEL_POLICIES, make_kernel
-from repro.buffer.policy import make_policy
 from repro.workload.trace import (
     N_STATIC_RELATIONS,
     RELATION_NAMES,
@@ -20,6 +19,7 @@ from repro.workload.trace import (
 )
 
 from ..buffer.kernel_probe import process_block, resident_page_ids
+from ..buffer.policy_oracle import make_policy
 
 #: Every relation accepts pages 0..11 under this static geometry, so
 #: the stream strategy does not need per-relation page bounds.

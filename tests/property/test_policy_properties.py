@@ -8,7 +8,7 @@ answers `contains` consistently with the victims it reports.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.buffer.policy import make_policy
+from ..buffer.policy_oracle import make_policy
 
 POLICY_NAMES = ["lru", "fifo", "clock", "lfu", "2q", "lru2"]
 

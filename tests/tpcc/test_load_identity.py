@@ -6,9 +6,8 @@ row by row).  Each config pins one SHA-256 digest per part of the state
 right after loading, so a mismatch says *which* part moved:
 
 * ``backup`` -- the base backup's page images (every heap page);
-* ``resident`` -- the buffer pool's residents in the policy's victim
-  order (for CLOCK, the frames swept from the hand with their
-  reference bits);
+* ``resident`` -- the buffer pool's residents in LRU victim order
+  (least recently used first);
 * ``dirty`` -- the dirty set;
 * ``indexes`` -- every index's ``items()``, in the order it yields them
   (so a non-unique hash index's posting order counts);
@@ -23,7 +22,6 @@ import hashlib
 
 import pytest
 
-from repro.buffer.policy import ClockPolicy, LruPolicy
 from repro.tpcc import TpccConfig, load_tpcc
 
 CONFIGS = {
@@ -38,7 +36,6 @@ CONFIGS = {
         seed=99,
     ),
     "wh4-lru-300": TpccConfig(warehouses=4, buffer_pages=300),
-    "wh2-clock-50": TpccConfig(warehouses=2, buffer_pages=50, policy="clock"),
 }
 
 PINNED = {
@@ -56,26 +53,7 @@ PINNED = {
         "indexes": "b0c11195e992b2d5436917c95ce121b89decab815992e6734bd5bbc95a1f8229",
         "heaps": "99d800e93e3388d68956999a6b4a9c5066a36ba81c2abff9cea1ba225be2adc0",
     },
-    "wh2-clock-50": {
-        "backup": "0d06d5fcb2d36582179049fa050ebf55b10901daa0e58618e1d499183f844992",
-        "resident": "dd136e52dab6c437837a51469c4d749d0c4b77c491e70160c888b47020db5d3d",
-        "dirty": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-        "indexes": "16494462ccc2485ffe4ffe513a4b0d3b3fe218a11a89e1e18968451178cdd104",
-        "heaps": "f5220b1145a1e364ced304370e552b3c0dc4dc1e6532bc607616c5fd8a6561d9",
-    },
 }
-
-
-def _victim_order(policy) -> list:
-    if isinstance(policy, LruPolicy):
-        return list(policy._pages)  # least recently used first
-    if isinstance(policy, ClockPolicy):
-        capacity = policy.capacity
-        return [
-            (policy._frames[frame], policy._referenced[frame])
-            for frame in ((policy._hand + step) % capacity for step in range(capacity))
-        ]
-    raise TypeError(f"no victim order for {type(policy).__name__}")
 
 
 def load_digests(config: TpccConfig) -> dict[str, str]:
@@ -85,7 +63,7 @@ def load_digests(config: TpccConfig) -> dict[str, str]:
     for page_id, image in sorted(db.store.backup_images().items()):
         parts["backup"].update(repr(tuple(page_id)).encode())
         parts["backup"].update(image)
-    parts["resident"].update(repr(_victim_order(db.buffers._policy)).encode())
+    parts["resident"].update(repr(list(db.buffers._frames)).encode())
     dirty = sorted(page_id for page_id in db.store.page_ids() if db.buffers.is_dirty(page_id))
     parts["dirty"].update(repr(dirty).encode())
     for name in db.table_names():

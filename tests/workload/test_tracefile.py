@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.buffer.policy import make_policy
 from repro.workload.trace import RELATION_NAMES, TraceConfig
 from repro.workload.tracefile import SavedTrace
 
+from ..buffer.policy_oracle import make_policy
 from ..buffer.policy_replay import replay
 
 
