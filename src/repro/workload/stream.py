@@ -6,9 +6,9 @@ chunk of transactions column by column, resolves the chunk's order
 bookkeeping at once and assembles the references group by group.
 There is no per-transaction Python on this path.
 
-Why the batch cuts do not matter: the trace's
-:class:`~repro.workload.generator.InputGenerator` runs in split-stream
-mode, where every draw primitive owns an independent child generator
+Why the batch cuts do not matter: in the trace's
+:class:`~repro.workload.generator.InputGenerator` every draw primitive
+owns an independent child generator
 (see :data:`~repro.workload.generator.SPLIT_STREAM_NAMES`), so a drawn
 value depends only on how many draws *its own* primitive has made —
 never on the interleaving across primitives.  The planner consumes
@@ -54,7 +54,6 @@ from repro.constants import (
     SELECT_BY_NAME_PROBABILITY,
     TUPLES_PER_NAME_SELECT,
 )
-from repro.errors import InvariantViolationError
 from repro.workload.mix import TRANSACTION_ORDER, TransactionType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -244,10 +243,6 @@ class VectorBatchEmitter:
 
     def __init__(self, trace: "TraceGenerator"):
         self._trace = trace
-        if not trace._generator._split:
-            raise InvariantViolationError(
-                "VectorBatchEmitter requires a split-stream InputGenerator"
-            )
         # numpy copies of the per-tuple encoded-offset tables; the
         # write-tagged variants differ from the read ones only in the
         # low (write) bit, so a single table plus ``+ 1`` covers both.

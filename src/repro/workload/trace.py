@@ -309,8 +309,8 @@ class TraceGenerator:
         self._config = config
         # One shared generator covers the mix sampling and the one-shot
         # priming draw; every per-transaction input primitive runs on
-        # its own substream spawned from the same seed (split-stream
-        # mode), so the batch emitter can draw each one column-wise.
+        # its own substream of the input generator, spawned from the
+        # same seed, so the batch emitter can draw each one column-wise.
         self._rng = np.random.default_rng(config.seed)
         self._generator = InputGenerator(
             config.warehouses,
@@ -318,8 +318,7 @@ class TraceGenerator:
             remote_stock_probability=config.remote_stock_probability,
             items=config.items,
             customers_per_district=config.customers_per_district,
-            split_streams=True,
-            seed_sequence=np.random.SeedSequence(config.seed),
+            seed=config.seed,
         )
         self._mix = config.mix
 

@@ -9,8 +9,9 @@ a ``merge`` for folding per-terminal summaries.
 
 import pytest
 
+from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultRule
 from repro.tpcc import ExecutionSummary, PreparedTransaction, TpccExecutor
-from repro.workload.mix import TransactionType
+from repro.workload.mix import TransactionMix, TransactionType
 
 
 class TestKeywordOnlyConstructor:
@@ -74,7 +75,7 @@ class TestPreparedTransactions:
             db=small_tpcc_db, config=small_tpcc_config, seed=5
         )
         # Drive until the sampler yields a payment; its precomputed
-        # params must carry the amount the inline path would draw.
+        # params must carry the amount the transaction will pay.
         for _ in range(50):
             prepared = executor.prepare()
             if prepared.tx is TransactionType.PAYMENT:
@@ -82,6 +83,39 @@ class TestPreparedTransactions:
                 break
         else:  # pragma: no cover - 50 draws without a 44% event
             pytest.fail("sampler never produced a payment")
+
+
+    def test_a_retried_new_order_commits_the_lines_it_was_prepared_with(
+        self, small_tpcc_db, small_tpcc_config
+    ):
+        # An injected conflict on the fourth lock request aborts the
+        # first attempt; the retry runs the same prepared input again.
+        small_tpcc_db.attach_injector(
+            FaultInjector(
+                FaultPlan(rules=(FaultRule(FaultKind.LOCK_CONFLICT, at_ops=(4,)),))
+            )
+        )
+        executor = TpccExecutor(
+            db=small_tpcc_db, config=small_tpcc_config, seed=5, sleep=lambda _: None
+        )
+        only_new_orders = TransactionMix(
+            new_order=1.0, payment=0.0, order_status=0.0, delivery=0.0, stock_level=0.0
+        )
+        prepared = executor.prepare(mix=only_new_orders)
+        result = executor.execute_prepared(prepared)
+        assert executor.summary.retries == 1
+        assert executor.summary.executed == {"new_order": 1}
+        params = prepared.params
+        lines = sorted(
+            (row["ol_number"], row["ol_i_id"], row["ol_supply_w_id"])
+            for _, row in small_tpcc_db.table("order_line").scan()
+            if (row["ol_w_id"], row["ol_d_id"], row["ol_o_id"])
+            == (params.warehouse, params.district, result["o_id"])
+        )
+        assert lines == [
+            (number, line.item_id, line.supply_warehouse)
+            for number, line in enumerate(params.lines, start=1)
+        ]
 
 
 class TestHistoryStride:
