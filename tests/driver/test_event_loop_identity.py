@@ -118,53 +118,53 @@ SPECS = {
 #: name -> (report, WAL change stream, deterministic metrics) SHA-256.
 PINNED: dict[str, tuple[str, str, str]] = {
     "contended-11": (
-        "e2296783d6dea5e9fa6bfee7cc21cf2dc6ad76e803d482fd87800ce4b765af8f",
-        "894815fe3b3277af0bcca67874ed4dccd9c39c04eafd43899573e18a8f503357",
-        "8c942bf31ab0ae684f2593369e63991b11d2583cc6ee30175700b0381295bc0c",
+        "a70ef08fab66d714574f6c82e563bf1b57432e3b7f61ef02d23f4edd190b1830",
+        "b0fc3e9470c4d7098398ba495024907daab65052565cb713f0345141003e8fc3",
+        "3b431dc45df37b14706fba5cb648e3b86fe422a18ba8e0b978b7af36862fbd99",
     ),
     "contended-23": (
-        "3e825a7d110bf569cdf3f75dae1788435d7e2077ec502eb60ae588fcd3754adb",
-        "07ab3dd0f19e337e9c205ae99115ba8129da408777a5fc5e65bef40b0b7d616f",
-        "a23b1e14dfac7e10b53a1ecbd1d1bc7eef50d7a2cbf3d22a074615474810ff28",
+        "d93f3df0cc0a5f4238d877ea950444292f0d662d3d7a37f4979a657b85d737ad",
+        "58b602c36c3336553256339e0e9ec581f14889c9b60b994d0a24a1e568d6108b",
+        "bc73c79eb00e1db277c88635584390d2510275e195c44fb062ba65f286d62b0b",
     ),
     "default-retry": (
-        "5851ac088f3d3d41db39d659a4f69b7c3fdfe371195b79b9a6278b53f0c165e1",
-        "5bed8e3b5be7174bbbb5c6e593a2493ed4ef32be1a7db418058c288fd0086080",
-        "a947834e8e140ed0ee7d13c02dea7ba6399fa66df72b4658b9e9b7fc7956889e",
+        "1de257b00913a66b985857ece28d60ca2b2b8d0948ca020a9bab8e806015e846",
+        "dd4b6f4dc6f478444bc00c5f73d17da2c6fe475fa978140a7565be88e1ac8ce9",
+        "06fb65aba00326843b9d8639d1c5e80e8998f1f2ebdfc0249b1e952248ee5dc9",
     ),
     "blocking-youngest": (
-        "ecf8614113de0b962de5eb3283dfeb4a5f93c8e131a1b2cd05e37431d569e9a3",
-        "8fd081b78a1841f3c95fd40b40c8bebbb20c53a569e8302ade3372e9d29cf4dd",
-        "c3379f5fd5e90ad54d848a09e2a852077ec59c59d49be3b458aee67a68fa929d",
+        "a92df8e1c2a7b580ccd9ad490e1795345cd6a04269fbef5b32285c1180cc1459",
+        "112e233fdaa24ebc8e90ef9bc6fd09eb9da3db797296f90a118dd181c1f37d80",
+        "e63b2bb8ce05f8d80d9e2ef7c27d6ea54808a06792c269761650ef3ab973c204",
     ),
     "blocking-oldest": (
-        "cf0a8f0c79e4e1bde267e323d1be7e3ccbeb8f3ba6912288366bddcd01dc4f5f",
-        "233b2a1a298aa6b0a67907ecdb4e0317497b6af19c7f436ec44101d2c8cc8493",
-        "7f7c23a477e05628fcf43c4ec8d0bca9ed98f38affadb3e4abd351454cfe4749",
+        "676e7bbc79c37532411dc66e971320f2c660249db083fd9cd2b8ba215dc88862",
+        "456f85d0f156b8d120595b66a9dcf8210d1ea99ab75bb8538f3219b21e06cff9",
+        "31b842c0711a1d3f1729bc1be674ed5a433869a8be8a9c404b8edcf130a89486",
     ),
     "chaos": (
-        "375beaa519e0a1c20c168ff8fc91067582c3a330115a602c1618b5c48b60caec",
-        "6c38f5c62c96d0c6a91f6b8df73e3425e4fdd4a2389eaac75cdafeb886e20676",
-        "8715c53cab448eb76e326d185e46017eff9b7de99f7fdc60133545b743fdb9fa",
+        "166f2e50f25c8041104460931aeefae08b6736518c12a1b95f1b820e27a5c687",
+        "cc82df05a5f490e295083331c1a8cc2724e64990060022f83f05810eba1b52f3",
+        "e1ebece2fac1f5aa879e8fc3433234039672ce63d47498fafd92491627544b0b",
     ),
 }
 
 #: name -> (committed, gave_up, aborts, shed at admission); counts say
 #: *what* moved when a digest does not match.
 COUNTS: dict[str, tuple[int, int, int, int]] = {
-    "contended-11": (120, 0, 509, 0),
-    "contended-23": (120, 0, 601, 0),
-    "default-retry": (91, 109, 617, 0),
-    "blocking-youngest": (150, 0, 689, 0),
-    "blocking-oldest": (150, 0, 619, 0),
-    "chaos": (26, 124, 164, 62),
+    "contended-11": (120, 0, 772, 0),
+    "contended-23": (120, 0, 513, 0),
+    "default-retry": (73, 127, 712, 0),
+    "blocking-youngest": (150, 0, 724, 0),
+    "blocking-oldest": (150, 0, 759, 0),
+    "chaos": (29, 121, 203, 62),
 }
 
 #: name -> (lock waits, lock-wait timeouts, deadlocks detected) of the
 #: blocking specs: each branch of a park is taken hundreds of times.
 BLOCKING: dict[str, tuple[int, int, int]] = {
-    "blocking-youngest": (1459, 202, 487),
-    "blocking-oldest": (1287, 204, 415),
+    "blocking-youngest": (1550, 154, 570),
+    "blocking-oldest": (1533, 205, 554),
 }
 
 

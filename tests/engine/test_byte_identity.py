@@ -12,8 +12,8 @@ import hashlib
 from repro.tpcc import TpccConfig, load_tpcc
 from repro.tpcc.executor import TpccExecutor
 
-WAL_SHA256 = "c4bb02f1525ec0bc7e7310edcf605d4e664f84deb565b302968c5e8166822345"
-PAGES_SHA256 = "2c8cb65f9a01799cd8ece6596bac4d6335db09da78ff629c339e94a242d09485"
+WAL_SHA256 = "601094af8c3146941c4feadda114b47a22df8b55a4153bd80d91295c83a4115c"
+PAGES_SHA256 = "10322de0aab2dd6f62a561bc04545132afd1d34b8cd46e4e0415cc726159b60c"
 
 
 def test_seeded_run_logs_and_flushes_the_pinned_bytes():
@@ -44,8 +44,8 @@ def test_seeded_run_logs_and_flushes_the_pinned_bytes():
         pages.update(image)
 
     # Counts first: they say *what* moved when a digest does not match.
-    assert (len(db.wal), db.wal.bytes_written) == (5870, 1662092)
-    assert (db.store.reads, db.store.writes) == (1788, 1206)
-    assert db.locks.contention()["acquisitions"] == 13481
+    assert (len(db.wal), db.wal.bytes_written) == (5977, 1669710)
+    assert (db.store.reads, db.store.writes) == (1893, 1241)
+    assert db.locks.contention()["acquisitions"] == 14257
     assert wal.hexdigest() == WAL_SHA256
     assert pages.hexdigest() == PAGES_SHA256

@@ -31,7 +31,7 @@ HOT_SEAM_SERIES = {
 #: sha256 of the deterministic snapshot of ``seeded_run`` with the
 #: ``outcome=hit`` samples of engine.buffer.requests_total taken out,
 #: computed on the parent commit (where 8159 hits were counted).
-PARENT_SNAPSHOT_SHA256 = "2b954b56bcbcc2d01c0c395709f0ece9b256383c43b711838bc28a64bfeccc51"
+PARENT_SNAPSHOT_SHA256 = "1d6dadafddcc430e7e3b34a9d8b8f5959ca7a0982ff1211f72afce22e2405f86"
 
 
 @pytest.fixture
