@@ -88,7 +88,7 @@ from repro.workload import (
     TransactionType,
 )
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = [
     "AnalyticMissRateProvider",
