@@ -97,7 +97,6 @@ class DistributedSimConfig:
     policy: str = "lru"
     transactions_per_node: int = 2_000
     warmup_transactions_per_node: int = 400
-    item_replicated: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -105,6 +104,11 @@ class DistributedSimConfig:
             raise ValueError(f"nodes must be >= 1, got {self.nodes}")
         if self.transactions_per_node <= 0:
             raise ValueError("transactions_per_node must be positive")
+        if self.warmup_transactions_per_node < 0:
+            raise ValueError(
+                "warmup_transactions_per_node must be non-negative, got "
+                f"{self.warmup_transactions_per_node}"
+            )
         if self.trace.remote_stock_probability < 0:
             raise ValueError("remote probability must be non-negative")
         require_kernel_policy(self.policy)
@@ -259,10 +263,13 @@ def simulate_node(config: DistributedSimConfig, node: int) -> NodeResult:
 class _NodeSimulation:
     """One node's buffer, trace and both halves of its remote traffic.
 
-    Everything is batch-level: the warm-up and the measured window are
-    each one :class:`EncodedBatch`; routing is one keep-mask per batch,
-    inbound traffic is spliced in as encoded references, and the
-    prepared array goes to the buffer in a single call.
+    Everything is batch-level: the node's whole trace is generated as
+    one :class:`EncodedBatch` and split at the warm-up boundary into
+    the warm-up and the measured window; routing is one keep-mask per
+    window, inbound traffic is spliced in as encoded references, and
+    the prepared array goes to the buffer in a single call.  The trace
+    generator's layouts and encoded-reference tables are built once
+    per process and shared by every node (see ``TraceGenerator``).
     """
 
     def __init__(self, config: DistributedSimConfig, node: int):
@@ -320,23 +327,26 @@ class _NodeSimulation:
         warmup = config.warmup_transactions_per_node
         rounds = warmup + config.transactions_per_node
         inbound = self._inbound_volumes(rounds)
+        head, tail = self._trace.encoded_batch(transactions=rounds).split(warmup)
         if warmup:
-            self._window(slice(0, warmup), inbound)
+            self._window(head, slice(0, warmup), inbound)
             self._buffer.reset_counters()
-        measured, remote = self._window(slice(warmup, rounds), inbound)
+        measured, remote = self._window(tail, slice(warmup, rounds), inbound)
         miss = relation_miss_rates(self._buffer.batch_misses, measured.accesses)
         return NodeResult(node=self._node, miss=miss, remote=remote)
 
     def _window(
-        self, rounds: slice, inbound: tuple[np.ndarray, np.ndarray]
+        self,
+        batch: EncodedBatch,
+        rounds: slice,
+        inbound: tuple[np.ndarray, np.ndarray],
     ) -> tuple[EncodedBatch, RemoteStatistics]:
-        """Generate, route and replay one window of consecutive rounds.
+        """Route and replay one window: ``batch`` holds its ``rounds``.
 
         Returns the prepared batch as the buffer saw it and the
         window's outbound statistics.
         """
         trace = self._trace
-        batch = trace.encoded_batch(transactions=rounds.stop - rounds.start)
         owner = np.repeat(np.arange(batch.transactions), batch.tx_lengths)
         keep, remote = self._route(batch, owner)
         inbound_stock, inbound_payments = (volumes[rounds] for volumes in inbound)

@@ -139,6 +139,39 @@ class EncodedBatch:
             highest_page_id,
         )
 
+    def split(self, transactions: int) -> tuple["EncodedBatch", "EncodedBatch"]:
+        """The first ``transactions`` transactions and the rest.
+
+        Both parts keep this batch's ``highest_page_id``, which bounds
+        every page id either holds (consumers only pre-size page tables
+        with it).  The head's access counts are counted from its
+        references and the tail's are the remainder.
+        """
+        lengths = self.tx_lengths
+        cut = int(lengths[:transactions].sum())
+        head_types = self.tx_indices[:transactions]
+        head_accesses = np.bincount(
+            np.repeat(head_types, lengths[:transactions]) * 9
+            + ((self.refs[:cut] >> 1) & 0xF),
+            minlength=_N_TYPES * 9,
+        ).reshape(_N_TYPES, 9)
+        return (
+            EncodedBatch(
+                self.refs[:cut],
+                head_types,
+                lengths[:transactions],
+                head_accesses,
+                self.highest_page_id,
+            ),
+            EncodedBatch(
+                self.refs[cut:],
+                self.tx_indices[transactions:],
+                lengths[transactions:],
+                self.tx_accesses - head_accesses,
+                self.highest_page_id,
+            ),
+        )
+
     @property
     def references(self) -> int:
         """Total references in the batch."""
@@ -243,13 +276,14 @@ class VectorBatchEmitter:
 
     def __init__(self, trace: "TraceGenerator"):
         self._trace = trace
-        # numpy copies of the per-tuple encoded-offset tables; the
-        # write-tagged variants differ from the read ones only in the
-        # low (write) bit, so a single table plus ``+ 1`` covers both.
-        self._item_ref_r = trace._item_ref_r_np
-        self._stock_off_w = trace._stock_off_w_np
-        self._customer_off_r = trace._customer_off_r_np
-        self._customer_off_w = trace._customer_off_w_np
+        # The shared, read-only layout tables; the write-tagged offsets
+        # differ from the read ones only in the low (write) bit, so a
+        # single table plus ``+ 1`` covers both.
+        self._tables = tables = trace._tables
+        self._item_ref_r = tables.item_ref_r
+        self._stock_off_w = tables.stock_off_w
+        self._customer_off_r = tables.customer_off_r
+        self._customer_off_w = tables.customer_off_w
         self._lines = trace.config.items_per_order
         self._no_width = 5 + 3 * self._lines
         self._pay_many_width = 2 + TUPLES_PER_NAME_SELECT + 1
@@ -503,19 +537,19 @@ class VectorBatchEmitter:
     # (the Customer block number); warehouses and customers 1-based ids.
 
     def _district_refs(self, district: np.ndarray, tag: int) -> np.ndarray:
-        return ((district // self._trace._district_tpp) << 5) + tag
+        return ((district // self._tables.district_tpp) << 5) + tag
 
     def _customer_base5(self, district: np.ndarray) -> np.ndarray:
-        return (district * self._trace._customer_ppb) << 5
+        return (district * self._tables.customer_ppb) << 5
 
     def _order_line_refs(self, order_seq: np.ndarray, tag: int) -> np.ndarray:
         """One row of Order-Line references per order (``lines`` each)."""
-        trace = self._trace
+        tables = self._tables
         lines = self._lines
         pages = (
             (order_seq * lines)[:, None] + np.arange(lines, dtype=np.int64)
-        ) // trace._tpp_order_line
-        return (pages << trace._growing_shift) + tag
+        ) // tables.tpp_order_line
+        return (pages << tables.growing_shift) + tag
 
     def _assemble_new_order(
         self,
@@ -530,29 +564,29 @@ class VectorBatchEmitter:
         remote_pos: np.ndarray,
         remote_via: np.ndarray,
     ) -> None:
-        trace = self._trace
+        tables = self._tables
         lines = self._lines
         count = len(warehouse)
         mat = np.empty((count, self._no_width), dtype=np.int64)
         mat[:, 0] = (
-            ((warehouse - 1) // trace._warehouse_tpp) << 5
-        ) + trace._tag_warehouse_r
-        mat[:, 1] = self._district_refs(district, trace._tag_district_w)
+            ((warehouse - 1) // tables.warehouse_tpp) << 5
+        ) + tables.tag_warehouse_r
+        mat[:, 1] = self._district_refs(district, tables.tag_district_w)
         mat[:, 2] = self._customer_base5(district) + self._customer_off_r[customer - 1]
-        gshift = trace._growing_shift
+        gshift = tables.growing_shift
         mat[:, 3] = (
-            (order_seq // trace._tpp_order) << gshift
-        ) + trace._tag_order_w
+            (order_seq // tables.tpp_order) << gshift
+        ) + tables.tag_order_w
         mat[:, 4] = (
-            (new_seq // trace._tpp_new_order) << gshift
-        ) + trace._tag_new_order_w
+            (new_seq // tables.tpp_new_order) << gshift
+        ) + tables.tag_new_order_w
         mat[:, 5::3] = self._item_ref_r[items - 1].reshape(count, lines)
-        stock_base5 = np.repeat(((warehouse - 1) * trace._stock_ppb) << 5, lines)
-        stock_base5[remote_pos] = ((remote_via - 1) * trace._stock_ppb) << 5
+        stock_base5 = np.repeat(((warehouse - 1) * tables.stock_ppb) << 5, lines)
+        stock_base5[remote_pos] = ((remote_via - 1) * tables.stock_ppb) << 5
         mat[:, 6::3] = (stock_base5 + self._stock_off_w[items - 1]).reshape(
             count, lines
         )
-        mat[:, 7::3] = self._order_line_refs(order_seq, trace._tag_order_line_w)
+        mat[:, 7::3] = self._order_line_refs(order_seq, tables.tag_order_line_w)
         out[starts[:, None] + np.arange(self._no_width, dtype=np.int64)] = mat
 
     def _assemble_payments(
@@ -572,11 +606,11 @@ class VectorBatchEmitter:
         customer selection (one written id, or the same-named candidates
         with the median written at its first occurrence), a History
         append."""
-        trace = self._trace
+        tables = self._tables
         out[starts] = (
-            ((warehouse - 1) // trace._warehouse_tpp) << 5
-        ) + trace._tag_warehouse_w
-        out[starts + 1] = self._district_refs(district, trace._tag_district_w)
+            ((warehouse - 1) // tables.warehouse_tpp) << 5
+        ) + tables.tag_warehouse_w
+        out[starts + 1] = self._district_refs(district, tables.tag_district_w)
         base5 = self._customer_base5(cust_district)
         one = starts[~by_name] + 2
         # Write-tagged customer offsets are the read offsets plus the
@@ -588,8 +622,8 @@ class VectorBatchEmitter:
         out[many[:, None] + np.arange(TUPLES_PER_NAME_SELECT, dtype=np.int64)] = cust
         history_at = starts + np.where(by_name, self._pay_many_width - 1, 3)
         out[history_at] = (
-            (history // trace._tpp_history) << trace._growing_shift
-        ) + trace._tag_history_w
+            (history // tables.tpp_history) << tables.growing_shift
+        ) + tables.tag_history_w
 
     def _assemble_order_status(
         self,
@@ -604,7 +638,7 @@ class VectorBatchEmitter:
         """Scatter Order-Status refs: the selection's customer reads,
         then the last order's Order read and one Order-Line read per
         line."""
-        trace = self._trace
+        tables = self._tables
         base5 = self._customer_base5(district)
         out[starts[~by_name]] = base5[~by_name] + self._customer_off_r[singles - 1]
         width = TUPLES_PER_NAME_SELECT
@@ -613,31 +647,31 @@ class VectorBatchEmitter:
         )
         order_at = starts + np.where(by_name, width, 1)
         out[order_at] = (
-            (order_seq // trace._tpp_order) << trace._growing_shift
-        ) + trace._tag_order_r
+            (order_seq // tables.tpp_order) << tables.growing_shift
+        ) + tables.tag_order_r
         out[
             (order_at + 1)[:, None] + np.arange(self._lines, dtype=np.int64)
-        ] = self._order_line_refs(order_seq, trace._tag_order_line_r)
+        ] = self._order_line_refs(order_seq, tables.tag_order_line_r)
 
     def _assemble_delivery(
         self, out: np.ndarray, starts: np.ndarray, resolved: "ChunkResolution"
     ) -> None:
         """Scatter Delivery refs: per delivered order
         ``[new_order, order, order_line x lines, customer]``."""
-        trace = self._trace
-        gshift = trace._growing_shift
+        tables = self._tables
+        gshift = tables.growing_shift
         lines = self._lines
         width = lines + 3
         counts = resolved.delivered_counts
         mat = np.empty((len(resolved.delivered_order_seq), width), dtype=np.int64)
         mat[:, 0] = (
-            (resolved.delivered_new_order_seq // trace._tpp_new_order) << gshift
-        ) + trace._tag_new_order_w
+            (resolved.delivered_new_order_seq // tables.tpp_new_order) << gshift
+        ) + tables.tag_new_order_w
         mat[:, 1] = (
-            (resolved.delivered_order_seq // trace._tpp_order) << gshift
-        ) + trace._tag_order_w
+            (resolved.delivered_order_seq // tables.tpp_order) << gshift
+        ) + tables.tag_order_w
         mat[:, 2 : 2 + lines] = self._order_line_refs(
-            resolved.delivered_order_seq, trace._tag_order_line_w
+            resolved.delivered_order_seq, tables.tag_order_line_w
         )
         mat[:, width - 1] = (
             self._customer_base5(resolved.delivered_district)
@@ -662,17 +696,17 @@ class VectorBatchEmitter:
     ) -> None:
         """Scatter Stock-Level refs: a district read followed by
         interleaved ``(order_line, stock)`` pairs per scanned line."""
-        trace = self._trace
+        tables = self._tables
         lines = self._lines
-        out[starts] = self._district_refs(district, trace._tag_district_r)
+        out[starts] = self._district_refs(district, tables.tag_district_r)
         counts = resolved.scanned_counts
         pairs = np.empty((len(resolved.scanned_order_seq), lines, 2), dtype=np.int64)
         pairs[:, :, 0] = self._order_line_refs(
-            resolved.scanned_order_seq, trace._tag_order_line_r
+            resolved.scanned_order_seq, tables.tag_order_line_r
         )
         # Read-tagged stock offsets are the write-tagged ones minus the
         # write bit in the encoding's lowest position.
-        pairs[:, :, 1] = np.repeat(((warehouse - 1) * trace._stock_ppb) << 5, counts)[
+        pairs[:, :, 1] = np.repeat(((warehouse - 1) * tables.stock_ppb) << 5, counts)[
             :, None
         ] + (self._stock_off_w[resolved.scanned_items - 1] - 1)
         pair_lens = 2 * lines * counts

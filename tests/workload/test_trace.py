@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.workload import trace as trace_module
 from repro.workload.mix import DEFAULT_MIX, TransactionMix, TransactionType
 from repro.workload.trace import (
     PACKING_KINDS,
@@ -93,11 +94,11 @@ class TestPageMapping:
 
     def test_customer_blocks_disjoint(self, small_trace):
         # One block per district: (warehouse - 1) * 10 + district - 1.
-        layout = small_trace._customer_layout
+        layout = small_trace._tables.customer_layout
         assert len({layout.page_of(block, 1) for block in (0, 1, 10)}) == 3
 
     def test_stock_blocks_disjoint(self, small_trace):
-        layout = small_trace._stock_layout  # one block per warehouse
+        layout = small_trace._tables.stock_layout  # one block per warehouse
         assert layout.page_of(0, 1) != layout.page_of(1, 1)
 
 
@@ -242,11 +243,75 @@ class TestRemoteReferences:
         )
 
 
+def scaled_config(**overrides):
+    defaults = dict(
+        warehouses=2, items=600, customers_per_district=90, prime_orders=25, seed=5
+    )
+    defaults.update(overrides)
+    return TraceConfig(**defaults)
+
+
+SHARED_TABLES = ("item_ref_r", "stock_off_w", "customer_off_r", "customer_off_w")
+
+
+class TestSharedTables:
+    """The seed-independent layout tables are built once per process."""
+
+    @pytest.mark.parametrize("packing", ["sequential", "optimized"])
+    def test_shared_across_seeds(self, packing):
+        a = TraceGenerator(scaled_config(packing=packing, seed=1))
+        b = TraceGenerator(scaled_config(packing=packing, seed=2))
+        assert a._tables is b._tables
+        for name in SHARED_TABLES:
+            assert getattr(a._tables, name) is getattr(b._tables, name)
+        assert a.page_id_space is b.page_id_space
+
+    def test_random_packing_is_per_seed(self):
+        a = TraceGenerator(scaled_config(packing="random", seed=1))
+        b = TraceGenerator(scaled_config(packing="random", seed=2))
+        assert a._tables is not b._tables
+        assert not np.array_equal(a._tables.stock_off_w, b._tables.stock_off_w)
+
+    @pytest.mark.parametrize("name", SHARED_TABLES)
+    def test_read_only(self, name):
+        table = getattr(TraceGenerator(scaled_config())._tables, name)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+
+    def test_one_shape_is_kept(self):
+        TraceGenerator(scaled_config())
+        TraceGenerator(scaled_config(warehouses=1))
+        assert trace_module._trace_tables.cache_info().currsize == 1
+
+    def test_alternating_shapes_match_fresh_generators(self):
+        configs = [
+            scaled_config(seed=7),
+            scaled_config(packing="optimized", warehouses=1, seed=8),
+            scaled_config(packing="random", seed=9),
+        ]
+        fresh = []
+        for config in configs:
+            trace_module._trace_tables.cache_clear()
+            generator = TraceGenerator(config)
+            fresh.append([generator.encoded_batch(transactions=150) for _ in range(2)])
+        trace_module._trace_tables.cache_clear()
+        # Every construction replaces the single cached entry, and the
+        # generators are read in turn.
+        generators = [TraceGenerator(config) for config in configs + configs]
+        for round_index in range(2):
+            for generator, batches in zip(generators, fresh + fresh):
+                expected = batches[round_index]
+                batch = generator.encoded_batch(transactions=150)
+                assert np.array_equal(batch.refs, expected.refs)
+                assert np.array_equal(batch.tx_accesses, expected.tx_accesses)
+                assert batch.highest_page_id == expected.highest_page_id
+
+
 class TestLifetime:
     @pytest.mark.parametrize("objects_view", [True, False])
     def test_freed_by_reference_count_alone(self, objects_view):
         """A generator that has emitted is not cyclic garbage: dropping
-        the last reference frees it (and its tables) with the cycle
+        the last reference frees it (and its state) with the cycle
         collector switched off."""
         gc.collect()
         gc.disable()
@@ -290,3 +355,24 @@ class TestOneEmissionPath:
         assert head == [decode(ref) for ref in whole.refs[:cut].tolist()]
         assert np.array_equal(tail.refs, whole.refs[cut:])
         assert np.array_equal(tail.tx_indices, whole.tx_indices[10:])
+
+    @pytest.mark.parametrize("head_transactions", [0, 45, 300])
+    def test_split_batch_matches_separate_batches(self, head_transactions):
+        """``split`` cuts one batch into the batches a second generator
+        emits when asked for the two windows in turn, access counts
+        included; both parts keep the whole batch's page-id bound."""
+        config = scaled_config(seed=23)
+        whole = TraceGenerator(config).encoded_batch(transactions=300)
+        head, tail = whole.split(head_transactions)
+        separate = TraceGenerator(config)
+        for part, transactions in ((head, head_transactions), (tail, 300 - head_transactions)):
+            assert part.highest_page_id == whole.highest_page_id
+            if not transactions:
+                assert part.references == part.transactions == 0
+                assert not part.tx_accesses.any()
+                continue
+            alone = separate.encoded_batch(transactions=transactions)
+            assert np.array_equal(part.refs, alone.refs)
+            assert np.array_equal(part.tx_indices, alone.tx_indices)
+            assert np.array_equal(part.tx_lengths, alone.tx_lengths)
+            assert np.array_equal(part.tx_accesses, alone.tx_accesses)
