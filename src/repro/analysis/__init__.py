@@ -13,17 +13,28 @@ package enforces those invariants mechanically:
   deadlock cycles, buffer-pool frame accounting).
 """
 
-from repro.analysis.findings import Finding
-from repro.analysis.runner import LintReport, lint_paths
-from repro.analysis.rules import all_rule_codes, make_rules
-from repro.analysis.sanitizer import InvariantSanitizer, SanitizerViolation
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Finding",
-    "InvariantSanitizer",
-    "LintReport",
-    "SanitizerViolation",
-    "all_rule_codes",
-    "lint_paths",
-    "make_rules",
-]
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.analysis.findings import Finding as Finding
+    from repro.analysis.rules import all_rule_codes as all_rule_codes
+    from repro.analysis.rules import make_rules as make_rules
+    from repro.analysis.runner import LintReport as LintReport
+    from repro.analysis.runner import lint_paths as lint_paths
+    from repro.analysis.sanitizer import InvariantSanitizer as InvariantSanitizer
+    from repro.analysis.sanitizer import SanitizerViolation as SanitizerViolation
+
+__all__, __getattr__, __dir__ = attach(
+    __name__,
+    {
+        "Finding": "repro.analysis.findings",
+        "all_rule_codes": "repro.analysis.rules",
+        "make_rules": "repro.analysis.rules",
+        "LintReport": "repro.analysis.runner",
+        "lint_paths": "repro.analysis.runner",
+        "InvariantSanitizer": "repro.analysis.sanitizer",
+        "SanitizerViolation": "repro.analysis.sanitizer",
+    },
+)

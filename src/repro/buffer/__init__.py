@@ -12,27 +12,32 @@ reference; those objects are test code.  The engine's buffer manager
 (:mod:`repro.engine.bufferpool`) is LRU only.
 """
 
-from repro.buffer.analytic import che_characteristic_time, che_miss_rates
-from repro.buffer.kernels import (
-    ARRAY_KERNEL_POLICIES,
-    ArrayKernel,
-    make_kernel,
-)
-from repro.buffer.simulator import (
-    BufferSimulation,
-    MissRateReport,
-    RelationMissRate,
-    SimulationConfig,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ARRAY_KERNEL_POLICIES",
-    "ArrayKernel",
-    "BufferSimulation",
-    "MissRateReport",
-    "RelationMissRate",
-    "SimulationConfig",
-    "che_characteristic_time",
-    "che_miss_rates",
-    "make_kernel",
-]
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.buffer.analytic import che_characteristic_time as che_characteristic_time
+    from repro.buffer.analytic import che_miss_rates as che_miss_rates
+    from repro.buffer.kernels import ARRAY_KERNEL_POLICIES as ARRAY_KERNEL_POLICIES
+    from repro.buffer.kernels import ArrayKernel as ArrayKernel
+    from repro.buffer.kernels import make_kernel as make_kernel
+    from repro.buffer.simulator import BufferSimulation as BufferSimulation
+    from repro.buffer.simulator import MissRateReport as MissRateReport
+    from repro.buffer.simulator import RelationMissRate as RelationMissRate
+    from repro.buffer.simulator import SimulationConfig as SimulationConfig
+
+__all__, __getattr__, __dir__ = attach(
+    __name__,
+    {
+        "che_characteristic_time": "repro.buffer.analytic",
+        "che_miss_rates": "repro.buffer.analytic",
+        "ARRAY_KERNEL_POLICIES": "repro.buffer.kernels",
+        "ArrayKernel": "repro.buffer.kernels",
+        "make_kernel": "repro.buffer.kernels",
+        "BufferSimulation": "repro.buffer.simulator",
+        "MissRateReport": "repro.buffer.simulator",
+        "RelationMissRate": "repro.buffer.simulator",
+        "SimulationConfig": "repro.buffer.simulator",
+    },
+)

@@ -54,12 +54,14 @@ cumulative per-relation eviction tallies — folded into a
 from __future__ import annotations
 
 import heapq
+import math
 from collections import OrderedDict, deque
 from collections.abc import Iterable, Sequence
 from typing import Callable, ClassVar
 
 import numpy as np
 
+from repro.constants import DEFAULT_PAGE_SIZE
 from repro.workload.stream import EncodedBatch
 from repro.workload.trace import RELATION_NAMES, REF_PID_SHIFT, PageIdSpace
 
@@ -980,6 +982,19 @@ def require_kernel_policy(policy: str) -> None:
         )
 
 
+def require_megabytes(megabytes: float, name: str = "megabytes") -> None:
+    """Raise ``ValueError`` unless ``megabytes`` is a positive, finite size."""
+    if not (megabytes > 0 and math.isfinite(megabytes)):
+        raise ValueError(f"{name} must be positive and finite, got {megabytes!r}")
+
+
+def pages_for_megabytes(megabytes: float, page_size: int = DEFAULT_PAGE_SIZE) -> int:
+    """Buffer capacity in pages for a memory size in MB."""
+    require_megabytes(megabytes)
+    pages = int(megabytes * 1024 * 1024 // page_size)
+    return max(1, pages)
+
+
 def make_kernel(
     policy: str, capacity: int, space: PageIdSpace, transaction_types: int
 ) -> ArrayKernel:
@@ -1004,6 +1019,8 @@ __all__ = [
     "TX_STRIDE_SHIFT",
     "TwoQArrayKernel",
     "make_kernel",
+    "pages_for_megabytes",
     "relation_miss_rates",
     "require_kernel_policy",
+    "require_megabytes",
 ]

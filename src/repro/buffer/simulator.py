@@ -22,9 +22,10 @@ import numpy as np
 from repro.buffer.kernels import (
     TX_STRIDE_SHIFT,
     make_kernel,
+    pages_for_megabytes,
     require_kernel_policy,
+    require_megabytes,
 )
-from repro.constants import DEFAULT_PAGE_SIZE
 from repro.exec.engine import ExecutionEngine
 from repro.exec.units import SweepSpec
 from repro.obs import instruments
@@ -32,14 +33,6 @@ from repro.obs.tracing import get_tracer
 from repro.stats.batch_means import BatchMeans, BatchMeansSummary
 from repro.workload.mix import TRANSACTION_ORDER, TransactionType
 from repro.workload.trace import RELATION_NAMES, TraceConfig, TraceGenerator
-
-
-def pages_for_megabytes(megabytes: float, page_size: int = DEFAULT_PAGE_SIZE) -> int:
-    """Buffer capacity in pages for a memory size in MB."""
-    if megabytes <= 0:
-        raise ValueError(f"megabytes must be positive, got {megabytes}")
-    pages = int(megabytes * 1024 * 1024 // page_size)
-    return max(1, pages)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -68,6 +61,7 @@ class SimulationConfig:
             raise ValueError(f"need at least 2 batches, got {self.batches}")
         if self.batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+        require_megabytes(self.buffer_mb, "buffer_mb")
         require_kernel_policy(self.policy)
 
     def replace(self, **overrides) -> "SimulationConfig":

@@ -57,10 +57,11 @@ import numpy as np
 
 from repro.buffer.kernels import (
     make_kernel,
+    pages_for_megabytes,
     relation_miss_rates,
     require_kernel_policy,
+    require_megabytes,
 )
-from repro.buffer.simulator import pages_for_megabytes
 from repro.constants import REMOTE_PAYMENT_PROBABILITY
 from repro.distributed.remote import RemoteCallExpectations
 from repro.obs.instruments import (
@@ -111,6 +112,7 @@ class DistributedSimConfig:
             )
         if self.trace.remote_stock_probability < 0:
             raise ValueError("remote probability must be non-negative")
+        require_megabytes(self.buffer_mb, "buffer_mb")
         require_kernel_policy(self.policy)
 
     def replace(self, **overrides) -> "DistributedSimConfig":

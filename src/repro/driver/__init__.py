@@ -7,39 +7,46 @@ time (the paper's closed network with the real engine in the loop);
 :mod:`repro.driver.validate` closes the loop against exact MVA.
 """
 
-from repro.driver.report import (
-    DeadlockStats,
-    DriverReport,
-    RecoveryWindow,
-    ShedStats,
-    TxStats,
-    percentile,
-)
-from repro.driver.runner import build_executors, run_benchmark
-from repro.driver.scheduler import RunOutcome, StatementGate, VirtualScheduler
-from repro.driver.spec import BenchmarkSpec
-from repro.driver.validate import (
-    DriverValidation,
-    ValidationPoint,
-    validate_against_mva,
-    validate_reports,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "BenchmarkSpec",
-    "DeadlockStats",
-    "DriverReport",
-    "DriverValidation",
-    "RecoveryWindow",
-    "RunOutcome",
-    "ShedStats",
-    "StatementGate",
-    "TxStats",
-    "ValidationPoint",
-    "VirtualScheduler",
-    "build_executors",
-    "percentile",
-    "run_benchmark",
-    "validate_against_mva",
-    "validate_reports",
-]
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.driver.report import DeadlockStats as DeadlockStats
+    from repro.driver.report import DriverReport as DriverReport
+    from repro.driver.report import RecoveryWindow as RecoveryWindow
+    from repro.driver.report import ShedStats as ShedStats
+    from repro.driver.report import TxStats as TxStats
+    from repro.driver.report import percentile as percentile
+    from repro.driver.runner import build_executors as build_executors
+    from repro.driver.runner import run_benchmark as run_benchmark
+    from repro.driver.scheduler import RunOutcome as RunOutcome
+    from repro.driver.scheduler import StatementGate as StatementGate
+    from repro.driver.scheduler import VirtualScheduler as VirtualScheduler
+    from repro.driver.spec import BenchmarkSpec as BenchmarkSpec
+    from repro.driver.validate import DriverValidation as DriverValidation
+    from repro.driver.validate import ValidationPoint as ValidationPoint
+    from repro.driver.validate import validate_against_mva as validate_against_mva
+    from repro.driver.validate import validate_reports as validate_reports
+
+__all__, __getattr__, __dir__ = attach(
+    __name__,
+    {
+        "DeadlockStats": "repro.driver.report",
+        "DriverReport": "repro.driver.report",
+        "RecoveryWindow": "repro.driver.report",
+        "ShedStats": "repro.driver.report",
+        "TxStats": "repro.driver.report",
+        "percentile": "repro.driver.report",
+        "build_executors": "repro.driver.runner",
+        "run_benchmark": "repro.driver.runner",
+        "RunOutcome": "repro.driver.scheduler",
+        "StatementGate": "repro.driver.scheduler",
+        "VirtualScheduler": "repro.driver.scheduler",
+        "BenchmarkSpec": "repro.driver.spec",
+        "DriverValidation": "repro.driver.validate",
+        "ValidationPoint": "repro.driver.validate",
+        "validate_against_mva": "repro.driver.validate",
+        "validate_reports": "repro.driver.validate",
+    },
+)

@@ -11,48 +11,50 @@ that after ``Database.crash()`` + ``recover()`` every committed
 transaction survived and no aborted or in-flight one did.
 """
 
-from repro.engine.errors import (
-    BufferEvictionError,
-    CorruptPageError,
-    DeadlockError,
-    InjectedFaultError,
-    TornPageWriteError,
-    WalAppendFaultError,
-)
-from repro.faults.injector import FaultInjector
-from repro.faults.invariants import (
-    InvariantReport,
-    InvariantViolation,
-    check_recovery_invariants,
-    expected_state,
-)
-from repro.faults.plan import (
-    ERROR_OF_KIND,
-    SITE_OF_KIND,
-    FaultEvent,
-    FaultKind,
-    FaultPlan,
-    FaultRule,
-    error_for,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "BufferEvictionError",
-    "CorruptPageError",
-    "DeadlockError",
-    "ERROR_OF_KIND",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultKind",
-    "FaultPlan",
-    "FaultRule",
-    "InjectedFaultError",
-    "InvariantReport",
-    "InvariantViolation",
-    "SITE_OF_KIND",
-    "TornPageWriteError",
-    "WalAppendFaultError",
-    "check_recovery_invariants",
-    "error_for",
-    "expected_state",
-]
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.engine.errors import BufferEvictionError as BufferEvictionError
+    from repro.engine.errors import CorruptPageError as CorruptPageError
+    from repro.engine.errors import DeadlockError as DeadlockError
+    from repro.engine.errors import InjectedFaultError as InjectedFaultError
+    from repro.engine.errors import TornPageWriteError as TornPageWriteError
+    from repro.engine.errors import WalAppendFaultError as WalAppendFaultError
+    from repro.faults.injector import FaultInjector as FaultInjector
+    from repro.faults.invariants import InvariantReport as InvariantReport
+    from repro.faults.invariants import InvariantViolation as InvariantViolation
+    from repro.faults.invariants import check_recovery_invariants as check_recovery_invariants
+    from repro.faults.invariants import expected_state as expected_state
+    from repro.faults.plan import ERROR_OF_KIND as ERROR_OF_KIND
+    from repro.faults.plan import SITE_OF_KIND as SITE_OF_KIND
+    from repro.faults.plan import FaultEvent as FaultEvent
+    from repro.faults.plan import FaultKind as FaultKind
+    from repro.faults.plan import FaultPlan as FaultPlan
+    from repro.faults.plan import FaultRule as FaultRule
+    from repro.faults.plan import error_for as error_for
+
+__all__, __getattr__, __dir__ = attach(
+    __name__,
+    {
+        "BufferEvictionError": "repro.engine.errors",
+        "CorruptPageError": "repro.engine.errors",
+        "DeadlockError": "repro.engine.errors",
+        "InjectedFaultError": "repro.engine.errors",
+        "TornPageWriteError": "repro.engine.errors",
+        "WalAppendFaultError": "repro.engine.errors",
+        "FaultInjector": "repro.faults.injector",
+        "InvariantReport": "repro.faults.invariants",
+        "InvariantViolation": "repro.faults.invariants",
+        "check_recovery_invariants": "repro.faults.invariants",
+        "expected_state": "repro.faults.invariants",
+        "ERROR_OF_KIND": "repro.faults.plan",
+        "SITE_OF_KIND": "repro.faults.plan",
+        "FaultEvent": "repro.faults.plan",
+        "FaultKind": "repro.faults.plan",
+        "FaultPlan": "repro.faults.plan",
+        "FaultRule": "repro.faults.plan",
+        "error_for": "repro.faults.plan",
+    },
+)

@@ -21,33 +21,46 @@ The cardinal rule is **observe-only**: enabling any of this must never
 change an experiment's outputs, its random streams, or its cache keys.
 """
 
-from repro.obs.clock import Clock, LogicalClock, NullWallClock, WallClock
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsSnapshot,
-    default_registry,
-)
-from repro.obs.profiling import profile_call
-from repro.obs.tracing import JsonlSink, NullTracer, Tracer, get_tracer, tracing_to
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Clock",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "JsonlSink",
-    "LogicalClock",
-    "MetricsRegistry",
-    "MetricsSnapshot",
-    "NullTracer",
-    "NullWallClock",
-    "Tracer",
-    "WallClock",
-    "default_registry",
-    "get_tracer",
-    "profile_call",
-    "tracing_to",
-]
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.obs.clock import Clock as Clock
+    from repro.obs.clock import LogicalClock as LogicalClock
+    from repro.obs.clock import NullWallClock as NullWallClock
+    from repro.obs.clock import WallClock as WallClock
+    from repro.obs.metrics import Counter as Counter
+    from repro.obs.metrics import Gauge as Gauge
+    from repro.obs.metrics import Histogram as Histogram
+    from repro.obs.metrics import MetricsRegistry as MetricsRegistry
+    from repro.obs.metrics import MetricsSnapshot as MetricsSnapshot
+    from repro.obs.metrics import default_registry as default_registry
+    from repro.obs.profiling import profile_call as profile_call
+    from repro.obs.tracing import JsonlSink as JsonlSink
+    from repro.obs.tracing import NullTracer as NullTracer
+    from repro.obs.tracing import Tracer as Tracer
+    from repro.obs.tracing import get_tracer as get_tracer
+    from repro.obs.tracing import tracing_to as tracing_to
+
+__all__, __getattr__, __dir__ = attach(
+    __name__,
+    {
+        "Clock": "repro.obs.clock",
+        "LogicalClock": "repro.obs.clock",
+        "NullWallClock": "repro.obs.clock",
+        "WallClock": "repro.obs.clock",
+        "Counter": "repro.obs.metrics",
+        "Gauge": "repro.obs.metrics",
+        "Histogram": "repro.obs.metrics",
+        "MetricsRegistry": "repro.obs.metrics",
+        "MetricsSnapshot": "repro.obs.metrics",
+        "default_registry": "repro.obs.metrics",
+        "profile_call": "repro.obs.profiling",
+        "JsonlSink": "repro.obs.tracing",
+        "NullTracer": "repro.obs.tracing",
+        "Tracer": "repro.obs.tracing",
+        "get_tracer": "repro.obs.tracing",
+        "tracing_to": "repro.obs.tracing",
+    },
+)

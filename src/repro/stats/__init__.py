@@ -6,7 +6,20 @@ These are the numerical substrates shared by the skew analysis
 experiment harness.
 """
 
-from repro.stats.batch_means import BatchMeans, BatchMeansSummary
-from repro.stats.distribution import DiscreteDistribution
+from typing import TYPE_CHECKING
 
-__all__ = ["BatchMeans", "BatchMeansSummary", "DiscreteDistribution"]
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.stats.batch_means import BatchMeans as BatchMeans
+    from repro.stats.batch_means import BatchMeansSummary as BatchMeansSummary
+    from repro.stats.distribution import DiscreteDistribution as DiscreteDistribution
+
+__all__, __getattr__, __dir__ = attach(
+    __name__,
+    {
+        "BatchMeans": "repro.stats.batch_means",
+        "BatchMeansSummary": "repro.stats.batch_means",
+        "DiscreteDistribution": "repro.stats.distribution",
+    },
+)

@@ -8,21 +8,30 @@ patterns of Section 2.2, producing measured SQL-call censuses and
 buffer statistics that cross-validate the analytic models.
 """
 
-from repro.tpcc.executor import (
-    ExecutionSummary,
-    PreparedTransaction,
-    RetryPolicy,
-    TpccExecutor,
-)
-from repro.tpcc.loader import TpccConfig, load_tpcc
-from repro.tpcc.rows import TPCC_SCHEMAS, tpcc_index_specs
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ExecutionSummary",
-    "RetryPolicy",
-    "TPCC_SCHEMAS",
-    "TpccConfig",
-    "TpccExecutor",
-    "load_tpcc",
-    "tpcc_index_specs",
-]
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.tpcc.executor import ExecutionSummary as ExecutionSummary
+    from repro.tpcc.executor import PreparedTransaction as PreparedTransaction
+    from repro.tpcc.executor import RetryPolicy as RetryPolicy
+    from repro.tpcc.executor import TpccExecutor as TpccExecutor
+    from repro.tpcc.loader import TpccConfig as TpccConfig
+    from repro.tpcc.loader import load_tpcc as load_tpcc
+    from repro.tpcc.rows import TPCC_SCHEMAS as TPCC_SCHEMAS
+    from repro.tpcc.rows import tpcc_index_specs as tpcc_index_specs
+
+__all__, __getattr__, __dir__ = attach(
+    __name__,
+    {
+        "ExecutionSummary": "repro.tpcc.executor",
+        "PreparedTransaction": "repro.tpcc.executor",
+        "RetryPolicy": "repro.tpcc.executor",
+        "TpccExecutor": "repro.tpcc.executor",
+        "TpccConfig": "repro.tpcc.loader",
+        "load_tpcc": "repro.tpcc.loader",
+        "TPCC_SCHEMAS": "repro.tpcc.rows",
+        "tpcc_index_specs": "repro.tpcc.rows",
+    },
+)

@@ -38,6 +38,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             pages_for_megabytes(0)
 
+    @pytest.mark.parametrize("megabytes", [0.0, -1.0, float("nan"), float("inf")])
+    def test_pages_for_megabytes_names_the_bad_value(self, megabytes):
+        message = f"megabytes must be positive and finite, got {megabytes!r}"
+        with pytest.raises(ValueError, match=message):
+            pages_for_megabytes(megabytes)
+
+    @pytest.mark.parametrize("megabytes", [0.0, -1.0, float("nan")])
+    def test_bad_buffer_size_rejected_at_construction(self, megabytes):
+        message = f"buffer_mb must be positive and finite, got {megabytes!r}"
+        with pytest.raises(ValueError, match=message):
+            quick_config(buffer_mb=megabytes)
+
     def test_buffer_pages_property(self):
         assert quick_config(buffer_mb=2.0).buffer_pages == 512
 

@@ -218,6 +218,13 @@ class TestConfiguration:
                 nodes=2, trace=scaled_trace(), warmup_transactions_per_node=-5
             )
 
+    @pytest.mark.parametrize("megabytes", [0.0, -1.0, float("nan")])
+    def test_bad_buffer_size_rejected_at_construction(self, megabytes):
+        """Rejected where it is written, not inside a shard worker later."""
+        message = f"buffer_mb must be positive and finite, got {megabytes!r}"
+        with pytest.raises(ValueError, match=message):
+            DistributedSimConfig(nodes=2, trace=scaled_trace(), buffer_mb=megabytes)
+
     def test_no_warmup_measures_from_the_first_transaction(self):
         """A warm-up of 0 is valid: the whole trace is the measured
         window, so the node sees exactly its configured transactions."""
