@@ -6,11 +6,12 @@ fault/recovery harness — are only trustworthy when every code path is
 paths, no page mutated outside the WAL-before-data protocol.  This
 package enforces those invariants mechanically:
 
-* :mod:`repro.analysis.rules` — AST rules REP001..REP006, run by
+* :mod:`repro.analysis.rules` — per-file AST rules, run by
   ``python -m repro lint`` (see :mod:`repro.analysis.runner`);
 * :mod:`repro.analysis.sanitizer` — a runtime invariant monitor the
-  test suite activates around every test (lock pairing, waits-for
-  deadlock cycles, buffer-pool frame accounting).
+  test suite activates around every test, and the one check of lock
+  pairing (also waits-for deadlock cycles and buffer-pool frame
+  accounting).
 """
 
 from typing import TYPE_CHECKING

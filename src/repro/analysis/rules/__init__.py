@@ -11,10 +11,9 @@ from repro.analysis.rules import (
     rep002_wallclock,
     rep003_config_dataclasses,
     rep004_bare_assert,
-    rep005_lock_pairing,
     rep006_wal_discipline,
 )
-from repro.analysis.rules.base import REGISTRY, ProjectContext, ProjectRule, Rule
+from repro.analysis.rules.base import REGISTRY, Rule
 
 #: Importing a rule module registers its rule; this tuple keeps the
 #: imports load-bearing (and is the one place listing all of them).
@@ -23,7 +22,6 @@ RULE_MODULES = (
     rep002_wallclock,
     rep003_config_dataclasses,
     rep004_bare_assert,
-    rep005_lock_pairing,
     rep006_wal_discipline,
 )
 
@@ -48,8 +46,6 @@ def make_rules(codes: tuple[str, ...] | list[str] | None = None) -> list[Rule]:
 __all__ = [
     "REGISTRY",
     "RULE_MODULES",
-    "ProjectContext",
-    "ProjectRule",
     "Rule",
     "all_rule_codes",
     "make_rules",

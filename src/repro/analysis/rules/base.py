@@ -4,14 +4,11 @@ from __future__ import annotations
 
 import ast
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, ClassVar, Iterator, Type
+from typing import ClassVar, Iterator, Type
 
 from repro.analysis.findings import Finding, ModuleSource
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.analysis.callgraph import ProjectIndex
-
-#: Every registered rule, keyed by code ("REP001" .. "REP006").
+#: Every registered rule, keyed by code ("REP001", ...).
 REGISTRY: dict[str, Type["Rule"]] = {}
 
 
@@ -42,47 +39,6 @@ class Rule(ABC):
 
     def finding(self, module: ModuleSource, node: ast.AST, message: str) -> Finding:
         return module.finding(self.code, node, message)
-
-
-class ProjectContext:
-    """Everything parsed for one lint run, shared across project rules.
-
-    The :class:`~repro.analysis.callgraph.ProjectIndex` is built
-    lazily on first use, so runs selecting only per-file rules pay
-    nothing for it.
-    """
-
-    def __init__(self, modules: list[ModuleSource]) -> None:
-        self.modules = modules
-        self._index: "ProjectIndex | None" = None
-
-    @property
-    def index(self) -> "ProjectIndex":
-        if self._index is None:
-            from repro.analysis.callgraph import ProjectIndex
-
-            self._index = ProjectIndex.build(self.modules)
-        return self._index
-
-
-class ProjectRule(Rule):
-    """A rule needing whole-project context (the call graph).
-
-    The runner calls :meth:`prepare` once, with every module of the
-    run parsed, before the per-module :meth:`check` pass.
-    """
-
-    def prepare(self, project: ProjectContext) -> None:
-        self._project = project
-
-    @property
-    def project(self) -> ProjectContext:
-        prepared = getattr(self, "_project", None)
-        if prepared is None:
-            raise RuntimeError(
-                f"{self.code}: prepare() was not called before check()"
-            )
-        return prepared
 
 
 # -- shared AST helpers --------------------------------------------------------
@@ -137,8 +93,6 @@ def qualname(stack: tuple[str, ...]) -> str:
 
 __all__ = [
     "REGISTRY",
-    "ProjectContext",
-    "ProjectRule",
     "Rule",
     "attr_chain",
     "call_name",

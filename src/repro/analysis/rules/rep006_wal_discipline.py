@@ -27,14 +27,16 @@ _HEAP_MUTATORS = frozenset(
 )
 
 #: Audited mutation sites: path suffix -> fnmatch patterns over qualnames.
-#: HeapFile methods append WAL records via their caller (Table); Table
-#: methods append before delegating; recovery applies the log itself.
+#: Table's mutators are called only by ``Transaction``, which appends
+#: the WAL record for each change (and reverses the change if the append
+#: fails); HeapFile's are called by Table, by BulkLoad and by recovery,
+#: which applies the log itself.
 #: BulkLoad writes the initial population, which the base backup taken
 #: after loading covers instead of the log.
 WAL_WHITELIST: dict[str, tuple[str, ...]] = {
     "repro/engine/heap.py": ("HeapFile.*",),
     "repro/engine/table.py": ("Table.*", "BulkLoad.*"),
-    "repro/engine/database.py": ("Database._recover", "Transaction._undo_all"),
+    "repro/engine/database.py": ("Database._recover",),
 }
 
 

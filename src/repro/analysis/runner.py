@@ -111,26 +111,20 @@ def lint_paths(
     *,
     codes: Sequence[str] | None = None,
 ) -> LintReport:
-    """Run the selected rules over the given paths (repro package by default)."""
-    from repro.analysis.rules.base import ProjectContext, ProjectRule
+    """Run the selected rules over the given paths (repro package by default).
 
+    One file at a time: parse it, run every rule on it, drop it.
+    """
     targets = [Path(p) for p in paths] if paths else [default_target()]
     rules = make_rules(tuple(codes) if codes is not None else None)
     report = LintReport(rules_run=tuple(rule.code for rule in rules))
-    modules: list[ModuleSource] = []
     for path in iter_python_files(targets):
         try:
-            modules.append(ModuleSource(path))
+            module = ModuleSource(path)
         except (SyntaxError, UnicodeDecodeError, OSError) as exc:
             report.parse_errors.append(f"{path}: {exc}")
-    report.files_checked = len(modules)
-    # Project rules see every module of the run before any per-module
-    # check: the call graph and lock model are whole-program facts.
-    context = ProjectContext(modules)
-    for rule in rules:
-        if isinstance(rule, ProjectRule):
-            rule.prepare(context)
-    for module in modules:
+            continue
+        report.files_checked += 1
         for rule in rules:
             if is_whitelisted(rule.code, module.path):
                 continue

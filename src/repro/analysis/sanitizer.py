@@ -1,7 +1,7 @@
 """Runtime invariant sanitizer for the storage engine.
 
-Where reprolint's REP005 checks pairing *syntactically*, this monitor
-checks it *dynamically*: the test suite installs it around every test
+This monitor is the project's one check that two-phase locking is
+followed: the test suite installs it around every test
 (``tests/conftest.py``) and fails if
 
 * a transaction finishes (``commit``/``abort`` returns) while still
@@ -20,7 +20,8 @@ checks it *dynamically*: the test suite installs it around every test
 * any :meth:`LockManager.contention` counter ever decreases — the
   counters are documented monotone for the manager's lifetime (and
   across ``Database.crash()``, which carries them forward);
-* a buffer pool's LRU ever holds more frames than its capacity.
+* a buffer pool's LRU (``BufferManager._frames``) ever holds more
+  frames than its capacity.
 
 It also records the resource acquisition-order graph for diagnostics.
 Order-graph cycles are *not* failures: TPC-C legitimately acquires

@@ -26,8 +26,6 @@ from repro.buffer.kernels import (
     require_kernel_policy,
     require_megabytes,
 )
-from repro.exec.engine import ExecutionEngine
-from repro.exec.units import SweepSpec
 from repro.obs import instruments
 from repro.obs.tracing import get_tracer
 from repro.stats.batch_means import BatchMeans, BatchMeansSummary
@@ -411,34 +409,3 @@ def run_simulation_config(config: SimulationConfig) -> MissRateReport:
     reports plain dataclasses, so both cross process boundaries.
     """
     return BufferSimulation(config).run()
-
-
-def sweep_buffer_sizes(
-    base: SimulationConfig,
-    buffer_sizes_mb: list[float],
-    engine: ExecutionEngine | None = None,
-    experiment: str = "buffer-sweep",
-) -> dict[float, MissRateReport]:
-    """Run the same simulation at several buffer sizes (Figure 8 x-axis).
-
-    Each size gets an independent trace (same seed), so curves differ
-    only in buffer capacity — which also makes the points independent
-    work units (one per size, named ``experiment/packing/<size>MB``):
-    pass an :class:`~repro.exec.engine.ExecutionEngine` to fan them out
-    over processes and hit its result cache; the default engine runs
-    them serially in-process, bit-identical either way.
-    """
-    spec = SweepSpec.over(
-        experiment,
-        run_simulation_config,
-        (
-            (f"{experiment}/{base.trace.packing}/{megabytes:g}MB",
-             base.replace(buffer_mb=megabytes))
-            for megabytes in buffer_sizes_mb
-        ),
-    )
-    results = (engine or ExecutionEngine()).run_sweep(spec)
-    return {
-        megabytes: results[unit.unit_id]
-        for megabytes, unit in zip(buffer_sizes_mb, spec.units)
-    }

@@ -333,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_format_argument(bench)
 
     lint = commands.add_parser(
-        "lint", help="run the reprolint static-analysis rules (REP001..REP006)"
+        "lint", help="run the reprolint static-analysis rules"
     )
     lint.add_argument(
         "paths",

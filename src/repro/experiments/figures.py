@@ -22,7 +22,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.buffer.simulator import SimulationConfig, sweep_buffer_sizes
+from repro.buffer.simulator import (
+    MissRateReport,
+    SimulationConfig,
+    run_simulation_config,
+)
 from repro.constants import (
     NURAND_A_ITEM,
     ITEMS,
@@ -46,6 +50,8 @@ from repro.distributed.scaleup import (
 )
 from repro.distributed.sharded import run_sharded
 from repro.distributed.simulation import DistributedSimConfig
+from repro.exec.engine import ExecutionEngine
+from repro.exec.units import SweepSpec
 from repro.experiments.runner import ExperimentResult, Preset, register
 from repro.throughput.model import ThroughputModel
 from repro.throughput.params import MissRateInputs
@@ -99,6 +105,37 @@ def _fig8_settings(preset: Preset) -> dict:
         "sizes_mb": [float(mb) for mb in range(4, 260, 4)],
         "batches": 30,
         "batch_size": 100_000,
+    }
+
+
+def sweep_buffer_sizes(
+    base: SimulationConfig,
+    buffer_sizes_mb: list[float],
+    engine: ExecutionEngine | None = None,
+    experiment: str = "buffer-sweep",
+) -> dict[float, MissRateReport]:
+    """Run the same simulation at several buffer sizes (Figure 8 x-axis).
+
+    Each size gets an independent trace (same seed), so curves differ
+    only in buffer capacity — which also makes the points independent
+    work units (one per size, named ``experiment/packing/<size>MB``):
+    pass an :class:`~repro.exec.engine.ExecutionEngine` to fan them out
+    over processes and hit its result cache; the default engine runs
+    them serially in-process, bit-identical either way.
+    """
+    spec = SweepSpec.over(
+        experiment,
+        run_simulation_config,
+        (
+            (f"{experiment}/{base.trace.packing}/{megabytes:g}MB",
+             base.replace(buffer_mb=megabytes))
+            for megabytes in buffer_sizes_mb
+        ),
+    )
+    results = (engine or ExecutionEngine()).run_sweep(spec)
+    return {
+        megabytes: results[unit.unit_id]
+        for megabytes, unit in zip(buffer_sizes_mb, spec.units)
     }
 
 

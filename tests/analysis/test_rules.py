@@ -72,20 +72,6 @@ class TestRep004BareAssert:
         assert lint_fixture("rep004_good.py", "REP004").findings == []
 
 
-class TestRep005LockPairing:
-    def test_bad_locations(self):
-        report = lint_fixture("rep005_bad.py", "REP005")
-        assert flagged_lines(report, "REP005") == [6, 10]
-
-    def test_good_is_clean(self):
-        assert lint_fixture("rep005_good.py", "REP005").findings == []
-
-    def test_release_in_reachable_helper_pairs(self):
-        # Regression: the old per-scope check flagged an acquire whose
-        # release lived in a helper; the call graph now pairs them.
-        assert lint_fixture("rep005_helper.py", "REP005").findings == []
-
-
 class TestRep006WalDiscipline:
     def test_bad_locations(self):
         report = lint_fixture("rep006_bad.py", "REP006")
@@ -108,7 +94,7 @@ class TestSuppression:
     def test_suppression_is_per_rule(self):
         # The same fixture linted for a rule its comments never mention
         # must not be silenced by them.
-        report = lint_fixture("rep006_good.py", "REP005")
+        report = lint_fixture("rep006_good.py", "REP001")
         assert report.findings == [] and report.suppressed == 0
 
 

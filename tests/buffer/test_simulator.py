@@ -6,8 +6,8 @@ from repro.buffer.simulator import (
     BufferSimulation,
     SimulationConfig,
     pages_for_megabytes,
-    sweep_buffer_sizes,
 )
+from repro.experiments.figures import sweep_buffer_sizes
 from repro.workload.mix import TransactionType
 from repro.workload.trace import TraceConfig
 

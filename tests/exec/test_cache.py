@@ -1,7 +1,9 @@
 """Unit tests for the content-addressed result cache and its keys."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ import pytest
 from repro.buffer.simulator import SimulationConfig, run_simulation_config
 from repro.exec.cache import MISSING, ResultCache, cache_key, stable_fingerprint
 from repro.workload.trace import TraceConfig
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _reference_config() -> SimulationConfig:
@@ -74,7 +78,7 @@ class TestCacheKey:
             capture_output=True,
             text=True,
             timeout=120,
-            env={"PYTHONPATH": "src", "PYTHONHASHSEED": "12345"},
+            env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": "12345"},
         )
         assert process.returncode == 0, process.stderr
         assert process.stdout.strip() == cache_key(

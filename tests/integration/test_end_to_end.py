@@ -29,7 +29,7 @@ ROOT = Path(__file__).resolve().parents[2]
 @pytest.fixture(scope="module")
 def simulation_reports():
     """A small Figure 8 sweep shared by the pipeline tests."""
-    from repro.buffer.simulator import sweep_buffer_sizes
+    from repro.experiments.figures import sweep_buffer_sizes
 
     base = SimulationConfig(
         trace=TraceConfig(warehouses=2, seed=31),

@@ -1,6 +1,7 @@
 """CI-parity tests for scripts/validate_metrics.py and the checked-in schema."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -71,7 +72,11 @@ class TestValidator:
             capture_output=True,
             text=True,
             cwd=REPO_ROOT,
-            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+            env={
+                **os.environ,
+                "PYTHONPATH": str(REPO_ROOT / "src"),
+                "PATH": "/usr/bin:/bin",
+            },
         )
         assert run.returncode == 0, run.stderr
         proc = _validate(run.stdout)

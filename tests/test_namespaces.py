@@ -134,6 +134,11 @@ class TestImportGraph:
             ),
         )
 
+    def test_buffer_simulator_loads_no_execution_engine(self):
+        loaded = _loaded_after("import repro.buffer.simulator")
+        assert "repro.buffer.simulator" in loaded
+        assert not _under(loaded, ("exec",))
+
     def test_tpcc_loads_no_simulators(self):
         loaded = _loaded_after("import repro.tpcc.executor, repro.tpcc.loader")
         assert "repro.tpcc.executor" in loaded
