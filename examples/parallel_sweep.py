@@ -11,7 +11,7 @@ cache.
 Usage::
 
     python examples/parallel_sweep.py
-    python examples/parallel_sweep.py --jobs 4 --preset standard
+    python examples/parallel_sweep.py --jobs 4 --preset paper
 """
 
 import argparse
@@ -26,9 +26,7 @@ from repro.exec import build_engine
 def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--experiment", default="fig8")
-    parser.add_argument(
-        "--preset", choices=["quick", "standard", "paper"], default="quick"
-    )
+    parser.add_argument("--preset", choices=["quick", "paper"], default="quick")
     parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument(
         "--cache-dir", default=None, help="default: a fresh temp directory"

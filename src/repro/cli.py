@@ -4,7 +4,7 @@ Subcommands::
 
     python -m repro list                       # all experiment ids
     python -m repro run fig5                   # regenerate an artifact
-    python -m repro run fig8 --preset standard # paper-scale simulation
+    python -m repro run fig8 --preset paper    # the paper's protocol
     python -m repro run fig8 --jobs 4 --cache-dir ~/.repro-cache
     python -m repro run fig8 --metrics out.json --trace trace.jsonl
     python -m repro run-all --preset quick     # every table and figure
@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_engine_arguments(subparser: argparse.ArgumentParser) -> None:
         subparser.add_argument(
             "--preset",
-            choices=["quick", "standard", "paper"],
+            choices=["quick", "paper"],
             default="quick",
             help="simulation effort (default: quick)",
         )
@@ -383,6 +383,12 @@ def _note(args, message: str) -> None:
     print(message, file=stream)
 
 
+def _invalid_arguments(error: ValueError) -> int:
+    """Report a configuration the arguments describe but the model rejects."""
+    print(f"invalid arguments: {error}", file=sys.stderr)
+    return 2
+
+
 def _command_list(args) -> int:
     from repro.experiments.runner import EXPERIMENTS, list_experiments
 
@@ -585,15 +591,18 @@ def _command_validate(args) -> int:
     from repro.workload.trace import TraceConfig
     from repro.workload.validation import validate_trace
 
-    config = TraceConfig(
-        warehouses=args.warehouses,
-        items=args.items,
-        customers_per_district=args.customers,
-        prime_orders=min(30, args.customers),
-        prime_pending=min(10, args.customers),
-        packing=args.packing,
-    )
-    checks = validate_trace(config, args.transactions)
+    try:
+        config = TraceConfig(
+            warehouses=args.warehouses,
+            items=args.items,
+            customers_per_district=args.customers,
+            prime_orders=min(30, args.customers),
+            prime_pending=min(10, args.customers),
+            packing=args.packing,
+        )
+        checks = validate_trace(config, args.transactions)
+    except ValueError as error:
+        return _invalid_arguments(error)
     rows = [check.as_row() for check in checks.values()]
     consistent = all(check.consistent() for check in checks.values())
     text = render_table(
@@ -607,10 +616,13 @@ def _command_trace(args) -> int:
     from repro.workload.trace import TraceConfig
     from repro.workload.tracefile import SavedTrace
 
-    config = TraceConfig(
-        warehouses=args.warehouses, packing=args.packing, seed=args.seed
-    )
-    saved = SavedTrace.record(config, args.transactions)
+    try:
+        config = TraceConfig(
+            warehouses=args.warehouses, packing=args.packing, seed=args.seed
+        )
+        saved = SavedTrace.record(config, args.transactions)
+    except ValueError as error:
+        return _invalid_arguments(error)
     written = saved.save(args.path)
     _emit(
         args,
@@ -651,10 +663,13 @@ def _command_throughput(args) -> int:
     from repro.throughput.params import CostParameters
     from repro.throughput.pricing import AnalyticMissRateProvider
 
-    miss = AnalyticMissRateProvider(packing=args.packing)(args.buffer_mb)
-    result = ThroughputModel(
-        params=CostParameters(mips=args.mips), miss_rates=miss
-    ).solve()
+    try:
+        miss = AnalyticMissRateProvider(packing=args.packing)(args.buffer_mb)
+        result = ThroughputModel(
+            params=CostParameters(mips=args.mips), miss_rates=miss
+        ).solve()
+    except ValueError as error:
+        return _invalid_arguments(error)
     rows = [
         {"metric": "buffer MB", "value": args.buffer_mb},
         {"metric": "packing", "value": args.packing},

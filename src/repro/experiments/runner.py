@@ -18,13 +18,11 @@ class Preset(enum.Enum):
     """Simulation effort levels.
 
     ``QUICK`` finishes in seconds (reduced warehouses / batches /
-    grids) for CI; ``STANDARD`` runs the paper's 20-warehouse setup at
-    a coarser statistical budget, in minutes; ``PAPER`` replicates the
-    paper's 30x100k batch-means protocol (long).
+    grids) for CI; ``PAPER`` runs the paper's protocol: 20 warehouses,
+    30 batches of 100 000 references, a 64-point buffer grid.
     """
 
     QUICK = "quick"
-    STANDARD = "standard"
     PAPER = "paper"
 
 

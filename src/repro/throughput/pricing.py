@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.buffer.analytic import che_characteristic_time, che_hit_probabilities
+from repro.buffer.kernels import require_megabytes
 from repro.constants import (
     CPU_PRICE_DOLLARS,
     DEFAULT_PAGE_SIZE,
@@ -127,6 +128,7 @@ class AnalyticMissRateProvider:
 
     def __call__(self, buffer_mb: float) -> MissRateInputs:
         """Miss-rate inputs at a buffer size in megabytes."""
+        require_megabytes(buffer_mb, "buffer_mb")
         capacity = int(buffer_mb * 1024 * 1024 // self._page_size)
         capacity = max(1, capacity - self._reserved_pages)
         t = che_characteristic_time(self._pool_pmf, capacity)
@@ -199,6 +201,7 @@ class InterpolatingMissRateProvider:
         )
 
     def __call__(self, buffer_mb: float) -> MissRateInputs:
+        require_megabytes(buffer_mb, "buffer_mb")
         kwargs = {
             name: float(
                 np.clip(np.interp(buffer_mb, self._sizes, self._values[name]), 0.0, 1.0)

@@ -63,9 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: Default reference budget per encoded batch.
 DEFAULT_BATCH_SIZE = 65536
 
-#: Stream output formats accepted by ``TraceGenerator.stream``.
-STREAM_FORMATS = ("objects", "encoded")
-
 _N_TYPES = len(TRANSACTION_ORDER)
 _NEW_ORDER_IDX = TRANSACTION_ORDER.index(TransactionType.NEW_ORDER)
 _PAYMENT_IDX = TRANSACTION_ORDER.index(TransactionType.PAYMENT)

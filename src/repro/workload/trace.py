@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import weakref
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -37,17 +36,11 @@ from repro.core.packing import (
     SequentialPacking,
 )
 from repro.workload.generator import InputGenerator
-from repro.workload.mix import (
-    DEFAULT_MIX,
-    TRANSACTION_ORDER,
-    TransactionMix,
-    TransactionType,
-)
+from repro.workload.mix import DEFAULT_MIX, TransactionMix
 from repro.workload.schema import RELATIONS
 from repro.workload.state import ColumnarOrderState
 from repro.workload.stream import (
     DEFAULT_BATCH_SIZE,
-    STREAM_FORMATS,
     EncodedBatch,
     VectorBatchEmitter,
     select_payment_customers,
@@ -68,9 +61,6 @@ RELATION_NAMES: tuple[str, ...] = (
 
 #: Relation name -> integer index used in page keys.
 RELATION_INDEX: dict[str, int] = {name: i for i, name in enumerate(RELATION_NAMES)}
-
-#: Transaction type per mix-sampler index (hot-path lookup).
-_TRANSACTION_BY_INDEX = TRANSACTION_ORDER
 
 _WAREHOUSE = RELATION_INDEX["warehouse"]
 _DISTRICT = RELATION_INDEX["district"]
@@ -568,64 +558,20 @@ class TraceGenerator:
 
     # -- per-transaction reference generation -------------------------------------
 
-    def stream(
-        self,
-        *,
-        format: str = "encoded",
-        batch_size: int = DEFAULT_BATCH_SIZE,
-    ) -> Iterator:
-        """Unified trace stream (the one public emission API).
+    def stream(self, *, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[EncodedBatch]:
+        """The trace as an endless run of :class:`EncodedBatch` blocks.
 
-        ``format="encoded"`` yields :class:`EncodedBatch` blocks of at
-        least ``batch_size`` int-encoded references, always ending on a
-        transaction boundary.  ``format="objects"`` yields
-        ``(TransactionType, [PageReference])`` per transaction: a
-        decoded view of the very same blocks.
-
-        Both formats consume the same underlying random stream, so a
-        given config yields the identical trace whichever is read.  A
-        generator is read in one format by one reader: the objects view
-        plans a block of ``batch_size`` references ahead, so the
-        workload state and any second reader are up to a block past the
-        transaction last yielded.
+        Each block holds at least ``batch_size`` int-encoded references
+        and ends on a transaction boundary; :meth:`references` and
+        ``page_id_space.decode_ref_arrays`` decode them.
         """
-        if format not in STREAM_FORMATS:
-            raise ValueError(
-                f"format must be one of {STREAM_FORMATS}, got {format!r}"
-            )
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        batches = self._batches(batch_size)
-        if format == "encoded":
-            return batches
-        return chain.from_iterable(map(self._decoded, batches))
+        return self._batches(batch_size)
 
     def _batches(self, batch_size: int) -> Iterator[EncodedBatch]:
         while True:
             yield self.encoded_batch(min_refs=batch_size)
-
-    def _decoded(
-        self, batch: EncodedBatch
-    ) -> Iterator[tuple[TransactionType, list[PageReference]]]:
-        """The transactions of one encoded batch, decoded one at a time."""
-        relation, page, write = (
-            column.tolist()
-            for column in self._tables.space.decode_ref_arrays(batch.refs)
-        )
-        start = 0
-        for tx_index, length in zip(
-            batch.tx_indices.tolist(), batch.tx_lengths.tolist()
-        ):
-            stop = start + length
-            yield _TRANSACTION_BY_INDEX[tx_index], list(
-                map(
-                    PageReference,
-                    relation[start:stop],
-                    page[start:stop],
-                    write[start:stop],
-                )
-            )
-            start = stop
 
     def encoded_batch(
         self,
@@ -722,7 +668,8 @@ class TraceGenerator:
     def references(self, transactions: int) -> Iterator[PageReference]:
         """The references of the next ``transactions`` transactions, flat."""
         batch = self.encoded_batch(transactions=transactions)
-        return chain.from_iterable(refs for _, refs in self._decoded(batch))
+        columns = self._tables.space.decode_ref_arrays(batch.refs)
+        return map(PageReference, *(column.tolist() for column in columns))
 
     def highest_page_id(self) -> int:
         """Upper bound on the dense page ids emitted so far.

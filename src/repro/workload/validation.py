@@ -22,9 +22,13 @@ from repro.core.mapping import page_access_distribution
 from repro.core.nurand import customer_mixture_distribution, item_id_distribution
 from repro.core.packing import HottestFirstPacking, SequentialPacking
 from repro.stats.distribution import DiscreteDistribution
-from repro.workload.mix import TransactionType
+from repro.workload.mix import TRANSACTION_ORDER, TransactionType
 from repro.workload.schema import RELATIONS
 from repro.workload.trace import RELATION_INDEX, TraceConfig, TraceGenerator
+
+
+#: Transactions per encoded block that :func:`validate_trace` counts at once.
+_BLOCK_TRANSACTIONS = 4096
 
 
 @dataclass(frozen=True)
@@ -114,42 +118,33 @@ def validate_trace(
     """
     if transactions <= 0:
         raise ValueError(f"transactions must be positive, got {transactions}")
-    trace = TraceGenerator(config)
-    item_index = RELATION_INDEX["item"]
-    stock_index = RELATION_INDEX["stock"]
-    customer_index = RELATION_INDEX["customer"]
-
-    analytic = {
-        relation: _analytic_page_pmf(config, relation)
-        for relation in ("item", "stock", "customer")
-    }
-    counts = {
-        relation: np.zeros(analytic[relation].size, dtype=np.int64)
-        for relation in ("item", "stock", "customer")
-    }
-    stock_pages_per_block = analytic["stock"].size
-    customer_pages_per_block = analytic["customer"].size
-
     # Which transactions access each relation through NURand (Table 3):
     # item and stock only via New-Order; customer via New-Order, Payment
     # and Order-Status (Delivery's customer accesses are P-type).
-    customer_nu_transactions = {
-        TransactionType.NEW_ORDER,
-        TransactionType.PAYMENT,
-        TransactionType.ORDER_STATUS,
+    nu_transactions = {
+        "item": [TransactionType.NEW_ORDER],
+        "stock": [TransactionType.NEW_ORDER],
+        "customer": [
+            TransactionType.NEW_ORDER,
+            TransactionType.PAYMENT,
+            TransactionType.ORDER_STATUS,
+        ],
     }
-    stream = trace.stream(format="objects")
-    for _ in range(transactions):
-        tx_type, refs = next(stream)
-        for relation, page, _ in refs:
-            if relation == item_index:
-                counts["item"][page] += 1
-            elif relation == stock_index and tx_type is TransactionType.NEW_ORDER:
-                counts["stock"][page % stock_pages_per_block] += 1
-            elif relation == customer_index and tx_type in customer_nu_transactions:
-                counts["customer"][page % customer_pages_per_block] += 1
-
-    return {
-        relation: _check(relation, counts[relation], analytic[relation])
-        for relation in ("item", "stock", "customer")
-    }
+    analytic = {name: _analytic_page_pmf(config, name) for name in nu_transactions}
+    counts = {name: np.zeros(pmf.size, dtype=np.int64) for name, pmf in analytic.items()}
+    trace = TraceGenerator(config)
+    left = transactions
+    while left:
+        # Bounded blocks keep memory flat in the transaction count; the
+        # trace does not depend on where its blocks are cut.
+        batch = trace.encoded_batch(transactions=min(left, _BLOCK_TRANSACTIONS))
+        left -= batch.tx_lengths.size
+        relation, page, _ = trace.page_id_space.decode_ref_arrays(batch.refs)
+        tx_index = np.repeat(batch.tx_indices, batch.tx_lengths)
+        for name, kinds in nu_transactions.items():
+            counted = (relation == RELATION_INDEX[name]) & np.isin(
+                tx_index, [TRANSACTION_ORDER.index(kind) for kind in kinds]
+            )
+            size = analytic[name].size
+            counts[name] += np.bincount(page[counted] % size, minlength=size)
+    return {name: _check(name, counts[name], analytic[name]) for name in nu_transactions}

@@ -27,9 +27,11 @@ class TestRunRequest:
         assert not request.collect_metrics
 
     def test_preset_string_coerced(self):
-        assert RunRequest(experiment="fig8", preset="standard").preset is (
-            Preset.STANDARD
-        )
+        assert RunRequest(experiment="fig8", preset="paper").preset is Preset.PAPER
+
+    def test_removed_preset_rejected(self):
+        with pytest.raises(ValueError, match="standard"):
+            RunRequest(experiment="fig8", preset="standard")
 
     def test_keyword_only(self):
         with pytest.raises(TypeError):
@@ -117,9 +119,9 @@ class TestExecute:
                 experiment="_test_dummy", title="t", rows=[{"a": 1}]
             )
 
-        result = execute(RunRequest(experiment="_test_dummy", preset="standard"))
+        result = execute(RunRequest(experiment="_test_dummy", preset="paper"))
         assert result.rows == [{"a": 1}]
-        assert seen["preset"] is Preset.STANDARD
+        assert seen["preset"] is Preset.PAPER
 
     def test_writes_manifest_for_owned_engine(self, tmp_path, monkeypatch):
         _fresh_registry(monkeypatch)

@@ -32,6 +32,13 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "fig5", "--preset", "galactic"])
 
+    def test_standard_preset_is_gone(self, capsys):
+        """Two presets remain: ``quick`` and ``paper``."""
+        with pytest.raises(SystemExit) as usage:
+            main(["run", "fig8", "--preset", "standard"])
+        assert usage.value.code == 2
+        assert "'standard'" in capsys.readouterr().err
+
     def test_kernel_flag(self, capsys):
         """One back end, no selector: the flag is a usage error."""
         with pytest.raises(SystemExit) as usage:
@@ -282,6 +289,37 @@ class TestTrace:
         ) == 0
         assert path.exists()
         assert "recorded" in capsys.readouterr().out
+
+
+class TestInvalidArguments:
+    """A value the model rejects is a one-line usage error, not a result
+    computed from a clamped value or a traceback."""
+
+    @pytest.mark.parametrize("value", ["0", "-5", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["throughput", "--buffer-mb"],
+            ["validate", "--transactions"],
+            ["trace", "{tmp}/out.npz", "--warehouses"],
+        ],
+        ids=["throughput", "validate", "trace"],
+    )
+    def test_exit_2_with_one_line(self, argv, value, tmp_path, capsys):
+        argv = [arg.format(tmp=tmp_path) for arg in argv] + [value]
+        try:
+            code = main(argv)
+        except SystemExit as usage:  # argparse: "nan" is not an int
+            code = usage.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert not (tmp_path / "out.npz").exists()
+        if value == "nan" and argv[0] != "throughput":
+            assert "invalid int value: 'nan'" in captured.err
+        else:
+            assert captured.err.startswith("invalid arguments: ")
+            assert captured.err.count("\n") == 1
 
 
 class TestRunCsv:

@@ -43,7 +43,11 @@ class TestRegistry:
         assert isinstance(result, ExperimentResult)
 
     def test_preset_enum(self):
-        assert Preset("standard") is Preset.STANDARD
+        """Two presets: scaled for CI, and the paper's protocol."""
+        assert [preset.value for preset in Preset] == ["quick", "paper"]
+        assert Preset("paper") is Preset.PAPER
+        with pytest.raises(ValueError):
+            Preset("standard")
 
 
 class TestResultRendering:

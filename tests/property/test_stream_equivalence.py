@@ -216,20 +216,16 @@ class TestEmitterByteIdentity:
         assert by_refs._mix_next == stream_module.PLAN_CHUNK_TRANSACTIONS
 
     def test_object_stream_matches_encoded(self):
-        """``format="objects"`` is the decoded view of the encoded stream."""
+        """``references()``, the object view, decodes the very trace that
+        ``stream()`` emits, whichever way the batches are cut."""
         config = TraceConfig(warehouses=2, seed=13)
-        objects = TraceGenerator(config).stream(format="objects")
-        encoded_trace = TraceGenerator(config)
-        batch = encoded_trace.encoded_batch(transactions=300)
-        decode = encoded_trace.page_id_space.decode_ref
-        start = 0
-        for length in batch.tx_lengths.tolist():
-            _, refs = next(objects)
-            encoded_tx = batch.refs[start : start + length].tolist()
-            assert [tuple(ref) for ref in refs] == [
-                tuple(decode(ref)) for ref in encoded_tx
-            ]
-            start += length
+        stream_trace = TraceGenerator(config)
+        batch = next(stream_trace.stream(batch_size=5_000))
+        decode = stream_trace.page_id_space.decode_ref
+        objects = TraceGenerator(config).references(batch.tx_lengths.size)
+        assert [tuple(ref) for ref in objects] == [
+            tuple(decode(ref)) for ref in batch.refs.tolist()
+        ]
 
     def test_decode_ref_arrays_matches_scalar_decode(self):
         trace = TraceGenerator(TraceConfig(warehouses=1, seed=5))

@@ -69,6 +69,11 @@ class TestAnalyticProvider:
         with pytest.raises(ValueError, match="packing"):
             AnalyticMissRateProvider(packing="diagonal")
 
+    @pytest.mark.parametrize("megabytes", [0.0, -5.0, float("nan"), float("inf")])
+    def test_invalid_buffer_size(self, provider, megabytes):
+        with pytest.raises(ValueError, match="buffer_mb"):
+            provider(megabytes)
+
 
 class TestInterpolatingProvider:
     def _grid(self):
@@ -95,6 +100,12 @@ class TestInterpolatingProvider:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             InterpolatingMissRateProvider({})
+
+    @pytest.mark.parametrize("megabytes", [0.0, -5.0, float("nan"), float("inf")])
+    def test_invalid_buffer_size(self, megabytes):
+        provider = InterpolatingMissRateProvider(self._grid())
+        with pytest.raises(ValueError, match="buffer_mb"):
+            provider(megabytes)
 
 
 class TestSweep:

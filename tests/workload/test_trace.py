@@ -7,8 +7,15 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.workload import stream as stream_module
 from repro.workload import trace as trace_module
-from repro.workload.mix import DEFAULT_MIX, TransactionMix, TransactionType
+from repro.workload.stream import EncodedBatch
+from repro.workload.mix import (
+    DEFAULT_MIX,
+    TRANSACTION_ORDER,
+    TransactionMix,
+    TransactionType,
+)
 from repro.workload.trace import (
     PACKING_KINDS,
     RELATION_INDEX,
@@ -104,12 +111,14 @@ class TestPageMapping:
 
 class TestReferenceStreams:
     def _refs_by_type(self, packing="sequential", transactions=400):
+        """Each transaction's references, decoded from one encoded batch."""
         trace = TraceGenerator(TraceConfig(warehouses=2, packing=packing, seed=9))
-        stream = trace.stream(format="objects")
+        batch = trace.encoded_batch(transactions=transactions)
+        refs = list(map(trace.page_id_space.decode_ref, batch.refs.tolist()))
+        ends = np.cumsum(batch.tx_lengths).tolist()
         by_type = collections.defaultdict(list)
-        for _ in range(transactions):
-            tx_type, refs = next(stream)
-            by_type[tx_type].append(refs)
+        for tx_index, start, end in zip(batch.tx_indices.tolist(), [0, *ends], ends):
+            by_type[TRANSACTION_ORDER[tx_index]].append(refs[start:end])
         return by_type
 
     def test_new_order_reference_count(self):
@@ -308,8 +317,8 @@ class TestSharedTables:
 
 
 class TestLifetime:
-    @pytest.mark.parametrize("objects_view", [True, False])
-    def test_freed_by_reference_count_alone(self, objects_view):
+    @pytest.mark.parametrize("streamed", [True, False])
+    def test_freed_by_reference_count_alone(self, streamed):
         """A generator that has emitted is not cyclic garbage: dropping
         the last reference frees it (and its state) with the cycle
         collector switched off."""
@@ -318,8 +327,8 @@ class TestLifetime:
         try:
             trace = TraceGenerator(TraceConfig(warehouses=1, seed=34))
             trace.encoded_batch(transactions=50)
-            if objects_view:
-                next(trace.stream(format="objects"))
+            if streamed:
+                next(trace.stream())
             alive = weakref.ref(trace)
             state = weakref.ref(trace.state)
             del trace
@@ -338,6 +347,13 @@ class TestOneEmissionPath:
             trace.stream(vectorized=False)
         with pytest.raises(TypeError):
             trace.encoded_batch(transactions=1, vectorized=False)
+
+    def test_stream_yields_only_encoded_batches(self):
+        trace = TraceGenerator(TraceConfig(warehouses=1, seed=21))
+        with pytest.raises(TypeError):
+            trace.stream(format="objects")
+        assert isinstance(next(trace.stream(batch_size=100)), EncodedBatch)
+        assert not hasattr(stream_module, "STREAM_FORMATS")
 
     def test_per_transaction_entry_points_are_gone(self):
         trace = TraceGenerator(TraceConfig(warehouses=1, seed=21))

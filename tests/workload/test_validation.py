@@ -1,9 +1,11 @@
 """Tests for repro.workload.validation (trace-vs-theory consistency)."""
 
+import numpy as np
 import pytest
 
 from repro.workload import validation
-from repro.workload.trace import TraceConfig
+from repro.workload.mix import TRANSACTION_ORDER, TransactionType
+from repro.workload.trace import TraceConfig, TraceGenerator
 from repro.workload.validation import validate_trace
 
 
@@ -64,12 +66,46 @@ class TestConsistency:
     def test_detects_wrong_distribution(self):
         """Sanity: comparing against the wrong PMF must fail."""
         from repro.workload import validation
-        import numpy as np
 
         analytic = validation._analytic_page_pmf(scaled_config(), "item")
         uniform_counts = np.full(analytic.size, 100, dtype=np.int64)
         check = validation._check("item", uniform_counts, analytic)
         assert not check.consistent(tv_threshold=0.05)
+
+
+class TestCounting:
+    def test_counts_equal_a_loop_over_decoded_references(self, check_inputs):
+        """The column-wise fold counts what a per-reference loop counts:
+        every item page, New-Order's stock pages, and the customer pages
+        of New-Order, Payment and Order-Status, folded over blocks."""
+        inputs, _ = check_inputs
+        expected = {
+            relation: np.zeros(counts.size, dtype=np.int64)
+            for relation, (counts, _) in inputs.items()
+        }
+        customer_types = {
+            TransactionType.NEW_ORDER,
+            TransactionType.PAYMENT,
+            TransactionType.ORDER_STATUS,
+        }
+        trace = TraceGenerator(scaled_config())
+        batch = trace.encoded_batch(transactions=6_000)
+        refs = batch.refs.tolist()
+        start = 0
+        for tx_index, length in zip(batch.tx_indices.tolist(), batch.tx_lengths.tolist()):
+            tx_type = TRANSACTION_ORDER[tx_index]
+            for ref in refs[start : start + length]:
+                reference = trace.page_id_space.decode_ref(ref)
+                name = reference.relation_name
+                if name == "item":
+                    expected["item"][reference.page] += 1
+                elif (name == "stock" and tx_type is TransactionType.NEW_ORDER) or (
+                    name == "customer" and tx_type in customer_types
+                ):
+                    expected[name][reference.page % expected[name].size] += 1
+            start += length
+        for relation, (counts, _) in inputs.items():
+            assert np.array_equal(counts, expected[relation]), relation
 
 
 class TestChiSquare:
