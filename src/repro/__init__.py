@@ -81,7 +81,7 @@ if TYPE_CHECKING:
     from repro.workload.trace import TraceConfig as TraceConfig
     from repro.workload.trace import TraceGenerator as TraceGenerator
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__, __getattr__, __dir__ = attach(
     __name__,

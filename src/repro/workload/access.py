@@ -44,7 +44,8 @@ class AccessEntry:
     count: float
 
     def __str__(self) -> str:
-        count = int(self.count) if self.count == int(self.count) else self.count
+        # Display only: a float sum such as 2.1999999999999997 prints as 2.2.
+        count = int(self.count) if self.count == int(self.count) else round(self.count, 3)
         return f"{self.kind.value}({count})"
 
 
@@ -210,7 +211,12 @@ def relation_access_table(
 def transaction_mix_table(
     mix: TransactionMix = DEFAULT_MIX,
 ) -> list[dict[str, object]]:
-    """Regenerate paper Table 2 as a list of row dicts."""
+    """Regenerate paper Table 2 as a list of row dicts.
+
+    Counts are rounded to three decimals here, for display only:
+    :func:`transaction_call_counts` keeps the unrounded sums, which feed
+    the Table 4 visit counts.
+    """
     counts = transaction_call_counts()
     rows = []
     for tx_type in TransactionType:
@@ -219,12 +225,12 @@ def transaction_mix_table(
             {
                 "transaction": tx_type.value,
                 "assumed %": round(mix.share(tx_type) * 100, 1),
-                "selects": census.selects,
-                "updates": census.updates,
-                "inserts": census.inserts,
-                "deletes": census.deletes,
-                "non-unique selects": census.non_unique_selects,
-                "joins": census.joins,
+                "selects": round(census.selects, 3),
+                "updates": round(census.updates, 3),
+                "inserts": round(census.inserts, 3),
+                "deletes": round(census.deletes, 3),
+                "non-unique selects": round(census.non_unique_selects, 3),
+                "joins": round(census.joins, 3),
             }
         )
     return rows

@@ -224,8 +224,8 @@ class TestModuleEntryPoint:
         assert "fig8" in process.stdout
 
     def test_cold_start_loads_no_scipy(self):
-        """Importing repro and listing experiments load no scipy module; a
-        batch-means run then loads ``scipy.special`` and never ``scipy.stats``.
+        """Importing repro, listing experiments and a batch-means run load
+        no scipy module: the t quantile is the standard library's.
 
         A fresh interpreter, because this process already holds scipy.
         """
@@ -243,9 +243,11 @@ class TestModuleEntryPoint:
             import repro.tpcc.executor
             from repro.cli import main
 
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
             assert main(["list"]) == 0
-            loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-            assert not loaded, loaded[:5]
+            assert not scipy_modules(), scipy_modules()[:5]
 
             config = repro.SimulationConfig(
                 trace=repro.TraceConfig(warehouses=1, seed=3),
@@ -256,8 +258,7 @@ class TestModuleEntryPoint:
             )
             report = repro.BufferSimulation(config).run()
             assert report.relations["stock"].summary is not None
-            assert "scipy.special" in sys.modules
-            assert "scipy.stats" not in sys.modules
+            assert not scipy_modules(), scipy_modules()[:5]
             """
         )
         process = subprocess.run(
@@ -268,6 +269,44 @@ class TestModuleEntryPoint:
         )
         assert process.returncode == 0, process.stderr
         assert "fig8" in process.stdout
+
+    def test_batch_means_runs_with_scipy_blocked(self):
+        """With scipy unimportable, a simulation, a run to precision and
+        the fig8 sweep all still produce their intervals."""
+        import subprocess
+        import sys
+        import textwrap
+
+        script = textwrap.dedent(
+            """
+            import sys
+
+            sys.modules["scipy"] = None
+
+            import repro
+            from repro.cli import main
+
+            config = repro.SimulationConfig(
+                trace=repro.TraceConfig(warehouses=1, seed=3),
+                buffer_mb=1,
+                batches=2,
+                batch_size=2_000,
+                warmup_references=2_000,
+            )
+            simulation = repro.BufferSimulation(config)
+            assert simulation.run().relations["stock"].summary is not None
+            precise = simulation.run_until_precise(max_batches=8)
+            assert precise.relations["stock"].summary is not None
+            assert main(["run", "fig8", "--preset", "quick", "--quiet"]) == 0
+            """
+        )
+        process = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert process.returncode == 0, process.stderr
 
 
 class TestValidate:

@@ -106,6 +106,8 @@ class TestTableRendering:
         assert len(rows) == 9
         stock_row = next(row for row in rows if row["relation"] == "stock")
         assert stock_row["new_order"] == "NU(10)"
+        customer_row = next(row for row in rows if row["relation"] == "customer")
+        assert customer_row["payment"] == customer_row["order_status"] == "NU(2.2)"
         assert stock_row["average"] == pytest.approx(12.3, abs=0.01)
 
     def test_table2_rows(self):
@@ -118,3 +120,4 @@ class TestTableRendering:
             "stock_level",
         ]
         assert rows[0]["assumed %"] == 43.0
+        assert rows[1]["selects"] == 4.2  # the census's float sum, rounded for display
