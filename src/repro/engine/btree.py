@@ -128,11 +128,9 @@ class BPlusTree:
         return self._size
 
     def __contains__(self, key: Any) -> bool:
-        try:
-            self.search(key)
-        except RecordNotFoundError:
-            return False
-        return True
+        keys = self._find_leaf(key).keys
+        index = bisect.bisect_left(keys, key)
+        return index < len(keys) and keys[index] == key
 
     @property
     def _max_keys(self) -> int:

@@ -48,6 +48,15 @@ from repro.engine.table import IndexSpec, Table
 from repro.engine.wal import LogRecordType, WriteAheadLog
 from repro.obs import instruments
 
+# Enum members, bound once: on CPython 3.10 and 3.11 a load through the
+# class goes through ``EnumType.__getattr__`` (see ``locks.py``), and a
+# statement makes several: its state check, lock mode and record type.
+_SHARED = LockMode.SHARED
+_EXCLUSIVE = LockMode.EXCLUSIVE
+_INSERT = LogRecordType.INSERT
+_UPDATE = LogRecordType.UPDATE
+_DELETE = LogRecordType.DELETE
+
 
 @dataclass
 class CallCounts:
@@ -96,6 +105,11 @@ class _TxnState(enum.Enum):
     ABORTED = "aborted"
 
 
+_ACTIVE = _TxnState.ACTIVE
+_COMMITTED = _TxnState.COMMITTED
+_ABORTED = _TxnState.ABORTED
+
+
 class Transaction:
     """One unit of work; obtain via :meth:`Database.begin`."""
 
@@ -103,7 +117,7 @@ class Transaction:
         self._db = db
         self._id = txn_id
         self._label = label
-        self._state = _TxnState.ACTIVE
+        self._state = _ACTIVE
         #: Database epoch at begin; a crash bumps the epoch, making this
         #: transaction stale (recovery already rolled it back via WAL).
         self._epoch = db.epoch
@@ -125,7 +139,7 @@ class Transaction:
 
     @property
     def is_active(self) -> bool:
-        return self._state is _TxnState.ACTIVE
+        return self._state is _ACTIVE
 
     def _statement(self, kind: str) -> ContextManager[None]:
         """Gate scope (when a gate is installed) for one SQL call.
@@ -155,13 +169,13 @@ class Transaction:
     ) -> dict:
         """Fetch one row by primary key under an S lock."""
         db = self._db
-        if self._state is not _TxnState.ACTIVE or self._epoch != db.epoch:
+        if self._state is not _ACTIVE or self._epoch != db.epoch:
             self._check_active()
         gate = db._statement_gate
         try:
             with _UNGATED if gate is None else gate.statement(self, "select"):
                 target = db.table(table)
-                db.locks.acquire(self._id, (table, key), LockMode.SHARED)
+                db.locks.acquire(self._id, (table, key), _SHARED)
                 self.calls.selects += 1
                 return target.get(key, columns)
         except LockWait as wait:
@@ -180,7 +194,7 @@ class Transaction:
         returned, the paper's costing of the customer-name lookup.
         """
         db = self._db
-        if self._state is not _TxnState.ACTIVE or self._epoch != db.epoch:
+        if self._state is not _ACTIVE or self._epoch != db.epoch:
             self._check_active()
         gate = db._statement_gate
         try:
@@ -190,7 +204,7 @@ class Transaction:
                 for rid in target.lookup(index, key):
                     row = target.read(rid, columns)
                     db.locks.acquire(
-                        self._id, (table, target.schema.key_of(row)), LockMode.SHARED
+                        self._id, (table, target.schema.key_of(row)), _SHARED
                     )
                     rows.append(row)
                 self.calls.non_unique_selects += 1
@@ -230,7 +244,7 @@ class Transaction:
         smallest: bool,
     ) -> dict | None:
         db = self._db
-        if self._state is not _TxnState.ACTIVE or self._epoch != db.epoch:
+        if self._state is not _ACTIVE or self._epoch != db.epoch:
             self._check_active()
         gate = db._statement_gate
         try:
@@ -247,7 +261,7 @@ class Transaction:
                 _, rid = entry
                 row = target.read(rid, columns)
                 db.locks.acquire(
-                    self._id, (table, target.schema.key_of(row)), LockMode.SHARED
+                    self._id, (table, target.schema.key_of(row)), _SHARED
                 )
                 return row
         except LockWait as wait:
@@ -270,7 +284,7 @@ class Transaction:
         the statement gate cannot span safely.
         """
         db = self._db
-        if self._state is not _TxnState.ACTIVE or self._epoch != db.epoch:
+        if self._state is not _ACTIVE or self._epoch != db.epoch:
             self._check_active()
         gate = db._statement_gate
         try:
@@ -280,7 +294,7 @@ class Transaction:
                 for _, rid in target.btree_range(index, low, high):
                     row = target.read(rid, columns)
                     db.locks.acquire(
-                        self._id, (table, target.schema.key_of(row)), LockMode.SHARED
+                        self._id, (table, target.schema.key_of(row)), _SHARED
                     )
                     self.calls.selects += 1
                     rows.append(row)
@@ -300,19 +314,19 @@ class Transaction:
         either the row exists and is logged, or neither happened.
         """
         db = self._db
-        if self._state is not _TxnState.ACTIVE or self._epoch != db.epoch:
+        if self._state is not _ACTIVE or self._epoch != db.epoch:
             self._check_active()
         gate = db._statement_gate
         try:
             with _UNGATED if gate is None else gate.statement(self, "insert"):
                 target = db.table(table)
                 key = target.schema.key_of(row)
-                db.locks.acquire(self._id, (table, key), LockMode.EXCLUSIVE)
+                db.locks.acquire(self._id, (table, key), _EXCLUSIVE)
                 record = target.schema.pack(row)
                 rid = target.insert(row, record)
                 try:
                     db.wal.log_change(
-                        self._id, LogRecordType.INSERT, table, rid, before=None, after=record
+                        self._id, _INSERT, table, rid, before=None, after=record
                     )
                 except BaseException:
                     with db.fault_exemption():
@@ -333,18 +347,18 @@ class Transaction:
         ``changes`` names a key column.
         """
         db = self._db
-        if self._state is not _TxnState.ACTIVE or self._epoch != db.epoch:
+        if self._state is not _ACTIVE or self._epoch != db.epoch:
             self._check_active()
         gate = db._statement_gate
         try:
             with _UNGATED if gate is None else gate.statement(self, "update"):
                 target = db.table(table)
-                db.locks.acquire(self._id, (table, key), LockMode.EXCLUSIVE)
+                db.locks.acquire(self._id, (table, key), _EXCLUSIVE)
                 rid = target.rid_of(key)
                 before, after = target.update(rid, changes)
                 try:
                     db.wal.log_change(
-                        self._id, LogRecordType.UPDATE, table, rid, before=before, after=after
+                        self._id, _UPDATE, table, rid, before=before, after=after
                     )
                 except BaseException:
                     with db.fault_exemption():
@@ -357,18 +371,18 @@ class Transaction:
     def delete(self, table: str, key: tuple) -> dict:
         """Delete one row by primary key; returns it."""
         db = self._db
-        if self._state is not _TxnState.ACTIVE or self._epoch != db.epoch:
+        if self._state is not _ACTIVE or self._epoch != db.epoch:
             self._check_active()
         gate = db._statement_gate
         try:
             with _UNGATED if gate is None else gate.statement(self, "delete"):
                 target = db.table(table)
-                db.locks.acquire(self._id, (table, key), LockMode.EXCLUSIVE)
+                db.locks.acquire(self._id, (table, key), _EXCLUSIVE)
                 rid = target.rid_of(key)
                 row, before = target.delete(rid)
                 try:
                     db.wal.log_change(
-                        self._id, LogRecordType.DELETE, table, rid, before=before, after=None
+                        self._id, _DELETE, table, rid, before=before, after=None
                     )
                 except BaseException:
                     with db.fault_exemption():
@@ -397,7 +411,7 @@ class Transaction:
                 self._db.table(table_name).heap.release(rid, freed=True)
             self._freed_slots.clear()
             self._db.locks.release_all(self._id)
-            self._state = _TxnState.COMMITTED
+            self._state = _COMMITTED
             self._db.record_finished(self)
 
     def abort(self) -> None:
@@ -414,9 +428,9 @@ class Transaction:
         compensations) and the replacement lock manager holds nothing
         for it, so there is nothing left to undo or release.
         """
-        if self._state is _TxnState.ACTIVE and self._epoch != self._db.epoch:
+        if self._state is _ACTIVE and self._epoch != self._db.epoch:
             self._freed_slots.clear()
-            self._state = _TxnState.ABORTED
+            self._state = _ABORTED
             return
         self._check_active()
         with self._statement("abort"):
@@ -427,7 +441,7 @@ class Transaction:
                 self._db.table(table_name).heap.release(rid, freed=False)
             self._freed_slots.clear()
             self._db.locks.release_all(self._id)
-            self._state = _TxnState.ABORTED
+            self._state = _ABORTED
 
     def _undo_all(self) -> None:
         """Walk undo records newest-first, logging compensations."""
@@ -435,21 +449,21 @@ class Transaction:
         for record in list(wal.undo_records(self._id)):
             target = self._db.table(record.table)
             rid = record.location
-            if record.type is LogRecordType.INSERT:
+            if record.type is _INSERT:
                 target.delete(rid)
                 wal.log_change(
                     self._id,
-                    LogRecordType.DELETE,
+                    _DELETE,
                     record.table,
                     rid,
                     before=record.after,
                     after=None,
                 )
-            elif record.type is LogRecordType.DELETE:
+            elif record.type is _DELETE:
                 target.restore(rid, record.before)  # back into its original slot
                 wal.log_change(
                     self._id,
-                    LogRecordType.INSERT,
+                    _INSERT,
                     record.table,
                     rid,
                     before=None,
@@ -459,7 +473,7 @@ class Transaction:
                 target.update(rid, record.before)
                 wal.log_change(
                     self._id,
-                    LogRecordType.UPDATE,
+                    _UPDATE,
                     record.table,
                     rid,
                     before=record.after,
@@ -468,19 +482,19 @@ class Transaction:
         wal.log_abort(self._id)
 
     def _check_active(self) -> None:
-        if self._state is _TxnState.ACTIVE and self._epoch != self._db.epoch:
+        if self._state is _ACTIVE and self._epoch != self._db.epoch:
             # The database crashed since this transaction began;
             # recovery rolled its work back, so any further statement
             # must fail.  Marked ABORTED here (no undo needed) and
             # raised as a *transient* error so retry seams re-run it.
             self._freed_slots.clear()
-            self._state = _TxnState.ABORTED
+            self._state = _ABORTED
             raise TransactionAbortedByCrashError(
                 f"transaction {self._id} was rolled back by crash recovery "
                 f"(began in epoch {self._epoch}, database is at epoch "
                 f"{self._db.epoch})"
             )
-        if self._state is not _TxnState.ACTIVE:
+        if self._state is not _ACTIVE:
             raise TransactionStateError(
                 f"transaction {self._id} is {self._state.value}"
             )
@@ -721,24 +735,20 @@ class Database:
         # Roll back transactions that never reached COMMIT or ABORT.
         history = self.wal.records()  # snapshot before appending CLRs
         for record in reversed(history):
-            if record.type not in (
-                LogRecordType.INSERT,
-                LogRecordType.UPDATE,
-                LogRecordType.DELETE,
-            ):
+            if record.type not in (_INSERT, _UPDATE, _DELETE):
                 continue
             if not self.wal.is_active(record.txn_id):
                 continue
             heap = self.table(record.table).heap
-            if record.type is LogRecordType.INSERT:
+            if record.type is _INSERT:
                 heap.apply_clear(record.location)
-                compensation = (LogRecordType.DELETE, record.after, None)
-            elif record.type is LogRecordType.DELETE:
+                compensation = (_DELETE, record.after, None)
+            elif record.type is _DELETE:
                 heap.apply_put(record.location, record.before)
-                compensation = (LogRecordType.INSERT, None, record.before)
+                compensation = (_INSERT, None, record.before)
             else:
                 heap.apply_put(record.location, record.before)
-                compensation = (LogRecordType.UPDATE, record.after, record.before)
+                compensation = (_UPDATE, record.after, record.before)
             kind, before, after = compensation
             self.wal.log_change(
                 record.txn_id, kind, record.table, record.location, before, after

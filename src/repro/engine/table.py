@@ -89,6 +89,8 @@ class Table:
         self._specs: dict[str, IndexSpec] = {}
         #: Per secondary index, its compiled ``row -> key columns``.
         self._key_of: dict[str, Callable[[dict], tuple]] = {}
+        #: The unique secondary indexes an insert checks for a repeated key.
+        self._checked: list[str] = []
         #: Every primary-key and index-key column: an update naming none
         #: of them leaves every index as it is.
         self._key_columns = frozenset(schema.primary_key)
@@ -134,6 +136,10 @@ class Table:
         self._key_of[spec.name] = key_of
         self._indexes[spec.name] = index
         self._key_columns |= set(spec.columns)
+        # One holding every primary-key column cannot repeat a key that
+        # the primary index refused, so only the others are checked.
+        if spec.unique and not set(self._schema.primary_key) <= set(spec.columns):
+            self._checked.append(spec.name)
 
     # -- key helpers ----------------------------------------------------------------
 
@@ -157,14 +163,10 @@ class Table:
         if key in primary:
             raise DuplicateKeyError(f"{self.name}: duplicate primary key {key!r}")
         # Check unique secondary indexes before mutating anything.
-        for spec in self._specs.values():
-            if spec.unique:
-                index = self._indexes[spec.name]
-                secondary = self._key_of[spec.name](row)
-                if secondary in index:
-                    raise DuplicateKeyError(
-                        f"{self.name}: duplicate key {secondary!r} in {spec.name}"
-                    )
+        for name in self._checked:
+            secondary = self._key_of[name](row)
+            if secondary in self._indexes[name]:
+                raise DuplicateKeyError(f"{self.name}: duplicate key {secondary!r} in {name}")
         rid = self._heap.insert(record if record is not None else self._schema.pack(row))
         primary.insert(key, rid)
         for spec in self._specs.values():
@@ -389,12 +391,9 @@ class BulkLoad:
             (name, key_of(spec.columns), []) for name, spec in table._specs.items()
         ]
         # The keys taken so far in each unique index that can repeat a key
-        # on its own: one holding every primary-key column cannot.
-        covered = set(table.schema.primary_key)
+        # on its own, the ones Table.insert checks.
         self._taken = [
-            (name, key_of(spec.columns), set())
-            for name, spec in table._specs.items()
-            if spec.unique and not covered <= set(spec.columns)
+            (name, key_of(table._specs[name].columns), set()) for name in table._checked
         ]
 
     def append(self, values: tuple) -> RecordId:

@@ -38,6 +38,12 @@ class LogRecordType(enum.Enum):
     ABORT = "abort"
 
 
+# The members, bound once: on CPython 3.10 and 3.11 a load through the
+# class goes through ``EnumType.__getattr__`` (see ``locks.py``).
+_BEGIN = LogRecordType.BEGIN
+_COMMIT = LogRecordType.COMMIT
+_ABORT = LogRecordType.ABORT
+
 #: The record types that change a tuple (the rest delimit transactions).
 #: A tuple, not a set: membership compares by identity, where a set
 #: would call ``Enum.__hash__``, a Python function.
@@ -116,7 +122,7 @@ class WriteAheadLog:
             raise WalError(f"transaction {txn_id} already began")
         if txn_id in self._committed or txn_id in self._aborted:
             raise WalError(f"transaction id {txn_id} was already used")
-        lsn = self._append(LogRecord(self.next_lsn, txn_id, LogRecordType.BEGIN))
+        lsn = self._append(LogRecord(self.next_lsn, txn_id, _BEGIN))
         self._active.add(txn_id)
         return lsn
 
@@ -139,14 +145,14 @@ class WriteAheadLog:
 
     def log_commit(self, txn_id: int) -> int:
         self._check_active(txn_id)
-        lsn = self._append(LogRecord(self.next_lsn, txn_id, LogRecordType.COMMIT))
+        lsn = self._append(LogRecord(self.next_lsn, txn_id, _COMMIT))
         self._active.discard(txn_id)
         self._committed.add(txn_id)
         return lsn
 
     def log_abort(self, txn_id: int) -> int:
         self._check_active(txn_id)
-        lsn = self._append(LogRecord(self.next_lsn, txn_id, LogRecordType.ABORT))
+        lsn = self._append(LogRecord(self.next_lsn, txn_id, _ABORT))
         self._active.discard(txn_id)
         self._aborted.add(txn_id)
         return lsn
@@ -174,7 +180,7 @@ class WriteAheadLog:
         for record in reversed(self._records):
             if record.txn_id != txn_id:
                 continue
-            if record.type is LogRecordType.BEGIN:
+            if record.type is _BEGIN:
                 return
             if record.type in _CHANGE_TYPES:
                 yield record

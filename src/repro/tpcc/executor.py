@@ -91,6 +91,15 @@ def drain(steps: Steps) -> Any:
 #: non-deterministic, so determinism checks ignore it).
 _WALL = WallClock()
 
+# The transaction types, bound once: on CPython 3.10 and 3.11 a load
+# through the class goes through ``EnumType.__getattr__`` (see
+# ``engine/locks.py``).
+_NEW_ORDER = TransactionType.NEW_ORDER
+_PAYMENT = TransactionType.PAYMENT
+_ORDER_STATUS = TransactionType.ORDER_STATUS
+_DELIVERY = TransactionType.DELIVERY
+_STOCK_LEVEL = TransactionType.STOCK_LEVEL
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -373,15 +382,15 @@ class TpccExecutor:
         every public method, ``params=None`` runs the next input of
         this type from :meth:`_draw`, the one input path.
         """
-        return self._run_once(TransactionType.NEW_ORDER, params)
+        return self._run_once(_NEW_ORDER, params)
 
     def payment(self, *, params: PaymentParams | None = None) -> dict:
         """Process a payment; returns {customer, amount}."""
-        return self._run_once(TransactionType.PAYMENT, params)
+        return self._run_once(_PAYMENT, params)
 
     def order_status(self, *, params: OrderStatusParams | None = None) -> dict | None:
         """Report a customer's last order; returns its line count or None."""
-        return self._run_once(TransactionType.ORDER_STATUS, params)
+        return self._run_once(_ORDER_STATUS, params)
 
     def delivery(self, *, params: DeliveryParams | None = None) -> dict:
         """Deliver the oldest pending order of each district.
@@ -389,11 +398,11 @@ class TpccExecutor:
         One carrier id serves the whole transaction, as a real
         terminal's input screen would.
         """
-        return self._run_once(TransactionType.DELIVERY, params)
+        return self._run_once(_DELIVERY, params)
 
     def stock_level(self, *, params: StockLevelParams | None = None) -> dict:
         """Count low-stock items among the district's last 20 orders."""
-        return self._run_once(TransactionType.STOCK_LEVEL, params)
+        return self._run_once(_STOCK_LEVEL, params)
 
     def _run_once(self, tx: TransactionType, params: object) -> Any:
         """One attempt of ``tx`` on ``params`` (drawn when None), no retry."""
@@ -406,7 +415,8 @@ class TpccExecutor:
         the handler suspends once — the driver serves that statement —
         before the abort starts.
         """
-        txn = self._db.begin(tx.value)
+        tx_name = tx.value  # once: ``Enum.value`` is a Python-level property
+        txn = self._db.begin(tx_name)
         try:
             result = yield from self._profiles[tx](self, txn, params)
             if not txn.is_active:  # the profile rolled back on purpose
@@ -423,7 +433,7 @@ class TpccExecutor:
             # the spot; an abandoned transaction never keeps its locks.
             if txn.is_active:
                 txn.abort()
-        self.summary.record(tx.value)
+        self.summary.record(tx_name)
         return result
 
     def _new_order(self, txn: Transaction, params: NewOrderParams) -> Steps:
@@ -698,19 +708,19 @@ class TpccExecutor:
 
     def _draw(self, tx: TransactionType) -> object:
         """The next input of type ``tx``: every executed input comes from here."""
-        if tx is TransactionType.NEW_ORDER:
+        if tx is _NEW_ORDER:
             return self._inputs.new_order()
-        if tx is TransactionType.PAYMENT:
+        if tx is _PAYMENT:
             payment = self._inputs.payment()
             return dataclass_replace(
                 payment,
                 customer_tuples=self._customers(payment),
                 amount=float(self._rng.uniform(1.0, 5000.0)),
             )
-        if tx is TransactionType.ORDER_STATUS:
+        if tx is _ORDER_STATUS:
             status = self._inputs.order_status()
             return dataclass_replace(status, customer_tuples=self._customers(status))
-        if tx is TransactionType.DELIVERY:
+        if tx is _DELIVERY:
             return dataclass_replace(
                 self._inputs.delivery(),
                 carrier_id=int(self._rng.integers(1, 11)),

@@ -10,7 +10,9 @@ stays bounded.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -65,6 +67,10 @@ class TransactionMix:
         total = sum(shares.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mix shares must sum to 1, got {total}")
+        # The cdf ``Generator.choice`` builds for ``p=self.as_array()``:
+        # the running sum in order, divided by its last element.
+        cdf = list(accumulate(shares.values()))
+        object.__setattr__(self, "_cdf", tuple(value / cdf[-1] for value in cdf))
 
     @classmethod
     def from_percent(cls, **percents: float) -> "TransactionMix":
@@ -113,9 +119,13 @@ class TransactionMix:
             )
 
     def sample(self, rng: np.random.Generator) -> TransactionType:
-        """Draw a transaction type according to the mix."""
-        index = int(rng.choice(len(TRANSACTION_ORDER), p=self.as_array()))
-        return TRANSACTION_ORDER[index]
+        """Draw a transaction type according to the mix.
+
+        The same draw as ``rng.choice(len(TRANSACTION_ORDER),
+        p=self.as_array())`` (one uniform against the same cdf), without
+        the ~12 µs of argument checks that call makes each time.
+        """
+        return TRANSACTION_ORDER[bisect_right(self._cdf, rng.random())]
 
     def sample_array(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` type indexes (positions in TRANSACTION_ORDER)."""

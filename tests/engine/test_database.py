@@ -7,6 +7,7 @@ import pytest
 from repro.engine.catalog import TableSchema, char, integer
 from repro.engine.database import Database
 from repro.engine.errors import (
+    DuplicateKeyError,
     LockConflictError,
     TableNotFoundError,
     TransactionStateError,
@@ -100,6 +101,27 @@ class TestCommit:
         txn2 = db.begin()
         txn2.update("accounts", (1,), {"balance": 2})  # no conflict
         txn2.commit()
+
+
+class TestUniqueSecondary:
+    def test_duplicate_on_non_key_columns_rejected_before_any_change(self):
+        db = Database(buffer_pages=64)
+        schema = TableSchema(
+            "accounts", [integer("id"), char("owner", 12)], primary_key=("id",)
+        )
+        db.create_table(schema, [IndexSpec("by_owner", ("owner",), unique=True)])
+        first = db.begin()
+        first.insert("accounts", {"id": 1, "owner": "alice"})
+        first.commit()
+        table = db.table("accounts")
+        txn = db.begin()
+        wal_length = len(db.wal)
+        with pytest.raises(DuplicateKeyError, match="by_owner"):
+            txn.insert("accounts", {"id": 2, "owner": "alice"})
+        assert len(db.wal) == wal_length
+        assert len(table.heap) == 1
+        assert table.primary_keys() == [(1,)]
+        txn.abort()
 
 
 class TestAbort:

@@ -94,6 +94,21 @@ class TestSecondaryIndexes:
         assert table.row_count == 1
         assert table.lookup("primary", (1, 1, 2)) == ()
 
+    @pytest.mark.parametrize("kind", ["hash", "btree"])
+    def test_unique_secondary_on_non_key_columns_rejects_a_duplicate(self, kind):
+        # Only a unique index missing a primary-key column is checked
+        # before the insert; this one must still refuse the duplicate
+        # before anything changes.
+        spec = IndexSpec("uniq", ("c", "note"), kind=kind, unique=True)
+        table = make_table([spec])
+        table.insert(row(o=1, c=5, note="a"))
+        table.insert(row(o=2, c=5, note="b"))
+        with pytest.raises(DuplicateKeyError, match="uniq"):
+            table.insert(row(o=3, c=5, note="a"))
+        assert len(table.heap) == 2
+        assert table.primary_keys() == [(1, 1, 1), (1, 1, 2)]
+        assert table.lookup("uniq", (5, "a")) == table.lookup("primary", (1, 1, 1))
+
     def test_add_index_backfills(self):
         table = make_table()
         table.insert(row(o=1, c=5))

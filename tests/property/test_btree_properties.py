@@ -46,6 +46,7 @@ class TestModelEquivalence:
                         pass
             else:
                 assert tree.get(key) == model.get(key)
+                assert (key in tree) == (key in model)
         assert len(tree) == len(model)
         assert [k for k, _ in tree.items()] == sorted(model)
         tree.validate()

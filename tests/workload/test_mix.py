@@ -85,3 +85,18 @@ class TestSampling:
         draws = DEFAULT_MIX.sample_array(rng, 50_000)
         freq = np.bincount(draws, minlength=5) / 50_000
         assert freq == pytest.approx(DEFAULT_MIX.as_array(), abs=0.01)
+
+    def test_sample_draws_what_generator_choice_draws(self):
+        # ``sample`` replaces ``rng.choice(5, p=...)``: the same types from
+        # the same generator state, and the state left where choice leaves
+        # it.  A numpy that changes how choice draws fails here.
+        p = DEFAULT_MIX.as_array()
+        for seed in range(10):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = [DEFAULT_MIX.sample(ours) for _ in range(10_000)]
+            chosen = [
+                TRANSACTION_ORDER[int(theirs.choice(len(TRANSACTION_ORDER), p=p))]
+                for _ in range(10_000)
+            ]
+            assert drawn == chosen
+            assert ours.random() == theirs.random()
