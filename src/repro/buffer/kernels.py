@@ -13,8 +13,9 @@ miss positions and victims the hook returns into the counters with
 ``bincount``.  A hook's loop does replacement and nothing else:
 
 * :class:`LruArrayKernel` — the resident ids in recency order and a
-  slot per page, with no per-reference loop: every reference is
-  classified with array ops (see the class), so hits cost no Python
+  slot per page, with no per-reference loop: one pass of array ops
+  classifies every reference of a slice, the slice-start residents
+  included as a virtual prefix (see the class), so hits cost no Python
   work at all.
 * :class:`FifoArrayKernel` — a circular buffer of page ids in
   admission order, mirroring ``FifoPolicy``'s deque.
@@ -75,10 +76,10 @@ _PAGE_TABLE_GROWTH = 4096
 
 #: The vectorized LRU pass classifies at most this many references at a
 #: time: ``_LRU_SLICE_CAPACITIES`` buffer capacities, and never fewer
-#: than ``_LRU_SLICE_FLOOR`` (measured optimum: 8-16 capacities, within
-#: noise of each other; unsliced, a 3 328-page buffer costs 216 ns/ref
-#: on a 100 k batch against 97 in two slices, and a 1 024-page buffer
-#: 176 on a 41 k batch against 98 in three).
+#: than ``_LRU_SLICE_FLOOR`` (kernel-only CPU time on a 2-core Xeon: at
+#: 3 328 pages 8 and 16 capacities tie at 66 ns/ref and 32, one slice
+#: per 100 k batch, costs 14 % more; dist-cluster's 1 024-page node
+#: batches cost 12 % more at 8 capacities and 1-6 % more at 24 or 32).
 _LRU_SLICE_CAPACITIES = 16
 _LRU_SLICE_FLOOR = 8192
 
@@ -92,6 +93,28 @@ _PAGE_MASK = (1 << _PAGE_BITS) - 1
 #: references are a year of simulation at 100 ns each.
 _TICK_BITS = 48
 _TICK_MASK = (1 << _TICK_BITS) - 1
+
+#: Cells per axis of the fixed grid that settles most LRU dominance
+#: queries before any exact count (:func:`_grid_count_bounds`): over 30
+#: batches at 3 328 pages 73 009 queries reach it and 7 274 stay open.
+#: 32 and 128 cells were within noise of 64 on fig8 traces, and 128
+#: cost 10 % more on dist-cluster's node batches.
+_GRID = 64
+
+
+def _cell_prefix(ranks: np.ndarray, width: int) -> np.ndarray:
+    """2D prefix counts of points over square (index, rank) cells.
+
+    Entry ``[a, b]`` counts the points with index below ``a * width``
+    and rank below ``b * width`` (``ranks`` as in :func:`_block_count_lt`).
+    """
+    m = int(ranks.shape[0])
+    side = -(-m // width)
+    cells = np.arange(m, dtype=np.int64) // width * side + ranks // width
+    hist = np.bincount(cells, minlength=side * side).reshape(side, side)
+    prefix = np.zeros((side + 1, side + 1), dtype=np.int64)
+    prefix[1:, 1:] = hist.cumsum(axis=0).cumsum(axis=1)
+    return prefix
 
 
 def _block_count_lt(
@@ -107,10 +130,10 @@ def _block_count_lt(
     inverse (point indices in rank order), returns for every query
     ``j`` the count ``#{i : i < q_index[j] and ranks[i] < q_rank[j]}``.
 
-    A coarse ``sqrt(m)``-block histogram with a 2D prefix sum answers
-    the full-block part of each query; the two partial blocks are
-    swept with one ``(queries, block)`` comparison matrix each, so no
-    query is ever answered with per-query Python work.
+    A coarse block histogram with a 2D prefix sum (:func:`_cell_prefix`)
+    answers the full-block part of each query; the two partial blocks
+    are swept with one ``(queries, block)`` comparison matrix each, so
+    no query is ever answered with per-query Python work.
     """
     m = int(ranks.shape[0])
     nq = int(q_index.shape[0])
@@ -119,11 +142,7 @@ def _block_count_lt(
     # Balance the boundary sweeps (2 * nq * block) against the block
     # grid ((m / block)**2): block ~ (m**2 / nq)**(1/3).
     block = max(16, min(int((m * m / nq) ** (1 / 3)), m))
-    nb = m // block + 1
-    cells = (np.arange(m, dtype=np.int64) // block) * nb + ranks // block
-    hist = np.bincount(cells, minlength=nb * nb).reshape(nb, nb)
-    prefix = np.zeros((nb + 1, nb + 1), dtype=np.int64)
-    prefix[1:, 1:] = hist.cumsum(axis=0).cumsum(axis=1)
+    prefix = _cell_prefix(ranks, block)
     a = q_index // block
     b = q_rank // block
     counts = prefix[a, b]
@@ -141,6 +160,23 @@ def _block_count_lt(
     valid &= by_rank.take(rows, mode="clip") < (a * block)[:, None]
     counts += np.count_nonzero(valid, axis=1)
     return counts
+
+
+def _grid_count_bounds(
+    ranks: np.ndarray, q_index: np.ndarray, q_rank: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on the :func:`_block_count_lt` counts from a fixed grid.
+
+    Over at most ``_GRID`` x ``_GRID`` cells, the whole cells below and
+    left of a query count a lower bound, and with the cells its corner
+    reaches into an upper bound.  With cells one point wide
+    (``m <= _GRID``) the two are equal and exact.
+    """
+    width = -(-int(ranks.shape[0]) // _GRID)
+    prefix = _cell_prefix(ranks, width)
+    low = prefix[q_index // width, q_rank // width]
+    high = prefix[-(-q_index // width), -(-q_rank // width)]
+    return low, high
 
 
 def _add_tally(target: list[int], keys: np.ndarray) -> None:
@@ -292,19 +328,19 @@ class LruArrayKernel(ArrayKernel):
     trace is simply the ``capacity`` most recently touched distinct
     pages, so hit/miss outcomes and the eviction multiset are
     determined by the trace alone — no victim needs to be sequenced.
-    Each reference is classified by array ops: a repeat touch within
-    ``capacity`` positions of the previous touch is a guaranteed hit; a
-    repeat across a longer gap misses iff the gap contains ``capacity``
-    distinct pages (an inclusion/exclusion identity over the batch's
-    touch chains plus a 2D dominance count, see
-    :func:`_block_count_lt`); a first touch of a non-resident page
-    always misses; and a first touch of a slice-start resident misses
-    iff ``capacity`` distinct pages more recent than it were touched
-    first (rank bounds settle most of these, the same dominance counter
-    the rest).  The new recency order is the untouched residents
-    followed by the touched pages in last-touch order, and the part of
-    it beyond ``capacity`` is exactly the slice's late victims.  Hits
-    cost no Python work at all.
+    So the slice-start residents, least recent first, make a *virtual
+    prefix* of the slice: from an empty pool it leaves the state the
+    slice starts from, and a resident's first slice touch becomes a
+    plain repeat.  Over that virtual trace a first touch always misses;
+    a repeat within ``capacity`` positions of the page's previous touch
+    always hits; and a repeat across a longer gap misses iff the gap
+    holds ``capacity`` distinct pages — one inclusion/exclusion
+    identity over the touch chains plus a 2D dominance count, settled
+    by rank bounds, then a fixed grid (:func:`_grid_count_bounds`), and
+    for the few queries left open counted exactly
+    (:func:`_block_count_lt`).  The new recency order is every page at
+    its last virtual touch, and the part of it beyond ``capacity`` is
+    exactly the slice's late victims.  Hits cost no Python work at all.
     """
 
     policy_name = "lru"
@@ -324,9 +360,9 @@ class LruArrayKernel(ArrayKernel):
         return int(self._res_ids.size)
 
     def _replace(self, page_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # The long-gap (class 2) work grows faster than linearly once a
-        # batch is many times the buffer, so a long batch is classified
-        # in equal slices; LRU is sequential, so slicing changes nothing.
+        # The long-link work grows faster than linearly once a batch is
+        # many times the buffer, so a long batch is classified in equal
+        # slices; LRU is sequential, so slicing changes nothing.
         n = int(page_ids.shape[0])
         step = max(_LRU_SLICE_FLOOR, _LRU_SLICE_CAPACITIES * self._capacity)
         pieces = -(-n // step)
@@ -343,168 +379,123 @@ class LruArrayKernel(ArrayKernel):
         """Advance residency over ``pids``; miss positions and victims."""
         n = int(pids.shape[0])
         slot = self._slot
-        res_ids = self._res_ids
         capacity = self._capacity
+        prefix = int(self._res_ids.size)
+        v = prefix + n
 
-        # Group each page's touches in position order by sorting one
-        # combined (page, position) key: the position in the low bits
-        # makes every key unique, so the cheap unstable sort is
-        # order-preserving within a page.
-        shift = n.bit_length()
+        # Positions are virtual: the residents sit at 0..prefix-1 and
+        # the slice follows.  Group each page's slice touches in
+        # position order by sorting one combined (page, position) key:
+        # the position in the low bits makes every key unique, so the
+        # cheap unstable sort is order-preserving within a page.
+        shift = v.bit_length()
         keys = pids << shift
-        keys |= np.arange(n, dtype=np.int64)
+        keys |= np.arange(prefix, v, dtype=np.int64)
         keys.sort()
         position = keys & ((1 << shift) - 1)
-        sorted_pids = keys >> shift
-        boundary = np.empty(n, dtype=bool)
-        boundary[0] = True
-        np.not_equal(sorted_pids[1:], sorted_pids[:-1], out=boundary[1:])
-        starts_at = np.flatnonzero(boundary)
-        group_first = position[starts_at]  # first touch per distinct page
-        unique_pids = sorted_pids[starts_at]
-        lasts_at = np.empty(starts_at.size, dtype=np.int64)
-        lasts_at[:-1] = starts_at[1:] - 1
-        lasts_at[-1] = n - 1
-        group_last = position[lasts_at]  # latest touch per distinct page
+        sorted_pids = np.right_shift(keys, shift, out=keys)
+        starts_at = np.flatnonzero(np.concatenate(([True], sorted_pids[1:] != sorted_pids[:-1])))
+        group_first = position.take(starts_at)  # first slice touch per page
+        page_slot = slot.take(sorted_pids.take(starts_at))
+        group_last = position.take(np.append(starts_at[1:], n) - 1)  # last touch
 
-        # Class 2 — repeat touches whose gap *can* hold ``capacity``
-        # distinct pages.  Shorter gaps are guaranteed hits.  A long
-        # gap (q, p) misses iff distinct(q, p) >= capacity, and
+        # Each touch's link back to the page's previous touch, by length
+        # (in the spent sort buffer); 0 for a first touch, always a
+        # miss.  A resident's previous touch is its prefix position.
+        gap = sorted_pids
+        np.subtract(position[1:], position[:-1], out=gap[1:])
+        gap[starts_at] = group_first + 1 - page_slot
+        cold_at = np.compress(page_slot == 0, starts_at)
+        gap[cold_at] = 0
+        cold_first = position.take(cold_at)
+        # The last touch of every page: the untouched residents and the
+        # last slice touches.  A cold page's slot - 1 is -1, the final
+        # position, which is always a last touch and is set again.
+        is_last = np.zeros(v, dtype=bool)
+        is_last[:prefix] = True
+        is_last[page_slot - 1] = False
+        is_last[group_last] = True
+
+        # A link (q, p) no longer than ``capacity`` is a hit.  A longer
+        # one misses iff its window holds ``capacity`` distinct pages:
         #   distinct(q, p) = (p - q - 1) - #{links: e < p}
         #                  + #{links: s <= q} - span(q, p)
         # with span(q, p) = #{links: s <= q and e >= p}: every position
         # in the open window counts once per touch, repeats inside the
         # window cancel via their link, and links that overhang either
-        # edge are corrected by the prefix terms.  Only links longer
-        # than ``capacity`` can span a long link's window, and that
-        # long-link set is exactly the query set itself.
-        gap = position[1:] - position[:-1]
-        long_mask = gap > capacity
-        long_mask &= ~boundary[1:]
-        c2_start = position[:-1][long_mask]
-        c2_end = position[1:][long_mask]
-        firsts_le = None
-        if c2_start.size:
-            m2 = c2_start.size
-            iota2 = np.arange(m2, dtype=np.int64)
-            # Link ends are exactly the non-first positions and link
-            # starts the non-last ones, so the prefix terms of the
-            # identity collapse to first/last-touch counts:
-            #   distinct(q, p) = #{firsts < p} - #{lasts <= q} - span.
-            # Prefix counts are bounded by ``n`` — int32 halves the
-            # memory traffic of these full-batch-length cumsums.
-            firsts_le = np.cumsum(np.bincount(group_first, minlength=n), dtype=np.int32)
-            lasts_le = np.cumsum(np.bincount(group_last, minlength=n), dtype=np.int32)
-            threshold = (
-                firsts_le[c2_end - 1] - lasts_le[c2_start] - capacity
-            )  # miss iff span(q, p) <= threshold
+        # edge are corrected by the prefix terms.  Link ends are the
+        # non-first positions and link starts the non-last ones, so
+        #   distinct(q, p) = #{firsts < p} - #{lasts <= q} - span(q, p).
+        # Only links longer than ``capacity`` can span a long link's
+        # window, and that long-link set is the query set itself.
+        long_link = gap > capacity
+        end = np.compress(long_link, position)
+        m = int(end.size)
+        if m:
+            start = end - np.compress(long_link, gap)
+            # One cumsum counts both: firsts in the low 32 bits, lasts
+            # in the high ones (a cumsum costs the same at any width).
+            # A link misses iff span(q, p) <= threshold.
+            counts = is_last.astype(np.int64)
+            counts <<= 32
+            counts[:prefix] += 1
+            counts[cold_first] += 1
+            np.cumsum(counts, out=counts)
+            threshold = (counts[end - 1] & 0xFFFFFFFF) - (counts[start] >> 32) - capacity
             # Every query value is itself a long-link endpoint and all
             # endpoints are distinct, so the prefix counts over long
-            # links are just sort ranks — no binary searches.
-            by_s = np.argsort(c2_start)
-            by_e = np.argsort(c2_end)
-            k_below = np.empty(m2, dtype=np.int64)
-            k_below[by_s] = iota2 + 1  # #{long links: s <= q}
-            r_below = np.empty(m2, dtype=np.int64)
-            r_below[by_e] = iota2  # #{long links: e < p}
-            # span = k_below - #{long links: s <= q and e < p}, which
-            # pins it between these bounds; most queries resolve here.
-            lo = np.maximum(k_below - r_below, 0)
-            hi = np.minimum(k_below, m2 - r_below)
-            c2_miss = hi <= threshold
-            ambiguous = (lo <= threshold) & ~c2_miss
-            if ambiguous.any():
-                inv_by_s = np.empty(m2, dtype=np.int64)
-                inv_by_s[by_s] = iota2
-                ranks = r_below[by_s]  # rank of e per point, in s order
-                by_rank = inv_by_s[by_e]  # point (s-order) per e rank
-                below = _block_count_lt(
-                    ranks, by_rank, k_below[ambiguous], r_below[ambiguous]
-                )
-                span = k_below[ambiguous] - below
-                c2_miss[ambiguous] = span <= threshold[ambiguous]
-            c2_miss_pos = c2_end[c2_miss]
-        else:
-            c2_miss_pos = np.empty(0, dtype=np.int64)
+            # links are just sort ranks, and each argsort is a sort of
+            # (value, index) keys as above.
+            iota = np.arange(m, dtype=np.int64)
+            bits = m.bit_length()
+            by_s = np.sort(start << bits | iota) & ((1 << bits) - 1)
+            by_e = np.sort(end << bits | iota) & ((1 << bits) - 1)
+            k_below = np.empty(m, dtype=np.int64)
+            k_below[by_s] = iota + 1  # #{long links: s <= q}
+            r_below = np.empty(m, dtype=np.int64)
+            r_below[by_e] = iota  # #{long links: e < p}
+            # span = k_below - below, where below = #{long links: s <= q
+            # and e < p} is a 2D dominance count: a miss iff below >=
+            # need.  The rank bounds on ``below`` settle most queries,
+            # the fixed grid most of the rest, and only the queries it
+            # leaves open are counted exactly.
+            need = k_below - threshold
+            miss = np.maximum(k_below + r_below - m, 0) >= need
+            open_ = np.minimum(k_below, r_below) >= need
+            open_ &= ~miss
+            if open_.any():
+                query = np.flatnonzero(open_)
+                q_index = k_below.take(query)
+                q_rank = r_below.take(query)
+                q_need = need.take(query)
+                ranks = r_below.take(by_s)  # rank of e per point, in s order
+                low, high = _grid_count_bounds(ranks, q_index, q_rank)
+                miss[query] = low >= q_need
+                exact = np.flatnonzero((low < q_need) & (high >= q_need))
+                if exact.size:
+                    inv_by_s = np.empty(m, dtype=np.int64)
+                    inv_by_s[by_s] = iota
+                    by_rank = inv_by_s.take(by_e)  # point (s order) per e rank
+                    below = _block_count_lt(ranks, by_rank, q_index.take(exact), q_rank.take(exact))
+                    miss[query.take(exact)] = below >= q_need.take(exact)
+            end = np.compress(miss, end)
+        misses = np.concatenate([cold_first, end]) - prefix
 
-        # Classes 3 and 4 — first in-slice touches.  Non-residents
-        # always miss.  A slice-start resident x survives until its
-        # first touch iff fewer than ``capacity`` pages outrank it the
-        # whole way: the distinct pages touched before it plus the
-        # residents more recent than x, minus the overlap (residents
-        # more recent than x and touched before it — their touch moved
-        # them from one group to the other, not two).
-        page_slot = slot[unique_pids]
-        was_resident = page_slot != 0
-        miss3_pos = group_first[~was_resident]
-        first4 = group_first[was_resident]
-        slot4 = page_slot[was_resident]
-        page4 = unique_pids[was_resident]
-        touched = np.zeros(res_ids.size, dtype=bool)  # in recency order
-        touched[slot4 - 1] = True
-        if first4.size:
-            # ``firsts_le`` doubles as the first-touch rank table: a
-            # queried first's rank is the count of firsts at or before
-            # it, minus itself — no argsort needed.
-            if firsts_le is None:
-                firsts_le = np.cumsum(
-                    np.bincount(group_first, minlength=n), dtype=np.int32
-                )
-            touched_before = firsts_le[first4] - 1
-            above = res_ids.size - slot4
-            miss4 = touched_before >= capacity
-            threshold = touched_before + above - capacity  # miss iff overlap <= it
-            ambiguous = (threshold >= 0) & ~miss4
-            if ambiguous.any():
-                # Among the m touched residents, x's first-touch order
-                # ``seq`` and recency order ``r`` bound its overlap: at
-                # most ``seq`` were touched before it and ``m - 1 - r``
-                # are more recent, and at most ``r`` of the ``seq`` are
-                # less recent.
-                m = first4.size
-                is_first4 = np.zeros(n, dtype=bool)
-                is_first4[first4] = True
-                seq = np.cumsum(is_first4, dtype=np.int32)[first4] - 1
-                r = np.cumsum(touched, dtype=np.int32)[slot4 - 1] - 1
-                lo = np.maximum(seq - r, 0)
-                hi = np.minimum(seq, m - 1 - r)
-                miss4 |= ambiguous & (hi <= threshold)
-                ambiguous &= (lo <= threshold) & (hi > threshold)
-                if ambiguous.any():
-                    ranks = np.empty(m, dtype=np.int64)
-                    ranks[seq] = r  # recency order, in first-touch order
-                    by_rank = np.empty(m, dtype=np.int64)
-                    by_rank[r] = seq
-                    q_idx = seq[ambiguous]
-                    overlap = q_idx - _block_count_lt(
-                        ranks, by_rank, q_idx, ranks[q_idx]
-                    )
-                    miss4[ambiguous] = overlap <= threshold[ambiguous]
-            miss4_pos = first4[miss4]
-            miss4_page = page4[miss4]
-        else:
-            miss4_pos = np.empty(0, dtype=np.int64)
-            miss4_page = np.empty(0, dtype=np.int64)
-
-        miss_positions = np.concatenate([miss3_pos, miss4_pos, c2_miss_pos])
-
-        # Final recency order: the untouched residents, then every
-        # touched page at its last touch, cut to the newest
-        # ``capacity``.  The part cut off is exactly the candidates
-        # evicted after their last touch (or, untouched, at some point
-        # mid-slice); each class-2 readmission and each class-4 miss
-        # records one earlier eviction of that same page.
-        is_last = np.zeros(n, dtype=bool)
-        is_last[group_last] = True
-        order = np.concatenate([res_ids[~touched], pids[is_last]])
+        # Final recency order: every page at its last virtual touch, cut
+        # to the newest ``capacity``.  The part cut off is exactly the
+        # candidates evicted after their last touch (or, untouched, at
+        # some point mid-slice); each long-link miss records one earlier
+        # eviction of that same page.
+        untouched = np.compress(is_last[:prefix], self._res_ids)
+        order = np.concatenate([untouched, np.compress(is_last[prefix:], pids)])
         cut = max(order.size - capacity, 0)
         evicted = order[:cut]
         new_res_ids = order[cut:]
         slot[evicted] = 0
         slot[new_res_ids] = np.arange(1, new_res_ids.size + 1, dtype=np.int32)
         self._res_ids = new_res_ids
-        victims = np.concatenate([miss4_page, evicted, pids[c2_miss_pos]])
-        return miss_positions, victims
+        victims = np.concatenate([evicted, pids.take(misses[cold_first.size :])])
+        return misses, victims
 
 
 class FifoArrayKernel(ArrayKernel):

@@ -29,9 +29,12 @@ from repro.buffer.kernels import (
     LruKArrayKernel,
     MruArrayKernel,
     TwoQArrayKernel,
+    _GRID,
     _block_count_lt,
+    _grid_count_bounds,
     make_kernel,
 )
+from repro.buffer import kernels as kernels_module
 from repro.buffer.simulator import BufferSimulation, SimulationConfig
 from repro.obs.metrics import default_registry
 from repro.workload.mix import TRANSACTION_ORDER
@@ -371,6 +374,67 @@ class TestLruRecencyOrder:
             assert len(kernel) == order.size
 
 
+class TestLruResidentFirstTouch:
+    """A slice-start resident's first touch is a repeat across the slice
+    start: it hits iff fewer than ``capacity`` distinct pages were
+    touched since the page's place in the slice-start recency order."""
+
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 50])
+    def test_one_slice_batches_keep_the_policy_order(self, capacity, monkeypatch):
+        """Each batch is one slice: a run of fresh pages, the slice-start
+        residents in a random order, then uniform references.  So a
+        resident is often first touched after ``capacity`` other distinct
+        pages (a certain miss), and often after fewer (a hit, or a miss
+        when enough of the pages touched first were residents more
+        recent than it).  After every batch the misses, the evictions,
+        ``_res_ids`` and ``_slot`` equal ``LruPolicy``'s."""
+        monkeypatch.setattr(kernels_module, "_LRU_SLICE_FLOOR", 4)
+        monkeypatch.setattr(kernels_module, "_LRU_SLICE_CAPACITIES", 3)
+        n = max(4, 3 * capacity)  # one slice per batch
+        pages = 3 * capacity + 2
+        space = PageIdSpace([pages, 1, 1, 1, 1])  # relation 0 ids are pages
+        kernel = make_kernel("lru", capacity, space, len(TRANSACTION_ORDER))
+        policy = LruPolicy(capacity)
+        rng = np.random.default_rng(capacity)
+        policy_evictions = 0
+        # (touched after >= capacity distinct pages, hit) per resident
+        # first touch, as the policy saw it.
+        outcomes = collections.Counter()
+        for _ in range(max(40, 600 // capacity)):
+            residents = [page for _, page in policy._pages]
+            fresh = rng.permutation(np.setdiff1d(np.arange(pages), residents))
+            lead = fresh[: int(rng.integers(0, 2 * capacity + 2))]
+            page_ids = np.concatenate(
+                [lead, rng.permutation(residents), rng.integers(0, pages, n)]
+            )[:n].astype(np.int64)
+            first_touched, misses = set(), 0
+            for page in page_ids.tolist():
+                hit = policy.contains((0, page))
+                if page in residents and page not in first_touched:
+                    outcomes[len(first_touched) >= capacity, hit] += 1
+                first_touched.add(page)
+                if hit:
+                    policy.touch((0, page))
+                else:
+                    misses += 1
+                    policy_evictions += policy.admit((0, page)) is not None
+            kernel.begin_batch()
+            kernel.process_batch(
+                EncodedBatch.of_refs(page_ids << REF_PID_SHIFT, space.static_total)
+            )
+            assert kernel.batch_misses[0] == misses
+            assert kernel.eviction_counts[0] == policy_evictions
+            order = kernel._res_ids
+            assert order.tolist() == [page for _, page in policy._pages]
+            expected_slot = np.zeros(kernel._slot.size, dtype=np.int64)
+            expected_slot[order] = np.arange(1, order.size + 1)
+            assert np.array_equal(kernel._slot, expected_slot)
+        assert outcomes[True, True] == 0
+        assert outcomes[True, False] > 0 and outcomes[False, True] > 0
+        if capacity > 1:  # misses that only the recency order explains
+            assert outcomes[False, False] > 0
+
+
 class TestAdmissionFifo:
     """LFU and LRU-K keep their first-class residents in ``_young``."""
 
@@ -479,6 +543,38 @@ class TestBlockCountLt:
                 rng.integers(0, m + 1, queries),
                 rng.integers(0, m + 1, queries),
             )
+
+
+class TestGridCountBounds:
+    """``_grid_count_bounds`` against a brute-force dominance count."""
+
+    @pytest.mark.parametrize(
+        "m", [1, 2, 63, 64, 65, 127, 128, 129, 1_000, 4_095, 4_097]
+    )
+    def test_bounds_hold_on_every_cell_edge(self, m):
+        """Queries on every cell edge and either side of it, on each axis,
+        paired with random other coordinates, plus the four corners.
+        ``low <= count <= high`` for all of them, so every query the
+        grid settles — ``low >= need`` a miss, ``high < need`` a hit —
+        agrees with the brute-force count.  The bounds are never wider
+        than the two strips of cells a query's corner reaches into, and
+        with cells one point wide (``m <= _GRID``) they are exact."""
+        rng = np.random.default_rng(m)
+        ranks = rng.permutation(m).astype(np.int64)
+        width = -(-m // _GRID)
+        edges = np.arange(0, m + 1, width)
+        near = np.clip(np.concatenate([edges - 1, edges, edges + 1, [m]]), 0, m)
+        other = rng.integers(0, m + 1, near.size)
+        q_index = np.concatenate([near, other, [0, 0, m, m]])
+        q_rank = np.concatenate([other, near, [0, m, 0, m]])
+        below = np.arange(m)[None, :] < q_index[:, None]
+        below &= ranks[None, :] < q_rank[:, None]
+        counts = np.count_nonzero(below, axis=1)
+        low, high = _grid_count_bounds(ranks, q_index, q_rank)
+        assert np.all(low <= counts) and np.all(counts <= high)
+        assert np.all(high - low <= 2 * width)
+        if m <= _GRID:
+            assert np.array_equal(low, high)
 
 
 class TestKernelSelection:
