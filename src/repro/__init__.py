@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING
 from repro._lazy import attach
 
 if TYPE_CHECKING:
-    from repro.buffer.analytic import che_miss_rates as che_miss_rates
     from repro.buffer.simulator import BufferSimulation as BufferSimulation
     from repro.buffer.simulator import MissRateReport as MissRateReport
     from repro.buffer.simulator import SimulationConfig as SimulationConfig
@@ -86,7 +85,6 @@ __version__ = "1.8.0"
 __all__, __getattr__, __dir__ = attach(
     __name__,
     {
-        "che_miss_rates": "repro.buffer.analytic",
         "BufferSimulation": "repro.buffer.simulator",
         "MissRateReport": "repro.buffer.simulator",
         "SimulationConfig": "repro.buffer.simulator",

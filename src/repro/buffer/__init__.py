@@ -18,7 +18,6 @@ from repro._lazy import attach
 
 if TYPE_CHECKING:
     from repro.buffer.analytic import che_characteristic_time as che_characteristic_time
-    from repro.buffer.analytic import che_miss_rates as che_miss_rates
     from repro.buffer.kernels import ARRAY_KERNEL_POLICIES as ARRAY_KERNEL_POLICIES
     from repro.buffer.kernels import ArrayKernel as ArrayKernel
     from repro.buffer.kernels import make_kernel as make_kernel
@@ -31,7 +30,6 @@ __all__, __getattr__, __dir__ = attach(
     __name__,
     {
         "che_characteristic_time": "repro.buffer.analytic",
-        "che_miss_rates": "repro.buffer.analytic",
         "ARRAY_KERNEL_POLICIES": "repro.buffer.kernels",
         "ArrayKernel": "repro.buffer.kernels",
         "make_kernel": "repro.buffer.kernels",

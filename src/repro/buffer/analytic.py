@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.stats.distribution import DiscreteDistribution
-
 
 def che_characteristic_time(
     page_pmf: np.ndarray, capacity_pages: float, tolerance: float = 1e-9
@@ -31,9 +29,9 @@ def che_characteristic_time(
     """Solve for the characteristic time T of the Che approximation.
 
     ``page_pmf`` holds the per-reference probability of each page (it
-    need not sum to 1 if the pool is shared — see
-    :func:`che_miss_rates`); ``capacity_pages`` is the cache size.  The
-    left side is increasing in T, so bisection converges quickly.
+    need not sum to 1 if the pool is shared by several relations);
+    ``capacity_pages`` is the cache size.  The left side is increasing
+    in T, so bisection converges quickly.
     """
     pmf = np.asarray(page_pmf, dtype=np.float64)
     if np.any(pmf < 0):
@@ -67,60 +65,3 @@ def che_hit_probabilities(page_pmf: np.ndarray, characteristic_time: float) -> n
     if np.isinf(characteristic_time):
         return np.where(pmf > 0, 1.0, 0.0)
     return 1.0 - np.exp(-pmf * characteristic_time)
-
-
-def che_miss_rates(
-    relation_page_pmfs: dict[str, DiscreteDistribution],
-    relation_reference_shares: dict[str, float],
-    capacity_pages: int,
-) -> dict[str, float]:
-    """Per-relation LRU miss rates for relations sharing one buffer.
-
-    Parameters
-    ----------
-    relation_page_pmfs:
-        Page-access distribution of each relation (from
-        :func:`repro.core.mapping.page_access_distribution`).
-    relation_reference_shares:
-        Fraction of all buffer references that go to each relation
-        (must cover the same keys); these weight the per-relation PMFs
-        into one pool-wide reference distribution.
-    capacity_pages:
-        Shared buffer capacity.
-
-    Returns the expected miss fraction per relation: the
-    reference-weighted average of per-page miss probabilities.
-    """
-    if set(relation_page_pmfs) != set(relation_reference_shares):
-        raise ValueError(
-            "page pmfs and reference shares must cover the same relations; got "
-            f"{sorted(relation_page_pmfs)} vs {sorted(relation_reference_shares)}"
-        )
-    share_total = sum(relation_reference_shares.values())
-    if share_total <= 0:
-        raise ValueError("reference shares must sum to a positive value")
-
-    names = sorted(relation_page_pmfs)
-    weighted = []
-    for name in names:
-        share = relation_reference_shares[name] / share_total
-        weighted.append(share * relation_page_pmfs[name].pmf)
-    pool_pmf = np.concatenate(weighted)
-
-    t = che_characteristic_time(pool_pmf, capacity_pages)
-
-    miss_rates = {}
-    offset = 0
-    for name in names:
-        size = relation_page_pmfs[name].size
-        segment = pool_pmf[offset : offset + size]
-        hits = che_hit_probabilities(segment, t)
-        total = segment.sum()
-        if total > 0:
-            # Weight each page's miss probability by its access share
-            # within the relation.
-            miss_rates[name] = float(((1.0 - hits) * segment).sum() / total)
-        else:
-            miss_rates[name] = 0.0
-        offset += size
-    return miss_rates

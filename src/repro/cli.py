@@ -614,24 +614,23 @@ def _command_validate(args) -> int:
 
 def _command_trace(args) -> int:
     from repro.workload.trace import TraceConfig
-    from repro.workload.tracefile import SavedTrace
+    from repro.workload.tracefile import write_trace
 
     try:
         config = TraceConfig(
             warehouses=args.warehouses, packing=args.packing, seed=args.seed
         )
-        saved = SavedTrace.record(config, args.transactions)
+        written, references = write_trace(args.path, config, args.transactions)
     except ValueError as error:
         return _invalid_arguments(error)
-    written = saved.save(args.path)
     _emit(
         args,
-        f"recorded {saved.reference_count} references over "
-        f"{saved.transaction_count} transactions to {written}",
+        f"recorded {references} references over "
+        f"{args.transactions} transactions to {written}",
         {
             "path": str(written),
-            "references": saved.reference_count,
-            "transactions": saved.transaction_count,
+            "references": references,
+            "transactions": args.transactions,
         },
     )
     return 0

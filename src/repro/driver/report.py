@@ -1,10 +1,9 @@
 """The driver's result shape: tpmC, latency percentiles, contention.
 
 :class:`DriverReport` is the eighth member of the repo's unified
-:class:`~repro.results.Report` family — ``to_dict``/``from_dict``
-round-trip through JSON, a ``metrics`` field carries an optional
-observability snapshot, and ``render()`` produces the text table the
-CLI emits.
+:class:`~repro.results.Report` family — ``to_dict`` writes the tagged
+JSON document, a ``metrics`` field carries an optional observability
+snapshot, and ``render()`` produces the text table the CLI emits.
 """
 
 from __future__ import annotations
@@ -106,8 +105,7 @@ class DriverReport(ReportMixin):
     """Measured outcome of one :class:`BenchmarkSpec` run.
 
     Schema version 2 added the chaos blocks: ``deadlocks``,
-    ``recovery``, ``shed`` and ``faults_fired`` (all defaulted, so v1
-    payloads still deserialize).
+    ``recovery``, ``shed`` and ``faults_fired``.
     """
 
     schema_version = 2

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any
 
 from repro.engine.errors import (
     BufferEvictionError,
@@ -138,19 +138,6 @@ class FaultRule:
             "after_seconds": self.after_seconds,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "FaultRule":
-        return cls(
-            kind=FaultKind(payload["kind"]),
-            at_ops=tuple(payload.get("at_ops", ())),
-            every=payload.get("every"),
-            probability=payload.get("probability", 0.0),
-            max_fires=payload.get("max_fires"),
-            terminals=tuple(payload.get("terminals", ())),
-            tx_types=tuple(payload.get("tx_types", ())),
-            after_seconds=payload.get("after_seconds"),
-        )
-
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -217,16 +204,6 @@ class FaultPlan:
             "seed": self.seed,
             "name": self.name,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "FaultPlan":
-        return cls(
-            rules=tuple(
-                FaultRule.from_dict(rule) for rule in payload.get("rules", ())
-            ),
-            seed=payload.get("seed", 0),
-            name=payload.get("name", "plan"),
-        )
 
 
 def error_for(kind: FaultKind, op_index: int) -> Exception:

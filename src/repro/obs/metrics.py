@@ -275,10 +275,6 @@ class MetricsSnapshot:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsSnapshot":
-        return cls.from_dict(json.loads(text))
-
     # -- queries -------------------------------------------------------------
 
     def _find(self, name: str) -> dict[str, Any] | None:

@@ -8,23 +8,22 @@ engine's manifest rows — implements one small protocol:
 
 * ``to_dict()`` → a JSON-serializable dict tagged with ``kind`` and
   ``schema_version``;
-* ``from_dict(data)`` → the dataclass back, validating the version;
 * an optional ``metrics`` field holding a
   :class:`~repro.obs.metrics.MetricsSnapshot` (attach one with
   :meth:`ReportMixin.with_metrics`).
 
-:class:`ReportMixin` supplies generic, type-hint-driven implementations
-so each dataclass keeps its existing fields and attribute access —
-migration is "inherit the mixin", not "rewrite the class".  Nested
-reports (e.g. a ``DistributedResult`` holding a ``ThroughputResult``)
-round-trip recursively.
+:class:`ReportMixin` supplies a generic implementation that walks the
+dataclass fields, so each dataclass keeps its existing fields and
+attribute access — migration is "inherit the mixin", not "rewrite the
+class".  Nested reports (e.g. a ``DistributedResult`` holding a
+``ThroughputResult``) serialize recursively, each with its own tags.
+The package writes these documents and does not read them back;
+``repro stats`` reads only their embedded metrics snapshot.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import types
-import typing
 from typing import Any, ClassVar, Mapping, Protocol, runtime_checkable
 
 from repro.obs.metrics import MetricsSnapshot
@@ -37,9 +36,6 @@ class Report(Protocol):
     schema_version: ClassVar[int]
 
     def to_dict(self) -> dict[str, Any]: ...
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Report": ...
 
 
 def _serialize(value: Any) -> Any:
@@ -64,53 +60,12 @@ def _serialize(value: Any) -> Any:
     return value
 
 
-def _unwrap_optional(hint: Any) -> Any:
-    """``X | None`` / ``Optional[X]`` → ``X``; other hints unchanged."""
-    origin = typing.get_origin(hint)
-    if origin is typing.Union or origin is types.UnionType:
-        arms = [arm for arm in typing.get_args(hint) if arm is not type(None)]
-        if len(arms) == 1:
-            return arms[0]
-    return hint
-
-
-def _deserialize(value: Any, hint: Any) -> Any:
-    """Rebuild a field value from JSON data, guided by its type hint."""
-    if value is None:
-        return None
-    hint = _unwrap_optional(hint)
-    if hint is MetricsSnapshot:
-        return MetricsSnapshot.from_dict(value)
-    if isinstance(hint, type) and dataclasses.is_dataclass(hint):
-        if hasattr(hint, "from_dict"):
-            return hint.from_dict(value)
-        hints = typing.get_type_hints(hint)
-        return hint(
-            **{
-                f.name: _deserialize(value[f.name], hints.get(f.name))
-                for f in dataclasses.fields(hint)
-                if f.name in value
-            }
-        )
-    origin = typing.get_origin(hint)
-    if origin in (dict, Mapping) and isinstance(value, Mapping):
-        args = typing.get_args(hint)
-        item_hint = args[1] if len(args) == 2 else None
-        return {key: _deserialize(item, item_hint) for key, item in value.items()}
-    if origin in (list, tuple) and isinstance(value, (list, tuple)):
-        args = typing.get_args(hint)
-        item_hint = args[0] if args else None
-        items = [_deserialize(item, item_hint) for item in value]
-        return tuple(items) if origin is tuple else items
-    return value
-
-
 class ReportMixin:
-    """Generic ``to_dict``/``from_dict`` for result dataclasses.
+    """Generic ``to_dict`` for result dataclasses.
 
     Subclasses are dataclasses; the mixin walks their fields.  Bump the
-    class's ``schema_version`` when a serialized field changes meaning;
-    ``from_dict`` refuses newer versions rather than misreading them.
+    class's ``schema_version`` when a serialized field changes meaning,
+    so readers of the JSON can tell the shapes apart.
     """
 
     schema_version: ClassVar[int] = 1
@@ -123,25 +78,6 @@ class ReportMixin:
         for f in dataclasses.fields(self):  # type: ignore[arg-type]
             data[f.name] = _serialize(getattr(self, f.name))
         return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> Any:
-        version = data.get("schema_version", 1)
-        if version > cls.schema_version:
-            raise ValueError(
-                f"cannot read {cls.__name__} schema_version={version}; "
-                f"this build understands <= {cls.schema_version}"
-            )
-        kind = data.get("kind")
-        if kind is not None and kind != cls.__name__:
-            raise ValueError(f"expected a {cls.__name__} dict, got kind={kind!r}")
-        hints = typing.get_type_hints(cls)
-        kwargs = {}
-        for f in dataclasses.fields(cls):  # type: ignore[arg-type]
-            if not f.init or f.name not in data:
-                continue
-            kwargs[f.name] = _deserialize(data[f.name], hints.get(f.name))
-        return cls(**kwargs)
 
     def with_metrics(self, snapshot: MetricsSnapshot) -> Any:
         """A copy with the metrics snapshot attached.
@@ -156,11 +92,6 @@ class ReportMixin:
                 f"{type(self).__name__} has no metrics field to attach to"
             )
         return dataclasses.replace(self, metrics=snapshot)  # type: ignore[type-var]
-
-    @property
-    def metrics_snapshot(self) -> MetricsSnapshot | None:
-        """The attached metrics snapshot, if the report carries one."""
-        return getattr(self, "metrics", None)
 
 
 __all__ = ["Report", "ReportMixin"]

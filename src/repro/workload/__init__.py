@@ -23,7 +23,6 @@ if TYPE_CHECKING:
     from repro.workload.trace import PageReference as PageReference
     from repro.workload.trace import TraceConfig as TraceConfig
     from repro.workload.trace import TraceGenerator as TraceGenerator
-    from repro.workload.tracefile import SavedTrace as SavedTrace
 
 __all__, __getattr__, __dir__ = attach(
     __name__,
@@ -39,6 +38,5 @@ __all__, __getattr__, __dir__ = attach(
         "PageReference": "repro.workload.trace",
         "TraceConfig": "repro.workload.trace",
         "TraceGenerator": "repro.workload.trace",
-        "SavedTrace": "repro.workload.tracefile",
     },
 )

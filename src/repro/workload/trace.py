@@ -175,26 +175,6 @@ class PageIdSpace:
             page = (page_id - self.static_total) // N_GROWING_RELATIONS
         return PageReference(relation, page, bool(ref & REF_WRITE_MASK))
 
-    def encode_ref_arrays(
-        self, relation: "np.ndarray", page: "np.ndarray", write: "np.ndarray"
-    ) -> "np.ndarray":
-        """Column-wise :meth:`encode_ref` (inverse of :meth:`decode_ref_arrays`)."""
-        relation = relation.astype(np.int64)
-        bases = np.zeros(REF_REL_MASK + 1, dtype=np.int64)
-        bases[:N_STATIC_RELATIONS] = self.static_bases
-        page_id = np.where(
-            relation < N_STATIC_RELATIONS,
-            bases[relation] + page,
-            self.static_total
-            + page * N_GROWING_RELATIONS
-            + (relation - N_STATIC_RELATIONS),
-        )
-        return (
-            (page_id << REF_PID_SHIFT)
-            | (relation << REF_REL_SHIFT)
-            | write.astype(np.int64)
-        )
-
     def decode_ref_arrays(
         self, refs: "np.ndarray"
     ) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:

@@ -20,10 +20,8 @@ import numpy as np
 
 from repro.core.mapping import page_access_distribution
 from repro.core.nurand import customer_mixture_distribution, item_id_distribution
-from repro.core.packing import HottestFirstPacking, SequentialPacking
 from repro.stats.distribution import DiscreteDistribution
 from repro.workload.mix import TRANSACTION_ORDER, TransactionType
-from repro.workload.schema import RELATIONS
 from repro.workload.trace import RELATION_INDEX, TraceConfig, TraceGenerator
 
 
@@ -58,18 +56,16 @@ class DistributionCheck:
         }
 
 
-def _analytic_page_pmf(config: TraceConfig, relation: str) -> DiscreteDistribution:
-    """The analytic single-block page PMF for a skewed relation."""
-    tuples_per_page = RELATIONS[relation].tuples_per_page(config.page_size)
+def _analytic_page_pmf(trace: TraceGenerator, relation: str) -> DiscreteDistribution:
+    """The analytic single-block page PMF of a skewed relation, under the
+    packing of the trace's own layout for it."""
+    config = trace.config
     if relation == "customer":
         tuple_pmf = customer_mixture_distribution(config.customers_per_district)
     else:
         tuple_pmf = item_id_distribution(config.items)
-    if config.packing == "optimized":
-        packing = HottestFirstPacking(tuple_pmf.size, tuples_per_page, tuple_pmf)
-    else:
-        packing = SequentialPacking(tuple_pmf.size, tuples_per_page)
-    return page_access_distribution(tuple_pmf, packing)
+    layout = getattr(trace._tables, f"{relation}_layout")
+    return page_access_distribution(tuple_pmf, layout.packing)
 
 
 def _check(
@@ -130,9 +126,9 @@ def validate_trace(
             TransactionType.ORDER_STATUS,
         ],
     }
-    analytic = {name: _analytic_page_pmf(config, name) for name in nu_transactions}
-    counts = {name: np.zeros(pmf.size, dtype=np.int64) for name, pmf in analytic.items()}
     trace = TraceGenerator(config)
+    analytic = {name: _analytic_page_pmf(trace, name) for name in nu_transactions}
+    counts = {name: np.zeros(pmf.size, dtype=np.int64) for name, pmf in analytic.items()}
     left = transactions
     while left:
         # Bounded blocks keep memory flat in the transaction count; the

@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.buffer.analytic import (
-    che_characteristic_time,
-    che_hit_probabilities,
-    che_miss_rates,
-)
+from repro.buffer.analytic import che_characteristic_time, che_hit_probabilities
 from repro.core.nurand import exact_pmf
-from repro.stats.distribution import DiscreteDistribution
 
 from .policy_oracle import LruPolicy
 from .policy_replay import replay
@@ -55,30 +50,24 @@ class TestHitProbabilities:
         assert hits[0] > hits[1] > hits[2]
 
 
+def _miss_rate(segment, characteristic_time):
+    """One relation's Che miss rate: sum(p * exp(-p T)) / sum(p)."""
+    hits = che_hit_probabilities(segment, characteristic_time)
+    return float(((1.0 - hits) * segment).sum() / segment.sum())
+
+
 class TestCheMissRates:
-    def test_validates_matching_keys(self):
-        pmfs = {"a": DiscreteDistribution.uniform(0, 9)}
-        with pytest.raises(ValueError, match="same relations"):
-            che_miss_rates(pmfs, {"b": 1.0}, 5)
-
-    def test_zero_share_rejected(self):
-        pmfs = {"a": DiscreteDistribution.uniform(0, 9)}
-        with pytest.raises(ValueError, match="positive"):
-            che_miss_rates(pmfs, {"a": 0.0}, 5)
-
     def test_hot_relation_lower_miss(self):
-        hot = DiscreteDistribution.uniform(0, 9)       # 10 pages, heavy traffic
-        cold = DiscreteDistribution.uniform(0, 199)    # 200 pages, light traffic
-        rates = che_miss_rates(
-            {"hot": hot, "cold": cold}, {"hot": 10.0, "cold": 1.0}, capacity_pages=50
-        )
-        assert rates["hot"] < rates["cold"]
+        hot = np.full(10, 10.0 / 11 / 10)      # 10 pages, heavy traffic
+        cold = np.full(200, 1.0 / 11 / 200)    # 200 pages, light traffic
+        t = che_characteristic_time(np.concatenate([hot, cold]), 50)
+        assert _miss_rate(hot, t) < _miss_rate(cold, t)
 
     def test_matches_lru_simulation_under_irm(self, rng):
         """Che should track a real LRU simulation for IRM traffic."""
         pmf = exact_pmf(63, 1, 500)
         capacity = 120
-        analytic = che_miss_rates({"r": pmf}, {"r": 1.0}, capacity)["r"]
+        analytic = _miss_rate(pmf.pmf, che_characteristic_time(pmf.pmf, capacity))
 
         policy = LruPolicy(capacity)
         ids = pmf.sample(rng, size=120_000)
@@ -89,6 +78,5 @@ class TestCheMissRates:
         assert analytic == pytest.approx(simulated, abs=0.03)
 
     def test_large_capacity_near_zero_miss(self):
-        pmf = exact_pmf(63, 1, 500)
-        rates = che_miss_rates({"r": pmf}, {"r": 1.0}, capacity_pages=499)
-        assert rates["r"] < 0.02
+        pmf = exact_pmf(63, 1, 500).pmf
+        assert _miss_rate(pmf, che_characteristic_time(pmf, 499)) < 0.02

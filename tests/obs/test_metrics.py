@@ -115,7 +115,7 @@ class TestSnapshot:
         registry.histogram("h").observe(4, tx="payment")
         registry.gauge("g").set(2)
         snapshot = registry.snapshot()
-        restored = MetricsSnapshot.from_json(snapshot.to_json())
+        restored = MetricsSnapshot.from_dict(json.loads(snapshot.to_json()))
         assert restored == snapshot
 
     def test_newer_schema_refused(self):

@@ -1,9 +1,9 @@
-"""Round-trip tests for the unified Report protocol.
+"""Tests for the unified Report protocol.
 
 Every result class in the repo must satisfy :class:`repro.results.
 Report`: ``to_dict`` produces a JSON-serializable, version-tagged dict
-and ``from_dict`` rebuilds an equal object — through actual JSON, so
-tuples/numpy leakage would fail here.
+that survives actual JSON unchanged, so tuples/numpy leakage would fail
+here.
 """
 
 import json
@@ -14,7 +14,7 @@ from repro.distributed.model import DistributedResult
 from repro.driver import BenchmarkSpec, DriverReport, TxStats
 from repro.exec.engine import UnitRecord
 from repro.experiments.runner import ExperimentResult
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.results import Report, ReportMixin
 from repro.stats.batch_means import BatchMeansSummary
 from repro.core.skew import SkewSummary
@@ -114,11 +114,10 @@ class TestRoundTrip:
         "report", SAMPLES, ids=[type(r).__name__ for r in SAMPLES]
     )
     def test_through_actual_json(self, report):
-        data = json.loads(json.dumps(report.to_dict()))
+        data = report.to_dict()
         assert data["kind"] == type(report).__name__
         assert data["schema_version"] == type(report).schema_version
-        restored = type(report).from_dict(data)
-        assert restored == report
+        assert json.loads(json.dumps(data)) == data
 
     @pytest.mark.parametrize(
         "report", SAMPLES, ids=[type(r).__name__ for r in SAMPLES]
@@ -126,36 +125,11 @@ class TestRoundTrip:
     def test_satisfies_protocol(self, report):
         assert isinstance(report, Report)
 
-    def test_nested_report_rebuilt_as_dataclass(self):
+    def test_nested_report_serialized_with_its_own_tags(self):
         distributed = DistributedResult(
             nodes=2, per_node=THROUGHPUT, item_replicated=False
         )
-        restored = DistributedResult.from_dict(distributed.to_dict())
-        assert isinstance(restored.per_node, ThroughputResult)
-        assert restored.system_tps == distributed.system_tps
-
-
-class TestVersionAndKindGuards:
-    def test_newer_version_refused(self):
-        data = SkewSummary(0.1, 0.2, 0.3, 0.4).to_dict()
-        data["schema_version"] = 99
-        with pytest.raises(ValueError, match="schema_version=99"):
-            SkewSummary.from_dict(data)
-
-    def test_older_version_accepted(self):
-        data = SkewSummary(0.1, 0.2, 0.3, 0.4).to_dict()
-        data["schema_version"] = 0
-        assert SkewSummary.from_dict(data).gini == 0.4
-
-    def test_kind_mismatch_refused(self):
-        data = SkewSummary(0.1, 0.2, 0.3, 0.4).to_dict()
-        with pytest.raises(ValueError, match="kind"):
-            BatchMeansSummary.from_dict(data)
-
-    def test_untagged_dict_accepted(self):
-        assert BatchMeansSummary.from_dict(
-            {"mean": 1.0, "half_width": 0.1, "confidence": 0.9, "batches": 5}
-        ).mean == 1.0
+        assert distributed.to_dict()["per_node"] == THROUGHPUT.to_dict()
 
 
 class TestMetricsAttachment:
@@ -164,18 +138,14 @@ class TestMetricsAttachment:
         snapshot = _sample_snapshot()
         attached = result.with_metrics(snapshot)
         assert attached.metrics == snapshot
-        assert attached.metrics_snapshot == snapshot
         assert result.metrics is None  # original untouched
-        restored = ExperimentResult.from_dict(
-            json.loads(json.dumps(attached.to_dict()))
-        )
-        assert restored.metrics == snapshot
+        data = json.loads(json.dumps(attached.to_dict()))
+        assert MetricsSnapshot.from_dict(data["metrics"]) == snapshot
 
     def test_reports_without_metrics_field_refuse_attachment(self):
         summary = SkewSummary(0.1, 0.2, 0.3, 0.4)
         with pytest.raises(TypeError, match="no metrics field"):
             summary.with_metrics(_sample_snapshot())
-        assert summary.metrics_snapshot is None
 
 
 class TestMixinIsGeneric:
@@ -185,7 +155,11 @@ class TestMixinIsGeneric:
         @dataclasses.dataclass(frozen=True)
         class Custom(ReportMixin):
             name: str
-            values: list[int]
+            values: tuple[int, ...]
 
-        restored = Custom.from_dict(Custom("x", [1, 2]).to_dict())
-        assert restored == Custom("x", [1, 2])
+        assert Custom("x", (1, 2)).to_dict() == {
+            "schema_version": 1,
+            "kind": "Custom",
+            "name": "x",
+            "values": [1, 2],
+        }

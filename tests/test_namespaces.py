@@ -181,6 +181,28 @@ class TestImportGraph:
         assert found is True
 
 
+class TestPackageMetadata:
+    def test_metadata_on_the_source_path_is_the_package_version(self):
+        """With only ``src`` on the path, distribution metadata is either
+        absent or that of this version: no stale ``*.egg-info`` is kept
+        beside the sources."""
+        found, version = _run(
+            """
+            import importlib.metadata
+            import json
+
+            import repro
+
+            try:
+                found = importlib.metadata.version("repro")
+            except importlib.metadata.PackageNotFoundError:
+                found = None
+            print(json.dumps([found, repro.__version__]))
+            """
+        )
+        assert found in (None, version)
+
+
 class TestTimedRegionImportsNothing:
     def test_driver_and_engine_runs_import_no_module(self):
         """What the driver-contended and engine-mix setups import and build,

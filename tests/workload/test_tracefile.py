@@ -1,143 +1,121 @@
-"""Unit tests for repro.workload.tracefile (trace capture and replay)."""
+"""Unit tests for repro.workload.tracefile (trace export)."""
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from repro.workload.trace import RELATION_NAMES, TraceConfig
-from repro.workload.tracefile import SavedTrace
+from repro.cli import main
+from repro.workload.mix import TransactionMix
+from repro.workload.trace import TraceConfig, TraceGenerator
+from repro.workload.tracefile import FORMAT_VERSION, write_trace
 
-from ..buffer.policy_oracle import make_policy
-from ..buffer.policy_replay import replay
+CONFIG = TraceConfig(
+    warehouses=2,
+    items=300,
+    customers_per_district=90,
+    prime_orders=20,
+    prime_pending=5,
+    seed=15,
+)
+
+#: Every entry of a trace file, with its dtype.
+COLUMNS = {
+    "format_version": np.int64,
+    "relations": np.int8,
+    "pages": np.int64,
+    "writes": np.bool_,
+    "boundaries": np.int64,
+}
+
+
+def _load(path) -> dict[str, np.ndarray]:
+    with np.load(path) as archive:
+        return dict(archive)
 
 
 @pytest.fixture(scope="module")
-def trace():
-    config = TraceConfig(
-        warehouses=2,
-        items=300,
-        customers_per_district=90,
-        prime_orders=20,
-        prime_pending=5,
-        seed=15,
+def written(tmp_path_factory):
+    """``(archive, reference count)`` of a 200-transaction trace."""
+    path, references = write_trace(
+        tmp_path_factory.mktemp("trace") / "trace.npz", CONFIG, 200
     )
-    return SavedTrace.record(config, transactions=200)
+    return _load(path), references
 
 
 class TestRecord:
-    def test_counts(self, trace):
-        assert trace.transaction_count == 200
-        assert trace.reference_count > 200
+    def test_counts(self, written):
+        archive, references = written
+        assert archive["boundaries"].size == 200
+        assert archive["relations"].size == references > 200
 
-    def test_invalid_transactions(self):
+    def test_invalid_transactions(self, tmp_path):
         with pytest.raises(ValueError):
-            SavedTrace.record(TraceConfig(warehouses=1), transactions=0)
+            write_trace(tmp_path / "trace.npz", TraceConfig(warehouses=1), 0)
+        assert not (tmp_path / "trace.npz").exists()
 
-    def test_references_iterate_in_order(self, trace):
-        refs = list(trace.references())
-        assert len(refs) == trace.reference_count
+    def test_transactions_partition_references(self, written):
+        archive, references = written
+        boundaries = archive["boundaries"]
+        assert np.all(np.diff(boundaries) > 0) and boundaries[0] > 0
+        assert boundaries[-1] == references
 
-    def test_transactions_partition_references(self, trace):
-        groups = list(trace.transactions())
-        assert len(groups) == 200
-        assert sum(len(group) for group in groups) == trace.reference_count
-
-    def test_matches_live_generator(self):
-        """Recording must capture exactly what the generator emits."""
-        from repro.workload.trace import TraceGenerator
-
+    def test_matches_live_generator(self, tmp_path):
+        """The file holds exactly what the generator emits."""
         config = TraceConfig(warehouses=1, items=90, customers_per_district=30,
                              prime_orders=10, prime_pending=3, seed=77)
-        saved = SavedTrace.record(config, transactions=50)
-        live = TraceGenerator(config)
-        live_refs = list(live.references(50))
-        assert list(saved.references()) == live_refs
+        archive = _load(write_trace(tmp_path / "trace.npz", config, 50)[0])
+        recorded = zip(
+            archive["relations"].tolist(),
+            archive["pages"].tolist(),
+            archive["writes"].tolist(),
+        )
+        assert list(recorded) == list(TraceGenerator(config).references(50))
 
-    def test_recorded_columns_are_pinned(self):
+    def test_recorded_columns_are_pinned(self, tmp_path):
         """SHA-256 of the four stored columns (int8 relations, int64
-        pages, bool writes, int64 boundaries), taken while ``record``
+        pages, bool writes, int64 boundaries), taken while the recorder
         still appended one Python object per reference."""
-        import hashlib
-
-        saved = SavedTrace.record(TraceConfig(warehouses=2, seed=13), 300)
+        config = TraceConfig(warehouses=2, seed=13)
+        path, _ = write_trace(tmp_path / "trace.npz", config, 300)
+        archive = _load(path)
         digest = hashlib.sha256()
-        for column, dtype in (
-            (saved._relations, np.int8),
-            (saved._pages, np.int64),
-            (saved._writes, np.bool_),
-            (saved._boundaries, np.int64),
-        ):
-            assert column.dtype == dtype
-            digest.update(np.ascontiguousarray(column).tobytes())
+        for name in ("relations", "pages", "writes", "boundaries"):
+            assert archive[name].dtype == COLUMNS[name]
+            digest.update(np.ascontiguousarray(archive[name]).tobytes())
         assert digest.hexdigest() == (
             "7b9408f119a6d9841f80b7671054613d9258292af0027a4540f87451e7e0250c"
         )
 
-    def test_relation_access_counts(self, trace):
-        counts = trace.relation_access_counts()
-        assert counts["stock"] > counts["warehouse"]
-        assert sum(counts.values()) == trace.reference_count
-
 
 class TestPersistence:
-    def test_save_load_round_trip(self, trace, tmp_path):
-        path = trace.save(tmp_path / "trace.npz")
-        loaded = SavedTrace.load(path)
-        assert loaded.reference_count == trace.reference_count
-        assert loaded.transaction_count == trace.transaction_count
-        assert list(loaded.references())[:50] == list(trace.references())[:50]
-
-    def test_config_preserved(self, trace, tmp_path):
-        path = trace.save(tmp_path / "trace.npz")
-        loaded = SavedTrace.load(path)
-        assert loaded.config == trace.config
-
-    def test_suffix_added(self, trace, tmp_path):
-        path = trace.save(tmp_path / "trace")
-        assert path.suffix == ".npz"
-        assert path.exists()
-
-    def test_bad_version_rejected(self, trace, tmp_path):
-        path = trace.save(tmp_path / "trace.npz")
-        with np.load(path) as archive:
-            data = dict(archive)
-        data["format_version"] = np.int64(99)
-        np.savez_compressed(tmp_path / "bad.npz", **data)
-        with pytest.raises(ValueError, match="version"):
-            SavedTrace.load(tmp_path / "bad.npz")
-
-
-class TestReplay:
-    def test_replay_deterministic(self, trace):
-        first = trace.replay(buffer_pages=80)
-        second = trace.replay(buffer_pages=80)
-        assert first == second
-
-    def test_replay_monotone_in_capacity(self, trace):
-        small = trace.replay(buffer_pages=40)
-        large = trace.replay(buffer_pages=400)
-        assert large["stock"] <= small["stock"]
-        assert large["customer"] <= small["customer"]
-
-    def test_replay_under_different_policies(self, trace):
-        lru = trace.replay(buffer_pages=60, policy="lru")
-        fifo = trace.replay(buffer_pages=60, policy="fifo")
-        assert set(lru) == set(fifo)
-        assert lru["stock"] != fifo["stock"]
-
-    def test_replay_after_reload(self, trace, tmp_path):
-        path = trace.save(tmp_path / "trace.npz")
-        loaded = SavedTrace.load(path)
-        assert loaded.replay(buffer_pages=80) == trace.replay(buffer_pages=80)
-
-    @pytest.mark.parametrize("policy", ["lru", "clock"])
-    def test_replay_equals_object_pool(self, trace, policy):
-        """The kernel replay of the packed columns is the policy object's
-        one-access-at-a-time replay, rate for rate."""
-        hits, misses, _ = replay(
-            make_policy(policy, 80), (ref[:2] for ref in trace.references())
+    def test_save_load_round_trip(self, tmp_path, capsys):
+        """``repro trace`` writes the documented entries, read back with
+        plain ``np.load``."""
+        path = tmp_path / "out.npz"
+        argv = ["trace", str(path), "--transactions", "300", "--seed", "4"]
+        assert main(argv) == 0
+        archive = _load(path)
+        assert set(archive) == {*COLUMNS, "config_json"}
+        for name, dtype in COLUMNS.items():
+            assert archive[name].dtype == dtype, name
+        assert int(archive["format_version"]) == FORMAT_VERSION
+        assert capsys.readouterr().out == (
+            f"recorded {archive['relations'].size} references over "
+            f"300 transactions to {path}\n"
         )
-        expected = {
-            RELATION_NAMES[index]: misses[index] / (hits[index] + misses[index])
-            for index in sorted(hits | misses)
-        }
-        assert trace.replay(buffer_pages=80, policy=policy) == expected
+
+    def test_config_preserved(self, tmp_path):
+        config = CONFIG.replace(
+            packing="random", mix=TransactionMix(0.44, 0.44, 0.04, 0.05, 0.03)
+        )
+        archive = _load(write_trace(tmp_path / "trace.npz", config, 20)[0])
+        fields = json.loads(bytes(archive["config_json"]).decode("utf-8"))
+        mix = TransactionMix(**fields.pop("mix"))
+        assert TraceConfig(mix=mix, **fields) == config
+
+    def test_suffix_added(self, tmp_path):
+        path, _ = write_trace(tmp_path / "trace", CONFIG, 10)
+        assert path == tmp_path / "trace.npz"
+        assert path.exists()

@@ -63,11 +63,18 @@ class TestConsistency:
         for relation in ("item", "stock"):
             assert checks[relation].consistent(tv_threshold=0.12)
 
+    def test_random_packing_also_consistent(self):
+        """The analytic PMFs follow the trace's own random packings."""
+        checks = validate_trace(scaled_config(packing="random"), transactions=5_000)
+        for relation in ("item", "stock", "customer"):
+            assert checks[relation].consistent(tv_threshold=0.12), checks[relation]
+            assert checks[relation].chi2_p_value > 1e-6, checks[relation]
+
     def test_detects_wrong_distribution(self):
         """Sanity: comparing against the wrong PMF must fail."""
         from repro.workload import validation
 
-        analytic = validation._analytic_page_pmf(scaled_config(), "item")
+        analytic = validation._analytic_page_pmf(TraceGenerator(scaled_config()), "item")
         uniform_counts = np.full(analytic.size, 100, dtype=np.int64)
         check = validation._check("item", uniform_counts, analytic)
         assert not check.consistent(tv_threshold=0.05)
@@ -130,7 +137,7 @@ class TestChiSquare:
     def test_uniform_counts_p_value_equals_scipy_stats(self):
         import numpy as np
 
-        analytic = validation._analytic_page_pmf(scaled_config(), "item")
+        analytic = validation._analytic_page_pmf(TraceGenerator(scaled_config()), "item")
         counts = np.full(analytic.size, 100, dtype=np.int64)
         check = validation._check("item", counts, analytic)
         assert check.chi2_p_value == self._scipy_p_value(counts, analytic)
