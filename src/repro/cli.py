@@ -168,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--customers", type=int, default=90)
     validate.add_argument("--transactions", type=int, default=5000)
     validate.add_argument(
-        "--packing", choices=["sequential", "optimized"], default="sequential"
+        "--packing", choices=["sequential", "optimized", "random"], default="sequential"
     )
     add_format_argument(validate)
 
@@ -179,8 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--warehouses", type=int, default=2)
     trace.add_argument("--transactions", type=int, default=5000)
     trace.add_argument(
-        "--packing", choices=["sequential", "optimized", "random"],
-        default="sequential",
+        "--packing", choices=["sequential", "optimized", "random"], default="sequential"
     )
     trace.add_argument("--seed", type=int, default=0)
     add_format_argument(trace)

@@ -219,7 +219,6 @@ class BufferManager:
         eviction: the frame stays resident and dirty as an orphan, to be
         re-admitted on its next access or flushed at the next checkpoint.
         """
-        labels = {"relation": self._relation(victim.file_id), "policy": "lru"}
         injector = self._injector
         deferred = injector is not None and injector.fire("buffer.evict") is not None
         if not deferred:
@@ -230,11 +229,15 @@ class BufferManager:
         if deferred:
             self._orphans[victim] = page
             self.deferred_evictions += 1
-            instruments.ENGINE_BUFFER_EVICTIONS.inc(outcome="deferred", **labels)
-            return
-        evictions = self._stats.evictions
-        evictions[victim.file_id] = evictions.get(victim.file_id, 0) + 1
-        instruments.ENGINE_BUFFER_EVICTIONS.inc(outcome="evicted", **labels)
+        else:
+            evictions = self._stats.evictions
+            evictions[victim.file_id] = evictions.get(victim.file_id, 0) + 1
+        if instruments.REGISTRY.enabled:
+            instruments.ENGINE_BUFFER_EVICTIONS.inc(
+                relation=self._relation(victim.file_id),
+                policy="lru",
+                outcome="deferred" if deferred else "evicted",
+            )
 
     def _write_back(self, page_id: PageId, page: Page) -> None:
         if page_id in self._dirty:

@@ -652,10 +652,9 @@ class Database:
     def backup(self) -> None:
         """Checkpoint, then snapshot every page image as the base backup.
 
-        Call after the initial load: crash recovery restores torn
-        (checksum-failing) pages from this snapshot before rolling the
-        log forward, so base rows that predate the WAL survive torn
-        writes too.
+        Call after the initial load: crash recovery restores torn pages
+        from this snapshot before rolling the log forward, so base rows
+        that predate the WAL survive torn writes too.
         """
         self.checkpoint()
         self.store.snapshot_backup()
@@ -696,10 +695,9 @@ class Database:
         """Repair torn pages, replay the log, roll back in-flight work.
 
         Recovery runs under a fault exemption (rollback must not fail)
-        and proceeds in four steps: (1) pages whose on-disk image fails
-        its checksum are restored from the base backup (or reformatted
-        empty when they were created after the backup — the replay
-        rebuilds their contents); (2) redo is a *full history* replay
+        and proceeds in four steps: (1) torn pages are restored from the
+        base backup (or reformatted empty when they were created after
+        the backup — the replay rebuilds their contents); (2) redo is a *full history* replay
         in LSN order: committed changes land, and aborted transactions'
         changes are neutralized by the compensation records their
         aborts logged, so slot reuse replays in the order it happened;
@@ -712,7 +710,7 @@ class Database:
             self._recover()
 
     def _repair_torn_pages(self) -> None:
-        """Restore checksum-failing pages from backup (or reformat them)."""
+        """Restore torn pages from backup (or reformat them), in store order."""
         for page_id in self.store.corrupt_page_ids():
             if self.store.restore_from_backup(page_id):
                 continue

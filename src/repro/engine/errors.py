@@ -57,7 +57,7 @@ class WalError(EngineError):
 
 
 class CorruptPageError(EngineError):
-    """A page image on disk failed its checksum (e.g. a torn write)."""
+    """A page image on disk is torn: a torn write left it unlike the intended image."""
 
 
 class InjectedFaultError(EngineError):

@@ -12,7 +12,7 @@ which is how the executable engine measures its I/O behaviour.
 
 from __future__ import annotations
 
-import zlib
+import struct
 from typing import Iterator, NamedTuple
 
 from repro.engine.errors import (
@@ -26,8 +26,21 @@ from repro.engine.errors import (
 #: Default page size, matching the paper's experiments.
 DEFAULT_PAGE_SIZE = 4096
 
-#: Bytes reserved for the page header (record size + slot count + used count).
-_HEADER_BYTES = 8
+#: The page header: record size, slot count, live count (little-endian).
+_HEADER = struct.Struct("<IHH")
+_HEADER_BYTES = _HEADER.size
+
+
+def _slot_count(record_size: int, page_size: int) -> int:
+    """Records a page holds; raises ValueError for an impossible geometry."""
+    if record_size <= 0:
+        raise ValueError(f"record_size must be positive, got {record_size}")
+    capacity = (page_size - _HEADER_BYTES) // (record_size + 1)
+    if capacity < 1:
+        raise ValueError(
+            f"page size {page_size} cannot hold any {record_size}-byte record"
+        )
+    return capacity
 
 
 class PageId(NamedTuple):
@@ -45,13 +58,7 @@ class Page:
     """
 
     def __init__(self, record_size: int, page_size: int = DEFAULT_PAGE_SIZE):
-        if record_size <= 0:
-            raise ValueError(f"record_size must be positive, got {record_size}")
-        capacity = (page_size - _HEADER_BYTES) // (record_size + 1)
-        if capacity < 1:
-            raise ValueError(
-                f"page size {page_size} cannot hold any {record_size}-byte record"
-            )
+        capacity = _slot_count(record_size, page_size)
         self._record_size = record_size
         self._page_size = page_size
         self._capacity = capacity
@@ -160,32 +167,29 @@ class Page:
 
     def to_bytes(self) -> bytes:
         """Serialize to exactly ``page_size`` bytes."""
-        header = (
-            self._record_size.to_bytes(4, "little")
-            + self._capacity.to_bytes(2, "little")
-            + self._live.to_bytes(2, "little")
-        )
-        body = bytes(self._occupied) + bytes(self._data)
-        padding = b"\x00" * (self._page_size - len(header) - len(body))
-        return header + body + padding
+        header = _HEADER.pack(self._record_size, self._capacity, self._live)
+        padding = bytes(self._page_size - len(header) - len(self._occupied) - len(self._data))
+        return b"".join((header, self._occupied, self._data, padding))
 
     @classmethod
     def from_bytes(cls, image: bytes, page_size: int = DEFAULT_PAGE_SIZE) -> "Page":
-        """Reconstruct a page from a serialized image."""
+        """Reconstruct a page from a serialized image, copying each array once."""
         if len(image) != page_size:
             raise ValueError(f"expected {page_size}-byte image, got {len(image)}")
-        record_size = int.from_bytes(image[0:4], "little")
-        capacity = int.from_bytes(image[4:6], "little")
-        live = int.from_bytes(image[6:8], "little")
-        page = cls(record_size, page_size)
-        if page.capacity != capacity:
+        record_size, capacity, live = _HEADER.unpack_from(image)
+        expected = _slot_count(record_size, page_size)
+        if capacity != expected:
             raise ValueError(
-                f"image capacity {capacity} does not match geometry {page.capacity}"
+                f"image capacity {capacity} does not match geometry {expected}"
             )
-        offset = _HEADER_BYTES
-        page._occupied[:] = image[offset : offset + capacity]
-        offset += capacity
-        page._data[:] = image[offset : offset + capacity * record_size]
+        view = memoryview(image)
+        data_start = _HEADER_BYTES + capacity
+        page = cls.__new__(cls)
+        page._record_size = record_size
+        page._page_size = page_size
+        page._capacity = capacity
+        page._occupied = bytearray(view[_HEADER_BYTES:data_start])
+        page._data = bytearray(view[data_start : data_start + capacity * record_size])
         page._live = live
         return page
 
@@ -217,19 +221,19 @@ class PageStore:
     ``reads``/``writes`` give the engine's physical I/O counts, the
     executable analogue of the model's miss counts.
 
-    Each write also records a CRC of the intended image (the embedded
-    page checksum of a real DBMS), so a torn write — injected via a
-    fault plan at the ``store.write`` seam — leaves a *detectably*
-    corrupt image: :meth:`read` raises
-    :class:`~repro.engine.errors.CorruptPageError`, and recovery
-    repairs the page from the backup snapshot (see :meth:`snapshot_backup`)
-    before replaying the log.
+    Only the store can tear an image (a fault at the ``store.write``
+    seam), so it marks a page torn exactly when a torn write left it
+    unlike the intended image, which is what a page checksum detects:
+    :meth:`read` raises :class:`~repro.engine.errors.CorruptPageError`,
+    and recovery restores the page from the backup snapshot (see
+    :meth:`snapshot_backup`) before replaying the log.  A full write,
+    :meth:`restore_from_backup` and :meth:`reformat` clear the mark.
     """
 
     def __init__(self, page_size: int = DEFAULT_PAGE_SIZE, injector=None):
         self._page_size = page_size
         self._images: dict[PageId, bytes] = {}
-        self._checksums: dict[PageId, int] = {}
+        self._torn: set[PageId] = set()
         self._backup: dict[PageId, bytes] | None = None
         self._injector = injector
         self.reads = 0
@@ -257,18 +261,16 @@ class PageStore:
     def read(self, page_id: PageId) -> Page:
         """Fetch and deserialize a page (counts one physical read).
 
-        Raises :class:`CorruptPageError` when the stored image fails
-        its checksum (a torn write reached disk and was never rewritten).
+        Raises :class:`CorruptPageError` when the stored image is torn
+        (a torn write reached disk and was never rewritten).
         """
         try:
             image = self._images[page_id]
         except KeyError:
             raise RecordNotFoundError(f"no page {page_id} on disk") from None
         self.reads += 1
-        if self.is_corrupt(page_id):
-            raise CorruptPageError(
-                f"page {page_id} failed its checksum (torn write?)"
-            )
+        if self._torn and page_id in self._torn:
+            raise CorruptPageError(f"page {page_id} holds a torn image")
         return Page.from_bytes(image, self._page_size)
 
     def write(self, page_id: PageId, page: Page) -> None:
@@ -276,47 +278,43 @@ class PageStore:
 
         When the injector fires a torn-write fault, only the first half
         of the image reaches "disk" (the tail keeps the previous image's
-        bytes, or zeros for a fresh page) while the recorded checksum is
-        that of the intended image — the classic torn-page signature.
+        bytes, or zeros for a fresh page); the page is torn when that
+        differs from the intended image.
         """
         image = page.to_bytes()
         event = self._injector.fire("store.write") if self._injector else None
         self.writes += 1
-        self._checksums[page_id] = zlib.crc32(image)
         if event is not None:
             half = self._page_size // 2
             old = self._images.get(page_id)
             tail = old[half:] if old is not None else b"\x00" * (len(image) - half)
             self._images[page_id] = image[:half] + tail
+            if tail == image[half:]:
+                self._torn.discard(page_id)
+            else:
+                self._torn.add(page_id)
             self.torn_writes += 1
             raise TornPageWriteError(
                 f"torn write on page {page_id} (injected, op {event.op_index})"
             )
         self._images[page_id] = image
+        self._torn.discard(page_id)
 
     def allocate(self, page_id: PageId, page: Page) -> None:
         """Persist a brand-new page without counting it as I/O traffic."""
         if page_id in self._images:
             raise ValueError(f"page {page_id} already exists")
-        image = page.to_bytes()
-        self._images[page_id] = image
-        self._checksums[page_id] = zlib.crc32(image)
+        self._images[page_id] = page.to_bytes()
 
     # -- integrity & backup ----------------------------------------------------
 
     def is_corrupt(self, page_id: PageId) -> bool:
-        """Whether a stored image fails its recorded checksum."""
-        image = self._images.get(page_id)
-        if image is None:
-            return False
-        expected = self._checksums.get(page_id)
-        return expected is not None and zlib.crc32(image) != expected
+        """Whether the stored image is torn."""
+        return page_id in self._torn
 
     def corrupt_page_ids(self) -> tuple[PageId, ...]:
-        """Pages whose on-disk image fails its checksum."""
-        return tuple(
-            page_id for page_id in self._images if self.is_corrupt(page_id)
-        )
+        """Pages whose on-disk image is torn, in store order."""
+        return tuple(page_id for page_id in self._images if page_id in self._torn)
 
     def snapshot_backup(self) -> None:
         """Snapshot every image as the base backup (taken after load).
@@ -335,9 +333,8 @@ class PageStore:
         """Reinstate a page's backup image; False when not in the backup."""
         if self._backup is None or page_id not in self._backup:
             return False
-        image = self._backup[page_id]
-        self._images[page_id] = image
-        self._checksums[page_id] = zlib.crc32(image)
+        self._images[page_id] = self._backup[page_id]
+        self._torn.discard(page_id)
         return True
 
     def reformat(self, page_id: PageId, page: Page) -> None:
@@ -345,9 +342,8 @@ class PageStore:
 
         Recovery-only hook: bypasses the injector and I/O counters.
         """
-        image = page.to_bytes()
-        self._images[page_id] = image
-        self._checksums[page_id] = zlib.crc32(image)
+        self._images[page_id] = page.to_bytes()
+        self._torn.discard(page_id)
 
     def reset_counters(self) -> None:
         self.reads = 0

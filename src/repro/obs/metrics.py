@@ -13,8 +13,8 @@ against a :class:`MetricsRegistry` — normally the process-wide
 The default registry starts **disabled**.  A disabled instrument's
 record call returns after one flag check, but the caller has by then
 built the label kwargs and made the call (0.2-0.4 us).  The seams hit
-dozens of times per transaction (engine buffer manager, lock manager,
-WAL append) therefore test :attr:`MetricsRegistry.enabled` themselves,
+dozens of times per transaction (the engine buffer manager's requests
+and evictions, lock manager, WAL append) therefore test :attr:`MetricsRegistry.enabled` themselves,
 *before* building labels: there the disabled path really is one
 attribute read.  Everywhere else the plain record call stays, cheap
 next to the work it counts.  Enabling happens around a run (see :meth:`MetricsRegistry.collecting`), which yields a *session*

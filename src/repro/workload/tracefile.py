@@ -32,12 +32,14 @@ def write_trace(
     """
     if transactions <= 0:
         raise ValueError(f"transactions must be positive, got {transactions}")
+    path = Path(path)
+    if not path.parent.is_dir():
+        raise ValueError(f"output directory {path.parent} does not exist")
     generator = TraceGenerator(config)
     batch = generator.encoded_batch(transactions=transactions)
     relations, pages, writes = generator.page_id_space.decode_ref_arrays(batch.refs)
     config_dict = dataclasses.asdict(config)
     config_dict["mix"] = config.mix.as_dict()
-    path = Path(path)
     np.savez_compressed(
         path,
         format_version=np.int64(FORMAT_VERSION),

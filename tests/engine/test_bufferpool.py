@@ -238,6 +238,27 @@ class TestStatsByFile:
         db.buffers.reset_stats()
         assert db.buffers.stats.evictions == {}
 
+    def test_deferred_evictions_match_the_metric(self, store):
+        buffers = BufferManager(store, 2, injector=defer_first_eviction())
+        buffers.name_file(0, "stock")
+        with default_registry().collecting() as session:
+            for page_no in (0, 1, 2, 3, 4):
+                buffers.get_page(PageId(0, page_no), for_write=True)
+        assert buffers.deferred_evictions == 1
+        snapshot = session.snapshot
+        assert snapshot.counter_total(
+            "engine.buffer.evictions_total", outcome="deferred"
+        ) == buffers.deferred_evictions
+        assert snapshot.counter_total(
+            "engine.buffer.evictions_total",
+            outcome="deferred",
+            relation="stock",
+            policy="lru",
+        ) == buffers.deferred_evictions
+        assert snapshot.counter_total(
+            "engine.buffer.evictions_total", outcome="evicted", relation="stock"
+        ) == sum(buffers.stats.evictions.values()) == 2
+
     def test_total_misses_is_the_sum_of_misses(self):
         config = TpccConfig(
             warehouses=1,

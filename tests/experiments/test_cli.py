@@ -319,6 +319,15 @@ class TestValidate:
         assert "TV distance" in out
         assert "consistent" in out
 
+    def test_random_packing(self, capsys):
+        assert main(
+            ["validate", "--warehouses", "1", "--items", "300",
+             "--customers", "90", "--transactions", "2500", "--packing", "random"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "TV distance" in out
+        assert out.splitlines()[-1] == "consistent"
+
 
 class TestTrace:
     def test_record_trace(self, tmp_path, capsys):
@@ -328,6 +337,17 @@ class TestTrace:
         ) == 0
         assert path.exists()
         assert "recorded" in capsys.readouterr().out
+
+    def test_missing_directory_is_an_invalid_argument(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "out.npz"
+        code = main(["trace", str(path), "--warehouses", "1", "--transactions", "10"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"invalid arguments: output directory {path.parent} does not exist\n"
+        )
+        assert not path.parent.exists()
 
 
 class TestInvalidArguments:
