@@ -75,6 +75,46 @@ class TestAnalyticProvider:
             provider(megabytes)
 
 
+#: ``(customer, stock, item)`` miss rates of the default provider, as
+#: ``float.hex``: any change to the layouts, the block tiling or the Che
+#: fold moves at least one of them.
+PROVIDER_PINS = {
+    ("sequential", 16.0): (
+        "0x1.f967d2f6426f3p-1", "0x1.c8343b3a69f54p-1", "0x1.5c7e836de437dp-2"
+    ),
+    ("sequential", 52.0): (
+        "0x1.e5c32a4b21448p-1", "0x1.6038d325152eep-1", "0x1.a6144422fb2b1p-4"
+    ),
+    ("sequential", 104.0): (
+        "0x1.c38ca167cbf66p-1", "0x1.00068cfa6199bp-1", "0x1.1f7f90de6486bp-5"
+    ),
+    ("sequential", 256.0): (
+        "0x1.4d33499dbe93ep-1", "0x1.d51bcf0c74621p-3", "0x1.135756957ceccp-8"
+    ),
+    ("optimized", 16.0): (
+        "0x1.f18f81805eca8p-1", "0x1.8d484e61f7c12p-1", "0x1.b1f3d0348ed23p-3"
+    ),
+    ("optimized", 52.0): (
+        "0x1.c6a64825a77a1p-1", "0x1.09ccd9d9ec9a2p-1", "0x1.11b880f7ec261p-4"
+    ),
+    ("optimized", 104.0): (
+        "0x1.8464d35860511p-1", "0x1.5cd76cf9861aep-2", "0x1.a28cb864aa94fp-6"
+    ),
+    ("optimized", 256.0): (
+        "0x1.c8642903e9dfep-2", "0x1.112a31eb3bdb4p-3", "0x1.0f62d9fc06b62p-8"
+    ),
+}
+
+
+@pytest.mark.parametrize("packing, megabytes", sorted(PROVIDER_PINS))
+def test_analytic_provider_is_pinned(provider, optimized_provider, packing, megabytes):
+    chosen = provider if packing == "sequential" else optimized_provider
+    miss = chosen(megabytes)
+    assert (
+        miss.customer.hex(), miss.stock.hex(), miss.item.hex()
+    ) == PROVIDER_PINS[packing, megabytes]
+
+
 class TestInterpolatingProvider:
     def _grid(self):
         return {
