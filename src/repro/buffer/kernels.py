@@ -6,7 +6,8 @@ key, an ``OrderedDict`` move-to-end, and dict-based accounting.  The
 kernels here run the same replacement algorithms over preallocated
 tables indexed by the dense page ids of
 :class:`~repro.workload.trace.PageIdSpace`, one
-:class:`~repro.workload.stream.EncodedBatch` at a time.
+:class:`~repro.workload.stream.EncodedBatch` at a time (the reference
+format is :mod:`repro.workload.stream`).
 :meth:`ArrayKernel.process_batch` is the only driver: it shifts the
 page ids out once, calls the policy's ``_replace`` hook, and folds the
 miss positions and victims the hook returns into the counters with
@@ -63,8 +64,14 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from repro.constants import DEFAULT_PAGE_SIZE
-from repro.workload.stream import EncodedBatch
-from repro.workload.trace import RELATION_NAMES, REF_PID_SHIFT, PageIdSpace
+from repro.workload.stream import (
+    N_RELATIONS,
+    REF_PID_SHIFT,
+    RELATION_NAMES,
+    EncodedBatch,
+    ref_relations,
+)
+from repro.workload.trace import PageIdSpace
 
 #: Stride of the per-transaction miss counters: transaction ``t`` and
 #: relation ``r`` share index ``(t << TX_STRIDE_SHIFT) + r``.
@@ -235,10 +242,9 @@ class ArrayKernel:
         self._relation = np.zeros(
             space.static_total + _PAGE_TABLE_GROWTH, dtype=np.uint8
         )
-        n_relations = len(RELATION_NAMES)
-        self.batch_misses: list[int] = [0] * n_relations
+        self.batch_misses: list[int] = [0] * N_RELATIONS
         self.tx_misses: list[int] = [0] * (transaction_types << TX_STRIDE_SHIFT)
-        self.eviction_counts: list[int] = [0] * n_relations
+        self.eviction_counts: list[int] = [0] * N_RELATIONS
 
     @property
     def capacity(self) -> int:
@@ -294,7 +300,7 @@ class ArrayKernel:
         hook_misses, hook_victims = self._replace(page_ids)
         misses = np.asarray(hook_misses, dtype=np.int64)
         if misses.size:
-            relations = (refs[misses] >> 1) & 15
+            relations = ref_relations(refs[misses])
             self._relation[page_ids[misses]] = relations
             _add_tally(self.batch_misses, relations)
             owner = np.repeat(batch.tx_indices, batch.tx_lengths)[misses]

@@ -59,6 +59,12 @@ class SimulationConfig:
             raise ValueError(f"need at least 2 batches, got {self.batches}")
         if self.batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+        if self.warmup_references is not None and self.warmup_references < 0:
+            raise ValueError(
+                f"warmup_references must be non-negative, got {self.warmup_references}"
+            )
+        if not 0 < self.confidence < 1:
+            raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
         require_megabytes(self.buffer_mb, "buffer_mb")
         require_kernel_policy(self.policy)
 

@@ -70,14 +70,8 @@ from repro.obs.instruments import (
     DIST_REMOTE_STOCK_CALLS,
 )
 from repro.workload.mix import TRANSACTION_ORDER, TransactionType
-from repro.workload.stream import EncodedBatch
-from repro.workload.trace import (
-    REF_REL_MASK,
-    REF_REL_SHIFT,
-    RELATION_INDEX,
-    TraceConfig,
-    TraceGenerator,
-)
+from repro.workload.stream import RELATION_INDEX, EncodedBatch, ref_relations
+from repro.workload.trace import TraceConfig, TraceGenerator
 
 _STOCK = RELATION_INDEX["stock"]
 _CUSTOMER = RELATION_INDEX["customer"]
@@ -397,7 +391,7 @@ class _NodeSimulation:
         remote_payments = 0
         if n > 1:
             rng = self._route_rng
-            relation = (batch.refs >> REF_REL_SHIFT) & REF_REL_MASK
+            relation = ref_relations(batch.refs)
             lines = np.flatnonzero((relation == _STOCK) & new_order[owner])
             p_line = self._config.trace.remote_stock_probability * (n - 1) / n
             shipped = lines[rng.random(lines.size) < p_line]

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from repro.exec.cache import MISSING, ResultCache, cache_key
-from repro.exec.units import SupportsSweep, WorkUnit
+from repro.exec.units import SweepSpec, WorkUnit
 from repro.obs import instruments
 from repro.obs.metrics import MetricsSnapshot, default_registry
 from repro.obs.profiling import profile_call
@@ -243,7 +243,7 @@ class ExecutionEngine:
 
     # -- execution -----------------------------------------------------------
 
-    def run_sweep(self, spec: SupportsSweep) -> dict[str, Any]:
+    def run_sweep(self, spec: SweepSpec) -> dict[str, Any]:
         """Run every unit of a sweep; returns ``{unit_id: result}``.
 
         Cached units are served from disk without executing.  Fresh

@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.exec.engine import ExecutionEngine, RunManifest
-from repro.exec.units import SupportsSweep
 from repro.experiments.runner import Preset
 from repro.obs.metrics import default_registry
 from repro.obs.tracing import tracing_to
@@ -84,10 +83,6 @@ class RunContext:
         if self.request.seed_override is not None:
             return self.request.seed_override
         return default
-
-    def run_sweep(self, spec: SupportsSweep) -> dict[str, Any]:
-        """Execute a sweep's units through the engine."""
-        return self.engine.run_sweep(spec)
 
 
 def build_engine(request: RunRequest) -> ExecutionEngine:

@@ -1,4 +1,4 @@
-"""Work-unit decomposition: the ``SweepSpec`` protocol.
+"""Work-unit decomposition: a sweep as a :class:`SweepSpec` of work units.
 
 A sweep of simulations (the Figure 8 operating points, the nodes of a
 cluster simulation) is a set of *independent* evaluations of one
@@ -16,7 +16,7 @@ dataclasses are the idiom used throughout the repo.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Protocol, runtime_checkable
+from typing import Any, Callable, Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -30,20 +30,6 @@ class WorkUnit:
     unit_id: str
     function: Callable[[Any], Any]
     payload: Any
-
-    def run(self) -> Any:
-        return self.function(self.payload)
-
-
-@runtime_checkable
-class SupportsSweep(Protocol):
-    """Anything the engine can execute: named spec with work units."""
-
-    @property
-    def experiment(self) -> str: ...
-
-    @property
-    def units(self) -> tuple[WorkUnit, ...]: ...
 
 
 @dataclass(frozen=True)

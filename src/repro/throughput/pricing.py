@@ -32,14 +32,12 @@ from repro.constants import (
     WAREHOUSES_PER_NODE,
 )
 from repro.core.mapping import page_access_distribution
-from repro.core.nurand import customer_mixture_distribution, item_id_distribution
-from repro.core.packing import HottestFirstPacking, SequentialPacking
 from repro.throughput.capacity import growth_bytes, static_storage_bytes
 from repro.throughput.model import ThroughputModel, ThroughputResult
 from repro.throughput.params import CostParameters, MissRateInputs
 from repro.workload.access import average_accesses
 from repro.workload.mix import DEFAULT_MIX, TransactionMix
-from repro.workload.schema import RELATIONS
+from repro.workload.trace import TraceConfig, skewed_layouts
 
 
 @dataclass(frozen=True)
@@ -86,44 +84,24 @@ class AnalyticMissRateProvider:
         self._reserved_pages = reserved_pages
         self._residual = residual
 
-        customer_pmf = customer_mixture_distribution()
-        item_pmf = item_id_distribution()
-        specs = RELATIONS
-        tpp = {
-            name: specs[name].tuples_per_page(page_size)
-            for name in ("customer", "stock", "item")
-        }
-        if packing == "sequential":
-            customer_packing = SequentialPacking(customer_pmf.size, tpp["customer"])
-            stock_packing = SequentialPacking(item_pmf.size, tpp["stock"])
-            item_packing = SequentialPacking(item_pmf.size, tpp["item"])
-        else:
-            customer_packing = HottestFirstPacking(
-                customer_pmf.size, tpp["customer"], customer_pmf
-            )
-            stock_packing = HottestFirstPacking(item_pmf.size, tpp["stock"], item_pmf)
-            item_packing = HottestFirstPacking(item_pmf.size, tpp["item"], item_pmf)
-
-        customer_block = page_access_distribution(customer_pmf, customer_packing).pmf
-        stock_block = page_access_distribution(item_pmf, stock_packing).pmf
-        item_block = page_access_distribution(item_pmf, item_packing).pmf
-
-        # Reference intensity per relation (tuple accesses per transaction),
-        # split evenly over a relation's identical blocks.
-        intensity = {
-            name: average_accesses(name, mix) for name in ("customer", "stock", "item")
-        }
-        customer_blocks = warehouses * 10
+        # The trace's own block layouts; each block's page PMF is weighted
+        # by its relation's reference intensity (tuple accesses per
+        # transaction), split evenly over the relation's identical blocks.
+        layouts = skewed_layouts(
+            TraceConfig(warehouses=warehouses, page_size=page_size, packing=packing)
+        )
         segments = [
-            ("customer", np.tile(customer_block / customer_blocks, customer_blocks)
-             * intensity["customer"]),
-            ("stock", np.tile(stock_block / warehouses, warehouses)
-             * intensity["stock"]),
-            ("item", item_block * intensity["item"]),
+            np.tile(
+                page_access_distribution(tuple_pmf, layout.packing).pmf
+                / layout.n_blocks,
+                layout.n_blocks,
+            )
+            * average_accesses(name, mix)
+            for name, (layout, tuple_pmf) in layouts.items()
         ]
-        self._names = [name for name, _ in segments]
-        self._sizes = [seg.size for _, seg in segments]
-        self._pool_pmf = np.concatenate([seg for _, seg in segments])
+        self._names = list(layouts)
+        self._sizes = [segment.size for segment in segments]
+        self._pool_pmf = np.concatenate(segments)
         self._pool_pmf /= self._pool_pmf.sum()
 
     def __call__(self, buffer_mb: float) -> MissRateInputs:

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.mapping import page_access_distribution
-from repro.core.nurand import customer_mixture_distribution, item_id_distribution
 from repro.stats.distribution import DiscreteDistribution
 from repro.workload.mix import TRANSACTION_ORDER, TransactionType
-from repro.workload.trace import RELATION_INDEX, TraceConfig, TraceGenerator
+from repro.workload.stream import RELATION_INDEX
+from repro.workload.trace import TraceConfig, TraceGenerator, skewed_layouts
 
 
 #: Transactions per encoded block that :func:`validate_trace` counts at once.
@@ -59,12 +59,7 @@ class DistributionCheck:
 def _analytic_page_pmf(trace: TraceGenerator, relation: str) -> DiscreteDistribution:
     """The analytic single-block page PMF of a skewed relation, under the
     packing of the trace's own layout for it."""
-    config = trace.config
-    if relation == "customer":
-        tuple_pmf = customer_mixture_distribution(config.customers_per_district)
-    else:
-        tuple_pmf = item_id_distribution(config.items)
-    layout = getattr(trace._tables, f"{relation}_layout")
+    layout, tuple_pmf = skewed_layouts(trace.config)[relation]
     return page_access_distribution(tuple_pmf, layout.packing)
 
 

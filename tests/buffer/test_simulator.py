@@ -61,6 +61,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="batches"):
             quick_config(batches=1)
 
+    @pytest.mark.parametrize("confidence", [1.5, 1.0, 0.0, -0.9, float("nan")])
+    def test_bad_confidence_rejected_at_construction(self, confidence):
+        """Not inside the run, where ``--jobs`` would put it in a worker."""
+        with pytest.raises(ValueError, match="confidence must be in"):
+            quick_config(confidence=confidence)
+        with pytest.raises(ValueError, match="confidence must be in"):
+            quick_config().replace(confidence=confidence)
+
+    def test_negative_warmup_rejected(self):
+        with pytest.raises(ValueError, match="warmup_references must be non-negative"):
+            quick_config(warmup_references=-1)
+
+    def test_zero_warmup_means_none(self):
+        assert quick_config(warmup_references=0).effective_warmup == 0
+
 
 class TestReport:
     def test_relations_observed(self, quick_report):

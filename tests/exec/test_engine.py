@@ -8,7 +8,7 @@ import pytest
 
 from repro.exec.cache import MISSING, cache_key
 from repro.exec.engine import ExecutionEngine, ExecutionError
-from repro.exec.units import SupportsSweep, SweepSpec
+from repro.exec.units import SweepSpec
 
 
 # Unit functions must be module-level so the process pool can pickle
@@ -51,14 +51,11 @@ class TestSweepSpec:
         spec = _spec()
         assert len(spec) == 3
         assert [unit.unit_id for unit in spec] == ["demo/1", "demo/2", "demo/3"]
-        assert spec.units[0].run() == 2
+        assert (spec.units[0].function, spec.units[0].payload) == (_double, 1)
 
     def test_duplicate_unit_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate unit ids"):
             SweepSpec.over("demo", _double, [("same", 1), ("same", 2)])
-
-    def test_satisfies_protocol(self):
-        assert isinstance(_spec(), SupportsSweep)
 
 
 class TestSerialExecution:

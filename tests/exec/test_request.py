@@ -94,7 +94,7 @@ class TestRunContext:
         engine = ExecutionEngine(jobs=1)
         context = RunContext(request=RunRequest(experiment="fig8"), engine=engine)
         assert context.engine is engine
-        assert context.run_sweep(SweepSpec("empty", ())) == {}
+        assert context.engine.run_sweep(SweepSpec("empty", ())) == {}
         assert engine.manifest().total_units == 0
 
 

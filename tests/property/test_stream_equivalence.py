@@ -27,7 +27,7 @@ import pytest
 
 from repro.buffer import kernels as kernels_module
 from repro.buffer.kernels import ARRAY_KERNEL_POLICIES, make_kernel
-from repro.workload import stream as stream_module
+from repro.workload import trace as trace_module
 from repro.workload.mix import TransactionMix
 from repro.workload.stream import EncodedBatch
 from repro.workload.trace import (
@@ -195,8 +195,8 @@ class TestEmitterByteIdentity:
         spec = BATCH_SPEC + [("tx", 300), ("tx", 1_000)]
         reference = None
         for chunk, floor in ((4096, 256), (4096, 4096), (1500, 7), (256, 256), (97, 1)):
-            monkeypatch.setattr(stream_module, "PLAN_CHUNK_TRANSACTIONS", chunk)
-            monkeypatch.setattr(stream_module, "MIN_PLAN_TRANSACTIONS", floor)
+            monkeypatch.setattr(trace_module, "PLAN_CHUNK_TRANSACTIONS", chunk)
+            monkeypatch.setattr(trace_module, "MIN_PLAN_TRANSACTIONS", floor)
             batches = emit(TraceGenerator(config).encoded_batch, spec)
             if reference is None:
                 reference = batches
@@ -208,12 +208,12 @@ class TestEmitterByteIdentity:
         draws off the buffered stream, not a full 4 096 chunk."""
         trace = TraceGenerator(TraceConfig(warehouses=1, seed=17))
         trace.encoded_batch(transactions=5)
-        assert trace._mix_next == stream_module.MIN_PLAN_TRANSACTIONS
+        assert trace._mix_next == trace_module.MIN_PLAN_TRANSACTIONS
         trace.encoded_batch(transactions=1_000)  # 251 left over, 749 planned
-        assert trace._mix_next == stream_module.MIN_PLAN_TRANSACTIONS + 749
+        assert trace._mix_next == trace_module.MIN_PLAN_TRANSACTIONS + 749
         by_refs = TraceGenerator(TraceConfig(warehouses=1, seed=17))
         by_refs.encoded_batch(min_refs=100)
-        assert by_refs._mix_next == stream_module.PLAN_CHUNK_TRANSACTIONS
+        assert by_refs._mix_next == trace_module.PLAN_CHUNK_TRANSACTIONS
 
     def test_object_stream_matches_encoded(self):
         """``references()``, the object view, decodes the very trace that
