@@ -76,44 +76,6 @@ def find_cycle(
     return None
 
 
-def is_cycle(waits_for: Mapping[int, Iterable[int]], cycle: tuple[int, ...]) -> bool:
-    """Whether ``cycle`` is a genuine simple cycle of the graph."""
-    if not cycle or len(set(cycle)) != len(cycle):
-        return False
-    for position, node in enumerate(cycle):
-        successor = cycle[(position + 1) % len(cycle)]
-        if successor not in set(waits_for.get(node, ())):
-            return False
-    return True
-
-
-def has_cycle(waits_for: Mapping[int, Iterable[int]]) -> bool:
-    """Cycle existence by Kahn-style elimination (independent oracle).
-
-    Repeatedly strips nodes with no outgoing edge; a cycle exists iff
-    nodes remain.  Deliberately a different algorithm from
-    :func:`find_cycle`, so the property suite can cross-check the two.
-    """
-    edges = {
-        node: {target for target in targets if target != node}
-        for node, targets in waits_for.items()
-    }
-    self_waiters = {
-        node for node, targets in waits_for.items() if node in set(targets)
-    }
-    if self_waiters:
-        return True
-    changed = True
-    while changed:
-        changed = False
-        for node in list(edges):
-            targets = {t for t in edges[node] if t in edges and edges[t]}
-            if not targets:
-                del edges[node]
-                changed = True
-    return any(edges[node] for node in edges)
-
-
 def choose_victim(
     cycle: Iterable[int],
     policy: str,
@@ -143,6 +105,4 @@ __all__ = [
     "VICTIM_POLICIES",
     "choose_victim",
     "find_cycle",
-    "has_cycle",
-    "is_cycle",
 ]

@@ -8,16 +8,51 @@ must be a member of every cycle it is asked to break, so dooming it
 breaks that cycle.
 """
 
+from typing import Iterable, Mapping
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.deadlock import (
-    VICTIM_POLICIES,
-    choose_victim,
-    find_cycle,
-    has_cycle,
-    is_cycle,
-)
+from repro.engine.deadlock import VICTIM_POLICIES, choose_victim, find_cycle
+
+
+def is_cycle(waits_for: Mapping[int, Iterable[int]], cycle: tuple[int, ...]) -> bool:
+    """Whether ``cycle`` is a genuine simple cycle of the graph."""
+    if not cycle or len(set(cycle)) != len(cycle):
+        return False
+    for position, node in enumerate(cycle):
+        successor = cycle[(position + 1) % len(cycle)]
+        if successor not in set(waits_for.get(node, ())):
+            return False
+    return True
+
+
+def has_cycle(waits_for: Mapping[int, Iterable[int]]) -> bool:
+    """Cycle existence by Kahn-style elimination (independent oracle).
+
+    Repeatedly strips nodes with no outgoing edge; a cycle exists iff
+    nodes remain.  Deliberately a different algorithm from
+    ``find_cycle``, so this suite can cross-check the two.
+    """
+    edges = {
+        node: {target for target in targets if target != node}
+        for node, targets in waits_for.items()
+    }
+    self_waiters = {
+        node for node, targets in waits_for.items() if node in set(targets)
+    }
+    if self_waiters:
+        return True
+    changed = True
+    while changed:
+        changed = False
+        for node in list(edges):
+            targets = {t for t in edges[node] if t in edges and edges[t]}
+            if not targets:
+                del edges[node]
+                changed = True
+    return any(edges[node] for node in edges)
+
 
 #: Random sparse digraphs over a small node universe: adjacency dicts
 #: txn -> list of txns it waits on.  Small universes make cycles likely
