@@ -104,8 +104,6 @@ class DistributedSimConfig:
                 "warmup_transactions_per_node must be non-negative, got "
                 f"{self.warmup_transactions_per_node}"
             )
-        if self.trace.remote_stock_probability < 0:
-            raise ValueError("remote probability must be non-negative")
         require_megabytes(self.buffer_mb, "buffer_mb")
         require_kernel_policy(self.policy)
 

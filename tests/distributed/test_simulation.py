@@ -218,6 +218,16 @@ class TestConfiguration:
                 nodes=2, trace=scaled_trace(), warmup_transactions_per_node=-5
             )
 
+    @pytest.mark.parametrize("probability", [2.0, -0.5])
+    def test_bad_remote_probability_rejected_at_construction(self, probability):
+        """A probability outside [0, 1] fails in the trace config, not
+        inside ``simulate_node``."""
+        with pytest.raises(ValueError, match="remote_stock_probability"):
+            DistributedSimConfig(
+                nodes=2,
+                trace=TraceConfig(warehouses=2, remote_stock_probability=probability),
+            )
+
     @pytest.mark.parametrize("megabytes", [0.0, -1.0, float("nan")])
     def test_bad_buffer_size_rejected_at_construction(self, megabytes):
         """Rejected where it is written, not inside a shard worker later."""

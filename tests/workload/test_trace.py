@@ -50,6 +50,22 @@ class TestConfig:
         with pytest.raises(ValueError, match="non-negative"):
             TraceConfig(prime_pending=-1)
 
+    @pytest.mark.parametrize(
+        ("overrides", "message"),
+        [
+            ({"remote_stock_probability": 2.0}, "remote_stock_probability"),
+            ({"remote_stock_probability": -0.1}, "remote_stock_probability"),
+            ({"items": 0}, "items must be positive"),
+            ({"items_per_order": 0}, "items_per_order"),
+            ({"customers_per_district": 100}, "divisible"),
+        ],
+    )
+    def test_input_scale_rejected_at_construction(self, overrides, message):
+        """The input generator's own check runs where the config is
+        written, not when a trace (perhaps in a worker) is first built."""
+        with pytest.raises(ValueError, match=message):
+            TraceConfig(warehouses=2, **overrides)
+
     def test_all_packings_construct(self):
         for packing in PACKING_KINDS:
             TraceGenerator(TraceConfig(warehouses=1, packing=packing, seed=1))
