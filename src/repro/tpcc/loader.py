@@ -24,6 +24,7 @@ from repro.constants import DISTRICTS_PER_WAREHOUSE, TUPLES_PER_NAME_SELECT
 from repro.engine.database import Database
 from repro.engine.table import BulkLoad
 from repro.tpcc.rows import TPCC_SCHEMAS, tpcc_index_specs
+from repro.workload.generator import validate_inputs
 
 #: The ten TPC-C last-name syllables.
 NAME_SYLLABLES = (
@@ -60,16 +61,14 @@ class TpccConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        for name in (
-            "warehouses", "customers_per_district", "items", "items_per_order", "buffer_pages"
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.customers_per_district % TUPLES_PER_NAME_SELECT:
-            raise ValueError(
-                "customers_per_district must be divisible by "
-                f"{TUPLES_PER_NAME_SELECT}, got {self.customers_per_district}"
-            )
+        validate_inputs(
+            self.warehouses,
+            items_per_order=self.items_per_order,
+            items=self.items,
+            customers_per_district=self.customers_per_district,
+        )
+        if self.buffer_pages <= 0:
+            raise ValueError(f"buffer_pages must be positive, got {self.buffer_pages}")
         if self.initial_orders_per_district < 0 or self.pending_orders_per_district < 0:
             raise ValueError(
                 "initial and pending orders must be non-negative, got "
