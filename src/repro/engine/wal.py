@@ -115,6 +115,10 @@ class WriteAheadLog:
     def is_active(self, txn_id: int) -> bool:
         return txn_id in self._active
 
+    def active_transactions(self) -> tuple[int, ...]:
+        """The ids of the transactions begun and not yet ended, ascending."""
+        return tuple(sorted(self._active))
+
     # -- appends -------------------------------------------------------------------
 
     def log_begin(self, txn_id: int) -> int:
@@ -162,7 +166,7 @@ class WriteAheadLog:
 
         Returns the transaction ids that were closed out.
         """
-        crashed = tuple(sorted(self._active))
+        crashed = self.active_transactions()
         for txn_id in crashed:
             self.log_abort(txn_id)
         return crashed

@@ -47,6 +47,17 @@ class TestProtocol:
         with pytest.raises(WalError, match="change record"):
             wal.log_change(1, LogRecordType.COMMIT, "t", 0, None, None)
 
+    def test_active_transactions_are_the_unended_ones_ascending(self, wal):
+        assert wal.active_transactions() == ()
+        for txn in (5, 2, 9, 7):
+            wal.log_begin(txn)
+        change(wal, 9)
+        wal.log_commit(5)
+        wal.log_abort(7)
+        assert wal.active_transactions() == (2, 9)
+        assert wal.abort_all_active() == (2, 9)
+        assert wal.active_transactions() == ()
+
     def test_lsns_monotone(self, wal):
         wal.log_begin(1)
         lsn1 = change(wal, 1)
