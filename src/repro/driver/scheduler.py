@@ -121,34 +121,25 @@ class _Task:
         self.outcome = "running"
 
 
-class _StatementScope:
-    """A statement's passage through the gate: snapshot in, request out.
+class StatementGate:
+    """Where a sequence's statements are priced for the scheduler.
 
-    Each gate owns one and hands it out for every statement, which is
-    safe because statements never nest and a parked statement re-runs
-    from its start in a later step.  The entry snapshot is the call
-    census and the buffer misses; the held locks only for ``commit`` and
-    ``abort``, the two kinds priced per lock.  The buffer and lock
-    managers are read through the database at each use, since
+    Installed on the database for the duration of a virtual run; every
+    statement body passes through :meth:`statement`, which meters the
+    statement's Table 4 cost and leaves it in :attr:`request`.  The
+    sequence then suspends, and the scheduler takes the request and
+    serves it through the stations.  ``sleep`` gives the executor's
+    retry backoff the same treatment (virtual, not real, delay).
+
+    The gate is itself the context manager :meth:`statement` returns,
+    which is safe because statements never nest and a parked statement
+    re-runs from its start in a later step.  On entry it snapshots the
+    call census and the buffer misses, and the held locks only for
+    ``commit`` and ``abort``, the two kinds priced per lock.  The buffer
+    and lock managers are read through the database at each use, since
     ``Database.crash`` replaces both.
     """
 
-    __slots__ = (
-        "_gate",
-        "task",
-        "txn",
-        "kind",
-        "selects",
-        "updates",
-        "inserts",
-        "deletes",
-        "non_unique_selects",
-        "joins",
-        "misses",
-        "locks_held",
-    )
-
-    task: _Task
     txn: Transaction
     kind: str
     selects: int
@@ -160,13 +151,38 @@ class _StatementScope:
     misses: int
     locks_held: int
 
-    def __init__(self, gate: "StatementGate"):
-        self._gate = gate
+    def __init__(self, db: Database, params: CostParameters):
+        self.db = db
+        self._params = params
+        #: The task whose sequence the scheduler is resuming right now.
+        self.task: _Task | None = None
+        #: ``("stmt", (cpu_k, misses))`` or ``("sleep", seconds)``
+        #: recorded by the current step and not yet served.
+        self.request: tuple[str, Any] | None = None
+
+    def check_served(self, kind: str) -> None:
+        """One request per suspension: a forgotten ``yield`` must not merge two."""
+        if self.request is not None:
+            raise RuntimeError(
+                f"{kind} started while the previous {self.request[0]} request "
+                "was unserved: the sequence must yield after every statement"
+            )
+
+    def take(self) -> tuple[str, Any] | None:
+        """Hand the recorded request (if any) to the scheduler."""
+        request, self.request = self.request, None
+        return request
+
+    def statement(self, txn: Transaction, kind: str) -> ContextManager[None]:
+        if self.task is None:  # not a sequence step (e.g. an abort on close)
+            return nullcontext()
+        self.txn = txn
+        self.kind = kind
+        return self
 
     def __enter__(self) -> None:
-        gate = self._gate
-        if gate.request is not None:
-            gate.check_served(self.kind)
+        if self.request is not None:
+            self.check_served(self.kind)
         txn = self.txn
         calls = txn.calls
         self.selects = calls.selects
@@ -175,7 +191,7 @@ class _StatementScope:
         self.deletes = calls.deletes
         self.non_unique_selects = calls.non_unique_selects
         self.joins = calls.joins
-        db = gate.db
+        db = self.db
         self.misses = db.buffers.stats.total_misses
         if self.kind in ("commit", "abort"):
             self.locks_held = db.locks.locks_held(txn.txn_id)
@@ -195,9 +211,8 @@ class _StatementScope:
             return
         # Also on failure: the statement ran, so it is priced and served:
         # Table 4 K-instructions for the CPU, buffer misses for the disk.
-        gate = self._gate
-        p = gate._params
-        misses = gate.db.buffers.stats.total_misses - self.misses
+        p = self._params
+        misses = self.db.buffers.stats.total_misses - self.misses
         cpu_k = (
             (calls.selects - self.selects) * p.select_k
             + (calls.updates - self.updates) * p.update_k
@@ -209,7 +224,8 @@ class _StatementScope:
             + p.application_k  # application code between SQL calls
             + misses * p.init_io_k  # I/O initiation per buffer miss
         )
-        task = self.task
+        # statement() hands the gate out only while a task is being resumed.
+        task: _Task = self.task  # type: ignore[assignment]
         if task.last_txn_id != txn.txn_id:
             task.last_txn_id = txn.txn_id
             cpu_k += p.init_transaction_k + p.application_k
@@ -220,54 +236,9 @@ class _StatementScope:
             cpu_k += self.locks_held * p.release_lock_k
         elif kind == "abort":
             cpu_k += self.locks_held * p.release_lock_k
-        gate.request = ("stmt", (cpu_k, misses))
+        self.request = ("stmt", (cpu_k, misses))
         if instruments.REGISTRY.enabled:
             instruments.DRIVER_STATEMENTS.inc(kind=kind)
-
-
-class StatementGate:
-    """Where a sequence's statements are priced for the scheduler.
-
-    Installed on the database for the duration of a virtual run; every
-    statement body passes through :meth:`statement`, which meters the
-    statement's Table 4 cost and leaves it in :attr:`request`.  The
-    sequence then suspends, and the scheduler takes the request and
-    serves it through the stations.  ``sleep`` gives the executor's
-    retry backoff the same treatment (virtual, not real, delay).
-    """
-
-    def __init__(self, db: Database, params: CostParameters):
-        self.db = db
-        self._params = params
-        #: The task whose sequence the scheduler is resuming right now.
-        self.task: _Task | None = None
-        #: ``("stmt", (cpu_k, misses))`` or ``("sleep", seconds)``
-        #: recorded by the current step and not yet served.
-        self.request: tuple[str, Any] | None = None
-        self._scope = _StatementScope(self)
-
-    def check_served(self, kind: str) -> None:
-        """One request per suspension: a forgotten ``yield`` must not merge two."""
-        if self.request is not None:
-            raise RuntimeError(
-                f"{kind} started while the previous {self.request[0]} request "
-                "was unserved: the sequence must yield after every statement"
-            )
-
-    def take(self) -> tuple[str, Any] | None:
-        """Hand the recorded request (if any) to the scheduler."""
-        request, self.request = self.request, None
-        return request
-
-    def statement(self, txn: Transaction, kind: str) -> ContextManager[None]:
-        task = self.task
-        if task is None:  # not a sequence step (e.g. an abort on close)
-            return nullcontext()
-        scope = self._scope
-        scope.task = task
-        scope.txn = txn
-        scope.kind = kind
-        return scope
 
     def sleep(self, seconds: float) -> None:
         """Virtual sleep (retry backoff) of the sequence being resumed."""
@@ -374,6 +345,10 @@ class VirtualScheduler:
             # (ungated by now).
             for task in self._in_flight:
                 task.context.run(task.steps.close)
+            # The executors hold this scheduler's clock and gate, so
+            # keeping them would make a cycle that holds every
+            # terminal's input blocks until a full collection.
+            self._executors = []
         if self._errors:
             raise self._errors[0]
         return RunOutcome(
