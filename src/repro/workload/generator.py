@@ -58,47 +58,54 @@ class _BlockSampler:
     """Refillable block of draws, handed out in runs.
 
     ``refill_block`` is the only thing that differs between primitives:
-    a zero-argument callable returning the next block as an array
-    (:func:`_nurand_block`, :func:`_uniform_block`, :func:`_float_block`).
-    Scalar numpy calls cost microseconds each; drawing a block and
-    handing out runs of it keeps the marginal distribution identical
-    while amortizing the call.  :meth:`draw_many_np` hands out one
-    stream however the counts are split, which is what lets every
-    consumer of :class:`InputGenerator` take whole columns.  The first
-    refill is deferred to the first draw, so a primitive that is never
-    used consumes nothing.
+    a zero-argument callable returning the next block as an int64 or
+    float64 array (:func:`_nurand_block`, :func:`_uniform_block`,
+    :func:`_float_block`).  Scalar numpy calls cost microseconds each;
+    drawing a block and handing out runs of it keeps the marginal
+    distribution identical while amortizing the call.
+    :meth:`draw_many_np` hands out one stream however the counts are
+    split, which is what lets every consumer of :class:`InputGenerator`
+    take whole columns.  The first refill is deferred to the first draw,
+    so a primitive that is never used consumes nothing.
+
+    An integer block is stored as int32, which holds every id, count
+    and threshold :func:`validate_inputs` admits, so an idle executor
+    keeps half the bytes; a draw widens its run back to int64.  Stored
+    blocks are read-only.
     """
 
-    __slots__ = ("_refill_block", "_buffer", "_next")
+    __slots__ = ("_refill_block", "_dtype", "_buffer", "_next")
 
-    def __init__(self, refill_block: Callable[[], np.ndarray]):
+    def __init__(self, refill_block: Callable[[], np.ndarray], dtype: type = np.int64):
         self._refill_block = refill_block
-        # int64 so that concatenating the empty start with the first
-        # real block keeps that block's dtype (int64 or float64).
-        self._buffer: np.ndarray = np.empty(0, dtype=np.int64)
+        #: What draws return: int64 or float64, the refill's own dtype.
+        self._dtype = dtype
+        self._buffer: np.ndarray = np.empty(0, dtype=_STORED[dtype])
         self._next = 0
 
     def draw_many_np(self, count: int) -> "np.ndarray":
-        """The next ``count`` draws of the stream.
-
-        The result may be a view of the refill buffer, which is
-        read-only, so a caller that wants to write must copy.
-        """
+        """The next ``count`` draws of the stream, as a new array."""
         index = self._next
         buffer = self._buffer
         if index + count <= buffer.shape[0]:
             self._next = index + count
-            return buffer[index : index + count]
+            return buffer[index : index + count].astype(self._dtype)
         parts = [buffer[index:]]
         got = buffer.shape[0] - index
+        stored = buffer.dtype
         while got < count:
-            buffer = self._buffer = self._refill_block()
+            buffer = self._buffer = self._refill_block().astype(stored, copy=False)
             buffer.flags.writeable = False
             take = min(count - got, buffer.shape[0])
             parts.append(buffer[:take])
             got += take
             self._next = take
-        return np.concatenate(parts)
+        return np.concatenate(parts, dtype=self._dtype)
+
+
+#: How :class:`_BlockSampler` stores a block of each draw dtype.
+_STORED: dict[type, type] = {np.int64: np.int32, np.float64: np.float64}
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 def _nurand_block(sampler: NURand, rng: np.random.Generator) -> _BlockSampler:
@@ -113,7 +120,7 @@ def _uniform_block(rng: np.random.Generator, lo: int, hi: int) -> _BlockSampler:
 
 def _float_block(rng: np.random.Generator) -> _BlockSampler:
     """Blocks of 4096 uniform ``[0, 1)`` floats."""
-    return _BlockSampler(partial(rng.random, 4096))
+    return _BlockSampler(partial(rng.random, 4096), np.float64)
 
 
 #: The generator's substreams, in spawn order.  Every draw primitive
@@ -182,10 +189,11 @@ def validate_inputs(
     customers_per_district: int = CUSTOMERS_PER_DISTRICT,
 ) -> None:
     """Raise :class:`ValueError` unless :class:`InputGenerator` can draw
-    at this scale: positive counts, probabilities in ``[0, 1]`` and
-    customers in whole name bands of :data:`TUPLES_PER_NAME_SELECT`.
-    Configurations that build a generator later call it at
-    construction, so a bad value fails where it was written."""
+    at this scale: positive counts below 2**31 (the samplers store
+    int32), probabilities in ``[0, 1]`` and customers in whole name
+    bands of :data:`TUPLES_PER_NAME_SELECT`.  Configurations that build
+    a generator later call it at construction, so a bad value fails
+    where it was written."""
     for name, count in (
         ("warehouses", warehouses),
         ("customers_per_district", customers_per_district),
@@ -194,6 +202,8 @@ def validate_inputs(
     ):
         if count <= 0:
             raise ValueError(f"{name} must be positive, got {count}")
+        if count > _INT32_MAX:
+            raise ValueError(f"{name} must be at most {_INT32_MAX}, got {count}")
     for name, probability in (
         ("remote_stock_probability", remote_stock_probability),
         ("remote_payment_probability", remote_payment_probability),
@@ -321,7 +331,7 @@ class InputGenerator:
     seed and scale both see the same ``k``-th input of each transaction
     type (the engine then sets the few fields only it uses; see
     :meth:`~repro.tpcc.executor.TpccExecutor._draw`).  Returned arrays
-    may be read-only views of the samplers' blocks.
+    are new ones, int64 or float64, never views of the samplers' blocks.
     """
 
     def __init__(

@@ -62,13 +62,16 @@ def test_any_split_of_the_counts_is_one_stream(counts, seed, block):
 
 
 def test_sampler_blocks_are_read_only():
-    """A column may be a view of the live block: writing into it must
-    fail rather than change later draws."""
+    """A draw is a new array and the stored block is read-only, so
+    writing into a column cannot change later draws."""
     split = sampler(3, 8)
+    reference = sampler(3, 8).draw_many_np(8).tolist()
     split.draw_many_np(1)  # refills the block
-    values = split.draw_many_np(4)  # a view of it
+    values = split.draw_many_np(4)
+    values[:] = -1
     with pytest.raises(ValueError, match="read-only"):
-        values[0] = -1
+        split._buffer[0] = -1
+    assert split.draw_many_np(3).tolist() == reference[5:]
 
 
 def _engine_only_cleared(params: object) -> object:

@@ -3,8 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.constants import ITEMS, NURAND_A_CUSTOMER, NURAND_A_ITEM, NURAND_A_NAME
-from repro.workload.generator import InputGenerator, scaled_nurand_a, validate_inputs
+from repro.constants import (
+    CUSTOMERS_PER_DISTRICT,
+    ITEMS,
+    NURAND_A_CUSTOMER,
+    NURAND_A_ITEM,
+    NURAND_A_NAME,
+)
+from repro.core.nurand import NURand
+from repro.workload.generator import (
+    SPLIT_STREAM_NAMES,
+    InputGenerator,
+    scaled_nurand_a,
+    validate_inputs,
+)
 
 
 @pytest.fixture
@@ -309,6 +321,66 @@ class TestValidation:
         with pytest.raises(ValueError, match="items must be positive"):
             InputGenerator(warehouses=1, items=0)
 
+    def test_counts_past_int32_rejected(self):
+        # The samplers store int32 blocks; a larger id would wrap.
+        with pytest.raises(ValueError, match="items must be at most 2147483647"):
+            validate_inputs(1, items=2**31)
+        with pytest.raises(ValueError, match="warehouses must be at most"):
+            validate_inputs(2**31)
+        validate_inputs(2**31 - 1, items=2**31 - 1)
+
     def test_validate_inputs_accepts_the_defaults(self):
         validate_inputs(1)
         validate_inputs(2, remote_stock_probability=1.0, remote_payment_probability=0.0)
+
+
+class TestSamplerBlocks:
+    """Blocks are stored compactly; draws come back at full width."""
+
+    @staticmethod
+    def child_rng(seed, name):
+        children = np.random.SeedSequence(seed).spawn(len(SPLIT_STREAM_NAMES))
+        return np.random.default_rng(children[SPLIT_STREAM_NAMES.index(name)])
+
+    def test_stored_blocks(self, generator):
+        generator.new_order_columns(3)
+        for sampler, dtype in (
+            (generator._no_item, np.int32),
+            (generator._no_warehouse, np.int32),
+            (generator._no_flags, np.float64),
+        ):
+            block = sampler._buffer
+            assert block.dtype == dtype
+            assert not block.flags.writeable
+
+    # Crossing the 8 192-draw NURand and 4 096-draw uniform refills,
+    # mid-block and exactly at a block's end.
+    COUNTS = (1, 4_000, 95, 4_096, 8_192, 3, 12_000, 1)
+
+    def test_nurand_draws_equal_an_int64_reference(self):
+        generator = InputGenerator(warehouses=5, seed=7)
+        rng = self.child_rng(7, "no_customer")
+        nurand = NURand(NURAND_A_CUSTOMER, 1, CUSTOMERS_PER_DISTRICT)
+        total = sum(self.COUNTS)
+        reference = np.concatenate(
+            [nurand.sample_array(rng, 8192) for _ in range(-(-total // 8192))]
+        )
+        got = [generator._no_customer.draw_many_np(count) for count in self.COUNTS]
+        assert all(draw.dtype == np.int64 for draw in got)
+        assert np.array_equal(np.concatenate(got), reference[:total])
+
+    def test_uniform_and_float_draws_equal_64_bit_references(self):
+        generator = InputGenerator(warehouses=5, seed=7)
+        total = sum(self.COUNTS)
+        blocks = -(-total // 4096)
+        rng = self.child_rng(7, "no_warehouse")
+        warehouses = np.concatenate([rng.integers(1, 6, size=4096) for _ in range(blocks)])
+        rng = self.child_rng(7, "no_flags")
+        flags = np.concatenate([rng.random(4096) for _ in range(blocks)])
+        for sampler, reference, dtype in (
+            (generator._no_warehouse, warehouses, np.int64),
+            (generator._no_flags, flags, np.float64),
+        ):
+            got = [sampler.draw_many_np(count) for count in self.COUNTS]
+            assert all(draw.dtype == dtype for draw in got)
+            assert np.array_equal(np.concatenate(got), reference[:total])
